@@ -64,9 +64,11 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t: float) -> float:
         raise ValueError("q0 must be positive")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if k == 0.0:
-        return n * q0 / (2.0 * (n + q0 * t))
     kt = k * t
+    # A subnormal k t keeps too few bits for the expm1 ratio below; the k = 0
+    # formula is exact to double precision there.
+    if abs(kt) < np.finfo(float).tiny:
+        return n * q0 / (2.0 * (n + q0 * t))
     if kt > 700.0:
         return 0.0
     return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))

@@ -9,8 +9,8 @@ Subcommands:
 
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
-byte-identical output.  Exit status: 0 success, 1 verification failure,
-2 usage or configuration error.
+byte-identical output.  Exit status: 0 success, 1 verification or numerical
+(quadrature, drift propagator) failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ _DEFAULTS = {
     "only": None,
     "rtol": 1e-10,
     "atol": 1e-14,
-    "dt": 1e-3,
     "inject_fault": None,
 }
 
@@ -91,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--manifold",
                       choices=("circle", "torus", "sphere", "torus-drift"),
                       default=None)
-    p_ev.add_argument("--dt", type=float, default=None,
-                      help="time step for the drifted torus")
     p_ev.add_argument("--format", choices=("csv", "json"), default=None)
     add_common(p_ev)
 
@@ -222,18 +219,10 @@ def _grid_requested(args: argparse.Namespace) -> bool:
         for key in ("t_start", "t_stop", "t_count", "t_scale"))
 
 
-def _fixture_trace(args: argparse.Namespace):
-    fixture = fx.get_fixture(_resolve(args, "manifold"))
-    dt = float(_resolve(args, "dt"))
-    times = _time_grid(args) if _grid_requested(args) else fixture.default_times
-    trace = sp.entropy_trace(
-        fixture.initial, times,
-        dt=dt if fixture.manifold.kind == "torus2_drift" else None)
-    return fixture, trace
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
-    fixture, trace = _fixture_trace(args)
+    fixture = fx.get_fixture(_resolve(args, "manifold"))
+    times = _time_grid(args) if _grid_requested(args) else fixture.default_times
+    trace = sp.entropy_trace(fixture.initial, times)
     reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
 
     header = ["t", "entropy", "fisher", "rate_direct", "rate_fd"]
@@ -358,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (QuadratureDomainError, QuadratureConvergenceError) as exc:
         sys.stderr.write(f"quadrature failure: {exc}\n")
+        return 1
+    except sp.PropagatorError as exc:
+        sys.stderr.write(f"propagator failure: {exc}\n")
         return 1
     except (sp.PositivityError, sp.SpectralTruncationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,7 +24,6 @@ class Fixture:
     # Grid restricted to where rates stay well above the float noise floor,
     # used for the rate-vs-finite-difference consistency checks.
     rate_check_times: np.ndarray
-    dt: float | None = None
 
 
 def circle_fixture() -> Fixture:
@@ -70,7 +69,7 @@ def sphere_fixture() -> Fixture:
     )
 
 
-def drift_fixture(dt: float = 1e-3) -> Fixture:
+def drift_fixture() -> Fixture:
     base = sp.torus2(1.0, 1.0)
     potential = sp.project_potential(
         base, lambda x, y: 0.1 * np.sin(2.0 * np.pi * x), cutoff=2)
@@ -85,7 +84,6 @@ def drift_fixture(dt: float = 1e-3) -> Fixture:
         initial=initial,
         default_times=np.geomspace(0.1, 2.0, 6),
         rate_check_times=np.geomspace(0.02, 0.3, 5),
-        dt=dt,
     )
 
 

@@ -10,13 +10,15 @@ coefficient just decays as exp(-lambda t / 2).
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff; on the periodic geometries the
 uniform-grid sum is the spectrally accurate quadrature, on the sphere we use
-Gauss-Legendre in cos(theta).  The drifted torus is the single time-stepped
-path (classical fourth-order Runge-Kutta on the Galerkin system); everywhere
-else there is no time-discretisation error at all.
+Gauss-Legendre in cos(theta).  On the drifted torus the Galerkin system
+c' = A c is linear and time-independent, so it too is propagated exactly,
+through an eigendecomposition of A; there is no time-discretisation error
+anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,8 +30,11 @@ _MIN_GRID = 32
 POSITIVITY_FLOOR = 1e-8
 _TAIL_ENERGY_FRACTION = 1e-20
 _FD_STEP_SCALE = 1e-4
-# Real-axis stability limit of classical RK4.
-_RK4_STABILITY = 2.78
+# Accepted drift eigendecompositions: relative 1-norm eigen-residual
+# ||AV - V diag(w)|| / ||A|| and 1-norm condition estimate ||V|| ||V^-1||.
+# The drift fixture reads about 2e-14 and 3.5.
+EIG_RESIDUAL_LIMIT = 1e-12
+EIG_CONDITION_LIMIT = 1e8
 
 
 class PositivityError(ValueError):
@@ -38,6 +43,10 @@ class PositivityError(ValueError):
 
 class SpectralTruncationError(ValueError):
     """The requested cutoff cannot faithfully represent the data."""
+
+
+class PropagatorError(ArithmeticError):
+    """The drift generator's eigendecomposition is too inaccurate to use."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,78 +328,105 @@ def mass(field: SpectralField) -> float:
 
 
 def evolve(field: SpectralField, t: float) -> SpectralField:
-    """Exact heat semigroup: each coefficient decays as exp(-lambda t / 2)."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if field.manifold.kind == "torus2_drift":
-        raise ValueError("drifted manifolds evolve through evolve_drift")
-    lam = eigenvalues(field.manifold, field.cutoff)
-    return SpectralField(field.manifold, field.coefficients * np.exp(-0.5 * lam * t),
-                         field.cutoff)
+    """Exact heat semigroup exp(tL) on the field's coefficients.
 
-
-def stable_drift_dt(field: SpectralField) -> float:
-    """Largest explicit-integrator step the resolved modes tolerate."""
-    lam_max = float(eigenvalues(field.manifold, field.cutoff).max())
-    return _RK4_STABILITY / (0.5 * lam_max)
-
-
-def evolve_drift(field: SpectralField, t: float, dt: float) -> SpectralField:
-    """Galerkin evolution under half-Laplacian plus grad(V) advection.
-
-    The advection term is assembled pseudospectrally on a grid wide enough
-    that no product aliases back below the cutoff; time integration is
-    classical RK4 with a fixed step, the one discretisation error in the
-    package.
+    Undrifted, each coefficient decays as exp(-lambda t / 2).  On the drifted
+    torus the Galerkin generator is a dense matrix A; c(t) = V e^{wt} V^-1 c
+    from its eigendecomposition A = V diag(w) V^-1, computed once per
+    operator.  A drifted result must stay strictly positive.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    manifold = field.manifold
-    if manifold.kind != "torus2_drift":
-        raise ValueError("evolve_drift requires a torus2_drift manifold")
-    if dt > stable_drift_dt(field):
-        raise ValueError(
-            f"dt={dt} exceeds the stability bound {stable_drift_dt(field):.3e} "
-            f"for cutoff {field.cutoff}")
     if t == 0.0:
         return field
-    n_steps = max(1, math.ceil(t / dt))
-    h = t / n_steps
-    coeffs = _drift_rk4(field, h, n_steps)
-    out = SpectralField(manifold, coeffs, field.cutoff)
+    manifold = field.manifold
+    if manifold.kind != "torus2_drift":
+        lam = eigenvalues(manifold, field.cutoff)
+        return SpectralField(manifold, field.coefficients * np.exp(-0.5 * lam * t),
+                             field.cutoff)
+    potential = manifold.drift
+    assert potential is not None
+    w, v, v_inv = _drift_propagator(
+        manifold.lengths, field.cutoff, potential.cutoff,
+        np.asarray(potential.coefficients, dtype=complex).tobytes())
+    c = v @ (np.exp(w * t) * (v_inv @ field.coefficients.ravel()))
+    out = SpectralField(manifold, c.reshape(field.coefficients.shape), field.cutoff)
     resolved_min = float(resolve(out).min())
     if resolved_min <= POSITIVITY_FLOOR:
         raise PositivityError(
             f"drifted evolution lost positivity (min {resolved_min:.3e}); "
-            "refine dt or raise the cutoff")
+            "raise the cutoff or fix the data")
     return out
 
 
-def _drift_rk4(field: SpectralField, h: float, n_steps: int) -> np.ndarray:
-    manifold = field.manifold
-    tr = _transform(manifold, field.cutoff)
-    lam = eigenvalues(manifold, field.cutoff)
-    potential = manifold.drift
-    assert potential is not None
-    tv = _transform(manifold, potential.cutoff, tr.n)
-    vx = tv.synth(potential.coefficients * tv.ik1).real
-    vy = tv.synth(potential.coefficients * tv.ik2).real
+@functools.lru_cache(maxsize=4)
+def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
+                      potential_bytes: bytes):
+    """(w, V, V^-1) of the drift generator.  Keyed on content rather than on
+    the manifold object, so every field, trace and CLI call on an equal
+    operator shares one decomposition; the generator itself is not kept."""
+    potential = np.frombuffer(potential_bytes, dtype=complex).reshape(
+        2 * potential_cutoff + 1, 2 * potential_cutoff + 1)
+    return _eigendecompose(_drift_generator(lengths, cutoff, potential))
 
-    def rhs(c: np.ndarray) -> np.ndarray:
-        ux = tr.synth(c * tr.ik1)
-        uy = tr.synth(c * tr.ik2)
-        return -0.5 * lam * c + tr.analyze(vx * ux + vy * uy)
 
-    c = field.coefficients.astype(complex)
-    for _ in range(n_steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return c
+def _drift_generator(lengths: tuple[float, ...], cutoff: int,
+                     potential: np.ndarray) -> np.ndarray:
+    """Galerkin matrix of L = Laplacian/2 + grad V . grad on the field's modes.
+
+    The product of potential mode m with field mode j lands on mode j + m,
+    so each potential mode fills one diagonal of the flattened matrix, minus
+    the entries whose target mode lies outside the cutoff:
+    A[j + m, j] = V_m (2 pi i m / L) . (2 pi i j / L) / sqrt(vol).
+    """
+    modes = np.arange(-cutoff, cutoff + 1)
+    size = modes.size
+    j1 = np.repeat(modes, size)
+    j2 = np.tile(modes, size)
+    k1 = 2.0 * math.pi * j1 / lengths[0]
+    k2 = 2.0 * math.pi * j2 / lengths[1]
+    a = np.diag(-0.5 * (k1 ** 2 + k2 ** 2) + 0j)
+    flat = np.arange(size * size)
+    p = (potential.shape[0] - 1) // 2
+    root_vol = math.sqrt(lengths[0] * lengths[1])
+    for (i1, i2), v_m in np.ndenumerate(potential):
+        m1, m2 = i1 - p, i2 - p
+        inside = (np.abs(j1 + m1) <= cutoff) & (np.abs(j2 + m2) <= cutoff)
+        src = flat[inside]
+        dot = -((2.0 * math.pi * m1 / lengths[0]) * k1[inside]
+                + (2.0 * math.pi * m2 / lengths[1]) * k2[inside])
+        a[src + m1 * size + m2, src] += v_m * dot / root_vol
+    return a
+
+
+def _eigendecompose(a: np.ndarray):
+    """A = V diag(w) V^-1, refusing an inaccurate or ill-conditioned result.
+
+    The eigen-residual is the backward error of ``eig``; the propagator's
+    error is about cond(V) times it.  A defective (Jordan-block) generator
+    has no eigenvector basis, which shows as an enormous cond(V).
+    """
+    try:
+        w, v = np.linalg.eig(a)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise PropagatorError(f"drift generator eigendecomposition failed: {exc}") from exc
+    av = a @ v
+    av -= v * w  # in place: one dense temporary fewer at peak memory
+    residual = np.linalg.norm(av, 1)
+    scale = np.linalg.norm(a, 1)  # zero for a constant field alone
+    if not residual <= EIG_RESIDUAL_LIMIT * scale:
+        raise PropagatorError(
+            f"drift generator eigen-residual {residual / scale:.3e} exceeds "
+            f"{EIG_RESIDUAL_LIMIT:.0e}")
+    condition = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    if not condition <= EIG_CONDITION_LIMIT:
+        raise PropagatorError(
+            f"drift generator eigenvectors have condition {condition:.3e}, "
+            f"above {EIG_CONDITION_LIMIT:.0e}")
+    for arr in (w, v, v_inv):
+        arr.setflags(write=False)
+    return w, v, v_inv
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +498,16 @@ class EntropyTrace:
     fisher: np.ndarray
 
 
-def entropy_trace(field: SpectralField, times, dt: Optional[float] = None) -> EntropyTrace:
+def entropy_trace(field: SpectralField, times) -> EntropyTrace:
     """Evolve the field across a strictly increasing positive time grid.
 
     rate_direct is half the Fisher information; rate_fd is a central finite
     difference of the entropy with step 1e-4 * t, the package-wide
-    cross-check policy.  The drifted torus needs ``dt``.
+    cross-check policy.
     """
     times = np.asarray([float(t) for t in times])
     if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing and positive")
-    if field.manifold.kind == "torus2_drift":
-        if dt is None:
-            raise ValueError("drifted traces need an explicit dt")
-        return _entropy_trace_drift(field, times, dt)
-
     entropies = np.empty_like(times)
     fishers = np.empty_like(times)
     rate_fd = np.empty_like(times)
@@ -486,39 +517,6 @@ def entropy_trace(field: SpectralField, times, dt: Optional[float] = None) -> En
         s_plus, _ = entropy_and_fisher(evolve(field, t + h))
         s_minus, _ = entropy_and_fisher(evolve(field, t - h))
         rate_fd[i] = (s_plus - s_minus) / (2.0 * h)
-    return EntropyTrace(times, entropies, 0.5 * fishers, rate_fd, fishers)
-
-
-def _entropy_trace_drift(field: SpectralField, times: np.ndarray, dt: float) -> EntropyTrace:
-    # Walk the grid once, stopping at t-h, t and t+h for each requested t;
-    # all integration is forward in time.
-    stops: list[tuple[float, int, str]] = []
-    for i, t in enumerate(times):
-        h = _FD_STEP_SCALE * t
-        stops.extend([(t - h, i, "lo"), (t, i, "mid"), (t + h, i, "hi")])
-    stops.sort(key=lambda s: s[0])
-
-    entropies = np.empty_like(times)
-    fishers = np.empty_like(times)
-    s_lo = np.empty_like(times)
-    s_hi = np.empty_like(times)
-
-    current = field
-    t_current = 0.0
-    for t_stop, i, tag in stops:
-        span = t_stop - t_current
-        if span > 0.0:
-            current = evolve_drift(current, span, min(dt, span))
-            t_current = t_stop
-        s, q = entropy_and_fisher(current)
-        if tag == "mid":
-            entropies[i] = s
-            fishers[i] = q
-        elif tag == "lo":
-            s_lo[i] = s
-        else:
-            s_hi[i] = s
-    rate_fd = (s_hi - s_lo) / (2.0 * _FD_STEP_SCALE * times)
     return EntropyTrace(times, entropies, 0.5 * fishers, rate_fd, fishers)
 
 

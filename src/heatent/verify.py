@@ -153,8 +153,7 @@ def check_rate_consistency(spec: QuadratureSpec) -> CheckResult:
         worst = max(worst, abs(rate - h3.entropy_rate_fd(p, t)) / abs(rate))
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
-        trace = sp.entropy_trace(fixture.initial, fixture.rate_check_times,
-                                 dt=fixture.dt)
+        trace = sp.entropy_trace(fixture.initial, fixture.rate_check_times)
         rel = np.abs(trace.rate_direct - trace.rate_fd) / np.abs(trace.rate_direct)
         worst = max(worst, float(rel.max()))
     return CheckResult(worst <= 1e-4, worst,
@@ -170,8 +169,7 @@ def check_fixture_bounds(spec: QuadratureSpec) -> CheckResult:
     worst = -math.inf
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
-        trace = sp.entropy_trace(fixture.initial, fixture.default_times,
-                                 dt=fixture.dt)
+        trace = sp.entropy_trace(fixture.initial, fixture.default_times)
         for report in bd.check_bounds(trace, fixture.manifold, fixture.initial):
             if not report.all_satisfied:
                 failures.append(f"{name}:{report.bound_name}")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatent import bounds as bd
@@ -42,6 +42,7 @@ def test_ricci_rhs_monotone_in_curvature():
     k1=st.floats(-3.0, 3.0),
     k2=st.floats(-3.0, 3.0),
 )
+@example(n=1, q0=1.0, t=1.5, k1=-5e-324, k2=0.0)  # subnormal curvature
 def test_ricci_rhs_monotonicity_property(n, q0, t, k1, k2):
     lo_k, hi_k = sorted((k1, k2))
     assert (bd.ricci_bound_rhs(n, hi_k, q0, t)
@@ -141,7 +142,7 @@ def test_sphere_reports_and_exponential_decay():
 
 def test_drift_manifold_gets_only_drift_report():
     fixture = fx.drift_fixture()
-    trace = sp.entropy_trace(fixture.initial, fixture.default_times, dt=fixture.dt)
+    trace = sp.entropy_trace(fixture.initial, fixture.default_times)
     reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
     assert [r.bound_name for r in reports] == ["drift_curvature"]
     assert reports[0].all_satisfied

@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from heatent import cli
+from heatent import spectral as sp
+
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
              "etap,etap_lower,etap_upper,band_lo,band_hi")
 
@@ -93,6 +96,36 @@ def test_evolve_drift_json():
     assert payload["manifold"] == "torus-drift"
     assert [r["bound_name"] for r in payload["reports"]] == ["drift_curvature"]
     assert all(all(r["satisfied"]) for r in payload["reports"])
+
+
+def test_evolve_torus_drift_deterministic_bytes():
+    first = run_cli("evolve", "--manifold", "torus-drift")
+    second = run_cli("evolve", "--manifold", "torus-drift")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+
+
+def test_evolve_rejects_removed_dt_flag():
+    proc = run_cli("evolve", "--manifold", "torus-drift", "--dt", "1e-3")
+    assert proc.returncode == 2
+    assert "--dt" in proc.stderr
+
+
+def test_config_rejects_removed_dt_key(tmp_path: Path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"manifold": "torus-drift", "dt": 1e-3}))
+    proc = run_cli("evolve", "--config", str(config))
+    assert proc.returncode == 2
+    assert "dt" in proc.stderr
+
+
+def test_propagator_failure_exits_one(monkeypatch, capsys):
+    def refuse(*args):
+        raise sp.PropagatorError("eigenvectors too ill-conditioned")
+
+    monkeypatch.setattr(sp, "_drift_propagator", refuse)
+    assert cli.main(["evolve", "--manifold", "torus-drift"]) == 1
+    assert "propagator failure" in capsys.readouterr().err
 
 
 def test_bounds_table():

@@ -139,14 +139,12 @@ def test_evolve_semigroup_property():
 
 
 def test_mass_conserved_on_every_manifold():
-    for builder in (fx.circle_fixture, fx.torus_fixture, fx.sphere_fixture):
+    for builder in (fx.circle_fixture, fx.torus_fixture, fx.sphere_fixture,
+                    fx.drift_fixture):
         fixture = builder()
         for t in (0.1, 1.0, 5.0):
             assert sp.mass(sp.evolve(fixture.initial, t)) == pytest.approx(
                 1.0, rel=1e-12), (fixture.name, t)
-    drift = fx.drift_fixture()
-    evolved = sp.evolve_drift(drift.initial, 0.5, 1e-3)
-    assert sp.mass(evolved) == pytest.approx(1.0, rel=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -160,10 +158,20 @@ def test_entropy_sign_and_rate_sign_property(amplitude, mode, t):
     assert fisher >= 0.0
 
 
-def test_evolve_rejects_drift_manifold():
+def test_evolve_accepts_drift_manifold():
     fixture = fx.drift_fixture()
+    evolved = sp.evolve(fixture.initial, 0.05)
+    assert evolved.manifold is fixture.manifold
+    assert evolved.coefficients.shape == fixture.initial.coefficients.shape
+    undrifted = sp.evolve(
+        sp.SpectralField(TORUS, fixture.initial.coefficients, fixture.initial.cutoff), 0.05)
+    # the drift couples modes the plain heat flow keeps apart
+    assert np.abs(evolved.coefficients - undrifted.coefficients).max() > 1e-6
     with pytest.raises(ValueError):
-        sp.evolve(fixture.initial, 1.0)
+        sp.evolve(fixture.initial, -0.1)
+    # a lone constant mode has the zero generator and stays put
+    constant = sp.project_initial(fixture.manifold, lambda x, y: np.ones_like(x), 0)
+    assert sp.evolve(constant, 1.0).coefficients == pytest.approx(constant.coefficients)
 
 
 def test_evolve_drift_zero_potential_reduces_to_exact():
@@ -171,51 +179,108 @@ def test_evolve_drift_zero_potential_reduces_to_exact():
     manifold = sp.torus2_drift(potential)
     start = sp.project_initial(
         manifold, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x), 6)
-    stepped = sp.evolve_drift(start, 0.5, 1e-3)
+    drifted = sp.evolve(start, 0.5)
     exact = sp.evolve(sp.SpectralField(TORUS, start.coefficients, start.cutoff), 0.5)
-    assert np.abs(stepped.coefficients - exact.coefficients).max() < 1e-10
+    assert np.abs(drifted.coefficients - exact.coefficients).max() <= 1e-13
 
 
 def test_evolve_drift_conserves_mu_mass():
     fixture = fx.drift_fixture()
     start_mass = sp.mass(fixture.initial)
-    evolved = sp.evolve_drift(fixture.initial, 1.0, 1e-3)
-    assert abs(sp.mass(evolved) - start_mass) <= 1e-8 * abs(start_mass)
+    for t in (0.02, 0.3, 1.0, 2.0):
+        evolved = sp.evolve(fixture.initial, t)
+        assert abs(sp.mass(evolved) - start_mass) <= 1e-12 * abs(start_mass), t
 
 
-def test_evolve_drift_rejects_unstable_step():
+def test_drift_semigroup_property():
     fixture = fx.drift_fixture()
-    with pytest.raises(ValueError):
-        sp.evolve_drift(fixture.initial, 1.0, 1.0)
+    for s, t in ((0.05, 0.1), (0.3, 0.7), (1.0, 1.0)):
+        left = sp.evolve(sp.evolve(fixture.initial, s), t)
+        right = sp.evolve(fixture.initial, s + t)
+        assert np.abs(left.coefficients - right.coefficients).max() <= 1e-12, (s, t)
 
 
-def test_evolve_drift_fourth_order_convergence():
-    fixture = fx.drift_fixture()
-    reference = sp.evolve_drift(fixture.initial, 0.5, 6.25e-5)
-    errors = [
-        np.abs(sp.evolve_drift(fixture.initial, 0.5, dt).coefficients
-               - reference.coefficients).max()
-        for dt in (1e-3, 5e-4)
-    ]
-    ratio = errors[0] / errors[1]
-    assert 12.0 < ratio < 20.0  # halving dt cuts the error ~16x
+def _fft_drift_operator(manifold, cutoff):
+    """Oracle: the pseudospectral right-hand side -lambda c / 2 +
+    analyze(grad V . grad u), applied to each unit coefficient vector with a
+    complex-linear synthesis (no real part taken)."""
+    l1, l2 = manifold.lengths
+    potential = manifold.drift
+    n = max(32, 8 * cutoff)
+    root_vol = math.sqrt(l1 * l2)
+
+    def grid(coeffs, band):
+        spec = np.zeros((n, n), dtype=complex)
+        slots = np.arange(-band, band + 1) % n
+        spec[np.ix_(slots, slots)] = coeffs / root_vol
+        return np.fft.ifft2(spec) * n * n
+
+    def derivatives(coeffs, band):
+        m = np.arange(-band, band + 1)
+        return (grid(coeffs * (2j * np.pi * m / l1)[:, None], band),
+                grid(coeffs * (2j * np.pi * m / l2)[None, :], band))
+
+    vx, vy = derivatives(potential.coefficients, potential.cutoff)
+    m = np.arange(-cutoff, cutoff + 1)
+    lam = ((2.0 * np.pi * m / l1) ** 2)[:, None] + ((2.0 * np.pi * m / l2) ** 2)[None, :]
+    slots = m % n
+    size = m.size ** 2
+    a = np.empty((size, size), dtype=complex)
+    for col in range(size):
+        c = np.zeros(size, dtype=complex)
+        c[col] = 1.0
+        c = c.reshape(m.size, m.size)
+        ux, uy = derivatives(c, cutoff)
+        adv = np.fft.fft2(vx * ux + vy * uy) / (n * n)
+        a[:, col] = (-0.5 * lam * c + adv[np.ix_(slots, slots)] * root_vol).ravel()
+    return a
+
+
+@pytest.mark.parametrize("lengths, seed", [((1.0, 1.0), None), ((1.0, 1.5), 3)])
+def test_drift_generator_matches_pseudospectral_operator(lengths, seed):
+    base = sp.torus2(*lengths)
+    if seed is None:
+        potential = fx.drift_fixture().manifold.drift
+    else:
+        coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
+        potential = sp.SpectralField(base, coeffs, 2)
+    manifold = sp.torus2_drift(potential)
+    a = sp._drift_generator(manifold.lengths, 6, potential.coefficients)
+    assert np.abs(a - _fft_drift_operator(manifold, 6)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("generator", [
+    np.array([[0.0, 1.0], [0.0, 0.0]]),          # exact Jordan block
+    np.array([[-1.0, 1.0], [1e-24, -1.0]]),     # numerically defective
+])
+def test_defective_generator_trips_guard(generator):
+    with pytest.raises(sp.PropagatorError):
+        sp._eigendecompose(generator)
+
+
+def test_drift_propagator_shared_across_fixture_rebuilds():
+    sp._drift_propagator.cache_clear()
+    for _ in range(3):
+        sp.evolve(fx.drift_fixture().initial, 0.5)
+    info = sp._drift_propagator.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_evolve_drift_positivity_guard():
     # a sign-indefinite "density" slipped past projection must be caught at
-    # the end of the stepped evolution, not returned as NaN-contaminated data
+    # the end of the drifted evolution, not returned as negative data
     fixture = fx.drift_fixture()
     manifold = fixture.manifold
     tr_coeffs = sp.project_potential(
         sp.torus2(1.0, 1.0), lambda x, y: 1.0 + 1.5 * np.cos(2.0 * np.pi * x), 6)
     bad = sp.SpectralField(manifold, tr_coeffs.coefficients, tr_coeffs.cutoff)
     with pytest.raises(sp.PositivityError):
-        sp.evolve_drift(bad, 0.01, 1e-3)
+        sp.evolve(bad, 0.01)
 
 
 def test_evolve_drift_entropy_nondecreasing():
     fixture = fx.drift_fixture()
-    trace = sp.entropy_trace(fixture.initial, np.geomspace(0.05, 1.0, 5), dt=1e-3)
+    trace = sp.entropy_trace(fixture.initial, np.geomspace(0.05, 1.0, 5))
     assert np.all(np.diff(trace.entropy) > -1e-14)
 
 
@@ -309,7 +374,7 @@ def test_trace_validates_grid():
     with pytest.raises(ValueError):
         sp.entropy_trace(field, [0.0, 0.1])
     with pytest.raises(ValueError):
-        sp.entropy_trace(fx.drift_fixture().initial, [0.1])  # missing dt
+        sp.entropy_trace(fx.drift_fixture().initial, [0.2, 0.1])
 
 
 # ---------------------------------------------------------------------------
