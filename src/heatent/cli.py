@@ -144,8 +144,9 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
     stop = float(_resolve(args, "t_stop"))
     count = int(_resolve(args, "t_count"))
     scale = _resolve(args, "t_scale")
-    if start <= 0.0 or stop < start or count < 1:
-        raise UsageError("need 0 < t-start <= t-stop and t-count >= 1")
+    # chained so that a NaN or infinite end fails too
+    if not 0.0 < start <= stop < math.inf or count < 1:
+        raise UsageError("need finite 0 < t-start <= t-stop and t-count >= 1")
     if count == 1:
         return np.array([start])
     if scale == "log":
@@ -182,6 +183,16 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_table(header: Sequence[str], rows: Sequence[Sequence[object]],
+                args: argparse.Namespace) -> None:
+    """One row per time, as CSV or as a JSON list of {column: value}."""
+    if _resolve(args, "format") == "json":
+        payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
+        _emit(_json_text(payload), _resolve(args, "out"))
+    else:
+        _emit(_csv(header, rows), _resolve(args, "out"))
+
+
 def cmd_h3(args: argparse.Namespace) -> int:
     kappa = float(_resolve(args, "kappa"))
     if kappa <= 0.0:
@@ -191,9 +202,12 @@ def cmd_h3(args: argparse.Namespace) -> int:
     records = h3.evaluate_records(params, times)
 
     rows = []
-    all_ok = True
+    failing = []
     for rec in records:
-        all_ok = all_ok and rec.envelope_ok and rec.band_ok(kappa)
+        checks = [name for name, ok in (("envelope", rec.envelope_ok),
+                                        ("band", rec.band_ok(kappa))) if not ok]
+        if checks:
+            failing.append((rec.t, checks))
         rows.append([
             rec.t, rec.entropy, rec.I1, rec.I2, rec.rate_direct, rec.rate_fd,
             rec.eta.value(), rec.eta_lower.value(), rec.eta_upper.value(),
@@ -201,13 +215,11 @@ def cmd_h3(args: argparse.Namespace) -> int:
             rec.band_lo, rec.band_hi,
         ])
 
-    if _resolve(args, "format") == "json":
-        payload = [dict(zip(H3_COLUMNS, [float(v) for v in row])) for row in rows]
-        _emit(_json_text(payload), _resolve(args, "out"))
-    else:
-        _emit(_csv(H3_COLUMNS, rows), _resolve(args, "out"))
-    if not all_ok:
-        sys.stderr.write("h3: envelope or band check failed\n")
+    _emit_table(H3_COLUMNS, rows, args)
+    if failing:
+        t, checks = failing[0]
+        sys.stderr.write(f"h3: {len(failing)} of {len(rows)} rows failed; first at "
+                         f"t={_fmt(t)}: {' and '.join(checks)} check\n")
         return 1
     return 0
 
@@ -273,34 +285,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(_resolve(args, "manifold"))
     times = _time_grid(args)
-    manifold = fixture.manifold
-    _, q0 = sp.entropy_and_fisher(fixture.initial)
-    n = manifold.dimension
-    k = manifold.ricci_lower_bound
-
-    if manifold.kind == "torus2_drift":
-        header = ["t", "drift_curvature", "euclidean_reference"]
-        rows = [[t, 0.5 * math.exp(-k * t) * q0,
-                 bd.euclidean_rate_reference(n, t)] for t in times]
-    else:
-        inf_f, sup_f = sp.grid_extrema(fixture.initial)
-        sup_rel = sup_f * manifold.volume
-        lam1 = sp.spectral_gap(manifold)
-        norm_lap = sp.laplacian_l2_norm(fixture.initial)
-        header = ["t", "ricci_curvature", "gradient_log_sup", "spectral_gap",
-                  "euclidean_reference"]
-        rows = [[t,
-                 bd.ricci_bound_rhs(n, k, q0, t),
-                 bd.hamilton_bound_rhs(min(k, 0.0), sup_rel, t),
-                 bd.spectral_gap_bound_rhs(lam1, norm_lap, manifold.volume,
-                                           inf_f, sup_f, t),
-                 bd.euclidean_rate_reference(n, t)] for t in times]
-
-    if _resolve(args, "format") == "json":
-        payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        _emit(_json_text(payload), _resolve(args, "out"))
-    else:
-        _emit(_csv(header, rows), _resolve(args, "out"))
+    table = bd.bound_table(fixture.manifold, fixture.initial, times)
+    n = fixture.manifold.dimension
+    header = ["t", *table, "euclidean_reference"]
+    rows = [[t, *(rhs[i] for rhs in table.values()), bd.euclidean_rate_reference(n, t)]
+            for i, t in enumerate(times)]
+    _emit_table(header, rows, args)
     return 0
 
 

@@ -214,9 +214,15 @@ def entropy(p: H3Params, t: float) -> float:
     """Differential entropy of the kernel at time t (nats)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
+    return _assemble_entropy(p, t, eta(p, t))[0]
+
+
+def _assemble_entropy(p: H3Params, t: float, e: LogScaled) -> tuple[float, float, float]:
+    """(entropy, I1, I2) from eta: the closed-form pieces plus I2 = xi eta."""
     k = p.kappa
-    i2 = (xi(p, t) * eta(p, t)).value()
-    return 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t + I1(p, t) + i2
+    i1 = I1(p, t)
+    i2 = (xi(p, t) * e).value()
+    return 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t + i1 + i2, i1, i2
 
 
 def entropy_quadrature(p: H3Params, t: float) -> float:
@@ -241,8 +247,13 @@ def entropy_rate(p: H3Params, t: float) -> float:
     """d/dt of the entropy, assembled in split-exponent arithmetic."""
     if t <= 0.0:
         raise ValueError("t must be positive")
+    return _assemble_rate(p, t, eta(p, t), eta_prime(p, t))
+
+
+def _assemble_rate(p: H3Params, t: float, e: LogScaled, ep: LogScaled) -> float:
+    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from eta and eta'."""
     k = p.kappa
-    cross = xi_prime(p, t) * eta(p, t) + xi(p, t) * eta_prime(p, t)
+    cross = xi_prime(p, t) * e + xi(p, t) * ep
     return 1.5 / t + k * k + cross.value()
 
 
@@ -296,20 +307,14 @@ def evaluate_record(p: H3Params, t: float) -> H3EntropyRecord:
     ep = eta_prime(p, t)
     e_lo, e_hi = eta_envelope(p, t)
     ep_lo, ep_hi = eta_prime_envelope(p, t)
-    x = xi(p, t)
-    xp = xi_prime(p, t)
-    i1 = I1(p, t)
-    i2 = (x * e).value()
-    k = p.kappa
-    ent = 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t + i1 + i2
-    rate = 1.5 / t + k * k + (xp * e + x * ep).value()
+    ent, i1, i2 = _assemble_entropy(p, t, e)
     band_lo, band_hi = asymptotic_band(p)
     return H3EntropyRecord(
         t=t,
         entropy=ent,
         I1=i1,
         I2=i2,
-        rate_direct=rate,
+        rate_direct=_assemble_rate(p, t, e, ep),
         rate_fd=entropy_rate_fd(p, t),
         eta=e,
         eta_lower=e_lo,

@@ -16,52 +16,11 @@ from dataclasses import dataclass
 from .logscale import LogScaled
 from .quadrature import QuadratureSpec, integrate_shifted_gaussian
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 # Below this point log(sinh x / x) switches to its even Taylor series; both
 # branches agree to ~1e-14 there.
 _LOG_SINH_RATIO_SWITCH = 1e-2
-
-_ERF_SERIES_MAX = 4.0
-_ERFC_CF_DEPTH = 60
-
-
-def erf(x: float) -> float:
-    """Error function, implemented in-repo to keep the library self-contained.
-
-    Uses the all-positive-terms confluent series below |x| = 4 and a
-    continued fraction for the complement above; both regimes are accurate
-    to ~1e-15 relative.
-    """
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax <= _ERF_SERIES_MAX:
-        # erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_n (2x^2)^n / (2n+1)!!
-        x2 = ax * ax
-        term = ax
-        total = ax
-        n = 1
-        while True:
-            term *= 2.0 * x2 / (2 * n + 1)
-            total += term
-            if term <= 1e-17 * total:
-                break
-            n += 1
-        out = 2.0 / _SQRT_PI * math.exp(-x2) * total
-    else:
-        out = 1.0 - _erfc_large(ax)
-    return out if x > 0.0 else -out
-
-
-def _erfc_large(x: float) -> float:
-    # Legendre continued fraction, evaluated by backward recurrence:
-    # erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tail = 0.0
-    for j in range(_ERFC_CF_DEPTH, 0, -1):
-        tail = (0.5 * j) / (x + tail)
-    return math.exp(-x * x) / _SQRT_PI / (x + tail)
 
 
 def alpha(kappa: float, t: float) -> float:
@@ -71,7 +30,7 @@ def alpha(kappa: float, t: float) -> float:
     """
     if kappa <= 0.0 or t <= 0.0:
         raise ValueError("alpha requires kappa > 0 and t > 0")
-    return _SQRT_HALF_PI * erf(kappa * math.sqrt(0.5 * t))
+    return _SQRT_HALF_PI * math.erf(kappa * math.sqrt(0.5 * t))
 
 
 @dataclass(frozen=True)

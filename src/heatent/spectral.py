@@ -256,11 +256,27 @@ def spectral_gap(manifold: ManifoldSpec) -> float:
 def project_initial(manifold: ManifoldSpec, f: Callable, cutoff: int) -> SpectralField:
     """Project a strictly positive pointwise function onto the eigenbasis.
 
+    Same projection as ``project_potential``; in addition the resolved
+    truncation must stay strictly positive, or SpectralTruncationError is
+    raised.
+    """
+    field = project_potential(manifold, f, cutoff)
+    resolved_min = float(resolve(field).min())
+    if resolved_min <= POSITIVITY_FLOOR:
+        raise SpectralTruncationError(
+            f"resolved truncation has minimum {resolved_min:.3e}; "
+            "increase the cutoff or fix the data")
+    return field
+
+
+def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> SpectralField:
+    """Project a pointwise function onto the eigenbasis, with no sign
+    requirement (drift potentials are signed).
+
     ``f`` receives grid coordinates as numpy arrays: ``f(x)`` on the circle,
     ``f(x, y)`` on the torus, ``f(theta)`` on the zonal sphere.  The cutoff
-    must capture essentially all of the data's energy, and the resolved
-    truncation must stay strictly positive; either failure raises
-    SpectralTruncationError.
+    must capture essentially all of the data's energy, or
+    SpectralTruncationError is raised.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -277,36 +293,6 @@ def project_initial(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spectra
     kept = float(np.sum(np.abs(coeffs) ** 2))
     # The comparison of two quadratures of the same data floors out at a few
     # ulps of the total, so grant that on top of the contractual fraction.
-    allowance = (_TAIL_ENERGY_FRACTION + 64.0 * np.finfo(float).eps) * total
-    if total - kept > allowance + 1e-30:
-        raise SpectralTruncationError(
-            f"cutoff {cutoff} leaves tail energy {total - kept:.3e} "
-            f"of total {total:.3e}")
-    field = SpectralField(manifold, coeffs, cutoff)
-    resolved_min = float(resolve(field).min())
-    if resolved_min <= POSITIVITY_FLOOR:
-        raise SpectralTruncationError(
-            f"resolved truncation has minimum {resolved_min:.3e}; "
-            "increase the cutoff or fix the data")
-    return field
-
-
-def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> SpectralField:
-    """Project a drift potential: same machinery as project_initial but with
-    no positivity requirement (potentials are signed)."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    tr = _transform(manifold, cutoff)
-    if manifold.kind == "circle":
-        values = np.asarray(f(tr.x), dtype=float)
-    elif manifold.kind in ("torus2", "torus2_drift"):
-        xx, yy = np.meshgrid(tr.x1, tr.x2, indexing="ij")
-        values = np.asarray(f(xx, yy), dtype=float)
-    else:
-        values = np.asarray(f(tr.theta), dtype=float)
-    coeffs = tr.analyze(values)
-    total = tr.full_energy(values)
-    kept = float(np.sum(np.abs(coeffs) ** 2))
     allowance = (_TAIL_ENERGY_FRACTION + 64.0 * np.finfo(float).eps) * total
     if total - kept > allowance + 1e-30:
         raise SpectralTruncationError(

@@ -127,6 +127,23 @@ def test_constant_datum_trivially_satisfied():
         assert report.all_satisfied
 
 
+def test_bound_table_constant_datum_gives_zeros():
+    for manifold, name in ((sp.torus2(1.0, 1.0), "ricci_curvature"),
+                           (fx.drift_fixture().manifold, "drift_curvature")):
+        field = sp.project_initial(manifold, lambda x, y: np.ones_like(x), 1)
+        table = bd.bound_table(manifold, field, [0.1, 1.0, 1e3])
+        assert table[name].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_drift_rhs_is_inf_past_double_range():
+    fixture = fx.drift_fixture()
+    assert fixture.manifold.ricci_lower_bound < 0.0
+    trace = sp.entropy_trace(fixture.initial, [1.0, 1e3])
+    (report,) = bd.check_bounds(trace, fixture.manifold, fixture.initial)
+    assert math.isfinite(report.rhs[0]) and report.rhs[1] == math.inf
+    assert report.all_satisfied
+
+
 def test_sphere_reports_and_exponential_decay():
     fixture = fx.sphere_fixture()
     trace = sp.entropy_trace(fixture.initial, fixture.default_times)

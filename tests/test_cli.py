@@ -1,9 +1,15 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from heatent import bounds as bd
 from heatent import cli
+from heatent import fixtures as fx
 from heatent import spectral as sp
 
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
@@ -136,6 +142,60 @@ def test_bounds_table():
     assert lines[0] == ("t,ricci_curvature,gradient_log_sup,spectral_gap,"
                         "euclidean_reference")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("manifold", ["circle", "torus", "sphere", "torus-drift"])
+def test_bounds_columns_equal_check_bounds_rhs(manifold, capsys):
+    grid = ["--t-start", "0.05", "--t-stop", "20", "--t-count", "9"]
+    assert cli.main(["bounds", "--manifold", manifold, *grid, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    fixture = fx.get_fixture(manifold)
+    trace = sp.entropy_trace(fixture.initial, np.geomspace(0.05, 20.0, 9))
+    reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
+    assert [r["t"] for r in rows] == trace.times.tolist()
+    assert list(rows[0]) == sorted(["t", "euclidean_reference",
+                                    *(r.bound_name for r in reports)])
+    for report in reports:
+        assert [r[report.bound_name] for r in rows] == report.rhs.tolist()
+
+
+def test_bounds_drift_default_grid_past_overflow(capsys):
+    # e^{-k t} leaves double range before the default t_stop of 100
+    assert cli.main(["bounds", "--manifold", "torus-drift"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,drift_curvature,euclidean_reference"
+    assert len(lines) == 41
+    assert lines[-1] == "100.0,inf,0.01"
+    assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:-1])
+
+
+def test_evolve_drift_past_overflow_is_satisfied(capsys):
+    argv = ["evolve", "--manifold", "torus-drift", "--t-start", "1", "--t-stop", "100",
+            "--t-count", "3"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].split(",")[-2:] == ["inf", "1.0"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["h3", "evolve", "bounds"])
+def test_non_finite_time_grid_is_usage_error(command, value, tmp_path, capsys):
+    flag = "--t-start" if value == "nan" else "--t-stop"
+    assert cli.main([command, flag, value]) == 2
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
+    assert cli.main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: need finite") == 2
+
+
+def test_h3_failure_names_check_row_and_count(capsys):
+    argv = ["h3", "--t-start", "1e8", "--t-stop", "1e10", "--t-count", "3"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4
+    assert captured.err == "h3: 2 of 3 rows failed; first at t=1000000000.0: envelope check\n"
 
 
 def test_verify_all_pass(tmp_path: Path):

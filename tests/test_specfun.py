@@ -10,7 +10,6 @@ from heatent.quadrature import QuadratureSpec, integrate_semi_infinite
 from heatent.specfun import (
     HyperbolicMoment,
     alpha,
-    erf,
     hyperbolic_moment_closed_form,
     hyperbolic_moment_quadrature,
     log_sinh_ratio,
@@ -42,19 +41,14 @@ def stable_moment_integrand(kappa, t, moment):
 
 
 def test_erf_against_quadrature_oracle():
+    # alpha(kappa, t) = sqrt(pi/2) erf(x) at x = kappa sqrt(t/2), and
     # erf(x) = 1 - (2/sqrt(pi)) * integral_0^inf exp(-(x+u)^2) du
-    for x in (0.25, 0.8, 1.5, 2.5, 3.7, 4.5, 6.0):
+    for kappa, x in zip((0.5, 1.0, 2.0) * 3, (0.25, 0.8, 1.5, 2.5, 3.7, 4.5, 6.0)):
         tail = integrate_semi_infinite(
             lambda u: math.exp(-((x + u) ** 2)), TIGHT).value
-        oracle = 1.0 - 2.0 / math.sqrt(math.pi) * tail
-        assert erf(x) == pytest.approx(oracle, rel=1e-11)
-
-
-def test_erf_against_stdlib():
-    for x in (1e-12, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 3.999, 4.001, 5.0, 8.0, 20.0):
-        assert erf(x) == pytest.approx(math.erf(x), rel=1e-14)
-        assert erf(-x) == -erf(x)
-    assert erf(0.0) == 0.0
+        oracle = SQRT_HALF_PI * (1.0 - 2.0 / math.sqrt(math.pi) * tail)
+        t = 2.0 * (x / kappa) ** 2
+        assert alpha(kappa, t) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_alpha_limits():
