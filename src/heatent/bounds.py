@@ -143,7 +143,7 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
         # constant datum: the bound degenerates to 0 = 0
         return np.zeros_like(times)
 
-    if manifold.kind == "torus2_drift":
+    if manifold.drift is not None:
         return {"drift_curvature": q0_column(lambda t: _drift_bound_rhs(k, q0, t))}
 
     # The gradient estimate needs a nonpositive curvature parameter and the

@@ -36,20 +36,9 @@ H3_COLUMNS = [
     "band_lo", "band_hi",
 ]
 
-_DEFAULTS = {
-    "kappa": 1.0,
-    "t_start": 0.1,
-    "t_stop": 100.0,
-    "t_count": 40,
-    "t_scale": "log",
-    "manifold": "circle",
-    "format": "csv",
-    "out": None,
-    "only": None,
-    "rtol": 1e-10,
-    "atol": 1e-14,
-    "inject_fault": None,
-}
+# Time-grid flags default to None so that ``evolve`` can tell a requested
+# grid from its fixture's own; these fill in the ones left unset.
+_TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
 
 class UsageError(ValueError):
@@ -66,15 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entropy and entropy-rate of heat flow on model manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, time_grid: bool = True):
+    def add_common(p: argparse.ArgumentParser, time_grid: bool = True,
+                   quadrature: bool = False):
         p.add_argument("--config", type=str, default=None,
-                       help="JSON file of flag defaults; explicit flags win")
-        p.add_argument("--rtol", type=float, default=None,
-                       help="quadrature relative tolerance")
-        p.add_argument("--atol", type=float, default=None,
-                       help="quadrature absolute tolerance")
+                       help="JSON file of flag values; explicit flags win")
         p.add_argument("--out", type=str, default=None,
                        help="output path (default: stdout)")
+        if quadrature:
+            p.add_argument("--rtol", type=float, default=1e-10,
+                           help="quadrature relative tolerance")
+            p.add_argument("--atol", type=float, default=1e-14,
+                           help="quadrature absolute tolerance")
         if time_grid:
             p.add_argument("--t-start", type=float, default=None)
             p.add_argument("--t-stop", type=float, default=None)
@@ -82,23 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t-scale", choices=("lin", "log"), default=None)
 
     p_h3 = sub.add_parser("h3", help="hyperbolic-space entropy sweep")
-    p_h3.add_argument("--kappa", type=float, default=None)
-    p_h3.add_argument("--format", choices=("csv", "json"), default=None)
-    add_common(p_h3)
+    p_h3.add_argument("--kappa", type=float, default=1.0)
+    p_h3.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_common(p_h3, quadrature=True)
 
-    p_ev = sub.add_parser("evolve", help="spectral trace plus bound reports")
-    p_ev.add_argument("--manifold",
-                      choices=("circle", "torus", "sphere", "torus-drift"),
-                      default=None)
-    p_ev.add_argument("--format", choices=("csv", "json"), default=None)
-    add_common(p_ev)
-
-    p_bd = sub.add_parser("bounds", help="closed-form bound tables")
-    p_bd.add_argument("--manifold",
-                      choices=("circle", "torus", "sphere", "torus-drift"),
-                      default=None)
-    p_bd.add_argument("--format", choices=("csv", "json"), default=None)
-    add_common(p_bd)
+    for name, help_text in (("evolve", "spectral trace plus bound reports"),
+                            ("bounds", "closed-form bound tables")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--manifold", choices=("circle", "torus", "sphere", "torus-drift"),
+                       default="circle")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        add_common(p)
 
     p_vf = sub.add_parser("verify", help="run the verification suite")
     p_vf.add_argument("--only", type=str, default=None,
@@ -106,44 +91,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--inject-fault", type=str, default=None,
                       help="debug: force a named check to fail "
                            "(supported: envelopes)")
-    add_common(p_vf, time_grid=False)
+    add_common(p_vf, time_grid=False, quadrature=True)
 
     return parser
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
-
-
-def _load_config(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if path is None:
-        args._config = {}
-        return
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse the flags; a ``--config`` file's entries are parsed as flags of
+    the same subcommand placed before the explicit ones, so they pass the
+    same checks and explicit flags win."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(config) - set(_DEFAULTS)
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    args._config = config
+        raise UsageError(f"unknown config keys for {args.command}: {unknown}")
+    flags = []
+    for key, value in config.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config key {key!r} needs a number or a string")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _time_grid(args: argparse.Namespace) -> np.ndarray:
-    start = float(_resolve(args, "t_start"))
-    stop = float(_resolve(args, "t_stop"))
-    count = int(_resolve(args, "t_count"))
-    scale = _resolve(args, "t_scale")
+    start, stop, count, scale = (
+        default if getattr(args, key) is None else getattr(args, key)
+        for key, default in _TIME_GRID.items())
     # chained so that a NaN or infinite end fails too
     if not 0.0 < start <= stop < math.inf or count < 1:
         raise UsageError("need finite 0 < t-start <= t-stop and t-count >= 1")
@@ -157,8 +140,7 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
 def _quadrature_spec(args: argparse.Namespace) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            relative_tolerance=float(_resolve(args, "rtol")),
-            absolute_tolerance=float(_resolve(args, "atol")))
+            relative_tolerance=args.rtol, absolute_tolerance=args.atol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -186,15 +168,15 @@ def _json_text(payload) -> str:
 def _emit_table(header: Sequence[str], rows: Sequence[Sequence[object]],
                 args: argparse.Namespace) -> None:
     """One row per time, as CSV or as a JSON list of {column: value}."""
-    if _resolve(args, "format") == "json":
+    if args.format == "json":
         payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        _emit(_json_text(payload), _resolve(args, "out"))
+        _emit(_json_text(payload), args.out)
     else:
-        _emit(_csv(header, rows), _resolve(args, "out"))
+        _emit(_csv(header, rows), args.out)
 
 
 def cmd_h3(args: argparse.Namespace) -> int:
-    kappa = float(_resolve(args, "kappa"))
+    kappa = args.kappa
     if kappa <= 0.0:
         raise UsageError("kappa must be positive")
     times = _time_grid(args)
@@ -224,16 +206,10 @@ def cmd_h3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_requested(args: argparse.Namespace) -> bool:
-    config = getattr(args, "_config", {})
-    return any(
-        getattr(args, key, None) is not None or key in config
-        for key in ("t_start", "t_stop", "t_count", "t_scale"))
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
-    fixture = fx.get_fixture(_resolve(args, "manifold"))
-    times = _time_grid(args) if _grid_requested(args) else fixture.default_times
+    fixture = fx.get_fixture(args.manifold)
+    grid_requested = any(getattr(args, key) is not None for key in _TIME_GRID)
+    times = _time_grid(args) if grid_requested else fixture.default_times
     trace = sp.entropy_trace(fixture.initial, times)
     reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
 
@@ -248,7 +224,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             row += [report.rhs[i], int(report.satisfied[i])]
         rows.append(row)
 
-    if _resolve(args, "format") == "json":
+    if args.format == "json":
         payload = {
             "manifold": fixture.name,
             "trace": [
@@ -271,9 +247,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                 for r in reports
             ],
         }
-        _emit(_json_text(payload), _resolve(args, "out"))
+        _emit(_json_text(payload), args.out)
     else:
-        _emit(_csv(header, rows), _resolve(args, "out"))
+        _emit(_csv(header, rows), args.out)
 
     if not all(r.all_satisfied for r in reports):
         bad = [r.bound_name for r in reports if not r.all_satisfied]
@@ -283,7 +259,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    fixture = fx.get_fixture(_resolve(args, "manifold"))
+    fixture = fx.get_fixture(args.manifold)
     times = _time_grid(args)
     table = bd.bound_table(fixture.manifold, fixture.initial, times)
     n = fixture.manifold.dimension
@@ -295,12 +271,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    only = _resolve(args, "only")
-    fault = _resolve(args, "inject_fault")
+    fault = args.inject_fault
     if fault is not None and fault != "envelopes":
         raise UsageError(f"unsupported fault {fault!r}; supported: envelopes")
     try:
-        results = vf.run_checks(only=only, spec=_quadrature_spec(args),
+        results = vf.run_checks(only=args.only, spec=_quadrature_spec(args),
                                 inject_fault=fault)
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
@@ -312,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         for name, result in results.items()
     }
-    _emit(_json_text(payload), _resolve(args, "out"))
+    _emit(_json_text(payload), args.out)
     failed = [name for name, result in results.items() if not result.passed]
     if failed:
         sys.stderr.write(f"verify: failed checks: {', '.join(failed)}\n")
@@ -321,10 +296,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _load_config(args)
+        args = _parse(argv)
         if args.command == "h3":
             return cmd_h3(args)
         if args.command == "evolve":

@@ -1,8 +1,9 @@
 """Built-in manifold fixtures for the CLI, the verification suite and tests.
 
-All initial data are low-band trigonometric polynomials whose extrema land
-exactly on the evaluation grid, normalised to unit mass against the relevant
-reference measure.
+All initial data are low-band trigonometric polynomials, normalised to unit
+mass against the relevant reference measure.  On the periodic fixtures their
+extrema land exactly on the evaluation grid; on the sphere the Gauss-Legendre
+grid misses the poles (see ``spectral.grid_extrema``).
 """
 
 from __future__ import annotations

@@ -6,13 +6,12 @@ lines; tolerances are pinned here and nowhere else.
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import h3entropy as h3
@@ -244,9 +243,7 @@ def test_13_verify_determinism(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     for out in (out_a, out_b):
-        proc = subprocess.run(
-            [sys.executable, "-m", "heatent", "verify", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_cli("verify", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     identical = out_a.read_bytes() == out_b.read_bytes()
     payload = json.loads(out_a.read_text())

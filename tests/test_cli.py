@@ -1,12 +1,11 @@
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from heatent import bounds as bd
 from heatent import cli
 from heatent import fixtures as fx
@@ -14,11 +13,6 @@ from heatent import spectral as sp
 
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
              "etap,etap_lower,etap_upper,band_lo,band_hi")
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "heatent", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def test_help():
@@ -253,3 +247,40 @@ def test_config_rejects_unknown_keys(tmp_path: Path):
     config.write_text(json.dumps({"nonsense": 1}))
     proc = run_cli("h3", "--config", str(config))
     assert proc.returncode == 2
+
+
+def _config_exit_status(command: str, config: dict, tmp_path: Path, *flags: str) -> int:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        return cli.main([command, "--config", str(path), *flags])
+    except SystemExit as exc:  # argparse refuses the value
+        return exc.code
+
+
+@pytest.mark.parametrize("config", [{"t_scale": "cubic"}, {"format": "xml"},
+                                    {"t_count": 2.9}, {"t_count": True},
+                                    {"t_stop": [1, 2]}])
+def test_config_values_pass_flag_checks(config, tmp_path, capsys):
+    assert _config_exit_status("bounds", config, tmp_path) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("evolve", "rtol", 5.0), ("evolve", "atol", 7.0), ("bounds", "kappa", 2.0),
+    ("bounds", "only", "band"), ("bounds", "inject_fault", "envelopes"),
+    ("verify", "t_count", 3), ("h3", "manifold", "torus"), ("h3", "config", "x.json"),
+])
+def test_config_rejects_keys_the_subcommand_does_not_read(command, key, value,
+                                                          tmp_path, capsys):
+    assert _config_exit_status(command, {key: value}, tmp_path) == 2
+    assert f"unknown config keys for {command}: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "bounds"])
+def test_quadrature_flags_are_not_accepted_without_quadrature(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--rtol", "5", "--atol", "7"])
+    assert exc.value.code == 2
+    assert "--rtol" in capsys.readouterr().err
+

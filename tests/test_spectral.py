@@ -67,6 +67,31 @@ def test_eigenvalue_conventions():
     assert sp.spectral_gap(SPHERE) == 2.0
 
 
+def test_non_square_torus_eigenvalues_and_gap():
+    torus = sp.torus2(1.0, 1.5)
+    lam = sp.eigenvalues(torus, 1)
+    assert lam[2, 1] == pytest.approx((2.0 * math.pi / 1.0) ** 2, rel=1e-15)
+    assert lam[1, 2] == pytest.approx((2.0 * math.pi / 1.5) ** 2, rel=1e-15)
+    assert sp.spectral_gap(torus) == pytest.approx((2.0 * math.pi / 1.5) ** 2, rel=1e-15)
+    assert sp.spectral_gap(sp.torus2(1.0, 1.0)) == pytest.approx((2.0 * math.pi) ** 2,
+                                                                rel=1e-15)
+
+
+def test_non_square_torus_matches_circle_for_y_profile():
+    # u(x, y) = g(y) on the 1 x 1.5 torus: every integral is the x-side
+    # length, 1.0, times the same integral of g on the circle of length 1.5
+    def g(y):
+        return 1.0 + 0.5 * np.cos(2.0 * np.pi * y / 1.5) + 0.2 * np.sin(4.0 * np.pi * y / 1.5)
+
+    on_torus = sp.project_initial(sp.torus2(1.0, 1.5), lambda x, y: g(y), 2)
+    on_circle = sp.project_initial(sp.circle(1.5), g, 2)
+    for t in (0.0, 0.05):
+        entropy_t, fisher_t = sp.entropy_and_fisher(sp.evolve(on_torus, t))
+        entropy_c, fisher_c = sp.entropy_and_fisher(sp.evolve(on_circle, t))
+        assert entropy_t == pytest.approx(1.0 * entropy_c, rel=1e-12)
+        assert fisher_t == pytest.approx(1.0 * fisher_c, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -407,10 +432,9 @@ def test_bochner_drift_term_materially_nonzero():
     potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2)
     report = sp.bochner_residual(field, potential=potential)
     assert report.relative <= 1e-8
-    n = 32
-    wx = sp.resolve(sp.SpectralField(TORUS, field.coefficients
-                                     * sp._transform(TORUS, 2, n).ik1, 2), n)
-    vxx, _, _ = sp._torus_second_derivatives(potential, n)
+    tr = sp._transform(TORUS, 2, 32)
+    wx = tr.derivative(field.coefficients, 0)
+    vxx = tr.derivative(potential.coefficients, 0, 0)
     assert np.abs(vxx * wx * wx).max() > 0.1
 
 
@@ -455,3 +479,9 @@ def test_grid_extrema_exact_for_fixture():
     low, high = sp.grid_extrema(two_mode_circle())
     assert low == pytest.approx(0.5, abs=1e-12)
     assert high == pytest.approx(1.5, abs=1e-12)
+    # Gauss-Legendre nodes miss the poles, where the sphere fixture peaks
+    low, high = sp.grid_extrema(fx.sphere_fixture().initial)
+    true_low, true_high = 0.5 / (4.0 * math.pi), 1.5 / (4.0 * math.pi)
+    assert true_low < low < high < true_high
+    assert low == pytest.approx(true_low, rel=1e-3)
+    assert high == pytest.approx(true_high, rel=1e-3)
