@@ -7,8 +7,10 @@ from .quadrature import (
     QuadratureDomainError,
     QuadratureResult,
     QuadratureSpec,
+    integrate_batch,
     integrate_semi_infinite,
     integrate_shifted_gaussian,
+    integrate_shifted_gaussians,
 )
 
 __all__ = [
@@ -20,8 +22,10 @@ __all__ = [
     "bounds",
     "fixtures",
     "h3entropy",
+    "integrate_batch",
     "integrate_semi_infinite",
     "integrate_shifted_gaussian",
+    "integrate_shifted_gaussians",
     "spectral",
     "verify",
 ]

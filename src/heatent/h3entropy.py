@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .logscale import LogScaled
 from .quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
-    integrate_shifted_gaussian,
+    integrate_shifted_gaussians,
     require_converged,
 )
-from .specfun import alpha, log_sinh_ratio
+from .specfun import alpha, cube_rounded, gaussian_rounded, log_sinh_ratio
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -77,14 +80,12 @@ def _radial_mass(p: H3Params, t: float, r: float) -> float:
     """Radial density of the kernel: h(t, r) times the 4 pi sinh^2(kr)/k^2 shell.
 
     Written with the exponentials combined so it stays finite at any
-    kappa^2 t (the raw shell factor alone would overflow).
+    kappa^2 t (the raw shell factor alone would overflow).  Elementwise in r.
     """
-    if r == 0.0:
-        return 0.0
     k = p.kappa
     expo = -((r - k * t) ** 2) / (2.0 * t)
     pref = 4.0 * math.pi / k * (2.0 * math.pi * t) ** -1.5
-    return pref * r * math.exp(expo) * 0.5 * -math.expm1(-2.0 * k * r)
+    return pref * r * np.exp(expo) * 0.5 * -np.expm1(-2.0 * k * r)
 
 
 def normalization_quadrature(p: H3Params, t: float) -> float:
@@ -128,46 +129,64 @@ def xi_prime(p: H3Params, t: float) -> LogScaled:
     return LogScaled(mant, -0.5 * k2t)
 
 
-def _log_weighted_sinh_integral(p: H3Params, t: float, power: int) -> LogScaled:
-    """integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr.
+def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[LogScaled]:
+    """eta(t), or eta'(t) where the flag is set, at each (t, prime) point.
 
-    Splits sinh into its exponential halves, completes the square, and
-    integrates each half in the substituted variable r = -+kappa t + sqrt(t) s,
-    so nothing ever sees the exp(kappa^2 t/2) growth directly.
+    Each value is the log-weighted sinh integral
+
+        integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
+
+    with power 1 for eta and power 3 (times 1/(2t^2)) for eta'.  sinh is
+    split into its exponential halves, the square is completed, and each
+    half is integrated in the substituted variable r = -+kappa t + sqrt(t) s,
+    so nothing ever sees the exp(kappa^2 t/2) growth directly.  All 2 x len
+    (points) integrals run as one lockstep quadrature batch; convergence is
+    required point by point, in order.
     """
+    for t, _ in points:
+        if t <= 0.0:
+            raise ValueError("t must be positive")
     k = p.kappa
-    st = math.sqrt(t)
+    ts = np.repeat([t for t, _ in points], 2)
+    centers = k * ts
+    centers[1::2] *= -1.0
+    scales = np.sqrt(ts)
+    cubic = np.repeat([prime for _, prime in points], 2)
 
-    def g_plus(s: float) -> float:
-        # max() absorbs the one-ulp negative r at the substituted domain edge
-        r = max(0.0, k * t + st * s)
-        return math.exp(-0.5 * s * s) * r ** power * log_sinh_ratio(k * r)
+    # The envelope verdicts near kappa^2 t = 1e8 are decided in the last bit
+    # of eta and eta' (true margins of about 2e-16 relative), so the Gaussian
+    # and the cube are rounded as the C library rounds them, not by numpy's
+    # SIMD exp and pow.
+    def g(s, j):
+        # maximum() absorbs the one-ulp negative r at the substituted domain edge
+        r = np.maximum(0.0, centers[j] + scales[j] * s)
+        weight = r
+        cubes = cubic[j]
+        if cubes.any():
+            weight = r.copy()
+            weight[cubes] = cube_rounded(r[cubes])
+        return gaussian_rounded(s) * weight * log_sinh_ratio(k * r)
 
-    def g_minus(s: float) -> float:
-        r = max(0.0, -k * t + st * s)
-        return math.exp(-0.5 * s * s) * r ** power * log_sinh_ratio(k * r)
-
-    context = f"log-weighted sinh integral (power {power})"
-    jp = require_converged(
-        integrate_shifted_gaussian(g_plus, k * t, st, p.quadrature), context).value
-    jm = require_converged(
-        integrate_shifted_gaussian(g_minus, -k * t, st, p.quadrature), context).value
-    return LogScaled(0.5 * st * (jp - jm), 0.5 * k * k * t)
+    results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(),
+                                          p.quadrature)
+    values = []
+    for (t, prime), plus, minus in zip(points, results[0::2], results[1::2]):
+        context = f"log-weighted sinh integral (power {3 if prime else 1})"
+        jp = require_converged(plus, context).value
+        jm = require_converged(minus, context).value
+        value = LogScaled(0.5 * math.sqrt(t) * (jp - jm), 0.5 * k * k * t)
+        values.append(value * (0.5 / (t * t)) if prime else value)
+    return values
 
 
 def eta(p: H3Params, t: float) -> LogScaled:
     """The transcendental factor of I2, by overflow-safe quadrature."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return _log_weighted_sinh_integral(p, t, 1)
+    return eta_batch(p, [(t, False)])[0]
 
 
 def eta_prime(p: H3Params, t: float) -> LogScaled:
     """d/dt of eta: the same integral with an r^3/(2t^2) weight."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    raw = _log_weighted_sinh_integral(p, t, 3)
-    return raw * (0.5 / (t * t))
+    return eta_batch(p, [(t, True)])[0]
 
 
 def eta_envelope(p: H3Params, t: float) -> tuple[LogScaled, LogScaled]:
@@ -212,9 +231,14 @@ def eta_prime_envelope(p: H3Params, t: float) -> tuple[LogScaled, LogScaled]:
 
 def entropy(p: H3Params, t: float) -> float:
     """Differential entropy of the kernel at time t (nats)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return _assemble_entropy(p, t, eta(p, t))[0]
+    return entropies(p, [t])[0]
+
+
+def entropies(p: H3Params, times) -> list[float]:
+    """The entropy at each time, from one lockstep quadrature batch."""
+    times = [float(t) for t in times]
+    etas = eta_batch(p, [(t, False) for t in times])
+    return [_assemble_entropy(p, t, e)[0] for t, e in zip(times, etas)]
 
 
 def _assemble_entropy(p: H3Params, t: float, e: LogScaled) -> tuple[float, float, float]:
@@ -234,7 +258,7 @@ def entropy_quadrature(p: H3Params, t: float) -> float:
     k = p.kappa
     base = 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t
 
-    def integrand(r: float) -> float:
+    def integrand(r):
         neg_log_h = r * r / (2.0 * t) + base + log_sinh_ratio(k * r)
         return _radial_mass(p, t, r) * neg_log_h
 
@@ -245,9 +269,7 @@ def entropy_quadrature(p: H3Params, t: float) -> float:
 
 def entropy_rate(p: H3Params, t: float) -> float:
     """d/dt of the entropy, assembled in split-exponent arithmetic."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return _assemble_rate(p, t, eta(p, t), eta_prime(p, t))
+    return _assemble_rate(p, t, *eta_batch(p, [(t, False), (t, True)]))
 
 
 def _assemble_rate(p: H3Params, t: float, e: LogScaled, ep: LogScaled) -> float:
@@ -260,7 +282,14 @@ def _assemble_rate(p: H3Params, t: float, e: LogScaled, ep: LogScaled) -> float:
 def entropy_rate_fd(p: H3Params, t: float, step_scale: float = _FD_STEP_SCALE) -> float:
     """Central finite difference of the entropy, for cross-checking the rate."""
     h = step_scale * t
-    return (entropy(p, t + h) - entropy(p, t - h)) / (2.0 * h)
+    return _assemble_rate_fd(p, t, h, *eta_batch(p, [(t + h, False), (t - h, False)]))
+
+
+def _assemble_rate_fd(p: H3Params, t: float, h: float,
+                      e_up: LogScaled, e_down: LogScaled) -> float:
+    """(Ent(t + h) - Ent(t - h)) / 2h from eta at t + h and t - h."""
+    return (_assemble_entropy(p, t + h, e_up)[0]
+            - _assemble_entropy(p, t - h, e_down)[0]) / (2.0 * h)
 
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
@@ -302,30 +331,43 @@ class H3EntropyRecord:
         return self.band_lo - slack <= self.rate_direct <= self.band_hi + slack
 
 
-def evaluate_record(p: H3Params, t: float) -> H3EntropyRecord:
-    e = eta(p, t)
-    ep = eta_prime(p, t)
-    e_lo, e_hi = eta_envelope(p, t)
-    ep_lo, ep_hi = eta_prime_envelope(p, t)
-    ent, i1, i2 = _assemble_entropy(p, t, e)
-    band_lo, band_hi = asymptotic_band(p)
-    return H3EntropyRecord(
-        t=t,
-        entropy=ent,
-        I1=i1,
-        I2=i2,
-        rate_direct=_assemble_rate(p, t, e, ep),
-        rate_fd=entropy_rate_fd(p, t),
-        eta=e,
-        eta_lower=e_lo,
-        eta_upper=e_hi,
-        etap=ep,
-        etap_lower=ep_lo,
-        etap_upper=ep_hi,
-        band_lo=band_lo,
-        band_hi=band_hi,
-    )
-
-
 def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
-    return [evaluate_record(p, float(t)) for t in times]
+    """One record per time, from a single lockstep quadrature batch.
+
+    Per row the batch holds eta and eta' at t and eta at t -+ h for rate_fd;
+    each row is then assembled exactly as the single-time functions do.
+    """
+    times = [float(t) for t in times]
+    points = []
+    for t in times:
+        h = _FD_STEP_SCALE * t
+        points += [(t, False), (t, True), (t + h, False), (t - h, False)]
+    values = eta_batch(p, points)
+    band_lo, band_hi = asymptotic_band(p)
+    records = []
+    for i, t in enumerate(times):
+        e, ep, e_up, e_down = values[4 * i:4 * i + 4]
+        e_lo, e_hi = eta_envelope(p, t)
+        ep_lo, ep_hi = eta_prime_envelope(p, t)
+        ent, i1, i2 = _assemble_entropy(p, t, e)
+        records.append(H3EntropyRecord(
+            t=t,
+            entropy=ent,
+            I1=i1,
+            I2=i2,
+            rate_direct=_assemble_rate(p, t, e, ep),
+            rate_fd=_assemble_rate_fd(p, t, _FD_STEP_SCALE * t, e_up, e_down),
+            eta=e,
+            eta_lower=e_lo,
+            eta_upper=e_hi,
+            etap=ep,
+            etap_lower=ep_lo,
+            etap_upper=ep_hi,
+            band_lo=band_lo,
+            band_hi=band_hi,
+        ))
+    return records
+
+
+def evaluate_record(p: H3Params, t: float) -> H3EntropyRecord:
+    return evaluate_records(p, [t])[0]

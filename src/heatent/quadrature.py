@@ -1,13 +1,27 @@
-"""Deterministic adaptive quadrature on [0, inf).
+"""Deterministic adaptive quadrature on [0, inf), many integrals in lockstep.
 
 The integrands this package cares about are unimodal with Gaussian tails:
 exp(-r^2/2t) times polynomials, hyperbolic sines and slowly varying logs.
 The integrator splits the axis at a probed radius past the peak, runs a
-globally adaptive embedded 7/15 Gauss-Kronrod pair on the finite part, and
-maps the tail onto [0, 1) with r = R + s/(1-s).
+globally adaptive embedded 7/15 Gauss-Kronrod pair (QUADPACK's GK15) on the
+finite part, and maps the tail onto [0, 1) with r = R + s/(1-s).
 
-Everything here is pure float arithmetic with a deterministic refinement
-order, so identical inputs give bit-identical results.
+Integrand contract.  ``integrate_batch`` integrates n integrals together.
+Its integrand is ``f(x, j)``: a float array of abscissae ``x`` and an equally
+shaped int array ``j`` of integral ids in ``range(n)``; it returns an array
+of the same shape (a scalar is broadcast).  The element at position i must
+depend only on ``x[i]`` and ``j[i]``, i.e. f is elementwise.  The one-integral
+entry points take ``f(x)`` vectorised over ``x`` alone.
+
+Lockstep guarantee.  Every integral keeps its own panel heap, tie-breaking
+sequence, split radius, subdivision count and convergence test; a round pops
+the worst panel of each unconverged integral and evaluates all the halves in
+one integrand call (in blocks of at most 4096 nodes; batches of more than
+2048 integrals run as consecutive groups).  An integral's refinement, and
+its value, error estimate and evaluation count, are therefore bit-identical
+whether it runs alone or in a batch of any size and order.  Every step is
+float arithmetic in a fixed order, so identical inputs give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -15,7 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+# f(x, j) -> values, elementwise over abscissae x and integral ids j.
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class QuadratureDomainError(ValueError):
@@ -85,151 +104,260 @@ _WG = (
 )
 _WG_CENTER = 0.4179591836734694
 
+# Node k of a panel is c + h * _OFFSETS[k]: the centre, then c -+ h x_i.
+_OFFSETS = np.array([0.0] + [sign * x for x in _XGK for sign in (-1.0, 1.0)])[:, None]
+# Weights of the centre value and the seven symmetric pair sums, and of the
+# centre and the three Gauss pair sums.
+_KRONROD = np.array((_WGK_CENTER,) + _WGK)[:, None]
+_GAUSS = np.array((_WG_CENTER,) + _WG)[:, None]
+_GAUSS_ROWS = [0, 2, 4, 6]
 
-def _checked(f: Callable[[float], float], x: float) -> float:
-    v = f(x)
-    if not math.isfinite(v):
-        raise QuadratureDomainError(f"integrand returned {v!r} at {x!r}")
-    return v
+# Nodes per integrand call.  Caps the integrand's temporaries (and so peak
+# memory) on large batches while keeping the per-call overhead negligible.
+_BLOCK_NODES = 4096
+_BLOCK_PANELS = _BLOCK_NODES // 15
+# Integrals refined together.  Larger batches run as consecutive groups, so
+# the panel heaps held at once stay a few MB however many integrals come in.
+_GROUP_INTEGRALS = 2048
+
+# The split-radius probes: 0, then a doubling grid from 1/8 out to 2^54.
+_PROBES = np.array([0.0] + [0.125 * 2.0 ** k for k in range(58)])
+_N_INITIAL = 8
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (K15 estimate, |K15 - G7|)."""
+def _evaluate(f: BatchIntegrand, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """f on flat node and id arrays, in blocks of at most _BLOCK_NODES.
+
+    A scalar return is broadcast.
+    """
+    out = np.empty(x.shape)
+    for lo in range(0, x.size, _BLOCK_NODES):
+        hi = lo + _BLOCK_NODES
+        out[lo:hi] = f(x[lo:hi], j[lo:hi])
+    return out
+
+
+def _split_radii(f: BatchIntegrand, ids: list[int]) -> list[float]:
+    """Probe a doubling grid for a radius safely past each integrand's peak.
+
+    Returns, per id, the first probe that is both well beyond the largest
+    sampled magnitude and down by a factor ~e^-69 from it, which for a
+    Gaussian profile sits at roughly twelve effective standard deviations
+    out.  The best > 0 guard matters: until something nonzero has been seen
+    the probes must keep going, otherwise an integrand whose near-origin
+    tail underflows to exact zeros would be cut off before its peak.  All
+    probes are evaluated at once, but a non-finite value only counts up to
+    the stopping probe: the probes past it are not part of the integral.
+    The scan is the vectorised form of a loop over the probes in order.
+    """
+    v = _evaluate(f, np.tile(_PROBES, len(ids)),
+                  np.repeat(np.asarray(ids, dtype=np.intp), _PROBES.size))
+    v = v.reshape(len(ids), _PROBES.size)
+    mag = np.abs(v)
+    best = np.maximum.accumulate(mag, axis=1)  # largest magnitude so far
+    record = np.empty(mag.shape, dtype=bool)  # a new largest magnitude
+    record[:, 0] = True
+    record[:, 1:] = mag[:, 1:] > best[:, :-1]
+    r_best = np.maximum.accumulate(np.where(record, _PROBES, 0.0), axis=1)
+    stops = (best > 0.0) & (_PROBES >= 8.0 * np.maximum(r_best, 1.0)) & (mag <= 1e-30 * best)
+    stopped = stops.any(axis=1)
+    stop = np.where(stopped, stops.argmax(axis=1), _PROBES.size - 1)
+    bad = ~np.isfinite(v)
+    first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), _PROBES.size)
+    for row in np.flatnonzero(first_bad <= stop):
+        k = first_bad[row]
+        raise QuadratureDomainError(
+            f"integrand returned {float(v[row, k])!r} at {float(_PROBES[k])!r}")
+    # Never stopped: zero everywhere sampled gives 1; pathologically slow
+    # decay gives the last probe, and the adaptive core will report
+    # non-convergence honestly if it cannot cope.
+    radii = np.where(stopped, np.maximum(_PROBES[stop], 1.0),
+                     np.where(best[:, -1] == 0.0, 1.0, _PROBES[-1]))
+    return radii.tolist()
+
+
+def _gk15_panels(f: BatchIntegrand, panels: list[tuple[int, bool, float, float]],
+                 split: np.ndarray) -> tuple[list[float], list[float]]:
+    """GK15 on each (id, tail, a, b) panel: (K15 estimates, |K15 - G7|).
+
+    A tail panel lives in s on [0, 1) and integrates f(split + s/(1-s))/(1-s)^2.
+    The node values and the left-to-right order of the weighted sums
+    (add.accumulate) are those of a scalar panel loop, so a panel's result
+    does not depend on the batch it is evaluated in.
+    """
+    ids, tails, a, b = zip(*panels)
+    ids = np.array(ids, dtype=np.intp)
+    a, b = np.array((a, b))
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = _checked(f, c)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        s = _checked(f, c - dx) + _checked(f, c + dx)
-        resk += _WGK[i] * s
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * s
-    return resk * h, abs((resk - resg) * h)
-
-
-def _split_radius(f: Callable[[float], float]) -> float:
-    """Probe a doubling grid for a radius safely past the integrand's peak.
-
-    Returns the first probe that is both well beyond the largest sampled
-    magnitude and down by a factor ~e^-69 from it, which for a Gaussian
-    profile sits at roughly twelve effective standard deviations out.
-    The best == 0 guard matters: until something nonzero has been seen the
-    probes must keep going, otherwise an integrand whose near-origin tail
-    underflows to exact zeros would be cut off before its peak.
-    """
-    best = abs(_checked(f, 0.0))
-    r_best = 0.0
-    r = 0.125
-    while r <= 2.0 ** 54:
-        v = abs(_checked(f, r))
-        if v > best:
-            best = v
-            r_best = r
-        if best > 0.0 and r >= 8.0 * max(r_best, 1.0) and v <= 1e-30 * best:
-            return max(r, 1.0)
-        r *= 2.0
-    if best == 0.0:
-        return 1.0  # indistinguishable from zero everywhere sampled
-    # Pathologically slow decay: hand the whole thing to the adaptive core,
-    # which will report non-convergence honestly if it cannot cope.
-    return 2.0 ** 54
-
-
-def _semi_infinite_core(
-    f: Callable[[float], float],
-    spec: QuadratureSpec,
-    peak_hint: float | None = None,
-    peak_width: float | None = None,
-) -> QuadratureResult:
-    # When the caller knows where the mass sits (the shifted-Gaussian path
-    # does, by construction), build the initial panels around it; blind
-    # probing cannot see a far-out peak whose tails underflow to exact zeros.
-    edges: list[float]
-    if peak_hint is not None and peak_hint > 0.0:
-        width = peak_width if peak_width is not None else 1.0
-        lo = max(0.0, peak_hint - 12.0 * width)
-        split = peak_hint + 12.0 * width
-        edges = [0.0] if lo == 0.0 else [0.0, lo]
-        n_init = 8
-        edges += [lo + (split - lo) * (i + 1) / n_init for i in range(n_init)]
+    x = c + h * _OFFSETS  # (15, panels); c + h*(-x_i) is exactly c - h*x_i
+    node_ids = np.repeat(ids[None, :], 15, axis=0).ravel()
+    if any(tails):
+        tail = np.array(tails)
+        u = 1.0 - x[:, tail]
+        r = x.copy()
+        r[:, tail] = split[ids[tail]] + x[:, tail] / u
+        fx = _evaluate(f, r.ravel(), node_ids).reshape(x.shape)
+        fx[:, tail] /= u * u
     else:
-        split = _split_radius(f)
-        n_init = 8
-        edges = [split * i / n_init for i in range(n_init)] + [split]
+        fx = _evaluate(f, x.ravel(), node_ids).reshape(x.shape)
+    if not np.isfinite(fx).all():
+        i = np.flatnonzero(~np.isfinite(fx.T))[0]  # first in panel, node order
+        raise QuadratureDomainError(
+            f"integrand returned {float(fx.T.flat[i])!r} at {float(x.T.flat[i])!r}")
+    terms = np.empty((8, c.size))  # centre value, then the pair sums
+    terms[0] = fx[0]
+    np.add(fx[1::2], fx[2::2], out=terms[1:])
+    resk = np.add.accumulate(terms * _KRONROD)[-1]
+    resg = np.add.accumulate(terms[_GAUSS_ROWS] * _GAUSS)[-1]
+    return (resk * h).tolist(), np.abs((resk - resg) * h).tolist()
 
-    def tail(s: float) -> float:
-        u = 1.0 - s
-        return f(split + s / u) / (u * u)
 
-    # (neg_error, sequence, value, fun, a, b); the sequence number breaks ties
-    # deterministically.
-    heap: list[tuple[float, int, float, Callable[[float], float], float, float]] = []
-    seq = 0
-    evals = 0
+def integrate_batch(
+    f: BatchIntegrand,
+    n: int,
+    spec: QuadratureSpec = QuadratureSpec(),
+    peak_hints: Optional[Sequence[Optional[float]]] = None,
+    peak_widths: Optional[Sequence[Optional[float]]] = None,
+) -> list[QuadratureResult]:
+    """Integrate f(., j) over [0, inf) for every id j in range(n), in lockstep.
 
-    def push(fun, a, b):
-        nonlocal seq, evals
-        v, e = _gk15(fun, a, b)
-        evals += 15
-        heapq.heappush(heap, (-e, seq, v, fun, a, b))
-        seq += 1
+    peak_hints/peak_widths optionally tell the integrator, per integral,
+    where the mass is concentrated (None or a hint <= 0 means "probe"); blind
+    probing cannot see a far-out peak whose tails underflow to exact zeros.
+    Results come back in id order; see the module docstring for the
+    integrand contract and the lockstep guarantee.
+    """
+    hints = list(peak_hints) if peak_hints is not None else [None] * n
+    widths = list(peak_widths) if peak_widths is not None else [None] * n
+    if len(hints) != n or len(widths) != n:
+        raise ValueError("need one peak hint and one peak width per integral")
+    # Overflow, underflow and invalid operations inside f are not warned
+    # about: values are tested for finiteness, at exactly the nodes that
+    # belong to an integral.
+    results: list[QuadratureResult] = []
+    with np.errstate(all="ignore"):
+        for first in range(0, n, _GROUP_INTEGRALS):
+            last = min(n, first + _GROUP_INTEGRALS)
+            group_f = f if first == 0 else (lambda x, j, first=first: f(x, j + first))
+            results += _lockstep(group_f, last - first, spec,
+                                 hints[first:last], widths[first:last])
+    return results
 
-    for a, b in zip(edges, edges[1:]):
-        push(f, a, b)
-    push(tail, 0.0, 1.0)
 
-    splits = 0
+def _lockstep(f: BatchIntegrand, n: int, spec: QuadratureSpec,
+              hints: list[Optional[float]],
+              widths: list[Optional[float]]) -> list[QuadratureResult]:
+    probed = [i for i in range(n) if hints[i] is None or not hints[i] > 0.0]
+    radii = dict(zip(probed, _split_radii(f, probed))) if probed else {}
+    splits = []
+    panels = []  # (id, tail, a, b), in evaluation order
+    for i in range(n):
+        if i in radii:
+            split = radii[i]
+            edges = [split * k / _N_INITIAL for k in range(_N_INITIAL)] + [split]
+        else:
+            # When the caller knows where the mass sits, build the initial
+            # panels around it; blind probing cannot see a far-out peak whose
+            # tails underflow to exact zeros.
+            width = widths[i] if widths[i] is not None else 1.0
+            lo = max(0.0, hints[i] - 12.0 * width)
+            split = hints[i] + 12.0 * width
+            edges = [0.0] if lo == 0.0 else [0.0, lo]
+            edges += [lo + (split - lo) * (k + 1) / _N_INITIAL for k in range(_N_INITIAL)]
+        splits.append(split)
+        panels += [(i, False, a, b) for a, b in zip(edges, edges[1:])]
+        panels.append((i, True, 0.0, 1.0))
+    split_arr = np.asarray(splits)
+
+    # Per integral: a heap of (neg_error, seq, value, tail, a, b); seq breaks
+    # ties deterministically and counts the panels evaluated so far.
+    heaps: list[list] = [[] for _ in range(n)]
+    seqs = [0] * n
+    heappush = heapq.heappush
+    rtol, atol = spec.relative_tolerance, spec.absolute_tolerance
+    results: list[Optional[QuadratureResult]] = [None] * n
+    active = list(range(n))
+    subdivisions = 0  # the same for every active integral
     while True:
-        value = 0.0
-        err = 0.0
-        for item in heap:
-            value += item[2]
-            err -= item[0]
-        if err <= max(spec.relative_tolerance * abs(value), spec.absolute_tolerance):
-            return QuadratureResult(value, err, evals, True)
-        if splits >= spec.max_subdivisions:
-            return QuadratureResult(value, err, evals, False)
-        _, _, _, fun, a, b = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        push(fun, a, mid)
-        push(fun, mid, b)
-        splits += 1
+        for lo in range(0, len(panels), _BLOCK_PANELS):
+            block = panels[lo:lo + _BLOCK_PANELS]
+            values, errors = _gk15_panels(f, block, split_arr)
+            for (i, tail, a, b), v, e in zip(block, values, errors):
+                heappush(heaps[i], (-e, seqs[i], v, tail, a, b))
+                seqs[i] += 1
+        panels = []
+        still = []
+        for i in active:
+            heap = heaps[i]
+            value = 0.0
+            err = 0.0
+            for item in heap:
+                value += item[2]
+                err -= item[0]
+            if err <= max(rtol * abs(value), atol):
+                results[i] = QuadratureResult(value, err, 15 * seqs[i], True)
+            elif subdivisions >= spec.max_subdivisions:
+                results[i] = QuadratureResult(value, err, 15 * seqs[i], False)
+            else:
+                _, _, _, tail, a, b = heapq.heappop(heap)
+                mid = 0.5 * (a + b)
+                panels += ((i, tail, a, mid), (i, tail, mid, b))
+                still.append(i)
+        if not still:
+            return results
+        active = still
+        subdivisions += 1
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     spec: QuadratureSpec = QuadratureSpec(),
     peak_hint: float | None = None,
     peak_width: float | None = None,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for integrands with super-Gaussian decay.
 
-    peak_hint/peak_width optionally tell the integrator where the mass is
-    concentrated; without them the peak is located by probing, which cannot
-    work once the integrand's inner tail underflows to exact zeros.
+    f is vectorised over an array of abscissae.  peak_hint/peak_width
+    optionally tell the integrator where the mass is concentrated; without
+    them the peak is located by probing, which cannot work once the
+    integrand's inner tail underflows to exact zeros.
     """
-    return _semi_infinite_core(f, spec, peak_hint, peak_width)
+    return integrate_batch(lambda x, j: f(x), 1, spec, [peak_hint], [peak_width])[0]
+
+
+def integrate_shifted_gaussians(
+    g: BatchIntegrand,
+    centers: Sequence[float],
+    scales: Sequence[float],
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> list[QuadratureResult]:
+    """For each id j, integrate g(s, j) over {s : centers[j] + scales[j]*s >= 0}.
+
+    Callers substitute r = center + scale*s and strip the dominant
+    exponential factor analytically, so that g is an O(1)-wide profile near
+    s = 0 even when the original integrand peaks at huge r.  The results are
+    the plain ds-integrals; any dr = scale*ds Jacobian stays with the caller.
+    The peak location in the integration variable is known by construction,
+    so this path stays accurate at any exponential scale.
+    """
+    if not all(scale > 0.0 for scale in scales):
+        raise ValueError("scale must be positive")
+    s0 = [-c / scale for c, scale in zip(centers, scales)]
+    offsets = np.asarray(s0)
+    return integrate_batch(lambda x, j: g(offsets[j] + x, j), len(s0), spec,
+                           peak_hints=[max(0.0, -s) for s in s0],
+                           peak_widths=[1.0] * len(s0))
 
 
 def integrate_shifted_gaussian(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     center: float,
     scale: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureResult:
-    """Integrate g(s) over {s : center + scale*s >= 0}.
+    """Integrate g(s) over {s : center + scale*s >= 0}; g is vectorised over s.
 
-    Callers substitute r = center + scale*s and strip the dominant
-    exponential factor analytically, so that g is an O(1)-wide profile near
-    s = 0 even when the original integrand peaks at huge r.  The result is
-    the plain ds-integral; any dr = scale*ds Jacobian stays with the caller.
-    The peak location in the integration variable is known by construction,
-    so this path stays accurate at any exponential scale.
+    The one-integral case of ``integrate_shifted_gaussians``.
     """
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    s0 = -center / scale
-    return _semi_infinite_core(lambda x: g(s0 + x), spec,
-                               peak_hint=max(0.0, -s0), peak_width=1.0)
+    return integrate_shifted_gaussians(lambda s, j: g(s), [center], [scale], spec)[0]

@@ -12,15 +12,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .logscale import LogScaled
-from .quadrature import QuadratureSpec, integrate_shifted_gaussian
+from .quadrature import QuadratureSpec, integrate_shifted_gaussians
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 # Below this point log(sinh x / x) switches to its even Taylor series; both
 # branches agree to ~1e-14 there.
 _LOG_SINH_RATIO_SWITCH = 1e-2
+
+# gaussian_rounded: 2^(j/1024) as a double-double (from long double), and
+# ln2/1024 split as fdlibm splits ln2: the high part has 32 significant
+# bits, so n * _STEP_HI is exact for every |n| < 2^21.
+_TABLE_BITS = 10
+_EXP2_TABLE = np.exp2(np.arange(1 << _TABLE_BITS, dtype=np.longdouble) / (1 << _TABLE_BITS))
+_EXP2_HI = _EXP2_TABLE.astype(np.float64)
+_EXP2_LO = (_EXP2_TABLE - _EXP2_HI).astype(np.float64)
+_STEP_HI = 6.93147180369123816490e-01 / (1 << _TABLE_BITS)
+_STEP_LO = 1.90821492927058770002e-10 / (1 << _TABLE_BITS)
 
 
 def alpha(kappa: float, t: float) -> float:
@@ -97,34 +110,89 @@ def hyperbolic_moment_quadrature(
     Serves as the independent cross-check of the closed forms at any
     kappa^2 t.
     """
-    if kappa <= 0.0 or t <= 0.0:
-        raise ValueError("moments require kappa > 0 and t > 0")
-    st = math.sqrt(t)
-    m = moment.power
-
-    def g_plus(s: float) -> float:
-        r = kappa * t + st * s
-        return math.exp(-0.5 * s * s) * r ** m
-
-    def g_minus(s: float) -> float:
-        r = -kappa * t + st * s
-        return math.exp(-0.5 * s * s) * r ** m
-
-    jp = integrate_shifted_gaussian(g_plus, kappa * t, st, spec).value
-    jm = integrate_shifted_gaussian(g_minus, -kappa * t, st, spec).value
-    combined = jp - jm if moment.kind == "sinh" else jp + jm
-    return LogScaled(0.5 * st * combined, 0.5 * kappa * kappa * t)
+    return hyperbolic_moment_quadratures([(moment, kappa, t)], spec)[0]
 
 
-def log_sinh_ratio(x: float) -> float:
-    """log(sinh x / x), continuous and overflow-free for all x >= 0."""
-    if x < 0.0:
+def hyperbolic_moment_quadratures(
+    cases: Sequence[tuple[HyperbolicMoment, float, float]],
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> list[LogScaled]:
+    """``hyperbolic_moment_quadrature`` at each (moment, kappa, t), as one
+    lockstep batch of two shifted-Gaussian integrals per case."""
+    for _, kappa, t in cases:
+        if kappa <= 0.0 or t <= 0.0:
+            raise ValueError("moments require kappa > 0 and t > 0")
+    centers = np.repeat([kappa * t for _, kappa, t in cases], 2)
+    centers[1::2] *= -1.0
+    scales = np.repeat([math.sqrt(t) for _, _, t in cases], 2)
+    powers = np.repeat([float(moment.power) for moment, _, _ in cases], 2)
+
+    def g(s, j):
+        r = centers[j] + scales[j] * s
+        return np.exp(-0.5 * s * s) * r ** powers[j]
+
+    results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(), spec)
+    values = []
+    for (moment, kappa, t), plus, minus in zip(cases, results[0::2], results[1::2]):
+        jp, jm = plus.value, minus.value
+        combined = jp - jm if moment.kind == "sinh" else jp + jm
+        values.append(LogScaled(0.5 * math.sqrt(t) * combined, 0.5 * kappa * kappa * t))
+    return values
+
+
+def log_sinh_ratio(x):
+    """log(sinh x / x), continuous and overflow-free for all x >= 0.
+
+    Elementwise over an array; a float argument gives a float.
+    """
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
         raise ValueError("log_sinh_ratio requires x >= 0")
-    if x <= _LOG_SINH_RATIO_SWITCH:
-        x2 = x * x
-        return x2 * (1.0 / 6.0 + x2 * (-1.0 / 180.0 + x2 / 2835.0))
-    # sinh x / x = e^x (1 - e^{-2x}) / (2x)
-    return x + math.log(-math.expm1(-2.0 * x) / (2.0 * x))
+    # sinh x / x = e^x (1 - e^{-2x}) / (2x); 0/0 at x = 0 is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs)))
+    small = xs <= _LOG_SINH_RATIO_SWITCH
+    if small.any():
+        x2 = xs[small] * xs[small]
+        out[small] = x2 * (1.0 / 6.0 + x2 * (-1.0 / 180.0 + x2 / 2835.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def gaussian_rounded(s: np.ndarray) -> np.ndarray:
+    """exp(-s^2/2), elementwise, rounded as the C library's exp rounds it.
+
+    numpy's SIMD exp is up to 0.64 ulp off (on 5% of arguments, biased
+    low); this one is correctly rounded except within about 1e-3 ulp of a
+    rounding boundary (about 0.1% of arguments, then 1 ulp off).  With
+    a = -s^2/2 = n ln2/1024 + r and |r| <= ln2/2048, exp(a) is
+    2^(n/1024) (1 + expm1(r)) from the table and a degree-5 expm1.  The
+    table's low parts come from long double (a 64-bit mantissa on x86-64);
+    where long double is plain double they are zero and the result is only
+    faithful (within 1 ulp).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # s*s -> inf; NaN -> NaN
+        a = np.maximum(-0.5 * s * s, -746.0)  # exp(-746) is 0; keeps n in range
+        n = np.rint(a * ((1 << _TABLE_BITS) / math.log(2.0)))
+        r = (a - n * _STEP_HI) - n * _STEP_LO
+        p = r + r * r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0))))
+        n = n.astype(np.int64)
+    j = n & ((1 << _TABLE_BITS) - 1)
+    hi = _EXP2_HI[j]
+    y = hi + (hi * p + _EXP2_LO[j] * (1.0 + p))
+    # times 2^(n >> 10) in two normal factors, so a subnormal result rounds once
+    scale = (((n >> _TABLE_BITS) + (1023 + 600)) << 52).view(np.float64)
+    return y * scale * 2.0 ** -600
+
+
+def cube_rounded(r: np.ndarray) -> np.ndarray:
+    """r**3, elementwise, rounded as the C library's pow rounds it.
+
+    Formed in long double, so only cubes within about 1e-3 ulp of a
+    rounding boundary can come out 1 ulp off (numpy's SIMD pow: 5% of
+    arguments).  That needs long double wider than double, as on x86-64.
+    """
+    wide = np.asarray(r, dtype=np.longdouble)
+    return (wide * wide * wide).astype(np.float64)
 
 
 def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:

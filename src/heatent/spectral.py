@@ -529,6 +529,8 @@ def bochner_residual(w: SpectralField, potential: Optional[SpectralField] = None
     manifold = w.manifold
     if potential is None:
         potential = manifold.drift
+    elif potential.manifold != manifold:
+        raise ValueError("the potential must live on the field's manifold")
     cutoff = w.cutoff if potential is None else max(w.cutoff, potential.cutoff)
     n = grid_points if grid_points is not None else _grid_size(2 * cutoff)
 

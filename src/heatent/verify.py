@@ -18,11 +18,11 @@ from . import bounds as bd
 from . import fixtures as fx
 from . import h3entropy as h3
 from . import spectral as sp
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_batch
 from .specfun import (
     HyperbolicMoment,
     hyperbolic_moment_closed_form,
-    hyperbolic_moment_quadrature,
+    hyperbolic_moment_quadratures,
     log_sinh_ratio,
     sinh_ratio_bounds_check,
 )
@@ -42,35 +42,39 @@ class CheckResult:
     details: str
 
 
-def _stable_moment_integrand(kappa: float, t: float, moment: HyperbolicMoment):
-    """exp(-r^2/2t) r^m {sinh,cosh}(kr) with the exponentials combined, so the
-    far tail evaluates to 0 instead of overflowing."""
+def _stable_moment_integrand(cases: list[tuple[HyperbolicMoment, float, float]]):
+    """exp(-r^2/2t) r^m {sinh,cosh}(kr) for case j = (moment, kappa, t), with
+    the exponentials combined, so the far tail evaluates to 0 instead of
+    overflowing."""
+    kappa = np.array([k for _, k, _ in cases])
+    t = np.array([t for _, _, t in cases])
+    power = np.array([float(m.power) for m, _, _ in cases])
+    sign = np.array([1.0 if m.kind == "cosh" else -1.0 for m, _, _ in cases])
+    at_zero = np.array([1.0 if (m.kind == "cosh" and m.power == 0) else 0.0
+                        for m, _, _ in cases])
+    log2 = math.log(2.0)
 
-    def f(r: float) -> float:
-        if r == 0.0:
-            return 1.0 if (moment.kind == "cosh" and moment.power == 0) else 0.0
-        gauss = -r * r / (2.0 * t)
-        up = math.exp(gauss + kappa * r - math.log(2.0))
-        down = math.exp(gauss - kappa * r - math.log(2.0))
-        s = up - down if moment.kind == "sinh" else up + down
-        return r ** moment.power * s
+    def f(r, j):
+        gauss = -r * r / (2.0 * t[j])
+        up = np.exp(gauss + kappa[j] * r - log2)
+        down = np.exp(gauss - kappa[j] * r - log2)
+        return np.where(r == 0.0, at_zero[j], r ** power[j] * (up + sign[j] * down))
 
     return f
 
 
 def check_moment_table(spec: QuadratureSpec) -> CheckResult:
     """Nine closed-form moments vs the quadrature oracle, both paths."""
+    cases = [(moment, kappa, t) for moment in _MOMENTS
+             for kappa in _KAPPA_GRID for t in _T_GRID]
+    direct = integrate_batch(_stable_moment_integrand(cases), len(cases), spec)
+    shifted = hyperbolic_moment_quadratures(cases, spec)
     worst = 0.0
-    for moment in _MOMENTS:
-        for kappa in _KAPPA_GRID:
-            for t in _T_GRID:
-                closed = hyperbolic_moment_closed_form(moment, kappa, t).value()
-                direct = integrate_semi_infinite(
-                    _stable_moment_integrand(kappa, t, moment), spec).value
-                shifted = hyperbolic_moment_quadrature(moment, kappa, t, spec).value()
-                worst = max(worst,
-                            abs(closed - direct) / abs(direct),
-                            abs(shifted - direct) / abs(direct))
+    for (moment, kappa, t), d, s in zip(cases, direct, shifted):
+        closed = hyperbolic_moment_closed_form(moment, kappa, t).value()
+        worst = max(worst,
+                    abs(closed - d.value) / abs(d.value),
+                    abs(s.value() - d.value) / abs(d.value))
     return CheckResult(worst <= 1e-8, worst,
                        "closed forms and both integration paths agree on the "
                        f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
@@ -108,11 +112,12 @@ def check_envelopes(spec: QuadratureSpec,
     40-point log grid; narrow_fraction > 0 shrinks each side for the harness
     self-test."""
     p = h3.H3Params(1.0, spec)
+    grid = [float(t) for t in np.geomspace(0.1, 100.0, 40)]
+    values = h3.eta_batch(p, [(t, prime) for t in grid for prime in (False, True)])
     failures = 0
-    for t in np.geomspace(0.1, 100.0, 40):
-        t = float(t)
-        for value, envelope in ((h3.eta(p, t), h3.eta_envelope(p, t)),
-                                (h3.eta_prime(p, t), h3.eta_prime_envelope(p, t))):
+    for i, t in enumerate(grid):
+        for value, envelope in ((values[2 * i], h3.eta_envelope(p, t)),
+                                (values[2 * i + 1], h3.eta_prime_envelope(p, t))):
             lo, hi = envelope
             if narrow_fraction > 0.0:
                 gap = hi - lo
@@ -272,15 +277,11 @@ def check_sinh_ratio_bounds(spec: QuadratureSpec) -> CheckResult:
 def check_log_sandwich(spec: QuadratureSpec) -> CheckResult:
     """kr + log(1/(1+2kr)) < log(sinh kr / kr) < kr + log(1/(1+kr))."""
     del spec
-    violations = 0
-    for kappa in _KAPPA_GRID:
-        for r in np.geomspace(1e-6, 1e2, 200):
-            x = kappa * float(r)
-            val = log_sinh_ratio(x)
-            lo = x - math.log1p(2.0 * x)
-            hi = x - math.log1p(x)
-            if not (lo < val < hi):
-                violations += 1
+    x = np.multiply.outer(_KAPPA_GRID, np.geomspace(1e-6, 1e2, 200)).ravel()
+    val = log_sinh_ratio(x)
+    lo = x - np.log1p(2.0 * x)
+    hi = x - np.log1p(x)
+    violations = int(np.count_nonzero(~((lo < val) & (val < hi))))
     return CheckResult(violations == 0, float(violations),
                        "log sinh ratio sandwich strict on the kappa x r grid")
 
@@ -303,10 +304,10 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
     library matches the direct integral; a doubled exponent would not.
     """
     worst = 0.0
+    times = (0.3, 1.0, 5.0)
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa, spec)
-        for t in (0.3, 1.0, 5.0):
-            assembled = h3.entropy(p, t)
+        for t, assembled in zip(times, h3.entropies(p, times)):
             direct = h3.entropy_quadrature(p, t)
             worst = max(worst, abs(assembled - direct) / abs(direct))
     return CheckResult(worst <= 1e-6, worst,

@@ -36,13 +36,14 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def stable_moment_integrand(kappa, t, moment):
+    at_zero = 1.0 if (moment.kind == "cosh" and moment.power == 0) else 0.0
+
     def f(r):
-        if r == 0.0:
-            return 1.0 if (moment.kind == "cosh" and moment.power == 0) else 0.0
         gauss = -r * r / (2.0 * t)
-        up = math.exp(gauss + kappa * r) / 2.0
-        down = math.exp(gauss - kappa * r) / 2.0
-        return r ** moment.power * (up - down if moment.kind == "sinh" else up + down)
+        up = np.exp(gauss + kappa * r) / 2.0
+        down = np.exp(gauss - kappa * r) / 2.0
+        s = up - down if moment.kind == "sinh" else up + down
+        return np.where(r == 0.0, at_zero, r ** moment.power * s)
     return f
 
 

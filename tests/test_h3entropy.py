@@ -117,9 +117,8 @@ def test_eta_matches_direct_quadrature_at_moderate_t():
     t = 10.0
 
     def direct(r):
-        if r == 0.0:
-            return 0.0
-        return math.exp(-r * r / (2.0 * t)) * r * math.sinh(r) * log_sinh_ratio(r)
+        return np.where(r == 0.0, 0.0,
+                        np.exp(-r * r / (2.0 * t)) * r * np.sinh(r) * log_sinh_ratio(r))
 
     oracle = integrate_semi_infinite(direct).value
     assert h3.eta(P1, t).value() == pytest.approx(oracle, rel=1e-8)
@@ -267,6 +266,59 @@ def test_record_consistency():
     assert rec.band_ok(1.0)  # t < 20: trivially fine
     records = h3.evaluate_records(P1, [1.0, 2.0])
     assert [r.t for r in records] == [1.0, 2.0]
+
+
+def test_evaluate_records_equals_single_records_bit_for_bit():
+    times = [float(t) for t in np.geomspace(1e-4, 1e4, 9)]
+    for p in (P1, h3.H3Params(0.3)):
+        assert h3.evaluate_records(p, times) == [h3.evaluate_record(p, t) for t in times]
+        assert h3.entropies(p, times) == [h3.entropy(p, t) for t in times]
+
+
+@pytest.fixture
+def shifted_results(monkeypatch):
+    """Every QuadratureResult of the shifted integrals behind eta/eta', in order."""
+    seen = []
+    original = h3.integrate_shifted_gaussians
+
+    def recording(*args, **kwargs):
+        results = original(*args, **kwargs)
+        seen.append(results)
+        return results
+
+    monkeypatch.setattr(h3, "integrate_shifted_gaussians", recording)
+    return seen
+
+
+def test_lockstep_integrals_equal_their_lone_runs(shifted_results):
+    p = h3.H3Params(0.7)
+    points = [(float(t), prime) for t in np.geomspace(1e-6, 1e9, 16)
+              for prime in (False, True)]
+    batched = h3.eta_batch(p, points)
+    together = shifted_results[-1]
+    alone = []
+    for point in points:
+        assert h3.eta_batch(p, [point]) == [batched[len(alone) // 2]]
+        alone += shifted_results[-1]
+    assert together == alone
+
+
+# Evaluation counts of the (plus, minus) shifted integrals, measured with the
+# scalar core this batched one replaced; they pin the refinement order.
+FROZEN_EVALUATIONS = {
+    (0.5, 1e-6, False): (135, 135), (0.5, 1e-6, True): (135, 135),
+    (0.5, 1.0, False): (165, 195), (0.5, 1.0, True): (165, 195),
+    (0.5, 1e4, False): (270, 135), (0.5, 1e4, True): (270, 135),
+    (2.0, 1e-6, False): (135, 135), (2.0, 1e-6, True): (135, 135),
+    (2.0, 1.0, False): (165, 195), (2.0, 1.0, True): (165, 225),
+    (2.0, 1e4, False): (270, 135), (2.0, 1e4, True): (270, 135),
+}
+
+
+def test_evaluation_counts_frozen(shifted_results):
+    for (kappa, t, prime), counts in FROZEN_EVALUATIONS.items():
+        (h3.eta_prime if prime else h3.eta)(h3.H3Params(kappa), t)
+        assert tuple(r.evaluations for r in shifted_results[-1]) == counts, (kappa, t, prime)
 
 
 def test_extreme_exponential_scale():

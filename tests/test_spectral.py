@@ -446,6 +446,16 @@ def test_bochner_random_fields():
         assert sp.bochner_residual(w, potential=potential).relative <= 1e-8
 
 
+@pytest.mark.parametrize("other", [sp.circle(1.0), sp.torus2(1.0, 2.0)],
+                         ids=["circle", "torus2_1x2"])
+def test_bochner_rejects_potential_from_another_manifold(other):
+    field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
+    potential = sp.project_potential(
+        other, lambda x, *rest: 0.3 * np.sin(2.0 * np.pi * x), 2)
+    with pytest.raises(ValueError, match="potential must live on"):
+        sp.bochner_residual(field, potential=potential)
+
+
 def test_bochner_rejects_other_manifolds():
     field = two_mode_circle()
     with pytest.raises(ValueError):
