@@ -16,6 +16,7 @@ byte-identical output.  Exit status: 0 success, 1 verification or numerical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,7 +50,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The flag parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="heatent",
         description="Entropy and entropy-rate of heat flow on model manifolds.")

@@ -2,8 +2,8 @@
 
 All initial data are low-band trigonometric polynomials, normalised to unit
 mass against the relevant reference measure.  On the periodic fixtures their
-extrema land exactly on the evaluation grid; on the sphere the Gauss-Legendre
-grid misses the poles (see ``spectral.grid_extrema``).
+extrema land exactly on the evaluation grid, and on the sphere at the poles,
+which ``spectral.grid_extrema`` evaluates exactly on top of its grid.
 """
 
 from __future__ import annotations

@@ -13,13 +13,20 @@ eigenvalues, grid points, volume-measure weights, synthesis and analysis,
 ``_PeriodicTransform`` is an n-axis ``fftn`` on a uniform grid: the circle is
 the one-axis torus, and the drifted torus is the plain torus whose manifold
 carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in cos(theta).
+Each transform is built once per content key (geometry, side lengths,
+cutoff, grid size) and shared from a bounded cache, so every array it holds
+is read-only.  Synthesis and |grad u|^2 take coefficient rows with leading
+batch axes.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
 spectrally accurate quadrature.  On the drifted torus the Galerkin system
 c' = A c is linear and time-independent, so it too is propagated exactly,
 through an eigendecomposition of A; there is no time-discretisation error
-anywhere.
+anywhere.  An entropy trace is one array program: the coefficient rows of
+every time it needs are evolved together, synthesised in chunks of at most
+``_CHUNK_POINTS`` grid values, and reduced to entropy and Fisher information
+by row sums.
 """
 
 from __future__ import annotations
@@ -41,6 +48,15 @@ _FD_STEP_SCALE = 1e-4
 # The drift fixture reads about 2e-14 and 3.5.
 EIG_RESIDUAL_LIMIT = 1e-12
 EIG_CONDITION_LIMIT = 1e8
+# Distinct transforms kept.  The benchmark's three workloads use 16, which
+# hold 0.15 MB of arrays together.
+_TRANSFORM_CACHE_SIZE = 64
+# Grid values synthesised at once by the row functionals.  Unchunked, a
+# 16-time trace on the n = 48 torus allocates 9 MB at peak; chunked, 0.8 MB.
+_CHUNK_POINTS = 8192
+_RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
+_DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
+                          "raise the cutoff or fix the data")
 
 
 class PositivityError(ValueError):
@@ -123,11 +139,13 @@ class _PeriodicTransform:
         self.lengths = lengths
         self.n = n
         self.shape = (n,) * len(lengths)
+        self.size = math.prod(self.shape)
+        self._axes = tuple(range(-len(lengths), 0))
         self.volume = math.prod(lengths)
         modes = np.arange(-cutoff, cutoff + 1)
-        self.ik = [2j * math.pi * m / length
-                   for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths)]
-        self._slots = np.ix_(*[modes % n] * len(lengths))
+        self.ik = tuple(_read_only(2j * math.pi * m / length)
+                        for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths))
+        self._slots = tuple(map(_read_only, np.ix_(*[modes % n] * len(lengths))))
 
     @staticmethod
     def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
@@ -140,12 +158,14 @@ class _PeriodicTransform:
         return np.meshgrid(*axes, indexing="ij")
 
     def weights(self) -> np.ndarray:
-        return np.full(self.shape, self.volume / math.prod(self.shape))
+        return np.full(self.shape, self.volume / self.size)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        spec = np.zeros(self.shape, dtype=complex)
-        spec[self._slots] = coeffs / math.sqrt(self.volume)
-        return (np.fft.ifftn(spec) * spec.size).real
+        """Grid values; axes of ``coeffs`` before the mode axes are batch axes."""
+        batch = coeffs.shape[:coeffs.ndim - len(self.shape)]
+        spec = np.zeros(batch + self.shape, dtype=complex)
+        spec[(Ellipsis, *self._slots)] = coeffs / math.sqrt(self.volume)
+        return (np.fft.ifftn(spec, axes=self._axes) * self.size).real
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         spec = np.fft.fftn(values) / values.size
@@ -172,6 +192,10 @@ class _PeriodicTransform:
     def gradient_squared(self, coeffs: np.ndarray) -> np.ndarray:
         return sum(g * g for g in self.gradient(coeffs))
 
+    def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """The field values ``grid_extrema`` searches: the grid's."""
+        return self.synth(coeffs)
+
 
 class _SphereTransform:
     """Zonal sector: everything reduces to Gauss-Legendre in x = cos(theta)."""
@@ -179,12 +203,15 @@ class _SphereTransform:
     def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
         self.radius = lengths[0]
         x, w = np.polynomial.legendre.leggauss(n)
-        self.x = x
-        self.w = w
+        self.x = _read_only(x)
+        self.w = _read_only(w)
         ells = np.arange(cutoff + 1)
-        self.norms = np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi * self.radius * self.radius))
-        self.p = self._legendre_table(cutoff, x)
-        self.dp = self._legendre_derivative_table(self.p, x)
+        self.norms = _read_only(
+            np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi * self.radius * self.radius)))
+        self.p = _read_only(self._legendre_table(cutoff, x))
+        self.dp = _read_only(self._legendre_derivative_table(self.p, x))
+        # P_l at the poles x = 1 and x = -1 is 1 and (-1)^l
+        self._poles = _read_only(np.stack([np.ones(cutoff + 1), (-1.0) ** ells], axis=1))
 
     @staticmethod
     def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
@@ -232,6 +259,12 @@ class _SphereTransform:
         du = -sin_theta * ((coeffs * self.norms) @ self.dp) / self.radius
         return du * du
 
+    def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """The field values ``grid_extrema`` searches: the grid's, then the
+        two poles', which Gauss-Legendre nodes never reach."""
+        scaled = coeffs * self.norms
+        return np.concatenate([scaled @ self.p, scaled @ self._poles], axis=-1)
+
 
 _GEOMETRY = {"circle": _PeriodicTransform, "torus2": _PeriodicTransform,
              "torus2_drift": _PeriodicTransform, "sphere2": _SphereTransform}
@@ -244,9 +277,25 @@ def _geometry(manifold: ManifoldSpec):
         raise ValueError(f"unknown manifold kind {manifold.kind!r}") from None
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _transform(manifold: ManifoldSpec, cutoff: int, grid_points: Optional[int] = None):
+    """The shared transform of the manifold's geometry at this cutoff and grid.
+
+    Keyed on content, not on the manifold object (``ManifoldSpec`` compares
+    by identity), so equal manifolds, and the drifted torus and its plain
+    torus, share one build.
+    """
     n = grid_points if grid_points is not None else _grid_size(cutoff)
-    return _geometry(manifold)(manifold.lengths, cutoff, n)
+    return _cached_transform(_geometry(manifold), manifold.lengths, cutoff, n)
+
+
+@functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
+def _cached_transform(geometry, lengths: tuple[float, ...], cutoff: int, n: int):
+    return geometry(lengths, cutoff, n)
 
 
 def eigenvalues(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
@@ -329,23 +378,37 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return field
+    rows = _propagate(field, np.array([float(t)]))
+    if field.manifold.drift is not None:
+        _require_positive(_transform(field.manifold, field.cutoff).synth(rows),
+                          _DRIFT_LOST_POSITIVITY)
+    return SpectralField(field.manifold, rows[0], field.cutoff)
+
+
+def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(tL) field for each of ``times``, stacked on a
+    leading axis: c0 exp(-lambda t / 2) as an outer product, or on the
+    drifted torus (e^{t w} * V^-1 c0) V^T."""
     manifold = field.manifold
+    c0 = field.coefficients
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
-        return SpectralField(manifold, field.coefficients * np.exp(-0.5 * lam * t),
-                             field.cutoff)
+        return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
     potential = manifold.drift
     w, v, v_inv = _drift_propagator(
         manifold.lengths, field.cutoff, potential.cutoff,
         np.asarray(potential.coefficients, dtype=complex).tobytes())
-    c = v @ (np.exp(w * t) * (v_inv @ field.coefficients.ravel()))
-    out = SpectralField(manifold, c.reshape(field.coefficients.shape), field.cutoff)
-    resolved_min = float(resolve(out).min())
-    if resolved_min <= POSITIVITY_FLOOR:
-        raise PositivityError(
-            f"drifted evolution lost positivity (min {resolved_min:.3e}); "
-            "raise the cutoff or fix the data")
-    return out
+    rows = (np.exp(np.outer(times, w)) * (v_inv @ c0.ravel())) @ v.T
+    return rows.reshape(times.shape + c0.shape)
+
+
+def _require_positive(rows: np.ndarray, message: str) -> None:
+    """Raise PositivityError, with ``message`` formatted by the row's
+    minimum, for the first row of grid values at or below the floor."""
+    minima = rows.reshape(len(rows), -1).min(axis=1)
+    low = np.flatnonzero(minima <= POSITIVITY_FLOOR)
+    if low.size:
+        raise PositivityError(message.format(float(minima[low[0]])))
 
 
 @functools.lru_cache(maxsize=4)
@@ -413,9 +476,7 @@ def _eigendecompose(a: np.ndarray):
         raise PropagatorError(
             f"drift generator eigenvectors have condition {condition:.3e}, "
             f"above {EIG_CONDITION_LIMIT:.0e}")
-    for arr in (w, v, v_inv):
-        arr.setflags(write=False)
-    return w, v, v_inv
+    return _read_only(w), _read_only(v), _read_only(v_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +497,36 @@ def _measure_weights(manifold: ManifoldSpec, tr) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray,
+                     message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy, Fisher information) of each coefficient row of ``rows``.
+
+    Rows are synthesised ``_CHUNK_POINTS`` grid values at a time, and each
+    row's sums run over its own contiguous grid values, as a lone field's
+    do.  The first row whose resolved field is not strictly positive raises
+    PositivityError with ``message``.
+    """
+    tr = _transform(manifold, cutoff)
+    w = _measure_weights(manifold, tr)
+    step = max(1, _CHUNK_POINTS // w.size)
+    entropy = np.empty(len(rows))
+    fisher = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
+        u = tr.synth(rows[chunk])
+        _require_positive(u, message)
+        grad2 = tr.gradient_squared(rows[chunk])
+        k = len(u)
+        entropy[chunk] = -(w * u * np.log(u)).reshape(k, -1).sum(axis=1)
+        fisher[chunk] = (w * grad2 / u).reshape(k, -1).sum(axis=1)
+    return entropy, fisher
+
+
 def entropy_and_fisher(field: SpectralField) -> tuple[float, float]:
     """(entropy, Fisher information) of a strictly positive resolved field."""
-    tr = _transform(field.manifold, field.cutoff)
-    u = tr.synth(field.coefficients)
-    if float(u.min()) <= POSITIVITY_FLOOR:
-        raise PositivityError(
-            f"resolved field has minimum {float(u.min()):.3e}")
-    w = _measure_weights(field.manifold, tr)
-    grad2 = tr.gradient_squared(field.coefficients)
-    entropy = -float(np.sum(w * u * np.log(u)))
-    fisher = float(np.sum(w * grad2 / u))
-    return entropy, fisher
+    entropy, fisher = _row_functionals(field.manifold, field.cutoff,
+                                       field.coefficients[np.newaxis], _RESOLVED_MINIMUM)
+    return float(entropy[0]), float(fisher[0])
 
 
 @dataclass(frozen=True)
@@ -471,16 +550,17 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
     times = np.asarray([float(t) for t in times])
     if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing and positive")
-    entropies = np.empty_like(times)
-    fishers = np.empty_like(times)
-    rate_fd = np.empty_like(times)
-    for i, t in enumerate(times):
-        entropies[i], fishers[i] = entropy_and_fisher(evolve(field, t))
-        h = _FD_STEP_SCALE * t
-        s_plus, _ = entropy_and_fisher(evolve(field, t + h))
-        s_minus, _ = entropy_and_fisher(evolve(field, t - h))
-        rate_fd[i] = (s_plus - s_minus) / (2.0 * h)
-    return EntropyTrace(times, entropies, 0.5 * fishers, rate_fd, fishers)
+    h = _FD_STEP_SCALE * times
+    # rows t, t + h, t - h of each time in turn, so that a loss of positivity
+    # is reported at the first time it occurs
+    grid = np.stack([times, times + h, times - h], axis=1).ravel()
+    message = (_RESOLVED_MINIMUM if field.manifold.drift is None
+               else _DRIFT_LOST_POSITIVITY)
+    entropy, fisher = _row_functionals(field.manifold, field.cutoff,
+                                       _propagate(field, grid), message)
+    entropy, fisher = entropy.reshape(-1, 3), fisher.reshape(-1, 3)
+    rate_fd = (entropy[:, 1] - entropy[:, 2]) / (2.0 * h)
+    return EntropyTrace(times, entropy[:, 0], 0.5 * fisher[:, 0], rate_fd, fisher[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +708,16 @@ def laplacian_l2_norm(field: SpectralField) -> float:
 
 
 def grid_extrema(field: SpectralField) -> tuple[float, float]:
-    """(min, max) over the oversampled evaluation grid.
+    """(min, max) over the oversampled evaluation grid, and on the sphere
+    also over its two poles, where P_l(+-1) = (+-1)^l gives the field
+    exactly.
 
-    Grid extrema lie inside the true range.  The periodic fixtures' extrema
-    land on grid points exactly, but Gauss-Legendre nodes miss the sphere's
-    poles: the sphere fixture's sup and inf sit about 2.3e-4 and 6.9e-4
-    relative inside.  The error does not always make the bounds stricter:
-    with sup f < 1, an understated sup makes |log sup f| in the spectral-gap
-    bound larger, so that bound comes out looser.
+    These extrema lie inside the true range.  The periodic fixtures' and the
+    sphere fixture's extrema land on these points, so for them the values
+    are exact; a general field can peak between grid points.  The error does
+    not always make the bounds stricter: with sup f < 1, an understated sup
+    makes |log sup f| in the spectral-gap bound larger, so that bound comes
+    out looser.
     """
-    u = resolve(field)
+    u = _transform(field.manifold, field.cutoff).extremal_samples(field.coefficients)
     return float(u.min()), float(u.max())

@@ -128,6 +128,27 @@ def test_propagator_failure_exits_one(monkeypatch, capsys):
     assert "propagator failure" in capsys.readouterr().err
 
 
+def test_one_process_reuses_its_parser(capsys):
+    """main() builds the parser once per process; every call after other
+    subcommands and a usage error prints what a fresh process prints."""
+    runs = [["evolve", "--manifold", "torus"], ["bounds", "--manifold", "sphere"],
+            ["h3", "--t-count", "3"], ["verify", "--only", "second_moment"],
+            ["evolve", "--manifold", "klein"], ["evolve", "--manifold", "torus"]]
+    statuses = []
+    for argv in runs:
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (status, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        statuses.append(status)
+    assert statuses == [0, 0, 0, 0, 2, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_bounds_table():
     proc = run_cli("bounds", "--manifold", "sphere", "--t-start", "0.1",
                    "--t-stop", "10", "--t-count", "4")

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
 
@@ -299,8 +301,10 @@ def test_evolve_drift_positivity_guard():
     tr_coeffs = sp.project_potential(
         sp.torus2(1.0, 1.0), lambda x, y: 1.0 + 1.5 * np.cos(2.0 * np.pi * x), 6)
     bad = sp.SpectralField(manifold, tr_coeffs.coefficients, tr_coeffs.cutoff)
-    with pytest.raises(sp.PositivityError):
+    with pytest.raises(sp.PositivityError, match="drifted evolution lost positivity"):
         sp.evolve(bad, 0.01)
+    with pytest.raises(sp.PositivityError, match="drifted evolution lost positivity"):
+        sp.entropy_trace(bad, [0.01, 0.02])
 
 
 def test_evolve_drift_entropy_nondecreasing():
@@ -348,8 +352,10 @@ def test_entropy_nonpositive_on_unit_volume():
 def test_positivity_guard():
     bad = sp.SpectralField(CIRCLE, np.array([0.0, 0.6, 1.0, 0.6, 0.0],
                                             dtype=complex), 2)
-    with pytest.raises(sp.PositivityError):
+    with pytest.raises(sp.PositivityError, match="resolved field has minimum"):
         sp.entropy_and_fisher(bad)
+    with pytest.raises(sp.PositivityError, match="resolved field has minimum"):
+        sp.entropy_trace(bad, [0.001, 0.002])
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +406,95 @@ def test_trace_validates_grid():
         sp.entropy_trace(field, [0.0, 0.1])
     with pytest.raises(ValueError):
         sp.entropy_trace(fx.drift_fixture().initial, [0.2, 0.1])
+
+
+def assert_within_ulps(got, want, ulps):
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), (got, want)
+
+
+# Rows whose arithmetic batching leaves unchanged are bit-identical; the
+# sphere's Legendre synthesis and the drift propagation are BLAS matrix
+# products, whose rounding may depend on how many rows they multiply.
+@pytest.mark.parametrize("name, ulps", [("circle", 0), ("torus", 0), ("sphere", 2),
+                                        ("torus-drift", 2)])
+def test_trace_rows_equal_single_time_functionals(name, ulps):
+    fixture = fx.get_fixture(name)
+    times = fixture.default_times
+    trace = sp.entropy_trace(fixture.initial, times)
+
+    def functionals(grid):
+        return np.array([sp.entropy_and_fisher(sp.evolve(fixture.initial, t))
+                         for t in grid]).T
+
+    entropy, fisher = functionals(times)
+    assert_within_ulps(trace.entropy, entropy, ulps)
+    assert_within_ulps(trace.fisher, fisher, ulps)
+    assert np.array_equal(trace.rate_direct, 0.5 * trace.fisher)
+    if ulps == 0:
+        h = 1e-4 * times
+        rate_fd = (functionals(times + h)[0] - functionals(times - h)[0]) / (2.0 * h)
+        assert np.array_equal(trace.rate_fd, rate_fd)
+
+
+@pytest.mark.parametrize("name, ulps", [("circle", 0), ("torus", 0), ("sphere", 2),
+                                        ("torus-drift", 0)])
+def test_trace_chunking_leaves_rows_unchanged(name, ulps, monkeypatch):
+    fixture = fx.get_fixture(name)
+    times = np.linspace(fixture.default_times[0], fixture.default_times[-1], 16)
+    monkeypatch.setattr(sp, "_CHUNK_POINTS", 10 ** 9)
+    whole = sp.entropy_trace(fixture.initial, times)
+    monkeypatch.setattr(sp, "_CHUNK_POINTS", 1)
+    row_by_row = sp.entropy_trace(fixture.initial, times)
+    for column in ("entropy", "fisher"):
+        assert_within_ulps(getattr(row_by_row, column), getattr(whole, column), ulps)
+    if ulps == 0:
+        assert np.array_equal(row_by_row.rate_fd, whole.rate_fd)
+
+
+def test_trace_peak_memory_is_bounded_by_chunking():
+    field = fx.random_positive_torus_field(np.random.default_rng(2), TORUS, cutoff=6)
+    times = np.geomspace(0.01, 2.0, 16)
+    sp.entropy_trace(field, times)  # builds the transform outside the measurement
+    tracemalloc.start()
+    try:
+        sp.entropy_trace(field, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def test_transforms_built_once_per_content_key():
+    plain = sp._transform(sp.torus2(1.0, 1.0), 2)
+    assert sp._transform(sp.torus2(1.0, 1.0), 2) is plain
+    assert sp._transform(fx.drift_fixture().manifold, 2) is plain
+    assert sp._transform(sp.torus2(1.0, 1.5), 2) is not plain
+    assert sp._transform(sp.torus2(1.0, 1.0), 2, 64) is not plain
+
+    def use_every_fixture():
+        for name in fx.FIXTURE_BUILDERS:
+            fixture = fx.get_fixture(name)
+            trace = sp.entropy_trace(fixture.initial, fixture.default_times)
+            bd.check_bounds(trace, fixture.manifold, fixture.initial)
+
+    use_every_fixture()
+    before = sp._cached_transform.cache_info()
+    use_every_fixture()
+    after = sp._cached_transform.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, SPHERE], ids=["circle", "torus", "sphere"])
+def test_cached_transform_arrays_are_read_only(manifold):
+    tr = sp._transform(manifold, 3)
+    arrays = [a for value in vars(tr).values()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == (6 if manifold is SPHERE else 2 * manifold.dimension)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +584,16 @@ def test_grid_extrema_exact_for_fixture():
     low, high = sp.grid_extrema(two_mode_circle())
     assert low == pytest.approx(0.5, abs=1e-12)
     assert high == pytest.approx(1.5, abs=1e-12)
-    # Gauss-Legendre nodes miss the poles, where the sphere fixture peaks
-    low, high = sp.grid_extrema(fx.sphere_fixture().initial)
+    # The sphere fixture peaks at the poles, which Gauss-Legendre nodes miss;
+    # they are evaluated exactly on top of the grid.  What remains is the
+    # projection's own error, about 5e-14 relative.
     true_low, true_high = 0.5 / (4.0 * math.pi), 1.5 / (4.0 * math.pi)
-    assert true_low < low < high < true_high
-    assert low == pytest.approx(true_low, rel=1e-3)
-    assert high == pytest.approx(true_high, rel=1e-3)
+    low, high = sp.grid_extrema(fx.sphere_fixture().initial)
+    assert low == pytest.approx(true_low, rel=1e-13, abs=0.0)
+    assert high == pytest.approx(true_high, rel=1e-13, abs=0.0)
+    # the same density from its exact coefficients c_l = f_l / norm_l
+    norms = np.sqrt(np.array([1.0, 3.0]) / (4.0 * math.pi))
+    exact = sp.SpectralField(SPHERE, np.array([1.0, 0.5]) / (4.0 * math.pi) / norms, 1)
+    low, high = sp.grid_extrema(exact)
+    assert low == pytest.approx(true_low, rel=1e-15, abs=0.0)
+    assert high == pytest.approx(true_high, rel=1e-15, abs=0.0)
