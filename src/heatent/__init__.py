@@ -1,7 +1,6 @@
 """Entropy and entropy-rate of heat flow on model manifolds."""
 
 from . import bounds, fixtures, h3entropy, spectral, verify
-from .logscale import LogScaled
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureDomainError,
@@ -14,7 +13,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "LogScaled",
     "QuadratureConvergenceError",
     "QuadratureDomainError",
     "QuadratureResult",

@@ -50,6 +50,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _unscaled(scaled: float, exponent: float) -> float:
+    """scaled * exp(exponent) as a float, inf once its log passes 709."""
+    if scaled == 0.0:
+        return 0.0
+    total = exponent + math.log(abs(scaled))
+    return math.copysign(math.exp(total) if total <= 709.0 else math.inf, scaled)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The flag parser, built once per process: parsing leaves it unchanged."""
@@ -193,10 +201,12 @@ def cmd_h3(args: argparse.Namespace) -> int:
                                         ("band", rec.band_ok(kappa))) if not ok]
         if checks:
             failing.append((rec.t, checks))
+        # the records hold the eta family times exp(-kappa^2 t/2)
+        exponent = 0.5 * kappa * kappa * rec.t
         rows.append([
             rec.t, rec.entropy, rec.I1, rec.I2, rec.rate_direct, rec.rate_fd,
-            rec.eta.value(), rec.eta_lower.value(), rec.eta_upper.value(),
-            rec.etap.value(), rec.etap_lower.value(), rec.etap_upper.value(),
+            *(_unscaled(v, exponent) for v in (rec.eta, rec.eta_lower, rec.eta_upper,
+                                            rec.etap, rec.etap_lower, rec.etap_upper)),
             rec.band_lo, rec.band_hi,
         ])
 

@@ -10,10 +10,15 @@ log(sinh r / r) weight.  eta and its derivative are computed by quadrature
 through the overflow-safe shifted-Gaussian path and are pinned between
 closed-form envelopes; the entropy rate assembles as
 
-    d/dt Ent = 3/(2t) + kappa^2 + xi'(t) eta(t) + xi(t) eta'(t)
+    d/dt Ent = 3/(2t) + kappa^2 + xi'(t) eta(t) + xi(t) eta'(t),
 
-entirely in split-exponent arithmetic, and for large t it settles inside the
-band kappa^2 * (2 -+ log sqrt 2).
+and for large t it settles inside the band kappa^2 * (2 -+ log sqrt 2).
+
+xi carries a factor exp(-kappa^2 t/2) and eta a factor exp(+kappa^2 t/2).
+Each is returned as a plain float with its factor taken out: xi and xi'
+times exp(kappa^2 t/2); eta, eta' and their envelopes times exp(-kappa^2 t/2).
+So xi eta and xi' eta + xi eta' are plain products, and nothing overflows at
+any kappa^2 t.
 
 A note on the radial weight: the density decomposition used here carries a
 single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
@@ -30,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .logscale import LogScaled
 from .quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
@@ -46,6 +50,9 @@ _LOG_SQRT2 = 0.5 * math.log(2.0)
 # Central-difference step for the entropy-rate cross-check; balances
 # truncation against quadrature noise at the default tolerances.
 _FD_STEP_SCALE = 1e-4
+
+# Slack of the large-time band check, in units of kappa^2.
+_BAND_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,26 +118,24 @@ def I1_quadrature(p: H3Params, t: float) -> float:
     return require_converged(result, "second moment").value / (2.0 * t)
 
 
-def xi(p: H3Params, t: float) -> LogScaled:
-    """sqrt(2/pi) / (kappa t^{3/2}) times exp(-kappa^2 t/2); always positive."""
+def xi(p: H3Params, t: float) -> float:
+    """xi times exp(kappa^2 t/2): sqrt(2/pi) / (kappa t^{3/2}); always positive."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    return _SQRT_TWO_OVER_PI / (p.kappa * t ** 1.5)
+
+
+def xi_prime(p: H3Params, t: float) -> float:
+    """d/dt of xi, times exp(kappa^2 t/2); always negative."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     k = p.kappa
-    return LogScaled(_SQRT_TWO_OVER_PI / (k * t ** 1.5), -0.5 * k * k * t)
+    return -(k * k * t + 3.0) / (math.sqrt(2.0 * math.pi) * k * t ** 2.5)
 
 
-def xi_prime(p: H3Params, t: float) -> LogScaled:
-    """d/dt of xi; always negative."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    k = p.kappa
-    k2t = k * k * t
-    mant = -(k2t + 3.0) / (math.sqrt(2.0 * math.pi) * k * t ** 2.5)
-    return LogScaled(mant, -0.5 * k2t)
-
-
-def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[LogScaled]:
-    """eta(t), or eta'(t) where the flag is set, at each (t, prime) point.
+def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
+    """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
+    each (t, prime) point.
 
     Each value is the log-weighted sinh integral
 
@@ -174,40 +179,42 @@ def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[LogScal
         context = f"log-weighted sinh integral (power {3 if prime else 1})"
         jp = require_converged(plus, context).value
         jm = require_converged(minus, context).value
-        value = LogScaled(0.5 * math.sqrt(t) * (jp - jm), 0.5 * k * k * t)
+        value = 0.5 * math.sqrt(t) * (jp - jm)
         values.append(value * (0.5 / (t * t)) if prime else value)
     return values
 
 
-def eta(p: H3Params, t: float) -> LogScaled:
-    """The transcendental factor of I2, by overflow-safe quadrature."""
+def eta(p: H3Params, t: float) -> float:
+    """The transcendental factor of I2, by overflow-safe quadrature, times
+    exp(-kappa^2 t/2)."""
     return eta_batch(p, [(t, False)])[0]
 
 
-def eta_prime(p: H3Params, t: float) -> LogScaled:
-    """d/dt of eta: the same integral with an r^3/(2t^2) weight."""
+def eta_prime(p: H3Params, t: float) -> float:
+    """d/dt of eta, times exp(-kappa^2 t/2): the same integral with an
+    r^3/(2t^2) weight."""
     return eta_batch(p, [(t, True)])[0]
 
 
-def eta_envelope(p: H3Params, t: float) -> tuple[LogScaled, LogScaled]:
-    """Closed-form (lower, upper) bounds that eta must sit strictly inside."""
+def eta_envelope(p: H3Params, t: float) -> tuple[float, float]:
+    """Closed-form (lower, upper) bounds that eta must sit strictly inside,
+    times exp(-kappa^2 t/2)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     k = p.kappa
     k2t = k * k * t
     a = alpha(k, t)
     st = math.sqrt(t)
-    common = LogScaled(k * k * t * t, 0.0) + LogScaled(
-        k * t * st * (k2t + 1.0) * a, 0.5 * k2t)
+    decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
+    common = k * t * st * (k2t + 1.0) * a + k * k * t * t * decayed
     coeff = _SQRT_HALF_PI * k * t * st
-    lower = common - LogScaled(coeff * math.log(2.0 * k2t + 4.0), 0.5 * k2t)
-    upper = common - LogScaled(
-        coeff * math.log1p(_SQRT_HALF_PI * k2t / a), 0.5 * k2t)
+    lower = common - coeff * math.log(2.0 * k2t + 4.0)
+    upper = common - coeff * math.log1p(_SQRT_HALF_PI * k2t / a)
     return lower, upper
 
 
-def eta_prime_envelope(p: H3Params, t: float) -> tuple[LogScaled, LogScaled]:
-    """Closed-form (lower, upper) bounds for eta'."""
+def eta_prime_envelope(p: H3Params, t: float) -> tuple[float, float]:
+    """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     k = p.kappa
@@ -215,17 +222,16 @@ def eta_prime_envelope(p: H3Params, t: float) -> tuple[LogScaled, LogScaled]:
     a = alpha(k, t)
     st = math.sqrt(t)
     quartic = k2t * k2t + 6.0 * k2t + 3.0
-    common = LogScaled(0.5 * k * k * t * (k2t + 5.0), 0.0) + LogScaled(
-        0.5 * k * st * quartic * a, 0.5 * k2t)
-    coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
     decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
+    common = 0.5 * k * st * quartic * a + 0.5 * k * k * t * (k2t + 5.0) * decayed
+    coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
     lower_arg = (
         2.0 * k * _SQRT_TWO_OVER_PI * st * (k2t + 5.0) / (k2t + 3.0) * decayed
         + 2.0 * _SQRT_TWO_OVER_PI * quartic / (k2t + 3.0) * a
     )
     upper_arg = _SQRT_HALF_PI * k2t * (k2t + 3.0) / (k * st * decayed + (k2t + 1.0) * a)
-    lower = common - LogScaled(coeff * math.log1p(lower_arg), 0.5 * k2t)
-    upper = common - LogScaled(coeff * math.log1p(upper_arg), 0.5 * k2t)
+    lower = common - coeff * math.log1p(lower_arg)
+    upper = common - coeff * math.log1p(upper_arg)
     return lower, upper
 
 
@@ -241,11 +247,11 @@ def entropies(p: H3Params, times) -> list[float]:
     return [_assemble_entropy(p, t, e)[0] for t, e in zip(times, etas)]
 
 
-def _assemble_entropy(p: H3Params, t: float, e: LogScaled) -> tuple[float, float, float]:
-    """(entropy, I1, I2) from eta: the closed-form pieces plus I2 = xi eta."""
+def _assemble_entropy(p: H3Params, t: float, e: float) -> tuple[float, float, float]:
+    """(entropy, I1, I2) from scaled eta: the closed-form pieces plus I2 = xi eta."""
     k = p.kappa
     i1 = I1(p, t)
-    i2 = (xi(p, t) * e).value()
+    i2 = xi(p, t) * e
     return 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t + i1 + i2, i1, i2
 
 
@@ -268,26 +274,25 @@ def entropy_quadrature(p: H3Params, t: float) -> float:
 
 
 def entropy_rate(p: H3Params, t: float) -> float:
-    """d/dt of the entropy, assembled in split-exponent arithmetic."""
+    """d/dt of the entropy, assembled from eta and eta' at one time."""
     return _assemble_rate(p, t, *eta_batch(p, [(t, False), (t, True)]))
 
 
-def _assemble_rate(p: H3Params, t: float, e: LogScaled, ep: LogScaled) -> float:
-    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from eta and eta'."""
+def _assemble_rate(p: H3Params, t: float, e: float, ep: float) -> float:
+    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from scaled eta and eta'."""
     k = p.kappa
-    cross = xi_prime(p, t) * e + xi(p, t) * ep
-    return 1.5 / t + k * k + cross.value()
+    return 1.5 / t + k * k + (xi_prime(p, t) * e + xi(p, t) * ep)
 
 
-def entropy_rate_fd(p: H3Params, t: float, step_scale: float = _FD_STEP_SCALE) -> float:
+def entropy_rate_fd(p: H3Params, t: float) -> float:
     """Central finite difference of the entropy, for cross-checking the rate."""
-    h = step_scale * t
+    h = _FD_STEP_SCALE * t
     return _assemble_rate_fd(p, t, h, *eta_batch(p, [(t + h, False), (t - h, False)]))
 
 
 def _assemble_rate_fd(p: H3Params, t: float, h: float,
-                      e_up: LogScaled, e_down: LogScaled) -> float:
-    """(Ent(t + h) - Ent(t - h)) / 2h from eta at t + h and t - h."""
+                      e_up: float, e_down: float) -> float:
+    """(Ent(t + h) - Ent(t - h)) / 2h from scaled eta at t + h and t - h."""
     return (_assemble_entropy(p, t + h, e_up)[0]
             - _assemble_entropy(p, t - h, e_down)[0]) / (2.0 * h)
 
@@ -300,7 +305,11 @@ def asymptotic_band(p: H3Params) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class H3EntropyRecord:
-    """One time-grid row of the hyperbolic entropy sweep."""
+    """One time-grid row of the hyperbolic entropy sweep.
+
+    The six eta fields hold eta, eta' and their envelopes times
+    exp(-kappa^2 t/2), the scale ``eta_batch`` returns them at.
+    """
 
     t: float
     entropy: float
@@ -308,12 +317,12 @@ class H3EntropyRecord:
     I2: float
     rate_direct: float
     rate_fd: float
-    eta: LogScaled
-    eta_lower: LogScaled
-    eta_upper: LogScaled
-    etap: LogScaled
-    etap_lower: LogScaled
-    etap_upper: LogScaled
+    eta: float
+    eta_lower: float
+    eta_upper: float
+    etap: float
+    etap_lower: float
+    etap_upper: float
     band_lo: float
     band_hi: float
 
@@ -322,12 +331,13 @@ class H3EntropyRecord:
         return (self.eta_lower < self.eta < self.eta_upper
                 and self.etap_lower < self.etap < self.etap_upper)
 
-    def band_ok(self, kappa: float, slack_factor: float = 0.05) -> bool:
-        """Band containment, enforced once t >= 20/kappa^2."""
+    def band_ok(self, kappa: float) -> bool:
+        """Band containment with _BAND_SLACK kappa^2 slack, enforced once
+        t >= 20/kappa^2."""
         k2 = kappa * kappa
         if self.t * k2 < 20.0:
             return True
-        slack = slack_factor * k2
+        slack = _BAND_SLACK * k2
         return self.band_lo - slack <= self.rate_direct <= self.band_hi + slack
 
 

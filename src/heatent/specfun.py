@@ -4,8 +4,8 @@ The moment table evaluates integrals of the form
 
     integral_0^inf exp(-r^2/2t) r^m {sinh, cosh}(kappa r) dr
 
-in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so results
-come back as LogScaled values and never overflow.
+in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
+comes back times exp(-kappa^2 t / 2), a plain float that never overflows.
 """
 
 from __future__ import annotations
@@ -16,14 +16,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .logscale import LogScaled
 from .quadrature import QuadratureSpec, integrate_shifted_gaussians
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
-# Below this point log(sinh x / x) switches to its even Taylor series; both
-# branches agree to ~1e-14 there.
-_LOG_SINH_RATIO_SWITCH = 1e-2
+# Up to this point log(sinh x / x) is its even Taylor series
+# sum_n 2^{2n} B_{2n} / (2n (2n)!) x^{2n}, n = 1..16 (radius of convergence
+# pi).  Above it the closed form x + log((1 - e^{-2x})/2x) cancels less than
+# a factor of 7, so both branches hold about 1e-15 relative.
+_LOG_SINH_RATIO_SWITCH = 1.0
+_LOG_SINH_RATIO_SERIES = (
+    0.16666666666666666, -0.005555555555555556, 0.0003527336860670194,
+    -2.6455026455026456e-05, 2.1377799155576935e-06, -1.803670234005331e-07,
+    1.5661391322766983e-08, -1.3884130493737299e-09, 1.2504359176004997e-10,
+    -1.1402575602296091e-11, 1.0502923908637557e-12, -9.754877841593701e-14,
+    9.123468230859098e-15, -8.5837197618956095e-16, 8.117318009727789e-17,
+    -7.710527514116273e-18,
+)
 
 # gaussian_rounded: 2^(j/1024) as a double-double (from long double), and
 # ln2/1024 split as fdlibm splits ln2: the high part has 32 significant
@@ -64,8 +73,12 @@ class HyperbolicMoment:
 
 def hyperbolic_moment_closed_form(
     moment: HyperbolicMoment, kappa: float, t: float
-) -> LogScaled:
-    """Closed form of the (power, kind) moment as plain + exp(kappa^2 t/2) parts."""
+) -> float:
+    """Closed form of the (power, kind) moment, times exp(-kappa^2 t/2).
+
+    The moment is plain + grown exp(kappa^2 t/2), so the scaled value is
+    grown + plain exp(-kappa^2 t/2).
+    """
     if kappa <= 0.0 or t <= 0.0:
         raise ValueError("moments require kappa > 0 and t > 0")
     k2t = kappa * kappa * t
@@ -94,7 +107,7 @@ def hyperbolic_moment_closed_form(
         else:  # m == 3
             plain = t * t * (k2t + 2.0)
             grown = kappa * t * t * st * (k2t + 3.0) * a
-    return LogScaled(plain, 0.0) + LogScaled(grown, 0.5 * k2t)
+    return grown + plain * math.exp(-0.5 * k2t)
 
 
 def hyperbolic_moment_quadrature(
@@ -102,8 +115,9 @@ def hyperbolic_moment_quadrature(
     kappa: float,
     t: float,
     spec: QuadratureSpec = QuadratureSpec(),
-) -> LogScaled:
-    """Same moment through the overflow-safe shifted-Gaussian path.
+) -> float:
+    """Same moment through the overflow-safe shifted-Gaussian path, times
+    exp(-kappa^2 t/2).
 
     Writes 2*{sinh,cosh}(kappa r) = e^{kappa r} +/- e^{-kappa r}, completes
     the square in each branch and substitutes r = +/-kappa*t + sqrt(t)*s.
@@ -116,7 +130,7 @@ def hyperbolic_moment_quadrature(
 def hyperbolic_moment_quadratures(
     cases: Sequence[tuple[HyperbolicMoment, float, float]],
     spec: QuadratureSpec = QuadratureSpec(),
-) -> list[LogScaled]:
+) -> list[float]:
     """``hyperbolic_moment_quadrature`` at each (moment, kappa, t), as one
     lockstep batch of two shifted-Gaussian integrals per case."""
     for _, kappa, t in cases:
@@ -136,7 +150,7 @@ def hyperbolic_moment_quadratures(
     for (moment, kappa, t), plus, minus in zip(cases, results[0::2], results[1::2]):
         jp, jm = plus.value, minus.value
         combined = jp - jm if moment.kind == "sinh" else jp + jm
-        values.append(LogScaled(0.5 * math.sqrt(t) * combined, 0.5 * kappa * kappa * t))
+        values.append(0.5 * math.sqrt(t) * combined)
     return values
 
 
@@ -154,7 +168,10 @@ def log_sinh_ratio(x):
     small = xs <= _LOG_SINH_RATIO_SWITCH
     if small.any():
         x2 = xs[small] * xs[small]
-        out[small] = x2 * (1.0 / 6.0 + x2 * (-1.0 / 180.0 + x2 / 2835.0))
+        series = np.zeros_like(x2)
+        for c in reversed(_LOG_SINH_RATIO_SERIES):
+            series = series * x2 + c
+        out[small] = x2 * series
     return float(out) if out.ndim == 0 else out
 
 

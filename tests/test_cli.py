@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -9,6 +11,7 @@ from conftest import run_cli
 from heatent import bounds as bd
 from heatent import cli
 from heatent import fixtures as fx
+from heatent import h3entropy as h3
 from heatent import spectral as sp
 
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
@@ -211,6 +214,29 @@ def test_h3_failure_names_check_row_and_count(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 4
     assert captured.err == "h3: 2 of 3 rows failed; first at t=1000000000.0: envelope check\n"
+
+
+def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
+    # The records hold the eta family times exp(-kappa^2 t/2); the CSV puts
+    # the factor back, so an entry is inf exactly where its log passes 709,
+    # and where all six are finite their order is the envelope verdict.
+    argv = ["h3", "--kappa", "1", "--t-start", "1000", "--t-stop", "2000", "--t-count", "4"]
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    records = h3.evaluate_records(h3.H3Params(1.0), [float(row["t"]) for row in rows])
+    names = ("eta_lower", "eta", "eta_upper", "etap_lower", "etap", "etap_upper")
+    finite_rows = 0
+    for row, rec in zip(rows, records):
+        values = [float(row[name]) for name in names]
+        for name, value in zip(names, values):
+            below = 0.5 * rec.t + math.log(getattr(rec, name)) <= 709.0
+            assert math.isfinite(value) == below, (rec.t, name)
+            assert below or value == math.inf
+        if all(math.isfinite(v) for v in values):
+            finite_rows += 1
+            ordered = values[0] < values[1] < values[2] and values[3] < values[4] < values[5]
+            assert ordered == rec.envelope_ok
+    assert 0 < finite_rows < len(rows)
 
 
 def test_verify_all_pass(tmp_path: Path):

@@ -15,6 +15,17 @@ ETA_1_1 = 1.176065713266882
 ETAP_1_1 = 3.6480132188834977
 
 
+def eta_value(f, p, t):
+    """eta, eta' or an envelope at t as a plain float: the scaled value
+    times exp(kappa^2 t/2)."""
+    return f(p, t) * math.exp(0.5 * p.kappa * p.kappa * t)
+
+
+def xi_value(f, p, t):
+    """xi or xi' at t as a plain float: the scaled value times exp(-kappa^2 t/2)."""
+    return f(p, t) * math.exp(-0.5 * p.kappa * p.kappa * t)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         h3.H3Params(kappa=0.0)
@@ -87,21 +98,21 @@ def test_I1_matches_quadrature():
 
 def test_xi_value():
     expected = math.sqrt(2.0 / math.pi) * math.exp(-0.5)
-    assert h3.xi(P1, 1.0).value() == pytest.approx(expected, rel=1e-14)
+    assert xi_value(h3.xi, P1, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_xi_prime_negative_everywhere():
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa)
         for t in np.geomspace(0.01, 100.0, 25):
-            assert h3.xi_prime(p, float(t)).sign == -1
+            assert h3.xi_prime(p, float(t)) < 0.0
 
 
 def test_xi_prime_matches_finite_difference():
     for t in (0.5, 1.0, 5.0):
         h = 1e-4 * t
-        fd = (h3.xi(P1, t + h).value() - h3.xi(P1, t - h).value()) / (2.0 * h)
-        assert h3.xi_prime(P1, t).value() == pytest.approx(fd, rel=1e-6)
+        fd = (xi_value(h3.xi, P1, t + h) - xi_value(h3.xi, P1, t - h)) / (2.0 * h)
+        assert xi_value(h3.xi_prime, P1, t) == pytest.approx(fd, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +120,7 @@ def test_xi_prime_matches_finite_difference():
 
 
 def test_eta_frozen_value():
-    assert h3.eta(P1, 1.0).value() == pytest.approx(ETA_1_1, rel=1e-9)
+    assert eta_value(h3.eta, P1, 1.0) == pytest.approx(ETA_1_1, rel=1e-9)
 
 
 def test_eta_matches_direct_quadrature_at_moderate_t():
@@ -121,7 +132,7 @@ def test_eta_matches_direct_quadrature_at_moderate_t():
                         np.exp(-r * r / (2.0 * t)) * r * np.sinh(r) * log_sinh_ratio(r))
 
     oracle = integrate_semi_infinite(direct).value
-    assert h3.eta(P1, t).value() == pytest.approx(oracle, rel=1e-8)
+    assert eta_value(h3.eta, P1, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_eta_integrand_vanishes_at_origin():
@@ -129,15 +140,17 @@ def test_eta_integrand_vanishes_at_origin():
 
 
 def test_eta_split_representation_at_large_t():
+    # eta(100) carries a factor exp(50); the scaled value leaves it out
     e = h3.eta(P1, 100.0)
-    assert e.log_scale == 50.0
-    assert math.isfinite(e.mantissa) and e.mantissa > 0.0
+    assert math.isfinite(e) and e > 0.0
+    lo, hi = h3.eta_envelope(P1, 100.0)
+    assert lo < e < hi
 
 
 def test_eta_positive_and_inside_envelope():
     e = h3.eta(P1, 1.0)
     lo, hi = h3.eta_envelope(P1, 1.0)
-    assert e.sign == 1
+    assert e > 0.0
     assert lo < e < hi
 
 
@@ -153,14 +166,14 @@ def test_envelope_ordering_and_containment_on_grid():
 
 
 def test_eta_prime_frozen_value():
-    assert h3.eta_prime(P1, 1.0).value() == pytest.approx(ETAP_1_1, rel=1e-9)
+    assert eta_value(h3.eta_prime, P1, 1.0) == pytest.approx(ETAP_1_1, rel=1e-9)
 
 
 def test_eta_prime_is_derivative_of_eta():
     for t, tol in ((2.0, 1e-5), (0.5, 1e-5), (5.0, 1e-5)):
         h = 1e-4 * t
-        fd = (h3.eta(P1, t + h).value() - h3.eta(P1, t - h).value()) / (2.0 * h)
-        assert h3.eta_prime(P1, t).value() == pytest.approx(fd, rel=tol)
+        fd = (eta_value(h3.eta, P1, t + h) - eta_value(h3.eta, P1, t - h)) / (2.0 * h)
+        assert eta_value(h3.eta_prime, P1, t) == pytest.approx(fd, rel=tol)
 
 
 def test_eta_prime_envelope_other_curvature():
@@ -174,7 +187,7 @@ def test_envelope_gap_stays_bounded():
     for t in (50.0, 100.0):
         x = h3.xi(P1, t)
         lo, hi = h3.eta_envelope(P1, t)
-        assert (x * (hi - lo)).value() <= 1.05 * math.log(2.0)
+        assert x * (hi - lo) <= 1.05 * math.log(2.0)
 
 
 def test_envelope_bracket_contains_rate_cross_term():
@@ -185,8 +198,8 @@ def test_envelope_bracket_contains_rate_cross_term():
         lo, hi = h3.eta_envelope(P1, t)
         plo, phi = h3.eta_prime_envelope(P1, t)
         cross = h3.entropy_rate(P1, t) - 1.5 / t - 1.0
-        bracket_lo = (xp * hi + x * plo).value()
-        bracket_hi = (xp * lo + x * phi).value()
+        bracket_lo = xp * hi + x * plo
+        bracket_hi = xp * lo + x * phi
         assert bracket_lo <= cross <= bracket_hi, t
 
 
@@ -196,7 +209,7 @@ def test_envelope_bracket_contains_rate_cross_term():
 
 def test_entropy_assembly():
     expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + (
-        h3.xi(P1, 1.0) * h3.eta(P1, 1.0)).value()
+        h3.xi(P1, 1.0) * h3.eta(P1, 1.0))
     assert h3.entropy(P1, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
@@ -261,7 +274,7 @@ def test_record_consistency():
     assert rec.t == 2.0
     assert rec.entropy == pytest.approx(h3.entropy(P1, 2.0), rel=1e-12)
     assert rec.rate_direct == pytest.approx(h3.entropy_rate(P1, 2.0), rel=1e-12)
-    assert rec.I2 == pytest.approx((h3.xi(P1, 2.0) * h3.eta(P1, 2.0)).value(), rel=1e-12)
+    assert rec.I2 == pytest.approx(h3.xi(P1, 2.0) * h3.eta(P1, 2.0), rel=1e-12)
     assert rec.envelope_ok
     assert rec.band_ok(1.0)  # t < 20: trivially fine
     records = h3.evaluate_records(P1, [1.0, 2.0])
@@ -322,9 +335,9 @@ def test_evaluation_counts_frozen(shifted_results):
 
 
 def test_extreme_exponential_scale():
-    # kappa^2 t = 3600: every plain-float path would overflow or lose the
-    # integrand entirely; the split representation and the peak-aware
-    # quadrature must keep the whole pipeline exact
+    # kappa^2 t = 3600: eta itself is about exp(1800), far past double range;
+    # the fixed-scale floats and the peak-aware quadrature must keep the
+    # whole pipeline exact
     p = h3.H3Params(6.0)
     t = 100.0
     assert h3.normalization_quadrature(p, t) == pytest.approx(1.0, abs=1e-8)
@@ -332,7 +345,8 @@ def test_extreme_exponential_scale():
     assert rec.envelope_ok
     lo, hi = h3.asymptotic_band(p)
     assert lo - 0.05 * 36.0 <= rec.rate_direct <= hi + 0.05 * 36.0
-    assert rec.eta.log_scale == 1800.0
+    assert math.isfinite(rec.eta) and rec.eta > 0.0
+    assert rec.eta_lower < rec.eta < rec.eta_upper
 
 
 def test_custom_quadrature_spec_threads_through():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatent.logscale import LogScaled
 from heatent.quadrature import QuadratureSpec, integrate_semi_infinite
 from heatent.specfun import (
+    _LOG_SINH_RATIO_SWITCH,
     HyperbolicMoment,
     alpha,
     cube_rounded,
@@ -91,12 +91,13 @@ def test_moment_kind_validation():
 
 
 def test_moment_closed_form_examples():
+    # each moment comes back times exp(-kappa^2 t/2)
     v = hyperbolic_moment_closed_form(HyperbolicMoment(1, "sinh"), 1.0, 1.0)
-    assert v.value() == pytest.approx(SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
+    assert v * math.exp(0.5) == pytest.approx(SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
     v = hyperbolic_moment_closed_form(HyperbolicMoment(3, "sinh"), 1.0, 1.0)
-    assert v.value() == pytest.approx(4.0 * SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
+    assert v * math.exp(0.5) == pytest.approx(4.0 * SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
     v = hyperbolic_moment_closed_form(HyperbolicMoment(0, "cosh"), 2.0, 0.5)
-    assert v.value() == pytest.approx(
+    assert v * math.exp(1.0) == pytest.approx(
         SQRT_HALF_PI * math.sqrt(0.5) * math.exp(1.0), rel=1e-14)
 
 
@@ -107,7 +108,8 @@ def test_moment_table_against_oracle():
                 closed = hyperbolic_moment_closed_form(moment, kappa, t)
                 direct = integrate_semi_infinite(
                     stable_moment_integrand(kappa, t, moment)).value
-                assert closed.value() == pytest.approx(direct, rel=1e-8), (
+                grown = math.exp(0.5 * kappa * kappa * t)
+                assert closed * grown == pytest.approx(direct, rel=1e-8), (
                     moment, kappa, t)
 
 
@@ -118,17 +120,17 @@ def test_moment_paths_agree():
                 shifted = hyperbolic_moment_quadrature(moment, kappa, t)
                 direct = integrate_semi_infinite(
                     stable_moment_integrand(kappa, t, moment)).value
-                assert shifted.value() == pytest.approx(direct, rel=1e-8)
+                grown = math.exp(0.5 * kappa * kappa * t)
+                assert shifted * grown == pytest.approx(direct, rel=1e-8)
 
 
 def test_moment_no_overflow_at_large_scale():
-    # kappa^2 t = 400: the plain value would be ~exp(200); the split form
-    # agrees with the closed form without ever materialising it
+    # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
+    # it times exp(-200) and agree without ever materialising it
     closed = hyperbolic_moment_closed_form(HyperbolicMoment(3, "sinh"), 2.0, 100.0)
     shifted = hyperbolic_moment_quadrature(HyperbolicMoment(3, "sinh"), 2.0, 100.0)
-    assert math.isfinite(closed.mantissa) and math.isfinite(shifted.mantissa)
-    diff = (closed - shifted) * LogScaled(1.0, -closed.log_scale)
-    rel = abs(diff.value()) / abs(closed.mantissa)
+    assert math.isfinite(closed) and math.isfinite(shifted)
+    rel = abs(closed - shifted) / abs(closed)
     assert rel < 1e-8
 
 
@@ -149,13 +151,23 @@ def test_log_sinh_ratio_matches_naive_at_moderate_x():
 
 
 def test_log_sinh_ratio_branch_agreement():
-    switch = 1e-2
-    series = switch * switch * (1.0 / 6.0 + switch * switch * (-1.0 / 180.0 + switch * switch / 2835.0))
+    switch = _LOG_SINH_RATIO_SWITCH
+    series = log_sinh_ratio(switch)  # the series branch includes the switch
     log_form = switch + math.log(-math.expm1(-2.0 * switch) / (2.0 * switch))
     assert series == pytest.approx(log_form, abs=1e-12)
-    # continuity across the threshold
-    assert log_sinh_ratio(switch * (1 - 1e-9)) == pytest.approx(
-        log_sinh_ratio(switch * (1 + 1e-9)), rel=1e-10)
+    # continuity across the threshold, between its two neighbouring doubles
+    assert log_sinh_ratio(math.nextafter(switch, 0.0)) == pytest.approx(
+        log_sinh_ratio(math.nextafter(switch, 2.0)), rel=1e-14)
+
+
+def test_log_sinh_ratio_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    grid = np.geomspace(1e-3, 2.0, 400)
+    for x, got in zip(grid, log_sinh_ratio(grid)):
+        with mp.workdps(40):
+            exact = mp.log(mp.sinh(mp.mpf(float(x))) / mp.mpf(float(x)))
+            err = abs((mp.mpf(float(got)) - exact) / exact)
+        assert err <= 2e-15, x
 
 
 def test_log_sinh_ratio_monotone_nonnegative():
