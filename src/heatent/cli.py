@@ -197,8 +197,12 @@ def cmd_h3(args: argparse.Namespace) -> int:
     rows = []
     failing = []
     for rec in records:
-        checks = [name for name, ok in (("envelope", rec.envelope_ok),
-                                        ("band", rec.band_ok(kappa))) if not ok]
+        # A verdict that is not resolved inside fails the row, as one outside does.
+        problems = [f"{v.check} {v.state}: margin {v.margin:.3e}, error {v.error:.1e}"
+                    for v in rec.verdicts if v.state != "inside"]
+        checks = [f"envelope check ({'; '.join(problems)})"] if problems else []
+        if not rec.band_ok(kappa):
+            checks.append(f"band check (margin {rec.band_margin(kappa):.3e})")
         if checks:
             failing.append((rec.t, checks))
         # the records hold the eta family times exp(-kappa^2 t/2)
@@ -214,7 +218,7 @@ def cmd_h3(args: argparse.Namespace) -> int:
     if failing:
         t, checks = failing[0]
         sys.stderr.write(f"h3: {len(failing)} of {len(rows)} rows failed; first at "
-                         f"t={_fmt(t)}: {' and '.join(checks)} check\n")
+                         f"t={_fmt(t)}: {' and '.join(checks)}\n")
         return 1
     return 0
 

@@ -6,8 +6,7 @@ splits into a closed-form part plus one genuinely transcendental piece
     I2(t) = xi(t) * eta(t),
 
 where xi is elementary and eta is a Gaussian-hyperbolic integral with a
-log(sinh r / r) weight.  eta and its derivative are computed by quadrature
-through the overflow-safe shifted-Gaussian path and are pinned between
+log(sinh r / r) weight.  eta and its derivative are pinned between
 closed-form envelopes; the entropy rate assembles as
 
     d/dt Ent = 3/(2t) + kappa^2 + xi'(t) eta(t) + xi(t) eta'(t),
@@ -20,6 +19,28 @@ times exp(kappa^2 t/2); eta, eta' and their envelopes times exp(-kappa^2 t/2).
 So xi eta and xi' eta + xi eta' are plain products, and nothing overflows at
 any kappa^2 t.
 
+The trapezoid rule.  With L(x) = log(sinh x / x), eta is the integral over
+r > 0 of exp(-r^2/2t) r^p sinh(kappa r) L(kappa r), p = 1 (eta' is the
+p = 3 integral times 1/(2t^2)).  The integrand is even in r, so one
+exponential half of sinh carries it, and completing the square gives
+
+    eta exp(-kappa^2 t/2) = (sqrt t / 2) integral_R exp(-s^2/2) r^p L(kappa |r|) ds,
+
+with r = kappa t + sqrt(t) s: a Gaussian times a function analytic in a
+strip, on which the trapezoid rule converges geometrically.  The rule runs
+on the nodes s = -9.5 ... 9.5 at step h = 1/8; its error estimate is
+|I_h - I_2h|, I_2h being the sum over every other node.
+
+The remainder.  Since L(x) = x - G(x) with G(x) = log(2x) - log(1 - e^{-2x}),
+eta = kappa M(2, sinh) - R, where the closed part is the moment both
+envelopes share and R is the same integral with G in place of L.  From
+kappa^2 t = 100 on, every node has r > 0 and the rule integrates R itself.
+Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
+difference of two quantities each known to a few ulp, never a rounded eta
+against a rounded envelope.  Each side is inside, outside or unresolved
+against the error estimate.  ``eta_quadrature``, the same eta by adaptive
+quadrature, is the oracle the tests hold the rule to.
+
 A note on the radial weight: the density decomposition used here carries a
 single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
 of that integrand is inconsistent with the closed-form pieces; the direct
@@ -30,22 +51,37 @@ single-Gaussian reading to full tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .quadrature import (
+    QuadratureConvergenceError,
     QuadratureSpec,
     integrate_semi_infinite,
     integrate_shifted_gaussians,
     require_converged,
 )
-from .specfun import alpha, cube_rounded, gaussian_rounded, log_sinh_ratio
+from .specfun import alpha, log_sinh_ratio
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT2 = 0.5 * math.log(2.0)
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+# Trapezoid nodes in the shifted variable s: |s| <= 9.5 at step 1/8, where
+# exp(-s^2/2) has fallen below 3e-20.  Every other node is the step-1/4 rule.
+_STEP = 0.125
+_NODES = np.arange(-76, 77) * _STEP
+_GAUSS = np.exp(-0.5 * _NODES * _NODES)
+# From kappa^2 t = 100 on, r = kappa t + sqrt(t) s is positive at every node
+# (9.5^2 < 100) and the remainder R = closed - eta is integrated instead.
+_REMAINDER_FROM = 100.0
+# Relative rounding allowed, on top of the quadrature estimate, for each of
+# the two terms an envelope slack is the difference of.
+_SLACK_ROUNDING = 4.0 * sys.float_info.epsilon
 
 # Central-difference step for the entropy-rate cross-check; balances
 # truncation against quadrature noise at the default tolerances.
@@ -133,9 +169,120 @@ def xi_prime(p: H3Params, t: float) -> float:
     return -(k * k * t + 3.0) / (math.sqrt(2.0 * math.pi) * k * t ** 2.5)
 
 
+def _closed_form(p: H3Params, t: float, prime: bool) -> tuple[float, float, float]:
+    """(closed, lower term, upper term) for eta, or for eta' where prime is
+    set, all times exp(-kappa^2 t/2).
+
+    closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
+    the part of the integral that log(sinh x/x) = x - G(x) gives in closed
+    form.  The envelope is (closed - lower term, closed - upper term), so the
+    remainder R = closed - eta lies strictly between the upper and the lower
+    term.
+    """
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    k = p.kappa
+    k2t = k * k * t
+    a = alpha(k, t)
+    st = math.sqrt(t)
+    decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
+    if not prime:
+        closed = k * t * st * (k2t + 1.0) * a + k * k * t * t * decayed
+        coeff = _SQRT_HALF_PI * k * t * st
+        return (closed, coeff * math.log(2.0 * k2t + 4.0),
+                coeff * math.log1p(_SQRT_HALF_PI * k2t / a))
+    quartic = k2t * k2t + 6.0 * k2t + 3.0
+    closed = 0.5 * k * st * quartic * a + 0.5 * k * k * t * (k2t + 5.0) * decayed
+    coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
+    lower_arg = (
+        2.0 * k * _SQRT_TWO_OVER_PI * st * (k2t + 5.0) / (k2t + 3.0) * decayed
+        + 2.0 * _SQRT_TWO_OVER_PI * quartic / (k2t + 3.0) * a
+    )
+    upper_arg = _SQRT_HALF_PI * k2t * (k2t + 3.0) / (k * st * decayed + (k2t + 1.0) * a)
+    return closed, coeff * math.log1p(lower_arg), coeff * math.log1p(upper_arg)
+
+
+class _Integral(NamedTuple):
+    """eta (or eta') at one point, with its remainder R = closed - eta, the
+    error estimate they share and the point's ``_closed_form``, all times
+    exp(-kappa^2 t/2)."""
+
+    value: float
+    remainder: float
+    error: float
+    closed_form: tuple[float, float, float]
+
+    def verdicts(self, name: str) -> tuple["Verdict", "Verdict"]:
+        """The lower and upper envelope checks, each taken on the remainder:
+        eta - lower = (lower term) - R and upper - eta = R - (upper term)."""
+        _, lower, upper = self.closed_form
+        rest = self.remainder
+        size = abs(self.value) or 1.0  # an eta that underflowed to 0: margins stay absolute
+        return tuple(
+            Verdict(f"{name} {side}", slack / size,
+                    (self.error + _SLACK_ROUNDING * (abs(term) + abs(rest))) / size)
+            for side, slack, term in (("lower", lower - rest, lower),
+                                      ("upper", rest - upper, upper)))
+
+
+def _trapezoid(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[_Integral]:
+    """eta, or eta' where the flag is set, at each (t, prime) point, by the
+    fixed-node trapezoid rule; see the module docstring.
+
+    Every point is one row of a (points x nodes) array program, so a point's
+    result does not depend on the batch it is in.  Raises
+    QuadratureConvergenceError, for the first point in order, when the
+    estimate |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature spec.
+    """
+    for t, _ in points:
+        if t <= 0.0:
+            raise ValueError("t must be positive")
+    k = p.kappa
+    ts = np.array([t for t, _ in points], dtype=float)
+    cubic = np.array([prime for _, prime in points], dtype=bool)
+    remainder = k * k * ts >= _REMAINDER_FROM
+    r = (k * ts)[:, None] + np.sqrt(ts)[:, None] * _NODES
+    x = k * r
+    f = np.empty(r.shape)
+    f[~remainder] = log_sinh_ratio(np.abs(x[~remainder]))
+    far = x[remainder]  # >= 5 at every node
+    # G(x) = x - log(sinh x / x), written so that nothing cancels
+    f[remainder] = np.log(2.0 * far) - np.log(-np.expm1(-2.0 * far))
+    weight = r.copy()
+    cube = r[cubic]
+    weight[cubic] = cube * cube * cube
+    f *= weight * _GAUSS
+    fine = _STEP * f.sum(axis=1)
+    coarse = 2.0 * _STEP * f[:, ::2].sum(axis=1)
+    estimate = np.abs(fine - coarse)
+    spec = p.quadrature
+    tolerance = np.maximum(spec.relative_tolerance * np.abs(fine), spec.absolute_tolerance)
+    unconverged = np.flatnonzero(~(estimate <= tolerance))  # a NaN estimate too
+    if unconverged.size:
+        t, prime = points[unconverged[0]]
+        raise QuadratureConvergenceError(
+            f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}: "
+            f"error estimate {estimate[unconverged[0]]:.3e} on {_NODES.size} nodes")
+    integrals = []
+    for (t, prime), rem, quad, est in zip(points, remainder.tolist(), fine.tolist(),
+                                          estimate.tolist()):
+        scale = 0.5 * math.sqrt(t) * (0.5 / (t * t) if prime else 1.0)
+        terms = _closed_form(p, t, prime)
+        quad *= scale
+        value, rest = (terms[0] - quad, quad) if rem else (quad, terms[0] - quad)
+        integrals.append(_Integral(value, rest, scale * est, terms))
+    return integrals
+
+
 def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
     """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
-    each (t, prime) point.
+    each (t, prime) point, by the fixed-node trapezoid rule."""
+    return [integral.value for integral in _trapezoid(p, points)]
+
+
+def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
+    """``eta_batch`` by adaptive quadrature: the oracle the trapezoid rule is
+    tested against.
 
     Each value is the log-weighted sinh integral
 
@@ -158,19 +305,11 @@ def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
     scales = np.sqrt(ts)
     cubic = np.repeat([prime for _, prime in points], 2)
 
-    # The envelope verdicts near kappa^2 t = 1e8 are decided in the last bit
-    # of eta and eta' (true margins of about 2e-16 relative), so the Gaussian
-    # and the cube are rounded as the C library rounds them, not by numpy's
-    # SIMD exp and pow.
     def g(s, j):
         # maximum() absorbs the one-ulp negative r at the substituted domain edge
         r = np.maximum(0.0, centers[j] + scales[j] * s)
-        weight = r
-        cubes = cubic[j]
-        if cubes.any():
-            weight = r.copy()
-            weight[cubes] = cube_rounded(r[cubes])
-        return gaussian_rounded(s) * weight * log_sinh_ratio(k * r)
+        weight = np.where(cubic[j], r * r * r, r)
+        return np.exp(-0.5 * s * s) * weight * log_sinh_ratio(k * r)
 
     results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(),
                                           p.quadrature)
@@ -185,8 +324,7 @@ def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
 
 
 def eta(p: H3Params, t: float) -> float:
-    """The transcendental factor of I2, by overflow-safe quadrature, times
-    exp(-kappa^2 t/2)."""
+    """The transcendental factor of I2, times exp(-kappa^2 t/2)."""
     return eta_batch(p, [(t, False)])[0]
 
 
@@ -199,40 +337,17 @@ def eta_prime(p: H3Params, t: float) -> float:
 def eta_envelope(p: H3Params, t: float) -> tuple[float, float]:
     """Closed-form (lower, upper) bounds that eta must sit strictly inside,
     times exp(-kappa^2 t/2)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    k = p.kappa
-    k2t = k * k * t
-    a = alpha(k, t)
-    st = math.sqrt(t)
-    decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
-    common = k * t * st * (k2t + 1.0) * a + k * k * t * t * decayed
-    coeff = _SQRT_HALF_PI * k * t * st
-    lower = common - coeff * math.log(2.0 * k2t + 4.0)
-    upper = common - coeff * math.log1p(_SQRT_HALF_PI * k2t / a)
-    return lower, upper
+    return _envelope(_closed_form(p, t, False))
 
 
 def eta_prime_envelope(p: H3Params, t: float) -> tuple[float, float]:
     """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    k = p.kappa
-    k2t = k * k * t
-    a = alpha(k, t)
-    st = math.sqrt(t)
-    quartic = k2t * k2t + 6.0 * k2t + 3.0
-    decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
-    common = 0.5 * k * st * quartic * a + 0.5 * k * k * t * (k2t + 5.0) * decayed
-    coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
-    lower_arg = (
-        2.0 * k * _SQRT_TWO_OVER_PI * st * (k2t + 5.0) / (k2t + 3.0) * decayed
-        + 2.0 * _SQRT_TWO_OVER_PI * quartic / (k2t + 3.0) * a
-    )
-    upper_arg = _SQRT_HALF_PI * k2t * (k2t + 3.0) / (k * st * decayed + (k2t + 1.0) * a)
-    lower = common - coeff * math.log1p(lower_arg)
-    upper = common - coeff * math.log1p(upper_arg)
-    return lower, upper
+    return _envelope(_closed_form(p, t, True))
+
+
+def _envelope(closed_form: tuple[float, float, float]) -> tuple[float, float]:
+    closed, lower, upper = closed_form
+    return closed - lower, closed - upper
 
 
 def entropy(p: H3Params, t: float) -> float:
@@ -241,7 +356,7 @@ def entropy(p: H3Params, t: float) -> float:
 
 
 def entropies(p: H3Params, times) -> list[float]:
-    """The entropy at each time, from one lockstep quadrature batch."""
+    """The entropy at each time, from one trapezoid batch."""
     times = [float(t) for t in times]
     etas = eta_batch(p, [(t, False) for t in times])
     return [_assemble_entropy(p, t, e)[0] for t, e in zip(times, etas)]
@@ -274,14 +389,24 @@ def entropy_quadrature(p: H3Params, t: float) -> float:
 
 
 def entropy_rate(p: H3Params, t: float) -> float:
-    """d/dt of the entropy, assembled from eta and eta' at one time."""
-    return _assemble_rate(p, t, *eta_batch(p, [(t, False), (t, True)]))
+    """d/dt of the entropy, assembled from the remainders of eta and eta'."""
+    plain, prime = _trapezoid(p, [(t, False), (t, True)])
+    return _assemble_rate(p, t, plain.remainder, prime.remainder)
 
 
-def _assemble_rate(p: H3Params, t: float, e: float, ep: float) -> float:
-    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from scaled eta and eta'."""
+def _assemble_rate(p: H3Params, t: float, rest: float, rest_prime: float) -> float:
+    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from the scaled
+    remainders R and R' of eta and eta'.
+
+    With eta = kappa M_2 - R and eta' = kappa M_4/(2t^2) - R', the closed
+    part xi' kappa M_2 + xi kappa M_4/(2t^2) cancels analytically to
+    2 kappa^2 alpha/sqrt(2 pi) + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t),
+    which leaves -(xi' R + xi R') as the only computed term.
+    """
     k = p.kappa
-    return 1.5 / t + k * k + (xi_prime(p, t) * e + xi(p, t) * ep)
+    closed = 2.0 * k * (k * alpha(k, t) + math.exp(-0.5 * k * k * t) / math.sqrt(t))
+    return 1.5 / t + k * k + closed / _SQRT_TWO_PI - (
+        xi_prime(p, t) * rest + xi(p, t) * rest_prime)
 
 
 def entropy_rate_fd(p: H3Params, t: float) -> float:
@@ -304,11 +429,35 @@ def asymptotic_band(p: H3Params) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """One side of an envelope check.
+
+    margin is how far eta (or eta') sits inside the bound, negative outside;
+    error is the error estimate of that margin.  Both are relative to the
+    checked value.
+    """
+
+    check: str
+    margin: float
+    error: float
+
+    @property
+    def state(self) -> str:
+        """inside or outside when the margin clears its error, else unresolved."""
+        if self.margin > self.error:
+            return "inside"
+        if self.margin < -self.error:
+            return "outside"
+        return "unresolved"
+
+
+@dataclass(frozen=True)
 class H3EntropyRecord:
     """One time-grid row of the hyperbolic entropy sweep.
 
     The six eta fields hold eta, eta' and their envelopes times
-    exp(-kappa^2 t/2), the scale ``eta_batch`` returns them at.
+    exp(-kappa^2 t/2), the scale ``eta_batch`` returns them at.  verdicts
+    holds the four envelope checks (eta and eta', lower and upper).
     """
 
     t: float
@@ -325,24 +474,26 @@ class H3EntropyRecord:
     etap_upper: float
     band_lo: float
     band_hi: float
+    verdicts: tuple[Verdict, ...]
 
     @property
     def envelope_ok(self) -> bool:
-        return (self.eta_lower < self.eta < self.eta_upper
-                and self.etap_lower < self.etap < self.etap_upper)
+        return all(v.state == "inside" for v in self.verdicts)
+
+    def band_margin(self, kappa: float) -> float:
+        """How far rate_direct sits inside the band widened by _BAND_SLACK
+        kappa^2; negative outside."""
+        slack = _BAND_SLACK * kappa * kappa
+        return min(self.rate_direct - (self.band_lo - slack),
+                   (self.band_hi + slack) - self.rate_direct)
 
     def band_ok(self, kappa: float) -> bool:
-        """Band containment with _BAND_SLACK kappa^2 slack, enforced once
-        t >= 20/kappa^2."""
-        k2 = kappa * kappa
-        if self.t * k2 < 20.0:
-            return True
-        slack = _BAND_SLACK * k2
-        return self.band_lo - slack <= self.rate_direct <= self.band_hi + slack
+        """Band containment, enforced once t >= 20/kappa^2."""
+        return self.t * kappa * kappa < 20.0 or self.band_margin(kappa) >= 0.0
 
 
 def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
-    """One record per time, from a single lockstep quadrature batch.
+    """One record per time, from a single trapezoid batch.
 
     Per row the batch holds eta and eta' at t and eta at t -+ h for rate_fd;
     each row is then assembled exactly as the single-time functions do.
@@ -352,29 +503,30 @@ def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
     for t in times:
         h = _FD_STEP_SCALE * t
         points += [(t, False), (t, True), (t + h, False), (t - h, False)]
-    values = eta_batch(p, points)
+    integrals = _trapezoid(p, points)
     band_lo, band_hi = asymptotic_band(p)
     records = []
     for i, t in enumerate(times):
-        e, ep, e_up, e_down = values[4 * i:4 * i + 4]
-        e_lo, e_hi = eta_envelope(p, t)
-        ep_lo, ep_hi = eta_prime_envelope(p, t)
-        ent, i1, i2 = _assemble_entropy(p, t, e)
+        e, ep, e_up, e_down = integrals[4 * i:4 * i + 4]
+        e_lo, e_hi = _envelope(e.closed_form)
+        ep_lo, ep_hi = _envelope(ep.closed_form)
+        ent, i1, i2 = _assemble_entropy(p, t, e.value)
         records.append(H3EntropyRecord(
             t=t,
             entropy=ent,
             I1=i1,
             I2=i2,
-            rate_direct=_assemble_rate(p, t, e, ep),
-            rate_fd=_assemble_rate_fd(p, t, _FD_STEP_SCALE * t, e_up, e_down),
-            eta=e,
+            rate_direct=_assemble_rate(p, t, e.remainder, ep.remainder),
+            rate_fd=_assemble_rate_fd(p, t, _FD_STEP_SCALE * t, e_up.value, e_down.value),
+            eta=e.value,
             eta_lower=e_lo,
             eta_upper=e_hi,
-            etap=ep,
+            etap=ep.value,
             etap_lower=ep_lo,
             etap_upper=ep_hi,
             band_lo=band_lo,
             band_hi=band_hi,
+            verdicts=e.verdicts("eta") + ep.verdicts("eta'"),
         ))
     return records
 

@@ -16,10 +16,10 @@ entry points take ``f(x)`` vectorised over ``x`` alone.
 Lockstep guarantee.  Every integral keeps its own panel heap, tie-breaking
 sequence, split radius, subdivision count and convergence test; a round pops
 the worst panel of each unconverged integral and evaluates all the halves in
-one integrand call (in blocks of at most 4096 nodes; batches of more than
-2048 integrals run as consecutive groups).  An integral's refinement, and
-its value, error estimate and evaluation count, are therefore bit-identical
-whether it runs alone or in a batch of any size and order.  Every step is
+one integrand call (in blocks of at most 4096 nodes).  An integral's
+refinement, and its value, error estimate and evaluation count, are
+therefore bit-identical whether it runs alone or in a batch of any size and
+order.  Every step is
 float arithmetic in a fixed order, so identical inputs give bit-identical
 results.
 """
@@ -116,9 +116,6 @@ _GAUSS_ROWS = [0, 2, 4, 6]
 # memory) on large batches while keeping the per-call overhead negligible.
 _BLOCK_NODES = 4096
 _BLOCK_PANELS = _BLOCK_NODES // 15
-# Integrals refined together.  Larger batches run as consecutive groups, so
-# the panel heaps held at once stay a few MB however many integrals come in.
-_GROUP_INTEGRALS = 2048
 
 # The split-radius probes: 0, then a doubling grid from 1/8 out to 2^54.
 _PROBES = np.array([0.0] + [0.125 * 2.0 ** k for k in range(58)])
@@ -235,14 +232,8 @@ def integrate_batch(
     # Overflow, underflow and invalid operations inside f are not warned
     # about: values are tested for finiteness, at exactly the nodes that
     # belong to an integral.
-    results: list[QuadratureResult] = []
     with np.errstate(all="ignore"):
-        for first in range(0, n, _GROUP_INTEGRALS):
-            last = min(n, first + _GROUP_INTEGRALS)
-            group_f = f if first == 0 else (lambda x, j, first=first: f(x, j + first))
-            results += _lockstep(group_f, last - first, spec,
-                                 hints[first:last], widths[first:last])
-    return results
+        return _lockstep(f, n, spec, hints, widths)
 
 
 def _lockstep(f: BatchIntegrand, n: int, spec: QuadratureSpec,

@@ -34,16 +34,6 @@ _LOG_SINH_RATIO_SERIES = (
     -7.710527514116273e-18,
 )
 
-# gaussian_rounded: 2^(j/1024) as a double-double (from long double), and
-# ln2/1024 split as fdlibm splits ln2: the high part has 32 significant
-# bits, so n * _STEP_HI is exact for every |n| < 2^21.
-_TABLE_BITS = 10
-_EXP2_TABLE = np.exp2(np.arange(1 << _TABLE_BITS, dtype=np.longdouble) / (1 << _TABLE_BITS))
-_EXP2_HI = _EXP2_TABLE.astype(np.float64)
-_EXP2_LO = (_EXP2_TABLE - _EXP2_HI).astype(np.float64)
-_STEP_HI = 6.93147180369123816490e-01 / (1 << _TABLE_BITS)
-_STEP_LO = 1.90821492927058770002e-10 / (1 << _TABLE_BITS)
-
 
 def alpha(kappa: float, t: float) -> float:
     """Truncated half-Gaussian mass: integral of exp(-r^2/2) over [0, kappa*sqrt(t)].
@@ -159,57 +149,33 @@ def log_sinh_ratio(x):
 
     Elementwise over an array; a float argument gives a float.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
         raise ValueError("log_sinh_ratio requires x >= 0")
-    # sinh x / x = e^x (1 - e^{-2x}) / (2x); 0/0 at x = 0 is replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs)))
     small = xs <= _LOG_SINH_RATIO_SWITCH
-    if small.any():
-        x2 = xs[small] * xs[small]
-        series = np.zeros_like(x2)
-        for c in reversed(_LOG_SINH_RATIO_SERIES):
-            series = series * x2 + c
-        out[small] = x2 * series
-    return float(out) if out.ndim == 0 else out
+    if small.all():
+        out = _log_sinh_ratio_series(xs * xs)
+    else:
+        # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are
+        # small this also runs on them (0/0 at x = 0) before the series
+        # overwrites them: cheaper than gathering the large ones apart.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs))
+        if small.any():
+            near = xs[small]
+            out[small] = _log_sinh_ratio_series(near * near)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def gaussian_rounded(s: np.ndarray) -> np.ndarray:
-    """exp(-s^2/2), elementwise, rounded as the C library's exp rounds it.
-
-    numpy's SIMD exp is up to 0.64 ulp off (on 5% of arguments, biased
-    low); this one is correctly rounded except within about 1e-3 ulp of a
-    rounding boundary (about 0.1% of arguments, then 1 ulp off).  With
-    a = -s^2/2 = n ln2/1024 + r and |r| <= ln2/2048, exp(a) is
-    2^(n/1024) (1 + expm1(r)) from the table and a degree-5 expm1.  The
-    table's low parts come from long double (a 64-bit mantissa on x86-64);
-    where long double is plain double they are zero and the result is only
-    faithful (within 1 ulp).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # s*s -> inf; NaN -> NaN
-        a = np.maximum(-0.5 * s * s, -746.0)  # exp(-746) is 0; keeps n in range
-        n = np.rint(a * ((1 << _TABLE_BITS) / math.log(2.0)))
-        r = (a - n * _STEP_HI) - n * _STEP_LO
-        p = r + r * r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0))))
-        n = n.astype(np.int64)
-    j = n & ((1 << _TABLE_BITS) - 1)
-    hi = _EXP2_HI[j]
-    y = hi + (hi * p + _EXP2_LO[j] * (1.0 + p))
-    # times 2^(n >> 10) in two normal factors, so a subnormal result rounds once
-    scale = (((n >> _TABLE_BITS) + (1023 + 600)) << 52).view(np.float64)
-    return y * scale * 2.0 ** -600
-
-
-def cube_rounded(r: np.ndarray) -> np.ndarray:
-    """r**3, elementwise, rounded as the C library's pow rounds it.
-
-    Formed in long double, so only cubes within about 1e-3 ulp of a
-    rounding boundary can come out 1 ulp off (numpy's SIMD pow: 5% of
-    arguments).  That needs long double wider than double, as on x86-64.
-    """
-    wide = np.asarray(r, dtype=np.longdouble)
-    return (wide * wide * wide).astype(np.float64)
+def _log_sinh_ratio_series(x2: np.ndarray) -> np.ndarray:
+    """The even Taylor series of log(sinh x / x) at x^2 = x2, by Horner's
+    rule in place, so no step allocates."""
+    series = np.zeros_like(x2)
+    for c in reversed(_LOG_SINH_RATIO_SERIES):
+        series *= x2
+        series += c
+    series *= x2
+    return series
 
 
 def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:

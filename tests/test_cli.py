@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -208,12 +209,45 @@ def test_non_finite_time_grid_is_usage_error(command, value, tmp_path, capsys):
     assert captured.err.count("error: need finite") == 2
 
 
-def test_h3_failure_names_check_row_and_count(capsys):
+def test_h3_rows_past_kappa2t_1e8_pass(capsys):
+    # These rows sit inside their envelopes.  The verdicts are taken on the
+    # closed-form remainder, so none of them is decided in the last bit.
     argv = ["h3", "--t-start", "1e8", "--t-stop", "1e10", "--t-count", "3"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4
+    assert captured.err == ""
+
+
+def test_h3_up_to_kappa2t_1e12_passes(capsys):
+    assert cli.main(["h3", "--t-stop", "1e12"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_h3_failure_names_check_row_and_count(monkeypatch, capsys):
+    # A failing envelope is injected into the records: row 0 has one side
+    # outside and its rate outside the band, row 2 one side unresolved.
+    original = h3.evaluate_records
+
+    def failing(p, times):
+        records = original(p, times)
+        first, _, last = records
+        outside = h3.Verdict("eta' lower", -2.5e-10, 3.0e-16)
+        unresolved = h3.Verdict("eta upper", 1.0e-17, 4.0e-16)
+        records[0] = replace(first, verdicts=first.verdicts[:2] + (outside,)
+                             + first.verdicts[3:], rate_direct=first.band_hi + 1.0)
+        records[2] = replace(last, verdicts=last.verdicts[:1] + (unresolved,)
+                             + last.verdicts[2:])
+        return records
+
+    monkeypatch.setattr(h3, "evaluate_records", failing)
+    argv = ["h3", "--t-start", "100", "--t-stop", "1000", "--t-count", "3"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 4
-    assert captured.err == "h3: 2 of 3 rows failed; first at t=1000000000.0: envelope check\n"
+    assert captured.err == (
+        "h3: 2 of 3 rows failed; first at t=100.0: envelope check (eta' lower "
+        "outside: margin -2.500e-10, error 3.0e-16) and band check (margin -9.500e-01)\n")
 
 
 def test_h3_eta_columns_overflow_only_past_exp_709(capsys):

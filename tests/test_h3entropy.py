@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from heatent import h3entropy as h3
-from heatent.quadrature import QuadratureSpec, integrate_semi_infinite
+from heatent.quadrature import (
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    integrate_semi_infinite,
+)
 from heatent.specfun import log_sinh_ratio
 
 P1 = h3.H3Params(kappa=1.0)
@@ -290,7 +294,8 @@ def test_evaluate_records_equals_single_records_bit_for_bit():
 
 @pytest.fixture
 def shifted_results(monkeypatch):
-    """Every QuadratureResult of the shifted integrals behind eta/eta', in order."""
+    """Every QuadratureResult of the shifted integrals behind the adaptive
+    oracle ``eta_quadrature``, in order."""
     seen = []
     original = h3.integrate_shifted_gaussians
 
@@ -307,11 +312,11 @@ def test_lockstep_integrals_equal_their_lone_runs(shifted_results):
     p = h3.H3Params(0.7)
     points = [(float(t), prime) for t in np.geomspace(1e-6, 1e9, 16)
               for prime in (False, True)]
-    batched = h3.eta_batch(p, points)
+    batched = h3.eta_quadrature(p, points)
     together = shifted_results[-1]
     alone = []
     for point in points:
-        assert h3.eta_batch(p, [point]) == [batched[len(alone) // 2]]
+        assert h3.eta_quadrature(p, [point]) == [batched[len(alone) // 2]]
         alone += shifted_results[-1]
     assert together == alone
 
@@ -330,8 +335,88 @@ FROZEN_EVALUATIONS = {
 
 def test_evaluation_counts_frozen(shifted_results):
     for (kappa, t, prime), counts in FROZEN_EVALUATIONS.items():
-        (h3.eta_prime if prime else h3.eta)(h3.H3Params(kappa), t)
+        h3.eta_quadrature(h3.H3Params(kappa), [(t, prime)])
         assert tuple(r.evaluations for r in shifted_results[-1]) == counts, (kappa, t, prime)
+
+
+# ---------------------------------------------------------------------------
+# the trapezoid rule against its oracles, and the three-valued verdicts
+
+
+def test_trapezoid_matches_adaptive_oracle():
+    k2t = np.geomspace(1e-8, 1e12, 41)
+    small = np.repeat(k2t <= 1e-4, 2)
+    for kappa in (0.25, 1.0, 4.0):
+        p = h3.H3Params(kappa)
+        points = [(float(x) / kappa ** 2, prime) for x in k2t for prime in (False, True)]
+        rule = np.array(h3.eta_batch(p, points))
+        oracle = np.array(h3.eta_quadrature(p, points))
+        rel = np.abs(rule - oracle) / oracle
+        assert rel[small].max() <= 2e-12, kappa
+        assert rel[~small].max() <= 5e-14, kappa
+
+
+def _mp_eta(mp, kappa, t, power):
+    """eta (power 1) or eta' (power 3) times exp(-kappa^2 t/2), at mpmath
+    precision, in the shifted variable of the module docstring."""
+    k, t = mp.mpf(kappa), mp.mpf(t)
+    st = mp.sqrt(t)
+
+    def f(s):
+        r = k * t + st * s
+        x = abs(k * r)
+        weight = mp.log(mp.sinh(x) / x) if x else mp.mpf(0)
+        return mp.exp(-s * s / 2) * r ** power * weight
+
+    edge = -k * st  # r = 0
+    cuts = [-mp.inf, edge, 0, mp.inf] if edge > -40 else [-mp.inf, 0, mp.inf]
+    value = st / 2 * mp.quad(f, cuts)
+    return value if power == 1 else value / (2 * t * t)
+
+
+def test_eta_and_rate_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for kappa in (0.3, 2.7):
+            p = h3.H3Params(kappa)
+            for k2t in (1.0, 1e3, 1e6, 1e9, 1e12):
+                t = k2t / kappa ** 2
+                e, ep = h3.eta_batch(p, [(t, False), (t, True)])
+                exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
+                assert abs(e - exact) <= 2e-15 * exact, (kappa, k2t)
+                assert abs(ep - exact_prime) <= 2e-15 * exact_prime, (kappa, k2t)
+                k, tt = mp.mpf(kappa), mp.mpf(t)
+                xi = mp.sqrt(2 / mp.pi) / (k * tt ** 1.5)
+                xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
+                rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
+                assert abs(h3.entropy_rate(p, t) - rate) <= 1e-14 * rate, (kappa, k2t)
+
+
+def test_verdicts_resolved_inside_up_to_kappa2t_1e12():
+    for kappa in (0.3, 1.0, 2.7):
+        p = h3.H3Params(kappa)
+        times = [float(x) / kappa ** 2 for x in np.geomspace(1e-8, 1e12, 61)]
+        for rec in h3.evaluate_records(p, times):
+            assert [v.check for v in rec.verdicts] == [
+                "eta lower", "eta upper", "eta' lower", "eta' upper"]
+            assert all(v.state == "inside" for v in rec.verdicts), (kappa, rec.t)
+            assert rec.envelope_ok
+
+
+def test_verdict_states():
+    assert h3.Verdict("eta lower", 3e-16, 1e-16).state == "inside"
+    assert h3.Verdict("eta lower", -3e-16, 1e-16).state == "outside"
+    assert h3.Verdict("eta lower", 1e-16, 1e-16).state == "unresolved"
+    assert h3.Verdict("eta lower", -5e-17, 1e-16).state == "unresolved"
+    assert h3.Verdict("eta lower", 0.0, 0.0).state == "unresolved"
+
+
+def test_unconverged_rule_raises():
+    # an estimate |I_h - I_2h| above the tolerance is an error, never a value
+    strict = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-18,
+                                             absolute_tolerance=1e-30))
+    with pytest.raises(QuadratureConvergenceError, match="power 1"):
+        h3.eta(strict, 8.0)
 
 
 def test_extreme_exponential_scale():

@@ -179,13 +179,6 @@ def test_large_batch_calls_in_bounded_blocks():
     assert big == integrate_batch(f, 8, QuadratureSpec(), hints, widths) * (n // 8)
 
 
-def test_batch_split_into_groups_matches_one_group(monkeypatch):
-    f, hints, widths = _mixed_batch()
-    whole = integrate_batch(f, 8, QuadratureSpec(), hints, widths)
-    monkeypatch.setattr(quadrature, "_GROUP_INTEGRALS", 3)
-    assert integrate_batch(f, 8, QuadratureSpec(), hints, widths) == whole
-
-
 def test_shifted_gaussians_batch_matches_singles():
     centers, scales = [5.0, -3.0, 0.0, 1e4], [1.0, 2.0, 0.5, 100.0]
     g = lambda s, j: np.exp(-0.5 * s * s) * (1.0 + np.asarray(scales)[j] * s * s)

@@ -10,8 +10,6 @@ from heatent.specfun import (
     _LOG_SINH_RATIO_SWITCH,
     HyperbolicMoment,
     alpha,
-    cube_rounded,
-    gaussian_rounded,
     hyperbolic_moment_closed_form,
     hyperbolic_moment_quadrature,
     log_sinh_ratio,
@@ -237,27 +235,3 @@ def test_log_sandwich():
             x = kappa * float(r)
             val = log_sinh_ratio(x)
             assert x - math.log1p(2.0 * x) < val < x - math.log1p(x), (kappa, r)
-
-
-# ---------------------------------------------------------------------------
-# elementary functions rounded as the C library rounds them
-
-
-def test_gaussian_rounded_matches_libm_exp():
-    s = np.random.default_rng(2).uniform(-40.0, 40.0, 200000)
-    libm = np.array([math.exp(-0.5 * v * v) for v in s.tolist()])
-    got = gaussian_rounded(s)
-    ulps = np.abs(got - libm) / np.array([math.ulp(v) for v in libm.tolist()])
-    assert ulps.max() <= 1.0
-    assert np.mean(got != libm) < 0.005  # numpy's SIMD exp: about 0.045
-    edges = np.array([0.0, 1e-200, 38.5, 38.6, 38.7, 1e200, np.inf, -np.inf])
-    assert gaussian_rounded(edges).tolist() == [
-        math.exp(-0.5 * v * v) for v in edges.tolist()]
-
-
-def test_cube_rounded_matches_libm_pow():
-    r = 10.0 ** np.random.default_rng(4).uniform(-8.0, 8.0, 200000)
-    libm = np.array([v ** 3 for v in r.tolist()])
-    got = cube_rounded(r)
-    assert np.max(np.abs(got - libm) / libm) <= 2.3e-16
-    assert np.mean(got != libm) < 0.005  # numpy's SIMD pow: about 0.05
