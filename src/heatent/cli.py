@@ -188,8 +188,6 @@ def _emit_table(header: Sequence[str], rows: Sequence[Sequence[object]],
 
 def cmd_h3(args: argparse.Namespace) -> int:
     kappa = args.kappa
-    if kappa <= 0.0:
-        raise UsageError("kappa must be positive")
     times = _time_grid(args)
     params = h3.H3Params(kappa, _quadrature_spec(args))
     records = h3.evaluate_records(params, times)

@@ -17,7 +17,8 @@ xi carries a factor exp(-kappa^2 t/2) and eta a factor exp(+kappa^2 t/2).
 Each is returned as a plain float with its factor taken out: xi and xi'
 times exp(kappa^2 t/2); eta, eta' and their envelopes times exp(-kappa^2 t/2).
 So xi eta and xi' eta + xi eta' are plain products, and nothing overflows at
-any kappa^2 t.
+any kappa^2 t.  The closed forms are elementwise: a float t gives a float,
+an array of times an array.
 
 The trapezoid rule.  With L(x) = log(sinh x / x), eta is the integral over
 r > 0 of exp(-r^2/2t) r^p sinh(kappa r) L(kappa r), p = 1 (eta' is the
@@ -29,7 +30,8 @@ exponential half of sinh carries it, and completing the square gives
 with r = kappa t + sqrt(t) s: a Gaussian times a function analytic in a
 strip, on which the trapezoid rule converges geometrically.  The rule runs
 on the nodes s = -9.5 ... 9.5 at step h = 1/8; its error estimate is
-|I_h - I_2h|, I_2h being the sum over every other node.
+|I_h - I_2h|, I_2h being the sum over every other node.  eta and eta' at
+one t share every node value of L.
 
 The remainder.  Since L(x) = x - G(x) with G(x) = log(2x) - log(1 - e^{-2x}),
 eta = kappa M(2, sinh) - R, where the closed part is the moment both
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,8 +101,8 @@ class H3Params:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
 
 
 def heat_kernel(p: H3Params, t: float, d: float) -> float:
@@ -139,11 +141,22 @@ def normalization_quadrature(p: H3Params, t: float) -> float:
     return require_converged(result, "kernel normalization").value
 
 
-def I1(p: H3Params, t: float) -> float:
-    """Scaled second moment of the kernel, in closed form: (kappa^2 t + 3)/2."""
-    if t <= 0.0:
+def _times(t) -> np.ndarray:
+    """t as a float array, 0-d for a scalar; every time must be positive."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0.0):
         raise ValueError("t must be positive")
-    return 0.5 * (p.kappa * p.kappa * t + 3.0)
+    return ts
+
+
+def _like(t, value):
+    """value as a float where t is a scalar, else as the array it is."""
+    return float(value) if np.ndim(t) == 0 else value
+
+
+def I1(p: H3Params, t):
+    """Scaled second moment of the kernel, in closed form: (kappa^2 t + 3)/2."""
+    return _like(t, 0.5 * (p.kappa * p.kappa * _times(t) + 3.0))
 
 
 def I1_quadrature(p: H3Params, t: float) -> float:
@@ -154,24 +167,21 @@ def I1_quadrature(p: H3Params, t: float) -> float:
     return require_converged(result, "second moment").value / (2.0 * t)
 
 
-def xi(p: H3Params, t: float) -> float:
+def xi(p: H3Params, t):
     """xi times exp(kappa^2 t/2): sqrt(2/pi) / (kappa t^{3/2}); always positive."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return _SQRT_TWO_OVER_PI / (p.kappa * t ** 1.5)
+    return _like(t, _SQRT_TWO_OVER_PI / (p.kappa * _times(t) ** 1.5))
 
 
-def xi_prime(p: H3Params, t: float) -> float:
+def xi_prime(p: H3Params, t):
     """d/dt of xi, times exp(kappa^2 t/2); always negative."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    ts = _times(t)
     k = p.kappa
-    return -(k * k * t + 3.0) / (math.sqrt(2.0 * math.pi) * k * t ** 2.5)
+    return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
-def _closed_form(p: H3Params, t: float, prime: bool) -> tuple[float, float, float]:
-    """(closed, lower term, upper term) for eta, or for eta' where prime is
-    set, all times exp(-kappa^2 t/2).
+def _closed_form(p: H3Params, t: np.ndarray, prime: bool):
+    """(closed, lower term, upper term) arrays for eta at the array of times
+    t, or for eta' where prime is set, all times exp(-kappa^2 t/2).
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -179,18 +189,16 @@ def _closed_form(p: H3Params, t: float, prime: bool) -> tuple[float, float, floa
     remainder R = closed - eta lies strictly between the upper and the lower
     term.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
     k = p.kappa
     k2t = k * k * t
     a = alpha(k, t)
-    st = math.sqrt(t)
-    decayed = math.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
+    st = np.sqrt(t)
+    decayed = np.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
     if not prime:
         closed = k * t * st * (k2t + 1.0) * a + k * k * t * t * decayed
         coeff = _SQRT_HALF_PI * k * t * st
-        return (closed, coeff * math.log(2.0 * k2t + 4.0),
-                coeff * math.log1p(_SQRT_HALF_PI * k2t / a))
+        return (closed, coeff * np.log(2.0 * k2t + 4.0),
+                coeff * np.log1p(_SQRT_HALF_PI * k2t / a))
     quartic = k2t * k2t + 6.0 * k2t + 3.0
     closed = 0.5 * k * st * quartic * a + 0.5 * k * k * t * (k2t + 5.0) * decayed
     coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
@@ -199,90 +207,13 @@ def _closed_form(p: H3Params, t: float, prime: bool) -> tuple[float, float, floa
         + 2.0 * _SQRT_TWO_OVER_PI * quartic / (k2t + 3.0) * a
     )
     upper_arg = _SQRT_HALF_PI * k2t * (k2t + 3.0) / (k * st * decayed + (k2t + 1.0) * a)
-    return closed, coeff * math.log1p(lower_arg), coeff * math.log1p(upper_arg)
-
-
-class _Integral(NamedTuple):
-    """eta (or eta') at one point, with its remainder R = closed - eta, the
-    error estimate they share and the point's ``_closed_form``, all times
-    exp(-kappa^2 t/2)."""
-
-    value: float
-    remainder: float
-    error: float
-    closed_form: tuple[float, float, float]
-
-    def verdicts(self, name: str) -> tuple["Verdict", "Verdict"]:
-        """The lower and upper envelope checks, each taken on the remainder:
-        eta - lower = (lower term) - R and upper - eta = R - (upper term)."""
-        _, lower, upper = self.closed_form
-        rest = self.remainder
-        size = abs(self.value) or 1.0  # an eta that underflowed to 0: margins stay absolute
-        return tuple(
-            Verdict(f"{name} {side}", slack / size,
-                    (self.error + _SLACK_ROUNDING * (abs(term) + abs(rest))) / size)
-            for side, slack, term in (("lower", lower - rest, lower),
-                                      ("upper", rest - upper, upper)))
-
-
-def _trapezoid(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[_Integral]:
-    """eta, or eta' where the flag is set, at each (t, prime) point, by the
-    fixed-node trapezoid rule; see the module docstring.
-
-    Every point is one row of a (points x nodes) array program, so a point's
-    result does not depend on the batch it is in.  Raises
-    QuadratureConvergenceError, for the first point in order, when the
-    estimate |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature spec.
-    """
-    for t, _ in points:
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-    k = p.kappa
-    ts = np.array([t for t, _ in points], dtype=float)
-    cubic = np.array([prime for _, prime in points], dtype=bool)
-    remainder = k * k * ts >= _REMAINDER_FROM
-    r = (k * ts)[:, None] + np.sqrt(ts)[:, None] * _NODES
-    x = k * r
-    f = np.empty(r.shape)
-    f[~remainder] = log_sinh_ratio(np.abs(x[~remainder]))
-    far = x[remainder]  # >= 5 at every node
-    # G(x) = x - log(sinh x / x), written so that nothing cancels
-    f[remainder] = np.log(2.0 * far) - np.log(-np.expm1(-2.0 * far))
-    weight = r.copy()
-    cube = r[cubic]
-    weight[cubic] = cube * cube * cube
-    f *= weight * _GAUSS
-    fine = _STEP * f.sum(axis=1)
-    coarse = 2.0 * _STEP * f[:, ::2].sum(axis=1)
-    estimate = np.abs(fine - coarse)
-    spec = p.quadrature
-    tolerance = np.maximum(spec.relative_tolerance * np.abs(fine), spec.absolute_tolerance)
-    unconverged = np.flatnonzero(~(estimate <= tolerance))  # a NaN estimate too
-    if unconverged.size:
-        t, prime = points[unconverged[0]]
-        raise QuadratureConvergenceError(
-            f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}: "
-            f"error estimate {estimate[unconverged[0]]:.3e} on {_NODES.size} nodes")
-    integrals = []
-    for (t, prime), rem, quad, est in zip(points, remainder.tolist(), fine.tolist(),
-                                          estimate.tolist()):
-        scale = 0.5 * math.sqrt(t) * (0.5 / (t * t) if prime else 1.0)
-        terms = _closed_form(p, t, prime)
-        quad *= scale
-        value, rest = (terms[0] - quad, quad) if rem else (quad, terms[0] - quad)
-        integrals.append(_Integral(value, rest, scale * est, terms))
-    return integrals
-
-
-def eta_batch(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
-    """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
-    each (t, prime) point, by the fixed-node trapezoid rule."""
-    return [integral.value for integral in _trapezoid(p, points)]
+    return closed, coeff * np.log1p(lower_arg), coeff * np.log1p(upper_arg)
 
 
 def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
-    """``eta_batch`` by adaptive quadrature: the oracle the trapezoid rule is
-    tested against.
+    """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
+    each (t, prime) point by adaptive quadrature: the oracle the trapezoid
+    rule of ``evaluate_records`` is tested against.
 
     Each value is the log-weighted sinh integral
 
@@ -323,51 +254,17 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
     return values
 
 
-def eta(p: H3Params, t: float) -> float:
-    """The transcendental factor of I2, times exp(-kappa^2 t/2)."""
-    return eta_batch(p, [(t, False)])[0]
-
-
-def eta_prime(p: H3Params, t: float) -> float:
-    """d/dt of eta, times exp(-kappa^2 t/2): the same integral with an
-    r^3/(2t^2) weight."""
-    return eta_batch(p, [(t, True)])[0]
-
-
-def eta_envelope(p: H3Params, t: float) -> tuple[float, float]:
+def eta_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds that eta must sit strictly inside,
     times exp(-kappa^2 t/2)."""
-    return _envelope(_closed_form(p, t, False))
+    closed, lower, upper = _closed_form(p, _times(t), False)
+    return _like(t, closed - lower), _like(t, closed - upper)
 
 
-def eta_prime_envelope(p: H3Params, t: float) -> tuple[float, float]:
+def eta_prime_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
-    return _envelope(_closed_form(p, t, True))
-
-
-def _envelope(closed_form: tuple[float, float, float]) -> tuple[float, float]:
-    closed, lower, upper = closed_form
-    return closed - lower, closed - upper
-
-
-def entropy(p: H3Params, t: float) -> float:
-    """Differential entropy of the kernel at time t (nats)."""
-    return entropies(p, [t])[0]
-
-
-def entropies(p: H3Params, times) -> list[float]:
-    """The entropy at each time, from one trapezoid batch."""
-    times = [float(t) for t in times]
-    etas = eta_batch(p, [(t, False) for t in times])
-    return [_assemble_entropy(p, t, e)[0] for t, e in zip(times, etas)]
-
-
-def _assemble_entropy(p: H3Params, t: float, e: float) -> tuple[float, float, float]:
-    """(entropy, I1, I2) from scaled eta: the closed-form pieces plus I2 = xi eta."""
-    k = p.kappa
-    i1 = I1(p, t)
-    i2 = xi(p, t) * e
-    return 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t + i1 + i2, i1, i2
+    closed, lower, upper = _closed_form(p, _times(t), True)
+    return _like(t, closed - lower), _like(t, closed - upper)
 
 
 def entropy_quadrature(p: H3Params, t: float) -> float:
@@ -386,40 +283,6 @@ def entropy_quadrature(p: H3Params, t: float) -> float:
     result = integrate_semi_infinite(integrand, p.quadrature,
                                      peak_hint=k * t, peak_width=math.sqrt(t))
     return require_converged(result, "direct entropy integral").value
-
-
-def entropy_rate(p: H3Params, t: float) -> float:
-    """d/dt of the entropy, assembled from the remainders of eta and eta'."""
-    plain, prime = _trapezoid(p, [(t, False), (t, True)])
-    return _assemble_rate(p, t, plain.remainder, prime.remainder)
-
-
-def _assemble_rate(p: H3Params, t: float, rest: float, rest_prime: float) -> float:
-    """d/dt Ent = 3/(2t) + kappa^2 + xi' eta + xi eta' from the scaled
-    remainders R and R' of eta and eta'.
-
-    With eta = kappa M_2 - R and eta' = kappa M_4/(2t^2) - R', the closed
-    part xi' kappa M_2 + xi kappa M_4/(2t^2) cancels analytically to
-    2 kappa^2 alpha/sqrt(2 pi) + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t),
-    which leaves -(xi' R + xi R') as the only computed term.
-    """
-    k = p.kappa
-    closed = 2.0 * k * (k * alpha(k, t) + math.exp(-0.5 * k * k * t) / math.sqrt(t))
-    return 1.5 / t + k * k + closed / _SQRT_TWO_PI - (
-        xi_prime(p, t) * rest + xi(p, t) * rest_prime)
-
-
-def entropy_rate_fd(p: H3Params, t: float) -> float:
-    """Central finite difference of the entropy, for cross-checking the rate."""
-    h = _FD_STEP_SCALE * t
-    return _assemble_rate_fd(p, t, h, *eta_batch(p, [(t + h, False), (t - h, False)]))
-
-
-def _assemble_rate_fd(p: H3Params, t: float, h: float,
-                      e_up: float, e_down: float) -> float:
-    """(Ent(t + h) - Ent(t - h)) / 2h from scaled eta at t + h and t - h."""
-    return (_assemble_entropy(p, t + h, e_up)[0]
-            - _assemble_entropy(p, t - h, e_down)[0]) / (2.0 * h)
 
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
@@ -456,8 +319,8 @@ class H3EntropyRecord:
     """One time-grid row of the hyperbolic entropy sweep.
 
     The six eta fields hold eta, eta' and their envelopes times
-    exp(-kappa^2 t/2), the scale ``eta_batch`` returns them at.  verdicts
-    holds the four envelope checks (eta and eta', lower and upper).
+    exp(-kappa^2 t/2).  verdicts holds the four envelope checks (eta and
+    eta', lower and upper).
     """
 
     t: float
@@ -492,43 +355,121 @@ class H3EntropyRecord:
         return self.t * kappa * kappa < 20.0 or self.band_margin(kappa) >= 0.0
 
 
-def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
-    """One record per time, from a single trapezoid batch.
+def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
+    """The fixed-node trapezoid rule of the module docstring at the times ts:
+    the node sums for eta at every time and for eta' at the first n, each
+    with its estimate |I_h - I_2h|, before the sqrt(t)/2 (and 1/(2t^2))
+    scale.  L, or G where the mask returned first is set, is evaluated once
+    per time and serves both sums.  Each time is one row of the array
+    program, so its sums do not depend on the others."""
+    k = p.kappa
+    remainder = k * k * ts >= _REMAINDER_FROM
+    r = (k * ts)[:, None] + np.sqrt(ts)[:, None] * _NODES
+    x = k * r
+    f = np.empty(r.shape)
+    f[~remainder] = log_sinh_ratio(np.abs(x[~remainder]))
+    far = x[remainder]  # >= 5 at every node
+    # G(x) = x - log(sinh x / x), written so that nothing cancels
+    f[remainder] = np.log(2.0 * far) - np.log(-np.expm1(-2.0 * far))
+    near = r[:n]
+    rules = []
+    for weighted in (f * (r * _GAUSS), f[:n] * ((near * near * near) * _GAUSS)):
+        fine = _STEP * weighted.sum(axis=1)
+        rules.append((fine, np.abs(fine - 2.0 * _STEP * weighted[:, ::2].sum(axis=1))))
+    return remainder, rules
 
-    Per row the batch holds eta and eta' at t and eta at t -+ h for rate_fd;
-    each row is then assembled exactly as the single-time functions do.
+
+def _slack_margins(value, rest, error, lower, upper):
+    """(margins, errors) of the lower and of the upper envelope side, each
+    taken on the remainder: eta - lower = (lower term) - R and
+    upper - eta = R - (upper term), relative to the checked value."""
+    size = np.where(value == 0.0, 1.0, np.abs(value))  # eta underflowed to 0: absolute
+    return [((slack / size).tolist(),
+             ((error + _SLACK_ROUNDING * (np.abs(term) + np.abs(rest))) / size).tolist())
+            for slack, term in ((lower - rest, lower), (rest - upper, upper))]
+
+
+def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
+    """One record per time, from one array program over the time grid.
+
+    Its rows are t, t + h and t - h (h = 1e-4 t, for rate_fd); the
+    trapezoid rule gives eta on every row and eta' on the t rows, and every
+    closed form, envelope, rate and verdict margin is an expression over
+    these rows.  Each row is computed on its own, so a record does not
+    depend on the grid it came in.
+
+    Raises QuadratureConvergenceError for the first integral, in the order
+    eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose estimate
+    |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature spec, and
+    then ValueError naming t where xi, xi' or 1/(2t^2) of a row leaves the
+    double range.
     """
-    times = [float(t) for t in times]
-    points = []
-    for t in times:
-        h = _FD_STEP_SCALE * t
-        points += [(t, False), (t, True), (t + h, False), (t - h, False)]
-    integrals = _trapezoid(p, points)
+    grid = np.asarray(times, dtype=float).reshape(-1)
+    n = grid.size
+    steps = _FD_STEP_SCALE * grid
+    ts = _times(np.concatenate([grid, grid + steps, grid - steps]))
+    k = p.kappa
+    with np.errstate(all="ignore"):
+        remainder, ((fine, estimate), (fine_prime, estimate_prime)) = _trapezoid(p, ts, n)
+        spec = p.quadrature
+        failed, failed_prime = (
+            ~(e <= np.maximum(spec.relative_tolerance * np.abs(v),
+                              spec.absolute_tolerance))  # a NaN estimate too
+            for v, e in ((fine, estimate), (fine_prime, estimate_prime)))
+        # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
+        order = np.stack([failed[:n], failed_prime, failed[n:2 * n], failed[2 * n:]], axis=1)
+        if order.any():
+            i, slot = divmod(int(np.flatnonzero(order)[0]), 4)
+            row = i if slot < 2 else (slot - 1) * n + i  # its row of ts
+            raise QuadratureConvergenceError(
+                f"log-weighted sinh integral (power {3 if slot == 1 else 1}) at "
+                f"t={float(ts[row])!r}: error estimate "
+                f"{(estimate_prime if slot == 1 else estimate)[row]:.3e} "
+                f"on {_NODES.size} nodes")
+
+        xis, xi_primes, prime_scale = xi(p, ts), xi_prime(p, ts), 0.5 / (ts * ts)
+        out_of_range = ~np.all([np.isfinite(v) & (v != 0.0)
+                                for v in (xis, xi_primes, prime_scale)], axis=0)
+        if out_of_range.any():
+            bad = int(np.flatnonzero(out_of_range.reshape(3, n).any(axis=0))[0])
+            raise ValueError(f"t={float(grid[bad])!r} leaves the double range: xi, xi' "
+                             "or the eta' scale 1/(2t^2) overflows or underflows")
+
+        scale = 0.5 * np.sqrt(ts)
+        quad, quad_prime = fine * scale, fine_prime * (scale[:n] * prime_scale[:n])
+        error, error_prime = estimate * scale, estimate_prime * (scale[:n] * prime_scale[:n])
+        closed, lower, upper = _closed_form(p, ts, False)
+        closed_prime, lower_prime, upper_prime = _closed_form(p, grid, True)
+        eta = np.where(remainder, closed - quad, quad)
+        rest = np.where(remainder, quad, closed - quad)
+        etap = np.where(remainder[:n], closed_prime - quad_prime, quad_prime)
+        rest_prime = np.where(remainder[:n], quad_prime, closed_prime - quad_prime)
+
+        i1 = I1(p, ts)
+        i2 = xis * eta
+        entropy = 1.5 * np.log(2.0 * math.pi * ts) + 0.5 * k * k * ts + i1 + i2
+        # xi' kappa M_2 + xi kappa M_4/(2t^2), the closed part of the rate,
+        # cancels analytically to 2 kappa^2 alpha/sqrt(2 pi)
+        # + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t); only -(xi' R + xi R') is left.
+        closed_rate = 2.0 * k * (k * alpha(k, grid) + np.exp(-0.5 * k * k * grid) / np.sqrt(grid))
+        rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
+            xi_primes[:n] * rest[:n] + xis[:n] * rest_prime)
+        rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
+        eta_lower, eta_upper = eta_envelope(p, grid)
+        etap_lower, etap_upper = eta_prime_envelope(p, grid)
+        sides = (_slack_margins(eta[:n], rest[:n], error[:n], lower[:n], upper[:n])
+                 + _slack_margins(etap, rest_prime, error_prime, lower_prime, upper_prime))
+
     band_lo, band_hi = asymptotic_band(p)
-    records = []
-    for i, t in enumerate(times):
-        e, ep, e_up, e_down = integrals[4 * i:4 * i + 4]
-        e_lo, e_hi = _envelope(e.closed_form)
-        ep_lo, ep_hi = _envelope(ep.closed_form)
-        ent, i1, i2 = _assemble_entropy(p, t, e.value)
-        records.append(H3EntropyRecord(
-            t=t,
-            entropy=ent,
-            I1=i1,
-            I2=i2,
-            rate_direct=_assemble_rate(p, t, e.remainder, ep.remainder),
-            rate_fd=_assemble_rate_fd(p, t, _FD_STEP_SCALE * t, e_up.value, e_down.value),
-            eta=e.value,
-            eta_lower=e_lo,
-            eta_upper=e_hi,
-            etap=ep.value,
-            etap_lower=ep_lo,
-            etap_upper=ep_hi,
-            band_lo=band_lo,
-            band_hi=band_hi,
-            verdicts=e.verdicts("eta") + ep.verdicts("eta'"),
-        ))
-    return records
+    names = ("eta lower", "eta upper", "eta' lower", "eta' upper")
+    columns = zip(grid.tolist(), entropy[:n].tolist(), i1[:n].tolist(), i2[:n].tolist(),
+                  rate_direct.tolist(), rate_fd.tolist(), eta[:n].tolist(),
+                  eta_lower.tolist(), eta_upper.tolist(), etap.tolist(),
+                  etap_lower.tolist(), etap_upper.tolist())
+    return [H3EntropyRecord(*row, band_lo, band_hi,
+                            tuple(Verdict(name, margins[i], errors[i])
+                                  for name, (margins, errors) in zip(names, sides)))
+            for i, row in enumerate(columns)]
 
 
 def evaluate_record(p: H3Params, t: float) -> H3EntropyRecord:

@@ -60,10 +60,10 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.relative_tolerance > 0.0:
-            raise ValueError("relative_tolerance must be positive")
-        if not self.absolute_tolerance > 0.0:
-            raise ValueError("absolute_tolerance must be positive")
+        if not 0.0 < self.relative_tolerance < math.inf:
+            raise ValueError("relative_tolerance must be positive and finite")
+        if not 0.0 < self.absolute_tolerance < math.inf:
+            raise ValueError("absolute_tolerance must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

@@ -19,6 +19,8 @@ import numpy as np
 from .quadrature import QuadratureSpec, integrate_shifted_gaussians
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+# numpy has no erf: math.erf mapped over the elements of an array
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
 # Up to this point log(sinh x / x) is its even Taylor series
 # sum_n 2^{2n} B_{2n} / (2n (2n)!) x^{2n}, n = 1..16 (radius of convergence
@@ -35,14 +37,17 @@ _LOG_SINH_RATIO_SERIES = (
 )
 
 
-def alpha(kappa: float, t: float) -> float:
+def alpha(kappa: float, t):
     """Truncated half-Gaussian mass: integral of exp(-r^2/2) over [0, kappa*sqrt(t)].
 
-    Monotone increasing in t with limit sqrt(pi/2).
+    Monotone increasing in t with limit sqrt(pi/2).  Elementwise over an
+    array of times; a float t gives a float.
     """
-    if kappa <= 0.0 or t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if kappa <= 0.0 or np.any(ts <= 0.0):
         raise ValueError("alpha requires kappa > 0 and t > 0")
-    return _SQRT_HALF_PI * math.erf(kappa * math.sqrt(0.5 * t))
+    erf = np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
+    return float(_SQRT_HALF_PI * erf) if ts.ndim == 0 else _SQRT_HALF_PI * erf
 
 
 @dataclass(frozen=True)

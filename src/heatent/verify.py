@@ -112,14 +112,11 @@ def check_envelopes(spec: QuadratureSpec,
     """Quadrature values sit strictly inside the closed-form envelopes on a
     40-point log grid; narrow_fraction > 0 shrinks each side for the harness
     self-test."""
-    p = h3.H3Params(1.0, spec)
-    grid = [float(t) for t in np.geomspace(0.1, 100.0, 40)]
-    values = h3.eta_batch(p, [(t, prime) for t in grid for prime in (False, True)])
+    records = h3.evaluate_records(h3.H3Params(1.0, spec), np.geomspace(0.1, 100.0, 40))
     failures = 0
-    for i, t in enumerate(grid):
-        for value, envelope in ((values[2 * i], h3.eta_envelope(p, t)),
-                                (values[2 * i + 1], h3.eta_prime_envelope(p, t))):
-            lo, hi = envelope
+    for rec in records:
+        for value, lo, hi in ((rec.eta, rec.eta_lower, rec.eta_upper),
+                              (rec.etap, rec.etap_lower, rec.etap_upper)):
             if narrow_fraction > 0.0:
                 gap = hi - lo
                 lo = lo + gap * narrow_fraction
@@ -137,14 +134,10 @@ def check_band(spec: QuadratureSpec) -> CheckResult:
     failures = 0
     worst = 0.0
     for kappa, ts in ((1.0, (20.0, 50.0, 100.0)), (2.0, (5.0, 12.5, 25.0))):
-        p = h3.H3Params(kappa, spec)
-        lo, hi = h3.asymptotic_band(p)
-        slack = h3._BAND_SLACK * kappa * kappa
-        for t in ts:
-            rate = h3.entropy_rate(p, t)
-            excess = max(lo - slack - rate, rate - hi - slack)
-            worst = max(worst, excess)
-            if excess > 0.0:
+        for rec in h3.evaluate_records(h3.H3Params(kappa, spec), ts):
+            margin = rec.band_margin(kappa)
+            worst = max(worst, -margin)
+            if margin < 0.0:
                 failures += 1
     return CheckResult(failures == 0, worst,
                        "large-time entropy rate inside the band at kappa = 1 and 2")
@@ -153,10 +146,8 @@ def check_band(spec: QuadratureSpec) -> CheckResult:
 def check_rate_consistency(spec: QuadratureSpec) -> CheckResult:
     """Direct rate vs finite difference of the entropy, hyperbolic and spectral."""
     worst = 0.0
-    p = h3.H3Params(1.0, spec)
-    for t in (1.0, 5.0, 20.0):
-        rate = h3.entropy_rate(p, t)
-        worst = max(worst, abs(rate - h3.entropy_rate_fd(p, t)) / abs(rate))
+    for rec in h3.evaluate_records(h3.H3Params(1.0, spec), (1.0, 5.0, 20.0)):
+        worst = max(worst, abs(rec.rate_direct - rec.rate_fd) / abs(rec.rate_direct))
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
         trace = sp.entropy_trace(fixture.initial, fixture.rate_check_times)
@@ -289,8 +280,7 @@ def check_log_sandwich(spec: QuadratureSpec) -> CheckResult:
 
 def check_euclidean_limit(spec: QuadratureSpec) -> CheckResult:
     """Small-curvature entropy rate reproduces the flat-space value n/(2t)."""
-    p = h3.H3Params(0.01, spec)
-    rate = h3.entropy_rate(p, 1.0)
+    rate = h3.evaluate_record(h3.H3Params(0.01, spec), 1.0).rate_direct
     reference = bd.euclidean_rate_reference(3, 1.0)
     rel = abs(rate - reference) / reference
     return CheckResult(rel <= 0.01, rel,
@@ -308,9 +298,9 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
     times = (0.3, 1.0, 5.0)
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa, spec)
-        for t, assembled in zip(times, h3.entropies(p, times)):
-            direct = h3.entropy_quadrature(p, t)
-            worst = max(worst, abs(assembled - direct) / abs(direct))
+        for rec in h3.evaluate_records(p, times):
+            direct = h3.entropy_quadrature(p, rec.t)
+            worst = max(worst, abs(rec.entropy - direct) / abs(direct))
     return CheckResult(worst <= 1e-6, worst,
                        "decomposed entropy equals the direct integral; "
                        "single-Gaussian weight confirmed")

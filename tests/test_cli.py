@@ -209,6 +209,34 @@ def test_non_finite_time_grid_is_usage_error(command, value, tmp_path, capsys):
     assert captured.err.count("error: need finite") == 2
 
 
+@pytest.mark.parametrize("t, status", [("1e-125", 2), ("1e-130", 2), ("1e-300", 2),
+                                       ("1e-120", 0)])
+def test_h3_refuses_times_past_double_range(t, status, capsys):
+    assert cli.main(["h3", "--t-start", t, "--t-stop", t, "--t-count", "1"]) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"error: t={float(t)!r} leaves the double range" in err) == (status == 2)
+
+
+@pytest.mark.parametrize("key", ["kappa", "atol", "rtol"])
+def test_h3_rejects_non_finite_parameters(key, tmp_path, capsys):
+    assert cli.main(["h3", f"--{key}", "inf"]) == 2
+    assert _config_exit_status("h3", {key: math.inf}, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("must be positive and finite") == 2
+
+
+@pytest.mark.parametrize("argv", [("--kappa", "1e200"),
+                                  ("--t-start", "1e300", "--t-stop", "1e300", "--t-count", "1")])
+def test_h3_numerical_failure_is_one_stderr_line(argv):
+    # no numpy warning precedes the stated failure
+    proc = run_cli("h3", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("quadrature failure: log-weighted sinh integral")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_h3_rows_past_kappa2t_1e8_pass(capsys):
     # These rows sit inside their envelopes.  The verdicts are taken on the
     # closed-form remainder, so none of them is decided in the last bit.

@@ -9,7 +9,7 @@ from heatent.quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
 )
-from heatent.specfun import log_sinh_ratio
+from heatent.specfun import alpha, log_sinh_ratio
 
 P1 = h3.H3Params(kappa=1.0)
 LOG_SQRT2 = 0.5 * math.log(2.0)
@@ -19,10 +19,10 @@ ETA_1_1 = 1.176065713266882
 ETAP_1_1 = 3.6480132188834977
 
 
-def eta_value(f, p, t):
+def unscaled(value, p, t):
     """eta, eta' or an envelope at t as a plain float: the scaled value
     times exp(kappa^2 t/2)."""
-    return f(p, t) * math.exp(0.5 * p.kappa * p.kappa * t)
+    return value * math.exp(0.5 * p.kappa * p.kappa * t)
 
 
 def xi_value(f, p, t):
@@ -35,6 +35,9 @@ def test_params_validation():
         h3.H3Params(kappa=0.0)
     with pytest.raises(ValueError):
         h3.H3Params(kappa=-2.0)
+    for kappa in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            h3.H3Params(kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,8 @@ def test_xi_prime_matches_finite_difference():
 
 
 def test_eta_frozen_value():
-    assert eta_value(h3.eta, P1, 1.0) == pytest.approx(ETA_1_1, rel=1e-9)
+    eta = h3.evaluate_record(P1, 1.0).eta
+    assert unscaled(eta, P1, 1.0) == pytest.approx(ETA_1_1, rel=1e-9)
 
 
 def test_eta_matches_direct_quadrature_at_moderate_t():
@@ -136,7 +140,7 @@ def test_eta_matches_direct_quadrature_at_moderate_t():
                         np.exp(-r * r / (2.0 * t)) * r * np.sinh(r) * log_sinh_ratio(r))
 
     oracle = integrate_semi_infinite(direct).value
-    assert eta_value(h3.eta, P1, t) == pytest.approx(oracle, rel=1e-8)
+    assert unscaled(h3.evaluate_record(P1, t).eta, P1, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_eta_integrand_vanishes_at_origin():
@@ -145,45 +149,48 @@ def test_eta_integrand_vanishes_at_origin():
 
 def test_eta_split_representation_at_large_t():
     # eta(100) carries a factor exp(50); the scaled value leaves it out
-    e = h3.eta(P1, 100.0)
+    e = h3.evaluate_record(P1, 100.0).eta
     assert math.isfinite(e) and e > 0.0
     lo, hi = h3.eta_envelope(P1, 100.0)
     assert lo < e < hi
 
 
 def test_eta_positive_and_inside_envelope():
-    e = h3.eta(P1, 1.0)
+    e = h3.evaluate_record(P1, 1.0).eta
     lo, hi = h3.eta_envelope(P1, 1.0)
     assert e > 0.0
     assert lo < e < hi
 
 
 def test_envelope_ordering_and_containment_on_grid():
-    for t in np.geomspace(0.1, 100.0, 40):
-        t = float(t)
+    for rec in h3.evaluate_records(P1, np.geomspace(0.1, 100.0, 40)):
+        t = rec.t
         lo, hi = h3.eta_envelope(P1, t)
         assert lo < hi
-        assert lo < h3.eta(P1, t) < hi, t
+        assert lo < rec.eta < hi, t
         plo, phi = h3.eta_prime_envelope(P1, t)
         assert plo < phi
-        assert plo < h3.eta_prime(P1, t) < phi, t
+        assert plo < rec.etap < phi, t
 
 
 def test_eta_prime_frozen_value():
-    assert eta_value(h3.eta_prime, P1, 1.0) == pytest.approx(ETAP_1_1, rel=1e-9)
+    etap = h3.evaluate_record(P1, 1.0).etap
+    assert unscaled(etap, P1, 1.0) == pytest.approx(ETAP_1_1, rel=1e-9)
 
 
 def test_eta_prime_is_derivative_of_eta():
     for t, tol in ((2.0, 1e-5), (0.5, 1e-5), (5.0, 1e-5)):
         h = 1e-4 * t
-        fd = (eta_value(h3.eta, P1, t + h) - eta_value(h3.eta, P1, t - h)) / (2.0 * h)
-        assert eta_value(h3.eta_prime, P1, t) == pytest.approx(fd, rel=tol)
+        up, down = (unscaled(rec.eta, P1, rec.t)
+                    for rec in h3.evaluate_records(P1, [t + h, t - h]))
+        fd = (up - down) / (2.0 * h)
+        assert unscaled(h3.evaluate_record(P1, t).etap, P1, t) == pytest.approx(fd, rel=tol)
 
 
 def test_eta_prime_envelope_other_curvature():
     p = h3.H3Params(0.5)
     lo, hi = h3.eta_prime_envelope(p, 10.0)
-    assert lo < h3.eta_prime(p, 10.0) < hi
+    assert lo < h3.evaluate_record(p, 10.0).etap < hi
 
 
 def test_envelope_gap_stays_bounded():
@@ -201,7 +208,7 @@ def test_envelope_bracket_contains_rate_cross_term():
         xp = h3.xi_prime(P1, t)
         lo, hi = h3.eta_envelope(P1, t)
         plo, phi = h3.eta_prime_envelope(P1, t)
-        cross = h3.entropy_rate(P1, t) - 1.5 / t - 1.0
+        cross = h3.evaluate_record(P1, t).rate_direct - 1.5 / t - 1.0
         bracket_lo = xp * hi + x * plo
         bracket_hi = xp * lo + x * phi
         assert bracket_lo <= cross <= bracket_hi, t
@@ -212,50 +219,47 @@ def test_envelope_bracket_contains_rate_cross_term():
 
 
 def test_entropy_assembly():
-    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + (
-        h3.xi(P1, 1.0) * h3.eta(P1, 1.0))
-    assert h3.entropy(P1, 1.0) == pytest.approx(expected, rel=1e-14)
+    rec = h3.evaluate_record(P1, 1.0)
+    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + h3.xi(P1, 1.0) * rec.eta
+    assert rec.entropy == pytest.approx(expected, rel=1e-14)
 
 
 def test_entropy_matches_direct_quadrature():
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa)
-        for t in (0.3, 1.0, 5.0):
-            assert h3.entropy(p, t) == pytest.approx(
-                h3.entropy_quadrature(p, t), rel=1e-6)
+        for rec in h3.evaluate_records(p, (0.3, 1.0, 5.0)):
+            assert rec.entropy == pytest.approx(
+                h3.entropy_quadrature(p, rec.t), rel=1e-6)
 
 
 def test_entropy_flat_limit():
     gaussian_entropy = 1.5 * math.log(2.0 * math.pi * math.e)
-    assert h3.entropy(h3.H3Params(1e-5), 1.0) == pytest.approx(
+    assert h3.evaluate_record(h3.H3Params(1e-5), 1.0).entropy == pytest.approx(
         gaussian_entropy, rel=1e-7)
 
 
 def test_entropy_increasing():
-    grid = np.geomspace(0.5, 50.0, 20)
-    values = [h3.entropy(P1, float(t)) for t in grid]
+    values = [rec.entropy for rec in h3.evaluate_records(P1, np.geomspace(0.5, 50.0, 20))]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_entropy_rate_band_at_large_t():
     lo, hi = h3.asymptotic_band(P1)
-    for t in (20.0, 50.0, 100.0):
-        rate = h3.entropy_rate(P1, t)
-        assert lo - 0.05 <= rate <= hi + 0.05
+    for rec in h3.evaluate_records(P1, (20.0, 50.0, 100.0)):
+        assert lo - 0.05 <= rec.rate_direct <= hi + 0.05
 
 
 def test_entropy_rate_scaled_curvature():
     p = h3.H3Params(2.0)
     lo, hi = h3.asymptotic_band(p)
-    for t in (5.0, 12.5, 25.0):
-        rate = h3.entropy_rate(p, t)
-        assert lo - 0.05 * 4.0 <= rate <= hi + 0.05 * 4.0
+    for rec in h3.evaluate_records(p, (5.0, 12.5, 25.0)):
+        assert lo - 0.05 * 4.0 <= rec.rate_direct <= hi + 0.05 * 4.0
 
 
 def test_rate_matches_finite_difference():
-    for t in (1.0, 5.0, 20.0):
-        rate = h3.entropy_rate(P1, t)
-        assert abs(rate - h3.entropy_rate_fd(P1, t)) / abs(rate) <= 1e-4
+    for rec in h3.evaluate_records(P1, (1.0, 5.0, 20.0)):
+        rate = rec.rate_direct
+        assert abs(rate - rec.rate_fd) / abs(rate) <= 1e-4
 
 
 def test_band_values():
@@ -269,16 +273,22 @@ def test_band_values():
 
 
 def test_flat_reference_rate():
-    rate = h3.entropy_rate(h3.H3Params(0.01), 1.0)
+    rate = h3.evaluate_record(h3.H3Params(0.01), 1.0).rate_direct
     assert abs(rate - 1.5) / 1.5 <= 0.01
 
 
 def test_record_consistency():
+    # each field against its definition from the closed forms and eta, eta'
     rec = h3.evaluate_record(P1, 2.0)
     assert rec.t == 2.0
-    assert rec.entropy == pytest.approx(h3.entropy(P1, 2.0), rel=1e-12)
-    assert rec.rate_direct == pytest.approx(h3.entropy_rate(P1, 2.0), rel=1e-12)
-    assert rec.I2 == pytest.approx(h3.xi(P1, 2.0) * h3.eta(P1, 2.0), rel=1e-12)
+    assert rec.I1 == h3.I1(P1, 2.0)
+    assert rec.I2 == pytest.approx(h3.xi(P1, 2.0) * rec.eta, rel=1e-12)
+    assert rec.entropy == pytest.approx(
+        1.5 * math.log(4.0 * math.pi) + 1.0 + rec.I1 + rec.I2, rel=1e-12)
+    assert rec.rate_direct == pytest.approx(
+        0.75 + 1.0 + h3.xi_prime(P1, 2.0) * rec.eta + h3.xi(P1, 2.0) * rec.etap, rel=1e-12)
+    assert (rec.eta_lower, rec.eta_upper) == h3.eta_envelope(P1, 2.0)
+    assert (rec.etap_lower, rec.etap_upper) == h3.eta_prime_envelope(P1, 2.0)
     assert rec.envelope_ok
     assert rec.band_ok(1.0)  # t < 20: trivially fine
     records = h3.evaluate_records(P1, [1.0, 2.0])
@@ -289,7 +299,23 @@ def test_evaluate_records_equals_single_records_bit_for_bit():
     times = [float(t) for t in np.geomspace(1e-4, 1e4, 9)]
     for p in (P1, h3.H3Params(0.3)):
         assert h3.evaluate_records(p, times) == [h3.evaluate_record(p, t) for t in times]
-        assert h3.entropies(p, times) == [h3.entropy(p, t) for t in times]
+
+
+def test_closed_forms_are_elementwise():
+    # an array of times gives, element by element, what each float gives
+    times = np.geomspace(1e-4, 1e4, 9)
+    for p in (P1, h3.H3Params(0.3)):
+        for f in (h3.I1, h3.xi, h3.xi_prime, lambda p, t: alpha(p.kappa, t)):
+            alone = [f(p, float(t)) for t in times]
+            assert all(type(v) is float for v in alone)
+            assert f(p, times).tolist() == alone
+        for f in (h3.eta_envelope, h3.eta_prime_envelope):
+            alone = [f(p, float(t)) for t in times]
+            assert all(type(v) is float for pair in alone for v in pair)
+            lower, upper = f(p, times)
+            assert list(zip(lower.tolist(), upper.tolist())) == alone
+        with pytest.raises(ValueError):
+            h3.xi(p, np.array([1.0, 0.0]))
 
 
 @pytest.fixture
@@ -348,8 +374,9 @@ def test_trapezoid_matches_adaptive_oracle():
     small = np.repeat(k2t <= 1e-4, 2)
     for kappa in (0.25, 1.0, 4.0):
         p = h3.H3Params(kappa)
-        points = [(float(x) / kappa ** 2, prime) for x in k2t for prime in (False, True)]
-        rule = np.array(h3.eta_batch(p, points))
+        records = h3.evaluate_records(p, k2t / kappa ** 2)
+        points = [(rec.t, prime) for rec in records for prime in (False, True)]
+        rule = np.array([value for rec in records for value in (rec.eta, rec.etap)])
         oracle = np.array(h3.eta_quadrature(p, points))
         rel = np.abs(rule - oracle) / oracle
         assert rel[small].max() <= 2e-12, kappa
@@ -381,7 +408,8 @@ def test_eta_and_rate_against_mpmath():
             p = h3.H3Params(kappa)
             for k2t in (1.0, 1e3, 1e6, 1e9, 1e12):
                 t = k2t / kappa ** 2
-                e, ep = h3.eta_batch(p, [(t, False), (t, True)])
+                rec = h3.evaluate_record(p, t)
+                e, ep = rec.eta, rec.etap
                 exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
                 assert abs(e - exact) <= 2e-15 * exact, (kappa, k2t)
                 assert abs(ep - exact_prime) <= 2e-15 * exact_prime, (kappa, k2t)
@@ -389,7 +417,7 @@ def test_eta_and_rate_against_mpmath():
                 xi = mp.sqrt(2 / mp.pi) / (k * tt ** 1.5)
                 xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
                 rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
-                assert abs(h3.entropy_rate(p, t) - rate) <= 1e-14 * rate, (kappa, k2t)
+                assert abs(rec.rate_direct - rate) <= 1e-14 * rate, (kappa, k2t)
 
 
 def test_verdicts_resolved_inside_up_to_kappa2t_1e12():
@@ -416,7 +444,26 @@ def test_unconverged_rule_raises():
     strict = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-18,
                                              absolute_tolerance=1e-30))
     with pytest.raises(QuadratureConvergenceError, match="power 1"):
-        h3.eta(strict, 8.0)
+        h3.evaluate_record(strict, 8.0)
+
+
+def test_first_unconverged_integral_in_row_order_raises():
+    # eta(t) first, then eta'(t): at t = 1e300, r^3 overflows on the nodes
+    # and only eta' fails; the rows before it are fine and the ones after
+    # it are not reached
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"\(power 3\) at t=1e\+300: error estimate nan"):
+        h3.evaluate_records(P1, [1.0, 1e300, 2e300])
+    with pytest.raises(QuadratureConvergenceError, match=r"\(power 1\) at t=0\.5:"):
+        h3.evaluate_records(h3.H3Params(1e200), [0.5, 1.0])
+
+
+def test_times_past_double_range_are_refused():
+    # below t ~ 1e-123, xi' = -(kappa^2 t + 3)/(sqrt(2 pi) kappa t^2.5) overflows
+    for t in (1e-125, 1e-130, 1e-300):
+        with pytest.raises(ValueError, match=f"t={t!r}"):
+            h3.evaluate_records(P1, [1.0, t])
+    assert math.isfinite(h3.evaluate_record(P1, 1e-120).rate_direct)
 
 
 def test_extreme_exponential_scale():
@@ -437,4 +484,5 @@ def test_extreme_exponential_scale():
 def test_custom_quadrature_spec_threads_through():
     loose = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-6,
                                             absolute_tolerance=1e-10))
-    assert h3.entropy(loose, 1.0) == pytest.approx(h3.entropy(P1, 1.0), rel=1e-5)
+    assert h3.evaluate_record(loose, 1.0).entropy == pytest.approx(
+        h3.evaluate_record(P1, 1.0).entropy, rel=1e-5)

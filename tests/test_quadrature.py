@@ -208,6 +208,11 @@ def test_spec_validation():
         QuadratureSpec(relative_tolerance=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(absolute_tolerance=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(relative_tolerance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(absolute_tolerance=bad)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
 

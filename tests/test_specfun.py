@@ -71,6 +71,8 @@ def test_alpha_domain():
         alpha(0.0, 1.0)
     with pytest.raises(ValueError):
         alpha(1.0, 0.0)
+    with pytest.raises(ValueError):
+        alpha(1.0, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
