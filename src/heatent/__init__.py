@@ -7,8 +7,6 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     integrate_batch,
-    integrate_semi_infinite,
-    integrate_shifted_gaussian,
     integrate_shifted_gaussians,
 )
 
@@ -21,8 +19,6 @@ __all__ = [
     "fixtures",
     "h3entropy",
     "integrate_batch",
-    "integrate_semi_infinite",
-    "integrate_shifted_gaussian",
     "integrate_shifted_gaussians",
     "spectral",
     "verify",

@@ -164,11 +164,8 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +173,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(header: Sequence[str], rows: Sequence[Sequence[object]],
+def _emit_table(header: Sequence[str], rows: Sequence[Sequence[float]],
                 args: argparse.Namespace) -> None:
     """One row per time, as CSV or as a JSON list of {column: value}."""
     if args.format == "json":

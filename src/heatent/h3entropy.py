@@ -62,7 +62,7 @@ import numpy as np
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    integrate_semi_infinite,
+    integrate_batch,
     integrate_shifted_gaussians,
     require_converged,
 )
@@ -121,24 +121,52 @@ def heat_kernel(p: H3Params, t: float, d: float) -> float:
     return math.exp(log_h)
 
 
-def _radial_mass(p: H3Params, t: float, r: float) -> float:
-    """Radial density of the kernel: h(t, r) times the 4 pi sinh^2(kr)/k^2 shell.
+def _radial_mass(p: H3Params, t, r, pref):
+    """Radial density of the kernel: h(t, r) times the 4 pi sinh^2(kr)/k^2 shell,
+    pref being ``_mass_prefactor`` at t.
 
     Written with the exponentials combined so it stays finite at any
-    kappa^2 t (the raw shell factor alone would overflow).  Elementwise in r.
+    kappa^2 t (the raw shell factor alone would overflow).  Elementwise in
+    t, r and pref.
     """
     k = p.kappa
     expo = -((r - k * t) ** 2) / (2.0 * t)
-    pref = 4.0 * math.pi / k * (2.0 * math.pi * t) ** -1.5
     return pref * r * np.exp(expo) * 0.5 * -np.expm1(-2.0 * k * r)
 
 
-def normalization_quadrature(p: H3Params, t: float) -> float:
-    """Total kernel mass by radial quadrature; equals 1 for every t."""
-    result = integrate_semi_infinite(
-        lambda r: _radial_mass(p, t, r), p.quadrature,
-        peak_hint=p.kappa * t, peak_width=math.sqrt(t))
-    return require_converged(result, "kernel normalization").value
+def _mass_prefactor(p: H3Params, t: float) -> float:
+    """The factor 4 pi/k (2 pi t)^-3/2 of ``_radial_mass`` at a float t.
+
+    A float power, not numpy's vectorised one, which may differ from it in
+    the last bit.
+    """
+    return 4.0 * math.pi / p.kappa * (2.0 * math.pi * t) ** -1.5
+
+
+def _radial_integrals(p: H3Params, ts: np.ndarray, integrand, context: str) -> np.ndarray:
+    """At each time of ts, the integral over r > 0 of integrand(mass, r, j),
+    where mass is ``_radial_mass`` at that time and j the index of the time
+    in ts.ravel(); an array shaped like ts.
+
+    All times run as one lockstep batch, each with its peak at r = kappa t
+    and width sqrt t, so each value is bit-identical to its lone run.
+    Convergence is required time by time, in order.
+    """
+    flat = ts.ravel()
+    pref = np.array([_mass_prefactor(p, s) for s in flat.tolist()])
+    results = integrate_batch(
+        lambda r, j: integrand(_radial_mass(p, flat[j], r, pref[j]), r, j),
+        (p.kappa * flat).tolist(), np.sqrt(flat).tolist(), p.quadrature)
+    values = [require_converged(result, f"{context} at t = {s!r}").value
+              for result, s in zip(results, flat.tolist())]
+    return np.array(values).reshape(ts.shape)
+
+
+def normalization_quadrature(p: H3Params, t):
+    """Total kernel mass by radial quadrature; equals 1 for every t.
+    Elementwise in t."""
+    return _like(t, _radial_integrals(p, _times(t), lambda mass, r, j: mass,
+                                      "kernel normalization"))
 
 
 def _times(t) -> np.ndarray:
@@ -159,12 +187,12 @@ def I1(p: H3Params, t):
     return _like(t, 0.5 * (p.kappa * p.kappa * _times(t) + 3.0))
 
 
-def I1_quadrature(p: H3Params, t: float) -> float:
-    """Second-moment integral done honestly by radial quadrature."""
-    result = integrate_semi_infinite(
-        lambda r: _radial_mass(p, t, r) * r * r, p.quadrature,
-        peak_hint=p.kappa * t, peak_width=math.sqrt(t))
-    return require_converged(result, "second moment").value / (2.0 * t)
+def I1_quadrature(p: H3Params, t):
+    """Second-moment integral done honestly by radial quadrature.
+    Elementwise in t."""
+    ts = _times(t)
+    moment = _radial_integrals(p, ts, lambda mass, r, j: mass * r * r, "second moment")
+    return _like(t, moment / (2.0 * ts))
 
 
 def xi(p: H3Params, t):
@@ -267,22 +295,24 @@ def eta_prime_envelope(p: H3Params, t):
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
-def entropy_quadrature(p: H3Params, t: float) -> float:
+def entropy_quadrature(p: H3Params, t):
     """Entropy by one direct radial quadrature of -h log h, no decomposition.
+    Elementwise in t.
 
     Independent oracle for the assembled value; also settles the radial
     Gaussian-weight reading discussed in the module docstring.
     """
+    ts = _times(t)
     k = p.kappa
-    base = 1.5 * math.log(2.0 * math.pi * t) + 0.5 * k * k * t
+    flat = ts.ravel()
+    two_t = 2.0 * flat
+    base = np.array([1.5 * math.log(2.0 * math.pi * s) + 0.5 * k * k * s
+                     for s in flat.tolist()])
 
-    def integrand(r):
-        neg_log_h = r * r / (2.0 * t) + base + log_sinh_ratio(k * r)
-        return _radial_mass(p, t, r) * neg_log_h
+    def integrand(mass, r, j):
+        return mass * (r * r / two_t[j] + base[j] + log_sinh_ratio(k * r))
 
-    result = integrate_semi_infinite(integrand, p.quadrature,
-                                     peak_hint=k * t, peak_width=math.sqrt(t))
-    return require_converged(result, "direct entropy integral").value
+    return _like(t, _radial_integrals(p, ts, integrand, "direct entropy integral"))
 
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:

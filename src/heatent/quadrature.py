@@ -2,16 +2,22 @@
 
 The integrands this package cares about are unimodal with Gaussian tails:
 exp(-r^2/2t) times polynomials, hyperbolic sines and slowly varying logs.
-The integrator splits the axis at a probed radius past the peak, runs a
-globally adaptive embedded 7/15 Gauss-Kronrod pair (QUADPACK's GK15) on the
-finite part, and maps the tail onto [0, 1) with r = R + s/(1-s).
+Every integral states where its mass sits: a peak c >= 0 and a width w > 0,
+both finite.  The initial panels cover [max(0, c - 12 w), c + 12 w], eight
+equal ones plus [0, c - 12 w] where that is not empty, and the rest of the
+axis is one tail panel mapped onto [0, 1) with r = c + 12 w + s/(1-s).  A
+globally adaptive embedded 7/15 Gauss-Kronrod pair (QUADPACK's GK15) then
+refines the panels with the largest error estimates.  Nothing is probed: a
+peak far out, whose inner tail underflows to exact zeros, is found because
+the caller names it.
 
-Integrand contract.  ``integrate_batch`` integrates n integrals together.
-Its integrand is ``f(x, j)``: a float array of abscissae ``x`` and an equally
-shaped int array ``j`` of integral ids in ``range(n)``; it returns an array
-of the same shape (a scalar is broadcast).  The element at position i must
-depend only on ``x[i]`` and ``j[i]``, i.e. f is elementwise.  The one-integral
-entry points take ``f(x)`` vectorised over ``x`` alone.
+Integrand contract.  ``integrate_batch`` integrates one integral per
+(peak, width) pair.  Its integrand is ``f(x, j)``: a float array of
+abscissae ``x`` and an equally shaped int array ``j`` of integral ids; it
+returns an array of the same shape (a scalar is broadcast).  The element at
+position i must depend only on ``x[i]`` and ``j[i]``, i.e. f is elementwise.
+``integrate_shifted_gaussians`` is the one substitution on top: it takes
+Gaussian profiles in a shifted variable and states their peaks itself.
 
 Lockstep guarantee.  Every integral keeps its own panel heap, tie-breaking
 sequence, split radius, subdivision count and convergence test; a round pops
@@ -19,9 +25,8 @@ the worst panel of each unconverged integral and evaluates all the halves in
 one integrand call (in blocks of at most 4096 nodes).  An integral's
 refinement, and its value, error estimate and evaluation count, are
 therefore bit-identical whether it runs alone or in a batch of any size and
-order.  Every step is
-float arithmetic in a fixed order, so identical inputs give bit-identical
-results.
+order.  Every step is float arithmetic in a fixed order, so identical inputs
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -117,8 +122,6 @@ _GAUSS_ROWS = [0, 2, 4, 6]
 _BLOCK_NODES = 4096
 _BLOCK_PANELS = _BLOCK_NODES // 15
 
-# The split-radius probes: 0, then a doubling grid from 1/8 out to 2^54.
-_PROBES = np.array([0.0] + [0.125 * 2.0 ** k for k in range(58)])
 _N_INITIAL = 8
 
 
@@ -132,45 +135,6 @@ def _evaluate(f: BatchIntegrand, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         hi = lo + _BLOCK_NODES
         out[lo:hi] = f(x[lo:hi], j[lo:hi])
     return out
-
-
-def _split_radii(f: BatchIntegrand, ids: list[int]) -> list[float]:
-    """Probe a doubling grid for a radius safely past each integrand's peak.
-
-    Returns, per id, the first probe that is both well beyond the largest
-    sampled magnitude and down by a factor ~e^-69 from it, which for a
-    Gaussian profile sits at roughly twelve effective standard deviations
-    out.  The best > 0 guard matters: until something nonzero has been seen
-    the probes must keep going, otherwise an integrand whose near-origin
-    tail underflows to exact zeros would be cut off before its peak.  All
-    probes are evaluated at once, but a non-finite value only counts up to
-    the stopping probe: the probes past it are not part of the integral.
-    The scan is the vectorised form of a loop over the probes in order.
-    """
-    v = _evaluate(f, np.tile(_PROBES, len(ids)),
-                  np.repeat(np.asarray(ids, dtype=np.intp), _PROBES.size))
-    v = v.reshape(len(ids), _PROBES.size)
-    mag = np.abs(v)
-    best = np.maximum.accumulate(mag, axis=1)  # largest magnitude so far
-    record = np.empty(mag.shape, dtype=bool)  # a new largest magnitude
-    record[:, 0] = True
-    record[:, 1:] = mag[:, 1:] > best[:, :-1]
-    r_best = np.maximum.accumulate(np.where(record, _PROBES, 0.0), axis=1)
-    stops = (best > 0.0) & (_PROBES >= 8.0 * np.maximum(r_best, 1.0)) & (mag <= 1e-30 * best)
-    stopped = stops.any(axis=1)
-    stop = np.where(stopped, stops.argmax(axis=1), _PROBES.size - 1)
-    bad = ~np.isfinite(v)
-    first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), _PROBES.size)
-    for row in np.flatnonzero(first_bad <= stop):
-        k = first_bad[row]
-        raise QuadratureDomainError(
-            f"integrand returned {float(v[row, k])!r} at {float(_PROBES[k])!r}")
-    # Never stopped: zero everywhere sampled gives 1; pathologically slow
-    # decay gives the last probe, and the adaptive core will report
-    # non-convergence honestly if it cannot cope.
-    radii = np.where(stopped, np.maximum(_PROBES[stop], 1.0),
-                     np.where(best[:, -1] == 0.0, 1.0, _PROBES[-1]))
-    return radii.tolist()
 
 
 def _gk15_panels(f: BatchIntegrand, panels: list[tuple[int, bool, float, float]],
@@ -212,50 +176,42 @@ def _gk15_panels(f: BatchIntegrand, panels: list[tuple[int, bool, float, float]]
 
 def integrate_batch(
     f: BatchIntegrand,
-    n: int,
+    peaks: Sequence[float],
+    widths: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
-    peak_hints: Optional[Sequence[Optional[float]]] = None,
-    peak_widths: Optional[Sequence[Optional[float]]] = None,
 ) -> list[QuadratureResult]:
-    """Integrate f(., j) over [0, inf) for every id j in range(n), in lockstep.
+    """Integrate f(., j) over [0, inf) for every integral j, in lockstep.
 
-    peak_hints/peak_widths optionally tell the integrator, per integral,
-    where the mass is concentrated (None or a hint <= 0 means "probe"); blind
-    probing cannot see a far-out peak whose tails underflow to exact zeros.
-    Results come back in id order; see the module docstring for the
-    integrand contract and the lockstep guarantee.
+    Integral j has its mass at r = peaks[j], spread over a few widths[j];
+    one peak and one width per integral, every peak finite and >= 0, every
+    width finite and > 0.  Results come back in id order; see the module
+    docstring for the integrand contract and the lockstep guarantee.
     """
-    hints = list(peak_hints) if peak_hints is not None else [None] * n
-    widths = list(peak_widths) if peak_widths is not None else [None] * n
-    if len(hints) != n or len(widths) != n:
-        raise ValueError("need one peak hint and one peak width per integral")
+    peaks = [float(c) for c in peaks]
+    widths = [float(w) for w in widths]
+    if len(peaks) != len(widths):
+        raise ValueError("need one peak and one width per integral")
+    for c, w in zip(peaks, widths):
+        if not (0.0 <= c < math.inf and 0.0 < w < math.inf):
+            raise ValueError(
+                f"need a finite peak >= 0 and a finite width > 0, got {c!r} and {w!r}")
     # Overflow, underflow and invalid operations inside f are not warned
     # about: values are tested for finiteness, at exactly the nodes that
     # belong to an integral.
     with np.errstate(all="ignore"):
-        return _lockstep(f, n, spec, hints, widths)
+        return _lockstep(f, spec, peaks, widths)
 
 
-def _lockstep(f: BatchIntegrand, n: int, spec: QuadratureSpec,
-              hints: list[Optional[float]],
-              widths: list[Optional[float]]) -> list[QuadratureResult]:
-    probed = [i for i in range(n) if hints[i] is None or not hints[i] > 0.0]
-    radii = dict(zip(probed, _split_radii(f, probed))) if probed else {}
+def _lockstep(f: BatchIntegrand, spec: QuadratureSpec, peaks: list[float],
+              widths: list[float]) -> list[QuadratureResult]:
+    n = len(peaks)
     splits = []
     panels = []  # (id, tail, a, b), in evaluation order
-    for i in range(n):
-        if i in radii:
-            split = radii[i]
-            edges = [split * k / _N_INITIAL for k in range(_N_INITIAL)] + [split]
-        else:
-            # When the caller knows where the mass sits, build the initial
-            # panels around it; blind probing cannot see a far-out peak whose
-            # tails underflow to exact zeros.
-            width = widths[i] if widths[i] is not None else 1.0
-            lo = max(0.0, hints[i] - 12.0 * width)
-            split = hints[i] + 12.0 * width
-            edges = [0.0] if lo == 0.0 else [0.0, lo]
-            edges += [lo + (split - lo) * (k + 1) / _N_INITIAL for k in range(_N_INITIAL)]
+    for i, (peak, width) in enumerate(zip(peaks, widths)):
+        lo = max(0.0, peak - 12.0 * width)
+        split = peak + 12.0 * width
+        edges = [0.0] if lo == 0.0 else [0.0, lo]
+        edges += [lo + (split - lo) * (k + 1) / _N_INITIAL for k in range(_N_INITIAL)]
         splits.append(split)
         panels += [(i, False, a, b) for a, b in zip(edges, edges[1:])]
         panels.append((i, True, 0.0, 1.0))
@@ -301,22 +257,6 @@ def _lockstep(f: BatchIntegrand, n: int, spec: QuadratureSpec,
         subdivisions += 1
 
 
-def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = QuadratureSpec(),
-    peak_hint: float | None = None,
-    peak_width: float | None = None,
-) -> QuadratureResult:
-    """Integrate f over [0, inf) for integrands with super-Gaussian decay.
-
-    f is vectorised over an array of abscissae.  peak_hint/peak_width
-    optionally tell the integrator where the mass is concentrated; without
-    them the peak is located by probing, which cannot work once the
-    integrand's inner tail underflows to exact zeros.
-    """
-    return integrate_batch(lambda x, j: f(x), 1, spec, [peak_hint], [peak_width])[0]
-
-
 def integrate_shifted_gaussians(
     g: BatchIntegrand,
     centers: Sequence[float],
@@ -336,19 +276,5 @@ def integrate_shifted_gaussians(
         raise ValueError("scale must be positive")
     s0 = [-c / scale for c, scale in zip(centers, scales)]
     offsets = np.asarray(s0)
-    return integrate_batch(lambda x, j: g(offsets[j] + x, j), len(s0), spec,
-                           peak_hints=[max(0.0, -s) for s in s0],
-                           peak_widths=[1.0] * len(s0))
-
-
-def integrate_shifted_gaussian(
-    g: Callable[[np.ndarray], np.ndarray],
-    center: float,
-    scale: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """Integrate g(s) over {s : center + scale*s >= 0}; g is vectorised over s.
-
-    The one-integral case of ``integrate_shifted_gaussians``.
-    """
-    return integrate_shifted_gaussians(lambda s, j: g(s), [center], [scale], spec)[0]
+    return integrate_batch(lambda x, j: g(offsets[j] + x, j),
+                           [max(0.0, -s) for s in s0], [1.0] * len(s0), spec)

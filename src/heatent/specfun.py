@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_shifted_gaussians
+from .quadrature import QuadratureSpec, integrate_shifted_gaussians, require_converged
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # numpy has no erf: math.erf mapped over the elements of an array
@@ -105,29 +105,19 @@ def hyperbolic_moment_closed_form(
     return grown + plain * math.exp(-0.5 * k2t)
 
 
-def hyperbolic_moment_quadrature(
-    moment: HyperbolicMoment,
-    kappa: float,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Same moment through the overflow-safe shifted-Gaussian path, times
-    exp(-kappa^2 t/2).
-
-    Writes 2*{sinh,cosh}(kappa r) = e^{kappa r} +/- e^{-kappa r}, completes
-    the square in each branch and substitutes r = +/-kappa*t + sqrt(t)*s.
-    Serves as the independent cross-check of the closed forms at any
-    kappa^2 t.
-    """
-    return hyperbolic_moment_quadratures([(moment, kappa, t)], spec)[0]
-
-
 def hyperbolic_moment_quadratures(
     cases: Sequence[tuple[HyperbolicMoment, float, float]],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
-    """``hyperbolic_moment_quadrature`` at each (moment, kappa, t), as one
-    lockstep batch of two shifted-Gaussian integrals per case."""
+    """Each (moment, kappa, t) moment through the overflow-safe
+    shifted-Gaussian path, times exp(-kappa^2 t/2).
+
+    Writes 2*{sinh,cosh}(kappa r) = e^{kappa r} +/- e^{-kappa r}, completes
+    the square in each branch and substitutes r = +/-kappa*t + sqrt(t)*s.
+    Serves as the independent cross-check of the closed forms at any
+    kappa^2 t.  All 2 x len(cases) integrals run as one lockstep batch;
+    convergence is required case by case, in order.
+    """
     for _, kappa, t in cases:
         if kappa <= 0.0 or t <= 0.0:
             raise ValueError("moments require kappa > 0 and t > 0")
@@ -143,7 +133,9 @@ def hyperbolic_moment_quadratures(
     results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(), spec)
     values = []
     for (moment, kappa, t), plus, minus in zip(cases, results[0::2], results[1::2]):
-        jp, jm = plus.value, minus.value
+        context = f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
+        jp = require_converged(plus, context).value
+        jm = require_converged(minus, context).value
         combined = jp - jm if moment.kind == "sinh" else jp + jm
         values.append(0.5 * math.sqrt(t) * combined)
     return values

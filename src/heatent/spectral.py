@@ -355,9 +355,9 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
     return SpectralField(manifold, coeffs, cutoff)
 
 
-def resolve(field: SpectralField, grid_points: Optional[int] = None) -> np.ndarray:
+def resolve(field: SpectralField) -> np.ndarray:
     """Field values on the (oversampled) evaluation grid."""
-    return _transform(field.manifold, field.cutoff, grid_points).synth(field.coefficients)
+    return _transform(field.manifold, field.cutoff).synth(field.coefficients)
 
 
 def mass(field: SpectralField) -> float:
@@ -594,8 +594,8 @@ class BochnerReport:
         return self.max_residual / self.term_scale if self.term_scale > 0.0 else 0.0
 
 
-def bochner_residual(w: SpectralField, potential: Optional[SpectralField] = None,
-                     grid_points: Optional[int] = None) -> BochnerReport:
+def bochner_residual(w: SpectralField,
+                     potential: Optional[SpectralField] = None) -> BochnerReport:
     """Check, pointwise on the flat torus, that for u = w and Z = grad V
 
         (L - d/dt)(|grad u|^2 / u)
@@ -612,7 +612,7 @@ def bochner_residual(w: SpectralField, potential: Optional[SpectralField] = None
     elif potential.manifold != manifold:
         raise ValueError("the potential must live on the field's manifold")
     cutoff = w.cutoff if potential is None else max(w.cutoff, potential.cutoff)
-    n = grid_points if grid_points is not None else _grid_size(2 * cutoff)
+    n = _grid_size(2 * cutoff)
 
     tr = _flat_torus(manifold, w.cutoff, n, "residual")
     u = tr.synth(w.coefficients)
@@ -659,13 +659,13 @@ def bochner_residual(w: SpectralField, potential: Optional[SpectralField] = None
     return BochnerReport(float(np.abs(lhs - rhs).max()), scale)
 
 
-def hessian_trace_gap(w: SpectralField, grid_points: Optional[int] = None) -> tuple[float, float]:
+def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
     """Pointwise slack of |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n.
 
     Returns (minimum slack over the grid, scale of the dominating side);
     the slack must be nonnegative up to roundoff for positive fields.
     """
-    tr = _flat_torus(w.manifold, w.cutoff, grid_points, "trace inequality")
+    tr = _flat_torus(w.manifold, w.cutoff, None, "trace inequality")
     u = tr.synth(w.coefficients)
     ux, uy = tr.gradient(w.coefficients)
     uxx, uxy, uyy = tr.hessian(w.coefficients)

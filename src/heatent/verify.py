@@ -18,7 +18,7 @@ from . import bounds as bd
 from . import fixtures as fx
 from . import h3entropy as h3
 from . import spectral as sp
-from .quadrature import QuadratureSpec, integrate_batch
+from .quadrature import QuadratureSpec, integrate_batch, require_converged
 from .specfun import (
     HyperbolicMoment,
     hyperbolic_moment_closed_form,
@@ -64,18 +64,21 @@ def _stable_moment_integrand(cases: list[tuple[HyperbolicMoment, float, float]])
 
 
 def check_moment_table(spec: QuadratureSpec) -> CheckResult:
-    """Nine closed-form moments vs the quadrature oracle, both paths."""
+    """Nine closed-form moments vs the quadrature oracle, both paths; an
+    unconverged integral of either path raises, naming its case."""
     cases = [(moment, kappa, t) for moment in _MOMENTS
              for kappa in _KAPPA_GRID for t in _T_GRID]
-    direct = integrate_batch(_stable_moment_integrand(cases), len(cases), spec)
+    results = integrate_batch(_stable_moment_integrand(cases),
+                              [kappa * t for _, kappa, t in cases],
+                              [math.sqrt(t) for _, _, t in cases], spec)
+    direct = [require_converged(d, f"direct path of {m} at kappa = {k!r}, t = {t!r}").value
+              for (m, k, t), d in zip(cases, results)]
     shifted = hyperbolic_moment_quadratures(cases, spec)
     worst = 0.0
     for (moment, kappa, t), d, s in zip(cases, direct, shifted):
         grown = math.exp(0.5 * kappa * kappa * t)
         closed = grown * hyperbolic_moment_closed_form(moment, kappa, t)
-        worst = max(worst,
-                    abs(closed - d.value) / abs(d.value),
-                    abs(grown * s - d.value) / abs(d.value))
+        worst = max(worst, abs(closed - d) / abs(d), abs(grown * s - d) / abs(d))
     return CheckResult(worst <= 1e-8, worst,
                        "closed forms and both integration paths agree on the "
                        f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
@@ -85,12 +88,12 @@ def check_second_moment(spec: QuadratureSpec) -> CheckResult:
     """Closed-form scaled second moment vs radial quadrature; equals 2 at
     kappa^2 t = 1."""
     worst = 0.0
+    times = np.array(_T_GRID)
     for kappa in _KAPPA_GRID:
         p = h3.H3Params(kappa, spec)
-        for t in _T_GRID:
-            closed = h3.I1(p, t)
-            quad = h3.I1_quadrature(p, t)
-            worst = max(worst, abs(closed - quad) / abs(closed))
+        closed = h3.I1(p, times)
+        quad = h3.I1_quadrature(p, times)
+        worst = max(worst, float(np.max(np.abs(closed - quad) / np.abs(closed))))
     pin = abs(h3.I1(h3.H3Params(2.0, spec), 0.25) - 2.0)
     worst = max(worst, pin)
     return CheckResult(worst <= 1e-8, worst,
@@ -99,10 +102,10 @@ def check_second_moment(spec: QuadratureSpec) -> CheckResult:
 
 def check_h3_normalization(spec: QuadratureSpec) -> CheckResult:
     worst = 0.0
+    times = np.array([0.1, 1.0, 10.0, 50.0])
     for kappa in _KAPPA_GRID:
-        p = h3.H3Params(kappa, spec)
-        for t in (0.1, 1.0, 10.0, 50.0):
-            worst = max(worst, abs(h3.normalization_quadrature(p, t) - 1.0))
+        mass = h3.normalization_quadrature(h3.H3Params(kappa, spec), times)
+        worst = max(worst, float(np.max(np.abs(mass - 1.0))))
     return CheckResult(worst <= 1e-8, worst,
                        "radial kernel mass is 1 on the kappa x t grid")
 
@@ -295,12 +298,12 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
     library matches the direct integral; a doubled exponent would not.
     """
     worst = 0.0
-    times = (0.3, 1.0, 5.0)
+    times = np.array([0.3, 1.0, 5.0])
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa, spec)
-        for rec in h3.evaluate_records(p, times):
-            direct = h3.entropy_quadrature(p, rec.t)
-            worst = max(worst, abs(rec.entropy - direct) / abs(direct))
+        assembled = np.array([rec.entropy for rec in h3.evaluate_records(p, times)])
+        direct = h3.entropy_quadrature(p, times)
+        worst = max(worst, float(np.max(np.abs(assembled - direct) / np.abs(direct))))
     return CheckResult(worst <= 1e-6, worst,
                        "decomposed entropy equals the direct integral; "
                        "single-Gaussian weight confirmed")

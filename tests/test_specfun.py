@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatent.quadrature import QuadratureSpec, integrate_semi_infinite
+from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_SWITCH,
     HyperbolicMoment,
     alpha,
     hyperbolic_moment_closed_form,
-    hyperbolic_moment_quadrature,
+    hyperbolic_moment_quadratures,
     log_sinh_ratio,
     sinh_ratio_bounds_check,
 )
@@ -27,7 +27,7 @@ def stable_moment_integrand(kappa, t, moment):
     """Direct-quadrature oracle integrand with the exponentials combined."""
     at_zero = 1.0 if (moment.kind == "cosh" and moment.power == 0) else 0.0
 
-    def f(r):
+    def f(r, j):
         gauss = -r * r / (2.0 * t)
         up = np.exp(gauss + kappa * r) / 2.0
         down = np.exp(gauss - kappa * r) / 2.0
@@ -44,8 +44,8 @@ def test_erf_against_quadrature_oracle():
     # alpha(kappa, t) = sqrt(pi/2) erf(x) at x = kappa sqrt(t/2), and
     # erf(x) = 1 - (2/sqrt(pi)) * integral_0^inf exp(-(x+u)^2) du
     for kappa, x in zip((0.5, 1.0, 2.0) * 3, (0.25, 0.8, 1.5, 2.5, 3.7, 4.5, 6.0)):
-        tail = integrate_semi_infinite(
-            lambda u: np.exp(-((x + u) ** 2)), TIGHT).value
+        tail = integrate_batch(lambda u, j: np.exp(-((x + u) ** 2)),
+                               [0.0], [1.0], TIGHT)[0].value
         oracle = SQRT_HALF_PI * (1.0 - 2.0 / math.sqrt(math.pi) * tail)
         t = 2.0 * (x / kappa) ** 2
         assert alpha(kappa, t) == pytest.approx(oracle, rel=1e-11)
@@ -106,8 +106,8 @@ def test_moment_table_against_oracle():
         for kappa in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
                 closed = hyperbolic_moment_closed_form(moment, kappa, t)
-                direct = integrate_semi_infinite(
-                    stable_moment_integrand(kappa, t, moment)).value
+                direct = integrate_batch(stable_moment_integrand(kappa, t, moment),
+                                         [kappa * t], [math.sqrt(t)])[0].value
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert closed * grown == pytest.approx(direct, rel=1e-8), (
                     moment, kappa, t)
@@ -117,9 +117,9 @@ def test_moment_paths_agree():
     for moment in ALL_MOMENTS:
         for kappa in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
-                shifted = hyperbolic_moment_quadrature(moment, kappa, t)
-                direct = integrate_semi_infinite(
-                    stable_moment_integrand(kappa, t, moment)).value
+                [shifted] = hyperbolic_moment_quadratures([(moment, kappa, t)])
+                direct = integrate_batch(stable_moment_integrand(kappa, t, moment),
+                                         [kappa * t], [math.sqrt(t)])[0].value
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert shifted * grown == pytest.approx(direct, rel=1e-8)
 
@@ -128,10 +128,20 @@ def test_moment_no_overflow_at_large_scale():
     # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
     # it times exp(-200) and agree without ever materialising it
     closed = hyperbolic_moment_closed_form(HyperbolicMoment(3, "sinh"), 2.0, 100.0)
-    shifted = hyperbolic_moment_quadrature(HyperbolicMoment(3, "sinh"), 2.0, 100.0)
+    [shifted] = hyperbolic_moment_quadratures([(HyperbolicMoment(3, "sinh"), 2.0, 100.0)])
     assert math.isfinite(closed) and math.isfinite(shifted)
     rel = abs(closed - shifted) / abs(closed)
     assert rel < 1e-8
+
+
+def test_shifted_moments_refuse_unconverged_integrals():
+    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
+                          max_subdivisions=1)
+    cases = [(moment, 0.5, 0.1) for moment in ALL_MOMENTS]
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"^shifted path of HyperbolicMoment\(power=0, kind='sinh'\) "
+                             r"at kappa = 0\.5, t = 0\.1: "):
+        hyperbolic_moment_quadratures(cases, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
-from heatent.quadrature import QuadratureSpec
-from heatent.verify import CHECKS, run_checks
+from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec
+from heatent.verify import CHECKS, check_moment_table, run_checks
 
 
 def test_check_registry_names_are_stable():
@@ -39,3 +39,14 @@ def test_fast_checks_pass():
                  "entropy_decomposition"):
         result = run_checks(only=name, spec=spec)[name]
         assert result.passed, (name, result)
+
+
+def test_moment_table_refuses_unconverged_integrals():
+    # one subdivision at these tolerances leaves every direct integral
+    # unconverged; the first case is named instead of a pass on its value
+    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
+                          max_subdivisions=1)
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"^direct path of HyperbolicMoment\(power=0, kind='sinh'\) "
+                             r"at kappa = 0\.5, t = 0\.1: "):
+        check_moment_table(spec)
