@@ -104,40 +104,44 @@ def get_fixture(name: str) -> Fixture:
                          f"choose from {sorted(FIXTURE_BUILDERS)}") from None
 
 
-def _random_trig_poly(rng: np.random.Generator, cutoff: int, amplitude: float):
-    """Random real trigonometric polynomial on the unit torus, sup-norm-scaled.
-
-    Uses the half-plane of modes (m1 > 0, or m1 == 0 and m2 > 0) with random
-    cosine phases, which spans all real zero-mean trig polynomials of the band.
+def _random_trig_coefficients(rng: np.random.Generator, manifold: sp.ManifoldSpec,
+                              cutoff: int, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, grid values) of a random real zero-mean trigonometric
+    polynomial with sup norm ``amplitude`` on the grid: over the half-plane
+    of modes (m1 > 0, or m1 == 0 and m2 > 0), a_m 0.5^(|m1| + |m2|)
+    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform.  In the basis
+    exp(2 pi i m.x/L)/sqrt(vol) that is c_m = a_m 0.5^(|m1| + |m2|)
+    exp(i phi_m) sqrt(vol)/2, and c_-m is its conjugate.
     """
+    if manifold.kind != "torus2":
+        raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
     amplitudes = rng.normal(size=(cutoff + 1, 2 * cutoff + 1))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=amplitudes.shape)
-
-    def f(x, y):
-        acc = np.zeros_like(x)
-        for i in range(amplitudes.shape[0]):
-            for j in range(amplitudes.shape[1]):
-                m1, m2 = i, j - cutoff
-                if m1 == 0 and m2 <= 0:
-                    continue
-                decay = 0.5 ** (abs(m1) + abs(m2))
-                acc = acc + amplitudes[i, j] * decay * np.cos(
-                    2.0 * np.pi * (m1 * x + m2 * y) + phases[i, j])
-        peak = np.abs(acc).max()
-        if peak > 0.0:
-            acc = acc * (amplitude / peak)
-        return acc
-
-    return f
+    m1, m2 = np.ix_(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1))
+    half = (0.5 * math.sqrt(manifold.volume) * amplitudes * 0.5 ** (m1 + np.abs(m2))
+            * np.exp(1j * phases))
+    half[0, :cutoff + 1] = 0.0  # m1 == 0 and m2 <= 0 lie in the other half
+    coeffs = np.zeros((2 * cutoff + 1,) * 2, dtype=complex)
+    coeffs[cutoff:] = half
+    coeffs += coeffs[::-1, ::-1].conj()
+    values = sp.resolve(sp.SpectralField(manifold, coeffs, cutoff))
+    peak = np.abs(values).max()
+    if peak > 0.0:
+        coeffs *= amplitude / peak
+        values *= amplitude / peak
+    return coeffs, values
 
 
 def random_positive_torus_field(rng: np.random.Generator,
                                 manifold: sp.ManifoldSpec,
                                 cutoff: int = 2,
                                 amplitude: float = 0.5) -> sp.SpectralField:
-    """Random strictly positive trigonometric polynomial: 1.5 + bounded noise."""
-    noise = _random_trig_poly(rng, cutoff, amplitude)
-    return sp.project_initial(manifold, lambda x, y: 1.5 + noise(x, y), cutoff)
+    """Random strictly positive trigonometric polynomial: 1.5 + bounded noise.
+    Raises PositivityError where ``amplitude`` lets it reach the positivity floor."""
+    coeffs, values = _random_trig_coefficients(rng, manifold, cutoff, amplitude)
+    sp._require_positive(1.5 + values[np.newaxis], sp._RESOLVED_MINIMUM)
+    coeffs[cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
+    return sp.SpectralField(manifold, coeffs, cutoff)
 
 
 def random_torus_potential(rng: np.random.Generator,
@@ -145,4 +149,5 @@ def random_torus_potential(rng: np.random.Generator,
                            cutoff: int = 2,
                            amplitude: float = 0.3) -> sp.SpectralField:
     """Random signed trigonometric potential with bounded sup-norm."""
-    return sp.project_potential(manifold, _random_trig_poly(rng, cutoff, amplitude), cutoff)
+    coeffs, _ = _random_trig_coefficients(rng, manifold, cutoff, amplitude)
+    return sp.SpectralField(manifold, coeffs, cutoff)

@@ -485,8 +485,8 @@ def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
             xi_primes[:n] * rest[:n] + xis[:n] * rest_prime)
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
-        eta_lower, eta_upper = eta_envelope(p, grid)
-        etap_lower, etap_upper = eta_prime_envelope(p, grid)
+        eta_lower, eta_upper = closed[:n] - lower[:n], closed[:n] - upper[:n]
+        etap_lower, etap_upper = closed_prime - lower_prime, closed_prime - upper_prime
         sides = (_slack_margins(eta[:n], rest[:n], error[:n], lower[:n], upper[:n])
                  + _slack_margins(etap, rest_prime, error_prime, lower_prime, upper_prime))
 

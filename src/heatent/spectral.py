@@ -15,8 +15,8 @@ the one-axis torus, and the drifted torus is the plain torus whose manifold
 carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in cos(theta).
 Each transform is built once per content key (geometry, side lengths,
 cutoff, grid size) and shared from a bounded cache, so every array it holds
-is read-only.  Synthesis and |grad u|^2 take coefficient rows with leading
-batch axes.
+is read-only.  Synthesis, stacked periodic derivatives and |grad u|^2 take
+coefficient rows with leading batch axes.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -117,7 +117,8 @@ def torus2_drift(potential: SpectralField) -> ManifoldSpec:
     base = potential.manifold
     if base.kind != "torus2":
         raise ValueError("drift potential must live on a plain torus2")
-    vxx, vxy, vyy = _transform(base, potential.cutoff).hessian(potential.coefficients)
+    vxx, vxy, vyy = _transform(base, potential.cutoff).derivatives(potential.coefficients,
+                                                                    *_HESSIAN)
     lam_max = 0.5 * (vxx + vyy) + np.sqrt(0.25 * (vxx - vyy) ** 2 + vxy ** 2)
     k = -2.0 * float(lam_max.max())
     return ManifoldSpec("torus2_drift", base.lengths, 2, k, base.volume, potential)
@@ -125,6 +126,11 @@ def torus2_drift(potential: SpectralField) -> ManifoldSpec:
 
 # ---------------------------------------------------------------------------
 # transforms
+
+
+# derivative orders on the 2-torus: x, y; then xx, xy, yy
+_GRADIENT = ((0,), (1,))
+_HESSIAN = ((0, 0), (0, 1), (1, 1))
 
 
 def _grid_size(cutoff: int) -> int:
@@ -171,26 +177,17 @@ class _PeriodicTransform:
         spec = np.fft.fftn(values) / values.size
         return spec[self._slots] * math.sqrt(self.volume)
 
-    def full_energy(self, values: np.ndarray) -> float:
-        spec = np.fft.fftn(values) / values.size
-        return float(np.sum(np.abs(spec) ** 2)) * self.volume
-
-    def derivative(self, coeffs: np.ndarray, *axes: int) -> np.ndarray:
-        """Grid values of the derivative along ``axes`` (repeats allowed)."""
-        for axis in axes:
-            coeffs = coeffs * self.ik[axis]
-        return self.synth(coeffs)
-
-    def gradient(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        return [self.derivative(coeffs, axis) for axis in range(len(self.lengths))]
-
-    def hessian(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        """Second derivatives (a, b) for a <= b: uxx, uxy, uyy on the torus."""
-        d = len(self.lengths)
-        return [self.derivative(coeffs, a, b) for a in range(d) for b in range(a, d)]
+    def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...]) -> np.ndarray:
+        """Grid values of the derivative along each order's axes (repeats
+        allowed, () for the field itself), stacked on a leading axis and
+        synthesised at once."""
+        return self.synth(np.stack([math.prod((self.ik[axis] for axis in order), start=coeffs)
+                                    for order in orders]))
 
     def gradient_squared(self, coeffs: np.ndarray) -> np.ndarray:
-        return sum(g * g for g in self.gradient(coeffs))
+        # one synthesis per axis: on trace chunks that beats stacking the axes
+        return sum(g * g for axis in range(len(self.lengths))
+                   for g in self.derivatives(coeffs, (axis,)))
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's."""
@@ -248,10 +245,6 @@ class _SphereTransform:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         shell = 2.0 * math.pi * self.radius * self.radius
         return shell * self.norms * (self.p @ (self.w * values))
-
-    def full_energy(self, values: np.ndarray) -> float:
-        shell = 2.0 * math.pi * self.radius * self.radius
-        return shell * float(np.sum(self.w * values * values))
 
     def gradient_squared(self, coeffs: np.ndarray) -> np.ndarray:
         # the zonal gradient is the theta-derivative over the radius
@@ -343,7 +336,8 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
     tr = _transform(manifold, cutoff)
     values = np.asarray(f(*tr.points()), dtype=float)
     coeffs = tr.analyze(values)
-    total = tr.full_energy(values)
+    # the data's whole energy by the grid rule (Parseval on the periodic grid)
+    total = float(np.sum(tr.weights() * values * values))
     kept = float(np.sum(np.abs(coeffs) ** 2))
     # The comparison of two quadratures of the same data floors out at a few
     # ulps of the total, so grant that on top of the contractual fraction.
@@ -398,7 +392,10 @@ def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     w, v, v_inv = _drift_propagator(
         manifold.lengths, field.cutoff, potential.cutoff,
         np.asarray(potential.coefficients, dtype=complex).tobytes())
-    rows = (np.exp(np.outer(times, w)) * (v_inv @ c0.ravel())) @ v.T
+    x = np.exp(np.outer(times, w)) * (v_inv @ c0.ravel())
+    # one vector-matrix product per row: a matrix-matrix product rounds
+    # differently, so a row would depend on how many times are propagated
+    rows = (x[:, np.newaxis, :] @ v.T)[:, 0]
     return rows.reshape(times.shape + c0.shape)
 
 
@@ -615,15 +612,12 @@ def bochner_residual(w: SpectralField,
     n = _grid_size(2 * cutoff)
 
     tr = _flat_torus(manifold, w.cutoff, n, "residual")
-    u = tr.synth(w.coefficients)
-    ux, uy = tr.gradient(w.coefficients)
-    uxx, uxy, uyy = tr.hessian(w.coefficients)
+    u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
     lap_u = uxx + uyy
 
     if potential is not None:
         tv = _transform(manifold, potential.cutoff, n)
-        vx, vy = tv.gradient(potential.coefficients)
-        vxx, vxy, vyy = tv.hessian(potential.coefficients)
+        vx, vy, vxx, vxy, vyy = tv.derivatives(potential.coefficients, *_GRADIENT, *_HESSIAN)
     else:
         vx = vy = vxx = vxy = vyy = np.zeros_like(u)
 
@@ -631,14 +625,13 @@ def bochner_residual(w: SpectralField,
     # derivatives are exact too.
     g = ux * ux + uy * uy
     tg = _transform(manifold, 2 * w.cutoff, n)
-    g_coeffs = tg.analyze(g)
-    gx, gy = tg.gradient(g_coeffs)
-    lap_g = tg.synth(g_coeffs * (tg.ik[0] ** 2 + tg.ik[1] ** 2))
+    gx, gy, gxx, gyy = tg.derivatives(tg.analyze(g), *_GRADIENT, (0, 0), (1, 1))
+    lap_g = gxx + gyy
 
     # Lu = Laplacian/2 + advection; band cutoff + potential band, still exact.
     lu_grid = 0.5 * lap_u + vx * ux + vy * uy
     tl = _transform(manifold, cutoff + w.cutoff, n)
-    lux, luy = tl.gradient(tl.analyze(lu_grid))
+    lux, luy = tl.derivatives(tl.analyze(lu_grid), *_GRADIENT)
 
     # P = |grad u|^2 / u is not band-limited; expand its derivatives by the
     # quotient rule in terms of the exact pieces above.
@@ -666,9 +659,7 @@ def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
     the slack must be nonnegative up to roundoff for positive fields.
     """
     tr = _flat_torus(w.manifold, w.cutoff, None, "trace inequality")
-    u = tr.synth(w.coefficients)
-    ux, uy = tr.gradient(w.coefficients)
-    uxx, uxy, uyy = tr.hessian(w.coefficients)
+    u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
     lhs = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy)
     lap_log = (uxx + uyy) / u - (ux * ux + uy * uy) / u ** 2
     rhs = u * u / w.manifold.dimension * lap_log ** 2
@@ -688,8 +679,7 @@ def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
         raise ValueError("cauchy step values are defined for the plain volume measure")
     tr = _transform(manifold, field.cutoff)
     u = tr.synth(field.coefficients)
-    if float(u.min()) <= POSITIVITY_FLOOR:
-        raise PositivityError("resolved field must be strictly positive")
+    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
     lam = eigenvalues(manifold, field.cutoff)
     lap_u = tr.synth(field.coefficients * (-lam))
     grad2 = tr.gradient_squared(field.coefficients)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
@@ -137,6 +138,79 @@ def test_project_potential_allows_signed_data():
     potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2 * np.pi * y), 2)
     values = sp.resolve(potential)
     assert values.min() < 0.0 < values.max()
+
+
+def _grid_trig_poly(rng, cutoff, amplitude):
+    """The random polynomial as a grid closure, to be projected: the oracle
+    of the coefficients ``fixtures`` writes directly."""
+    amplitudes = rng.normal(size=(cutoff + 1, 2 * cutoff + 1))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=amplitudes.shape)
+
+    def f(x, y):
+        acc = np.zeros_like(x)
+        for i in range(amplitudes.shape[0]):
+            for j in range(amplitudes.shape[1]):
+                m1, m2 = i, j - cutoff
+                if m1 == 0 and m2 <= 0:
+                    continue
+                decay = 0.5 ** (abs(m1) + abs(m2))
+                acc = acc + amplitudes[i, j] * decay * np.cos(
+                    2.0 * np.pi * (m1 * x + m2 * y) + phases[i, j])
+        peak = np.abs(acc).max()
+        return acc * (amplitude / peak) if peak > 0.0 else acc
+
+    return f
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_random_fields_equal_their_projected_grid_polynomials(cutoff):
+    for seed in (0, 3, 11):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        field = fx.random_positive_torus_field(rng, TORUS, cutoff=cutoff)
+        potential = fx.random_torus_potential(rng, TORUS, cutoff=cutoff)
+        noise = _grid_trig_poly(oracle, cutoff, 0.5)
+        want_field = sp.project_initial(TORUS, lambda x, y: 1.5 + noise(x, y), cutoff)
+        want_potential = sp.project_potential(TORUS, _grid_trig_poly(oracle, cutoff, 0.3),
+                                              cutoff)
+        for got, want in ((field, want_field), (potential, want_potential)):
+            assert got.manifold is TORUS and got.cutoff == cutoff
+            error = np.abs(got.coefficients - want.coefficients).max()
+            assert error <= 1e-14 * np.abs(want.coefficients).max(), (seed, error)
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "torus-drift"])
+def test_random_fields_refuse_other_manifolds(name):
+    manifold = fx.get_fixture(name).manifold
+    for make in (fx.random_positive_torus_field, fx.random_torus_potential):
+        with pytest.raises(ValueError, match="plain torus2"):
+            make(np.random.default_rng(0), manifold)
+
+
+def test_random_positive_field_refuses_noise_past_the_floor():
+    with pytest.raises(sp.PositivityError):
+        fx.random_positive_torus_field(np.random.default_rng(0), TORUS, amplitude=100.0)
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.0), (1.0, 1.5)])
+def test_stacked_derivatives_equal_single_orders_and_analytic_modes(lengths):
+    # u = 2 + cos(theta) with theta = 2 pi (x / L1 + 2 y / L2) + 0.3
+    k = [2.0 * math.pi * m / length for m, length in zip((1, 2), lengths)]
+    manifold = sp.circle(*lengths) if len(lengths) == 1 else sp.torus2(*lengths)
+    field = sp.project_potential(
+        manifold, lambda *x: 2.0 + np.cos(sum(ki * xi for ki, xi in zip(k, x)) + 0.3), 2)
+    tr = sp._transform(manifold, 2)
+    theta = sum(ki * xi for ki, xi in zip(k, tr.points())) + 0.3
+    orders = [(), *[(a,) for a in range(len(k))],
+              *[(a, b) for a in range(len(k)) for b in range(a, len(k))]]
+    stacked = tr.derivatives(field.coefficients, *orders)
+    assert stacked.shape == (len(orders), *tr.shape)
+    for order, values in zip(orders, stacked):
+        assert np.array_equal(values, tr.derivatives(field.coefficients, order)[0]), order
+        # d/dx_a of cos(theta) is -k_a sin(theta), d2/dx_a dx_b is -k_a k_b cos(theta)
+        factor = math.prod(k[a] for a in order)
+        want = {0: 2.0 + np.cos(theta), 1: -factor * np.sin(theta),
+                2: -factor * np.cos(theta)}[len(order)]
+        assert np.abs(values - want).max() <= 1e-13 * max(1.0, factor), order
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +510,35 @@ def test_trace_rows_equal_single_time_functionals(name, ulps):
         assert np.array_equal(trace.rate_fd, rate_fd)
 
 
+# Each drifted row is its own vector-matrix product, so it equals the lone
+# evolve bit for bit whatever the BLAS thread count; the test above allows
+# 2 ulps and runs under the suite's own thread count.
+_DRIFT_ROWS_CHECK = """
+import numpy as np
+from heatent import fixtures as fx, spectral as sp
+
+fixture = fx.drift_fixture()
+times = fixture.default_times
+trace = sp.entropy_trace(fixture.initial, times)
+
+def functionals(grid):
+    return np.array([sp.entropy_and_fisher(sp.evolve(fixture.initial, t)) for t in grid]).T
+
+entropy, fisher = functionals(times)
+h = 1e-4 * times
+rate_fd = (functionals(times + h)[0] - functionals(times - h)[0]) / (2.0 * h)
+assert np.array_equal(trace.entropy, entropy), (trace.entropy, entropy)
+assert np.array_equal(trace.fisher, fisher), (trace.fisher, fisher)
+assert np.array_equal(trace.rate_fd, rate_fd), (trace.rate_fd, rate_fd)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_drift_trace_rows_equal_single_time_functionals_at_any_thread_count(threads):
+    proc = run_python("-c", _DRIFT_ROWS_CHECK, OPENBLAS_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("name, ulps", [("circle", 0), ("torus", 0), ("sphere", 2),
                                         ("torus-drift", 0)])
 def test_trace_chunking_leaves_rows_unchanged(name, ulps, monkeypatch):
@@ -528,8 +631,8 @@ def test_bochner_drift_term_materially_nonzero():
     report = sp.bochner_residual(field, potential=potential)
     assert report.relative <= 1e-8
     tr = sp._transform(TORUS, 2, 32)
-    wx = tr.derivative(field.coefficients, 0)
-    vxx = tr.derivative(potential.coefficients, 0, 0)
+    (wx,) = tr.derivatives(field.coefficients, (0,))
+    (vxx,) = tr.derivatives(potential.coefficients, (0, 0))
     assert np.abs(vxx * wx * wx).max() > 0.1
 
 
