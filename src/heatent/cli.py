@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -183,39 +183,53 @@ def _emit_table(header: Sequence[str], rows: Sequence[Sequence[float]],
         _emit(_csv(header, rows), args.out)
 
 
+def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
+                     checks_at: Callable[[int], list[str]]) -> int:
+    """Exit status 0 when every row is ok.  Otherwise 1, and one stderr line
+    names the failing row count, the first failing t and the checks
+    ``checks_at`` gives for its row index."""
+    failing = np.flatnonzero(~ok)
+    if failing.size == 0:
+        return 0
+    i = int(failing[0])
+    sys.stderr.write(f"{command}: {failing.size} of {ok.size} rows failed; first at "
+                     f"t={_fmt(times[i])}: {' and '.join(checks_at(i))}\n")
+    return 1
+
+
 def cmd_h3(args: argparse.Namespace) -> int:
     kappa = args.kappa
     times = _time_grid(args)
     params = h3.H3Params(kappa, _quadrature_spec(args))
-    records = h3.evaluate_records(params, times)
+    sweep = h3.evaluate_records(params, times)
 
-    rows = []
-    failing = []
-    for rec in records:
-        # A verdict that is not resolved inside fails the row, as one outside does.
-        problems = [f"{v.check} {v.state}: margin {v.margin:.3e}, error {v.error:.1e}"
-                    for v in rec.verdicts if v.state != "inside"]
+    t = sweep.t.tolist()
+    # the sweep holds the eta family times exp(-kappa^2 t/2)
+    exponents = [0.5 * kappa * kappa * s for s in t]
+    etas = [[_unscaled(v, e) for v, e in zip(column.tolist(), exponents)]
+            for column in (sweep.eta, sweep.eta_lower, sweep.eta_upper,
+                           sweep.etap, sweep.etap_lower, sweep.etap_upper)]
+    band = h3.asymptotic_band(params)
+    columns = zip(t, sweep.entropy.tolist(), sweep.I1.tolist(), sweep.I2.tolist(),
+                  sweep.rate_direct.tolist(), sweep.rate_fd.tolist(), *etas)
+    _emit_table(H3_COLUMNS, [[*row, *band] for row in columns], args)
+
+    band_ok = sweep.band_ok
+
+    def checks_at(i: int) -> list[str]:
+        # A side that is not resolved inside fails the row, as one outside does.
+        margins, errors = sweep.margins[:, i], sweep.errors[:, i]
+        problems = [f"{side} {state}: margin {margin:.3e}, error {error:.1e}"
+                    for side, state, margin, error in zip(
+                        h3.SIDES, h3.verdict_states(margins, errors).tolist(),
+                        margins.tolist(), errors.tolist())
+                    if state != "inside"]
         checks = [f"envelope check ({'; '.join(problems)})"] if problems else []
-        if not rec.band_ok(kappa):
-            checks.append(f"band check (margin {rec.band_margin(kappa):.3e})")
-        if checks:
-            failing.append((rec.t, checks))
-        # the records hold the eta family times exp(-kappa^2 t/2)
-        exponent = 0.5 * kappa * kappa * rec.t
-        rows.append([
-            rec.t, rec.entropy, rec.I1, rec.I2, rec.rate_direct, rec.rate_fd,
-            *(_unscaled(v, exponent) for v in (rec.eta, rec.eta_lower, rec.eta_upper,
-                                            rec.etap, rec.etap_lower, rec.etap_upper)),
-            rec.band_lo, rec.band_hi,
-        ])
+        if not band_ok[i]:
+            checks.append(f"band check (margin {sweep.band_margin[i]:.3e})")
+        return checks
 
-    _emit_table(H3_COLUMNS, rows, args)
-    if failing:
-        t, checks = failing[0]
-        sys.stderr.write(f"h3: {len(failing)} of {len(rows)} rows failed; first at "
-                         f"t={_fmt(t)}: {' and '.join(checks)}\n")
-        return 1
-    return 0
+    return _report_failures("h3", sweep.envelope_ok & band_ok, t, checks_at)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -263,11 +277,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     else:
         _emit(_csv(header, rows), args.out)
 
-    if not all(r.all_satisfied for r in reports):
-        bad = [r.bound_name for r in reports if not r.all_satisfied]
-        sys.stderr.write(f"evolve: bound(s) violated: {', '.join(bad)}\n")
-        return 1
-    return 0
+    return _report_failures(
+        "evolve", np.all([r.satisfied for r in reports], axis=0), trace.times,
+        lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
+                   for r in reports if not r.satisfied[i]])
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

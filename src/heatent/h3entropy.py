@@ -43,6 +43,11 @@ against a rounded envelope.  Each side is inside, outside or unresolved
 against the error estimate.  ``eta_quadrature``, the same eta by adaptive
 quadrature, is the oracle the tests hold the rule to.
 
+The sweep.  ``evaluate_records`` returns one ``H3Sweep``: a column array per
+quantity, and the margins and error estimates of the four envelope sides as
+(4, n) arrays in the order of ``SIDES``.  ``verdict_states`` is the one rule
+that turns a margin and its error into inside, outside or unresolved.
+
 A note on the radial weight: the density decomposition used here carries a
 single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
 of that integrand is inconsistent with the closed-form pieces; the direct
@@ -321,68 +326,65 @@ def asymptotic_band(p: H3Params) -> tuple[float, float]:
     return k2 * (2.0 - _LOG_SQRT2), k2 * (2.0 + _LOG_SQRT2)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One side of an envelope check.
+SIDES = ("eta lower", "eta upper", "eta' lower", "eta' upper")
 
-    margin is how far eta (or eta') sits inside the bound, negative outside;
-    error is the error estimate of that margin.  Both are relative to the
-    checked value.
+
+def verdict_states(margin, error):
+    """Elementwise state of a check: "inside" or "outside" where the margin
+    clears its error estimate, else "unresolved".  A margin is how far the
+    checked value sits inside its bound, negative outside."""
+    return np.where(margin > error, "inside",
+                    np.where(margin < -error, "outside", "unresolved"))
+
+
+@dataclass(frozen=True, eq=False)
+class H3Sweep:
+    """The hyperbolic entropy sweep over a time grid, one array per column.
+
+    The six eta columns hold eta, eta' and their envelopes times
+    exp(-kappa^2 t/2).  margins and errors are shaped (4, n), one row per
+    envelope side in the order of SIDES; both are relative to the checked
+    value.
     """
 
-    check: str
-    margin: float
-    error: float
+    kappa: float
+    t: np.ndarray
+    entropy: np.ndarray
+    I1: np.ndarray
+    I2: np.ndarray
+    rate_direct: np.ndarray
+    rate_fd: np.ndarray
+    eta: np.ndarray
+    eta_lower: np.ndarray
+    eta_upper: np.ndarray
+    etap: np.ndarray
+    etap_lower: np.ndarray
+    etap_upper: np.ndarray
+    margins: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
 
     @property
-    def state(self) -> str:
-        """inside or outside when the margin clears its error, else unresolved."""
-        if self.margin > self.error:
-            return "inside"
-        if self.margin < -self.error:
-            return "outside"
-        return "unresolved"
-
-
-@dataclass(frozen=True)
-class H3EntropyRecord:
-    """One time-grid row of the hyperbolic entropy sweep.
-
-    The six eta fields hold eta, eta' and their envelopes times
-    exp(-kappa^2 t/2).  verdicts holds the four envelope checks (eta and
-    eta', lower and upper).
-    """
-
-    t: float
-    entropy: float
-    I1: float
-    I2: float
-    rate_direct: float
-    rate_fd: float
-    eta: float
-    eta_lower: float
-    eta_upper: float
-    etap: float
-    etap_lower: float
-    etap_upper: float
-    band_lo: float
-    band_hi: float
-    verdicts: tuple[Verdict, ...]
+    def envelope_ok(self) -> np.ndarray:
+        """Per row: every envelope side resolved inside."""
+        return np.all(verdict_states(self.margins, self.errors) == "inside", axis=0)
 
     @property
-    def envelope_ok(self) -> bool:
-        return all(v.state == "inside" for v in self.verdicts)
-
-    def band_margin(self, kappa: float) -> float:
+    def band_margin(self) -> np.ndarray:
         """How far rate_direct sits inside the band widened by _BAND_SLACK
         kappa^2; negative outside."""
-        slack = _BAND_SLACK * kappa * kappa
-        return min(self.rate_direct - (self.band_lo - slack),
-                   (self.band_hi + slack) - self.rate_direct)
+        lo, hi = asymptotic_band(H3Params(self.kappa))
+        slack = _BAND_SLACK * self.kappa * self.kappa
+        with np.errstate(all="ignore"):
+            return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)
 
-    def band_ok(self, kappa: float) -> bool:
+    @property
+    def band_ok(self) -> np.ndarray:
         """Band containment, enforced once t >= 20/kappa^2."""
-        return self.t * kappa * kappa < 20.0 or self.band_margin(kappa) >= 0.0
+        with np.errstate(all="ignore"):
+            return (self.t * self.kappa * self.kappa < 20.0) | (self.band_margin >= 0.0)
 
 
 def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
@@ -410,23 +412,23 @@ def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
 
 
 def _slack_margins(value, rest, error, lower, upper):
-    """(margins, errors) of the lower and of the upper envelope side, each
-    taken on the remainder: eta - lower = (lower term) - R and
-    upper - eta = R - (upper term), relative to the checked value."""
+    """(margins, errors) of the lower and the upper envelope side, each of
+    shape (2, n) and taken on the remainder: eta - lower = (lower term) - R
+    and upper - eta = R - (upper term), relative to the checked value."""
     size = np.where(value == 0.0, 1.0, np.abs(value))  # eta underflowed to 0: absolute
-    return [((slack / size).tolist(),
-             ((error + _SLACK_ROUNDING * (np.abs(term) + np.abs(rest))) / size).tolist())
-            for slack, term in ((lower - rest, lower), (rest - upper, upper))]
+    slacks = np.array([lower - rest, rest - upper])
+    rounding = _SLACK_ROUNDING * (np.abs([lower, upper]) + np.abs(rest))
+    return slacks / size, (error + rounding) / size
 
 
-def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
-    """One record per time, from one array program over the time grid.
+def evaluate_records(p: H3Params, times) -> H3Sweep:
+    """The sweep over the times, from one array program over the time grid.
 
     Its rows are t, t + h and t - h (h = 1e-4 t, for rate_fd); the
     trapezoid rule gives eta on every row and eta' on the t rows, and every
     closed form, envelope, rate and verdict margin is an expression over
-    these rows.  Each row is computed on its own, so a record does not
-    depend on the grid it came in.
+    these rows.  Each row is computed on its own, so a row of the sweep does
+    not depend on the grid it came in.
 
     Raises QuadratureConvergenceError for the first integral, in the order
     eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose estimate
@@ -434,7 +436,7 @@ def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
     then ValueError naming t where xi, xi' or 1/(2t^2) of a row leaves the
     double range.
     """
-    grid = np.asarray(times, dtype=float).reshape(-1)
+    grid = np.array(times, dtype=float).reshape(-1)  # a copy: the sweep keeps it
     n = grid.size
     steps = _FD_STEP_SCALE * grid
     ts = _times(np.concatenate([grid, grid + steps, grid - steps]))
@@ -485,22 +487,9 @@ def evaluate_records(p: H3Params, times) -> list[H3EntropyRecord]:
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
             xi_primes[:n] * rest[:n] + xis[:n] * rest_prime)
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
-        eta_lower, eta_upper = closed[:n] - lower[:n], closed[:n] - upper[:n]
-        etap_lower, etap_upper = closed_prime - lower_prime, closed_prime - upper_prime
-        sides = (_slack_margins(eta[:n], rest[:n], error[:n], lower[:n], upper[:n])
-                 + _slack_margins(etap, rest_prime, error_prime, lower_prime, upper_prime))
-
-    band_lo, band_hi = asymptotic_band(p)
-    names = ("eta lower", "eta upper", "eta' lower", "eta' upper")
-    columns = zip(grid.tolist(), entropy[:n].tolist(), i1[:n].tolist(), i2[:n].tolist(),
-                  rate_direct.tolist(), rate_fd.tolist(), eta[:n].tolist(),
-                  eta_lower.tolist(), eta_upper.tolist(), etap.tolist(),
-                  etap_lower.tolist(), etap_upper.tolist())
-    return [H3EntropyRecord(*row, band_lo, band_hi,
-                            tuple(Verdict(name, margins[i], errors[i])
-                                  for name, (margins, errors) in zip(names, sides)))
-            for i, row in enumerate(columns)]
-
-
-def evaluate_record(p: H3Params, t: float) -> H3EntropyRecord:
-    return evaluate_records(p, [t])[0]
+        margins, errors = (np.concatenate(pair) for pair in zip(
+            _slack_margins(eta[:n], rest[:n], error[:n], lower[:n], upper[:n]),
+            _slack_margins(etap, rest_prime, error_prime, lower_prime, upper_prime)))
+        return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
+                       closed[:n] - lower[:n], closed[:n] - upper[:n], etap,
+                       closed_prime - lower_prime, closed_prime - upper_prime, margins, errors)

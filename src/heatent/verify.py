@@ -113,19 +113,16 @@ def check_h3_normalization(spec: QuadratureSpec) -> CheckResult:
 def check_envelopes(spec: QuadratureSpec,
                     narrow_fraction: float = 0.0) -> CheckResult:
     """Quadrature values sit strictly inside the closed-form envelopes on a
-    40-point log grid; narrow_fraction > 0 shrinks each side for the harness
-    self-test."""
-    records = h3.evaluate_records(h3.H3Params(1.0, spec), np.geomspace(0.1, 100.0, 40))
-    failures = 0
-    for rec in records:
-        for value, lo, hi in ((rec.eta, rec.eta_lower, rec.eta_upper),
-                              (rec.etap, rec.etap_lower, rec.etap_upper)):
-            if narrow_fraction > 0.0:
-                gap = hi - lo
-                lo = lo + gap * narrow_fraction
-                hi = hi - gap * narrow_fraction
-            if not (lo < value < hi):
-                failures += 1
+    40-point log grid: every side's verdict is inside.  narrow_fraction > 0
+    moves each side's margin in by that fraction of its envelope's width,
+    relative to eta or eta', for the harness self-test."""
+    sweep = h3.evaluate_records(h3.H3Params(1.0, spec), np.geomspace(0.1, 100.0, 40))
+    narrowing = [narrow_fraction * (hi - lo) / np.abs(value)
+                 for value, lo, hi in ((sweep.eta, sweep.eta_lower, sweep.eta_upper),
+                                       (sweep.etap, sweep.etap_lower, sweep.etap_upper))]
+    states = h3.verdict_states(sweep.margins - np.repeat(narrowing, 2, axis=0), sweep.errors)
+    # a (row, eta or eta') pair fails when either of its two sides is not inside
+    failures = int(np.count_nonzero(~np.all(states.reshape(2, 2, -1) == "inside", axis=1)))
     detail = "eta and eta' strictly inside their envelopes on the log grid"
     if narrow_fraction > 0.0:
         detail += f" (fault injected: narrowed by {narrow_fraction:.0%} per side)"
@@ -134,23 +131,18 @@ def check_envelopes(spec: QuadratureSpec,
 
 def check_band(spec: QuadratureSpec) -> CheckResult:
     """Entropy rate inside the asymptotic band with h3's band slack."""
-    failures = 0
-    worst = 0.0
-    for kappa, ts in ((1.0, (20.0, 50.0, 100.0)), (2.0, (5.0, 12.5, 25.0))):
-        for rec in h3.evaluate_records(h3.H3Params(kappa, spec), ts):
-            margin = rec.band_margin(kappa)
-            worst = max(worst, -margin)
-            if margin < 0.0:
-                failures += 1
-    return CheckResult(failures == 0, worst,
+    margins = np.concatenate([h3.evaluate_records(h3.H3Params(kappa, spec), ts).band_margin
+                              for kappa, ts in ((1.0, (20.0, 50.0, 100.0)),
+                                                (2.0, (5.0, 12.5, 25.0)))])
+    return CheckResult(bool(np.all(margins >= 0.0)), max(0.0, float(np.max(-margins))),
                        "large-time entropy rate inside the band at kappa = 1 and 2")
 
 
 def check_rate_consistency(spec: QuadratureSpec) -> CheckResult:
     """Direct rate vs finite difference of the entropy, hyperbolic and spectral."""
-    worst = 0.0
-    for rec in h3.evaluate_records(h3.H3Params(1.0, spec), (1.0, 5.0, 20.0)):
-        worst = max(worst, abs(rec.rate_direct - rec.rate_fd) / abs(rec.rate_direct))
+    sweep = h3.evaluate_records(h3.H3Params(1.0, spec), (1.0, 5.0, 20.0))
+    rel = np.abs(sweep.rate_direct - sweep.rate_fd) / np.abs(sweep.rate_direct)
+    worst = float(rel.max())
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
         trace = sp.entropy_trace(fixture.initial, fixture.rate_check_times)
@@ -283,7 +275,7 @@ def check_log_sandwich(spec: QuadratureSpec) -> CheckResult:
 
 def check_euclidean_limit(spec: QuadratureSpec) -> CheckResult:
     """Small-curvature entropy rate reproduces the flat-space value n/(2t)."""
-    rate = h3.evaluate_record(h3.H3Params(0.01, spec), 1.0).rate_direct
+    rate = float(h3.evaluate_records(h3.H3Params(0.01, spec), [1.0]).rate_direct[0])
     reference = bd.euclidean_rate_reference(3, 1.0)
     rel = abs(rate - reference) / reference
     return CheckResult(rel <= 0.01, rel,
@@ -301,7 +293,7 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
     times = np.array([0.3, 1.0, 5.0])
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa, spec)
-        assembled = np.array([rec.entropy for rec in h3.evaluate_records(p, times)])
+        assembled = h3.evaluate_records(p, times).entropy
         direct = h3.entropy_quadrature(p, times)
         worst = max(worst, float(np.max(np.abs(assembled - direct) / np.abs(direct))))
     return CheckResult(worst <= 1e-6, worst,

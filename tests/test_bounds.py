@@ -184,7 +184,7 @@ def test_three_curvature_regimes():
 
     floor = bd.ricci_bound_asymptote(3, -1.0)
     assert floor == 1.5
-    rate_neg = h3.evaluate_record(h3.H3Params(1.0), 50.0).rate_direct
+    rate_neg = h3.evaluate_records(h3.H3Params(1.0), [50.0]).rate_direct[0]
     assert rate_neg > floor > 0.0
 
     # zero curvature: the circle rate decays like 1/t, under n/(2t)

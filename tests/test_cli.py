@@ -253,20 +253,18 @@ def test_h3_up_to_kappa2t_1e12_passes(capsys):
 
 
 def test_h3_failure_names_check_row_and_count(monkeypatch, capsys):
-    # A failing envelope is injected into the records: row 0 has one side
+    # A failing envelope is injected into the sweep: row 0 has one side
     # outside and its rate outside the band, row 2 one side unresolved.
     original = h3.evaluate_records
 
     def failing(p, times):
-        records = original(p, times)
-        first, _, last = records
-        outside = h3.Verdict("eta' lower", -2.5e-10, 3.0e-16)
-        unresolved = h3.Verdict("eta upper", 1.0e-17, 4.0e-16)
-        records[0] = replace(first, verdicts=first.verdicts[:2] + (outside,)
-                             + first.verdicts[3:], rate_direct=first.band_hi + 1.0)
-        records[2] = replace(last, verdicts=last.verdicts[:1] + (unresolved,)
-                             + last.verdicts[2:])
-        return records
+        sweep = original(p, times)
+        margins, errors = sweep.margins.copy(), sweep.errors.copy()
+        margins[2, 0], errors[2, 0] = -2.5e-10, 3.0e-16  # eta' lower, outside
+        margins[1, 2], errors[1, 2] = 1.0e-17, 4.0e-16  # eta upper, unresolved
+        rate_direct = sweep.rate_direct.copy()
+        rate_direct[0] = h3.asymptotic_band(p)[1] + 1.0
+        return replace(sweep, margins=margins, errors=errors, rate_direct=rate_direct)
 
     monkeypatch.setattr(h3, "evaluate_records", failing)
     argv = ["h3", "--t-start", "100", "--t-stop", "1000", "--t-count", "3"]
@@ -278,26 +276,53 @@ def test_h3_failure_names_check_row_and_count(monkeypatch, capsys):
         "outside: margin -2.500e-10, error 3.0e-16) and band check (margin -9.500e-01)\n")
 
 
+def test_evolve_failure_names_bounds_row_and_count(monkeypatch, capsys):
+    # Two bounds fail at the second time, a third bound at the fourth one;
+    # the line names the row count, the first failing t and every bound
+    # failing there with its margin rhs - lhs.
+    original = bd.check_bounds
+
+    def failing(trace, manifold, initial):
+        reports = original(trace, manifold, initial)
+        for j, (i, lhs, rhs) in enumerate(((1, 1.5, 1.0), (1, 0.75, 0.5), (3, 2.0, 1.0))):
+            report = reports[j]
+            values = {name: getattr(report, name).copy()
+                      for name in ("lhs", "rhs", "satisfied")}
+            values["lhs"][i], values["rhs"][i], values["satisfied"][i] = lhs, rhs, False
+            reports[j] = replace(report, **values)
+        return reports
+
+    monkeypatch.setattr(bd, "check_bounds", failing)
+    times = fx.get_fixture("circle").default_times
+    assert cli.main(["evolve", "--manifold", "circle"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == times.size + 1
+    assert captured.err == (
+        f"evolve: 2 of {times.size} rows failed; first at t={float(times[1])!r}: "
+        "ricci_curvature bound (margin -5.000e-01) and "
+        "gradient_log_sup bound (margin -2.500e-01)\n")
+
+
 def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
-    # The records hold the eta family times exp(-kappa^2 t/2); the CSV puts
+    # The sweep holds the eta family times exp(-kappa^2 t/2); the CSV puts
     # the factor back, so an entry is inf exactly where its log passes 709,
     # and where all six are finite their order is the envelope verdict.
     argv = ["h3", "--kappa", "1", "--t-start", "1000", "--t-stop", "2000", "--t-count", "4"]
     assert cli.main(argv) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    records = h3.evaluate_records(h3.H3Params(1.0), [float(row["t"]) for row in rows])
+    sweep = h3.evaluate_records(h3.H3Params(1.0), [float(row["t"]) for row in rows])
     names = ("eta_lower", "eta", "eta_upper", "etap_lower", "etap", "etap_upper")
     finite_rows = 0
-    for row, rec in zip(rows, records):
+    for i, (row, t) in enumerate(zip(rows, sweep.t.tolist())):
         values = [float(row[name]) for name in names]
         for name, value in zip(names, values):
-            below = 0.5 * rec.t + math.log(getattr(rec, name)) <= 709.0
-            assert math.isfinite(value) == below, (rec.t, name)
+            below = 0.5 * t + math.log(getattr(sweep, name)[i]) <= 709.0
+            assert math.isfinite(value) == below, (t, name)
             assert below or value == math.inf
         if all(math.isfinite(v) for v in values):
             finite_rows += 1
             ordered = values[0] < values[1] < values[2] and values[3] < values[4] < values[5]
-            assert ordered == rec.envelope_ok
+            assert ordered == sweep.envelope_ok[i]
     assert 0 < finite_rows < len(rows)
 
 
@@ -328,6 +353,19 @@ def test_verify_injected_fault_names_check():
     assert "envelopes" in proc.stderr
     report = json.loads(proc.stdout)
     assert report["envelopes"]["pass"] is False
+
+
+def test_verify_injected_fault_report_is_unchanged(capsys):
+    # the fault moves each side's margin by 10% of its envelope's width; the
+    # same 24 of the 80 (row, eta or eta') pairs fail as when the envelope
+    # bounds themselves were narrowed
+    assert cli.main(["verify", "--only", "envelopes", "--inject-fault", "envelopes"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{\n  "envelopes": {\n    "details": "eta and eta\' strictly inside their '
+        'envelopes on the log grid (fault injected: narrowed by 10% per side)",\n'
+        '    "max_error": 24.0,\n    "pass": false\n  }\n}\n')
+    assert captured.err == "verify: failed checks: envelopes\n"
 
 
 def test_verify_deterministic_bytes(tmp_path: Path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_xi_prime_matches_finite_difference():
 
 
 def test_eta_frozen_value():
-    eta = h3.evaluate_record(P1, 1.0).eta
+    eta = h3.evaluate_records(P1, [1.0]).eta[0]
     assert unscaled(eta, P1, 1.0) == pytest.approx(ETA_1_1, rel=1e-9)
 
 
@@ -144,7 +145,7 @@ def test_eta_matches_direct_quadrature_at_moderate_t():
         return np.where(r == 0.0, 0.0, r * sinh_weighted * log_sinh_ratio(r))
 
     oracle = integrate_batch(direct, [t], [math.sqrt(t)])[0].value
-    assert unscaled(h3.evaluate_record(P1, t).eta, P1, t) == pytest.approx(oracle, rel=1e-8)
+    assert unscaled(h3.evaluate_records(P1, [t]).eta[0], P1, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_eta_integrand_vanishes_at_origin():
@@ -153,48 +154,48 @@ def test_eta_integrand_vanishes_at_origin():
 
 def test_eta_split_representation_at_large_t():
     # eta(100) carries a factor exp(50); the scaled value leaves it out
-    e = h3.evaluate_record(P1, 100.0).eta
+    e = h3.evaluate_records(P1, [100.0]).eta[0]
     assert math.isfinite(e) and e > 0.0
     lo, hi = h3.eta_envelope(P1, 100.0)
     assert lo < e < hi
 
 
 def test_eta_positive_and_inside_envelope():
-    e = h3.evaluate_record(P1, 1.0).eta
+    e = h3.evaluate_records(P1, [1.0]).eta[0]
     lo, hi = h3.eta_envelope(P1, 1.0)
     assert e > 0.0
     assert lo < e < hi
 
 
 def test_envelope_ordering_and_containment_on_grid():
-    for rec in h3.evaluate_records(P1, np.geomspace(0.1, 100.0, 40)):
-        t = rec.t
+    sweep = h3.evaluate_records(P1, np.geomspace(0.1, 100.0, 40))
+    for t, eta, etap in zip(sweep.t.tolist(), sweep.eta.tolist(), sweep.etap.tolist()):
         lo, hi = h3.eta_envelope(P1, t)
         assert lo < hi
-        assert lo < rec.eta < hi, t
+        assert lo < eta < hi, t
         plo, phi = h3.eta_prime_envelope(P1, t)
         assert plo < phi
-        assert plo < rec.etap < phi, t
+        assert plo < etap < phi, t
 
 
 def test_eta_prime_frozen_value():
-    etap = h3.evaluate_record(P1, 1.0).etap
+    etap = h3.evaluate_records(P1, [1.0]).etap[0]
     assert unscaled(etap, P1, 1.0) == pytest.approx(ETAP_1_1, rel=1e-9)
 
 
 def test_eta_prime_is_derivative_of_eta():
     for t, tol in ((2.0, 1e-5), (0.5, 1e-5), (5.0, 1e-5)):
         h = 1e-4 * t
-        up, down = (unscaled(rec.eta, P1, rec.t)
-                    for rec in h3.evaluate_records(P1, [t + h, t - h]))
+        sweep = h3.evaluate_records(P1, [t + h, t - h])
+        up, down = (unscaled(eta, P1, s) for eta, s in zip(sweep.eta.tolist(), sweep.t.tolist()))
         fd = (up - down) / (2.0 * h)
-        assert unscaled(h3.evaluate_record(P1, t).etap, P1, t) == pytest.approx(fd, rel=tol)
+        assert unscaled(h3.evaluate_records(P1, [t]).etap[0], P1, t) == pytest.approx(fd, rel=tol)
 
 
 def test_eta_prime_envelope_other_curvature():
     p = h3.H3Params(0.5)
     lo, hi = h3.eta_prime_envelope(p, 10.0)
-    assert lo < h3.evaluate_record(p, 10.0).etap < hi
+    assert lo < h3.evaluate_records(p, [10.0]).etap[0] < hi
 
 
 def test_envelope_gap_stays_bounded():
@@ -212,7 +213,7 @@ def test_envelope_bracket_contains_rate_cross_term():
         xp = h3.xi_prime(P1, t)
         lo, hi = h3.eta_envelope(P1, t)
         plo, phi = h3.eta_prime_envelope(P1, t)
-        cross = h3.evaluate_record(P1, t).rate_direct - 1.5 / t - 1.0
+        cross = h3.evaluate_records(P1, [t]).rate_direct[0] - 1.5 / t - 1.0
         bracket_lo = xp * hi + x * plo
         bracket_hi = xp * lo + x * phi
         assert bracket_lo <= cross <= bracket_hi, t
@@ -223,47 +224,47 @@ def test_envelope_bracket_contains_rate_cross_term():
 
 
 def test_entropy_assembly():
-    rec = h3.evaluate_record(P1, 1.0)
-    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + h3.xi(P1, 1.0) * rec.eta
-    assert rec.entropy == pytest.approx(expected, rel=1e-14)
+    sweep = h3.evaluate_records(P1, [1.0])
+    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + h3.xi(P1, 1.0) * sweep.eta[0]
+    assert sweep.entropy[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_entropy_matches_direct_quadrature():
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa)
-        for rec in h3.evaluate_records(p, (0.3, 1.0, 5.0)):
-            assert rec.entropy == pytest.approx(
-                h3.entropy_quadrature(p, rec.t), rel=1e-6)
+        sweep = h3.evaluate_records(p, (0.3, 1.0, 5.0))
+        for t, entropy in zip(sweep.t.tolist(), sweep.entropy.tolist()):
+            assert entropy == pytest.approx(h3.entropy_quadrature(p, t), rel=1e-6)
 
 
 def test_entropy_flat_limit():
     gaussian_entropy = 1.5 * math.log(2.0 * math.pi * math.e)
-    assert h3.evaluate_record(h3.H3Params(1e-5), 1.0).entropy == pytest.approx(
+    assert h3.evaluate_records(h3.H3Params(1e-5), [1.0]).entropy[0] == pytest.approx(
         gaussian_entropy, rel=1e-7)
 
 
 def test_entropy_increasing():
-    values = [rec.entropy for rec in h3.evaluate_records(P1, np.geomspace(0.5, 50.0, 20))]
+    values = h3.evaluate_records(P1, np.geomspace(0.5, 50.0, 20)).entropy.tolist()
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_entropy_rate_band_at_large_t():
     lo, hi = h3.asymptotic_band(P1)
-    for rec in h3.evaluate_records(P1, (20.0, 50.0, 100.0)):
-        assert lo - 0.05 <= rec.rate_direct <= hi + 0.05
+    for rate in h3.evaluate_records(P1, (20.0, 50.0, 100.0)).rate_direct.tolist():
+        assert lo - 0.05 <= rate <= hi + 0.05
 
 
 def test_entropy_rate_scaled_curvature():
     p = h3.H3Params(2.0)
     lo, hi = h3.asymptotic_band(p)
-    for rec in h3.evaluate_records(p, (5.0, 12.5, 25.0)):
-        assert lo - 0.05 * 4.0 <= rec.rate_direct <= hi + 0.05 * 4.0
+    for rate in h3.evaluate_records(p, (5.0, 12.5, 25.0)).rate_direct.tolist():
+        assert lo - 0.05 * 4.0 <= rate <= hi + 0.05 * 4.0
 
 
 def test_rate_matches_finite_difference():
-    for rec in h3.evaluate_records(P1, (1.0, 5.0, 20.0)):
-        rate = rec.rate_direct
-        assert abs(rate - rec.rate_fd) / abs(rate) <= 1e-4
+    sweep = h3.evaluate_records(P1, (1.0, 5.0, 20.0))
+    for rate, rate_fd in zip(sweep.rate_direct.tolist(), sweep.rate_fd.tolist()):
+        assert abs(rate - rate_fd) / abs(rate) <= 1e-4
 
 
 def test_band_values():
@@ -277,32 +278,48 @@ def test_band_values():
 
 
 def test_flat_reference_rate():
-    rate = h3.evaluate_record(h3.H3Params(0.01), 1.0).rate_direct
+    rate = h3.evaluate_records(h3.H3Params(0.01), [1.0]).rate_direct[0]
     assert abs(rate - 1.5) / 1.5 <= 0.01
 
 
 def test_record_consistency():
-    # each field against its definition from the closed forms and eta, eta'
-    rec = h3.evaluate_record(P1, 2.0)
-    assert rec.t == 2.0
-    assert rec.I1 == h3.I1(P1, 2.0)
-    assert rec.I2 == pytest.approx(h3.xi(P1, 2.0) * rec.eta, rel=1e-12)
-    assert rec.entropy == pytest.approx(
-        1.5 * math.log(4.0 * math.pi) + 1.0 + rec.I1 + rec.I2, rel=1e-12)
-    assert rec.rate_direct == pytest.approx(
-        0.75 + 1.0 + h3.xi_prime(P1, 2.0) * rec.eta + h3.xi(P1, 2.0) * rec.etap, rel=1e-12)
-    assert (rec.eta_lower, rec.eta_upper) == h3.eta_envelope(P1, 2.0)
-    assert (rec.etap_lower, rec.etap_upper) == h3.eta_prime_envelope(P1, 2.0)
-    assert rec.envelope_ok
-    assert rec.band_ok(1.0)  # t < 20: trivially fine
-    records = h3.evaluate_records(P1, [1.0, 2.0])
-    assert [r.t for r in records] == [1.0, 2.0]
+    # each column against its definition from the closed forms and eta, eta'
+    sweep = h3.evaluate_records(P1, [2.0])
+    eta, etap, i1, i2 = sweep.eta[0], sweep.etap[0], sweep.I1[0], sweep.I2[0]
+    assert sweep.t[0] == 2.0
+    assert i1 == h3.I1(P1, 2.0)
+    assert i2 == pytest.approx(h3.xi(P1, 2.0) * eta, rel=1e-12)
+    assert sweep.entropy[0] == pytest.approx(
+        1.5 * math.log(4.0 * math.pi) + 1.0 + i1 + i2, rel=1e-12)
+    assert sweep.rate_direct[0] == pytest.approx(
+        0.75 + 1.0 + h3.xi_prime(P1, 2.0) * eta + h3.xi(P1, 2.0) * etap, rel=1e-12)
+    assert (sweep.eta_lower[0], sweep.eta_upper[0]) == h3.eta_envelope(P1, 2.0)
+    assert (sweep.etap_lower[0], sweep.etap_upper[0]) == h3.eta_prime_envelope(P1, 2.0)
+    assert sweep.envelope_ok[0]
+    assert sweep.band_ok[0]  # t < 20: trivially fine
+    assert h3.evaluate_records(P1, [1.0, 2.0]).t.tolist() == [1.0, 2.0]
 
 
 def test_evaluate_records_equals_single_records_bit_for_bit():
+    # each column of an N-time sweep equals the N one-time sweeps, bit for bit
     times = [float(t) for t in np.geomspace(1e-4, 1e4, 9)]
     for p in (P1, h3.H3Params(0.3)):
-        assert h3.evaluate_records(p, times) == [h3.evaluate_record(p, t) for t in times]
+        sweep = h3.evaluate_records(p, times)
+        alone = [h3.evaluate_records(p, [t]) for t in times]
+        assert sweep.kappa == p.kappa
+        for name in [f.name for f in fields(sweep) if f.name != "kappa"]:
+            together = getattr(sweep, name)
+            joined = np.concatenate([getattr(one, name) for one in alone], axis=-1)
+            assert together.shape == joined.shape, name
+            assert together.tobytes() == joined.tobytes(), name
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 40])
+def test_sweep_length_is_its_row_count(count):
+    times = np.geomspace(0.1, 100.0, count)
+    sweep = h3.evaluate_records(P1, times)
+    assert len(sweep) == len(times)
+    assert sweep.margins.shape == sweep.errors.shape == (len(h3.SIDES), count)
 
 
 def test_closed_forms_are_elementwise():
@@ -380,9 +397,9 @@ def test_trapezoid_matches_adaptive_oracle():
     small = np.repeat(k2t <= 1e-4, 2)
     for kappa in (0.25, 1.0, 4.0):
         p = h3.H3Params(kappa)
-        records = h3.evaluate_records(p, k2t / kappa ** 2)
-        points = [(rec.t, prime) for rec in records for prime in (False, True)]
-        rule = np.array([value for rec in records for value in (rec.eta, rec.etap)])
+        sweep = h3.evaluate_records(p, k2t / kappa ** 2)
+        points = [(t, prime) for t in sweep.t.tolist() for prime in (False, True)]
+        rule = np.stack([sweep.eta, sweep.etap], axis=1).ravel()
         oracle = np.array(h3.eta_quadrature(p, points))
         rel = np.abs(rule - oracle) / oracle
         assert rel[small].max() <= 2e-12, kappa
@@ -414,8 +431,9 @@ def test_eta_and_rate_against_mpmath():
             p = h3.H3Params(kappa)
             for k2t in (1.0, 1e3, 1e6, 1e9, 1e12):
                 t = k2t / kappa ** 2
-                rec = h3.evaluate_record(p, t)
-                e, ep = rec.eta, rec.etap
+                sweep = h3.evaluate_records(p, [t])
+                e, ep, rate_direct = (float(c[0]) for c in (sweep.eta, sweep.etap,
+                                                            sweep.rate_direct))
                 exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
                 assert abs(e - exact) <= 2e-15 * exact, (kappa, k2t)
                 assert abs(ep - exact_prime) <= 2e-15 * exact_prime, (kappa, k2t)
@@ -423,26 +441,31 @@ def test_eta_and_rate_against_mpmath():
                 xi = mp.sqrt(2 / mp.pi) / (k * tt ** 1.5)
                 xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
                 rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
-                assert abs(rec.rate_direct - rate) <= 1e-14 * rate, (kappa, k2t)
+                assert abs(rate_direct - rate) <= 1e-14 * rate, (kappa, k2t)
 
 
 def test_verdicts_resolved_inside_up_to_kappa2t_1e12():
+    assert h3.SIDES == ("eta lower", "eta upper", "eta' lower", "eta' upper")
     for kappa in (0.3, 1.0, 2.7):
         p = h3.H3Params(kappa)
         times = [float(x) / kappa ** 2 for x in np.geomspace(1e-8, 1e12, 61)]
-        for rec in h3.evaluate_records(p, times):
-            assert [v.check for v in rec.verdicts] == [
-                "eta lower", "eta upper", "eta' lower", "eta' upper"]
-            assert all(v.state == "inside" for v in rec.verdicts), (kappa, rec.t)
-            assert rec.envelope_ok
+        sweep = h3.evaluate_records(p, times)
+        states = h3.verdict_states(sweep.margins, sweep.errors)
+        outside = np.flatnonzero(~np.all(states == "inside", axis=0))
+        assert outside.size == 0, (kappa, sweep.t[outside])
+        assert sweep.envelope_ok.all()
 
 
 def test_verdict_states():
-    assert h3.Verdict("eta lower", 3e-16, 1e-16).state == "inside"
-    assert h3.Verdict("eta lower", -3e-16, 1e-16).state == "outside"
-    assert h3.Verdict("eta lower", 1e-16, 1e-16).state == "unresolved"
-    assert h3.Verdict("eta lower", -5e-17, 1e-16).state == "unresolved"
-    assert h3.Verdict("eta lower", 0.0, 0.0).state == "unresolved"
+    # elementwise over arrays; a margin equal to its error, either sign, is unresolved
+    margin = np.array([3e-16, -3e-16, 1e-16, -1e-16, -5e-17, 0.0, math.nan])
+    error = np.array([1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 0.0, 1e-16])
+    assert h3.verdict_states(margin, error).tolist() == [
+        "inside", "outside", "unresolved", "unresolved", "unresolved", "unresolved",
+        "unresolved"]
+    assert h3.verdict_states(margin.reshape(7, 1), error.reshape(7, 1)).shape == (7, 1)
+    assert h3.verdict_states(np.nextafter(1e-16, 1.0), 1e-16) == "inside"
+    assert h3.verdict_states(-np.nextafter(1e-16, 1.0), 1e-16) == "outside"
 
 
 def test_unconverged_rule_raises():
@@ -450,7 +473,7 @@ def test_unconverged_rule_raises():
     strict = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-18,
                                              absolute_tolerance=1e-30))
     with pytest.raises(QuadratureConvergenceError, match="power 1"):
-        h3.evaluate_record(strict, 8.0)
+        h3.evaluate_records(strict, [8.0])
 
 
 def test_first_unconverged_integral_in_row_order_raises():
@@ -469,7 +492,7 @@ def test_times_past_double_range_are_refused():
     for t in (1e-125, 1e-130, 1e-300):
         with pytest.raises(ValueError, match=f"t={t!r}"):
             h3.evaluate_records(P1, [1.0, t])
-    assert math.isfinite(h3.evaluate_record(P1, 1e-120).rate_direct)
+    assert math.isfinite(h3.evaluate_records(P1, [1e-120]).rate_direct[0])
 
 
 def test_extreme_exponential_scale():
@@ -479,16 +502,17 @@ def test_extreme_exponential_scale():
     p = h3.H3Params(6.0)
     t = 100.0
     assert h3.normalization_quadrature(p, t) == pytest.approx(1.0, abs=1e-8)
-    rec = h3.evaluate_record(p, t)
-    assert rec.envelope_ok
+    sweep = h3.evaluate_records(p, [t])
+    assert sweep.envelope_ok[0]
     lo, hi = h3.asymptotic_band(p)
-    assert lo - 0.05 * 36.0 <= rec.rate_direct <= hi + 0.05 * 36.0
-    assert math.isfinite(rec.eta) and rec.eta > 0.0
-    assert rec.eta_lower < rec.eta < rec.eta_upper
+    assert lo - 0.05 * 36.0 <= sweep.rate_direct[0] <= hi + 0.05 * 36.0
+    eta = sweep.eta[0]
+    assert math.isfinite(eta) and eta > 0.0
+    assert sweep.eta_lower[0] < eta < sweep.eta_upper[0]
 
 
 def test_custom_quadrature_spec_threads_through():
     loose = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-6,
                                             absolute_tolerance=1e-10))
-    assert h3.evaluate_record(loose, 1.0).entropy == pytest.approx(
-        h3.evaluate_record(P1, 1.0).entropy, rel=1e-5)
+    assert h3.evaluate_records(loose, [1.0]).entropy[0] == pytest.approx(
+        h3.evaluate_records(P1, [1.0]).entropy[0], rel=1e-5)
