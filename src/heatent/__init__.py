@@ -7,7 +7,6 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     integrate_batch,
-    integrate_shifted_gaussians,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "fixtures",
     "h3entropy",
     "integrate_batch",
-    "integrate_shifted_gaussians",
     "spectral",
     "verify",
 ]

@@ -299,6 +299,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fault = args.inject_fault
     if fault is not None and fault != "envelopes":
         raise UsageError(f"unsupported fault {fault!r}; supported: envelopes")
+    if fault is not None and args.only in vf.CHECKS and args.only != fault:
+        raise UsageError(f"fault {fault!r} cannot fire in group {args.only!r}; "
+                         f"it acts on the {fault!r} group only")
     try:
         results = vf.run_checks(only=args.only, spec=_quadrature_spec(args),
                                 inject_fault=fault)

@@ -35,13 +35,15 @@ one t share every node value of L.
 
 The remainder.  Since L(x) = x - G(x) with G(x) = log(2x) - log(1 - e^{-2x}),
 eta = kappa M(2, sinh) - R, where the closed part is the moment both
-envelopes share and R is the same integral with G in place of L.  From
+envelopes share and R is the same integral with G in place of L.  The closed
+parts and the envelope terms are read from specfun's moment table.  From
 kappa^2 t = 100 on, every node has r > 0 and the rule integrates R itself.
 Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
 difference of two quantities each known to a few ulp, never a rounded eta
 against a rounded envelope.  Each side is inside, outside or unresolved
-against the error estimate.  ``eta_quadrature``, the same eta by adaptive
-quadrature, is the oracle the tests hold the rule to.
+against the error estimate.  ``eta_quadrature``, the same eta by
+specfun's shifted-Gaussian quadrature, is the oracle the tests hold the rule
+to.
 
 The sweep.  ``evaluate_records`` returns one ``H3Sweep``: a column array per
 quantity, and the margins and error estimates of the four envelope sides as
@@ -68,12 +70,16 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     integrate_batch,
-    integrate_shifted_gaussians,
     require_converged,
 )
-from .specfun import alpha, log_sinh_ratio
+from .specfun import (
+    HyperbolicMoment,
+    alpha,
+    log_sinh_ratio,
+    moment_factors,
+    shifted_gaussian_quadratures,
+)
 
-_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT2 = 0.5 * math.log(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -212,6 +218,9 @@ def xi_prime(p: H3Params, t):
     return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
+_SINH_MOMENTS = [HyperbolicMoment(m, "sinh") for m in range(5)]
+
+
 def _closed_form(p: H3Params, t: np.ndarray, prime: bool):
     """(closed, lower term, upper term) arrays for eta at the array of times
     t, or for eta' where prime is set, all times exp(-kappa^2 t/2).
@@ -220,27 +229,21 @@ def _closed_form(p: H3Params, t: np.ndarray, prime: bool):
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
     form.  The envelope is (closed - lower term, closed - upper term), so the
     remainder R = closed - eta lies strictly between the upper and the lower
-    term.
+    term.  Every term is a power of t times the moment table's F_m at
+    x = kappa sqrt(t): for eta, closed = t x F_2 with coefficient t F_1 and
+    log arguments 2x^2 + 4 and 1 + x F_1/F_0; for eta', closed = x F_4/2 with
+    coefficient F_3/2 and log arguments 1 + 2x F_4/F_3 and 1 + x F_3/F_2.
     """
-    k = p.kappa
-    k2t = k * k * t
-    a = alpha(k, t)
-    st = np.sqrt(t)
-    decayed = np.exp(-0.5 * k2t)  # harmless underflow to 0 at large k2t
+    x = p.kappa * np.sqrt(t)
     if not prime:
-        closed = k * t * st * (k2t + 1.0) * a + k * k * t * t * decayed
-        coeff = _SQRT_HALF_PI * k * t * st
-        return (closed, coeff * np.log(2.0 * k2t + 4.0),
-                coeff * np.log1p(_SQRT_HALF_PI * k2t / a))
-    quartic = k2t * k2t + 6.0 * k2t + 3.0
-    closed = 0.5 * k * st * quartic * a + 0.5 * k * k * t * (k2t + 5.0) * decayed
-    coeff = 0.5 * _SQRT_HALF_PI * k * st * (k2t + 3.0)
-    lower_arg = (
-        2.0 * k * _SQRT_TWO_OVER_PI * st * (k2t + 5.0) / (k2t + 3.0) * decayed
-        + 2.0 * _SQRT_TWO_OVER_PI * quartic / (k2t + 3.0) * a
-    )
-    upper_arg = _SQRT_HALF_PI * k2t * (k2t + 3.0) / (k * st * decayed + (k2t + 1.0) * a)
-    return closed, coeff * np.log1p(lower_arg), coeff * np.log1p(upper_arg)
+        f0, f1, f2 = moment_factors(_SINH_MOMENTS[:3], p.kappa, t)
+        coeff = t * f1
+        return (t * x * f2, coeff * np.log(2.0 * x * x + 4.0),
+                coeff * np.log1p(x * f1 / f0))
+    f2, f3, f4 = moment_factors(_SINH_MOMENTS[2:], p.kappa, t)
+    coeff = 0.5 * f3
+    return (0.5 * x * f4, coeff * np.log1p(2.0 * x * f4 / f3),
+            coeff * np.log1p(x * f3 / f2))
 
 
 def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
@@ -252,39 +255,23 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 
         integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
 
-    with power 1 for eta and power 3 (times 1/(2t^2)) for eta'.  sinh is
-    split into its exponential halves, the square is completed, and each
-    half is integrated in the substituted variable r = -+kappa t + sqrt(t) s,
-    so nothing ever sees the exp(kappa^2 t/2) growth directly.  All 2 x len
-    (points) integrals run as one lockstep quadrature batch; convergence is
-    required point by point, in order.
+    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', by
+    ``specfun.shifted_gaussian_quadratures``, so nothing ever sees the
+    exp(kappa^2 t/2) growth directly.  All points run as one lockstep
+    batch; convergence is required point by point, in order.
     """
-    for t, _ in points:
-        if t <= 0.0:
-            raise ValueError("t must be positive")
     k = p.kappa
-    ts = np.repeat([t for t, _ in points], 2)
-    centers = k * ts
-    centers[1::2] *= -1.0
-    scales = np.sqrt(ts)
-    cubic = np.repeat([prime for _, prime in points], 2)
+    cubic = np.array([prime for _, prime in points], dtype=bool)
 
-    def g(s, j):
-        # maximum() absorbs the one-ulp negative r at the substituted domain edge
-        r = np.maximum(0.0, centers[j] + scales[j] * s)
-        weight = np.where(cubic[j], r * r * r, r)
-        return np.exp(-0.5 * s * s) * weight * log_sinh_ratio(k * r)
+    def weighted(gauss, r, i):
+        return gauss * np.where(cubic[i], r * r * r, r) * log_sinh_ratio(k * r)
 
-    results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(),
-                                          p.quadrature)
-    values = []
-    for (t, prime), plus, minus in zip(points, results[0::2], results[1::2]):
-        context = f"log-weighted sinh integral (power {3 if prime else 1})"
-        jp = require_converged(plus, context).value
-        jm = require_converged(minus, context).value
-        value = 0.5 * math.sqrt(t) * (jp - jm)
-        values.append(value * (0.5 / (t * t)) if prime else value)
-    return values
+    values = shifted_gaussian_quadratures(
+        weighted, [(k, t, "sinh") for t, _ in points],
+        [f"log-weighted sinh integral (power {3 if prime else 1})" for _, prime in points],
+        p.quadrature)
+    return [value * (0.5 / (t * t)) if prime else value
+            for value, (t, prime) in zip(values, points)]
 
 
 def eta_envelope(p: H3Params, t):

@@ -16,8 +16,8 @@ Integrand contract.  ``integrate_batch`` integrates one integral per
 abscissae ``x`` and an equally shaped int array ``j`` of integral ids; it
 returns an array of the same shape (a scalar is broadcast).  The element at
 position i must depend only on ``x[i]`` and ``j[i]``, i.e. f is elementwise.
-``integrate_shifted_gaussians`` is the one substitution on top: it takes
-Gaussian profiles in a shifted variable and states their peaks itself.
+``specfun.shifted_gaussian_quadratures`` substitutes Gaussian-hyperbolic
+integrands into a shifted variable before they get here.
 
 Lockstep guarantee.  Every integral keeps its own panel heap, tie-breaking
 sequence, split radius, subdivision count and convergence test; a round pops
@@ -256,25 +256,3 @@ def _lockstep(f: BatchIntegrand, spec: QuadratureSpec, peaks: list[float],
         active = still
         subdivisions += 1
 
-
-def integrate_shifted_gaussians(
-    g: BatchIntegrand,
-    centers: Sequence[float],
-    scales: Sequence[float],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> list[QuadratureResult]:
-    """For each id j, integrate g(s, j) over {s : centers[j] + scales[j]*s >= 0}.
-
-    Callers substitute r = center + scale*s and strip the dominant
-    exponential factor analytically, so that g is an O(1)-wide profile near
-    s = 0 even when the original integrand peaks at huge r.  The results are
-    the plain ds-integrals; any dr = scale*ds Jacobian stays with the caller.
-    The peak location in the integration variable is known by construction,
-    so this path stays accurate at any exponential scale.
-    """
-    if not all(scale > 0.0 for scale in scales):
-        raise ValueError("scale must be positive")
-    s0 = [-c / scale for c, scale in zip(centers, scales)]
-    offsets = np.asarray(s0)
-    return integrate_batch(lambda x, j: g(offsets[j] + x, j),
-                           [max(0.0, -s) for s in s0], [1.0] * len(s0), spec)

@@ -1,22 +1,26 @@
-"""Numerically stable special functions and closed-form Gaussian-hyperbolic moments.
+"""Numerically stable special functions, the Gaussian-hyperbolic moment table
+and its shifted-Gaussian quadrature oracle.
 
 The moment table evaluates integrals of the form
 
-    integral_0^inf exp(-r^2/2t) r^m {sinh, cosh}(kappa r) dr
+    M(m) = integral_0^inf exp(-r^2/2t) r^m {sinh, cosh}(kappa r) dr
 
 in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
-comes back times exp(-kappa^2 t / 2), a plain float that never overflows.
+comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
+and is then t^{(m+1)/2} F_m(x): a power of t times a function of
+x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds the nine F_m; the moments
+and h3entropy's closed parts and envelope terms of eta are read from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_shifted_gaussians, require_converged
+from .quadrature import QuadratureSpec, integrate_batch, require_converged
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # numpy has no erf: math.erf mapped over the elements of an array
@@ -66,79 +70,102 @@ class HyperbolicMoment:
                 f"unsupported moment (power={self.power}, kind={self.kind})")
 
 
-def hyperbolic_moment_closed_form(
-    moment: HyperbolicMoment, kappa: float, t: float
-) -> float:
-    """Closed form of the (power, kind) moment, times exp(-kappa^2 t/2).
+# F_m(x) of each moment from x = kappa sqrt(t), a = alpha(kappa, t) and
+# e = exp(-x^2/2): the moment times exp(-kappa^2 t/2) is t^{(m+1)/2} F_m(x).
+_MOMENT_TABLE = {
+    HyperbolicMoment(0, "sinh"): lambda x, a, e: a,
+    HyperbolicMoment(1, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x,
+    HyperbolicMoment(2, "sinh"): lambda x, a, e: x * e + (x * x + 1.0) * a,
+    HyperbolicMoment(3, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
+    HyperbolicMoment(4, "sinh"): lambda x, a, e: (
+        x * (x * x + 5.0) * e + (x * x * (x * x + 6.0) + 3.0) * a),
+    HyperbolicMoment(0, "cosh"): lambda x, a, e: np.full_like(x, _SQRT_HALF_PI),
+    HyperbolicMoment(1, "cosh"): lambda x, a, e: e + x * a,
+    HyperbolicMoment(2, "cosh"): lambda x, a, e: _SQRT_HALF_PI * (x * x + 1.0),
+    HyperbolicMoment(3, "cosh"): lambda x, a, e: (
+        (x * x + 2.0) * e + x * (x * x + 3.0) * a),
+}
 
-    The moment is plain + grown exp(kappa^2 t/2), so the scaled value is
-    grown + plain exp(-kappa^2 t/2).
-    """
-    if kappa <= 0.0 or t <= 0.0:
+
+def moment_factors(moments: Sequence[HyperbolicMoment], kappa: float, t) -> list:
+    """F_m(kappa sqrt t) of each moment, elementwise in t: the closed form
+    of the moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}."""
+    ts = np.asarray(t, dtype=float)
+    if kappa <= 0.0 or np.any(ts <= 0.0):
         raise ValueError("moments require kappa > 0 and t > 0")
-    k2t = kappa * kappa * t
-    a = alpha(kappa, t)
-    st = math.sqrt(t)
-    m, kind = moment.power, moment.kind
-    if kind == "sinh":
-        if m == 0:
-            plain, grown = 0.0, st * a
-        elif m == 1:
-            plain, grown = 0.0, _SQRT_HALF_PI * kappa * t * st
-        elif m == 2:
-            plain, grown = kappa * t * t, t * st * (k2t + 1.0) * a
-        elif m == 3:
-            plain, grown = 0.0, _SQRT_HALF_PI * kappa * t * t * st * (k2t + 3.0)
-        else:  # m == 4
-            plain = kappa * t ** 3 * (k2t + 5.0)
-            grown = t * t * st * (k2t * k2t + 6.0 * k2t + 3.0) * a
-    else:
-        if m == 0:
-            plain, grown = 0.0, _SQRT_HALF_PI * st
-        elif m == 1:
-            plain, grown = t, kappa * t * st * a
-        elif m == 2:
-            plain, grown = 0.0, _SQRT_HALF_PI * t * st * (k2t + 1.0)
-        else:  # m == 3
-            plain = t * t * (k2t + 2.0)
-            grown = kappa * t * t * st * (k2t + 3.0) * a
-    return grown + plain * math.exp(-0.5 * k2t)
+    x = kappa * np.sqrt(ts)
+    a = alpha(kappa, ts)
+    e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
+    return [_MOMENT_TABLE[moment](x, a, e) for moment in moments]
+
+
+def hyperbolic_moment_closed_form(moment: HyperbolicMoment, kappa: float, t):
+    """Closed form of the (power, kind) moment, times exp(-kappa^2 t/2):
+    t^{(m+1)/2} F_m(kappa sqrt t).  Elementwise in t; a float t gives a float.
+    """
+    [factor] = moment_factors([moment], kappa, t)
+    value = np.asarray(t, dtype=float) ** (0.5 * (moment.power + 1)) * factor
+    return float(value) if np.ndim(t) == 0 else value
+
+
+def shifted_gaussian_quadratures(
+    weight: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    cases: Sequence[tuple[float, float, str]],
+    contexts: Sequence[str],
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> list[float]:
+    """For each case i = (kappa, t, kind), the integral over r > 0 of
+    exp(-r^2/2t) w(r) {sinh, cosh}(kappa r), times exp(-kappa^2 t/2), by
+    adaptive quadrature that never forms the exp(kappa^2 t/2) growth.
+
+    Each exponential half of 2 {sinh, cosh}(kappa r) = e^{kappa r} -+
+    e^{-kappa r} has its square completed and r = +-kappa t + sqrt(t) s
+    substituted; the value is sqrt(t)/2 times the difference (sinh) or the
+    sum (cosh) of the two s-integrals.  ``weight(gauss, r, i)`` is their
+    integrand, elementwise: gauss = exp(-s^2/2) times w(r) at radii r >= 0
+    of case i, multiplied in the caller's order.  All halves run as one
+    lockstep batch, case i's plus half as integral 2i and its minus half as
+    2i + 1; convergence is required case by case, a failure named by
+    contexts[i].
+    """
+    for kappa, t, _ in cases:
+        if not (kappa >= 0.0 and t > 0.0):
+            raise ValueError("shifted Gaussians require kappa >= 0 and t > 0")
+    centers = np.repeat([kappa * t for kappa, t, _ in cases], 2)
+    centers[1::2] *= -1.0
+    scales = np.repeat([math.sqrt(t) for _, t, _ in cases], 2)
+    edges = -centers / scales  # s at r = 0; each half runs over s >= its edge
+
+    def f(x, j):
+        s = edges[j] + x
+        # maximum() absorbs the one-ulp negative r at the domain edge
+        r = np.maximum(0.0, centers[j] + scales[j] * s)
+        return weight(np.exp(-0.5 * s * s), r, j // 2)
+
+    results = integrate_batch(f, np.maximum(0.0, -edges).tolist(),
+                              [1.0] * edges.size, spec)
+    values = []
+    for (_, t, kind), context, plus, minus in zip(cases, contexts, results[0::2],
+                                                  results[1::2]):
+        jp = require_converged(plus, context).value
+        jm = require_converged(minus, context).value
+        values.append(0.5 * math.sqrt(t) * (jp - jm if kind == "sinh" else jp + jm))
+    return values
 
 
 def hyperbolic_moment_quadratures(
     cases: Sequence[tuple[HyperbolicMoment, float, float]],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
-    """Each (moment, kappa, t) moment through the overflow-safe
-    shifted-Gaussian path, times exp(-kappa^2 t/2).
-
-    Writes 2*{sinh,cosh}(kappa r) = e^{kappa r} +/- e^{-kappa r}, completes
-    the square in each branch and substitutes r = +/-kappa*t + sqrt(t)*s.
-    Serves as the independent cross-check of the closed forms at any
-    kappa^2 t.  All 2 x len(cases) integrals run as one lockstep batch;
-    convergence is required case by case, in order.
-    """
-    for _, kappa, t in cases:
-        if kappa <= 0.0 or t <= 0.0:
-            raise ValueError("moments require kappa > 0 and t > 0")
-    centers = np.repeat([kappa * t for _, kappa, t in cases], 2)
-    centers[1::2] *= -1.0
-    scales = np.repeat([math.sqrt(t) for _, _, t in cases], 2)
-    powers = np.repeat([float(moment.power) for moment, _, _ in cases], 2)
-
-    def g(s, j):
-        r = centers[j] + scales[j] * s
-        return np.exp(-0.5 * s * s) * r ** powers[j]
-
-    results = integrate_shifted_gaussians(g, centers.tolist(), scales.tolist(), spec)
-    values = []
-    for (moment, kappa, t), plus, minus in zip(cases, results[0::2], results[1::2]):
-        context = f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
-        jp = require_converged(plus, context).value
-        jm = require_converged(minus, context).value
-        combined = jp - jm if moment.kind == "sinh" else jp + jm
-        values.append(0.5 * math.sqrt(t) * combined)
-    return values
+    """Each (moment, kappa, t) moment by ``shifted_gaussian_quadratures``,
+    times exp(-kappa^2 t/2): the independent cross-check of the closed forms
+    at any kappa^2 t."""
+    powers = np.array([float(moment.power) for moment, _, _ in cases])
+    return shifted_gaussian_quadratures(
+        lambda gauss, r, i: gauss * r ** powers[i],
+        [(kappa, t, moment.kind) for moment, kappa, t in cases],
+        [f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
+         for moment, kappa, t in cases], spec)
 
 
 def log_sinh_ratio(x):

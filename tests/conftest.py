@@ -12,8 +12,11 @@ PACKAGE_PARENT = str(Path(heatent.__file__).resolve().parent.parent)
 
 def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
     """``python ARGS`` in a child process that imports this heatent, with
-    ``env_overrides`` set in its environment; output captured as text."""
-    env = dict(os.environ, **env_overrides)
+    ``env_overrides`` set in its environment; output captured as text.
+
+    The child turns warnings into errors, as ``filterwarnings = ["error"]``
+    does in this process."""
+    env = {**os.environ, "PYTHONWARNINGS": "error", **env_overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
@@ -21,3 +24,30 @@ def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``python -m heatent ARGS`` in a child process, output captured as text."""
     return run_python("-m", "heatent", *args)
+
+
+def mp_scaled_moment(mp, power: int, kind: str, kappa: float, t: float):
+    """The Gaussian-hyperbolic moment integral_0^inf exp(-r^2/2t) r^power
+    {sinh, cosh}(kappa r) dr times exp(-kappa^2 t/2), at the working
+    precision of mp (mpmath), without the closed-form table.
+
+    Each exponential half is a Gaussian partial moment: with the square
+    completed, exp(-(r - mu)^2/2t) at mu = +-kappa t, and r = mu + sqrt(t) s,
+    it is sqrt(t) sum_k C(m, k) mu^(m-k) t^(k/2) G_k(-mu/sqrt t), where
+    G_k(a) = integral_a^inf s^k exp(-s^2/2) ds
+           = a^(k-1) exp(-a^2/2) + (k - 1) G_(k-2)(a).
+    """
+    kappa, t = mp.mpf(kappa), mp.mpf(t)
+    st = mp.sqrt(t)
+
+    def half(mu):
+        a = -mu / st
+        gauss = mp.exp(-a * a / 2)
+        g = [mp.sqrt(mp.pi / 2) * mp.erfc(a / mp.sqrt(2)), gauss]
+        for k in range(2, power + 1):
+            g.append(a ** (k - 1) * gauss + (k - 1) * g[k - 2])
+        return st * mp.fsum(mp.binomial(power, k) * mu ** (power - k) * st ** k * g[k]
+                            for k in range(power + 1))
+
+    plus, minus = half(kappa * t), half(-kappa * t)
+    return (plus - minus if kind == "sinh" else plus + minus) / 2

@@ -368,6 +368,15 @@ def test_verify_injected_fault_report_is_unchanged(capsys):
     assert captured.err == "verify: failed checks: envelopes\n"
 
 
+def test_verify_fault_outside_its_group_is_a_usage_error(capsys):
+    # --only band never runs the envelopes group, so the fault could not fire
+    assert cli.main(["verify", "--only", "band", "--inject-fault", "envelopes"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fault 'envelopes' cannot fire in group 'band'; "
+                            "it acts on the 'envelopes' group only\n")
+
+
 def test_verify_deterministic_bytes(tmp_path: Path):
     # restricted to the fast closed-form checks; the acceptance suite runs the
     # full-report determinism criterion

@@ -4,7 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import mp_scaled_moment
 from heatent import h3entropy as h3
+from heatent import specfun
 from heatent.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -343,16 +345,17 @@ def test_closed_forms_are_elementwise():
 @pytest.fixture
 def shifted_results(monkeypatch):
     """Every QuadratureResult of the shifted integrals behind the adaptive
-    oracle ``eta_quadrature``, in order."""
+    oracle ``eta_quadrature``, in order: each lockstep batch that
+    ``specfun.shifted_gaussian_quadratures`` runs."""
     seen = []
-    original = h3.integrate_shifted_gaussians
+    original = specfun.integrate_batch
 
     def recording(*args, **kwargs):
         results = original(*args, **kwargs)
         seen.append(results)
         return results
 
-    monkeypatch.setattr(h3, "integrate_shifted_gaussians", recording)
+    monkeypatch.setattr(specfun, "integrate_batch", recording)
     return seen
 
 
@@ -442,6 +445,31 @@ def test_eta_and_rate_against_mpmath():
                 xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
                 rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
                 assert abs(rate_direct - rate) <= 1e-14 * rate, (kappa, k2t)
+
+
+def test_closed_form_terms_against_mpmath():
+    # closed, lower and upper terms of eta and eta' against the paper's
+    # envelopes in the moments M_m of sinh at 60 digits:
+    #   eta:  kappa M_2, M_1 log(2 kappa^2 t + 4), M_1 log(1 + kappa M_1/M_0)
+    #   eta': kappa M_4/(2t^2), M_3/(2t^2) log(1 + 2 kappa M_4/M_3),
+    #         M_3/(2t^2) log(1 + kappa M_3/M_2)
+    mp = pytest.importorskip("mpmath")
+    k2t = np.geomspace(1e-8, 1e14, 45)
+    with mp.workdps(60):
+        for kappa in (0.3, 1.0, 2.7):
+            p = h3.H3Params(kappa)
+            times = k2t / kappa ** 2
+            terms = h3._closed_form(p, times, False) + h3._closed_form(p, times, True)
+            for i, t in enumerate(times.tolist()):
+                k, tt = mp.mpf(kappa), mp.mpf(t)
+                m0, m1, m2, m3, m4 = (mp_scaled_moment(mp, m, "sinh", kappa, t)
+                                      for m in range(5))
+                scale = 1 / (2 * tt * tt)
+                exact = (k * m2, m1 * mp.log(2 * k * k * tt + 4), m1 * mp.log1p(k * m1 / m0),
+                         k * m4 * scale, m3 * scale * mp.log1p(2 * k * m4 / m3),
+                         m3 * scale * mp.log1p(k * m3 / m2))
+                for j, (column, value) in enumerate(zip(terms, exact)):
+                    assert abs(float(column[i]) - value) <= 2e-15 * value, (j, kappa, t)
 
 
 def test_verdicts_resolved_inside_up_to_kappa2t_1e12():

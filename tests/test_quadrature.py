@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatent import quadrature
-from heatent.quadrature import (
-    QuadratureDomainError,
-    QuadratureSpec,
-    integrate_batch,
-    integrate_shifted_gaussians,
-)
+from heatent.quadrature import QuadratureDomainError, QuadratureSpec, integrate_batch
+from heatent.specfun import shifted_gaussian_quadratures
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -121,12 +117,14 @@ def test_large_batch_calls_in_bounded_blocks():
 
 
 def test_shifted_gaussians_batch_matches_singles():
-    centers, scales = [5.0, -3.0, 0.0, 1e4], [1.0, 2.0, 0.5, 100.0]
-    g = lambda s, j: np.exp(-0.5 * s * s) * (1.0 + np.asarray(scales)[j] * s * s)
-    batch = integrate_shifted_gaussians(g, centers, scales)
-    for k, (c, sc) in enumerate(zip(centers, scales)):
-        alone = integrate_shifted_gaussians(
-            lambda s, j: np.exp(-0.5 * s * s) * (1.0 + sc * s * s), [c], [sc])
+    # (kappa, t) give the halves' shifts +-kappa t and scales sqrt t
+    cases = [(5.0, 1.0, "sinh"), (0.75, 4.0, "cosh"), (0.0, 0.25, "cosh"), (1.0, 1e4, "sinh")]
+    scales = np.sqrt([t for _, t, _ in cases])
+    batch = shifted_gaussian_quadratures(
+        lambda gauss, r, i: gauss * (1.0 + scales[i] * r * r), cases, ["batch"] * 4)
+    for k, (case, sc) in enumerate(zip(cases, scales.tolist())):
+        alone = shifted_gaussian_quadratures(
+            lambda gauss, r, i: gauss * (1.0 + sc * r * r), [case], ["alone"])
         assert [batch[k]] == alone, k
 
 
@@ -169,22 +167,30 @@ def test_spec_validation():
 
 
 def test_shifted_gaussian_reduces_to_half_gaussian():
-    [result] = integrate_shifted_gaussians(lambda s, j: np.exp(-0.5 * s * s), [0.0], [1.0])
-    assert result.value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
+    # at kappa = 0 both halves are the plain half-Gaussian
+    [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(0.0, 1.0, "cosh")],
+                                           ["half-Gaussian"])
+    assert value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
 
 
 def test_shifted_gaussian_cross_oracle():
-    # center=5: the substituted integral equals the unsubstituted one exactly
-    [shifted] = integrate_shifted_gaussians(lambda s, j: np.exp(-0.5 * s * s), [5.0], [1.0])
-    [direct] = integrate_batch(lambda r, j: np.exp(-0.5 * (r - 5.0) ** 2), [5.0], [1.0])
-    assert shifted.value == pytest.approx(direct.value, rel=1e-10)
-    # nearly the full Gaussian mass: only the far-left tail is missing
-    assert shifted.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-5)
+    # kappa = 5, t = 1: the substituted integral equals the unsubstituted
+    # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly
+    [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0, "sinh")],
+                                             ["cross-oracle"])
+    [direct] = integrate_batch(
+        lambda r, j: 0.5 * (np.exp(-0.5 * (r - 5.0) ** 2) - np.exp(-0.5 * (r + 5.0) ** 2)),
+        [5.0], [1.0])
+    assert shifted == pytest.approx(direct.value, rel=1e-10)
+    # nearly half the full Gaussian mass: only the far-left tail of the plus
+    # half is missing, and the minus half is as small
+    assert shifted == pytest.approx(0.5 * math.sqrt(2.0 * math.pi), rel=1e-5)
 
 
 def test_shifted_gaussian_scale_validation():
-    with pytest.raises(ValueError):
-        integrate_shifted_gaussians(lambda s, j: 1.0, [0.0], [0.0])
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            shifted_gaussian_quadratures(lambda gauss, r, i: 1.0, [(1.0, t, "sinh")], ["t"])
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_scaled_moment
 from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_SWITCH,
@@ -111,6 +112,21 @@ def test_moment_table_against_oracle():
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert closed * grown == pytest.approx(direct, rel=1e-8), (
                     moment, kappa, t)
+
+
+def test_moment_table_against_mpmath():
+    # every entry t^{(m+1)/2} F_m(kappa sqrt t) against the two Gaussian
+    # partial moments at 50 digits, from x = kappa sqrt t = 1e-6 to 1e7
+    mp = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-6, 1e7, 27)
+    with mp.workdps(50):
+        for kappa in (0.3, 1.0, 2.7):
+            times = (x / kappa) ** 2
+            for moment in ALL_MOMENTS:
+                closed = hyperbolic_moment_closed_form(moment, kappa, times)
+                for t, value in zip(times.tolist(), closed.tolist()):
+                    exact = mp_scaled_moment(mp, moment.power, moment.kind, kappa, t)
+                    assert abs(value - exact) <= 2e-15 * exact, (moment, kappa, t)
 
 
 def test_moment_paths_agree():
