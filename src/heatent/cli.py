@@ -306,7 +306,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = vf.run_checks(only=args.only, spec=_quadrature_spec(args),
                                 inject_fault=fault)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        # a KeyError's str is the repr of its message
+        raise UsageError(exc.args[0]) from exc
     payload = {
         name: {
             "pass": result.passed,

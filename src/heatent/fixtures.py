@@ -4,10 +4,13 @@ All initial data are low-band trigonometric polynomials, normalised to unit
 mass against the relevant reference measure.  On the periodic fixtures their
 extrema land exactly on the evaluation grid, and on the sphere at the poles,
 which ``spectral.grid_extrema`` evaluates exactly on top of its grid.
+``get_fixture`` builds each fixture once per process and hands the same one
+to every caller, so every array a fixture holds is read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +28,12 @@ class Fixture:
     # Grid restricted to where rates stay well above the float noise floor,
     # used for the rate-vs-finite-difference consistency checks.
     rate_check_times: np.ndarray
+
+    def __post_init__(self):
+        potential = self.manifold.drift
+        for array in (self.default_times, self.rate_check_times, self.initial.coefficients,
+                      *(() if potential is None else (potential.coefficients,))):
+            array.setflags(write=False)
 
 
 def circle_fixture() -> Fixture:
@@ -96,7 +105,9 @@ FIXTURE_BUILDERS = {
 }
 
 
+@functools.cache
 def get_fixture(name: str) -> Fixture:
+    """The named fixture, built on first use and shared from then on."""
     try:
         return FIXTURE_BUILDERS[name]()
     except KeyError:

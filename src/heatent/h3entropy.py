@@ -268,7 +268,8 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 
     values = shifted_gaussian_quadratures(
         weighted, [(k, t, "sinh") for t, _ in points],
-        [f"log-weighted sinh integral (power {3 if prime else 1})" for _, prime in points],
+        [f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
+         for t, prime in points],
         p.quadrature)
     return [value * (0.5 / (t * t)) if prime else value
             for value, (t, prime) in zip(values, points)]

@@ -62,27 +62,27 @@ class HyperbolicMoment:
     kind: str  # "sinh" | "cosh"
 
     def __post_init__(self):
-        if self.kind not in ("sinh", "cosh"):
+        if self.kind not in {kind for _, kind in _MOMENT_TABLE}:
             raise ValueError(f"kind must be 'sinh' or 'cosh', got {self.kind!r}")
-        top = 4 if self.kind == "sinh" else 3
-        if not 0 <= self.power <= top:
+        if (self.power, self.kind) not in _MOMENT_TABLE:
             raise ValueError(
                 f"unsupported moment (power={self.power}, kind={self.kind})")
 
 
-# F_m(x) of each moment from x = kappa sqrt(t), a = alpha(kappa, t) and
-# e = exp(-x^2/2): the moment times exp(-kappa^2 t/2) is t^{(m+1)/2} F_m(x).
+# F_m(x) of each (power, kind) moment from x = kappa sqrt(t), a = alpha(kappa, t)
+# and e = exp(-x^2/2): the moment times exp(-kappa^2 t/2) is t^{(m+1)/2} F_m(x).
+# Its keys are the moments ``HyperbolicMoment`` accepts.
 _MOMENT_TABLE = {
-    HyperbolicMoment(0, "sinh"): lambda x, a, e: a,
-    HyperbolicMoment(1, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x,
-    HyperbolicMoment(2, "sinh"): lambda x, a, e: x * e + (x * x + 1.0) * a,
-    HyperbolicMoment(3, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
-    HyperbolicMoment(4, "sinh"): lambda x, a, e: (
+    (0, "sinh"): lambda x, a, e: a,
+    (1, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x,
+    (2, "sinh"): lambda x, a, e: x * e + (x * x + 1.0) * a,
+    (3, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
+    (4, "sinh"): lambda x, a, e: (
         x * (x * x + 5.0) * e + (x * x * (x * x + 6.0) + 3.0) * a),
-    HyperbolicMoment(0, "cosh"): lambda x, a, e: np.full_like(x, _SQRT_HALF_PI),
-    HyperbolicMoment(1, "cosh"): lambda x, a, e: e + x * a,
-    HyperbolicMoment(2, "cosh"): lambda x, a, e: _SQRT_HALF_PI * (x * x + 1.0),
-    HyperbolicMoment(3, "cosh"): lambda x, a, e: (
+    (0, "cosh"): lambda x, a, e: np.full_like(x, _SQRT_HALF_PI),
+    (1, "cosh"): lambda x, a, e: e + x * a,
+    (2, "cosh"): lambda x, a, e: _SQRT_HALF_PI * (x * x + 1.0),
+    (3, "cosh"): lambda x, a, e: (
         (x * x + 2.0) * e + x * (x * x + 3.0) * a),
 }
 
@@ -96,7 +96,7 @@ def moment_factors(moments: Sequence[HyperbolicMoment], kappa: float, t) -> list
     x = kappa * np.sqrt(ts)
     a = alpha(kappa, ts)
     e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
-    return [_MOMENT_TABLE[moment](x, a, e) for moment in moments]
+    return [_MOMENT_TABLE[moment.power, moment.kind](x, a, e) for moment in moments]
 
 
 def hyperbolic_moment_closed_form(moment: HyperbolicMoment, kappa: float, t):

@@ -9,14 +9,16 @@ coefficient just decays as exp(-lambda t / 2).
 
 One transform class per geometry holds every per-geometry fact (Laplacian
 eigenvalues, grid points, volume-measure weights, synthesis and analysis,
-|grad u|^2), and the table ``_GEOMETRY`` picks it by the manifold's kind.
-``_PeriodicTransform`` is an n-axis ``fftn`` on a uniform grid: the circle is
-the one-axis torus, and the drifted torus is the plain torus whose manifold
-carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in cos(theta).
-Each transform is built once per content key (geometry, side lengths,
-cutoff, grid size) and shared from a bounded cache, so every array it holds
-is read-only.  Synthesis, stacked periodic derivatives and |grad u|^2 take
-coefficient rows with leading batch axes.
+u with |grad u|^2), and the table ``_GEOMETRY`` picks it by the manifold's
+kind.  ``_PeriodicTransform`` analyses by an n-axis ``fftn`` on a uniform
+grid and synthesises by one ``irfftn`` of the half-spectrum m_last >= 0:
+the circle is the one-axis torus, and the drifted torus is the plain torus
+whose manifold carries a potential.  ``_SphereTransform`` uses
+Gauss-Legendre in cos(theta).  Each transform is built once per content key
+(geometry, side lengths, cutoff, grid size) and shared from a bounded cache,
+so every array it holds is read-only.  Synthesis, stacked periodic
+derivatives and u with |grad u|^2 take coefficient rows with leading batch
+axes.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -25,8 +27,9 @@ c' = A c is linear and time-independent, so it too is propagated exactly,
 through an eigendecomposition of A; there is no time-discretisation error
 anywhere.  An entropy trace is one array program: the coefficient rows of
 every time it needs are evolved together, synthesised in chunks of at most
-``_CHUNK_POINTS`` grid values, and reduced to entropy and Fisher information
-by row sums.
+``_CHUNK_POINTS`` grid values (u and its gradient by one synthesis per
+chunk), and reduced to entropy and Fisher information by row sums.  The
+drifted measure weights exp(2V)/sum are built once per operator.
 """
 
 from __future__ import annotations
@@ -139,10 +142,12 @@ def _grid_size(cutoff: int) -> int:
 
 class _PeriodicTransform:
     """Circle and flat tori: one uniform axis per side length, complex
-    exponentials, ``fftn``.  The circle is the one-axis torus."""
+    exponentials, ``fftn`` analysis and ``irfftn`` synthesis.  The circle is
+    the one-axis torus."""
 
     def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
         self.lengths = lengths
+        self.cutoff = cutoff
         self.n = n
         self.shape = (n,) * len(lengths)
         self.size = math.prod(self.shape)
@@ -152,6 +157,13 @@ class _PeriodicTransform:
         self.ik = tuple(_read_only(2j * math.pi * m / length)
                         for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths))
         self._slots = tuple(map(_read_only, np.ix_(*[modes % n] * len(lengths))))
+        # the half-spectrum m_last >= 0 holds only columns 0..cutoff
+        self._half_slots = tuple(map(_read_only, np.ix_(*[modes % n] * (len(lengths) - 1),
+                                                        np.arange(cutoff + 1))))
+        self._half_shape = self.shape[:-1] + (cutoff + 1,)
+        # c_-m for m_last >= 0: every mode axis reversed, the last from its middle
+        self._mirror = (Ellipsis, *[slice(None, None, -1)] * (len(lengths) - 1),
+                        slice(cutoff, None, -1))
 
     @staticmethod
     def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
@@ -167,11 +179,16 @@ class _PeriodicTransform:
         return np.full(self.shape, self.volume / self.size)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values; axes of ``coeffs`` before the mode axes are batch axes."""
+        """Grid values, the real part of sum_m c_m e_m; axes of ``coeffs``
+        before the mode axes are batch axes.  That real part is the synthesis
+        of the Hermitian part (c_m + conj(c_-m))/2, whose half m_last >= 0 is
+        one ``irfftn``: given the cutoff + 1 nonzero columns, it transforms
+        the leading axes on those columns only."""
         batch = coeffs.shape[:coeffs.ndim - len(self.shape)]
-        spec = np.zeros(batch + self.shape, dtype=complex)
-        spec[(Ellipsis, *self._slots)] = coeffs / math.sqrt(self.volume)
-        return (np.fft.ifftn(spec, axes=self._axes) * self.size).real
+        half = coeffs[..., self.cutoff:] + coeffs[self._mirror].conj()
+        spec = np.zeros(batch + self._half_shape, dtype=complex)
+        spec[(Ellipsis, *self._half_slots)] = half * (0.5 / math.sqrt(self.volume))
+        return np.fft.irfftn(spec, s=self.shape, axes=self._axes, norm="forward")
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         spec = np.fft.fftn(values) / values.size
@@ -184,10 +201,11 @@ class _PeriodicTransform:
         return self.synth(np.stack([math.prod((self.ik[axis] for axis in order), start=coeffs)
                                     for order in orders]))
 
-    def gradient_squared(self, coeffs: np.ndarray) -> np.ndarray:
-        # one synthesis per axis: on trace chunks that beats stacking the axes
-        return sum(g * g for axis in range(len(self.lengths))
-                   for g in self.derivatives(coeffs, (axis,)))
+    def value_and_gradient_squared(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, |grad u|^2) on the grid, from one synthesis."""
+        axes = range(len(self.lengths))
+        u, *gradient = self.derivatives(coeffs, (), *((axis,) for axis in axes))
+        return u, sum(g * g for g in gradient)
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's."""
@@ -246,11 +264,13 @@ class _SphereTransform:
         shell = 2.0 * math.pi * self.radius * self.radius
         return shell * self.norms * (self.p @ (self.w * values))
 
-    def gradient_squared(self, coeffs: np.ndarray) -> np.ndarray:
+    def value_and_gradient_squared(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, |grad u|^2) at the Gauss-Legendre nodes."""
+        scaled = coeffs * self.norms
         # the zonal gradient is the theta-derivative over the radius
         sin_theta = np.sqrt(1.0 - self.x * self.x)
-        du = -sin_theta * ((coeffs * self.norms) @ self.dp) / self.radius
-        return du * du
+        du = -sin_theta * (scaled @ self.dp) / self.radius
+        return scaled @ self.p, du * du
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's, then the
@@ -357,7 +377,8 @@ def resolve(field: SpectralField) -> np.ndarray:
 def mass(field: SpectralField) -> float:
     """Integral of the field against its manifold's measure (mu for drift)."""
     tr = _transform(field.manifold, field.cutoff)
-    return float(np.sum(_measure_weights(field.manifold, tr) * tr.synth(field.coefficients)))
+    return float(np.sum(_measure_weights(field.manifold, field.cutoff)
+                        * tr.synth(field.coefficients)))
 
 
 def evolve(field: SpectralField, t: float) -> SpectralField:
@@ -388,10 +409,7 @@ def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
         return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
-    potential = manifold.drift
-    w, v, v_inv = _drift_propagator(
-        manifold.lengths, field.cutoff, potential.cutoff,
-        np.asarray(potential.coefficients, dtype=complex).tobytes())
+    w, v, v_inv = _drift_propagator(*_drift_key(manifold, field.cutoff))
     x = np.exp(np.outer(times, w)) * (v_inv @ c0.ravel())
     # one vector-matrix product per row: a matrix-matrix product rounds
     # differently, so a row would depend on how many times are propagated
@@ -408,14 +426,26 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
         raise PositivityError(message.format(float(minima[low[0]])))
 
 
+def _drift_key(manifold: ManifoldSpec, cutoff: int) -> tuple:
+    """Content key of the drifted operator at this field cutoff: (side
+    lengths, cutoff, potential cutoff, potential coefficient bytes)."""
+    potential = manifold.drift
+    return (manifold.lengths, cutoff, potential.cutoff,
+            np.asarray(potential.coefficients, dtype=complex).tobytes())
+
+
+def _potential_coefficients(potential_cutoff: int, potential_bytes: bytes) -> np.ndarray:
+    return np.frombuffer(potential_bytes, dtype=complex).reshape(
+        2 * potential_cutoff + 1, 2 * potential_cutoff + 1)
+
+
 @functools.lru_cache(maxsize=4)
 def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
                       potential_bytes: bytes):
     """(w, V, V^-1) of the drift generator.  Keyed on content rather than on
     the manifold object, so every field, trace and CLI call on an equal
     operator shares one decomposition; the generator itself is not kept."""
-    potential = np.frombuffer(potential_bytes, dtype=complex).reshape(
-        2 * potential_cutoff + 1, 2 * potential_cutoff + 1)
+    potential = _potential_coefficients(potential_cutoff, potential_bytes)
     return _eigendecompose(_drift_generator(lengths, cutoff, potential))
 
 
@@ -480,18 +510,28 @@ def _eigendecompose(a: np.ndarray):
 # functionals
 
 
-def _measure_weights(manifold: ManifoldSpec, tr) -> np.ndarray:
-    """Quadrature weights of the reference measure on the grid of ``tr``.
+def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
+    """Quadrature weights of the reference measure on the evaluation grid of
+    this cutoff.
 
-    With a drift this is exp(2V) dx normalised to unit total mass;
-    elsewhere it is the plain volume measure.
+    With a drift this is exp(2V) dx normalised to unit total mass, built
+    once per operator; elsewhere it is the plain volume measure.
     """
     if manifold.drift is None:
-        return tr.weights()
-    potential = manifold.drift
-    v = _transform(manifold, potential.cutoff, tr.n).synth(potential.coefficients)
+        return _transform(manifold, cutoff).weights()
+    return _drift_weights(*_drift_key(manifold, cutoff))
+
+
+@functools.lru_cache(maxsize=4)
+def _drift_weights(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
+                   potential_bytes: bytes) -> np.ndarray:
+    """exp(2V) dx / its total on the grid of the field cutoff, keyed on
+    content as ``_drift_propagator`` is."""
+    tr = _cached_transform(_PeriodicTransform, lengths, cutoff, _grid_size(cutoff))
+    tv = _cached_transform(_PeriodicTransform, lengths, potential_cutoff, tr.n)
+    v = tv.synth(_potential_coefficients(potential_cutoff, potential_bytes))
     raw = np.exp(2.0 * v) * tr.weights()
-    return raw / raw.sum()
+    return _read_only(raw / raw.sum())
 
 
 def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray,
@@ -504,15 +544,14 @@ def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray,
     PositivityError with ``message``.
     """
     tr = _transform(manifold, cutoff)
-    w = _measure_weights(manifold, tr)
+    w = _measure_weights(manifold, cutoff)
     step = max(1, _CHUNK_POINTS // w.size)
     entropy = np.empty(len(rows))
     fisher = np.empty(len(rows))
     for start in range(0, len(rows), step):
         chunk = slice(start, start + step)
-        u = tr.synth(rows[chunk])
+        u, grad2 = tr.value_and_gradient_squared(rows[chunk])
         _require_positive(u, message)
-        grad2 = tr.gradient_squared(rows[chunk])
         k = len(u)
         entropy[chunk] = -(w * u * np.log(u)).reshape(k, -1).sum(axis=1)
         fisher[chunk] = (w * grad2 / u).reshape(k, -1).sum(axis=1)
@@ -678,11 +717,10 @@ def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
     if manifold.drift is not None:
         raise ValueError("cauchy step values are defined for the plain volume measure")
     tr = _transform(manifold, field.cutoff)
-    u = tr.synth(field.coefficients)
+    u, grad2 = tr.value_and_gradient_squared(field.coefficients)
     _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
     lam = eigenvalues(manifold, field.cutoff)
     lap_u = tr.synth(field.coefficients * (-lam))
-    grad2 = tr.gradient_squared(field.coefficients)
     lap_log = lap_u / u - grad2 / u ** 2
     w = tr.weights()
     mean = float(np.sum(w * u * lap_log))

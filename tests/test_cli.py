@@ -14,6 +14,7 @@ from heatent import cli
 from heatent import fixtures as fx
 from heatent import h3entropy as h3
 from heatent import spectral as sp
+from heatent import verify as vf
 
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
              "etap,etap_lower,etap_upper,band_lo,band_hi")
@@ -345,6 +346,8 @@ def test_verify_only_filters():
 def test_verify_unknown_check():
     proc = run_cli("verify", "--only", "not_a_check")
     assert proc.returncode == 2
+    assert proc.stderr == (f"error: unknown check 'not_a_check'; "
+                           f"choose from {sorted(vf.CHECKS)}\n")
 
 
 def test_verify_injected_fault_names_check():

@@ -391,6 +391,16 @@ def test_evaluation_counts_frozen(shifted_results):
         assert tuple(r.evaluations for r in shifted_results[-1]) == counts, (kappa, t, prime)
 
 
+def test_oracle_failure_names_its_point():
+    # one subdivision cannot reach 1e-14: the first point fails, named by t and kappa
+    p = h3.H3Params(0.5, QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
+                                        max_subdivisions=1))
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"^log-weighted sinh integral \(power 3\) at t=3\.0, kappa=0\.5: "
+                             r"error estimate"):
+        h3.eta_quadrature(p, [(3.0, True), (1.0, False)])
+
+
 # ---------------------------------------------------------------------------
 # the trapezoid rule against its oracles, and the three-valued verdicts
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -211,6 +212,43 @@ def test_stacked_derivatives_equal_single_orders_and_analytic_modes(lengths):
         want = {0: 2.0 + np.cos(theta), 1: -factor * np.sin(theta),
                 2: -factor * np.cos(theta)}[len(order)]
         assert np.abs(values - want).max() <= 1e-13 * max(1.0, factor), order
+
+
+def _full_spectrum_synthesis(coeffs, lengths, n):
+    """Real part of sum_m c_m exp(2 pi i m.x/L)/sqrt(vol) on the n-point grid,
+    written out: the coefficients at their slots of a zero-padded full
+    spectrum, one complex ``ifftn``, scaled back to sums."""
+    dims = len(lengths)
+    cutoff = (coeffs.shape[-1] - 1) // 2
+    spec = np.zeros(coeffs.shape[:coeffs.ndim - dims] + (n,) * dims, dtype=complex)
+    slots = np.ix_(*[np.arange(-cutoff, cutoff + 1) % n] * dims)
+    spec[(Ellipsis, *slots)] = coeffs / math.sqrt(math.prod(lengths))
+    return (np.fft.ifftn(spec, axes=tuple(range(-dims, 0))) * n ** dims).real
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.0), (1.0, 1.5)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("grid", ["default", "bochner"])
+def test_half_spectrum_synthesis_equals_full_complex_synthesis(lengths, batch, grid):
+    # random complex coefficients with no Hermitian symmetry: the synthesis
+    # is the real part of the complex sum whatever the coefficients
+    cutoff = 3
+    manifold = sp.circle(*lengths) if len(lengths) == 1 else sp.torus2(*lengths)
+    n = sp._grid_size(cutoff if grid == "default" else 2 * cutoff)  # bochner_residual's
+    tr = sp._transform(manifold, cutoff, n)
+    rng = np.random.default_rng(10 * len(lengths) + len(batch))
+    shape = batch + (2 * cutoff + 1,) * len(lengths)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    modes = np.ix_(*[np.arange(-cutoff, cutoff + 1)] * len(lengths))
+    orders = [(), *[(a,) for a in range(len(lengths))], (0, len(lengths) - 1)]
+    stacked = tr.derivatives(coeffs, *orders)
+    for order, values in zip(orders, stacked):
+        factor = math.prod((2j * math.pi * modes[a] / lengths[a] for a in order), start=1.0)
+        want = _full_spectrum_synthesis(coeffs * factor, lengths, n)
+        assert values.shape == batch + (n,) * len(lengths)
+        assert np.abs(values - want).max() <= 1e-14 * np.abs(want).max(), order
+        if order == ():
+            assert np.abs(tr.synth(coeffs) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +626,51 @@ def test_transforms_built_once_per_content_key():
     assert after.hits > before.hits
 
 
+def test_drift_trace_synthesises_once_per_chunk(monkeypatch):
+    fixture = fx.get_fixture("torus-drift")
+    times = np.linspace(fixture.default_times[0], fixture.default_times[-1], 16)
+    sp.entropy_trace(fixture.initial, times)  # fills the caches outside the count
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("irfftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    weight_misses = sp._drift_weights.cache_info().misses
+    sp.entropy_trace(fixture.initial, times)
+    grid_values = sp._transform(fixture.manifold, fixture.initial.cutoff).size
+    rows_per_chunk = max(1, sp._CHUNK_POINTS // grid_values)
+    assert calls == {"irfftn": math.ceil(3 * len(times) / rows_per_chunk)}
+    assert sp._drift_weights.cache_info().misses == weight_misses
+
+
+@pytest.mark.parametrize("name", list(fx.FIXTURE_BUILDERS))
+def test_fixtures_are_built_once_with_read_only_arrays(name):
+    fixture = fx.get_fixture(name)
+    assert fx.get_fixture(name) is fixture
+    potential = fixture.manifold.drift
+    arrays = [fixture.default_times, fixture.rate_check_times, fixture.initial.coefficients,
+              *(() if potential is None else (potential.coefficients,))]
+    assert len(arrays) == (4 if name == "torus-drift" else 3)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    # a builder called directly still builds afresh
+    assert fx.FIXTURE_BUILDERS[name]() is not fixture
+
+
 @pytest.mark.parametrize("manifold", [CIRCLE, TORUS, SPHERE], ids=["circle", "torus", "sphere"])
 def test_cached_transform_arrays_are_read_only(manifold):
     tr = sp._transform(manifold, 3)
     arrays = [a for value in vars(tr).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    assert len(arrays) == (6 if manifold is SPHERE else 2 * manifold.dimension)
+    # periodic: ik, the full-spectrum slots and the half-spectrum slots, one per axis
+    assert len(arrays) == (6 if manifold is SPHERE else 3 * manifold.dimension)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
