@@ -299,15 +299,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fault = args.inject_fault
     if fault is not None and fault != "envelopes":
         raise UsageError(f"unsupported fault {fault!r}; supported: envelopes")
-    if fault is not None and args.only in vf.CHECKS and args.only != fault:
+    if args.only is not None and args.only not in vf.CHECKS:
+        raise UsageError(f"unknown check {args.only!r}; choose from {sorted(vf.CHECKS)}")
+    if fault is not None and args.only is not None and args.only != fault:
         raise UsageError(f"fault {fault!r} cannot fire in group {args.only!r}; "
                          f"it acts on the {fault!r} group only")
-    try:
-        results = vf.run_checks(only=args.only, spec=_quadrature_spec(args),
-                                inject_fault=fault)
-    except KeyError as exc:
-        # a KeyError's str is the repr of its message
-        raise UsageError(exc.args[0]) from exc
+    results = vf.run_checks(only=args.only, spec=_quadrature_spec(args), inject_fault=fault)
     payload = {
         name: {
             "pass": result.passed,

@@ -11,14 +11,14 @@ One transform class per geometry holds every per-geometry fact (Laplacian
 eigenvalues, grid points, volume-measure weights, synthesis and analysis,
 u with |grad u|^2), and the table ``_GEOMETRY`` picks it by the manifold's
 kind.  ``_PeriodicTransform`` analyses by an n-axis ``fftn`` on a uniform
-grid and synthesises by one ``irfftn`` of the half-spectrum m_last >= 0:
-the circle is the one-axis torus, and the drifted torus is the plain torus
-whose manifold carries a potential.  ``_SphereTransform`` uses
-Gauss-Legendre in cos(theta).  Each transform is built once per content key
-(geometry, side lengths, cutoff, grid size) and shared from a bounded cache,
-so every array it holds is read-only.  Synthesis, stacked periodic
-derivatives and u with |grad u|^2 take coefficient rows with leading batch
-axes.
+grid and synthesises by products against per-axis wave tables: the circle
+is the one-axis torus, and the drifted torus is the plain torus whose
+manifold carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in
+cos(theta).  Each transform is built once per content key (geometry, side
+lengths, cutoff, grid size) and shared from a bounded cache, so every array
+it holds is read-only.  Synthesis, stacked periodic derivatives and u with
+|grad u|^2 take coefficient rows with leading batch axes; each row is its
+own product, so its values do not depend on the batch.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -141,29 +141,28 @@ def _grid_size(cutoff: int) -> int:
 
 
 class _PeriodicTransform:
-    """Circle and flat tori: one uniform axis per side length, complex
-    exponentials, ``fftn`` analysis and ``irfftn`` synthesis.  The circle is
-    the one-axis torus."""
+    """Circle and flat 2-tori: one uniform axis per side length, complex
+    exponentials, ``fftn`` analysis, and synthesis as a direct sum over the
+    2 cutoff + 1 modes of each axis by products against wave tables (at
+    these sizes cheaper than a zero-padded FFT).  The circle is the one-axis
+    torus."""
 
     def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
         self.lengths = lengths
-        self.cutoff = cutoff
         self.n = n
         self.shape = (n,) * len(lengths)
         self.size = math.prod(self.shape)
-        self._axes = tuple(range(-len(lengths), 0))
         self.volume = math.prod(lengths)
         modes = np.arange(-cutoff, cutoff + 1)
         self.ik = tuple(_read_only(2j * math.pi * m / length)
                         for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths))
         self._slots = tuple(map(_read_only, np.ix_(*[modes % n] * len(lengths))))
-        # the half-spectrum m_last >= 0 holds only columns 0..cutoff
-        self._half_slots = tuple(map(_read_only, np.ix_(*[modes % n] * (len(lengths) - 1),
-                                                        np.arange(cutoff + 1))))
-        self._half_shape = self.shape[:-1] + (cutoff + 1,)
-        # c_-m for m_last >= 0: every mode axis reversed, the last from its middle
-        self._mirror = (Ellipsis, *[slice(None, None, -1)] * (len(lengths) - 1),
-                        slice(cutoff, None, -1))
+        # the phase (m j) mod n is exact in integers, so every entry is a root of unity;
+        # _last alternates cos and -sin rows, as a complex row's real view alternates Re, Im
+        angle = (2.0 * math.pi / n) * (np.outer(modes, np.arange(n)) % n)
+        self._waves = _read_only(np.ascontiguousarray(np.exp(1j * angle.T)))
+        self._last = _read_only(np.stack([np.cos(angle), -np.sin(angle)], axis=1)
+                                .reshape(2 * modes.size, n) / math.sqrt(self.volume))
 
     @staticmethod
     def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
@@ -180,15 +179,15 @@ class _PeriodicTransform:
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values, the real part of sum_m c_m e_m; axes of ``coeffs``
-        before the mode axes are batch axes.  That real part is the synthesis
-        of the Hermitian part (c_m + conj(c_-m))/2, whose half m_last >= 0 is
-        one ``irfftn``: given the cutoff + 1 nonzero columns, it transforms
-        the leading axes on those columns only."""
+        before the mode axes are batch axes.  Each field is its own product
+        on contiguous operands (matmul skips BLAS on strided ones), so its
+        values are the same alone or in any batch."""
         batch = coeffs.shape[:coeffs.ndim - len(self.shape)]
-        half = coeffs[..., self.cutoff:] + coeffs[self._mirror].conj()
-        spec = np.zeros(batch + self._half_shape, dtype=complex)
-        spec[(Ellipsis, *self._half_slots)] = half * (0.5 / math.sqrt(self.volume))
-        return np.fft.irfftn(spec, s=self.shape, axes=self._axes, norm="forward")
+        a = np.ascontiguousarray(coeffs, dtype=complex)
+        # the circle's modes form one row; a torus's leading axis is summed first
+        a = a[..., np.newaxis, :] if len(self.shape) == 1 else self._waves @ a
+        # Re(sum_m a_m exp(i theta_m)) = sum_m Re a_m cos theta_m - Im a_m sin theta_m
+        return (a.view(float) @ self._last).reshape(batch + self.shape)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         spec = np.fft.fftn(values) / values.size
@@ -258,7 +257,7 @@ class _SphereTransform:
         return 2.0 * math.pi * self.radius ** 2 * self.w
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return (coeffs * self.norms) @ self.p
+        return _row_products(coeffs * self.norms, self.p)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         shell = 2.0 * math.pi * self.radius * self.radius
@@ -269,14 +268,14 @@ class _SphereTransform:
         scaled = coeffs * self.norms
         # the zonal gradient is the theta-derivative over the radius
         sin_theta = np.sqrt(1.0 - self.x * self.x)
-        du = -sin_theta * (scaled @ self.dp) / self.radius
-        return scaled @ self.p, du * du
+        du = -sin_theta * _row_products(scaled, self.dp) / self.radius
+        return _row_products(scaled, self.p), du * du
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's, then the
         two poles', which Gauss-Legendre nodes never reach."""
         scaled = coeffs * self.norms
-        return np.concatenate([scaled @ self.p, scaled @ self._poles], axis=-1)
+        return np.concatenate([_row_products(scaled, t) for t in (self.p, self._poles)], axis=-1)
 
 
 _GEOMETRY = {"circle": _PeriodicTransform, "torus2": _PeriodicTransform,
@@ -293,6 +292,12 @@ def _geometry(manifold: ManifoldSpec):
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _row_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``rows @ table`` by one vector-matrix product per row, whose rounding,
+    unlike a matrix-matrix product's, does not depend on the other rows."""
+    return (rows[..., np.newaxis, :] @ table)[..., 0, :]
 
 
 def _transform(manifold: ManifoldSpec, cutoff: int, grid_points: Optional[int] = None):
@@ -411,10 +416,7 @@ def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
         return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
     w, v, v_inv = _drift_propagator(*_drift_key(manifold, field.cutoff))
     x = np.exp(np.outer(times, w)) * (v_inv @ c0.ravel())
-    # one vector-matrix product per row: a matrix-matrix product rounds
-    # differently, so a row would depend on how many times are propagated
-    rows = (x[:, np.newaxis, :] @ v.T)[:, 0]
-    return rows.reshape(times.shape + c0.shape)
+    return _row_products(x, v.T).reshape(times.shape + c0.shape)
 
 
 def _require_positive(rows: np.ndarray, message: str) -> None:

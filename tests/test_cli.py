@@ -350,6 +350,14 @@ def test_verify_unknown_check():
                            f"choose from {sorted(vf.CHECKS)}\n")
 
 
+def test_verify_check_bug_is_not_a_usage_error(monkeypatch):
+    # only an unknown group name is a usage error; a KeyError raised inside
+    # a check group is a bug and propagates
+    monkeypatch.setitem(vf.CHECKS, "band", lambda spec: {}["missing"])
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["verify", "--only", "band"])
+
+
 def test_verify_injected_fault_names_check():
     proc = run_cli("verify", "--only", "envelopes", "--inject-fault", "envelopes")
     assert proc.returncode == 1
