@@ -126,7 +126,7 @@ def test_config_rejects_removed_dt_key(tmp_path: Path):
 
 def test_propagator_failure_exits_one(monkeypatch, capsys):
     def refuse(*args):
-        raise sp.PropagatorError("eigenvectors too ill-conditioned")
+        raise sp.PropagatorError("drift mass matrix too ill-conditioned")
 
     monkeypatch.setattr(sp, "_drift_propagator", refuse)
     assert cli.main(["evolve", "--manifold", "torus-drift"]) == 1

@@ -317,7 +317,7 @@ def test_evolve_accepts_drift_manifold():
     assert np.abs(evolved.coefficients - undrifted.coefficients).max() > 1e-6
     with pytest.raises(ValueError):
         sp.evolve(fixture.initial, -0.1)
-    # a lone constant mode has the zero generator and stays put
+    # a lone constant mode is its own mu-mass, carried at rate 0: it stays put
     constant = sp.project_initial(fixture.manifold, lambda x, y: np.ones_like(x), 0)
     assert sp.evolve(constant, 1.0).coefficients == pytest.approx(constant.coefficients)
 
@@ -348,44 +348,44 @@ def test_drift_semigroup_property():
         assert np.abs(left.coefficients - right.coefficients).max() <= 1e-12, (s, t)
 
 
-def _fft_drift_operator(manifold, cutoff):
-    """Oracle: the pseudospectral right-hand side -lambda c / 2 +
-    analyze(grad V . grad u), applied to each unit coefficient vector with a
-    complex-linear synthesis (no real part taken)."""
-    l1, l2 = manifold.lengths
+def _quadrature_pencil(manifold, cutoff, n=128):
+    """Oracle: the Gram matrix M_jk = <e_k, e_j> of the exponentials
+    e_k = exp(2 pi i k . x / L) and the Dirichlet form S_jk = <grad e_k,
+    grad e_j> / 2, both in mu = exp(2V) dx / its mass, by the midpoint rule
+    on an n^2 grid, with V summed mode by mode."""
+    lengths = manifold.lengths
     potential = manifold.drift
-    n = max(32, 8 * cutoff)
-    root_vol = math.sqrt(l1 * l2)
 
-    def grid(coeffs, band):
-        spec = np.zeros((n, n), dtype=complex)
-        slots = np.arange(-band, band + 1) % n
-        spec[np.ix_(slots, slots)] = coeffs / root_vol
-        return np.fft.ifft2(spec) * n * n
+    def waves(modes, length):
+        x = (np.arange(n) + 0.5) * (length / n)
+        return np.exp(2j * np.pi * np.outer(modes, x) / length)
 
-    def derivatives(coeffs, band):
-        m = np.arange(-band, band + 1)
-        return (grid(coeffs * (2j * np.pi * m / l1)[:, None], band),
-                grid(coeffs * (2j * np.pi * m / l2)[None, :], band))
+    band = np.arange(-potential.cutoff, potential.cutoff + 1)
+    ex, ey = (waves(band, length) for length in lengths)
+    v = np.real(ex.T @ potential.coefficients @ ey) / math.sqrt(math.prod(lengths))
+    weights = np.exp(2.0 * v)
+    weights /= weights.sum()
 
-    vx, vy = derivatives(potential.coefficients, potential.cutoff)
-    m = np.arange(-cutoff, cutoff + 1)
-    lam = ((2.0 * np.pi * m / l1) ** 2)[:, None] + ((2.0 * np.pi * m / l2) ** 2)[None, :]
-    slots = m % n
-    size = m.size ** 2
-    a = np.empty((size, size), dtype=complex)
-    for col in range(size):
-        c = np.zeros(size, dtype=complex)
-        c[col] = 1.0
-        c = c.reshape(m.size, m.size)
-        ux, uy = derivatives(c, cutoff)
-        adv = np.fft.fft2(vx * ux + vy * uy) / (n * n)
-        a[:, col] = (-0.5 * lam * c + adv[np.ix_(slots, slots)] * root_vol).ravel()
-    return a
+    modes = np.arange(-cutoff, cutoff + 1)
+    # per axis: products of conj(e_j) and e_k, and of their derivatives
+    pairs, grads = [], []
+    for length in lengths:
+        e = waves(modes, length)
+        de = (2j * np.pi * modes / length)[:, None] * e
+        pairs.append(e.conj()[:, None, :] * e[None, :, :])
+        grads.append(de.conj()[:, None, :] * de[None, :, :])
+
+    def gram(px, py):
+        return np.einsum("ika,ab,jlb->ijkl", px, weights, py,
+                         optimize=True).reshape(modes.size ** 2, -1)
+
+    mass = gram(*pairs)
+    stiff = 0.5 * (gram(grads[0], pairs[1]) + gram(pairs[0], grads[1]))
+    return mass, stiff
 
 
 @pytest.mark.parametrize("lengths, seed", [((1.0, 1.0), None), ((1.0, 1.5), 3)])
-def test_drift_generator_matches_pseudospectral_operator(lengths, seed):
+def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
     base = sp.torus2(*lengths)
     if seed is None:
         potential = fx.drift_fixture().manifold.drift
@@ -393,17 +393,53 @@ def test_drift_generator_matches_pseudospectral_operator(lengths, seed):
         coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
-    a = sp._drift_generator(manifold.lengths, 6, potential.coefficients)
-    assert np.abs(a - _fft_drift_operator(manifold, 6)).max() <= 1e-13
+    rates, left, right = sp._drift_propagator(*sp._drift_key(manifold, 6))
+    mass, stiff = _quadrature_pencil(manifold, 6)
+    # every column of left, the constant's included, solves S v = lambda M v
+    residual = stiff @ left - (mass @ left) * rates
+    scale = np.abs(stiff @ left).max(axis=0) + rates * np.abs(mass @ left).max(axis=0)
+    assert np.all(np.abs(residual).max(axis=0) <= 1e-12 * np.maximum(scale, 1.0))
+    assert rates[0] == 0.0 and np.all(rates[1:] > 0.0)
+    # M-orthonormal columns, and right is their inverse
+    eye = np.eye(len(rates))
+    assert np.abs(left.conj().T @ mass @ left - eye).max() <= 1e-12
+    assert np.abs(right @ left - eye).max() <= 1e-12
 
 
-@pytest.mark.parametrize("generator", [
-    np.array([[0.0, 1.0], [0.0, 0.0]]),          # exact Jordan block
-    np.array([[-1.0, 1.0], [1e-24, -1.0]]),     # numerically defective
-])
-def test_defective_generator_trips_guard(generator):
+def _sin_cos_start(amplitude, cutoff):
+    """1 + cos(2 pi x) / 5 at this cutoff, drifted by amplitude sin(2 pi x) cos(2 pi y)."""
+    potential = sp.project_potential(
+        TORUS, lambda x, y: amplitude * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y), 1)
+    return sp.project_initial(sp.torus2_drift(potential),
+                              lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x), cutoff)
+
+
+def test_ill_conditioned_drift_mass_is_refused():
+    # cond(M') at field cutoff 6 is about 7e7 for amplitude 5 and 1.5e9 for 6
+    accepted = _sin_cos_start(5.0, 6)
+    assert np.isfinite(sp.entropy_and_fisher(sp.evolve(accepted, 0.05))[1])
+    refused = _sin_cos_start(6.0, 6)
+    with pytest.raises(sp.PropagatorError, match="condition .* above 1e\\+08"):
+        sp.evolve(refused, 0.05)
+    with pytest.raises(sp.PropagatorError, match="condition"):
+        sp.entropy_trace(refused, [0.05, 0.1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cutoff", [1, 3])
+def test_overflowing_drift_weights_are_refused(cutoff):
+    # exp(2V) overflows, so the pencil is NaN; eigh then fails (here at
+    # cutoff 1) or returns NaN (cutoff 3), and either way it is refused
     with pytest.raises(sp.PropagatorError):
-        sp._eigendecompose(generator)
+        sp.evolve(_sin_cos_start(400.0, cutoff), 0.05)
+
+
+def test_drift_fisher_converges_in_cutoff():
+    # the Galerkin projection in L^2(mu) resolves this drift at field cutoff 6
+    # to 1e-4 of the cutoff-16 value; one in plain L^2 misses it by 1.5%
+    fisher = {cutoff: sp.entropy_and_fisher(sp.evolve(_sin_cos_start(3.0, cutoff), 0.05))[1]
+              for cutoff in (6, 16)}
+    assert fisher[6] == pytest.approx(fisher[16], rel=1e-3)
 
 
 def test_drift_propagator_shared_across_fixture_rebuilds():
