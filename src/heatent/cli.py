@@ -9,7 +9,11 @@ Subcommands:
 
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
-byte-identical output.  Exit status: 0 success, 1 verification or numerical
+byte-identical output.  Every one-row-per-time table (``h3``, ``bounds``,
+``evolve`` as CSV) goes through the one writer ``_table_text``, which also
+writes a table's JSON byte for byte as ``json.dumps(..., indent=2,
+sort_keys=True)`` would; only the nested ``evolve`` and ``verify`` reports
+go through json itself.  Exit status: 0 success, 1 verification or numerical
 (quadrature, drift propagator) failure, 2 usage or configuration error.
 """
 
@@ -20,7 +24,7 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +48,6 @@ _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
 class UsageError(ValueError):
     """Bad flags or config; maps to exit status 2."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _unscaled(scaled: float, exponent: float) -> float:
@@ -164,23 +164,43 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+# json's spellings of the floats that have no JSON number
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _table_text(header: Sequence[str], rows: Iterable[Sequence[float]], fmt: str) -> str:
+    """The one table writer: one row per time, every value a float, as CSV or
+    as the JSON list of {column: value} objects, byte for byte what
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes for it.
+
+    A value is written as its ``float.__repr__``; JSON spells the three
+    non-finite ones as json does.  Each JSON object fills one template with
+    the columns in sorted-key order."""
+    lines = [",".join(map(float.__repr__, row)) for row in rows]
+    if fmt == "csv":
+        return "\n".join([",".join(header), *lines]) + "\n"
+    if not lines:
+        return "[]\n"
+    members = ",\n".join(
+        "    " + json.dumps(header[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}"
+        for i in sorted(range(len(header)), key=header.__getitem__))
+    template = "  {{\n" + members + "\n  }}"
+    objects = []
+    for line in lines:
+        cells = line.split(",")
+        if "n" in line:  # nan, inf or -inf: no finite repr has an n
+            cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+        objects.append(template.format(*cells))
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(header: Sequence[str], rows: Sequence[Sequence[float]],
+def _emit_table(header: Sequence[str], rows: Iterable[Sequence[float]],
                 args: argparse.Namespace) -> None:
-    """One row per time, as CSV or as a JSON list of {column: value}."""
-    if args.format == "json":
-        payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _emit(_table_text(header, rows, args.format), args.out)
 
 
 def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
@@ -193,7 +213,7 @@ def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
         return 0
     i = int(failing[0])
     sys.stderr.write(f"{command}: {failing.size} of {ok.size} rows failed; first at "
-                     f"t={_fmt(times[i])}: {' and '.join(checks_at(i))}\n")
+                     f"t={float(times[i])!r}: {' and '.join(checks_at(i))}\n")
     return 1
 
 
@@ -247,7 +267,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         row = [t, trace.entropy[i], trace.fisher[i],
                trace.rate_direct[i], trace.rate_fd[i]]
         for report in reports:
-            row += [report.rhs[i], int(report.satisfied[i])]
+            row += [report.rhs[i], float(report.satisfied[i])]
         rows.append(row)
 
     if args.format == "json":
@@ -275,7 +295,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         }
         _emit(_json_text(payload), args.out)
     else:
-        _emit(_csv(header, rows), args.out)
+        _emit_table(header, rows, args)
 
     return _report_failures(
         "evolve", np.all([r.satisfied for r in reports], axis=0), trace.times,

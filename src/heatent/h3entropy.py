@@ -45,6 +45,23 @@ against the error estimate.  ``eta_quadrature``, the same eta by
 specfun's shifted-Gaussian quadrature, is the oracle the tests hold the rule
 to.
 
+Shortcuts that change no bit.  ``_trapezoid`` gives every node value and
+sum the bits of its plain form (kappa t + sqrt(t) s, L or G at each node,
+f (r gauss) and f (r^3 gauss) summed per row), for these reasons:
+- r is built in place as outer(sqrt t, s) + kappa t, and each weighted
+  product as (r gauss) f: IEEE addition and multiplication commute, so every
+  rounding is the one of the plain form.
+- G's second log is skipped from x = 20 on: there e^{-2x} < 2^-57, so
+  1 - e^{-2x} rounds to 1.0 and its log is exactly 0.  The nodes below 20
+  sit in the leading columns (x rises along a row), the only ones it is
+  taken on.
+- L's Taylor series starts at the highest term that can still change a bit
+  of any node of the array, which specfun proves node by node and repairs
+  where it cannot (``specfun._log_sinh_ratio_series``).
+- Where every row is on one side of kappa^2 t = 100, no row is gathered.
+Each choice looks only at the values, never at a row's position, so a row
+still does not depend on the grid it came in.
+
 The sweep.  ``evaluate_records`` returns one ``H3Sweep``: a column array per
 quantity, and the margins and error estimates of the four envelope sides as
 (4, n) arrays in the order of ``SIDES``.  ``verdict_states`` is the one rule
@@ -74,7 +91,7 @@ from .quadrature import (
 )
 from .specfun import (
     HyperbolicMoment,
-    alpha,
+    _log_sinh_ratio,
     log_sinh_ratio,
     moment_factors,
     shifted_gaussian_quadratures,
@@ -92,6 +109,9 @@ _GAUSS = np.exp(-0.5 * _NODES * _NODES)
 # From kappa^2 t = 100 on, r = kappa t + sqrt(t) s is positive at every node
 # (9.5^2 < 100) and the remainder R = closed - eta is integrated instead.
 _REMAINDER_FROM = 100.0
+# From here on e^{-2x} < 2^-57, a sixteenth of half an ulp of 1, so
+# -expm1(-2x) is exactly 1.0 and its log exactly 0.
+_UNIT_FROM = 20.0
 # Relative rounding allowed, on top of the quadrature estimate, for each of
 # the two terms an envelope slack is the difference of.
 _SLACK_ROUNDING = 4.0 * sys.float_info.epsilon
@@ -168,8 +188,7 @@ def _radial_integrals(p: H3Params, ts: np.ndarray, integrand, context: str) -> n
     results = integrate_batch(
         lambda r, j: integrand(_radial_mass(p, flat[j], r, pref[j]), r, j),
         (p.kappa * flat).tolist(), np.sqrt(flat).tolist(), p.quadrature)
-    values = [require_converged(result, f"{context} at t = {s!r}").value
-              for result, s in zip(results, flat.tolist())]
+    values = require_converged(results, lambda i: f"{context} at t = {float(flat[i])!r}")
     return np.array(values).reshape(ts.shape)
 
 
@@ -221,9 +240,9 @@ def xi_prime(p: H3Params, t):
 _SINH_MOMENTS = [HyperbolicMoment(m, "sinh") for m in range(5)]
 
 
-def _closed_form(p: H3Params, t: np.ndarray, prime: bool):
-    """(closed, lower term, upper term) arrays for eta at the array of times
-    t, or for eta' where prime is set, all times exp(-kappa^2 t/2).
+def _closed_forms(p: H3Params, t: np.ndarray):
+    """((closed, lower term, upper term) for eta, the same for eta', F_0) at
+    the array of times t, all times exp(-kappa^2 t/2); F_0 is alpha(kappa, t).
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -233,17 +252,15 @@ def _closed_form(p: H3Params, t: np.ndarray, prime: bool):
     x = kappa sqrt(t): for eta, closed = t x F_2 with coefficient t F_1 and
     log arguments 2x^2 + 4 and 1 + x F_1/F_0; for eta', closed = x F_4/2 with
     coefficient F_3/2 and log arguments 1 + 2x F_4/F_3 and 1 + x F_3/F_2.
+    One erf per time serves all five F_m.
     """
     x = p.kappa * np.sqrt(t)
-    if not prime:
-        f0, f1, f2 = moment_factors(_SINH_MOMENTS[:3], p.kappa, t)
-        coeff = t * f1
-        return (t * x * f2, coeff * np.log(2.0 * x * x + 4.0),
-                coeff * np.log1p(x * f1 / f0))
-    f2, f3, f4 = moment_factors(_SINH_MOMENTS[2:], p.kappa, t)
-    coeff = 0.5 * f3
-    return (0.5 * x * f4, coeff * np.log1p(2.0 * x * f4 / f3),
-            coeff * np.log1p(x * f3 / f2))
+    f0, f1, f2, f3, f4 = moment_factors(_SINH_MOMENTS, p.kappa, t)
+    coeff, coeff_prime = t * f1, 0.5 * f3
+    return ((t * x * f2, coeff * np.log(2.0 * x * x + 4.0), coeff * np.log1p(x * f1 / f0)),
+            (0.5 * x * f4, coeff_prime * np.log1p(2.0 * x * f4 / f3),
+             coeff_prime * np.log1p(x * f3 / f2)),
+            f0)
 
 
 def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
@@ -266,11 +283,12 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
     def weighted(gauss, r, i):
         return gauss * np.where(cubic[i], r * r * r, r) * log_sinh_ratio(k * r)
 
+    def context(i):
+        t, prime = points[i]
+        return f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
+
     values = shifted_gaussian_quadratures(
-        weighted, [(k, t, "sinh") for t, _ in points],
-        [f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
-         for t, prime in points],
-        p.quadrature)
+        weighted, [(k, t, "sinh") for t, _ in points], context, p.quadrature)
     return [value * (0.5 / (t * t)) if prime else value
             for value, (t, prime) in zip(values, points)]
 
@@ -278,13 +296,13 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 def eta_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds that eta must sit strictly inside,
     times exp(-kappa^2 t/2)."""
-    closed, lower, upper = _closed_form(p, _times(t), False)
+    (closed, lower, upper), _, _ = _closed_forms(p, _times(t))
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
 def eta_prime_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
-    closed, lower, upper = _closed_form(p, _times(t), True)
+    _, (closed, lower, upper), _ = _closed_forms(p, _times(t))
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
@@ -356,8 +374,9 @@ class H3Sweep:
 
     @property
     def envelope_ok(self) -> np.ndarray:
-        """Per row: every envelope side resolved inside."""
-        return np.all(verdict_states(self.margins, self.errors) == "inside", axis=0)
+        """Per row: every envelope side resolved inside (``verdict_states``'
+        rule: margin > error, so a NaN is not inside)."""
+        return np.all(self.margins > self.errors, axis=0)
 
     @property
     def band_margin(self) -> np.ndarray:
@@ -381,22 +400,51 @@ def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
     with its estimate |I_h - I_2h|, before the sqrt(t)/2 (and 1/(2t^2))
     scale.  L, or G where the mask returned first is set, is evaluated once
     per time and serves both sums.  Each time is one row of the array
-    program, so its sums do not depend on the others."""
+    program, and every shortcut of the module docstring leaves each node
+    value as it would be alone, so its sums do not depend on the others."""
     k = p.kappa
     remainder = k * k * ts >= _REMAINDER_FROM
-    r = (k * ts)[:, None] + np.sqrt(ts)[:, None] * _NODES
+    r = np.multiply.outer(np.sqrt(ts), _NODES)
+    r += (k * ts)[:, None]
     x = k * r
-    f = np.empty(r.shape)
-    f[~remainder] = log_sinh_ratio(np.abs(x[~remainder]))
-    far = x[remainder]  # >= 5 at every node
-    # G(x) = x - log(sinh x / x), written so that nothing cancels
-    f[remainder] = np.log(2.0 * far) - np.log(-np.expm1(-2.0 * far))
-    near = r[:n]
+    if remainder.all():
+        f = _remainder_weight(x)
+    elif not remainder.any():
+        f = _log_sinh_ratio(np.abs(x, out=x))
+    else:
+        f = np.empty(r.shape)
+        inner = x[~remainder]
+        f[~remainder] = _log_sinh_ratio(np.abs(inner, out=inner))
+        f[remainder] = _remainder_weight(x[remainder])
+    # the products f (r gauss) and f (r^3 gauss), each taken in place
+    near = r[:n] * r[:n]
+    near *= r[:n]
+    near *= _GAUSS
+    near *= f[:n]
+    r *= _GAUSS
+    r *= f
     rules = []
-    for weighted in (f * (r * _GAUSS), f[:n] * ((near * near * near) * _GAUSS)):
+    for weighted in (r, near):
         fine = _STEP * weighted.sum(axis=1)
         rules.append((fine, np.abs(fine - 2.0 * _STEP * weighted[:, ::2].sum(axis=1))))
     return remainder, rules
+
+
+def _remainder_weight(x: np.ndarray) -> np.ndarray:
+    """G(x) = x - log(sinh x / x) = log 2x - log(-expm1(-2x)), written so
+    that nothing cancels, on rows of nodes (x >= 5 at every node, rising
+    along each row), in place of x.  The second log is exactly 0 from
+    _UNIT_FROM on, so it is taken only on the leading columns where some row
+    is still below."""
+    below = 0
+    if x.size and x[:, 0].min() < _UNIT_FROM:
+        below = np.flatnonzero(x.min(axis=0) < _UNIT_FROM)[-1] + 1
+        unit = np.log(-np.expm1(-2.0 * x[:, :below]))
+    x *= 2.0
+    np.log(x, out=x)
+    if below:
+        x[:, :below] -= unit
+    return x
 
 
 def _slack_margins(value, rest, error, lower, upper):
@@ -458,8 +506,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         scale = 0.5 * np.sqrt(ts)
         quad, quad_prime = fine * scale, fine_prime * (scale[:n] * prime_scale[:n])
         error, error_prime = estimate * scale, estimate_prime * (scale[:n] * prime_scale[:n])
-        closed, lower, upper = _closed_form(p, ts, False)
-        closed_prime, lower_prime, upper_prime = _closed_form(p, grid, True)
+        (closed, lower, upper), eta_prime_terms, alphas = _closed_forms(p, ts)
+        closed_prime, lower_prime, upper_prime = (v[:n] for v in eta_prime_terms)
         eta = np.where(remainder, closed - quad, quad)
         rest = np.where(remainder, quad, closed - quad)
         etap = np.where(remainder[:n], closed_prime - quad_prime, quad_prime)
@@ -471,7 +519,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         # xi' kappa M_2 + xi kappa M_4/(2t^2), the closed part of the rate,
         # cancels analytically to 2 kappa^2 alpha/sqrt(2 pi)
         # + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t); only -(xi' R + xi R') is left.
-        closed_rate = 2.0 * k * (k * alpha(k, grid) + np.exp(-0.5 * k * k * grid) / np.sqrt(grid))
+        closed_rate = 2.0 * k * (k * alphas[:n] + np.exp(-0.5 * k * k * grid) / np.sqrt(grid))
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
             xi_primes[:n] * rest[:n] + xis[:n] * rest_prime)
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)

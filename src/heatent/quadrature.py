@@ -50,12 +50,17 @@ class QuadratureConvergenceError(RuntimeError):
     """A caller that requires convergence received a non-converged result."""
 
 
-def require_converged(result: "QuadratureResult", context: str) -> "QuadratureResult":
-    if not result.converged:
-        raise QuadratureConvergenceError(
-            f"{context}: error estimate {result.error_estimate:.3e} after "
-            f"{result.evaluations} evaluations")
-    return result
+def require_converged(results: Sequence["QuadratureResult"],
+                      context: Callable[[int], str]) -> list[float]:
+    """The value of each result, in order.  Raises QuadratureConvergenceError
+    for the first one that did not converge, named by context(its index);
+    no name is made for an integral that converged."""
+    for i, result in enumerate(results):
+        if not result.converged:
+            raise QuadratureConvergenceError(
+                f"{context(i)}: error estimate {result.error_estimate:.3e} after "
+                f"{result.evaluations} evaluations")
+    return [result.value for result in results]
 
 
 @dataclass(frozen=True)

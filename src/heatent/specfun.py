@@ -14,6 +14,7 @@ and h3entropy's closed parts and envelope terms of eta are read from it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -111,7 +112,7 @@ def hyperbolic_moment_closed_form(moment: HyperbolicMoment, kappa: float, t):
 def shifted_gaussian_quadratures(
     weight: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     cases: Sequence[tuple[float, float, str]],
-    contexts: Sequence[str],
+    context: Callable[[int], str],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
     """For each case i = (kappa, t, kind), the integral over r > 0 of
@@ -126,7 +127,7 @@ def shifted_gaussian_quadratures(
     of case i, multiplied in the caller's order.  All halves run as one
     lockstep batch, case i's plus half as integral 2i and its minus half as
     2i + 1; convergence is required case by case, a failure named by
-    contexts[i].
+    context(i).
     """
     for kappa, t, _ in cases:
         if not (kappa >= 0.0 and t > 0.0):
@@ -144,13 +145,9 @@ def shifted_gaussian_quadratures(
 
     results = integrate_batch(f, np.maximum(0.0, -edges).tolist(),
                               [1.0] * edges.size, spec)
-    values = []
-    for (_, t, kind), context, plus, minus in zip(cases, contexts, results[0::2],
-                                                  results[1::2]):
-        jp = require_converged(plus, context).value
-        jm = require_converged(minus, context).value
-        values.append(0.5 * math.sqrt(t) * (jp - jm if kind == "sinh" else jp + jm))
-    return values
+    halves = require_converged(results, lambda j: context(j // 2))
+    return [0.5 * math.sqrt(t) * (jp - jm if kind == "sinh" else jp + jm)
+            for (_, t, kind), jp, jm in zip(cases, halves[0::2], halves[1::2])]
 
 
 def hyperbolic_moment_quadratures(
@@ -161,11 +158,14 @@ def hyperbolic_moment_quadratures(
     times exp(-kappa^2 t/2): the independent cross-check of the closed forms
     at any kappa^2 t."""
     powers = np.array([float(moment.power) for moment, _, _ in cases])
+
+    def context(i):
+        moment, kappa, t = cases[i]
+        return f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
+
     return shifted_gaussian_quadratures(
         lambda gauss, r, i: gauss * r ** powers[i],
-        [(kappa, t, moment.kind) for moment, kappa, t in cases],
-        [f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
-         for moment, kappa, t in cases], spec)
+        [(kappa, t, moment.kind) for moment, kappa, t in cases], context, spec)
 
 
 def log_sinh_ratio(x):
@@ -176,30 +176,109 @@ def log_sinh_ratio(x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
         raise ValueError("log_sinh_ratio requires x >= 0")
-    small = xs <= _LOG_SINH_RATIO_SWITCH
-    if small.all():
-        out = _log_sinh_ratio_series(xs * xs)
-    else:
-        # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are
-        # small this also runs on them (0/0 at x = 0) before the series
-        # overwrites them: cheaper than gathering the large ones apart.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs))
-        if small.any():
-            near = xs[small]
-            out[small] = _log_sinh_ratio_series(near * near)
+    out = _log_sinh_ratio(xs.copy())
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
+    """``log_sinh_ratio`` of a float array xs >= 0, which it overwrites:
+    every step runs in place, so few arrays of its size are ever live."""
+    small = xs <= _LOG_SINH_RATIO_SWITCH
+    if small.all():
+        xs *= xs
+        return _log_sinh_ratio_series(xs)
+    near = xs[small]
+    # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are small
+    # this also runs on them (0/0 at x = 0) before the series overwrites
+    # them: cheaper than gathering the large ones apart.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.multiply(xs, -2.0)
+        np.expm1(ratio, out=ratio)
+        np.negative(ratio, out=ratio)
+        ratio /= 2.0 * xs
+        np.log(ratio, out=ratio)
+        xs += ratio
+    if near.size:
+        near *= near
+        xs[small] = _log_sinh_ratio_series(near)
+    return xs
+
+
 def _log_sinh_ratio_series(x2: np.ndarray) -> np.ndarray:
-    """The even Taylor series of log(sinh x / x) at x^2 = x2, by Horner's
-    rule in place, so no step allocates."""
+    """The even Taylor series of log(sinh x / x) at x^2 = x2: Horner's rule
+    s_j = (s_{j+1} x2) + c_j from the top term down, then times x2.
+
+    With m = max x2 small the top terms cannot reach the result, and the
+    rule starts lower, at the first term K whose ``_SERIES_REACH`` covers m.
+    That is exact, not merely accurate: a step is non-decreasing in s_{j+1}
+    (x2 >= 0 and rounding is monotone), and ``_SERIES_STARTS[K]`` brackets
+    every s_K the dropped terms can make, so the rules run from its two ends
+    enclose the full rule's result.  Where they end equal, that is the full
+    rule's value; elsewhere (about one element in a million) the full rule
+    runs.
+    """
+    m = float(x2.max()) if x2.size else 0.0
+    if not m <= _SERIES_REACH[-1]:  # also a NaN
+        return _horner(x2)
+    top = bisect.bisect_left(_SERIES_REACH, m)
+    lower, upper = _SERIES_STARTS[top]
+    series, bound = x2 * lower, x2 * upper
+    for c in reversed(_LOG_SINH_RATIO_SERIES[:top]):
+        series += c
+        series *= x2
+        bound += c
+        bound *= x2
+    unsettled = series != bound
+    if unsettled.any():
+        series[unsettled] = _horner(x2[unsettled])
+    return series
+
+
+def _horner(x2: np.ndarray) -> np.ndarray:
+    """The series over all 16 terms by Horner's rule from s_16 = 0, in place."""
     series = np.zeros_like(x2)
     for c in reversed(_LOG_SINH_RATIO_SERIES):
         series *= x2
         series += c
     series *= x2
     return series
+
+
+def _series_spread(top: int, m: float) -> float:
+    """A bound on |s_{top+1} x2| of the full Horner rule for every x2 <= m <= 1:
+    twice the exact tail sum_{i > top} |c_i| m^{i - top}, which covers the
+    at most 32 roundings of the rule (under 1e-14 relative) and this sum's
+    own."""
+    tail = 0.0
+    for c in reversed(_LOG_SINH_RATIO_SERIES[top + 1:]):
+        tail = tail * m + abs(c)
+    return 2.0 * tail * m
+
+
+def _series_reach(top: int) -> float:
+    """The largest m = 2^-(j/8) whose bracket at term ``top``, 2 spread wide,
+    shrinks below 2^-76 by s_0 (times m^top), 2^-20 of half an ulp of s_0
+    near 1/6: so the two chains end apart on about one element in a
+    million."""
+    lo, hi = 0, 8 * 1100  # in eighths of a binary order; 2^-1100 is 0.0, in reach of any top
+    while lo < hi:
+        j = (lo + hi) // 2
+        m = 2.0 ** (-j / 8)
+        if 2.0 * _series_spread(top, m) * m ** top <= 2.0 ** -76:
+            hi = j
+        else:
+            lo = j + 1
+    return 2.0 ** (-lo / 8)
+
+
+# Horner starts at term K for max x^2 <= _SERIES_REACH[K]; past the last
+# entry the two chains would cost more than the full rule.  A start is the
+# bracket c_K -+ spread at that reach, which holds for every smaller m too.
+_SERIES_REACH = tuple(_series_reach(top) for top in range(8))
+_SERIES_STARTS = tuple(
+    (_LOG_SINH_RATIO_SERIES[top] - _series_spread(top, m),
+     _LOG_SINH_RATIO_SERIES[top] + _series_spread(top, m))
+    for top, m in enumerate(_SERIES_REACH))
 
 
 def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:

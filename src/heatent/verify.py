@@ -71,8 +71,8 @@ def check_moment_table(spec: QuadratureSpec) -> CheckResult:
     results = integrate_batch(_stable_moment_integrand(cases),
                               [kappa * t for _, kappa, t in cases],
                               [math.sqrt(t) for _, _, t in cases], spec)
-    direct = [require_converged(d, f"direct path of {m} at kappa = {k!r}, t = {t!r}").value
-              for (m, k, t), d in zip(cases, results)]
+    direct = require_converged(
+        results, lambda i: "direct path of {} at kappa = {!r}, t = {!r}".format(*cases[i]))
     shifted = hyperbolic_moment_quadratures(cases, spec)
     times = np.array(_T_GRID)
     closed = np.concatenate([hyperbolic_moment_closed_form(moment, kappa, times)

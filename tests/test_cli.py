@@ -74,13 +74,53 @@ def test_h3_rejects_bad_grid():
 
 
 def test_h3_deterministic_bytes(tmp_path: Path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["h3", "--kappa", "2", "--t-start", "0.2", "--t-stop", "30",
-            "--t-count", "7"]
-    assert run_cli(*args, "--out", str(a)).returncode == 0
-    assert run_cli(*args, "--out", str(b)).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+    # each window twice in each format; past kappa^2 t ~ 1.4e3 the eta columns
+    # overflow, so the second window also pins JSON's non-finite spellings
+    for window in (["--kappa", "2", "--t-start", "0.2", "--t-stop", "30"],
+                   ["--kappa", "1", "--t-start", "1000", "--t-stop", "3000"]):
+        outputs = {}
+        for fmt in ("csv", "json"):
+            a = tmp_path / f"a.{fmt}"
+            b = tmp_path / f"b.{fmt}"
+            args = ["h3", *window, "--t-count", "7", "--format", fmt]
+            assert run_cli(*args, "--out", str(a)).returncode == 0
+            assert run_cli(*args, "--out", str(b)).returncode == 0
+            assert a.read_bytes() == b.read_bytes()
+            outputs[fmt] = a.read_text()
+        # the JSON bytes are json's own for the CSV's values
+        header, *lines = outputs["csv"].splitlines()
+        payload = [dict(zip(header.split(","), map(float, line.split(","))))
+                   for line in lines]
+        assert outputs["json"] == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert "Infinity" in outputs["json"] and "inf" in outputs["csv"]
+
+
+# values a table can hold, in every awkward spelling float repr and json have
+AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+           -2.2250738585072014e-308, 1e16, 1e-7, 0.1, np.float64(2.5e-300),
+           np.float64(-1.0 / 3.0), float(np.True_), float(np.False_), 1.0, 0.0]
+
+
+@pytest.mark.parametrize("header", [
+    ["t", "entropy", "I1", "I2", "band_hi", "band_lo", "a", "B", "_", "z", "y", "x",
+     "w", "v", "u", "s", "r"],
+    ['odd "key"', "brace{0}", "}{", "ünï", "n", "nan", "inf", "-inf", "k:", ",", "0",
+     "10", "9", "e", "E", "f", "g"],
+])
+def test_table_writer_matches_the_stdlib(header):
+    rng = np.random.default_rng(5)
+    rows = [[AWKWARD[(i + 3 * j) % len(AWKWARD)] for j in range(len(header))]
+            for i in range(len(AWKWARD))]
+    rows += [list(rng.normal(size=len(header)) * 10.0 ** rng.integers(-300, 300))
+             for _ in range(5)]
+    expected_json = json.dumps([dict(zip(header, map(float, row))) for row in rows],
+                               indent=2, sort_keys=True) + "\n"
+    expected_csv = "\n".join([",".join(header)] + [
+        ",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
+    assert cli._table_text(header, rows, "json") == expected_json
+    assert cli._table_text(header, rows, "csv") == expected_csv
+    assert cli._table_text(header, [], "json") == json.dumps([], indent=2) + "\n"
+    assert cli._table_text(header, [], "csv") == ",".join(header) + "\n"
 
 
 def test_evolve_circle():

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
 from heatent import h3entropy as h3
@@ -469,7 +471,8 @@ def test_closed_form_terms_against_mpmath():
         for kappa in (0.3, 1.0, 2.7):
             p = h3.H3Params(kappa)
             times = k2t / kappa ** 2
-            terms = h3._closed_form(p, times, False) + h3._closed_form(p, times, True)
+            eta_terms, eta_prime_terms, _ = h3._closed_forms(p, times)
+            terms = eta_terms + eta_prime_terms
             for i, t in enumerate(times.tolist()):
                 k, tt = mp.mpf(kappa), mp.mpf(t)
                 m0, m1, m2, m3, m4 = (mp_scaled_moment(mp, m, "sinh", kappa, t)
@@ -554,3 +557,150 @@ def test_custom_quadrature_spec_threads_through():
                                             absolute_tolerance=1e-10))
     assert h3.evaluate_records(loose, [1.0]).entropy[0] == pytest.approx(
         h3.evaluate_records(P1, [1.0]).entropy[0], rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the trapezoid kernel against a frozen copy of its straightforward form:
+# every node value and both rules of each row, bit for bit
+
+_FROZEN_SERIES = specfun._LOG_SINH_RATIO_SERIES
+
+
+def frozen_series(x2):
+    """log(sinh x / x) at x^2 = x2 by Horner's rule over all 16 terms."""
+    series = np.zeros_like(x2)
+    for c in reversed(_FROZEN_SERIES):
+        series *= x2
+        series += c
+    series *= x2
+    return series
+
+
+def frozen_log_sinh_ratio(xs):
+    small = xs <= 1.0
+    if small.all():
+        return frozen_series(xs * xs)
+    out = xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs))
+    if small.any():
+        near = xs[small]
+        out[small] = frozen_series(near * near)
+    return out
+
+
+def frozen_trapezoid(p, ts, n):
+    k = p.kappa
+    remainder = k * k * ts >= 100.0
+    r = (k * ts)[:, None] + np.sqrt(ts)[:, None] * h3._NODES
+    x = k * r
+    f = np.empty(r.shape)
+    f[~remainder] = frozen_log_sinh_ratio(np.abs(x[~remainder]))
+    far = x[remainder]
+    f[remainder] = np.log(2.0 * far) - np.log(-np.expm1(-2.0 * far))
+    near = r[:n]
+    rules = []
+    for weighted in (f * (r * h3._GAUSS), f[:n] * ((near * near * near) * h3._GAUSS)):
+        fine = h3._STEP * weighted.sum(axis=1)
+        rules.append((fine, np.abs(fine - 2.0 * h3._STEP * weighted[:, ::2].sum(axis=1))))
+    return remainder, rules
+
+
+def assert_kernel_is_frozen(p, ts, n):
+    with np.errstate(all="ignore"):
+        mask, rules = h3._trapezoid(p, ts, n)
+        frozen_mask, frozen_rules = frozen_trapezoid(p, ts, n)
+    assert mask.tolist() == frozen_mask.tolist()
+    for got, want in zip(rules, frozen_rules):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (p.kappa, ts, n)
+
+
+def fd_rows(k2t, kappa):
+    """evaluate_records' rows t, t + h, t - h for the times at these kappa^2 t."""
+    grid = np.asarray(k2t, dtype=float) / kappa ** 2
+    return np.concatenate([grid, grid + 1e-4 * grid, grid - 1e-4 * grid])
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("k2t", [
+    [],  # count 0
+    [3e-9],  # count 1, series only
+    [2e5],  # count 1, remainder only, every x past _UNIT_FROM
+    np.geomspace(1e-8, 1e-7, 7),  # few series terms
+    np.geomspace(1e-3, 1e-2, 7),  # every term
+    np.geomspace(0.1, 50.0, 9),  # series and closed form in one row
+    np.geomspace(30.0, 300.0, 9),  # straddling kappa^2 t = 100
+    [100.0, np.nextafter(100.0, 0.0), 100.0 * (1 + 1e-4), 99.99],
+    np.geomspace(100.0, 700.0, 9),  # remainder rows with x on both sides of _UNIT_FROM
+    np.geomspace(1e3, 1e12, 9),
+])
+def test_trapezoid_equals_frozen_kernel_at_its_boundaries(kappa, k2t):
+    ts = fd_rows(k2t, kappa)
+    for n in sorted({0, 1, len(k2t)}):
+        if n <= ts.size:
+            assert_kernel_is_frozen(h3.H3Params(kappa), ts, n)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+def test_node_weights_equal_their_frozen_forms(kappa):
+    # the sums above barely feel the far nodes, so pin every node value too
+    for k2t, remainder in ((np.geomspace(1e-8, 99.0, 30), False),
+                           (np.geomspace(100.0, 1e4, 30), True)):
+        ts = fd_rows(k2t, kappa)
+        x = kappa * ((kappa * ts)[:, None] + np.sqrt(ts)[:, None] * h3._NODES)
+        with np.errstate(all="ignore"):
+            if remainder:
+                assert x[:, 0].min() < h3._UNIT_FROM < x[:, 0].max()
+                got = h3._remainder_weight(x.copy())
+                want = np.log(2.0 * x) - np.log(-np.expm1(-2.0 * x))
+            else:
+                got = specfun._log_sinh_ratio(np.abs(x))
+                want = frozen_log_sinh_ratio(np.abs(x))
+        assert got.tobytes() == want.tobytes(), (kappa, remainder)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kappa=st.floats(0.05, 20.0), logs=st.lists(st.floats(-9.0, 13.0), max_size=12),
+       window=st.floats(-9.0, 12.0), fd=st.booleans(), data=st.data())
+def test_trapezoid_equals_frozen_kernel(kappa, logs, window, fd, data):
+    # rows at arbitrary kappa^2 t in any order, or a one-decade window of them
+    k2t = 10.0 ** np.array(logs) if logs else np.geomspace(10.0 ** window, 10.0 ** (window + 1), 40)
+    ts = fd_rows(k2t, kappa) if fd else k2t / kappa ** 2
+    n = data.draw(st.integers(0, min(ts.size, 40)))
+    assert_kernel_is_frozen(h3.H3Params(kappa), ts, n)
+
+
+@pytest.mark.parametrize("top", range(len(specfun._SERIES_REACH)))
+def test_series_starts_equal_the_full_rule(top):
+    # at each reach the rule starts at term top; just past it one term higher
+    # (past the last, the full rule runs)
+    rng = np.random.default_rng(top)
+    reach = specfun._SERIES_REACH[top]
+    for m in (reach, np.nextafter(reach, 1.0)):
+        x = rng.uniform(-1.0, 1.0, 20000) * math.sqrt(m)
+        x2 = np.concatenate([x * x, [m, 0.0, 5e-324, m * 0.5]])
+        for values in (x2, x2[-1:], x2[:0]):  # also counts 1 and 0
+            got = specfun._log_sinh_ratio_series(values.copy())
+            assert got.tobytes() == frozen_series(values.copy()).tobytes(), (top, m)
+
+
+def test_unsettled_series_elements_take_the_full_rule(monkeypatch):
+    # wider brackets still enclose the full rule, and now the two chains end
+    # apart on most elements: those must come out as the full rule's value
+    wide = tuple((c - 1.0, c + 1.0) for c in _FROZEN_SERIES[:8])
+    monkeypatch.setattr(specfun, "_SERIES_STARTS", wide)
+    recomputed = []
+    full_rule = specfun._horner
+    monkeypatch.setattr(specfun, "_horner",
+                        lambda x2: recomputed.append(x2.size) or full_rule(x2))
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, 20000) * 0.003
+    got = specfun._log_sinh_ratio_series(x * x)
+    assert recomputed and recomputed[0] > 1000
+    assert got.tobytes() == frozen_series(x * x).tobytes()
+
+
+def test_expm1_is_exactly_minus_one_from_unit_from_on():
+    # the premise of skipping log(-expm1(-2x)) in the remainder weight
+    x = np.concatenate([np.linspace(h3._UNIT_FROM, 3.0 * h3._UNIT_FROM, 200001),
+                        np.geomspace(3.0 * h3._UNIT_FROM, 1e300, 2000)])
+    assert np.all(-np.expm1(-2.0 * x) == 1.0)
+    assert np.log(np.ones(5)).tolist() == [0.0] * 5

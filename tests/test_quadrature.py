@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,10 +122,10 @@ def test_shifted_gaussians_batch_matches_singles():
     cases = [(5.0, 1.0, "sinh"), (0.75, 4.0, "cosh"), (0.0, 0.25, "cosh"), (1.0, 1e4, "sinh")]
     scales = np.sqrt([t for _, t, _ in cases])
     batch = shifted_gaussian_quadratures(
-        lambda gauss, r, i: gauss * (1.0 + scales[i] * r * r), cases, ["batch"] * 4)
+        lambda gauss, r, i: gauss * (1.0 + scales[i] * r * r), cases, lambda i: "batch")
     for k, (case, sc) in enumerate(zip(cases, scales.tolist())):
         alone = shifted_gaussian_quadratures(
-            lambda gauss, r, i: gauss * (1.0 + sc * r * r), [case], ["alone"])
+            lambda gauss, r, i: gauss * (1.0 + sc * r * r), [case], lambda i: "alone")
         assert [batch[k]] == alone, k
 
 
@@ -152,6 +153,20 @@ def test_non_convergence_flagged_not_raised():
     assert not result.converged
 
 
+def test_require_converged_names_only_a_failure():
+    results = integrate_batch(lambda r, j: np.exp(-r), [0.0, 0.0], [1.0, 1.0])
+
+    def never(i):
+        raise AssertionError(f"named converged integral {i}")
+
+    assert quadrature.require_converged(results, never) == [r.value for r in results]
+    failed = replace(results[1], converged=False)
+    with pytest.raises(quadrature.QuadratureConvergenceError,
+                       match=r"^second: error estimate [0-9.e+-]+ after [0-9]+ evaluations$"):
+        quadrature.require_converged([results[0], failed, failed],
+                                     ["first", "second"].__getitem__)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(relative_tolerance=0.0)
@@ -169,7 +184,7 @@ def test_spec_validation():
 def test_shifted_gaussian_reduces_to_half_gaussian():
     # at kappa = 0 both halves are the plain half-Gaussian
     [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(0.0, 1.0, "cosh")],
-                                           ["half-Gaussian"])
+                                           lambda i: "half-Gaussian")
     assert value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
 
 
@@ -177,7 +192,7 @@ def test_shifted_gaussian_cross_oracle():
     # kappa = 5, t = 1: the substituted integral equals the unsubstituted
     # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly
     [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0, "sinh")],
-                                             ["cross-oracle"])
+                                             lambda i: "cross-oracle")
     [direct] = integrate_batch(
         lambda r, j: 0.5 * (np.exp(-0.5 * (r - 5.0) ** 2) - np.exp(-0.5 * (r + 5.0) ** 2)),
         [5.0], [1.0])
@@ -190,7 +205,7 @@ def test_shifted_gaussian_cross_oracle():
 def test_shifted_gaussian_scale_validation():
     for t in (0.0, -1.0):
         with pytest.raises(ValueError):
-            shifted_gaussian_quadratures(lambda gauss, r, i: 1.0, [(1.0, t, "sinh")], ["t"])
+            shifted_gaussian_quadratures(lambda gauss, r, i: 1.0, [(1.0, t, "sinh")], lambda i: "t")
 
 
 @settings(max_examples=25, deadline=None)
