@@ -9,12 +9,13 @@ Subcommands:
 
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
-byte-identical output.  Every one-row-per-time table (``h3``, ``bounds``,
-``evolve`` as CSV) goes through the one writer ``_table_text``, which also
-writes a table's JSON byte for byte as ``json.dumps(..., indent=2,
-sort_keys=True)`` would; only the nested ``evolve`` and ``verify`` reports
-go through json itself.  Exit status: 0 success, 1 verification or numerical
-(quadrature, drift propagator) failure, 2 usage or configuration error.
+byte-identical output.  ``h3``, ``evolve`` and ``bounds`` each build one
+table, an ordered dict of column name to array, and the one writer
+``_table_text`` writes it as CSV or as the JSON list of row objects, byte for
+byte what ``json.dumps(..., indent=2, sort_keys=True)`` writes for its rows;
+only the nested ``verify`` report goes through json itself.  Exit status: 0
+success, 1 verification or numerical (quadrature, drift propagator) failure,
+2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,12 +36,6 @@ from . import spectral as sp
 from . import verify as vf
 from .quadrature import QuadratureConvergenceError, QuadratureDomainError, QuadratureSpec
 
-H3_COLUMNS = [
-    "t", "entropy", "I1", "I2", "rate_direct", "rate_fd",
-    "eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper",
-    "band_lo", "band_hi",
-]
-
 # Time-grid flags default to None so that ``evolve`` can tell a requested
 # grid from its fixture's own; these fill in the ones left unset.
 _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
@@ -48,14 +43,6 @@ _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
 class UsageError(ValueError):
     """Bad flags or config; maps to exit status 2."""
-
-
-def _unscaled(scaled: float, exponent: float) -> float:
-    """scaled * exp(exponent) as a float, inf once its log passes 709."""
-    if scaled == 0.0:
-        return 0.0
-    total = exponent + math.log(abs(scaled))
-    return math.copysign(math.exp(total) if total <= 709.0 else math.inf, scaled)
 
 
 @functools.cache
@@ -168,15 +155,18 @@ def _emit(text: str, out: Optional[str]) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _table_text(header: Sequence[str], rows: Iterable[Sequence[float]], fmt: str) -> str:
-    """The one table writer: one row per time, every value a float, as CSV or
-    as the JSON list of {column: value} objects, byte for byte what
+def _table_text(columns: Mapping[str, Sequence[float]], fmt: str) -> str:
+    """The one table writer: columns of equal length, by name in output
+    order, every value a float, written one row per index as CSV or as the
+    JSON list of {column: value} objects, byte for byte what
     ``json.dumps(..., indent=2, sort_keys=True)`` writes for it.
 
     A value is written as its ``float.__repr__``; JSON spells the three
     non-finite ones as json does.  Each JSON object fills one template with
     the columns in sorted-key order."""
-    lines = [",".join(map(float.__repr__, row)) for row in rows]
+    header = list(columns)
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    lines = [",".join(map(float.__repr__, row)) for row in rows.tolist()]
     if fmt == "csv":
         return "\n".join([",".join(header), *lines]) + "\n"
     if not lines:
@@ -194,15 +184,6 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[float]], fmt: str
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_table(header: Sequence[str], rows: Iterable[Sequence[float]],
-                args: argparse.Namespace) -> None:
-    _emit(_table_text(header, rows, args.format), args.out)
-
-
 def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
                      checks_at: Callable[[int], list[str]]) -> int:
     """Exit status 0 when every row is ok.  Otherwise 1, and one stderr line
@@ -217,22 +198,31 @@ def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
     return 1
 
 
+def _unscaled(scaled: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """scaled * exp(exponent) elementwise, inf of scaled's sign where the log
+    of its size passes 709.  exp(exponent) enters as two factors
+    exp(exponent/2): the exp of exponent + log|scaled| would turn the
+    rounding of a sum as large as 709 into a relative error of the result."""
+    with np.errstate(over="ignore", divide="ignore"):
+        half = np.exp(0.5 * exponent)
+        past = exponent + np.log(np.abs(scaled)) > 709.0
+        return np.where(past, np.copysign(np.inf, scaled), scaled * half * half)
+
+
 def cmd_h3(args: argparse.Namespace) -> int:
     kappa = args.kappa
-    times = _time_grid(args)
     params = h3.H3Params(kappa, _quadrature_spec(args))
-    sweep = h3.evaluate_records(params, times)
-
-    t = sweep.t.tolist()
+    sweep = h3.evaluate_records(params, _time_grid(args))
+    lo, hi = h3.asymptotic_band(params)
     # the sweep holds the eta family times exp(-kappa^2 t/2)
-    exponents = [0.5 * kappa * kappa * s for s in t]
-    etas = [[_unscaled(v, e) for v, e in zip(column.tolist(), exponents)]
-            for column in (sweep.eta, sweep.eta_lower, sweep.eta_upper,
-                           sweep.etap, sweep.etap_lower, sweep.etap_upper)]
-    band = h3.asymptotic_band(params)
-    columns = zip(t, sweep.entropy.tolist(), sweep.I1.tolist(), sweep.I2.tolist(),
-                  sweep.rate_direct.tolist(), sweep.rate_fd.tolist(), *etas)
-    _emit_table(H3_COLUMNS, [[*row, *band] for row in columns], args)
+    eta_names = ("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper")
+    etas = _unscaled(np.array([getattr(sweep, name) for name in eta_names]),
+                     0.5 * kappa * kappa * sweep.t)
+    columns = {"t": sweep.t, "entropy": sweep.entropy, "I1": sweep.I1, "I2": sweep.I2,
+               "rate_direct": sweep.rate_direct, "rate_fd": sweep.rate_fd,
+               **dict(zip(eta_names, etas)),
+               "band_lo": np.full_like(sweep.t, lo), "band_hi": np.full_like(sweep.t, hi)}
+    _emit(_table_text(columns, args.format), args.out)
 
     band_ok = sweep.band_ok
 
@@ -249,7 +239,7 @@ def cmd_h3(args: argparse.Namespace) -> int:
             checks.append(f"band check (margin {sweep.band_margin[i]:.3e})")
         return checks
 
-    return _report_failures("h3", sweep.envelope_ok & band_ok, t, checks_at)
+    return _report_failures("h3", sweep.envelope_ok & band_ok, sweep.t, checks_at)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -259,43 +249,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     trace = sp.entropy_trace(fixture.initial, times)
     reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
 
-    header = ["t", "entropy", "fisher", "rate_direct", "rate_fd"]
-    for report in reports:
-        header += [f"rhs_{report.bound_name}", f"ok_{report.bound_name}"]
-    rows = []
-    for i, t in enumerate(trace.times):
-        row = [t, trace.entropy[i], trace.fisher[i],
-               trace.rate_direct[i], trace.rate_fd[i]]
-        for report in reports:
-            row += [report.rhs[i], float(report.satisfied[i])]
-        rows.append(row)
-
-    if args.format == "json":
-        payload = {
-            "manifold": fixture.name,
-            "trace": [
-                {
-                    "t": float(trace.times[i]),
-                    "entropy": float(trace.entropy[i]),
-                    "fisher": float(trace.fisher[i]),
-                    "rate_direct": float(trace.rate_direct[i]),
-                    "rate_fd": float(trace.rate_fd[i]),
-                }
-                for i in range(trace.times.size)
-            ],
-            "reports": [
-                {
-                    "bound_name": r.bound_name,
-                    "rhs": [float(v) for v in r.rhs],
-                    "satisfied": [bool(v) for v in r.satisfied],
-                    "min_margin": float(r.min_margin),
-                }
-                for r in reports
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit_table(header, rows, args)
+    columns = {"t": trace.times, "entropy": trace.entropy, "fisher": trace.fisher,
+               "rate_direct": trace.rate_direct, "rate_fd": trace.rate_fd}
+    for r in reports:
+        columns[f"rhs_{r.bound_name}"] = r.rhs
+        columns[f"ok_{r.bound_name}"] = r.satisfied
+    _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
         "evolve", np.all([r.satisfied for r in reports], axis=0), trace.times,
@@ -306,12 +265,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(args.manifold)
     times = _time_grid(args)
-    table = bd.bound_table(fixture.manifold, fixture.initial, times)
     n = fixture.manifold.dimension
-    header = ["t", *table, "euclidean_reference"]
-    rows = [[t, *(rhs[i] for rhs in table.values()), bd.euclidean_rate_reference(n, t)]
-            for i, t in enumerate(times)]
-    _emit_table(header, rows, args)
+    columns = {"t": times, **bd.bound_table(fixture.manifold, fixture.initial, times),
+               "euclidean_reference": [bd.euclidean_rate_reference(n, t) for t in times]}
+    _emit(_table_text(columns, args.format), args.out)
     return 0
 
 
@@ -333,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         for name, result in results.items()
     }
-    _emit(_json_text(payload), args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     failed = [name for name, result in results.items() if not result.passed]
     if failed:
         sys.stderr.write(f"verify: failed checks: {', '.join(failed)}\n")

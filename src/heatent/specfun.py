@@ -40,6 +40,8 @@ _LOG_SINH_RATIO_SERIES = (
     9.123468230859098e-15, -8.5837197618956095e-16, 8.117318009727789e-17,
     -7.710527514116273e-18,
 )
+# the least x whose 2x overflows
+_DOUBLING_OVERFLOWS = 2.0 ** 1023
 
 
 def alpha(kappa: float, t):
@@ -187,6 +189,15 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
     if small.all():
         xs *= xs
         return _log_sinh_ratio_series(xs)
+    if xs.max() >= _DOUBLING_OVERFLOWS:
+        # where 2x overflows, log(sinh x / x) = x - log 2x is x - log x - log 2
+        huge = xs >= _DOUBLING_OVERFLOWS
+        far = xs[huge]
+        xs[huge] = 2.0
+        xs = _log_sinh_ratio(xs)
+        with np.errstate(invalid="ignore"):  # nan at x = inf, as the closed form gives
+            xs[huge] = far - np.log(far) - math.log(2.0)
+        return xs
     near = xs[small]
     # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are small
     # this also runs on them (0/0 at x = 0) before the series overwrites

@@ -73,26 +73,47 @@ def test_h3_rejects_bad_grid():
     assert proc.returncode == 2
 
 
+# past kappa^2 t ~ 1.4e3 the eta columns overflow, so the second window also
+# pins JSON's non-finite spellings
+H3_WINDOWS = [["--kappa", "2", "--t-start", "0.2", "--t-stop", "30", "--t-count", "7"],
+              ["--kappa", "1", "--t-start", "1000", "--t-stop", "3000", "--t-count", "7"]]
+
+
 def test_h3_deterministic_bytes(tmp_path: Path):
-    # each window twice in each format; past kappa^2 t ~ 1.4e3 the eta columns
-    # overflow, so the second window also pins JSON's non-finite spellings
-    for window in (["--kappa", "2", "--t-start", "0.2", "--t-stop", "30"],
-                   ["--kappa", "1", "--t-start", "1000", "--t-stop", "3000"]):
+    # each window twice in each format, in fresh processes
+    for window in H3_WINDOWS:
         outputs = {}
         for fmt in ("csv", "json"):
             a = tmp_path / f"a.{fmt}"
             b = tmp_path / f"b.{fmt}"
-            args = ["h3", *window, "--t-count", "7", "--format", fmt]
+            args = ["h3", *window, "--format", fmt]
             assert run_cli(*args, "--out", str(a)).returncode == 0
             assert run_cli(*args, "--out", str(b)).returncode == 0
             assert a.read_bytes() == b.read_bytes()
             outputs[fmt] = a.read_text()
-        # the JSON bytes are json's own for the CSV's values
-        header, *lines = outputs["csv"].splitlines()
-        payload = [dict(zip(header.split(","), map(float, line.split(","))))
-                   for line in lines]
-        assert outputs["json"] == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert "Infinity" in outputs["json"] and "inf" in outputs["csv"]
+
+
+def _json_of_csv_rows(csv_text: str) -> str:
+    """What json.dumps(indent=2, sort_keys=True) writes for a CSV's rows."""
+    header, *lines = csv_text.splitlines()
+    payload = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["h3", *H3_WINDOWS[0]], id="h3-finite"),
+    pytest.param(["h3", *H3_WINDOWS[1]], id="h3-overflow"),
+    *(pytest.param([command, "--manifold", m], id=f"{command}-{m}")
+      for command in ("bounds", "evolve") for m in ("circle", "torus", "sphere", "torus-drift")),
+])
+def test_every_table_json_is_json_dumps_of_its_csv_rows(argv, capsys):
+    # one table shape: each command's JSON holds exactly its CSV's columns
+    outputs = {}
+    for fmt in ("csv", "json"):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["json"] == _json_of_csv_rows(outputs["csv"])
 
 
 # values a table can hold, in every awkward spelling float repr and json have
@@ -113,14 +134,16 @@ def test_table_writer_matches_the_stdlib(header):
             for i in range(len(AWKWARD))]
     rows += [list(rng.normal(size=len(header)) * 10.0 ** rng.integers(-300, 300))
              for _ in range(5)]
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
     expected_json = json.dumps([dict(zip(header, map(float, row))) for row in rows],
                                indent=2, sort_keys=True) + "\n"
     expected_csv = "\n".join([",".join(header)] + [
         ",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
-    assert cli._table_text(header, rows, "json") == expected_json
-    assert cli._table_text(header, rows, "csv") == expected_csv
-    assert cli._table_text(header, [], "json") == json.dumps([], indent=2) + "\n"
-    assert cli._table_text(header, [], "csv") == ",".join(header) + "\n"
+    assert cli._table_text(columns, "json") == expected_json
+    assert cli._table_text(columns, "csv") == expected_csv
+    empty = {name: [] for name in header}
+    assert cli._table_text(empty, "json") == json.dumps([], indent=2) + "\n"
+    assert cli._table_text(empty, "csv") == ",".join(header) + "\n"
 
 
 def test_evolve_circle():
@@ -137,10 +160,11 @@ def test_evolve_drift_json():
     proc = run_cli("evolve", "--manifold", "torus-drift", "--t-start", "0.25",
                    "--t-stop", "0.5", "--t-count", "2", "--format", "json")
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["manifold"] == "torus-drift"
-    assert [r["bound_name"] for r in payload["reports"]] == ["drift_curvature"]
-    assert all(all(r["satisfied"]) for r in payload["reports"])
+    rows = json.loads(proc.stdout)
+    assert [row["t"] for row in rows] == [0.25, 0.5]
+    assert sorted(rows[0]) == sorted(["t", "entropy", "fisher", "rate_direct", "rate_fd",
+                                      "rhs_drift_curvature", "ok_drift_curvature"])
+    assert all(row["ok_drift_curvature"] == 1.0 for row in rows)
 
 
 def test_evolve_torus_drift_deterministic_bytes():
@@ -365,6 +389,34 @@ def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
             ordered = values[0] < values[1] < values[2] and values[3] < values[4] < values[5]
             assert ordered == sweep.envelope_ok[i]
     assert 0 < finite_rows < len(rows)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+def test_h3_eta_columns_against_mpmath(kappa, capsys):
+    # The written eta columns are the sweep's scaled values times
+    # exp(kappa^2 t/2), to 1e-15 relative of that product at 200 bits.  kappa
+    # is a power of two, so the float kappa^2 t/2 is exact.
+    mp = pytest.importorskip("mpmath")
+    # 200 times log-spaced over kappa^2 t in [1e-3, 1.4e3]
+    argv = ["h3", "--kappa", repr(kappa), "--t-start", repr(1e-3 / kappa ** 2),
+            "--t-stop", repr(1.4e3 / kappa ** 2), "--t-count", "200"]
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    times = [float(row["t"]) for row in rows]
+    sweep = h3.evaluate_records(h3.H3Params(kappa), times)
+    names = ("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper")
+    finite = 0
+    with mp.workprec(200):
+        for i, (row, t) in enumerate(zip(rows, times)):
+            scale = mp.exp(mp.mpf(kappa) ** 2 * mp.mpf(t) / 2)
+            for name in names:
+                written = float(row[name])
+                if not math.isfinite(written):
+                    continue
+                finite += 1
+                exact = mp.mpf(float(getattr(sweep, name)[i])) * scale
+                assert abs(mp.mpf(written) / exact - 1) <= 1e-15, (t, name)
+    assert finite > 0.9 * 6 * len(rows)
 
 
 def test_verify_all_pass(tmp_path: Path):

@@ -203,6 +203,23 @@ def test_log_sinh_ratio_monotone_nonnegative():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("x", [9e307, 1.7976931348623157e308])
+def test_log_sinh_ratio_finite_where_2x_overflows(x):
+    # 2x overflows from 2^1023 on; log(sinh x / x) = x - log 2x is still x
+    # to the last bit there, and no overflow warning escapes
+    assert log_sinh_ratio(x) == x - math.log(x) - math.log(2.0) == x
+    below = math.nextafter(2.0 ** 1023, 0.0)
+    assert log_sinh_ratio(below) == below
+
+
+def test_log_sinh_ratio_mixed_array_with_huge_elements():
+    xs = np.array([0.0, 0.5, 1.0, 3.0, 700.0, 1e300, 9e307, 1.7976931348623157e308])
+    got = log_sinh_ratio(xs)
+    # the elements below 2^1023 keep every bit they have without the huge ones
+    assert got[:-2].tolist() == log_sinh_ratio(xs[:-2]).tolist()
+    assert got[-2:].tolist() == [x - math.log(x) - math.log(2.0) for x in xs[-2:].tolist()]
+
+
 def test_log_sinh_ratio_domain():
     with pytest.raises(ValueError):
         log_sinh_ratio(-1e-9)
