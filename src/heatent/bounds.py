@@ -9,8 +9,9 @@ inequalities.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .spectral import (
 
 SLACK_ABSOLUTE = 1e-9
 SLACK_RELATIVE = 1e-6
+# Initial fields whose constants ``bound_table`` keeps; the CLI has four.
+_CONSTANTS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,32 @@ def _drift_bound_rhs(k: float, q0: float, t: float) -> float:
         return math.inf
 
 
+def _content_key(f: SpectralField) -> tuple:
+    """(kind, side lengths, cutoff, coefficient bytes, the drift potential's
+    own key or None): equal for equal contents, whatever the objects."""
+    manifold = f.manifold
+    potential = manifold.drift
+    return (manifold.kind, manifold.lengths, f.cutoff,
+            np.asarray(f.coefficients, dtype=complex).tobytes(),
+            None if potential is None else _content_key(potential))
+
+
+@dataclass(frozen=True)
+class _ByContent:
+    """A field that hashes and compares by its ``_content_key`` alone."""
+
+    key: tuple
+    value: SpectralField = field(compare=False)
+
+
+@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _initial_constants(initial: _ByContent) -> tuple[float, float, float, float]:
+    """(q0, inf f, sup f, ||Lap f||) of the initial field f, once per content:
+    its Fisher information, ``grid_extrema`` and ``laplacian_l2_norm``."""
+    _, q0 = entropy_and_fisher(initial.value)
+    return (q0, *grid_extrema(initial.value), laplacian_l2_norm(initial.value))
+
+
 def bound_table(manifold: ManifoldSpec, initial: SpectralField,
                 times) -> dict[str, np.ndarray]:
     """Right-hand sides of every bound applicable to the manifold, by name.
@@ -131,10 +160,14 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     Undrifted manifolds get the Ricci-rate, gradient-estimate and
     spectral-gap columns, in that order; the drifted torus gets the
     drift-curvature column alone (the other three assume the plain heat
-    semigroup and are omitted, not failed).
+    semigroup and are omitted, not failed).  The constants of the initial
+    field (its Fisher information q0, grid extrema and Laplacian norm) are
+    built once per content (manifold kind, side lengths, cutoff,
+    coefficients and drift potential) and kept in a bounded cache, so a
+    field changed in place gets fresh ones.
     """
     times = np.asarray(times, dtype=float)
-    _, q0 = entropy_and_fisher(initial)
+    q0, inf_f, sup_f, norm_lap = _initial_constants(_ByContent(_content_key(initial), initial))
     k = manifold.ricci_lower_bound
 
     def q0_column(rhs) -> np.ndarray:
@@ -150,10 +183,8 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     # density taken against the volume-normalised measure (both restrictions
     # are what make the stated bound true on manifolds of any volume).
     n = manifold.dimension
-    inf_f, sup_f = grid_extrema(initial)
     sup_rel = sup_f * manifold.volume
     lam1 = spectral_gap(manifold)
-    norm_lap = laplacian_l2_norm(initial)
     return {
         "ricci_curvature": q0_column(lambda t: ricci_bound_rhs(n, k, q0, t)),
         "gradient_log_sup": np.array(

@@ -198,15 +198,37 @@ def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
     return 1
 
 
-def _unscaled(scaled: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """scaled * exp(exponent) elementwise, inf of scaled's sign where the log
-    of its size passes 709.  exp(exponent) enters as two factors
-    exp(exponent/2): the exp of exponent + log|scaled| would turn the
-    rounding of a sum as large as 709 into a relative error of the result."""
-    with np.errstate(over="ignore", divide="ignore"):
-        half = np.exp(0.5 * exponent)
-        past = exponent + np.log(np.abs(scaled)) > 709.0
-        return np.where(past, np.copysign(np.inf, scaled), scaled * half * half)
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, exactly, with hi and lo of 26 bits each."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise (Dekker;
+    Python 3.11 has no math.fma)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
+    """scaled * exp(kappa^2 t / 2) elementwise, inf of scaled's sign where
+    hi + log|scaled| passes 709.  The exponent kappa^2 t / 2 of the floats
+    kappa and t is hi + lo: hi the float product, lo its remainder from two
+    exact two-products, so no rounding of the exponent reaches the result.
+    exp(hi) enters as two factors exp(hi/2): the exp of hi + log|scaled|
+    would turn the rounding of a sum as large as 709 into a relative error
+    of the result."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k2, k2_err = _two_product(kappa, kappa)
+        p, p_err = _two_product(k2, t)
+        hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
+        half = np.exp(0.5 * hi)
+        past = hi + np.log(np.abs(scaled)) > 709.0
+        return np.where(past, np.copysign(np.inf, scaled), scaled * half * half * np.exp(lo))
 
 
 def cmd_h3(args: argparse.Namespace) -> int:
@@ -216,8 +238,7 @@ def cmd_h3(args: argparse.Namespace) -> int:
     lo, hi = h3.asymptotic_band(params)
     # the sweep holds the eta family times exp(-kappa^2 t/2)
     eta_names = ("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper")
-    etas = _unscaled(np.array([getattr(sweep, name) for name in eta_names]),
-                     0.5 * kappa * kappa * sweep.t)
+    etas = _unscaled(np.array([getattr(sweep, name) for name in eta_names]), kappa, sweep.t)
     columns = {"t": sweep.t, "entropy": sweep.entropy, "I1": sweep.I1, "I2": sweep.I2,
                "rate_direct": sweep.rate_direct, "rate_fd": sweep.rate_fd,
                **dict(zip(eta_names, etas)),

@@ -23,15 +23,19 @@ own product, so its values do not depend on the batch.
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
 spectrally accurate quadrature.  On the drifted torus L is self-adjoint in
-L^2(mu), mu = exp(2V) dx, so its Galerkin system in mu is a Hermitian pencil
-M c' = -S c, linear and time-independent; it too is propagated exactly,
-through two ``eigh`` decompositions.  There is no time-discretisation error
-anywhere.  An entropy trace is one array program: the coefficient rows of
-every time it needs are evolved together, synthesised in chunks of at most
-``_CHUNK_POINTS`` grid values (u and its gradient by one synthesis per
-chunk), and reduced to entropy and Fisher information by row sums.  The
-drifted measure weights exp(2V)/sum are built once per operator and serve
-both those sums and the pencil.
+L^2(mu), mu = exp(2V) dx, and maps real functions to real ones, so its
+Galerkin system in mu on a real cos/sin basis is a real symmetric pencil
+M r' = -S r, linear and time-independent; it too is propagated exactly,
+through two ``eigh`` decompositions, and its real coordinates are put back
+in the complex layout by index arithmetic.  There is no time-discretisation
+error anywhere.  An entropy trace is one array program: the coefficient rows
+of every time it needs (t and t +- h) are evolved together, synthesised in
+chunks of at most ``_CHUNK_POINTS`` grid values, one synthesis per chunk,
+and reduced to entropy and Fisher information by row sums.  The t +- h rows
+feed the finite-difference rate through their entropy alone, so only the t
+rows synthesise a gradient and take a Fisher sum.  The drifted measure
+weights exp(2V)/sum are built once per operator and serve both those sums
+and the pencil.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ MASS_CONDITION_LIMIT = 1e8
 # Distinct transforms kept.  The benchmark's three workloads use 16, which
 # hold 0.15 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
-# Grid values synthesised at once by the row functionals.  Unchunked, a
-# 16-time trace on the n = 48 torus allocates 9 MB at peak; chunked, 0.8 MB.
+# Grid values synthesised at once by the row functionals, values and
+# gradients together.  Unchunked, a 16-time trace on the n = 48 torus
+# allocates 3.7 MB at peak; chunked, 0.46 MB.
 _CHUNK_POINTS = 8192
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
@@ -201,11 +206,13 @@ class _PeriodicTransform:
         return self.synth(np.stack([math.prod((self.ik[axis] for axis in order), start=coeffs)
                                     for order in orders]))
 
-    def value_and_gradient_squared(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, |grad u|^2) on the grid, from one synthesis."""
-        axes = range(len(self.lengths))
-        u, *gradient = self.derivatives(coeffs, (), *((axis,) for axis in axes))
-        return u, sum(g * g for g in gradient)
+    def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
+        the grid, from one synthesis; the other rows synthesise no gradient."""
+        picked = rows[::every]
+        fields = self.synth(np.concatenate([rows, *(picked * ik for ik in self.ik)]))
+        gradient = fields[len(rows):].reshape((len(self.ik), len(picked)) + self.shape)
+        return fields[:len(rows)], sum(g * g for g in gradient)
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's."""
@@ -264,13 +271,13 @@ class _SphereTransform:
         shell = 2.0 * math.pi * self.radius * self.radius
         return shell * self.norms * (self.p @ (self.w * values))
 
-    def value_and_gradient_squared(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, |grad u|^2) at the Gauss-Legendre nodes."""
-        scaled = coeffs * self.norms
+    def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u of each coefficient row, |grad u|^2 of every ``every``-th row) at
+        the Gauss-Legendre nodes; the other rows take no ``dp`` product."""
         # the zonal gradient is the theta-derivative over the radius
         sin_theta = np.sqrt(1.0 - self.x * self.x)
-        du = -sin_theta * _row_products(scaled, self.dp) / self.radius
-        return _row_products(scaled, self.p), du * du
+        du = -sin_theta * _row_products(rows[::every] * self.norms, self.dp) / self.radius
+        return _row_products(rows * self.norms, self.p), du * du
 
     def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """The field values ``grid_extrema`` searches: the grid's, then the
@@ -410,16 +417,34 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
 def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
     leading axis: c0 exp(-lambda t / 2) as an outer product, or on the
-    drifted torus (e^{-t rates} * right c0) left^T, one vector-matrix
-    product per row."""
+    drifted torus the real coordinates (e^{-t rates} * right r0) left^T, one
+    real vector-matrix product per row, put back in the complex layout."""
     manifold = field.manifold
     c0 = field.coefficients
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
         return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
     rates, left, right = _drift_propagator(*_drift_key(manifold, field.cutoff))
-    x = np.exp(np.outer(-times, rates)) * (right @ c0.ravel())
-    return _row_products(x, left.T).reshape(times.shape + c0.shape)
+    x = np.exp(np.outer(-times, rates)) * (right @ _real_coordinates(c0.ravel()))
+    return _complex_coefficients(_row_products(x, left.T)).reshape(times.shape + c0.shape)
+
+
+def _real_coordinates(c: np.ndarray) -> np.ndarray:
+    """(Re c_0, Re c_m, Im c_m) over the modes m after the constant in the
+    flattened layout (the half-plane m1 > 0, or m1 = 0 < m2), of the real
+    part of the field with coefficients ``c``.  Mode -m sits at the mirrored
+    flat index, so c_-m is ``c[:h][::-1]``."""
+    h = c.size // 2
+    plus, minus = c[h + 1:], c[:h][::-1]
+    return np.concatenate([[c[h].real], 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag])
+
+
+def _complex_coefficients(rows: np.ndarray) -> np.ndarray:
+    """The flattened complex layout of rows of ``_real_coordinates``: c_m is
+    Re c_m + i Im c_m and c_-m its conjugate, exactly."""
+    h = rows.shape[-1] // 2
+    half = rows[..., 1:h + 1] + 1j * rows[..., h + 1:]
+    return np.concatenate([half[..., ::-1].conj(), rows[..., :1], half], axis=-1)
 
 
 def _require_positive(rows: np.ndarray, message: str) -> None:
@@ -442,48 +467,67 @@ def _drift_key(manifold: ManifoldSpec, cutoff: int) -> tuple:
 @functools.lru_cache(maxsize=4)
 def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
                       potential_bytes: bytes):
-    """(rates, left, right), read-only, with exp(tL) c = left (e^{-rates t} * right c).
+    """(rates, left, right), real and read-only, with exp(tL) acting on the
+    ``_real_coordinates`` r of a field as r(t) = left (e^{-rates t} * right r).
 
-    L = Laplacian/2 + grad V . grad is self-adjoint in L^2(mu), so its
-    Galerkin system is the Hermitian pencil M c' = -S c: M_jk = w^(j - k),
-    the Gram matrix of the modes in mu from the Fourier transform w^ of
-    ``_drift_weights``, and S = (k_j . k_k / 2) M.  S vanishes on the
-    constant mode c_0, so with y the other modes and beta = M[0, y] / M[0, 0]
-    the mu-mass alpha = c_0 + beta . y is conserved (the first entry of
-    ``right c``, rate exactly 0) and c_0 = alpha - beta . y.  The rest solves
-    M' y' = -S' y, M' = M[y, y] - M[y, 0] (x) beta, by two ``eigh``:
-    M' = U diag(d) U^H, and with G = U d^{-1/2}, G^H S' G = Q diag(lam) Q^H,
-    so y(t) = G Q e^{-lam t} Q^H d^{1/2} U^H y(0).  cond(M') = max d / min d
-    above MASS_CONDITION_LIMIT raises PropagatorError.  Keyed on content, so
-    every field, trace and CLI call on an equal operator shares one build.
+    L = Laplacian/2 + grad V . grad is self-adjoint in L^2(mu) and maps real
+    functions to real ones, so its Galerkin system on the real orthonormal
+    basis phi_p = a_p Re(s_p e_p) (the constant: a = s = 1; over the
+    half-plane of modes, sqrt2 cos with s = 1 and -sqrt2 sin with s = i) is
+    the real symmetric pencil M r' = -S r.  With G(d) = sum_x w(x)
+    e^{i k_d . x}, the conjugate Fourier transform of ``_drift_weights``,
+    N = s_p conj(s_q) G(m_p - m_q) and P = s_p s_q G(m_p + m_q):
+    M_pq = (a_p a_q / 2) Re(N + P) and S_pq = (a_p a_q / 4) (k_p . k_q) Re(N - P).
+    This basis is a unitary change from the exponentials', so cond(M') is
+    that of their Hermitian pencil.  S vanishes on the constant phi_0, so
+    with y the other coordinates and beta = M[0, y] / M[0, 0] the mu-mass
+    alpha = r_0 + beta . y is conserved (the first entry of ``right r``, rate
+    exactly 0) and r_0 = alpha - beta . y.  The rest solves M' y' = -S' y,
+    M' = M[y, y] - M[y, 0] (x) beta, by two ``eigh``: M' = U diag(d) U^T,
+    and with G = U d^{-1/2}, G^T S' G = Q diag(lam) Q^T, so y(t) = G Q
+    e^{-lam t} Q^T d^{1/2} U^T y(0).  cond(M') = max d / min d above
+    MASS_CONDITION_LIMIT raises PropagatorError.  left and right are
+    returned for the coordinates r_p / a_p, which are ``_real_coordinates``.
+    Keyed on content, so every field, trace and CLI call on an equal
+    operator shares one build.
     """
     modes = np.arange(-cutoff, cutoff + 1)
-    m = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
-    w_hat = np.fft.fftn(_drift_weights(lengths, cutoff, potential_cutoff, potential_bytes))
-    mass = w_hat[tuple((m[:, :, np.newaxis] - m[:, np.newaxis, :]) % w_hat.shape[0])]
+    flat = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
+    half = flat[:, flat.shape[1] // 2:]  # the constant, then the half-plane
+    m = np.concatenate([half, half[:, 1:]], axis=1)  # each basis function's mode
     size = m.shape[1]
-    zero = size // 2  # the constant mode in the flattened layout
-    rest = np.arange(size) != zero
-    k = 2.0 * math.pi * m[:, rest] / np.array(lengths)[:, np.newaxis]
-    beta = mass[zero, rest] / mass[zero, zero]
+    s = np.where(np.arange(size) < half.shape[1], 1.0, 1j)
+    a = np.where(np.arange(size) == 0, 1.0, math.sqrt(2.0))
+    g_hat = np.fft.fftn(_drift_weights(lengths, cutoff, potential_cutoff, potential_bytes)).conj()
+
+    def g(d: np.ndarray) -> np.ndarray:
+        return g_hat[tuple(d % g_hat.shape[0])]
+
+    n_term = np.outer(s, s.conj()) * g(m[:, :, np.newaxis] - m[:, np.newaxis, :])
+    p_term = np.outer(s, s) * g(m[:, :, np.newaxis] + m[:, np.newaxis, :])
+    scale = 0.5 * np.outer(a, a)
+    mass = scale * (n_term + p_term).real
+    k = 2.0 * math.pi * m[:, 1:] / np.array(lengths)[:, np.newaxis]
+    stiff = 0.5 * scale[1:, 1:] * (k.T @ k) * (n_term - p_term)[1:, 1:].real
+    beta = mass[0, 1:] / mass[0, 0]
     try:
-        d, u = np.linalg.eigh(mass[np.ix_(rest, rest)] - np.outer(mass[rest, zero], beta))
+        d, u = np.linalg.eigh(mass[1:, 1:] - np.outer(mass[1:, 0], beta))
         if d.size and not d.max() <= MASS_CONDITION_LIMIT * d.min():
             raise PropagatorError(f"drift mass matrix has condition {d.max() / d.min():.3e}, "
                                   f"above {MASS_CONDITION_LIMIT:.0e}")
         g = u / np.sqrt(d)
-        lam, q = np.linalg.eigh(g.conj().T @ (0.5 * (k.T @ k) * mass[np.ix_(rest, rest)]) @ g)
+        lam, q = np.linalg.eigh(g.T @ stiff @ g)
     except np.linalg.LinAlgError as exc:  # a non-finite pencil, e.g. exp(2V) overflowed
         raise PropagatorError(f"drift pencil decomposition failed: {exc}") from exc
     rates = np.concatenate([[0.0], lam])
-    left = np.zeros((size, size), dtype=complex)
-    right = np.zeros((size, size), dtype=complex)
-    left[zero, 0] = right[0, zero] = 1.0
-    left[rest, 1:] = g @ q
-    left[zero, 1:] = -beta @ left[rest, 1:]
-    right[0, rest] = beta
-    right[1:, rest] = ((u * np.sqrt(d)) @ q).conj().T
-    return _read_only(rates), _read_only(left), _read_only(right)
+    left = np.zeros((size, size))
+    right = np.zeros((size, size))
+    left[0, 0] = right[0, 0] = 1.0
+    left[1:, 1:] = g @ q
+    left[0, 1:] = -beta @ left[1:, 1:]
+    right[0, 1:] = beta
+    right[1:, 1:] = ((u * np.sqrt(d)) @ q).T
+    return _read_only(rates), _read_only(left / a[:, np.newaxis]), _read_only(right * a)
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +566,30 @@ def _drift_weights(lengths: tuple[float, ...], cutoff: int, potential_cutoff: in
     return _read_only(raw / raw.sum())
 
 
-def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray,
-                     message: str) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, Fisher information) of each coefficient row of ``rows``.
+def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, message: str,
+                     every: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy of each coefficient row of ``rows``, Fisher information of
+    every ``every``-th row, starting with the first).
 
-    Rows are synthesised ``_CHUNK_POINTS`` grid values at a time, and each
-    row's sums run over its own contiguous grid values, as a lone field's
-    do.  The first row whose resolved field is not strictly positive raises
-    PositivityError with ``message``.
+    Rows are synthesised in chunks of whole groups of ``every`` rows, each of
+    at most ``_CHUNK_POINTS`` grid values: the group's values and one
+    gradient component per grid axis of its first row.  Each row's sums run
+    over its own contiguous grid values, as a lone field's do.  The first row
+    whose resolved field is not strictly positive raises PositivityError
+    with ``message``.
     """
     tr = _transform(manifold, cutoff)
     w = _measure_weights(manifold, cutoff)
-    step = max(1, _CHUNK_POINTS // w.size)
+    step = every * max(1, _CHUNK_POINTS // ((every + w.ndim) * w.size))
     entropy = np.empty(len(rows))
-    fisher = np.empty(len(rows))
+    fisher = np.empty(len(rows[::every]))
     for start in range(0, len(rows), step):
-        chunk = slice(start, start + step)
-        u, grad2 = tr.value_and_gradient_squared(rows[chunk])
+        u, grad2 = tr.values_and_gradients(rows[start:start + step], every)
         _require_positive(u, message)
-        k = len(u)
-        entropy[chunk] = -(w * u * np.log(u)).reshape(k, -1).sum(axis=1)
-        fisher[chunk] = (w * grad2 / u).reshape(k, -1).sum(axis=1)
+        entropy[start:start + len(u)] = -(w * u * np.log(u)).reshape(len(u), -1).sum(axis=1)
+        first = start // every
+        fisher[first:first + len(grad2)] = ((w * grad2 / u[::every])
+                                            .reshape(len(grad2), -1).sum(axis=1))
     return entropy, fisher
 
 
@@ -576,15 +623,16 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
         raise ValueError("times must be strictly increasing and positive")
     h = _FD_STEP_SCALE * times
     # rows t, t + h, t - h of each time in turn, so that a loss of positivity
-    # is reported at the first time it occurs
+    # is reported at the first time it occurs; the t +- h rows feed rate_fd
+    # through their entropy alone, so only the t rows take a Fisher sum
     grid = np.stack([times, times + h, times - h], axis=1).ravel()
     message = (_RESOLVED_MINIMUM if field.manifold.drift is None
                else _DRIFT_LOST_POSITIVITY)
     entropy, fisher = _row_functionals(field.manifold, field.cutoff,
-                                       _propagate(field, grid), message)
-    entropy, fisher = entropy.reshape(-1, 3), fisher.reshape(-1, 3)
+                                       _propagate(field, grid), message, every=3)
+    entropy = entropy.reshape(-1, 3)
     rate_fd = (entropy[:, 1] - entropy[:, 2]) / (2.0 * h)
-    return EntropyTrace(times, entropy[:, 0], 0.5 * fisher[:, 0], rate_fd, fisher[:, 0])
+    return EntropyTrace(times, entropy[:, 0], 0.5 * fisher, rate_fd, fisher)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +753,7 @@ def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
     if manifold.drift is not None:
         raise ValueError("cauchy step values are defined for the plain volume measure")
     tr = _transform(manifold, field.cutoff)
-    u, grad2 = tr.value_and_gradient_squared(field.coefficients)
+    (u,), (grad2,) = tr.values_and_gradients(field.coefficients[np.newaxis], 1)
     _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
     lam = eigenvalues(manifold, field.cutoff)
     lap_u = tr.synth(field.coefficients * (-lam))

@@ -206,3 +206,48 @@ def test_report_rates_nonnegative():
         fixture = builder()
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
         assert np.all(trace.rate_direct >= -1e-15), fixture.name
+
+
+# ---------------------------------------------------------------------------
+# the initial field's constants, built once per content
+
+
+def test_bound_constants_follow_in_place_changes():
+    fixture = fx.torus_fixture()
+    field = sp.SpectralField(fixture.manifold, fixture.initial.coefficients.copy(),
+                             fixture.initial.cutoff)
+    times = [0.1, 1.0]
+    before = bd.bound_table(fixture.manifold, field, times)
+    field.coefficients[...] *= 2.0
+    after = bd.bound_table(fixture.manifold, field, times)
+    bd._initial_constants.cache_clear()
+    fresh = bd.bound_table(fixture.manifold, field, times)
+    for name, column in after.items():
+        assert column.tolist() == fresh[name].tolist(), name
+        assert column.tolist() != before[name].tolist(), name
+
+
+@pytest.mark.parametrize("builder", [fx.torus_fixture, fx.drift_fixture])
+def test_equal_fields_share_one_constants_entry(builder):
+    bd._initial_constants.cache_clear()
+    tables = []
+    for _ in range(3):
+        fixture = builder()  # a separate build with equal contents
+        tables.append(bd.bound_table(fixture.manifold, fixture.initial, [0.1, 1.0]))
+    info = bd._initial_constants.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for table in tables[1:]:
+        assert {k: v.tolist() for k, v in table.items()} == \
+               {k: v.tolist() for k, v in tables[0].items()}
+
+
+def test_bound_constants_cache_is_bounded():
+    size = bd._initial_constants.cache_info().maxsize
+    assert size is not None
+    bd._initial_constants.cache_clear()
+    torus = sp.torus2(1.0, 1.0)
+    for seed in range(size + 3):
+        field = fx.random_positive_torus_field(np.random.default_rng(seed), torus)
+        bd.bound_table(torus, field, [0.1])
+    info = bd._initial_constants.cache_info()
+    assert (info.misses, info.currsize) == (size + 3, size)

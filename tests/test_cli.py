@@ -243,6 +243,21 @@ def test_bounds_columns_equal_check_bounds_rhs(manifold, capsys):
         assert [r[report.bound_name] for r in rows] == report.rhs.tolist()
 
 
+@pytest.mark.parametrize("command", ["bounds", "evolve"])
+@pytest.mark.parametrize("manifold", ["circle", "torus", "sphere", "torus-drift"])
+def test_tables_do_not_depend_on_the_constants_cache(command, manifold, capsys):
+    # the initial field's constants built afresh, then served from the cache
+    for fmt in ("csv", "json"):
+        argv = [command, "--manifold", manifold, "--t-start", "0.05", "--t-stop", "2",
+                "--t-count", "7", "--format", fmt]
+        bd._initial_constants.cache_clear()
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert bd._initial_constants.cache_info().hits == 1
+        assert capsys.readouterr().out == cold
+
+
 def test_bounds_drift_default_grid_past_overflow(capsys):
     # e^{-k t} leaves double range before the default t_stop of 100
     assert cli.main(["bounds", "--manifold", "torus-drift"]) == 0
@@ -391,11 +406,13 @@ def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
     assert 0 < finite_rows < len(rows)
 
 
-@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0, 100.0, 0.3])
 def test_h3_eta_columns_against_mpmath(kappa, capsys):
     # The written eta columns are the sweep's scaled values times
-    # exp(kappa^2 t/2), to 1e-15 relative of that product at 200 bits.  kappa
-    # is a power of two, so the float kappa^2 t/2 is exact.
+    # exp(kappa^2 t/2), to 1e-15 relative of that product at 200 bits, with
+    # kappa^2 t the exact product of the float kappa and t.  For kappa = 100
+    # and 0.3 the float kappa^2 t/2 is rounded, by up to 5e-14 relative of
+    # the result near kappa^2 t/2 = 700.
     mp = pytest.importorskip("mpmath")
     # 200 times log-spaced over kappa^2 t in [1e-3, 1.4e3]
     argv = ["h3", "--kappa", repr(kappa), "--t-start", repr(1e-3 / kappa ** 2),

@@ -384,6 +384,20 @@ def _quadrature_pencil(manifold, cutoff, n=128):
     return mass, stiff
 
 
+def _real_coordinate_basis(size):
+    """Columns: the complex layout of each unit real coordinate of
+    ``sp._real_coordinates`` (the constant, then Re c_m and Im c_m over the
+    half-plane at flat index h + 1 + j, whose mode -m sits at h - 1 - j)."""
+    h = size // 2
+    j = np.arange(h)
+    basis = np.zeros((size, size), dtype=complex)
+    basis[h, 0] = 1.0
+    basis[h + 1 + j, 1 + j] = basis[h - 1 - j, 1 + j] = 1.0
+    basis[h + 1 + j, 1 + h + j] = 1j
+    basis[h - 1 - j, 1 + h + j] = -1j
+    return basis
+
+
 @pytest.mark.parametrize("lengths, seed", [((1.0, 1.0), None), ((1.0, 1.5), 3)])
 def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
     base = sp.torus2(*lengths)
@@ -394,7 +408,13 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
     rates, left, right = sp._drift_propagator(*sp._drift_key(manifold, 6))
-    mass, stiff = _quadrature_pencil(manifold, 6)
+    assert left.dtype == right.dtype == float
+    # the oracle's pencil in the real coordinates: the Gram matrices of real functions
+    basis = _real_coordinate_basis(len(rates))
+    mass, stiff = (basis.conj().T @ matrix @ basis for matrix in _quadrature_pencil(manifold, 6))
+    assert np.abs(mass.imag).max() <= 1e-12 * np.abs(mass).max()
+    assert np.abs(stiff.imag).max() <= 1e-12 * np.abs(stiff).max()
+    mass, stiff = mass.real, stiff.real
     # every column of left, the constant's included, solves S v = lambda M v
     residual = stiff @ left - (mass @ left) * rates
     scale = np.abs(stiff @ left).max(axis=0) + rates * np.abs(mass @ left).max(axis=0)
@@ -402,8 +422,85 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
     assert rates[0] == 0.0 and np.all(rates[1:] > 0.0)
     # M-orthonormal columns, and right is their inverse
     eye = np.eye(len(rates))
-    assert np.abs(left.conj().T @ mass @ left - eye).max() <= 1e-12
+    assert np.abs(left.T @ mass @ left - eye).max() <= 1e-12
     assert np.abs(right @ left - eye).max() <= 1e-12
+
+
+def test_real_coordinates_round_trip():
+    field = fx.random_positive_torus_field(np.random.default_rng(4), TORUS, cutoff=3)
+    c = field.coefficients.ravel()
+    r = sp._real_coordinates(c)
+    assert r.dtype == float
+    # a real field's coefficients come back bit for bit, and the coordinates
+    # are those of _real_coordinate_basis
+    assert np.array_equal(sp._complex_coefficients(r), c)
+    assert np.allclose(_real_coordinate_basis(c.size) @ r, c, rtol=0.0, atol=1e-15)
+    # complex data: the coordinates are those of the real part that synth resolves
+    noise = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, c.size))
+    tr = sp._transform(TORUS, 3)
+    twisted = (c + 0.1 * noise).reshape(field.coefficients.shape)
+    back = sp._complex_coefficients(sp._real_coordinates(twisted.ravel()))
+    assert np.allclose(tr.synth(back.reshape(twisted.shape)), tr.synth(twisted),
+                       rtol=0.0, atol=1e-14)
+
+
+def _exponential_drift_propagator(manifold, cutoff):
+    """Reference: the drift propagator on the complex exponentials, their
+    Hermitian pencil M_jk = w^(j - k), S = (k_j . k_k / 2) M with the
+    constant deflated and two complex ``eigh``; (rates, left, right) with
+    exp(tL) c = left (e^{-rates t} * right c) on the complex layout."""
+    lengths = manifold.lengths
+    modes = np.arange(-cutoff, cutoff + 1)
+    m = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
+    w_hat = np.fft.fftn(sp._drift_weights(*sp._drift_key(manifold, cutoff)))
+    mass = w_hat[tuple((m[:, :, np.newaxis] - m[:, np.newaxis, :]) % w_hat.shape[0])]
+    size = m.shape[1]
+    zero = size // 2
+    rest = np.arange(size) != zero
+    k = 2.0 * math.pi * m[:, rest] / np.array(lengths)[:, np.newaxis]
+    beta = mass[zero, rest] / mass[zero, zero]
+    d, u = np.linalg.eigh(mass[np.ix_(rest, rest)] - np.outer(mass[rest, zero], beta))
+    g = u / np.sqrt(d)
+    lam, q = np.linalg.eigh(g.conj().T @ (0.5 * (k.T @ k) * mass[np.ix_(rest, rest)]) @ g)
+    rates = np.concatenate([[0.0], lam])
+    left = np.zeros((size, size), dtype=complex)
+    right = np.zeros((size, size), dtype=complex)
+    left[zero, 0] = right[0, zero] = 1.0
+    left[rest, 1:] = g @ q
+    left[zero, 1:] = -beta @ left[rest, 1:]
+    right[0, rest] = beta
+    right[1:, rest] = ((u * np.sqrt(d)) @ q).conj().T
+    return rates, left, right
+
+
+def _drift_cases():
+    yield "fixture", fx.drift_fixture().initial
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        manifold = sp.torus2_drift(fx.random_torus_potential(rng, TORUS))
+        data = fx.random_positive_torus_field(rng, TORUS, cutoff=2)
+        for cutoff in (4, 6):
+            coeffs = np.zeros((2 * cutoff + 1,) * 2, dtype=complex)
+            coeffs[cutoff - 2:cutoff + 3, cutoff - 2:cutoff + 3] = data.coefficients
+            yield f"seed {seed}, cutoff {cutoff}", sp.SpectralField(manifold, coeffs, cutoff)
+
+
+def test_real_drift_propagator_matches_the_exponential_pencil():
+    # Entropy within 1e-15 max(1, |S|) on the drift fixture.  On the random
+    # fields each double-precision path is itself up to about 1.8e-15
+    # max(1, |S|) off a 40-digit propagation of the same pencil, so the two
+    # differ by up to 3.4e-15 there, and the bound is 5e-15.
+    times = np.geomspace(0.02, 2.0, 8)
+    for case, field in _drift_cases():
+        rates, left, right = _exponential_drift_propagator(field.manifold, field.cutoff)
+        rows = (np.exp(np.outer(-times, rates)) * (right @ field.coefficients.ravel())) @ left.T
+        expected = np.array([sp.entropy_and_fisher(sp.SpectralField(
+            field.manifold, row.reshape(field.coefficients.shape), field.cutoff))
+            for row in rows]).T
+        trace = sp.entropy_trace(field, times)
+        entropy_error = np.abs(trace.entropy - expected[0]) / np.maximum(1.0, np.abs(expected[0]))
+        assert entropy_error.max() <= (1e-15 if case == "fixture" else 5e-15), case
+        assert np.abs(trace.fisher / expected[1] - 1.0).max() <= 1e-11, case
 
 
 def _sin_cos_start(amplitude, cutoff):
@@ -625,6 +722,38 @@ def test_trace_chunking_leaves_rows_unchanged(name, monkeypatch):
     row_by_row = sp.entropy_trace(fixture.initial, times)
     for column in ("entropy", "fisher", "rate_fd"):
         assert np.array_equal(getattr(row_by_row, column), getattr(whole, column)), column
+
+
+# Per time, the t row synthesises its values and one gradient component per
+# grid axis; the t +- h rows, which feed rate_fd alone, synthesise values only.
+@pytest.mark.parametrize("name, per_time", [("circle", {"fields": 4}), ("torus", {"fields": 5}),
+                                            ("torus-drift", {"fields": 5}),
+                                            ("sphere", {"p": 3, "dp": 1})])
+def test_neighbour_rows_synthesise_no_gradient(name, per_time, monkeypatch):
+    fixture = fx.get_fixture(name)
+    field = fixture.initial
+    times = fixture.default_times
+    sp.entropy_trace(field, times)  # fills the caches outside the count
+    tr = sp._transform(field.manifold, field.cutoff)
+    counts = collections.Counter()
+    synth, row_products = sp._PeriodicTransform.synth, sp._row_products
+
+    def counted_synth(self, coeffs):
+        counts["fields"] += coeffs.size // field.coefficients.size
+        return synth(self, coeffs)
+
+    # the sphere's value and derivative tables, not the drift propagator's
+    tables = {id(table): label for label, table in vars(tr).items() if label in ("p", "dp")}
+
+    def counted_products(rows, table):
+        if id(table) in tables:
+            counts[tables[id(table)]] += rows.size // table.shape[0]
+        return row_products(rows, table)
+
+    monkeypatch.setattr(sp._PeriodicTransform, "synth", counted_synth)
+    monkeypatch.setattr(sp, "_row_products", counted_products)
+    sp.entropy_trace(field, times)
+    assert counts == {key: n * len(times) for key, n in per_time.items()}
 
 
 def test_trace_peak_memory_is_bounded_by_chunking():
