@@ -4,14 +4,15 @@ Every bound compares the measured entropy rate (half the Fisher information)
 against a closed-form right-hand side built from the curvature lower bound,
 the spectral gap, or the initial data's extrema.  Checks carry a small slack
 so quadrature and truncation noise cannot produce false violations of true
-inequalities.
+inequalities.  Times must be finite; an initial field's constants are cached
+on the field, which compares by content.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +66,8 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t: float) -> float:
     """
     if q0 <= 0.0:
         raise ValueError("q0 must be positive")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     kt = k * t
     # A subnormal k t keeps too few bits for the expm1 ratio below; the k = 0
     # formula is exact to double precision there.
@@ -91,8 +92,8 @@ def hamilton_bound_rhs(k: float, sup_f: float, t: float) -> float:
     volume-normalised measure, so it is >= 1 for unit-mass data and the
     logarithm is nonnegative.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if sup_f <= 0.0:
         raise ValueError("sup_f must be positive")
     return (1.0 / t - k) * math.log(sup_f)
@@ -105,52 +106,36 @@ def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
     """
     if lambda1 <= 0.0 or vol <= 0.0 or inf_f <= 0.0 or sup_f <= 0.0:
         raise ValueError("lambda1, vol and the extrema must be positive")
-    if norm_laplacian_f < 0.0 or t < 0.0:
-        raise ValueError("norm_laplacian_f and t must be nonnegative")
+    if norm_laplacian_f < 0.0 or not 0.0 <= t < math.inf:
+        raise ValueError("norm_laplacian_f must be nonnegative and t finite and nonnegative")
     return (0.5 * math.exp(-0.5 * lambda1 * t) * norm_laplacian_f
             * math.sqrt(vol) * (abs(math.log(inf_f)) + abs(math.log(sup_f))))
 
 
 def euclidean_rate_reference(n: int, t: float) -> float:
     """Exact entropy rate of the flat-space kernel, n/(2t); the rigidity benchmark."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     return n / (2.0 * t)
 
 
 def _drift_bound_rhs(k: float, q0: float, t: float) -> float:
     """Drift-curvature bound (1/2) e^{-k t} q0; math.inf once e^{-k t} passes
     double range, which is a true and trivially satisfied bound."""
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     try:
         return 0.5 * math.exp(-k * t) * q0
     except OverflowError:
         return math.inf
 
 
-def _content_key(f: SpectralField) -> tuple:
-    """(kind, side lengths, cutoff, coefficient bytes, the drift potential's
-    own key or None): equal for equal contents, whatever the objects."""
-    manifold = f.manifold
-    potential = manifold.drift
-    return (manifold.kind, manifold.lengths, f.cutoff,
-            np.asarray(f.coefficients, dtype=complex).tobytes(),
-            None if potential is None else _content_key(potential))
-
-
-@dataclass(frozen=True)
-class _ByContent:
-    """A field that hashes and compares by its ``_content_key`` alone."""
-
-    key: tuple
-    value: SpectralField = field(compare=False)
-
-
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
-def _initial_constants(initial: _ByContent) -> tuple[float, float, float, float]:
+def _initial_constants(initial: SpectralField) -> tuple[float, float, float, float]:
     """(q0, inf f, sup f, ||Lap f||) of the initial field f, once per content:
     its Fisher information, ``grid_extrema`` and ``laplacian_l2_norm``."""
-    _, q0 = entropy_and_fisher(initial.value)
-    return (q0, *grid_extrema(initial.value), laplacian_l2_norm(initial.value))
+    _, q0 = entropy_and_fisher(initial)
+    return (q0, *grid_extrema(initial), laplacian_l2_norm(initial))
 
 
 def bound_table(manifold: ManifoldSpec, initial: SpectralField,
@@ -160,14 +145,15 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     Undrifted manifolds get the Ricci-rate, gradient-estimate and
     spectral-gap columns, in that order; the drifted torus gets the
     drift-curvature column alone (the other three assume the plain heat
-    semigroup and are omitted, not failed).  The constants of the initial
-    field (its Fisher information q0, grid extrema and Laplacian norm) are
-    built once per content (manifold kind, side lengths, cutoff,
-    coefficients and drift potential) and kept in a bounded cache, so a
-    field changed in place gets fresh ones.
+    semigroup and are omitted, not failed).  A manifold unequal to the initial
+    field's raises ValueError.  The field's constants (Fisher information q0,
+    grid extrema, Laplacian norm) are built once per content in a bounded
+    cache, so a field changed in place gets fresh ones.
     """
+    if manifold != initial.manifold:
+        raise ValueError("the manifold must be the initial field's")
     times = np.asarray(times, dtype=float)
-    q0, inf_f, sup_f, norm_lap = _initial_constants(_ByContent(_content_key(initial), initial))
+    q0, inf_f, sup_f, norm_lap = _initial_constants(initial)
     k = manifold.ricci_lower_bound
 
     def q0_column(rhs) -> np.ndarray:

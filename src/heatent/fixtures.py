@@ -22,7 +22,6 @@ from . import spectral as sp
 @dataclass(frozen=True, eq=False)
 class Fixture:
     name: str
-    manifold: sp.ManifoldSpec
     initial: sp.SpectralField
     default_times: np.ndarray
     # Grid restricted to where rates stay well above the float noise floor,
@@ -35,14 +34,17 @@ class Fixture:
                       *(() if potential is None else (potential.coefficients,))):
             array.setflags(write=False)
 
+    @property
+    def manifold(self) -> sp.ManifoldSpec:
+        """The initial field's manifold."""
+        return self.initial.manifold
+
 
 def circle_fixture() -> Fixture:
-    manifold = sp.circle(1.0)
     initial = sp.project_initial(
-        manifold, lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x), cutoff=2)
+        sp.circle(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x), cutoff=2)
     return Fixture(
         name="circle",
-        manifold=manifold,
         initial=initial,
         default_times=np.geomspace(0.01, 2.0, 12),
         rate_check_times=np.geomspace(0.01, 0.4, 8),
@@ -50,14 +52,12 @@ def circle_fixture() -> Fixture:
 
 
 def torus_fixture() -> Fixture:
-    manifold = sp.torus2(1.0, 1.0)
     initial = sp.project_initial(
-        manifold,
+        sp.torus2(1.0, 1.0),
         lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x) + 0.25 * np.sin(2.0 * np.pi * y),
         cutoff=2)
     return Fixture(
         name="torus",
-        manifold=manifold,
         initial=initial,
         default_times=np.geomspace(0.01, 2.0, 12),
         rate_check_times=np.geomspace(0.01, 0.4, 8),
@@ -65,14 +65,12 @@ def torus_fixture() -> Fixture:
 
 
 def sphere_fixture() -> Fixture:
-    manifold = sp.sphere2(1.0)
     # cutoff well above the data's band: the extra headroom buys a denser
     # Gauss-Legendre grid for the non-polynomial entropy integrands
     initial = sp.project_initial(
-        manifold, lambda th: (1.0 + 0.5 * np.cos(th)) / (4.0 * math.pi), cutoff=8)
+        sp.sphere2(1.0), lambda th: (1.0 + 0.5 * np.cos(th)) / (4.0 * math.pi), cutoff=8)
     return Fixture(
         name="sphere",
-        manifold=manifold,
         initial=initial,
         default_times=np.geomspace(0.01, 8.0, 14),
         rate_check_times=np.geomspace(0.05, 2.0, 8),
@@ -83,15 +81,11 @@ def drift_fixture() -> Fixture:
     base = sp.torus2(1.0, 1.0)
     potential = sp.project_potential(
         base, lambda x, y: 0.1 * np.sin(2.0 * np.pi * x), cutoff=2)
-    manifold = sp.torus2_drift(potential)
     raw = sp.project_initial(
-        manifold, lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x), cutoff=6)
-    mu_mass = sp.mass(raw)
-    initial = sp.SpectralField(manifold, raw.coefficients / mu_mass, raw.cutoff)
+        sp.torus2_drift(potential), lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x), cutoff=6)
     return Fixture(
         name="torus-drift",
-        manifold=manifold,
-        initial=initial,
+        initial=sp.SpectralField(raw.manifold, raw.coefficients / sp.mass(raw), raw.cutoff),
         default_times=np.geomspace(0.1, 2.0, 6),
         rate_check_times=np.geomspace(0.02, 0.3, 5),
     )

@@ -138,8 +138,8 @@ class H3Params:
 
 def heat_kernel(p: H3Params, t: float, d: float) -> float:
     """Transition density at time t between points at geodesic distance d."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if d < 0.0:
         raise ValueError("d must be nonnegative")
     k = p.kappa
@@ -200,10 +200,10 @@ def normalization_quadrature(p: H3Params, t):
 
 
 def _times(t) -> np.ndarray:
-    """t as a float array, 0-d for a scalar; every time must be positive."""
+    """t as a float array, 0-d for a scalar; every time positive and finite."""
     ts = np.asarray(t, dtype=float)
-    if np.any(ts <= 0.0):
-        raise ValueError("t must be positive")
+    if not np.all((0.0 < ts) & (ts < math.inf)):
+        raise ValueError("t must be positive and finite")
     return ts
 
 
@@ -472,10 +472,10 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     then ValueError naming t where xi, xi' or 1/(2t^2) of a row leaves the
     double range.
     """
-    grid = np.array(times, dtype=float).reshape(-1)  # a copy: the sweep keeps it
+    grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n = grid.size
     steps = _FD_STEP_SCALE * grid
-    ts = _times(np.concatenate([grid, grid + steps, grid - steps]))
+    ts = np.concatenate([grid, grid + steps, grid - steps])
     k = p.kappa
     with np.errstate(all="ignore"):
         remainder, ((fine, estimate), (fine_prime, estimate_prime)) = _trapezoid(p, ts, n)

@@ -14,9 +14,9 @@ kind.  ``_PeriodicTransform`` analyses by an n-axis ``fftn`` on a uniform
 grid and synthesises by products against per-axis wave tables: the circle
 is the one-axis torus, and the drifted torus is the plain torus whose
 manifold carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in
-cos(theta).  Each transform is built once per content key (geometry, side
-lengths, cutoff, grid size) and shared from a bounded cache, so every array
-it holds is read-only.  Synthesis, stacked periodic derivatives and u with
+cos(theta).  Each transform is built once per (geometry, side lengths,
+cutoff, grid size) and shared from a bounded cache, so every array it holds
+is read-only.  Synthesis, stacked periodic derivatives and u with
 |grad u|^2 take coefficient rows with leading batch axes; each row is its
 own product, so its values do not depend on the batch.
 
@@ -80,9 +80,10 @@ class PropagatorError(ArithmeticError):
     its pencil could not be decomposed."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ManifoldSpec:
-    """A model closed manifold with its curvature lower bound and volume."""
+    """A model closed manifold with its curvature lower bound and volume;
+    equal, and hashed alike, when every field is, the drift included."""
 
     kind: str  # "circle" | "torus2" | "sphere2" | "torus2_drift"
     lengths: tuple[float, ...]
@@ -94,11 +95,25 @@ class ManifoldSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A function stored as coefficients against the manifold's eigenbasis."""
+    """A function stored as coefficients against the manifold's eigenbasis.
+
+    A value: equality is bitwise over manifold, cutoff, shape and complex
+    coefficient bytes, read at each call, so a field changed in place keys
+    afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
     cutoff: int
+
+    def _key(self) -> tuple:
+        coeffs = np.asarray(self.coefficients, dtype=complex)
+        return (self.manifold, self.cutoff, coeffs.shape, coeffs.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpectralField) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def circle(length: float = 1.0) -> ManifoldSpec:
@@ -311,9 +326,8 @@ def _row_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _transform(manifold: ManifoldSpec, cutoff: int, grid_points: Optional[int] = None):
     """The shared transform of the manifold's geometry at this cutoff and grid.
 
-    Keyed on content, not on the manifold object (``ManifoldSpec`` compares
-    by identity), so equal manifolds, and the drifted torus and its plain
-    torus, share one build.
+    Keyed on the geometry and side lengths rather than the whole manifold,
+    so the drifted torus shares the build of its plain torus.
     """
     n = grid_points if grid_points is not None else _grid_size(cutoff)
     return _cached_transform(_geometry(manifold), manifold.lengths, cutoff, n)
@@ -348,7 +362,7 @@ def project_initial(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spectra
     """
     field = project_potential(manifold, f, cutoff)
     resolved_min = float(resolve(field).min())
-    if resolved_min <= POSITIVITY_FLOOR:
+    if not resolved_min > POSITIVITY_FLOOR:
         raise SpectralTruncationError(
             f"resolved truncation has minimum {resolved_min:.3e}; "
             "increase the cutoff or fix the data")
@@ -401,10 +415,11 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
     torus c(t) = left (e^{-rates t} * right c) solves the Galerkin pencil
     M c' = -S c in L^2(mu) exactly, from the decomposition that
     ``_drift_propagator`` builds once per operator; an ill-conditioned M
-    raises PropagatorError.  A drifted result must stay strictly positive.
+    raises PropagatorError.  t must be finite, and a drifted result must stay
+    strictly positive.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if t == 0.0:
         return field
     rows = _propagate(field, np.array([float(t)]))
@@ -424,7 +439,7 @@ def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
         return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
-    rates, left, right = _drift_propagator(*_drift_key(manifold, field.cutoff))
+    rates, left, right = _drift_propagator(manifold, field.cutoff)
     x = np.exp(np.outer(-times, rates)) * (right @ _real_coordinates(c0.ravel()))
     return _complex_coefficients(_row_products(x, left.T)).reshape(times.shape + c0.shape)
 
@@ -449,24 +464,16 @@ def _complex_coefficients(rows: np.ndarray) -> np.ndarray:
 
 def _require_positive(rows: np.ndarray, message: str) -> None:
     """Raise PositivityError, with ``message`` formatted by the row's
-    minimum, for the first row of grid values at or below the floor."""
+    minimum, for the first row of grid values at or below the floor, or
+    with a NaN minimum."""
     minima = rows.reshape(len(rows), -1).min(axis=1)
-    low = np.flatnonzero(minima <= POSITIVITY_FLOOR)
+    low = np.flatnonzero(~(minima > POSITIVITY_FLOOR))
     if low.size:
         raise PositivityError(message.format(float(minima[low[0]])))
 
 
-def _drift_key(manifold: ManifoldSpec, cutoff: int) -> tuple:
-    """Content key of the drifted operator at this field cutoff: (side
-    lengths, cutoff, potential cutoff, potential coefficient bytes)."""
-    potential = manifold.drift
-    return (manifold.lengths, cutoff, potential.cutoff,
-            np.asarray(potential.coefficients, dtype=complex).tobytes())
-
-
 @functools.lru_cache(maxsize=4)
-def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
-                      potential_bytes: bytes):
+def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
     """(rates, left, right), real and read-only, with exp(tL) acting on the
     ``_real_coordinates`` r of a field as r(t) = left (e^{-rates t} * right r).
 
@@ -488,8 +495,8 @@ def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff:
     e^{-lam t} Q^T d^{1/2} U^T y(0).  cond(M') = max d / min d above
     MASS_CONDITION_LIMIT raises PropagatorError.  left and right are
     returned for the coordinates r_p / a_p, which are ``_real_coordinates``.
-    Keyed on content, so every field, trace and CLI call on an equal
-    operator shares one build.
+    Keyed on the drifted manifold, a value, so every field, trace and CLI
+    call on an equal operator shares one build.
     """
     modes = np.arange(-cutoff, cutoff + 1)
     flat = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
@@ -498,7 +505,7 @@ def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff:
     size = m.shape[1]
     s = np.where(np.arange(size) < half.shape[1], 1.0, 1j)
     a = np.where(np.arange(size) == 0, 1.0, math.sqrt(2.0))
-    g_hat = np.fft.fftn(_drift_weights(lengths, cutoff, potential_cutoff, potential_bytes)).conj()
+    g_hat = np.fft.fftn(_drift_weights(manifold, cutoff)).conj()
 
     def g(d: np.ndarray) -> np.ndarray:
         return g_hat[tuple(d % g_hat.shape[0])]
@@ -507,7 +514,7 @@ def _drift_propagator(lengths: tuple[float, ...], cutoff: int, potential_cutoff:
     p_term = np.outer(s, s) * g(m[:, :, np.newaxis] + m[:, np.newaxis, :])
     scale = 0.5 * np.outer(a, a)
     mass = scale * (n_term + p_term).real
-    k = 2.0 * math.pi * m[:, 1:] / np.array(lengths)[:, np.newaxis]
+    k = 2.0 * math.pi * m[:, 1:] / np.array(manifold.lengths)[:, np.newaxis]
     stiff = 0.5 * scale[1:, 1:] * (k.T @ k) * (n_term - p_term)[1:, 1:].real
     beta = mass[0, 1:] / mass[0, 0]
     try:
@@ -543,14 +550,13 @@ def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     """
     if manifold.drift is None:
         return _transform(manifold, cutoff).weights()
-    return _drift_weights(*_drift_key(manifold, cutoff))
+    return _drift_weights(manifold, cutoff)
 
 
 @functools.lru_cache(maxsize=4)
-def _drift_weights(lengths: tuple[float, ...], cutoff: int, potential_cutoff: int,
-                   potential_bytes: bytes) -> np.ndarray:
-    """exp(2V) dx / its total on the grid of the field cutoff, keyed on
-    content as ``_drift_propagator`` is, whose pencil reads the modes
+def _drift_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
+    """exp(2V) dx / its total on the grid of the field cutoff, keyed on the
+    drifted manifold as ``_drift_propagator`` is, whose pencil reads the modes
     |j - k| <= 2c per axis of their Fourier transform w^ (c the field
     cutoff).  On this n >= max(32, 8c) grid each such mode is aliased only by
     modes at least n - 2c >= 24 away.  For V = a sin(2 pi x) cos(2 pi y) at
@@ -558,10 +564,9 @@ def _drift_weights(lengths: tuple[float, ...], cutoff: int, potential_cutoff: in
     2e-9 w^(0) at c = 4 (a = 6.25) and 5e-15 w^(0) from c = 5 on; at c <= 3
     the limit admits far larger potentials (every a up to 30 at c = 2,
     aliasing 2e-3 w^(0) there), which so few modes cannot resolve anyway."""
-    tr = _cached_transform(_PeriodicTransform, lengths, cutoff, _grid_size(cutoff))
-    tv = _cached_transform(_PeriodicTransform, lengths, potential_cutoff, tr.n)
-    potential = np.frombuffer(potential_bytes, dtype=complex)
-    v = tv.synth(potential.reshape(2 * potential_cutoff + 1, -1))
+    tr = _transform(manifold, cutoff)
+    potential = manifold.drift
+    v = _transform(manifold, potential.cutoff, tr.n).synth(potential.coefficients)
     raw = np.exp(2.0 * v) * tr.weights()
     return _read_only(raw / raw.sum())
 
@@ -612,15 +617,17 @@ class EntropyTrace:
 
 
 def entropy_trace(field: SpectralField, times) -> EntropyTrace:
-    """Evolve the field across a strictly increasing positive time grid.
+    """Evolve the field across a strictly increasing grid of positive, finite
+    times.
 
     rate_direct is half the Fisher information; rate_fd is a central finite
     difference of the entropy with step 1e-4 * t, the package-wide
     cross-check policy.
     """
     times = np.asarray([float(t) for t in times])
-    if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing and positive")
+    in_range = np.all((0.0 < times) & (times < math.inf))
+    if times.size == 0 or not in_range or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing, positive and finite")
     h = _FD_STEP_SCALE * times
     # rows t, t + h, t - h of each time in turn, so that a loss of positivity
     # is reported at the first time it occurs; the t +- h rows feed rate_fd
@@ -676,7 +683,8 @@ def bochner_residual(w: SpectralField,
 
     with d/dt expanded through the evolution equation du/dt = Lu and Ric = 0.
     Every derivative of a trigonometric polynomial is taken spectrally, so the
-    returned residual is pure roundoff when the identity holds.
+    returned residual is pure roundoff when the identity holds.  An explicit
+    potential must live on a manifold equal to the field's.
     """
     manifold = w.manifold
     if potential is None:

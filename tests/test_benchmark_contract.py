@@ -1,0 +1,31 @@
+"""The benchmark's request contract, run in-process against this heatent.
+
+``perfbench/workloads.py`` calls the CLI and the public API; an API change it
+does not survive should fail here, not first inside a benchmark run.  Block 0
+of each workload (seed 1) must run without an exception or a failed check,
+and its closing repeat must reproduce its original byte for byte.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_first_block_meets_the_request_contract(workload):
+    reqs = workloads.block(workload, 1, 0)
+    assert reqs[-1].repeat_of is not None
+    outcomes = []
+    for req in reqs:
+        outcome = workloads.execute(req)
+        assert outcome.raised is None, (req.label, req.argv, outcome.raised)
+        assert outcome.problems == [], (req.label, req.argv, outcome.problems)
+        assert outcome.status == 0, (req.label, req.argv, outcome.status)
+        if req.repeat_of is not None:
+            original = outcomes[req.repeat_of]
+            assert (outcome.status, outcome.stdout) == (original.status, original.stdout)
+        outcomes.append(outcome)

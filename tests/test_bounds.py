@@ -251,3 +251,47 @@ def test_bound_constants_cache_is_bounded():
         bd.bound_table(torus, field, [0.1])
     info = bd._initial_constants.cache_info()
     assert (info.misses, info.currsize) == (size + 3, size)
+
+
+# ---------------------------------------------------------------------------
+# refused arguments
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_rhs_functions_refuse_non_finite_times(t):
+    for rhs in (lambda: bd.ricci_bound_rhs(2, -1.0, 1.0, t),
+                lambda: bd.ricci_bound_rhs(2, 0.0, 1.0, t),
+                lambda: bd.hamilton_bound_rhs(0.0, 2.0, t),
+                lambda: bd.spectral_gap_bound_rhs(1.0, 1.0, 1.0, 0.5, 2.0, t),
+                lambda: bd._drift_bound_rhs(-1.0, 1.0, t),
+                lambda: bd.euclidean_rate_reference(2, t)):
+        with pytest.raises(ValueError, match="finite"):
+            rhs()
+
+
+@pytest.mark.parametrize("name", ["circle", "torus-drift"])
+def test_bound_table_refuses_non_finite_times(name):
+    fixture = fx.get_fixture(name)
+    with pytest.raises(ValueError, match="finite"):
+        bd.bound_table(fixture.manifold, fixture.initial, [0.5, math.inf])
+
+
+@pytest.mark.parametrize("manifold", [sp.sphere2(1.0), sp.torus2(1.0, 1.5),
+                                      fx.drift_fixture().manifold],
+                         ids=["sphere", "torus2_1x1.5", "torus-drift"])
+def test_bound_table_refuses_another_manifold(manifold):
+    fixture = fx.get_fixture("torus")
+    with pytest.raises(ValueError, match="the initial field's"):
+        bd.bound_table(manifold, fixture.initial, [0.5])
+    trace = sp.entropy_trace(fixture.initial, [0.5])
+    with pytest.raises(ValueError, match="the initial field's"):
+        bd.check_bounds(trace, manifold, fixture.initial)
+
+
+def test_bound_table_accepts_an_equal_manifold():
+    fixture = fx.get_fixture("torus")
+    assert fixture.manifold is fixture.initial.manifold
+    shared = bd.bound_table(fixture.manifold, fixture.initial, [0.5, 1.0])
+    apart = bd.bound_table(sp.torus2(1.0, 1.0), fixture.initial, [0.5, 1.0])
+    assert {k: v.tolist() for k, v in apart.items()} == \
+           {k: v.tolist() for k, v in shared.items()}

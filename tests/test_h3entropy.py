@@ -536,6 +536,16 @@ def test_times_past_double_range_are_refused():
     assert math.isfinite(h3.evaluate_records(P1, [1e-120]).rate_direct[0])
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_times_are_refused(t):
+    for call in (lambda: h3.evaluate_records(P1, [1.0, t]),
+                 lambda: h3.I1(P1, t),
+                 lambda: h3.xi(P1, np.array([1.0, t])),
+                 lambda: h3.heat_kernel(P1, t, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_extreme_exponential_scale():
     # kappa^2 t = 3600: eta itself is about exp(1800), far past double range;
     # the fixed-scale floats and the peak-aware quadrature must keep the

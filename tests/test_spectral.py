@@ -96,6 +96,46 @@ def test_non_square_torus_matches_circle_for_y_profile():
         assert fisher_t == pytest.approx(1.0 * fisher_c, rel=1e-12)
 
 
+def _equal_torus_field(torus):
+    return sp.project_initial(torus, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
+
+
+def test_fields_and_manifolds_are_values():
+    a, b = (_equal_torus_field(sp.torus2(1.0, 1.0)) for _ in range(2))
+    assert a.manifold is not b.manifold
+    assert a.manifold == b.manifold and hash(a.manifold) == hash(b.manifold)
+    assert a == b and hash(a) == hash(b)
+    first, second = fx.drift_fixture(), fx.drift_fixture()
+    assert first.manifold.drift is not second.manifold.drift
+    assert first.manifold == second.manifold and hash(first.manifold) == hash(second.manifold)
+    assert first.initial == second.initial and hash(first.initial) == hash(second.initial)
+
+
+def test_fields_differing_in_any_part_are_unequal():
+    field = _equal_torus_field(TORUS)
+    coeffs = field.coefficients.copy()
+    coeffs[2, 2] += 1e-12
+    drifted = fx.drift_fixture().initial
+    other_potential = sp.project_potential(TORUS, lambda x, y: 0.2 * np.sin(2.0 * np.pi * x), 2)
+    pairs = [(field, sp.SpectralField(TORUS, field.coefficients, 3)),
+             (field, sp.SpectralField(TORUS, coeffs, 2)),
+             (field, _equal_torus_field(sp.torus2(1.0, 1.5))),
+             (drifted, sp.SpectralField(sp.torus2_drift(other_potential),
+                                        drifted.coefficients, drifted.cutoff))]
+    for a, b in pairs:
+        assert a != b and a.manifold.kind == b.manifold.kind
+
+
+def test_field_changed_in_place_hashes_anew():
+    field = _equal_torus_field(TORUS)
+    frozen = sp.SpectralField(TORUS, field.coefficients.copy(), field.cutoff)
+    before = hash(field)
+    field.coefficients[3, 2] *= 2.0
+    assert hash(field) != before and field != frozen
+    field.coefficients[3, 2] /= 2.0
+    assert hash(field) == before and field == frozen
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -133,6 +173,11 @@ def test_project_rejects_undersized_cutoff():
 def test_project_rejects_nonpositive_data():
     with pytest.raises(sp.SpectralTruncationError):
         sp.project_initial(CIRCLE, lambda x: 1.0 + 1.5 * np.cos(2.0 * np.pi * x), 2)
+
+
+def test_project_rejects_nan_data():
+    with pytest.raises(sp.SpectralTruncationError, match="minimum nan"):
+        sp.project_initial(CIRCLE, lambda x: np.full_like(x, math.nan), 2)
 
 
 def test_project_potential_allows_signed_data():
@@ -268,6 +313,25 @@ def test_evolve_identity_at_zero():
     field = two_mode_circle()
     evolved = sp.evolve(field, 0.0)
     assert np.array_equal(evolved.coefficients, field.coefficients)
+
+
+@pytest.mark.parametrize("name", ["torus", "torus-drift"])
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+def test_evolve_refuses_non_finite_times(name, t):
+    with pytest.raises(ValueError, match="finite"):
+        sp.evolve(fx.get_fixture(name).initial, t)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_trace_refuses_non_finite_times(t):
+    with pytest.raises(ValueError, match="finite"):
+        sp.entropy_trace(fx.get_fixture("torus").initial, [0.5, t])
+
+
+def test_nan_minimum_is_not_positive():
+    rows = np.array([[1.0, 2.0], [1.0, math.nan]])
+    with pytest.raises(sp.PositivityError, match="minimum nan"):
+        sp._require_positive(rows, sp._RESOLVED_MINIMUM)
 
 
 def test_evolve_single_mode_decay():
@@ -407,7 +471,7 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
         coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
-    rates, left, right = sp._drift_propagator(*sp._drift_key(manifold, 6))
+    rates, left, right = sp._drift_propagator(manifold, 6)
     assert left.dtype == right.dtype == float
     # the oracle's pencil in the real coordinates: the Gram matrices of real functions
     basis = _real_coordinate_basis(len(rates))
@@ -452,7 +516,7 @@ def _exponential_drift_propagator(manifold, cutoff):
     lengths = manifold.lengths
     modes = np.arange(-cutoff, cutoff + 1)
     m = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
-    w_hat = np.fft.fftn(sp._drift_weights(*sp._drift_key(manifold, cutoff)))
+    w_hat = np.fft.fftn(sp._drift_weights(manifold, cutoff))
     mass = w_hat[tuple((m[:, :, np.newaxis] - m[:, np.newaxis, :]) % w_hat.shape[0])]
     size = m.shape[1]
     zero = size // 2
@@ -882,14 +946,22 @@ def test_bochner_random_fields():
         assert sp.bochner_residual(w, potential=potential).relative <= 1e-8
 
 
-@pytest.mark.parametrize("other", [sp.circle(1.0), sp.torus2(1.0, 2.0)],
-                         ids=["circle", "torus2_1x2"])
+@pytest.mark.parametrize("other", [sp.circle(1.0), sp.torus2(1.0, 2.0), sp.torus2(1.0, 1.5)],
+                         ids=["circle", "torus2_1x2", "torus2_1x1.5"])
 def test_bochner_rejects_potential_from_another_manifold(other):
     field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
     potential = sp.project_potential(
         other, lambda x, *rest: 0.3 * np.sin(2.0 * np.pi * x), 2)
     with pytest.raises(ValueError, match="potential must live on"):
         sp.bochner_residual(field, potential=potential)
+
+
+def test_bochner_accepts_potential_on_an_equal_torus():
+    field = _equal_torus_field(sp.torus2(1.0, 1.0))
+    shared, apart = (sp.bochner_residual(field, potential=sp.project_potential(
+                         torus, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2))
+                     for torus in (field.manifold, sp.torus2(1.0, 1.0)))
+    assert apart == shared  # bit for bit
 
 
 def test_bochner_rejects_other_manifolds():
