@@ -145,14 +145,16 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     Undrifted manifolds get the Ricci-rate, gradient-estimate and
     spectral-gap columns, in that order; the drifted torus gets the
     drift-curvature column alone (the other three assume the plain heat
-    semigroup and are omitted, not failed).  A manifold unequal to the initial
-    field's raises ValueError.  The field's constants (Fisher information q0,
-    grid extrema, Laplacian norm) are built once per content in a bounded
-    cache, so a field changed in place gets fresh ones.
+    semigroup and are omitted, not failed).  A time not positive and finite,
+    or a manifold unequal to the initial field's, raises ValueError.  The
+    field's constants (q0, grid extrema, Laplacian norm) are built once per
+    content in a bounded cache, so a field changed in place gets fresh ones.
     """
     if manifold != initial.manifold:
         raise ValueError("the manifold must be the initial field's")
     times = np.asarray(times, dtype=float)
+    if not np.all((0.0 < times) & (times < math.inf)):
+        raise ValueError("times must be positive and finite")
     q0, inf_f, sup_f, norm_lap = _initial_constants(initial)
     k = manifold.ricci_lower_bound
 

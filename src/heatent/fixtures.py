@@ -114,21 +114,27 @@ def _random_trig_coefficients(rng: np.random.Generator, manifold: sp.ManifoldSpe
     """(coefficients, grid values) of a random real zero-mean trigonometric
     polynomial with sup norm ``amplitude`` on the grid: over the half-plane
     of modes (m1 > 0, or m1 == 0 and m2 > 0), a_m 0.5^(|m1| + |m2|)
-    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform.  In the basis
-    exp(2 pi i m.x/L)/sqrt(vol) that is c_m = a_m 0.5^(|m1| + |m2|)
-    exp(i phi_m) sqrt(vol)/2, and c_-m is its conjugate.
+    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform.  With p, q =
+    a_m 0.5^(|m1| + |m2|) (cos phi_m, sin phi_m), s = sign(m2) and the cos
+    and sin of theta_i = 2 pi |m_i| x_i / L_i, a term is p cos1 cos2 -
+    s p sin1 sin2 - q sin1 cos2 - s q cos1 sin2; each product is sqrt(vol) /
+    (g1 g2) times that of two table columns (cos of |m| at index cutoff +
+    |m|, sin at cutoff - |m|), with g = sqrt2 off the constant and 1 on it.
     """
     if manifold.kind != "torus2":
         raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
     amplitudes = rng.normal(size=(cutoff + 1, 2 * cutoff + 1))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=amplitudes.shape)
     m1, m2 = np.ix_(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1))
-    half = (0.5 * math.sqrt(manifold.volume) * amplitudes * 0.5 ** (m1 + np.abs(m2))
-            * np.exp(1j * phases))
-    half[0, :cutoff + 1] = 0.0  # m1 == 0 and m2 <= 0 lie in the other half
-    coeffs = np.zeros((2 * cutoff + 1,) * 2, dtype=complex)
-    coeffs[cutoff:] = half
-    coeffs += coeffs[::-1, ::-1].conj()
+    g = np.where(np.arange(-cutoff, cutoff + 1) == 0, 1.0, math.sqrt(2.0))
+    size = (math.sqrt(manifold.volume) / np.outer(g[cutoff:], g) * amplitudes
+            * 0.5 ** (m1 + np.abs(m2)) * ((m1 > 0) | (m2 > 0)))
+    p, q = size * np.cos(phases), size * np.sin(phases)
+    s, sin1 = np.sign(m2), m1 > 0  # sin terms of a zero mode vanish
+    rows, cols = (cutoff + m1, cutoff - m1), (cutoff + np.abs(m2), cutoff - np.abs(m2))
+    coeffs = np.zeros((2 * cutoff + 1,) * 2)
+    for row, col, term in ((0, 0, p), (1, 1, -s * p * sin1), (1, 0, -q * sin1), (0, 1, -s * q)):
+        np.add.at(coeffs, (rows[row], cols[col]), term)
     values = sp.resolve(sp.SpectralField(manifold, coeffs, cutoff))
     peak = np.abs(values).max()
     if peak > 0.0:

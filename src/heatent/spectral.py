@@ -2,40 +2,37 @@
 
 Supported geometries: a circle, a flat 2-torus, the zonal (axially symmetric)
 sector of a round 2-sphere, and a flat 2-torus with a gradient drift.  Fields
-live as coefficient arrays against the orthonormal Laplacian eigenbasis
-(complex exponentials on circle and torus, normalised Legendre polynomials in
-cos(theta) on the sphere), so undrifted time evolution is exact: each
-coefficient just decays as exp(-lambda t / 2).
+live as real coefficient arrays against an orthonormal Laplacian eigenbasis
+(per periodic axis sqrt2 sin, the constant and sqrt2 cos, over sqrt L, at
+index j for mode m = j - cutoff: sin of |m| for m < 0, cos for m > 0;
+normalised Legendre polynomials in cos(theta) on the sphere), so undrifted
+time evolution is exact: each coefficient just decays as exp(-lambda t / 2).
 
 One transform class per geometry holds every per-geometry fact (Laplacian
 eigenvalues, grid points, volume-measure weights, synthesis and analysis,
 u with |grad u|^2), and the table ``_GEOMETRY`` picks it by the manifold's
-kind.  ``_PeriodicTransform`` analyses by an n-axis ``fftn`` on a uniform
-grid and synthesises by products against per-axis wave tables: the circle
-is the one-axis torus, and the drifted torus is the plain torus whose
-manifold carries a potential.  ``_SphereTransform`` uses Gauss-Legendre in
-cos(theta).  Each transform is built once per (geometry, side lengths,
-cutoff, grid size) and shared from a bounded cache, so every array it holds
-is read-only.  Synthesis, stacked periodic derivatives and u with
-|grad u|^2 take coefficient rows with leading batch axes; each row is its
-own product, so its values do not depend on the batch.
+kind.  ``_PeriodicTransform`` synthesises by products against one real table
+per axis and analyses by the uniform grid rule; the circle is the one-axis
+torus, the drifted torus the plain torus with a potential.
+``_SphereTransform`` uses Gauss-Legendre in cos(theta).  Each transform is
+built once per (geometry, side lengths, cutoff, grid size) and shared from
+a bounded cache, so its arrays are read-only.  Synthesis takes coefficient
+rows with leading batch axes, each row its own product, so its values do
+not depend on the batch.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
 spectrally accurate quadrature.  On the drifted torus L is self-adjoint in
 L^2(mu), mu = exp(2V) dx, and maps real functions to real ones, so its
-Galerkin system in mu on a real cos/sin basis is a real symmetric pencil
-M r' = -S r, linear and time-independent; it too is propagated exactly,
-through two ``eigh`` decompositions, and its real coordinates are put back
-in the complex layout by index arithmetic.  There is no time-discretisation
-error anywhere.  An entropy trace is one array program: the coefficient rows
-of every time it needs (t and t +- h) are evolved together, synthesised in
-chunks of at most ``_CHUNK_POINTS`` grid values, one synthesis per chunk,
-and reduced to entropy and Fisher information by row sums.  The t +- h rows
-feed the finite-difference rate through their entropy alone, so only the t
-rows synthesise a gradient and take a Fisher sum.  The drifted measure
-weights exp(2V)/sum are built once per operator and serve both those sums
-and the pencil.
+Galerkin system in mu on the fields' basis is the real symmetric pencil
+M a' = -S a, propagated exactly by two ``eigh`` decompositions: no time is
+discretised.  An entropy trace is one array program: the rows of every time
+it needs (t and t +- h) are evolved together, synthesised in chunks of at
+most ``_CHUNK_POINTS`` grid values and reduced to entropy and Fisher
+information by row sums.  The t +- h rows feed the finite-difference rate
+through their entropy alone, so only the t rows synthesise a gradient and
+take a Fisher sum.  The drifted measure weights exp(2V)/sum are built once
+per operator and serve both those sums and the pencil.
 """
 
 from __future__ import annotations
@@ -56,11 +53,11 @@ _FD_STEP_SCALE = 1e-4
 # (see ``_drift_propagator``); the drift fixture reads about 1.5.
 MASS_CONDITION_LIMIT = 1e8
 # Distinct transforms kept.  The benchmark's three workloads use 16, which
-# hold 0.15 MB of arrays together.
+# hold 0.25 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
 # Grid values synthesised at once by the row functionals, values and
 # gradients together.  Unchunked, a 16-time trace on the n = 48 torus
-# allocates 3.7 MB at peak; chunked, 0.46 MB.
+# allocates 3.0 MB at peak; chunked, 0.33 MB.
 _CHUNK_POINTS = 8192
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
@@ -95,18 +92,23 @@ class ManifoldSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A function stored as coefficients against the manifold's eigenbasis.
+    """A function stored as real coefficients against the manifold's
+    orthonormal eigenbasis (periodic: per axis, index j is the sin of |m| for
+    m = j - cutoff < 0 and the cos for m > 0).  Complex ones raise TypeError.
 
-    A value: equality is bitwise over manifold, cutoff, shape and complex
-    coefficient bytes, read at each call, so a field changed in place keys
-    afresh."""
+    A value: equality is bitwise over manifold, cutoff, shape and coefficient
+    bytes, read at each call, so a field changed in place keys afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
     cutoff: int
 
+    def __post_init__(self):
+        if np.iscomplexobj(self.coefficients):
+            raise TypeError("field coefficients must be real")
+
     def _key(self) -> tuple:
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = np.asarray(self.coefficients, dtype=float)
         return (self.manifold, self.cutoff, coeffs.shape, coeffs.tobytes())
 
     def __eq__(self, other) -> bool:
@@ -162,11 +164,13 @@ def _grid_size(cutoff: int) -> int:
 
 
 class _PeriodicTransform:
-    """Circle and flat 2-tori: one uniform axis per side length, complex
-    exponentials, ``fftn`` analysis, and synthesis as a direct sum over the
-    2 cutoff + 1 modes of each axis by products against wave tables (at
-    these sizes cheaper than a zero-padded FFT).  The circle is the one-axis
-    torus."""
+    """Circle and flat 2-tori: one uniform axis per side length and one real
+    orthonormal table per axis, T (n x (2 cutoff + 1)), whose column j is the
+    mode m = j - cutoff: sqrt2 sin(2 pi |m| x / L) / sqrt L for m < 0,
+    1 / sqrt L for m = 0 and sqrt2 cos(2 pi m x / L) / sqrt L for m > 0.  A
+    field A synthesises as T A T^T (the circle, the one-axis torus: A T^T),
+    a derivative swaps the differentiated table T' or T'' in on its axis,
+    and analysis is the grid rule T^T diag(w) u T, exact for these modes."""
 
     def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
         self.lengths = lengths
@@ -175,15 +179,20 @@ class _PeriodicTransform:
         self.size = math.prod(self.shape)
         self.volume = math.prod(lengths)
         modes = np.arange(-cutoff, cutoff + 1)
-        self.ik = tuple(_read_only(2j * math.pi * m / length)
-                        for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths))
-        self._slots = tuple(map(_read_only, np.ix_(*[modes % n] * len(lengths))))
-        # the phase (m j) mod n is exact in integers, so every entry is a root of unity;
-        # _last alternates cos and -sin rows, as a complex row's real view alternates Re, Im
-        angle = (2.0 * math.pi / n) * (np.outer(modes, np.arange(n)) % n)
-        self._waves = _read_only(np.ascontiguousarray(np.exp(1j * angle.T)))
-        self._last = _read_only(np.stack([np.cos(angle), -np.sin(angle)], axis=1)
-                                .reshape(2 * modes.size, n) / math.sqrt(self.volume))
+        # the phase (|m| j) mod n is exact in integers; x_j = j L / n on every axis
+        angle = (2.0 * math.pi / n) * (np.outer(np.arange(n), np.abs(modes)) % n)
+        wave = (np.where(modes < 0, np.sin(angle), np.cos(angle))
+                * np.where(modes == 0, 1.0, math.sqrt(2.0)))
+        # T, T' and T'' per axis: d/dx takes the cos of mode m > 0 to -k sin and
+        # its sin to k cos (k = 2 pi m / L), so T' is T with its columns
+        # reversed (m to -m) and scaled by -k, and T'' is -k^2 T
+        tables = [(t, -t[:, ::-1] * k, -t * k * k)
+                  for t, k in ((wave / math.sqrt(length), 2.0 * math.pi * modes / length)
+                               for length in lengths)]
+        # the first axis's, and the last's transposed (on the circle the same
+        # axis), each contiguous for matmul's BLAS path
+        self.first = tuple(map(_read_only, tables[0]))
+        self.last = tuple(_read_only(np.ascontiguousarray(t.T)) for t in tables[-1])
 
     @staticmethod
     def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
@@ -198,40 +207,38 @@ class _PeriodicTransform:
     def weights(self) -> np.ndarray:
         return np.full(self.shape, self.volume / self.size)
 
-    def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values, the real part of sum_m c_m e_m; axes of ``coeffs``
+    def synth(self, coeffs: np.ndarray, order: tuple[int, ...] = ()) -> np.ndarray:
+        """Grid values of each field's derivative along the axes of ``order``
+        (an axis at most twice; () for the field itself); axes of ``coeffs``
         before the mode axes are batch axes.  Each field is its own product
         on contiguous operands (matmul skips BLAS on strided ones), so its
         values are the same alone or in any batch."""
-        batch = coeffs.shape[:coeffs.ndim - len(self.shape)]
-        a = np.ascontiguousarray(coeffs, dtype=complex)
-        # the circle's modes form one row; a torus's leading axis is summed first
-        a = a[..., np.newaxis, :] if len(self.shape) == 1 else self._waves @ a
-        # Re(sum_m a_m exp(i theta_m)) = sum_m Re a_m cos theta_m - Im a_m sin theta_m
-        return (a.view(float) @ self._last).reshape(batch + self.shape)
+        a = np.ascontiguousarray(coeffs, dtype=float)
+        last = self.last[order.count(len(self.shape) - 1)]
+        if len(self.shape) == 1:
+            return _row_products(a, last)
+        return self.first[order.count(0)] @ (a @ last)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.fftn(values) / values.size
-        return spec[self._slots] * math.sqrt(self.volume)
+        """The grid rule of u - u_0, u_0 the first grid value, with u_0 put
+        back on the constant, so that a constant projects exactly."""
+        shift = values.flat[0]
+        u = ((values - shift) * (self.volume / self.size)) @ self.last[0].T
+        coeffs = u if len(self.shape) == 1 else self.first[0].T @ u
+        coeffs[tuple(np.array(coeffs.shape) // 2)] += shift * math.sqrt(self.volume)
+        return coeffs
 
     def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...]) -> np.ndarray:
-        """Grid values of the derivative along each order's axes (repeats
-        allowed, () for the field itself), stacked on a leading axis and
-        synthesised at once."""
-        return self.synth(np.stack([math.prod((self.ik[axis] for axis in order), start=coeffs)
-                                    for order in orders]))
+        """``synth`` of each order, stacked on a leading axis."""
+        return np.stack([self.synth(coeffs, order) for order in orders])
 
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
-        the grid, from one synthesis; the other rows synthesise no gradient."""
-        picked = rows[::every]
-        fields = self.synth(np.concatenate([rows, *(picked * ik for ik in self.ik)]))
-        gradient = fields[len(rows):].reshape((len(self.ik), len(picked)) + self.shape)
-        return fields[:len(rows)], sum(g * g for g in gradient)
+        the grid; the other rows synthesise no gradient."""
+        gradient = (self.synth(rows[::every], (axis,)) for axis in range(len(self.shape)))
+        return self.synth(rows), sum(g * g for g in gradient)
 
-    def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
-        """The field values ``grid_extrema`` searches: the grid's."""
-        return self.synth(coeffs)
+    extremal_samples = synth  # the field values ``grid_extrema`` searches: the grid's
 
 
 class _SphereTransform:
@@ -374,18 +381,21 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
     requirement (drift potentials are signed).
 
     ``f`` receives grid coordinates as numpy arrays: ``f(x)`` on the circle,
-    ``f(x, y)`` on the torus, ``f(theta)`` on the zonal sphere.  The cutoff
-    must capture essentially all of the data's energy, or
-    SpectralTruncationError is raised.
+    ``f(x, y)`` on the torus, ``f(theta)`` on the zonal sphere.  The data
+    must be finite and the cutoff must capture essentially all of their
+    energy, or SpectralTruncationError is raised.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     tr = _transform(manifold, cutoff)
     values = np.asarray(f(*tr.points()), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise SpectralTruncationError(f"data must be finite, but has minimum {values.min():.3e} "
+                                      f"and maximum {values.max():.3e}")
     coeffs = tr.analyze(values)
     # the data's whole energy by the grid rule (Parseval on the periodic grid)
     total = float(np.sum(tr.weights() * values * values))
-    kept = float(np.sum(np.abs(coeffs) ** 2))
+    kept = float(np.sum(coeffs * coeffs))
     # The comparison of two quadratures of the same data floors out at a few
     # ulps of the total, so grant that on top of the contractual fraction.
     allowance = (_TAIL_ENERGY_FRACTION + 64.0 * np.finfo(float).eps) * total
@@ -431,35 +441,23 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
 
 def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
-    leading axis: c0 exp(-lambda t / 2) as an outer product, or on the
-    drifted torus the real coordinates (e^{-t rates} * right r0) left^T, one
-    real vector-matrix product per row, put back in the complex layout."""
+    leading axis: A0 exp(-lambda t / 2) as an outer product, or on the
+    drifted torus (e^{-t rates} * right a0) left^T with a0 the flattened A0,
+    one vector-matrix product per row."""
     manifold = field.manifold
     c0 = field.coefficients
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
-        return c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
-    rates, left, right = _drift_propagator(manifold, field.cutoff)
-    x = np.exp(np.outer(-times, rates)) * (right @ _real_coordinates(c0.ravel()))
-    return _complex_coefficients(_row_products(x, left.T)).reshape(times.shape + c0.shape)
-
-
-def _real_coordinates(c: np.ndarray) -> np.ndarray:
-    """(Re c_0, Re c_m, Im c_m) over the modes m after the constant in the
-    flattened layout (the half-plane m1 > 0, or m1 = 0 < m2), of the real
-    part of the field with coefficients ``c``.  Mode -m sits at the mirrored
-    flat index, so c_-m is ``c[:h][::-1]``."""
-    h = c.size // 2
-    plus, minus = c[h + 1:], c[:h][::-1]
-    return np.concatenate([[c[h].real], 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag])
-
-
-def _complex_coefficients(rows: np.ndarray) -> np.ndarray:
-    """The flattened complex layout of rows of ``_real_coordinates``: c_m is
-    Re c_m + i Im c_m and c_-m its conjugate, exactly."""
-    h = rows.shape[-1] // 2
-    half = rows[..., 1:h + 1] + 1j * rows[..., h + 1:]
-    return np.concatenate([half[..., ::-1].conj(), rows[..., :1], half], axis=-1)
+        x = c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
+    else:
+        rates, left, right = _drift_propagator(manifold, field.cutoff)
+        x = np.exp(np.outer(-times, rates)) * (right @ c0.ravel())
+    # A decaying mode passes through subnormals (below 2.2e-308), which cost the
+    # products that follow a slow path and cannot reach a value above 1e-290.
+    x[np.abs(x) < np.finfo(float).tiny] = 0.0
+    if manifold.drift is None:
+        return x
+    return _row_products(x, left.T).reshape(times.shape + c0.shape)
 
 
 def _require_positive(rows: np.ndarray, message: str) -> None:
@@ -475,66 +473,56 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
 @functools.lru_cache(maxsize=4)
 def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
     """(rates, left, right), real and read-only, with exp(tL) acting on the
-    ``_real_coordinates`` r of a field as r(t) = left (e^{-rates t} * right r).
+    flattened coefficients a of a field as a(t) = left (e^{-rates t} * right a).
 
     L = Laplacian/2 + grad V . grad is self-adjoint in L^2(mu) and maps real
     functions to real ones, so its Galerkin system on the real orthonormal
-    basis phi_p = a_p Re(s_p e_p) (the constant: a = s = 1; over the
-    half-plane of modes, sqrt2 cos with s = 1 and -sqrt2 sin with s = i) is
-    the real symmetric pencil M r' = -S r.  With G(d) = sum_x w(x)
-    e^{i k_d . x}, the conjugate Fourier transform of ``_drift_weights``,
-    N = s_p conj(s_q) G(m_p - m_q) and P = s_p s_q G(m_p + m_q):
-    M_pq = (a_p a_q / 2) Re(N + P) and S_pq = (a_p a_q / 4) (k_p . k_q) Re(N - P).
-    This basis is a unitary change from the exponentials', so cond(M') is
-    that of their Hermitian pencil.  S vanishes on the constant phi_0, so
-    with y the other coordinates and beta = M[0, y] / M[0, 0] the mu-mass
-    alpha = r_0 + beta . y is conserved (the first entry of ``right r``, rate
-    exactly 0) and r_0 = alpha - beta . y.  The rest solves M' y' = -S' y,
-    M' = M[y, y] - M[y, 0] (x) beta, by two ``eigh``: M' = U diag(d) U^T,
+    basis Phi = T (x) T of the field's coefficients is the real symmetric
+    pencil M a' = -S a, with M = Phi^T diag(w) Phi and
+    S = 1/2 sum_axes (d Phi)^T diag(w) d Phi by the grid rule of
+    ``_drift_weights`` w, contracted one axis at a time.  This basis is an
+    orthogonal change from the exponentials', so cond(M') is that of their
+    Hermitian pencil.  S vanishes on the constant (flat index z), so with y
+    the other coordinates and beta = M[z, y] / M[z, z] the mu-mass
+    alpha = a_z + beta . y is conserved (the first entry of ``right a``, rate
+    exactly 0) and a_z = alpha - beta . y.  The rest solves M' y' = -S' y,
+    M' = M[y, y] - M[y, z] (x) beta, by two ``eigh``: M' = U diag(d) U^T,
     and with G = U d^{-1/2}, G^T S' G = Q diag(lam) Q^T, so y(t) = G Q
     e^{-lam t} Q^T d^{1/2} U^T y(0).  cond(M') = max d / min d above
-    MASS_CONDITION_LIMIT raises PropagatorError.  left and right are
-    returned for the coordinates r_p / a_p, which are ``_real_coordinates``.
-    Keyed on the drifted manifold, a value, so every field, trace and CLI
-    call on an equal operator shares one build.
+    MASS_CONDITION_LIMIT raises PropagatorError.  Keyed on the drifted
+    manifold, a value, so every field, trace and CLI call on an equal
+    operator shares one build.
     """
-    modes = np.arange(-cutoff, cutoff + 1)
-    flat = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
-    half = flat[:, flat.shape[1] // 2:]  # the constant, then the half-plane
-    m = np.concatenate([half, half[:, 1:]], axis=1)  # each basis function's mode
-    size = m.shape[1]
-    s = np.where(np.arange(size) < half.shape[1], 1.0, 1j)
-    a = np.where(np.arange(size) == 0, 1.0, math.sqrt(2.0))
-    g_hat = np.fft.fftn(_drift_weights(manifold, cutoff)).conj()
+    tr = _transform(manifold, cutoff)
+    w = _drift_weights(manifold, cutoff)
+    (tx, dx), (ty, dy) = tr.first[:2], (table.T for table in tr.last[:2])
+    size = tx.shape[1] ** 2
 
-    def g(d: np.ndarray) -> np.ndarray:
-        return g_hat[tuple(d % g_hat.shape[0])]
+    def gram(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        return np.einsum("xj,xl,xy,yp,yq->jplq", fx, fx, w, fy, fy,
+                         optimize=True).reshape(size, size)
 
-    n_term = np.outer(s, s.conj()) * g(m[:, :, np.newaxis] - m[:, np.newaxis, :])
-    p_term = np.outer(s, s) * g(m[:, :, np.newaxis] + m[:, np.newaxis, :])
-    scale = 0.5 * np.outer(a, a)
-    mass = scale * (n_term + p_term).real
-    k = 2.0 * math.pi * m[:, 1:] / np.array(manifold.lengths)[:, np.newaxis]
-    stiff = 0.5 * scale[1:, 1:] * (k.T @ k) * (n_term - p_term)[1:, 1:].real
-    beta = mass[0, 1:] / mass[0, 0]
+    mass, stiff = gram(tx, ty), 0.5 * (gram(dx, ty) + gram(tx, dy))
+    zero = size // 2
+    rest = np.arange(size) != zero
+    beta = mass[zero, rest] / mass[zero, zero]
     try:
-        d, u = np.linalg.eigh(mass[1:, 1:] - np.outer(mass[1:, 0], beta))
+        d, u = np.linalg.eigh(mass[np.ix_(rest, rest)] - np.outer(mass[rest, zero], beta))
         if d.size and not d.max() <= MASS_CONDITION_LIMIT * d.min():
             raise PropagatorError(f"drift mass matrix has condition {d.max() / d.min():.3e}, "
                                   f"above {MASS_CONDITION_LIMIT:.0e}")
         g = u / np.sqrt(d)
-        lam, q = np.linalg.eigh(g.T @ stiff @ g)
+        lam, q = np.linalg.eigh(g.T @ stiff[np.ix_(rest, rest)] @ g)
     except np.linalg.LinAlgError as exc:  # a non-finite pencil, e.g. exp(2V) overflowed
         raise PropagatorError(f"drift pencil decomposition failed: {exc}") from exc
     rates = np.concatenate([[0.0], lam])
-    left = np.zeros((size, size))
-    right = np.zeros((size, size))
-    left[0, 0] = right[0, 0] = 1.0
-    left[1:, 1:] = g @ q
-    left[0, 1:] = -beta @ left[1:, 1:]
-    right[0, 1:] = beta
-    right[1:, 1:] = ((u * np.sqrt(d)) @ q).T
-    return _read_only(rates), _read_only(left / a[:, np.newaxis]), _read_only(right * a)
+    left, right = np.zeros((2, size, size))
+    left[zero, 0] = right[0, zero] = 1.0
+    left[rest, 1:] = g @ q
+    left[zero, 1:] = -beta @ left[rest, 1:]
+    right[0, rest] = beta
+    right[1:, rest] = ((u * np.sqrt(d)) @ q).T
+    return _read_only(rates), _read_only(left), _read_only(right)
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +566,26 @@ def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, mess
 
     Rows are synthesised in chunks of whole groups of ``every`` rows, each of
     at most ``_CHUNK_POINTS`` grid values: the group's values and one
-    gradient component per grid axis of its first row.  Each row's sums run
-    over its own contiguous grid values, as a lone field's do.  The first row
-    whose resolved field is not strictly positive raises PositivityError
-    with ``message``.
+    gradient component per grid axis of its first row.  Each row's sums are
+    one dot product of its own grid values with the weights, as a lone
+    field's are.  The first row whose resolved field is not strictly
+    positive raises PositivityError with ``message``.
     """
     tr = _transform(manifold, cutoff)
     w = _measure_weights(manifold, cutoff)
     step = every * max(1, _CHUNK_POINTS // ((every + w.ndim) * w.size))
+
+    def weighted(values: np.ndarray) -> np.ndarray:
+        return _row_products(values.reshape(len(values), -1), w.reshape(-1, 1))[:, 0]
+
     entropy = np.empty(len(rows))
     fisher = np.empty(len(rows[::every]))
     for start in range(0, len(rows), step):
         u, grad2 = tr.values_and_gradients(rows[start:start + step], every)
         _require_positive(u, message)
-        entropy[start:start + len(u)] = -(w * u * np.log(u)).reshape(len(u), -1).sum(axis=1)
+        entropy[start:start + len(u)] = -weighted(u * np.log(u))
         first = start // every
-        fisher[first:first + len(grad2)] = ((w * grad2 / u[::every])
-                                            .reshape(len(grad2), -1).sum(axis=1))
+        fisher[first:first + len(grad2)] = weighted(grad2 / u[::every])
     return entropy, fisher
 
 

@@ -272,8 +272,12 @@ def test_rhs_functions_refuse_non_finite_times(t):
 @pytest.mark.parametrize("name", ["circle", "torus-drift"])
 def test_bound_table_refuses_non_finite_times(name):
     fixture = fx.get_fixture(name)
-    with pytest.raises(ValueError, match="finite"):
-        bd.bound_table(fixture.manifold, fixture.initial, [0.5, math.inf])
+    # a constant datum (q0 = 0) has zero columns, but its times are checked too
+    constant = sp.project_initial(fixture.manifold, lambda x, *_: np.ones_like(x), 1)
+    for initial in (fixture.initial, constant):
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                bd.bound_table(fixture.manifold, initial, [0.5, t])
 
 
 @pytest.mark.parametrize("manifold", [sp.sphere2(1.0), sp.torus2(1.0, 1.5),
