@@ -109,32 +109,36 @@ def get_fixture(name: str) -> Fixture:
                          f"choose from {sorted(FIXTURE_BUILDERS)}") from None
 
 
+@functools.lru_cache(maxsize=16)
+def _trig_layout(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Read-only (weights, cos2, sin2): 0.5^(|m1| + |m2|) / (g1 g2) on the
+    half-plane of modes, g = sqrt2 off the constant and 1 on it, and where
+    the cos and the sin (signed) of mode m2 go among the table columns."""
+    modes = np.arange(-cutoff, cutoff + 1)
+    m1, m2 = np.ix_(modes[cutoff:], modes)
+    g, eye = np.where(modes == 0, 1.0, math.sqrt(2.0)), np.eye(2 * cutoff + 1)
+    return tuple(map(sp._read_only, (
+        0.5 ** (m1 + np.abs(m2)) * ((m1 > 0) | (m2 > 0)) / np.outer(g[cutoff:], g),
+        eye[cutoff + np.abs(modes)], np.sign(modes)[:, np.newaxis] * eye[cutoff - np.abs(modes)])))
+
+
 def _random_trig_coefficients(rng: np.random.Generator, manifold: sp.ManifoldSpec,
                               cutoff: int, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
     """(coefficients, grid values) of a random real zero-mean trigonometric
     polynomial with sup norm ``amplitude`` on the grid: over the half-plane
     of modes (m1 > 0, or m1 == 0 and m2 > 0), a_m 0.5^(|m1| + |m2|)
-    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform.  With p, q =
-    a_m 0.5^(|m1| + |m2|) (cos phi_m, sin phi_m), s = sign(m2) and the cos
-    and sin of theta_i = 2 pi |m_i| x_i / L_i, a term is p cos1 cos2 -
-    s p sin1 sin2 - q sin1 cos2 - s q cos1 sin2; each product is sqrt(vol) /
-    (g1 g2) times that of two table columns (cos of |m| at index cutoff +
-    |m|, sin at cutoff - |m|), with g = sqrt2 off the constant and 1 on it.
-    """
+    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform, which is
+    p cos1 cos2 - q cos1 sin2 - p sin1 sin2 - q sin1 cos2 with p, q = a_m
+    0.5^(|m1| + |m2|) (cos phi_m, sin phi_m), cos_i and sin_i of 2 pi m_i x_i / L_i."""
     if manifold.kind != "torus2":
         raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
     amplitudes = rng.normal(size=(cutoff + 1, 2 * cutoff + 1))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=amplitudes.shape)
-    m1, m2 = np.ix_(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1))
-    g = np.where(np.arange(-cutoff, cutoff + 1) == 0, 1.0, math.sqrt(2.0))
-    size = (math.sqrt(manifold.volume) / np.outer(g[cutoff:], g) * amplitudes
-            * 0.5 ** (m1 + np.abs(m2)) * ((m1 > 0) | (m2 > 0)))
+    weights, cos2, sin2 = _trig_layout(cutoff)
+    size = math.sqrt(manifold.volume) * weights * amplitudes
     p, q = size * np.cos(phases), size * np.sin(phases)
-    s, sin1 = np.sign(m2), m1 > 0  # sin terms of a zero mode vanish
-    rows, cols = (cutoff + m1, cutoff - m1), (cutoff + np.abs(m2), cutoff - np.abs(m2))
-    coeffs = np.zeros((2 * cutoff + 1,) * 2)
-    for row, col, term in ((0, 0, p), (1, 1, -s * p * sin1), (1, 0, -q * sin1), (0, 1, -s * q)):
-        np.add.at(coeffs, (rows[row], cols[col]), term)
+    # the cos of m1 at row cutoff + m1, and its sin (m1 > 0) at cutoff - m1
+    coeffs = np.concatenate([-(p @ sin2 + q @ cos2)[:0:-1], p @ cos2 - q @ sin2])
     values = sp.resolve(sp.SpectralField(manifold, coeffs, cutoff))
     peak = np.abs(values).max()
     if peak > 0.0:

@@ -3,10 +3,10 @@
 Supported geometries: a circle, a flat 2-torus, the zonal (axially symmetric)
 sector of a round 2-sphere, and a flat 2-torus with a gradient drift.  Fields
 live as real coefficient arrays against an orthonormal Laplacian eigenbasis
-(per periodic axis sqrt2 sin, the constant and sqrt2 cos, over sqrt L, at
-index j for mode m = j - cutoff: sin of |m| for m < 0, cos for m > 0;
-normalised Legendre polynomials in cos(theta) on the sphere), so undrifted
-time evolution is exact: each coefficient just decays as exp(-lambda t / 2).
+(per periodic axis, index j is the sin of mode |m| for m = j - cutoff < 0 and
+the cos for m > 0; on the sphere, normalised Legendre polynomials in
+cos(theta)), so undrifted time evolution is exact: each coefficient just
+decays as exp(-lambda t / 2).
 
 One transform class per geometry holds every per-geometry fact (Laplacian
 eigenvalues, grid points, volume-measure weights, synthesis and analysis,
@@ -16,9 +16,8 @@ per axis and analyses by the uniform grid rule; the circle is the one-axis
 torus, the drifted torus the plain torus with a potential.
 ``_SphereTransform`` uses Gauss-Legendre in cos(theta).  Each transform is
 built once per (geometry, side lengths, cutoff, grid size) and shared from
-a bounded cache, so its arrays are read-only.  Synthesis takes coefficient
-rows with leading batch axes, each row its own product, so its values do
-not depend on the batch.
+a bounded cache, so its arrays are read-only.  Synthesis takes rows with
+leading batch axes, each its own product, so values do not depend on the batch.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -93,9 +92,8 @@ class ManifoldSpec:
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """A function stored as real coefficients against the manifold's
-    orthonormal eigenbasis (periodic: per axis, index j is the sin of |m| for
-    m = j - cutoff < 0 and the cos for m > 0).  Complex ones raise TypeError.
-
+    eigenbasis (periodic: per axis, index j is the sin of |m| for m = j -
+    cutoff < 0 and the cos for m > 0); complex coefficients raise TypeError.
     A value: equality is bitwise over manifold, cutoff, shape and coefficient
     bytes, read at each call, so a field changed in place keys afresh."""
 
@@ -189,8 +187,8 @@ class _PeriodicTransform:
         tables = [(t, -t[:, ::-1] * k, -t * k * k)
                   for t, k in ((wave / math.sqrt(length), 2.0 * math.pi * modes / length)
                                for length in lengths)]
-        # the first axis's, and the last's transposed (on the circle the same
-        # axis), each contiguous for matmul's BLAS path
+        # the first axis's, and the last's transposed (the same on the circle),
+        # contiguous for matmul's BLAS path
         self.first = tuple(map(_read_only, tables[0]))
         self.last = tuple(_read_only(np.ascontiguousarray(t.T)) for t in tables[-1])
 
@@ -566,26 +564,24 @@ def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, mess
 
     Rows are synthesised in chunks of whole groups of ``every`` rows, each of
     at most ``_CHUNK_POINTS`` grid values: the group's values and one
-    gradient component per grid axis of its first row.  Each row's sums are
-    one dot product of its own grid values with the weights, as a lone
-    field's are.  The first row whose resolved field is not strictly
-    positive raises PositivityError with ``message``.
+    gradient component per grid axis of its first row.  Each row's sum is
+    one dot product with the weights, as a lone field's is.  The first row
+    whose resolved field is not strictly positive raises PositivityError
+    with ``message``.
     """
     tr = _transform(manifold, cutoff)
     w = _measure_weights(manifold, cutoff)
     step = every * max(1, _CHUNK_POINTS // ((every + w.ndim) * w.size))
-
-    def weighted(values: np.ndarray) -> np.ndarray:
-        return _row_products(values.reshape(len(values), -1), w.reshape(-1, 1))[:, 0]
-
+    w = w.reshape(-1, 1)
     entropy = np.empty(len(rows))
     fisher = np.empty(len(rows[::every]))
     for start in range(0, len(rows), step):
-        u, grad2 = tr.values_and_gradients(rows[start:start + step], every)
+        u, grad2 = (a.reshape(len(a), -1) for a in
+                    tr.values_and_gradients(rows[start:start + step], every))
         _require_positive(u, message)
-        entropy[start:start + len(u)] = -weighted(u * np.log(u))
+        entropy[start:start + len(u)] = -_row_products(u * np.log(u), w)[:, 0]
         first = start // every
-        fisher[first:first + len(grad2)] = weighted(grad2 / u[::every])
+        fisher[first:first + len(grad2)] = _row_products(grad2 / u[::every], w)[:, 0]
     return entropy, fisher
 
 
