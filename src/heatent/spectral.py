@@ -463,9 +463,9 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
     minimum, for the first row of grid values at or below the floor, or
     with a NaN minimum."""
     minima = rows.reshape(len(rows), -1).min(axis=1)
-    low = np.flatnonzero(~(minima > POSITIVITY_FLOOR))
-    if low.size:
-        raise PositivityError(message.format(float(minima[low[0]])))
+    if not minima.min() > POSITIVITY_FLOOR:  # a NaN minimum fails too
+        first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
+        raise PositivityError(message.format(float(minima[first])))
 
 
 @functools.lru_cache(maxsize=4)
