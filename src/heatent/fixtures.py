@@ -112,8 +112,8 @@ def get_fixture(name: str) -> Fixture:
 @functools.lru_cache(maxsize=16)
 def _trig_layout(cutoff: int) -> tuple[np.ndarray, ...]:
     """Read-only (weights, cos2, sin2): 0.5^(|m1| + |m2|) / (g1 g2) on the
-    half-plane of modes, g = sqrt2 off the constant and 1 on it, and where
-    the cos and the sin (signed) of mode m2 go among the table columns."""
+    half-plane of modes, g = sqrt2 off the constant and 1 on it, and where the
+    cos and the sin (signed) of mode m2 go among ``SpectralField``'s columns."""
     modes = np.arange(-cutoff, cutoff + 1)
     m1, m2 = np.ix_(modes[cutoff:], modes)
     g, eye = np.where(modes == 0, 1.0, math.sqrt(2.0)), np.eye(2 * cutoff + 1)
