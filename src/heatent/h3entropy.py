@@ -55,9 +55,6 @@ f (r gauss) and f (r^3 gauss) summed per row), for these reasons:
   1 - e^{-2x} rounds to 1.0 and its log is exactly 0.  The nodes below 20
   sit in the leading columns (x rises along a row), the only ones it is
   taken on.
-- L's Taylor series starts at the highest term that can still change a bit
-  of any node of the array, which specfun proves node by node and repairs
-  where it cannot (``specfun._log_sinh_ratio_series``).
 - Where every row is on one side of kappa^2 t = 100, no row is gathered.
 Each choice looks only at the values, never at a row's position, so a row
 still does not depend on the grid it came in.

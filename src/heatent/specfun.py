@@ -14,7 +14,6 @@ and h3entropy's closed parts and envelope terms of eta are read from it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,18 +26,19 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # numpy has no erf: math.erf mapped over the elements of an array
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
-# Up to this point log(sinh x / x) is its even Taylor series
-# sum_n 2^{2n} B_{2n} / (2n (2n)!) x^{2n}, n = 1..16 (radius of convergence
-# pi).  Above it the closed form x + log((1 - e^{-2x})/2x) cancels less than
-# a factor of 7, so both branches hold about 1e-15 relative.
+# Up to this point log(sinh x / x) is y P(y) at y = x^2, P the degree-9
+# polynomial below (highest degree first): mpmath.chebyfit of
+# log(sinh sqrt(y) / sqrt(y)) / y on y in [0, 1] with 10 terms at 40 digits,
+# fit error 1.3e-18.  tests/test_specfun.py refits it with mpmath and
+# requires the same bits.  Above the switch the closed form
+# x + log((1 - e^{-2x})/2x) cancels less than a factor of 7, so both
+# branches hold about 1e-15 relative.
 _LOG_SINH_RATIO_SWITCH = 1.0
-_LOG_SINH_RATIO_SERIES = (
-    0.16666666666666666, -0.005555555555555556, 0.0003527336860670194,
-    -2.6455026455026456e-05, 2.1377799155576935e-06, -1.803670234005331e-07,
-    1.5661391322766983e-08, -1.3884130493737299e-09, 1.2504359176004997e-10,
-    -1.1402575602296091e-11, 1.0502923908637557e-12, -9.754877841593701e-14,
-    9.123468230859098e-15, -8.5837197618956095e-16, 8.117318009727789e-17,
-    -7.710527514116273e-18,
+_LOG_SINH_RATIO_POLY = (
+    -7.310715998325355e-12, 1.1708532674413125e-10, -1.3794517478122135e-09,
+    1.565518031433476e-08, -1.803643341350071e-07, 2.13777920281465e-06,
+    -2.645502634614059e-05, 0.00035273368605855023, -0.0055555555555553,
+    0.16666666666666666,
 )
 # the least x whose 2x overflows
 _DOUBLING_OVERFLOWS = 2.0 ** 1023
@@ -188,7 +188,7 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
     small = xs <= _LOG_SINH_RATIO_SWITCH
     if small.all():
         xs *= xs
-        return _log_sinh_ratio_series(xs)
+        return _log_sinh_ratio_poly(xs)
     if xs.max() >= _DOUBLING_OVERFLOWS:
         # where 2x overflows, log(sinh x / x) = x - log 2x is x - log x - log 2
         huge = xs >= _DOUBLING_OVERFLOWS
@@ -200,7 +200,7 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
         return xs
     near = xs[small]
     # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are small
-    # this also runs on them (0/0 at x = 0) before the series overwrites
+    # this also runs on them (0/0 at x = 0) before the polynomial overwrites
     # them: cheaper than gathering the large ones apart.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.multiply(xs, -2.0)
@@ -211,85 +211,18 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
         xs += ratio
     if near.size:
         near *= near
-        xs[small] = _log_sinh_ratio_series(near)
+        xs[small] = _log_sinh_ratio_poly(near)
     return xs
 
 
-def _log_sinh_ratio_series(x2: np.ndarray) -> np.ndarray:
-    """The even Taylor series of log(sinh x / x) at x^2 = x2: Horner's rule
-    s_j = (s_{j+1} x2) + c_j from the top term down, then times x2.
-
-    With m = max x2 small the top terms cannot reach the result, and the
-    rule starts lower, at the first term K whose ``_SERIES_REACH`` covers m.
-    That is exact, not merely accurate: a step is non-decreasing in s_{j+1}
-    (x2 >= 0 and rounding is monotone), and ``_SERIES_STARTS[K]`` brackets
-    every s_K the dropped terms can make, so the rules run from its two ends
-    enclose the full rule's result.  Where they end equal, that is the full
-    rule's value; elsewhere (about one element in a million) the full rule
-    runs.
-    """
-    m = float(x2.max()) if x2.size else 0.0
-    if not m <= _SERIES_REACH[-1]:  # also a NaN
-        return _horner(x2)
-    top = bisect.bisect_left(_SERIES_REACH, m)
-    lower, upper = _SERIES_STARTS[top]
-    series, bound = x2 * lower, x2 * upper
-    for c in reversed(_LOG_SINH_RATIO_SERIES[:top]):
-        series += c
-        series *= x2
-        bound += c
-        bound *= x2
-    unsettled = series != bound
-    if unsettled.any():
-        series[unsettled] = _horner(x2[unsettled])
-    return series
-
-
-def _horner(x2: np.ndarray) -> np.ndarray:
-    """The series over all 16 terms by Horner's rule from s_16 = 0, in place."""
-    series = np.zeros_like(x2)
-    for c in reversed(_LOG_SINH_RATIO_SERIES):
-        series *= x2
-        series += c
-    series *= x2
-    return series
-
-
-def _series_spread(top: int, m: float) -> float:
-    """A bound on |s_{top+1} x2| of the full Horner rule for every x2 <= m <= 1:
-    twice the exact tail sum_{i > top} |c_i| m^{i - top}, which covers the
-    at most 32 roundings of the rule (under 1e-14 relative) and this sum's
-    own."""
-    tail = 0.0
-    for c in reversed(_LOG_SINH_RATIO_SERIES[top + 1:]):
-        tail = tail * m + abs(c)
-    return 2.0 * tail * m
-
-
-def _series_reach(top: int) -> float:
-    """The largest m = 2^-(j/8) whose bracket at term ``top``, 2 spread wide,
-    shrinks below 2^-76 by s_0 (times m^top), 2^-20 of half an ulp of s_0
-    near 1/6: so the two chains end apart on about one element in a
-    million."""
-    lo, hi = 0, 8 * 1100  # in eighths of a binary order; 2^-1100 is 0.0, in reach of any top
-    while lo < hi:
-        j = (lo + hi) // 2
-        m = 2.0 ** (-j / 8)
-        if 2.0 * _series_spread(top, m) * m ** top <= 2.0 ** -76:
-            hi = j
-        else:
-            lo = j + 1
-    return 2.0 ** (-lo / 8)
-
-
-# Horner starts at term K for max x^2 <= _SERIES_REACH[K]; past the last
-# entry the two chains would cost more than the full rule.  A start is the
-# bracket c_K -+ spread at that reach, which holds for every smaller m too.
-_SERIES_REACH = tuple(_series_reach(top) for top in range(8))
-_SERIES_STARTS = tuple(
-    (_LOG_SINH_RATIO_SERIES[top] - _series_spread(top, m),
-     _LOG_SINH_RATIO_SERIES[top] + _series_spread(top, m))
-    for top, m in enumerate(_SERIES_REACH))
+def _log_sinh_ratio_poly(x2: np.ndarray) -> np.ndarray:
+    """log(sinh x / x) at x^2 = x2 <= 1: x2 P(x2) by Horner's rule, in place
+    on the one array it returns."""
+    poly = x2 * _LOG_SINH_RATIO_POLY[0]
+    for c in _LOG_SINH_RATIO_POLY[1:]:
+        poly += c
+        poly *= x2
+    return poly
 
 
 def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:

@@ -26,12 +26,13 @@ L^2(mu), mu = exp(2V) dx, and maps real functions to real ones, so its
 Galerkin system in mu on the fields' basis is the real symmetric pencil
 M a' = -S a, propagated exactly by two ``eigh`` decompositions: no time is
 discretised.  An entropy trace is one array program: the rows of every time
-it needs (t and t +- h) are evolved together, synthesised in chunks of at
-most ``_CHUNK_POINTS`` grid values and reduced to entropy and Fisher
-information by row sums.  The t +- h rows feed the finite-difference rate
-through their entropy alone, so only the t rows synthesise a gradient and
-take a Fisher sum.  The drifted measure weights exp(2V)/sum are built once
-per operator and serve both those sums and the pencil.
+it needs (t and t +- h) are evolved together, synthesised in chunks of
+whole times, as many as fit in ``_CHUNK_POINTS`` grid values but at least
+one, and reduced to entropy and Fisher information by row sums.  The t +- h
+rows feed the finite-difference rate through their entropy alone, so only
+the t rows synthesise a gradient and take a Fisher sum.  The drifted
+measure weights exp(2V)/sum are built once per operator and serve both those
+sums and the pencil.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ MASS_CONDITION_LIMIT = 1e8
 # hold 0.25 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
 # Grid values synthesised at once by the row functionals, values and
-# gradients together.  Unchunked, a 16-time trace on the n = 48 torus
-# allocates 3.0 MB at peak; chunked, 0.33 MB.
+# gradients together, in whole groups of rows but never less than one group:
+# on the n = 48 drift torus a trace's group (3 rows, 2 gradient components)
+# is 11,520 values, so each chunk is one time.  Unchunked, a 16-time trace on
+# the n = 48 torus allocates 3.0 MB at peak; chunked, 0.33 MB.
 _CHUNK_POINTS = 8192
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
@@ -562,12 +565,13 @@ def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, mess
     """(entropy of each coefficient row of ``rows``, Fisher information of
     every ``every``-th row, starting with the first).
 
-    Rows are synthesised in chunks of whole groups of ``every`` rows, each of
-    at most ``_CHUNK_POINTS`` grid values: the group's values and one
-    gradient component per grid axis of its first row.  Each row's sum is
-    one dot product with the weights, as a lone field's is.  The first row
-    whose resolved field is not strictly positive raises PositivityError
-    with ``message``.
+    Rows are synthesised in chunks of whole groups of ``every`` rows, as
+    many groups as fit in ``_CHUNK_POINTS`` grid values but at least one, so
+    a chunk is one group wherever a group alone exceeds it.  A group counts
+    its rows' values and one gradient component per grid axis of its first
+    row.  Each row's sum is one dot product with the weights, as a lone
+    field's is.  The first row whose resolved field is not strictly positive
+    raises PositivityError with ``message``.
     """
     tr = _transform(manifold, cutoff)
     w = _measure_weights(manifold, cutoff)

@@ -573,27 +573,25 @@ def test_custom_quadrature_spec_threads_through():
 # the trapezoid kernel against a frozen copy of its straightforward form:
 # every node value and both rules of each row, bit for bit
 
-_FROZEN_SERIES = specfun._LOG_SINH_RATIO_SERIES
+_FROZEN_POLY = specfun._LOG_SINH_RATIO_POLY
 
 
-def frozen_series(x2):
-    """log(sinh x / x) at x^2 = x2 by Horner's rule over all 16 terms."""
-    series = np.zeros_like(x2)
-    for c in reversed(_FROZEN_SERIES):
-        series *= x2
-        series += c
-    series *= x2
-    return series
+def frozen_poly(x2):
+    """log(sinh x / x) at x^2 = x2 by Horner's rule over the 10 fitted terms."""
+    poly = np.zeros_like(x2)
+    for c in _FROZEN_POLY:
+        poly = poly * x2 + c
+    return poly * x2
 
 
 def frozen_log_sinh_ratio(xs):
     small = xs <= 1.0
     if small.all():
-        return frozen_series(xs * xs)
+        return frozen_poly(xs * xs)
     out = xs + np.log(-np.expm1(-2.0 * xs) / (2.0 * xs))
     if small.any():
         near = xs[small]
-        out[small] = frozen_series(near * near)
+        out[small] = frozen_poly(near * near)
     return out
 
 
@@ -633,11 +631,11 @@ def fd_rows(k2t, kappa):
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("k2t", [
     [],  # count 0
-    [3e-9],  # count 1, series only
+    [3e-9],  # count 1, polynomial only
     [2e5],  # count 1, remainder only, every x past _UNIT_FROM
-    np.geomspace(1e-8, 1e-7, 7),  # few series terms
-    np.geomspace(1e-3, 1e-2, 7),  # every term
-    np.geomspace(0.1, 50.0, 9),  # series and closed form in one row
+    np.geomspace(1e-8, 1e-7, 7),  # x below about 0.003
+    np.geomspace(1e-3, 1e-2, 7),  # x up to about 0.96
+    np.geomspace(0.1, 50.0, 9),  # polynomial and closed form in one row
     np.geomspace(30.0, 300.0, 9),  # straddling kappa^2 t = 100
     [100.0, np.nextafter(100.0, 0.0), 100.0 * (1 + 1e-4), 99.99],
     np.geomspace(100.0, 700.0, 9),  # remainder rows with x on both sides of _UNIT_FROM
@@ -677,35 +675,6 @@ def test_trapezoid_equals_frozen_kernel(kappa, logs, window, fd, data):
     ts = fd_rows(k2t, kappa) if fd else k2t / kappa ** 2
     n = data.draw(st.integers(0, min(ts.size, 40)))
     assert_kernel_is_frozen(h3.H3Params(kappa), ts, n)
-
-
-@pytest.mark.parametrize("top", range(len(specfun._SERIES_REACH)))
-def test_series_starts_equal_the_full_rule(top):
-    # at each reach the rule starts at term top; just past it one term higher
-    # (past the last, the full rule runs)
-    rng = np.random.default_rng(top)
-    reach = specfun._SERIES_REACH[top]
-    for m in (reach, np.nextafter(reach, 1.0)):
-        x = rng.uniform(-1.0, 1.0, 20000) * math.sqrt(m)
-        x2 = np.concatenate([x * x, [m, 0.0, 5e-324, m * 0.5]])
-        for values in (x2, x2[-1:], x2[:0]):  # also counts 1 and 0
-            got = specfun._log_sinh_ratio_series(values.copy())
-            assert got.tobytes() == frozen_series(values.copy()).tobytes(), (top, m)
-
-
-def test_unsettled_series_elements_take_the_full_rule(monkeypatch):
-    # wider brackets still enclose the full rule, and now the two chains end
-    # apart on most elements: those must come out as the full rule's value
-    wide = tuple((c - 1.0, c + 1.0) for c in _FROZEN_SERIES[:8])
-    monkeypatch.setattr(specfun, "_SERIES_STARTS", wide)
-    recomputed = []
-    full_rule = specfun._horner
-    monkeypatch.setattr(specfun, "_horner",
-                        lambda x2: recomputed.append(x2.size) or full_rule(x2))
-    x = np.random.default_rng(2).uniform(-1.0, 1.0, 20000) * 0.003
-    got = specfun._log_sinh_ratio_series(x * x)
-    assert recomputed and recomputed[0] > 1000
-    assert got.tobytes() == frozen_series(x * x).tobytes()
 
 
 def test_expm1_is_exactly_minus_one_from_unit_from_on():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import mp_scaled_moment
 from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from heatent.specfun import (
+    _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
     HyperbolicMoment,
     alpha,
@@ -178,9 +179,9 @@ def test_log_sinh_ratio_matches_naive_at_moderate_x():
 
 def test_log_sinh_ratio_branch_agreement():
     switch = _LOG_SINH_RATIO_SWITCH
-    series = log_sinh_ratio(switch)  # the series branch includes the switch
+    poly = log_sinh_ratio(switch)  # the polynomial branch includes the switch
     log_form = switch + math.log(-math.expm1(-2.0 * switch) / (2.0 * switch))
-    assert series == pytest.approx(log_form, abs=1e-12)
+    assert poly == pytest.approx(log_form, abs=1e-12)
     # continuity across the threshold, between its two neighbouring doubles
     assert log_sinh_ratio(math.nextafter(switch, 0.0)) == pytest.approx(
         log_sinh_ratio(math.nextafter(switch, 2.0)), rel=1e-14)
@@ -188,12 +189,36 @@ def test_log_sinh_ratio_branch_agreement():
 
 def test_log_sinh_ratio_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    grid = np.geomspace(1e-3, 2.0, 400)
-    for x, got in zip(grid, log_sinh_ratio(grid)):
+
+    def exact(x):
         with mp.workdps(40):
-            exact = mp.log(mp.sinh(mp.mpf(float(x))) / mp.mpf(float(x)))
-            err = abs((mp.mpf(float(got)) - exact) / exact)
-        assert err <= 2e-15, x
+            return mp.log(mp.sinh(mp.mpf(x)) / mp.mpf(x))
+
+    # the polynomial branch, within 2.5 ulp: uniform and log-uniform in x,
+    # and both neighbours of the switch
+    rng = np.random.default_rng(0)
+    switch = _LOG_SINH_RATIO_SWITCH
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 1000), 10.0 ** rng.uniform(-8.0, 0.0, 1000),
+                         [math.nextafter(switch, 0.0), switch, math.nextafter(switch, 2.0)]])
+    for x, got in zip(xs.tolist(), log_sinh_ratio(xs).tolist()):
+        want = exact(x)
+        assert abs(mp.mpf(got) - want) <= 2.5 * math.ulp(float(want)), x
+    # both branches, within 2e-15 relative
+    grid = np.geomspace(1e-3, 2.0, 400)
+    for x, got in zip(grid.tolist(), log_sinh_ratio(grid).tolist()):
+        want = exact(x)
+        assert abs((mp.mpf(got) - want) / want) <= 2e-15, x
+
+
+def test_log_sinh_ratio_poly_is_its_fit():
+    # the literals are mpmath's 10-term Chebyshev fit of
+    # log(sinh sqrt(y) / sqrt(y)) / y on [0, 1] at 40 digits, bit for bit
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        poly, error = mp.chebyfit(lambda y: mp.log(mp.sinh(mp.sqrt(y)) / mp.sqrt(y)) / y,
+                                  [0, 1], 10, error=True)
+    assert float(error) < 2e-18
+    assert [float(c).hex() for c in poly] == [c.hex() for c in _LOG_SINH_RATIO_POLY]
 
 
 def test_log_sinh_ratio_monotone_nonnegative():
