@@ -27,8 +27,9 @@ Galerkin system in mu on the fields' basis is the real symmetric pencil
 M a' = -S a, propagated exactly by two ``eigh`` decompositions: no time is
 discretised.  An entropy trace is one array program: the rows of every time
 it needs (t and t +- h) are evolved together, synthesised in chunks of
-whole times, as many as fit in ``_CHUNK_POINTS`` grid values but at least
-one, and reduced to entropy and Fisher information by row sums.  The t +- h
+whole times, as many as fit in ``_CHUNK_POINTS`` grid values (counting each
+time's values, log buffer and gradient) but at least one, and reduced in
+place to entropy and Fisher information by row sums.  The t +- h
 rows feed the finite-difference rate through their entropy alone, so only
 the t rows synthesise a gradient and take a Fisher sum.  The drifted
 measure weights exp(2V)/sum are built once per operator and serve both those
@@ -55,12 +56,15 @@ MASS_CONDITION_LIMIT = 1e8
 # Distinct transforms kept.  The benchmark's three workloads use 16, which
 # hold 0.25 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
-# Grid values synthesised at once by the row functionals, values and
-# gradients together, in whole groups of rows but never less than one group:
-# on the n = 48 drift torus a trace's group (3 rows, 2 gradient components)
-# is 11,520 values, so each chunk is one time.  Unchunked, a 16-time trace on
-# the n = 48 torus allocates 3.0 MB at peak; chunked, 0.33 MB.
-_CHUNK_POINTS = 8192
+# Grid values one chunk of the row functionals may hold, in whole groups of
+# rows but never less than one group.  A group counts its rows' values, their
+# log buffer and one gradient component per grid axis of its first row: on
+# the n = 48 (c = 6) torus, drifted or not, a trace's group (3 rows, 2
+# components) is 18,432 values, so a chunk holds 8 times, a whole
+# drift-evolve window; on the c = 2 torus (n = 32) it is 8,192, so 18 times.
+# tracemalloc peaks: an 8-time drift trace 0.92 MB, a 16-time c = 6 torus
+# trace (two chunks) 0.97 MB.
+_CHUNK_POINTS = 150_000
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -236,8 +240,12 @@ class _PeriodicTransform:
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
         the grid; the other rows synthesise no gradient."""
-        gradient = (self.synth(rows[::every], (axis,)) for axis in range(len(self.shape)))
-        return self.synth(rows), sum(g * g for g in gradient)
+        grad2, *rest = [self.synth(rows[::every], (axis,)) for axis in range(len(self.shape))]
+        grad2 *= grad2
+        for g in rest:  # squared and summed in place
+            g *= g
+            grad2 += g
+        return self.synth(rows), grad2
 
     extremal_samples = synth  # the field values ``grid_extrema`` searches: the grid's
 
@@ -566,27 +574,40 @@ def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, mess
     every ``every``-th row, starting with the first).
 
     Rows are synthesised in chunks of whole groups of ``every`` rows, as
-    many groups as fit in ``_CHUNK_POINTS`` grid values but at least one, so
-    a chunk is one group wherever a group alone exceeds it.  A group counts
-    its rows' values and one gradient component per grid axis of its first
-    row.  Each row's sum is one dot product with the weights, as a lone
-    field's is.  The first row whose resolved field is not strictly positive
-    raises PositivityError with ``message``.
+    many groups as fit in ``_CHUNK_POINTS`` grid values but at least one.  A
+    group counts its rows' values, their log buffer and one gradient
+    component per grid axis of its first row, which bounds what a chunk
+    holds at once; a chunk's arrays are freed before the next is built.
+    Each row's sum is one dot product with the weights, as a lone field's
+    is, so chunking moves no bit.  The first row whose resolved field is not
+    strictly positive raises PositivityError with ``message``.
     """
     tr = _transform(manifold, cutoff)
     w = _measure_weights(manifold, cutoff)
-    step = every * max(1, _CHUNK_POINTS // ((every + w.ndim) * w.size))
+    step = every * max(1, _CHUNK_POINTS // ((2 * every + w.ndim) * w.size))
     w = w.reshape(-1, 1)
     entropy = np.empty(len(rows))
     fisher = np.empty(len(rows[::every]))
     for start in range(0, len(rows), step):
-        u, grad2 = (a.reshape(len(a), -1) for a in
-                    tr.values_and_gradients(rows[start:start + step], every))
-        _require_positive(u, message)
-        entropy[start:start + len(u)] = -_row_products(u * np.log(u), w)[:, 0]
         first = start // every
-        fisher[first:first + len(grad2)] = _row_products(grad2 / u[::every], w)[:, 0]
-    return entropy, fisher
+        entropy[start:start + step], fisher[first:first + step // every] = _chunk_functionals(
+            tr, w, rows[start:start + step], every, message)
+    return -entropy, fisher
+
+
+def _chunk_functionals(tr, w: np.ndarray, rows: np.ndarray, every: int,
+                       message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(weighted sum of u log u of each row, Fisher information of every
+    ``every``-th row) for one chunk of ``_row_functionals``, worked in place
+    in the chunk's own buffers."""
+    u, grad2 = (a.reshape(len(a), -1) for a in tr.values_and_gradients(rows, every))
+    _require_positive(u, message)
+    grad2 /= u[::every]
+    fisher = _row_products(grad2, w)[:, 0]
+    del grad2  # freed before the log buffer is built
+    u_log_u = np.log(u)
+    u_log_u *= u
+    return _row_products(u_log_u, w)[:, 0], fisher
 
 
 def entropy_and_fisher(field: SpectralField) -> tuple[float, float]:

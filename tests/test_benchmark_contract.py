@@ -3,7 +3,9 @@
 ``perfbench/workloads.py`` calls the CLI and the public API; an API change it
 does not survive should fail here, not first inside a benchmark run.  Block 0
 of each workload (seed 1) must run without an exception or a failed check,
-and its closing repeat must reproduce its original byte for byte.
+and its closing repeat must reproduce its original byte for byte.  So must
+blocks 1 and 4 of ``drift-evolve``, which add the request kinds its block 0
+lacks: a long window (odd blocks) and the ``rate_consistency`` group.
 """
 
 import sys
@@ -15,9 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_first_block_meets_the_request_contract(workload):
-    reqs = workloads.block(workload, 1, 0)
+def meets_the_request_contract(reqs: list) -> None:
     assert reqs[-1].repeat_of is not None
     outcomes = []
     for req in reqs:
@@ -29,3 +29,19 @@ def test_first_block_meets_the_request_contract(workload):
             original = outcomes[req.repeat_of]
             assert (outcome.status, outcome.stdout) == (original.status, original.stdout)
         outcomes.append(outcome)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_first_block_meets_the_request_contract(workload):
+    meets_the_request_contract(workloads.block(workload, 1, 0))
+
+
+@pytest.mark.parametrize("index, kind", [(1, "long window"), (4, "rate_consistency")])
+def test_drift_block_meets_the_request_contract(index, kind):
+    reqs = workloads.block("drift-evolve", 1, index)
+    if kind == "long window":
+        assert any(float(req.argv[req.argv.index("--t-stop") + 1]) >= 1.0
+                   for req in reqs if req.argv[0] == "evolve")
+    else:
+        assert "verify:rate_consistency" in {req.label for req in reqs}
+    meets_the_request_contract(reqs)

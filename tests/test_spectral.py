@@ -880,16 +880,56 @@ def test_drift_trace_rows_equal_single_time_functionals_at_any_thread_count(thre
     assert proc.returncode == 0, proc.stderr
 
 
+def chunk_rows(monkeypatch) -> list:
+    """A list that records the row count of every chunk the row functionals
+    synthesise (one ``values_and_gradients`` call each) from now on."""
+    rows_per_chunk = []
+    for transform in (sp._PeriodicTransform, sp._SphereTransform):
+        def counted(self, rows, every, original=transform.values_and_gradients):
+            rows_per_chunk.append(len(rows))
+            return original(self, rows, every)
+
+        monkeypatch.setattr(transform, "values_and_gradients", counted)
+    return rows_per_chunk
+
+
+# One chunk per time, three times per chunk (the last chunk one time) and a
+# single chunk all give the same bits.
 @pytest.mark.parametrize("name", ["circle", "torus", "sphere", "torus-drift"])
 def test_trace_chunking_leaves_rows_unchanged(name, monkeypatch):
     fixture = fx.get_fixture(name)
     times = np.linspace(fixture.default_times[0], fixture.default_times[-1], 16)
     monkeypatch.setattr(sp, "_CHUNK_POINTS", 10 ** 9)
     whole = sp.entropy_trace(fixture.initial, times)
-    monkeypatch.setattr(sp, "_CHUNK_POINTS", 1)
-    row_by_row = sp.entropy_trace(fixture.initial, times)
-    for column in ("entropy", "fisher", "rate_fd"):
-        assert np.array_equal(getattr(row_by_row, column), getattr(whole, column)), column
+    # a time's group: 3 rows of values, their log buffer, one gradient per axis
+    weights = sp._measure_weights(fixture.manifold, fixture.initial.cutoff)
+    for points, chunks in ((1, [3] * 16), (3 * (6 + weights.ndim) * weights.size, [9] * 5 + [3])):
+        monkeypatch.setattr(sp, "_CHUNK_POINTS", points)
+        rows_per_chunk = chunk_rows(monkeypatch)
+        chunked = sp.entropy_trace(fixture.initial, times)
+        monkeypatch.undo()
+        assert rows_per_chunk == chunks
+        for column in ("entropy", "fisher", "rate_fd"):
+            assert np.array_equal(getattr(chunked, column), getattr(whole, column)), column
+
+
+# A drift-evolve window (at most 8 times) and the torus fixture's 12 default
+# times are one chunk each; 16 times on the c = 6 torus, whose grid is the
+# drift fixture's, are two.
+@pytest.mark.parametrize("case", ["drift window", "torus defaults", "c = 6 torus"])
+def test_trace_chunk_count(case, monkeypatch):
+    if case == "drift window":
+        field = fx.get_fixture("torus-drift").initial
+        times, chunks = np.geomspace(0.02, 2.0, 8), [24]
+    elif case == "torus defaults":
+        fixture = fx.get_fixture("torus")
+        field, times, chunks = fixture.initial, fixture.default_times, [36]
+    else:
+        field = fx.random_positive_torus_field(np.random.default_rng(2), TORUS, cutoff=6)
+        times, chunks = np.geomspace(0.01, 2.0, 16), [24, 24]
+    rows_per_chunk = chunk_rows(monkeypatch)
+    sp.entropy_trace(field, times)
+    assert rows_per_chunk == chunks
 
 
 # Per time, the t row synthesises its values and one gradient component per
@@ -928,6 +968,20 @@ def test_trace_peak_memory_is_bounded_by_chunking():
     field = fx.random_positive_torus_field(np.random.default_rng(2), TORUS, cutoff=6)
     times = np.geomspace(0.01, 2.0, 16)
     sp.entropy_trace(field, times)  # builds the transform outside the measurement
+    tracemalloc.start()
+    try:
+        sp.entropy_trace(field, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+# A whole drift-evolve window is one chunk, under the same bound.
+def test_drift_window_peak_memory_is_bounded():
+    field = fx.get_fixture("torus-drift").initial
+    times = np.geomspace(0.02, 2.0, 8)
+    sp.entropy_trace(field, times)  # builds the propagator outside the measurement
     tracemalloc.start()
     try:
         sp.entropy_trace(field, times)
