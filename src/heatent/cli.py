@@ -128,6 +128,10 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
     # chained so that a NaN or infinite end fails too
     if not 0.0 < start <= stop < math.inf or count < 1:
         raise UsageError("need finite 0 < t-start <= t-stop and t-count >= 1")
+    # below it 1/t overflows, and every rate and bound with it
+    if start < sys.float_info.min:
+        raise UsageError(f"t-start {start!r} is below the least normal double "
+                         f"{sys.float_info.min!r}")
     if count == 1:
         return np.array([start])
     if scale == "log":

@@ -87,7 +87,6 @@ from .quadrature import (
     require_converged,
 )
 from .specfun import (
-    HyperbolicMoment,
     _log_sinh_ratio,
     log_sinh_ratio,
     moment_factors,
@@ -234,9 +233,6 @@ def xi_prime(p: H3Params, t):
     return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
-_SINH_MOMENTS = [HyperbolicMoment(m, "sinh") for m in range(5)]
-
-
 def _closed_forms(p: H3Params, t: np.ndarray):
     """((closed, lower term, upper term) for eta, the same for eta', F_0) at
     the array of times t, all times exp(-kappa^2 t/2); F_0 is alpha(kappa, t).
@@ -252,7 +248,7 @@ def _closed_forms(p: H3Params, t: np.ndarray):
     One erf per time serves all five F_m.
     """
     x = p.kappa * np.sqrt(t)
-    f0, f1, f2, f3, f4 = moment_factors(_SINH_MOMENTS, p.kappa, t)
+    f0, f1, f2, f3, f4 = moment_factors(p.kappa, t)
     coeff, coeff_prime = t * f1, 0.5 * f3
     return ((t * x * f2, coeff * np.log(2.0 * x * x + 4.0), coeff * np.log1p(x * f1 / f0)),
             (0.5 * x * f4, coeff_prime * np.log1p(2.0 * x * f4 / f3),
@@ -269,9 +265,9 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 
         integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
 
-    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', by
-    ``specfun.shifted_gaussian_quadratures``, so nothing ever sees the
-    exp(kappa^2 t/2) growth directly.  All points run as one lockstep
+    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', a (kappa, t)
+    case of ``specfun.shifted_gaussian_quadratures``, so nothing ever sees
+    the exp(kappa^2 t/2) growth directly.  All points run as one lockstep
     batch; convergence is required point by point, in order.
     """
     k = p.kappa
@@ -285,7 +281,7 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
         return f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
 
     values = shifted_gaussian_quadratures(
-        weighted, [(k, t, "sinh") for t, _ in points], context, p.quadrature)
+        weighted, [(k, t) for t, _ in points], context, p.quadrature)
     return [value * (0.5 / (t * t)) if prime else value
             for value, (t, prime) in zip(values, points)]
 

@@ -16,13 +16,13 @@ Integrand contract.  ``integrate_batch`` integrates one integral per
 abscissae ``x`` and an equally shaped int array ``j`` of integral ids; it
 returns an array of the same shape (a scalar is broadcast).  The element at
 position i must depend only on ``x[i]`` and ``j[i]``, i.e. f is elementwise.
-``specfun.shifted_gaussian_quadratures`` substitutes Gaussian-hyperbolic
+``specfun.shifted_gaussian_quadratures`` substitutes Gaussian-sinh
 integrands into a shifted variable before they get here.
 
 Lockstep guarantee.  Every integral keeps its own panel heap, tie-breaking
 sequence, split radius, subdivision count and convergence test; a round pops
 the worst panel of each unconverged integral and evaluates all the halves in
-one integrand call (in blocks of at most 4096 nodes).  An integral's
+integrand calls of at most 273 panels (4,095 nodes) each.  An integral's
 refinement, and its value, error estimate and evaluation count, are
 therefore bit-identical whether it runs alone or in a batch of any size and
 order.  Every step is float arithmetic in a fixed order, so identical inputs
@@ -67,15 +67,12 @@ def require_converged(results: Sequence["QuadratureResult"],
 class QuadratureSpec:
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-14
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0.0 < self.relative_tolerance < math.inf:
             raise ValueError("relative_tolerance must be positive and finite")
         if not 0.0 < self.absolute_tolerance < math.inf:
             raise ValueError("absolute_tolerance must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,45 +125,34 @@ _BLOCK_NODES = 4096
 _BLOCK_PANELS = _BLOCK_NODES // 15
 
 _N_INITIAL = 8
-
-
-def _evaluate(f: BatchIntegrand, x: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """f on flat node and id arrays, in blocks of at most _BLOCK_NODES.
-
-    A scalar return is broadcast.
-    """
-    out = np.empty(x.shape)
-    for lo in range(0, x.size, _BLOCK_NODES):
-        hi = lo + _BLOCK_NODES
-        out[lo:hi] = f(x[lo:hi], j[lo:hi])
-    return out
+# Rounds of subdivision after which an integral is returned unconverged.
+_MAX_SUBDIVISIONS = 2000
 
 
 def _gk15_panels(f: BatchIntegrand, panels: list[tuple[int, bool, float, float]],
                  split: np.ndarray) -> tuple[list[float], list[float]]:
-    """GK15 on each (id, tail, a, b) panel: (K15 estimates, |K15 - G7|).
+    """GK15 on each (id, tail, a, b) panel: (K15 estimates, |K15 - G7|), in
+    one integrand call; a scalar return is broadcast.
 
-    A tail panel lives in s on [0, 1) and integrates f(split + s/(1-s))/(1-s)^2.
+    A tail panel lives in s on [0, 1) and integrates f(split + s/(1-s))/(1-s)^2;
+    a finite panel takes u = 1 - s as 1, so x/u and f/u^2 keep every bit.
     The node values and the left-to-right order of the weighted sums
     (add.accumulate) are those of a scalar panel loop, so a panel's result
     does not depend on the batch it is evaluated in.
     """
     ids, tails, a, b = zip(*panels)
     ids = np.array(ids, dtype=np.intp)
+    tail = np.array(tails)
     a, b = np.array((a, b))
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c + h * _OFFSETS  # (15, panels); c + h*(-x_i) is exactly c - h*x_i
-    node_ids = np.repeat(ids[None, :], 15, axis=0).ravel()
-    if any(tails):
-        tail = np.array(tails)
-        u = 1.0 - x[:, tail]
-        r = x.copy()
-        r[:, tail] = split[ids[tail]] + x[:, tail] / u
-        fx = _evaluate(f, r.ravel(), node_ids).reshape(x.shape)
-        fx[:, tail] /= u * u
-    else:
-        fx = _evaluate(f, x.ravel(), node_ids).reshape(x.shape)
+    u = np.where(tail, 1.0 - x, 1.0)
+    r = x / u
+    r += np.where(tail, split[ids], 0.0)
+    fx = np.empty(x.shape)
+    fx.ravel()[:] = f(r.ravel(), np.repeat(ids[None, :], 15, axis=0).ravel())
+    fx /= u * u
     if not np.isfinite(fx).all():
         i = np.flatnonzero(~np.isfinite(fx.T))[0]  # first in panel, node order
         raise QuadratureDomainError(
@@ -249,7 +235,7 @@ def _lockstep(f: BatchIntegrand, spec: QuadratureSpec, peaks: list[float],
                 err -= item[0]
             if err <= max(rtol * abs(value), atol):
                 results[i] = QuadratureResult(value, err, 15 * seqs[i], True)
-            elif subdivisions >= spec.max_subdivisions:
+            elif subdivisions >= _MAX_SUBDIVISIONS:
                 results[i] = QuadratureResult(value, err, 15 * seqs[i], False)
             else:
                 _, _, _, tail, a, b = heapq.heappop(heap)

@@ -1,21 +1,23 @@
-"""Numerically stable special functions, the Gaussian-hyperbolic moment table
+"""Numerically stable special functions, the Gaussian-sinh moment table
 and its shifted-Gaussian quadrature oracle.
 
 The moment table evaluates integrals of the form
 
-    M(m) = integral_0^inf exp(-r^2/2t) r^m {sinh, cosh}(kappa r) dr
+    M(m) = integral_0^inf exp(-r^2/2t) r^m sinh(kappa r) dr,  m = 0, ..., 4,
 
 in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
 comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
-x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds the nine F_m; the moments
+x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds F_0, ..., F_4; the moments
 and h3entropy's closed parts and envelope terms of eta are read from it.
+
+The closed forms take a finite kappa > 0, the oracle a finite kappa >= 0,
+and both finite times t > 0; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,92 +53,78 @@ def alpha(kappa: float, t):
     array of times; a float t gives a float.
     """
     ts = np.asarray(t, dtype=float)
-    if kappa <= 0.0 or np.any(ts <= 0.0):
-        raise ValueError("alpha requires kappa > 0 and t > 0")
+    # a NaN fails every comparison, so it is refused too
+    if not (0.0 < kappa < math.inf and np.all((0.0 < ts) & (ts < math.inf))):
+        raise ValueError("need finite kappa > 0 and finite t > 0")
     erf = np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
     return float(_SQRT_HALF_PI * erf) if ts.ndim == 0 else _SQRT_HALF_PI * erf
 
 
-@dataclass(frozen=True)
-class HyperbolicMoment:
-    """Index (power, kind) into the nine-row Gaussian-hyperbolic moment table."""
-
-    power: int
-    kind: str  # "sinh" | "cosh"
-
-    def __post_init__(self):
-        if self.kind not in {kind for _, kind in _MOMENT_TABLE}:
-            raise ValueError(f"kind must be 'sinh' or 'cosh', got {self.kind!r}")
-        if (self.power, self.kind) not in _MOMENT_TABLE:
-            raise ValueError(
-                f"unsupported moment (power={self.power}, kind={self.kind})")
-
-
-# F_m(x) of each (power, kind) moment from x = kappa sqrt(t), a = alpha(kappa, t)
-# and e = exp(-x^2/2): the moment times exp(-kappa^2 t/2) is t^{(m+1)/2} F_m(x).
-# Its keys are the moments ``HyperbolicMoment`` accepts.
-_MOMENT_TABLE = {
-    (0, "sinh"): lambda x, a, e: a,
-    (1, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x,
-    (2, "sinh"): lambda x, a, e: x * e + (x * x + 1.0) * a,
-    (3, "sinh"): lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
-    (4, "sinh"): lambda x, a, e: (
+# F_m(x) of each power m of the sinh moment, from x = kappa sqrt(t),
+# a = alpha(kappa, t) and e = exp(-x^2/2): the moment times exp(-kappa^2 t/2)
+# is t^{(m+1)/2} F_m(x).
+_MOMENT_TABLE = (
+    lambda x, a, e: a,
+    lambda x, a, e: _SQRT_HALF_PI * x,
+    lambda x, a, e: x * e + (x * x + 1.0) * a,
+    lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
+    lambda x, a, e: (
         x * (x * x + 5.0) * e + (x * x * (x * x + 6.0) + 3.0) * a),
-    (0, "cosh"): lambda x, a, e: np.full_like(x, _SQRT_HALF_PI),
-    (1, "cosh"): lambda x, a, e: e + x * a,
-    (2, "cosh"): lambda x, a, e: _SQRT_HALF_PI * (x * x + 1.0),
-    (3, "cosh"): lambda x, a, e: (
-        (x * x + 2.0) * e + x * (x * x + 3.0) * a),
-}
+)
 
 
-def moment_factors(moments: Sequence[HyperbolicMoment], kappa: float, t) -> list:
-    """F_m(kappa sqrt t) of each moment, elementwise in t: the closed form
-    of the moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}."""
+def _check_power(m: int) -> None:
+    if m not in range(len(_MOMENT_TABLE)):
+        raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
+
+
+def moment_factors(kappa: float, t) -> list:
+    """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
+    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}."""
     ts = np.asarray(t, dtype=float)
-    if kappa <= 0.0 or np.any(ts <= 0.0):
-        raise ValueError("moments require kappa > 0 and t > 0")
+    a = alpha(kappa, ts)  # first: it checks kappa and t
     x = kappa * np.sqrt(ts)
-    a = alpha(kappa, ts)
     e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
-    return [_MOMENT_TABLE[moment.power, moment.kind](x, a, e) for moment in moments]
+    return [factor(x, a, e) for factor in _MOMENT_TABLE]
 
 
-def hyperbolic_moment_closed_form(moment: HyperbolicMoment, kappa: float, t):
-    """Closed form of the (power, kind) moment, times exp(-kappa^2 t/2):
+def hyperbolic_moment_closed_form(m: int, kappa: float, t):
+    """Closed form of the power-m sinh moment, times exp(-kappa^2 t/2):
     t^{(m+1)/2} F_m(kappa sqrt t).  Elementwise in t; a float t gives a float.
     """
-    [factor] = moment_factors([moment], kappa, t)
-    value = np.asarray(t, dtype=float) ** (0.5 * (moment.power + 1)) * factor
+    _check_power(m)
+    factor = moment_factors(kappa, t)[m]
+    value = np.asarray(t, dtype=float) ** (0.5 * (m + 1)) * factor
     return float(value) if np.ndim(t) == 0 else value
 
 
 def shifted_gaussian_quadratures(
     weight: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    cases: Sequence[tuple[float, float, str]],
+    cases: Sequence[tuple[float, float]],
     context: Callable[[int], str],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
-    """For each case i = (kappa, t, kind), the integral over r > 0 of
-    exp(-r^2/2t) w(r) {sinh, cosh}(kappa r), times exp(-kappa^2 t/2), by
-    adaptive quadrature that never forms the exp(kappa^2 t/2) growth.
+    """For each case i = (kappa, t), the integral over r > 0 of
+    exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by adaptive
+    quadrature that never forms the exp(kappa^2 t/2) growth.
 
-    Each exponential half of 2 {sinh, cosh}(kappa r) = e^{kappa r} -+
-    e^{-kappa r} has its square completed and r = +-kappa t + sqrt(t) s
-    substituted; the value is sqrt(t)/2 times the difference (sinh) or the
-    sum (cosh) of the two s-integrals.  ``weight(gauss, r, i)`` is their
-    integrand, elementwise: gauss = exp(-s^2/2) times w(r) at radii r >= 0
-    of case i, multiplied in the caller's order.  All halves run as one
-    lockstep batch, case i's plus half as integral 2i and its minus half as
-    2i + 1; convergence is required case by case, a failure named by
-    context(i).
+    Each exponential half of 2 sinh(kappa r) = e^{kappa r} - e^{-kappa r}
+    has its square completed and r = +-kappa t + sqrt(t) s substituted; the
+    value is sqrt(t)/2 times the difference of the two s-integrals.
+    ``weight(gauss, r, i)`` is their integrand, elementwise: gauss =
+    exp(-s^2/2) times w(r) at radii r >= 0 of case i, multiplied in the
+    caller's order.  All halves run as one lockstep batch, case i's plus
+    half as integral 2i and its minus half as 2i + 1; convergence is
+    required case by case, a failure named by context(i), and so is a case
+    outside the domain.
     """
-    for kappa, t, _ in cases:
-        if not (kappa >= 0.0 and t > 0.0):
-            raise ValueError("shifted Gaussians require kappa >= 0 and t > 0")
-    centers = np.repeat([kappa * t for kappa, t, _ in cases], 2)
+    for i, (kappa, t) in enumerate(cases):
+        if not (0.0 <= kappa < math.inf and 0.0 < t < math.inf):
+            raise ValueError(
+                f"{context(i)}: shifted Gaussians require finite kappa >= 0 and finite t > 0")
+    centers = np.repeat([kappa * t for kappa, t in cases], 2)
     centers[1::2] *= -1.0
-    scales = np.repeat([math.sqrt(t) for _, t, _ in cases], 2)
+    scales = np.repeat([math.sqrt(t) for _, t in cases], 2)
     edges = -centers / scales  # s at r = 0; each half runs over s >= its edge
 
     def f(x, j):
@@ -148,26 +136,27 @@ def shifted_gaussian_quadratures(
     results = integrate_batch(f, np.maximum(0.0, -edges).tolist(),
                               [1.0] * edges.size, spec)
     halves = require_converged(results, lambda j: context(j // 2))
-    return [0.5 * math.sqrt(t) * (jp - jm if kind == "sinh" else jp + jm)
-            for (_, t, kind), jp, jm in zip(cases, halves[0::2], halves[1::2])]
+    return [0.5 * math.sqrt(t) * (jp - jm)
+            for (_, t), jp, jm in zip(cases, halves[0::2], halves[1::2])]
 
 
 def hyperbolic_moment_quadratures(
-    cases: Sequence[tuple[HyperbolicMoment, float, float]],
+    cases: Sequence[tuple[int, float, float]],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
-    """Each (moment, kappa, t) moment by ``shifted_gaussian_quadratures``,
+    """Each (m, kappa, t) power-m sinh moment by ``shifted_gaussian_quadratures``,
     times exp(-kappa^2 t/2): the independent cross-check of the closed forms
     at any kappa^2 t."""
-    powers = np.array([float(moment.power) for moment, _, _ in cases])
+    for m, _, _ in cases:
+        _check_power(m)
+    powers = np.array([float(m) for m, _, _ in cases])
 
     def context(i):
-        moment, kappa, t = cases[i]
-        return f"shifted path of {moment} at kappa = {kappa!r}, t = {t!r}"
+        return "shifted path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i])
 
     return shifted_gaussian_quadratures(
         lambda gauss, r, i: gauss * r ** powers[i],
-        [(kappa, t, moment.kind) for moment, kappa, t in cases], context, spec)
+        [(kappa, t) for _, kappa, t in cases], context, spec)
 
 
 def log_sinh_ratio(x):

@@ -26,10 +26,10 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return run_python("-m", "heatent", *args)
 
 
-def mp_scaled_moment(mp, power: int, kind: str, kappa: float, t: float):
-    """The Gaussian-hyperbolic moment integral_0^inf exp(-r^2/2t) r^power
-    {sinh, cosh}(kappa r) dr times exp(-kappa^2 t/2), at the working
-    precision of mp (mpmath), without the closed-form table.
+def mp_scaled_moment(mp, power: int, kappa: float, t: float):
+    """The Gaussian-sinh moment integral_0^inf exp(-r^2/2t) r^power
+    sinh(kappa r) dr times exp(-kappa^2 t/2), at the working precision of
+    mp (mpmath), without the closed-form table.
 
     Each exponential half is a Gaussian partial moment: with the square
     completed, exp(-(r - mu)^2/2t) at mu = +-kappa t, and r = mu + sqrt(t) s,
@@ -50,4 +50,4 @@ def mp_scaled_moment(mp, power: int, kind: str, kappa: float, t: float):
                             for k in range(power + 1))
 
     plus, minus = half(kappa * t), half(-kappa * t)
-    return (plus - minus if kind == "sinh" else plus + minus) / 2
+    return (plus - minus) / 2

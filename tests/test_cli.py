@@ -289,6 +289,19 @@ def test_non_finite_time_grid_is_usage_error(command, value, tmp_path, capsys):
     assert captured.err.count("error: need finite") == 2
 
 
+@pytest.mark.parametrize("command", ["h3", "evolve", "bounds"])
+def test_subnormal_time_grid_is_usage_error(command, tmp_path, capsys):
+    grid = {"t_start": 1e-320, "t_stop": 1e-320, "t_count": 1}
+    assert cli.main([command, "--t-start", "1e-320", "--t-stop", "1e-320", "--t-count", "1"]) == 2
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(grid))
+    assert cli.main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Warning" not in captured.err
+    assert captured.err.count("error: t-start 1e-320 is below the least normal double") == 2
+
+
 @pytest.mark.parametrize("t, status", [("1e-125", 2), ("1e-130", 2), ("1e-300", 2),
                                        ("1e-120", 0)])
 def test_h3_refuses_times_past_double_range(t, status, capsys):

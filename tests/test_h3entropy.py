@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
 from heatent import h3entropy as h3
-from heatent import specfun
+from heatent import quadrature, specfun
 from heatent.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -393,10 +393,10 @@ def test_evaluation_counts_frozen(shifted_results):
         assert tuple(r.evaluations for r in shifted_results[-1]) == counts, (kappa, t, prime)
 
 
-def test_oracle_failure_names_its_point():
+def test_oracle_failure_names_its_point(monkeypatch):
     # one subdivision cannot reach 1e-14: the first point fails, named by t and kappa
-    p = h3.H3Params(0.5, QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
-                                        max_subdivisions=1))
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    p = h3.H3Params(0.5, QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16))
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^log-weighted sinh integral \(power 3\) at t=3\.0, kappa=0\.5: "
                              r"error estimate"):
@@ -475,7 +475,7 @@ def test_closed_form_terms_against_mpmath():
             terms = eta_terms + eta_prime_terms
             for i, t in enumerate(times.tolist()):
                 k, tt = mp.mpf(kappa), mp.mpf(t)
-                m0, m1, m2, m3, m4 = (mp_scaled_moment(mp, m, "sinh", kappa, t)
+                m0, m1, m2, m3, m4 = (mp_scaled_moment(mp, m, kappa, t)
                                       for m in range(5))
                 scale = 1 / (2 * tt * tt)
                 exact = (k * m2, m1 * mp.log(2 * k * k * tt + 4), m1 * mp.log1p(k * m1 / m0),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heatent import quadrature
 from heatent.quadrature import QuadratureDomainError, QuadratureSpec, integrate_batch
-from heatent.specfun import shifted_gaussian_quadratures
+from heatent.specfun import alpha, shifted_gaussian_quadratures
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -119,14 +119,16 @@ def test_large_batch_calls_in_bounded_blocks():
 
 def test_shifted_gaussians_batch_matches_singles():
     # (kappa, t) give the halves' shifts +-kappa t and scales sqrt t
-    cases = [(5.0, 1.0, "sinh"), (0.75, 4.0, "cosh"), (0.0, 0.25, "cosh"), (1.0, 1e4, "sinh")]
-    scales = np.sqrt([t for _, t, _ in cases])
+    cases = [(5.0, 1.0), (0.75, 4.0), (0.0, 0.25), (1.0, 1e4)]
+    scales = np.sqrt([t for _, t in cases])
     batch = shifted_gaussian_quadratures(
         lambda gauss, r, i: gauss * (1.0 + scales[i] * r * r), cases, lambda i: "batch")
     for k, (case, sc) in enumerate(zip(cases, scales.tolist())):
         alone = shifted_gaussian_quadratures(
             lambda gauss, r, i: gauss * (1.0 + sc * r * r), [case], lambda i: "alone")
         assert [batch[k]] == alone, k
+    # at kappa = 0 the two halves are the same integral, and sinh 0 = 0
+    assert batch[2] == 0.0
 
 
 def test_batch_validates_hint_lengths():
@@ -143,10 +145,10 @@ def test_batch_validates_peaks_and_widths(peak, width):
         integrate_batch(lambda x, j: np.exp(-x), [1.0, peak], [1.0, width])
 
 
-def test_non_convergence_flagged_not_raised():
+def test_non_convergence_flagged_not_raised(monkeypatch):
     # A single allowed subdivision cannot resolve a narrow far-out bump.
-    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
-                          max_subdivisions=1)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16)
     [result] = integrate_batch(
         lambda r, j: np.exp(-((r - 3.0) ** 2) * 40.0) * (1.0 + np.cos(7.0 * r)),
         [3.0], [0.11], spec)
@@ -177,21 +179,21 @@ def test_spec_validation():
             QuadratureSpec(relative_tolerance=bad)
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(absolute_tolerance=bad)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def test_shifted_gaussian_reduces_to_half_gaussian():
-    # at kappa = 0 both halves are the plain half-Gaussian
-    [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(0.0, 1.0, "cosh")],
+    # with weight 1 the value is M(0) = sqrt(t) alpha(kappa, t), a truncated
+    # half-Gaussian mass
+    kappa, t = 0.75, 4.0
+    [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(kappa, t)],
                                            lambda i: "half-Gaussian")
-    assert value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
+    assert value == pytest.approx(math.sqrt(t) * alpha(kappa, t), rel=1e-12)
 
 
 def test_shifted_gaussian_cross_oracle():
     # kappa = 5, t = 1: the substituted integral equals the unsubstituted
     # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly
-    [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0, "sinh")],
+    [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0)],
                                              lambda i: "cross-oracle")
     [direct] = integrate_batch(
         lambda r, j: 0.5 * (np.exp(-0.5 * (r - 5.0) ** 2) - np.exp(-0.5 * (r + 5.0) ** 2)),
@@ -203,9 +205,13 @@ def test_shifted_gaussian_cross_oracle():
 
 
 def test_shifted_gaussian_scale_validation():
-    for t in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            shifted_gaussian_quadratures(lambda gauss, r, i: 1.0, [(1.0, t, "sinh")], lambda i: "t")
+    bad = [(1.0, t) for t in (0.0, -1.0, math.inf, math.nan)]
+    bad += [(kappa, 1.0) for kappa in (-1.0, math.inf, math.nan)]
+    for case in bad:
+        # the failing case is named, after a valid one
+        with pytest.raises(ValueError, match=r"^case 1: shifted Gaussians require finite"):
+            shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(1.0, 1.0), case],
+                                         "case {}".format)
 
 
 @settings(max_examples=25, deadline=None)

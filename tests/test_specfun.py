@@ -6,35 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
+from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
-    HyperbolicMoment,
     alpha,
     hyperbolic_moment_closed_form,
     hyperbolic_moment_quadratures,
     log_sinh_ratio,
+    moment_factors,
     sinh_ratio_bounds_check,
 )
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 TIGHT = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-16)
 
-ALL_MOMENTS = [HyperbolicMoment(m, "sinh") for m in range(5)] + [
-    HyperbolicMoment(m, "cosh") for m in range(4)]
+ALL_MOMENTS = range(5)  # the powers m of the sinh moments
 
 
-def stable_moment_integrand(kappa, t, moment):
+def stable_moment_integrand(kappa, t, m):
     """Direct-quadrature oracle integrand with the exponentials combined."""
-    at_zero = 1.0 if (moment.kind == "cosh" and moment.power == 0) else 0.0
 
     def f(r, j):
         gauss = -r * r / (2.0 * t)
         up = np.exp(gauss + kappa * r) / 2.0
         down = np.exp(gauss - kappa * r) / 2.0
-        s = up - down if moment.kind == "sinh" else up + down
-        return np.where(r == 0.0, at_zero, r ** moment.power * s)
+        return r ** m * (up - down)
     return f
 
 
@@ -81,26 +79,43 @@ def test_alpha_domain():
 # moment table
 
 
-def test_moment_kind_validation():
-    with pytest.raises(ValueError):
-        HyperbolicMoment(4, "cosh")
-    with pytest.raises(ValueError):
-        HyperbolicMoment(5, "sinh")
-    with pytest.raises(ValueError):
-        HyperbolicMoment(-1, "sinh")
-    with pytest.raises(ValueError):
-        HyperbolicMoment(1, "tanh")
+def test_moment_power_validation():
+    for m in (-1, 5):
+        with pytest.raises(ValueError, match="powers 0 to 4"):
+            hyperbolic_moment_closed_form(m, 1.0, 1.0)
+        with pytest.raises(ValueError, match="powers 0 to 4"):
+            hyperbolic_moment_quadratures([(0, 1.0, 1.0), (m, 1.0, 1.0)])
+
+
+# each function of the moment table and its oracle, called at (kappa, t)
+DOMAIN_CALLS = {
+    "alpha": alpha,
+    "moment_factors": lambda kappa, t: moment_factors(kappa, np.array([1.0, t])),
+    "closed_form": lambda kappa, t: hyperbolic_moment_closed_form(2, kappa, t),
+    "quadratures": lambda kappa, t: hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, kappa, t)]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", ["kappa", "t"])
+@pytest.mark.parametrize("name", sorted(DOMAIN_CALLS))
+def test_moment_functions_refuse_non_finite_arguments(name, argument, value):
+    kappa, t = (value, 1.0) if argument == "kappa" else (1.0, value)
+    with pytest.raises(ValueError, match="finite kappa"):
+        DOMAIN_CALLS[name](kappa, t)
+
+
+def test_shifted_moment_domain_failure_names_its_case():
+    with pytest.raises(ValueError, match=r"^shifted path of M\(2\) at kappa = 1\.0, t = inf: "):
+        hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, 1.0, math.inf)])
 
 
 def test_moment_closed_form_examples():
     # each moment comes back times exp(-kappa^2 t/2)
-    v = hyperbolic_moment_closed_form(HyperbolicMoment(1, "sinh"), 1.0, 1.0)
+    v = hyperbolic_moment_closed_form(1, 1.0, 1.0)
     assert v * math.exp(0.5) == pytest.approx(SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
-    v = hyperbolic_moment_closed_form(HyperbolicMoment(3, "sinh"), 1.0, 1.0)
+    v = hyperbolic_moment_closed_form(3, 1.0, 1.0)
     assert v * math.exp(0.5) == pytest.approx(4.0 * SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
-    v = hyperbolic_moment_closed_form(HyperbolicMoment(0, "cosh"), 2.0, 0.5)
-    assert v * math.exp(1.0) == pytest.approx(
-        SQRT_HALF_PI * math.sqrt(0.5) * math.exp(1.0), rel=1e-14)
 
 
 def test_moment_table_against_oracle():
@@ -126,7 +141,7 @@ def test_moment_table_against_mpmath():
             for moment in ALL_MOMENTS:
                 closed = hyperbolic_moment_closed_form(moment, kappa, times)
                 for t, value in zip(times.tolist(), closed.tolist()):
-                    exact = mp_scaled_moment(mp, moment.power, moment.kind, kappa, t)
+                    exact = mp_scaled_moment(mp, moment, kappa, t)
                     assert abs(value - exact) <= 2e-15 * exact, (moment, kappa, t)
 
 
@@ -144,20 +159,19 @@ def test_moment_paths_agree():
 def test_moment_no_overflow_at_large_scale():
     # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
     # it times exp(-200) and agree without ever materialising it
-    closed = hyperbolic_moment_closed_form(HyperbolicMoment(3, "sinh"), 2.0, 100.0)
-    [shifted] = hyperbolic_moment_quadratures([(HyperbolicMoment(3, "sinh"), 2.0, 100.0)])
+    closed = hyperbolic_moment_closed_form(3, 2.0, 100.0)
+    [shifted] = hyperbolic_moment_quadratures([(3, 2.0, 100.0)])
     assert math.isfinite(closed) and math.isfinite(shifted)
     rel = abs(closed - shifted) / abs(closed)
     assert rel < 1e-8
 
 
-def test_shifted_moments_refuse_unconverged_integrals():
-    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16,
-                          max_subdivisions=1)
+def test_shifted_moments_refuse_unconverged_integrals(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16)
     cases = [(moment, 0.5, 0.1) for moment in ALL_MOMENTS]
     with pytest.raises(QuadratureConvergenceError,
-                       match=r"^shifted path of HyperbolicMoment\(power=0, kind='sinh'\) "
-                             r"at kappa = 0\.5, t = 0\.1: "):
+                       match=r"^shifted path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
         hyperbolic_moment_quadratures(cases, spec)
 
 
