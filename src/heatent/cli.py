@@ -94,13 +94,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flag_table() -> dict:
+    """Per subcommand name, its one-value flags' actions by option string and
+    the namespace argparse starts it from: the subcommand and every default.
+    Read from ``_build_parser``'s own actions; the others (``-h``) are left
+    to argparse."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        flags = {option: action for action in sub._actions
+                 if type(action) is argparse._StoreAction and action.nargs is None
+                 for option in action.option_strings}
+        start = {commands.dest: name, **{action.dest: action.default for action in sub._actions
+                                         if action.default is not argparse.SUPPRESS}}
+        table[name] = flags, start
+    return table
+
+
+def _table_parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of ``command --flag value ...`` with every flag a full
+    option string of a table flag and no value starting with '-', each
+    value converted by its flag's type and checked against its choices;
+    None for any other argv, or a value that fails, which argparse parses
+    (and refuses) itself."""
+    if len(argv) % 2 == 0 or argv[0] not in _flag_table():
+        return None
+    flags, start = _flag_table()[argv[0]]
+    values = dict(start)
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = flags.get(option)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """Parse the flags; a ``--config`` file's entries are parsed as flags of
+    """Parse the flags, from the flag table where it reads the argv and by
+    argparse otherwise; a ``--config`` file's entries are parsed as flags of
     the same subcommand placed before the explicit ones, so they pass the
     same checks and explicit flags win."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _table_parse(argv) or parser.parse_args(argv)
     if args.config is None:
         return args
     try:
@@ -150,27 +194,36 @@ def _quadrature_spec(args: argparse.Namespace) -> QuadratureSpec:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output {out!r}: {exc}") from exc
 
 
 # json's spellings of the floats that have no JSON number
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _table_text(columns: Mapping[str, Sequence[float]], fmt: str) -> str:
+def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str:
     """The one table writer: columns of equal length, by name in output
     order, every value a float, written one row per index as CSV or as the
     JSON list of {column: value} objects, byte for byte what
-    ``json.dumps(..., indent=2, sort_keys=True)`` writes for it.
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes for it.  A column
+    given as one float holds it on every row; at least one column is a
+    sequence.
 
-    A value is written as its ``float.__repr__``; JSON spells the three
-    non-finite ones as json does.  Each JSON object fills one template with
-    the columns in sorted-key order."""
+    A value is written as its repr, a one-float column's once, into the
+    CSV row template; JSON spells the three non-finite ones as json does.
+    Each JSON object fills one template with the columns in sorted-key
+    order."""
     header = list(columns)
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
-    lines = [",".join(map(float.__repr__, row)) for row in rows.tolist()]
+    line = ",".join(float.__repr__(c) if isinstance(c, float) else "%r"
+                    for c in columns.values())
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()
+                            if not isinstance(c, float)])
+    lines = [line % row for row in map(tuple, rows.tolist())]
     if fmt == "csv":
         return "\n".join([",".join(header), *lines]) + "\n"
     if not lines:
@@ -246,7 +299,7 @@ def cmd_h3(args: argparse.Namespace) -> int:
     columns = {"t": sweep.t, "entropy": sweep.entropy, "I1": sweep.I1, "I2": sweep.I2,
                "rate_direct": sweep.rate_direct, "rate_fd": sweep.rate_fd,
                **dict(zip(eta_names, etas)),
-               "band_lo": np.full_like(sweep.t, lo), "band_hi": np.full_like(sweep.t, hi)}
+               "band_lo": lo, "band_hi": hi}
     _emit(_table_text(columns, args.format), args.out)
 
     band_ok = sweep.band_ok

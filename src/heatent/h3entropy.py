@@ -459,18 +459,27 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     these rows.  Each row is computed on its own, so a row of the sweep does
     not depend on the grid it came in.
 
-    Raises QuadratureConvergenceError for the first integral, in the order
-    eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose estimate
-    |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature spec, and
-    then ValueError naming t where xi, xi' or 1/(2t^2) of a row leaves the
-    double range.
+    Raises ValueError naming the first t where kappa^2 t of a row
+    overflows, then QuadratureConvergenceError for the first integral, in
+    the order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
+    estimate |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature
+    spec, and then ValueError naming t where xi, xi' or 1/(2t^2) of a row
+    leaves the double range.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n = grid.size
-    steps = _FD_STEP_SCALE * grid
-    ts = np.concatenate([grid, grid + steps, grid - steps])
     k = p.kappa
+
+    def out_of_range(bad: np.ndarray, why: str) -> ValueError:
+        t = grid[np.flatnonzero(bad.reshape(3, n).any(axis=0))[0]]
+        return ValueError(f"t={float(t)!r} leaves the double range: {why}")
+
     with np.errstate(all="ignore"):
+        steps = _FD_STEP_SCALE * grid
+        ts = np.concatenate([grid, grid + steps, grid - steps])
+        overflows = ~np.isfinite(k * k * ts)
+        if overflows.any():
+            raise out_of_range(overflows, "kappa^2 t overflows")
         remainder, ((fine, estimate), (fine_prime, estimate_prime)) = _trapezoid(p, ts, n)
         spec = p.quadrature
         failed, failed_prime = (
@@ -489,12 +498,11 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
                 f"on {_NODES.size} nodes")
 
         xis, xi_primes, prime_scale = xi(p, ts), xi_prime(p, ts), 0.5 / (ts * ts)
-        out_of_range = ~np.all([np.isfinite(v) & (v != 0.0)
-                                for v in (xis, xi_primes, prime_scale)], axis=0)
-        if out_of_range.any():
-            bad = int(np.flatnonzero(out_of_range.reshape(3, n).any(axis=0))[0])
-            raise ValueError(f"t={float(grid[bad])!r} leaves the double range: xi, xi' "
-                             "or the eta' scale 1/(2t^2) overflows or underflows")
+        in_range = np.all([np.isfinite(v) & (v != 0.0)
+                           for v in (xis, xi_primes, prime_scale)], axis=0)
+        if not in_range.all():
+            raise out_of_range(~in_range, "xi, xi' or the eta' scale 1/(2t^2) "
+                                          "overflows or underflows")
 
         scale = 0.5 * np.sqrt(ts)
         quad, quad_prime = fine * scale, fine_prime * (scale[:n] * prime_scale[:n])

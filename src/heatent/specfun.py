@@ -12,7 +12,8 @@ x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds F_0, ..., F_4; the moments
 and h3entropy's closed parts and envelope terms of eta are read from it.
 
 The closed forms take a finite kappa > 0, the oracle a finite kappa >= 0,
-and both finite times t > 0; anything else raises ValueError.
+and both finite times t > 0; anything else raises ValueError, and so does
+a closed form that overflows or an oracle case whose peak kappa t does.
 """
 
 from __future__ import annotations
@@ -78,23 +79,46 @@ def _check_power(m: int) -> None:
         raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
 
 
+def _factors(kappa: float, ts: np.ndarray, powers) -> list:
+    """F_m at kappa sqrt(ts) for each m of powers, elementwise in the float
+    array ts, where an overflow gives inf or nan without a warning."""
+    a = alpha(kappa, ts)  # first: it checks kappa and t
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = kappa * np.sqrt(ts)
+        e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
+        return [_MOMENT_TABLE[m](x, a, e) for m in powers]
+
+
+def _refuse_overflow(values: list, kappa: float, ts: np.ndarray, what: str) -> None:
+    """ValueError naming kappa and the first t where one of the values,
+    each shaped like ts, is not finite."""
+    finite = np.ravel(np.all(np.isfinite(values), axis=0))
+    if not finite.all():
+        t = float(np.ravel(ts)[np.flatnonzero(~finite)[0]])
+        raise ValueError(f"{what} overflows at kappa = {kappa!r}, t = {t!r}")
+
+
 def moment_factors(kappa: float, t) -> list:
     """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
-    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}."""
+    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  A t where
+    one of them overflows raises ValueError."""
     ts = np.asarray(t, dtype=float)
-    a = alpha(kappa, ts)  # first: it checks kappa and t
-    x = kappa * np.sqrt(ts)
-    e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
-    return [factor(x, a, e) for factor in _MOMENT_TABLE]
+    factors = _factors(kappa, ts, range(len(_MOMENT_TABLE)))
+    _refuse_overflow(factors, kappa, ts, "a moment factor F_0 to F_4")
+    return factors
 
 
 def hyperbolic_moment_closed_form(m: int, kappa: float, t):
     """Closed form of the power-m sinh moment, times exp(-kappa^2 t/2):
-    t^{(m+1)/2} F_m(kappa sqrt t).  Elementwise in t; a float t gives a float.
+    t^{(m+1)/2} F_m(kappa sqrt t).  Elementwise in t; a float t gives a
+    float.  A t where it overflows raises ValueError.
     """
     _check_power(m)
-    factor = moment_factors(kappa, t)[m]
-    value = np.asarray(t, dtype=float) ** (0.5 * (m + 1)) * factor
+    ts = np.asarray(t, dtype=float)
+    [factor] = _factors(kappa, ts, [m])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = ts ** (0.5 * (m + 1)) * factor
+    _refuse_overflow([value], kappa, ts, f"the closed form of M({m})")
     return float(value) if np.ndim(t) == 0 else value
 
 
@@ -116,12 +140,14 @@ def shifted_gaussian_quadratures(
     caller's order.  All halves run as one lockstep batch, case i's plus
     half as integral 2i and its minus half as 2i + 1; convergence is
     required case by case, a failure named by context(i), and so is a case
-    outside the domain.
+    outside the domain or whose peak kappa t overflows.
     """
     for i, (kappa, t) in enumerate(cases):
         if not (0.0 <= kappa < math.inf and 0.0 < t < math.inf):
             raise ValueError(
                 f"{context(i)}: shifted Gaussians require finite kappa >= 0 and finite t > 0")
+        if kappa * t == math.inf:
+            raise ValueError(f"{context(i)}: the peak kappa t leaves the double range")
     centers = np.repeat([kappa * t for kappa, t in cases], 2)
     centers[1::2] *= -1.0
     scales = np.repeat([math.sqrt(t) for _, t in cases], 2)

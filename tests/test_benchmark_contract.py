@@ -6,8 +6,11 @@ of each workload (seed 1) must run without an exception or a failed check,
 and its closing repeat must reproduce its original byte for byte.  So must
 blocks 1 and 4 of ``drift-evolve``, which add the request kinds its block 0
 lacks: a long window (odd blocks) and the ``rate_consistency`` group.
+Every CLI request of blocks 0 to 3 of each workload is parsed by the CLI's
+flag table, never by argparse.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+from heatent import cli  # noqa: E402
 
 
 def meets_the_request_contract(reqs: list) -> None:
@@ -45,3 +49,13 @@ def test_drift_block_meets_the_request_contract(index, kind):
     else:
         assert "verify:rate_consistency" in {req.label for req in reqs}
     meets_the_request_contract(reqs)
+
+
+def test_every_cli_request_takes_the_flag_table(monkeypatch):
+    def refuse(parser, argv=None, namespace=None):
+        raise AssertionError(f"argparse parsed {argv}")
+
+    argvs = [req.argv for workload in workloads.WORKLOADS for index in range(4)
+             for req in workloads.block(workload, 1, index) if req.argv is not None]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [cli._parse(argv).command for argv in argvs] == [argv[0] for argv in argvs]

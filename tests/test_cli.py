@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from heatent import bounds as bd
@@ -197,12 +199,20 @@ def test_propagator_failure_exits_one(monkeypatch, capsys):
     assert "propagator failure" in capsys.readouterr().err
 
 
+# argvs the flag table leaves to argparse, which accepts, refuses or helps
+REFUSED_FORMS = [["h3", "--kap", "2"], ["h3", "--kappa=2"], ["h3", "--t-count", "x"],
+                 ["h3", "--format", "xml"], ["h3", "--t-count", "3", "--out"],
+                 ["evolve", "--dt", "1e-3"], ["h3", "-h"], [], ["bogus"],
+                 ["h3", "--kappa", "-1"]]
+
+
 def test_one_process_reuses_its_parser(capsys):
     """main() builds the parser once per process; every call after other
-    subcommands and a usage error prints what a fresh process prints."""
+    subcommands and usage errors prints what a fresh process prints."""
     runs = [["evolve", "--manifold", "torus"], ["bounds", "--manifold", "sphere"],
             ["h3", "--t-count", "3"], ["verify", "--only", "second_moment"],
-            ["evolve", "--manifold", "klein"], ["evolve", "--manifold", "torus"]]
+            ["evolve", "--manifold", "klein"], ["evolve", "--manifold", "torus"],
+            *REFUSED_FORMS]
     statuses = []
     for argv in runs:
         try:
@@ -214,8 +224,74 @@ def test_one_process_reuses_its_parser(capsys):
         assert (status, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), argv
         statuses.append(status)
-    assert statuses == [0, 0, 0, 0, 2, 0]
+    assert statuses == [0, 0, 0, 0, 2, 0] + [0, 0, 2, 2, 2, 2, 0, 2, 2, 2]
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["h3", "--t-count", "2"], "missing/x.csv"), (["h3", "--t-count", "2"], ""),
+    (["verify", "--only", "band"], "."),
+])
+def test_unwritable_out_is_usage_error(argv, out, tmp_path, capsys):
+    # one stderr line naming the path, in process and in a fresh process
+    out = str(tmp_path / out) if out else out
+    assert cli.main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    fresh = run_cli(*argv, "--out", out)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, captured.out, captured.err)
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output {out!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+# values that are valid for some flag and invalid for others, negative, empty
+# or flag-like, plus any float or int spelling
+VALUES = st.one_of(
+    st.sampled_from(["", "x", "xml", "-1", "-0.5", "1e-3", "2", "0", "inf", "nan", " 3",
+                     "1_000", "csv", "json", "lin", "log", "circle", "torus", "sphere",
+                     "torus-drift", "klein", "band", "envelopes", "h3", "--kappa", "-h"]),
+    st.floats().map(repr), st.integers(-3, 100).map(str), st.text(max_size=4))
+
+
+def _valid_values(action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is float:
+        return st.floats(min_value=0.0).map(repr)
+    if action.type is int:
+        return st.integers(0, 10**6).map(str)
+    return st.text(max_size=6)
+
+
+@st.composite
+def argvs(draw):
+    """An argv of a subcommand's flags: all valid pairs, or pairs mixed with
+    invalid, negative and empty values, missing values, '=' forms,
+    abbreviations and flags of other subcommands; its head is sometimes no
+    subcommand."""
+    command = draw(st.sampled_from(["h3", "evolve", "bounds", "verify"]))
+    actions = cli._flag_table()[command][0]
+    flags = st.sampled_from(sorted(actions))
+    valid = flags.flatmap(lambda f: st.tuples(st.just(f), _valid_values(actions[f])))
+    other = {f for c in ("h3", "evolve", "verify") for f in cli._flag_table()[c][0]}
+    mixed = st.one_of(
+        valid, st.tuples(flags, VALUES), st.tuples(flags),
+        st.tuples(flags, VALUES).map(lambda pair: ("=".join(pair),)),
+        st.tuples(flags.map(lambda f: f[:-1]), VALUES),
+        st.tuples(st.sampled_from(sorted(other - set(actions)) + ["--bogus", "-h"]), VALUES))
+    pieces = draw(st.lists(valid, max_size=6) | st.lists(mixed, max_size=6))
+    head = draw(st.sampled_from([[command]] * 7 + [[], ["bogus"], ["-h"]]))
+    return head + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_table_path_equals_argparse(argv):
+    args = cli._table_parse(argv)
+    if args is not None:
+        expected = cli._build_parser().parse_args(argv)  # must not exit
+        assert list(vars(args).items()) == list(vars(expected).items())
+        assert [type(v) for v in vars(args).values()] == [type(v) for v in vars(expected).values()]
 
 
 def test_bounds_table():
@@ -320,14 +396,24 @@ def test_h3_rejects_non_finite_parameters(key, tmp_path, capsys):
     assert captured.err.count("must be positive and finite") == 2
 
 
-@pytest.mark.parametrize("argv", [("--kappa", "1e200"),
+@pytest.mark.parametrize("argv", [("--kappa", "1e150"),
                                   ("--t-start", "1e300", "--t-stop", "1e300", "--t-count", "1")])
 def test_h3_numerical_failure_is_one_stderr_line(argv):
-    # no numpy warning precedes the stated failure
+    # no numpy warning precedes the stated failure; kappa^2 t stays finite
     proc = run_cli("h3", *argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("quadrature failure: log-weighted sinh integral")
     assert proc.stderr.count("\n") == 1
+
+
+def test_h3_kappa2t_overflow_is_usage_error(capsys):
+    # refused by name before any integral, in process and in a fresh one
+    argv = ["h3", "--kappa", "1e200", "--t-count", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    fresh = run_cli(*argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, captured.out, captured.err)
+    assert captured == ("", "error: t=0.1 leaves the double range: kappa^2 t overflows\n")
 
 
 def test_h3_rows_past_kappa2t_1e8_pass(capsys):

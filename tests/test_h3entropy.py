@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -524,8 +525,20 @@ def test_first_unconverged_integral_in_row_order_raises():
     with pytest.raises(QuadratureConvergenceError,
                        match=r"\(power 3\) at t=1e\+300: error estimate nan"):
         h3.evaluate_records(P1, [1.0, 1e300, 2e300])
+    # at a tolerance no rule meets every integral fails, eta(t) first
+    unmet = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300))
     with pytest.raises(QuadratureConvergenceError, match=r"\(power 1\) at t=0\.5:"):
+        h3.evaluate_records(unmet, [0.5, 1.0])
+
+
+def test_kappa2t_overflow_is_refused_before_any_integral():
+    # kappa^2 overflows; then only the t + h row of the last time does
+    with pytest.raises(ValueError, match=r"^t=0\.5 leaves the double range: kappa\^2 t "
+                                         r"overflows$"):
         h3.evaluate_records(h3.H3Params(1e200), [0.5, 1.0])
+    t = 1.7976e308
+    with pytest.raises(ValueError, match=re.escape(f"t={t!r} leaves the double range: kappa")):
+        h3.evaluate_records(P1, [1.0, t])
 
 
 def test_times_past_double_range_are_refused():

@@ -110,6 +110,31 @@ def test_shifted_moment_domain_failure_names_its_case():
         hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, 1.0, math.inf)])
 
 
+def test_closed_form_refuses_overflow():
+    # x = kappa sqrt t = 1e150, so x^4 in F_4 overflows; M(0) = sqrt(t) F_0 does not
+    with pytest.raises(ValueError, match=r"^the closed form of M\(4\) overflows at "
+                                         r"kappa = 1e\+100, t = 1e\+100$"):
+        hyperbolic_moment_closed_form(4, 1e100, 1e100)
+    assert math.isfinite(hyperbolic_moment_closed_form(0, 1e100, 1e100))
+    # here F_4 is tiny and its power of t overflows; the first such t is named
+    with pytest.raises(ValueError, match=r"kappa = 1e-200, t = 1e\+200$"):
+        hyperbolic_moment_closed_form(4, 1e-200, np.array([1.0, 1e200, 1e300]))
+
+
+def test_moment_factors_refuse_overflow():
+    with pytest.raises(ValueError, match=r"^a moment factor F_0 to F_4 overflows at "
+                                         r"kappa = 1e\+200, t = 1e\+200$"):
+        moment_factors(1e200, 1e200)
+    with pytest.raises(ValueError, match=r"kappa = 1e\+50, t = 1e\+100$"):
+        moment_factors(1e50, np.array([1.0, 1e100]))
+
+
+def test_shifted_moments_refuse_an_overflowing_peak():
+    with pytest.raises(ValueError, match=r"^shifted path of M\(0\) at kappa = 1e\+200, "
+                                         r"t = 1e\+200: the peak kappa t leaves the double"):
+        hyperbolic_moment_quadratures([(0, 1.0, 1.0), (0, 1e200, 1e200)])
+
+
 def test_moment_closed_form_examples():
     # each moment comes back times exp(-kappa^2 t/2)
     v = hyperbolic_moment_closed_form(1, 1.0, 1.0)
