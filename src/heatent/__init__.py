@@ -4,7 +4,6 @@ from . import bounds, fixtures, h3entropy, spectral, verify
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureDomainError,
-    QuadratureResult,
     QuadratureSpec,
     integrate_batch,
 )
@@ -12,7 +11,6 @@ from .quadrature import (
 __all__ = [
     "QuadratureConvergenceError",
     "QuadratureDomainError",
-    "QuadratureResult",
     "QuadratureSpec",
     "bounds",
     "fixtures",

@@ -80,12 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    integrate_batch,
-    require_converged,
-)
+from .quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from .specfun import (
     _log_sinh_ratio,
     log_sinh_ratio,
@@ -148,17 +143,17 @@ def heat_kernel(p: H3Params, t: float, d: float) -> float:
     return math.exp(log_h)
 
 
-def _radial_mass(p: H3Params, t, r, pref):
-    """Radial density of the kernel: h(t, r) times the 4 pi sinh^2(kr)/k^2 shell,
-    pref being ``_mass_prefactor`` at t.
+def _radial_mass(p: H3Params, t, d, pref):
+    """Radial density of the kernel at r = kappa t + d: h(t, r) times the
+    4 pi sinh^2(kr)/k^2 shell, pref being ``_mass_prefactor`` at t.
 
-    Written with the exponentials combined so it stays finite at any
-    kappa^2 t (the raw shell factor alone would overflow).  Elementwise in
-    t, r and pref.
+    Written with the exponentials combined, its Gaussian taken on the offset
+    d from the peak, so it stays finite at any kappa^2 t (the raw shell
+    factor alone would overflow).  Elementwise in t, d and pref.
     """
     k = p.kappa
-    expo = -((r - k * t) ** 2) / (2.0 * t)
-    return pref * r * np.exp(expo) * 0.5 * -np.expm1(-2.0 * k * r)
+    r = k * t + d
+    return pref * r * np.exp(-d * d / (2.0 * t)) * 0.5 * -np.expm1(-2.0 * k * r)
 
 
 def _mass_prefactor(p: H3Params, t: float) -> float:
@@ -171,27 +166,30 @@ def _mass_prefactor(p: H3Params, t: float) -> float:
 
 
 def _radial_integrals(p: H3Params, ts: np.ndarray, integrand, context: str) -> np.ndarray:
-    """At each time of ts, the integral over r > 0 of integrand(mass, r, j),
-    where mass is ``_radial_mass`` at that time and j the index of the time
-    in ts.ravel(); an array shaped like ts.
+    """At each time of ts, the integral over r > 0 of integrand(mass, r, t),
+    where t is a (rows, 1) column of times and mass is ``_radial_mass`` there;
+    an array shaped like ts.
 
-    All times run as one lockstep batch, each with its peak at r = kappa t
-    and width sqrt t, so each value is bit-identical to its lone run.
-    Convergence is required time by time, in order.
+    Each time is one case of the double-exponential rule
+    (``quadrature.integrate_batch``), split at its peak r = kappa t with
+    width sqrt t, so each value is bit-identical to its lone run.  A time
+    whose integral misses the tolerance raises, named by context and t.
     """
     flat = ts.ravel()
     pref = np.array([_mass_prefactor(p, s) for s in flat.tolist()])
-    results = integrate_batch(
-        lambda r, j: integrand(_radial_mass(p, flat[j], r, pref[j]), r, j),
-        (p.kappa * flat).tolist(), np.sqrt(flat).tolist(), p.quadrature)
-    values = require_converged(results, lambda i: f"{context} at t = {float(flat[i])!r}")
-    return np.array(values).reshape(ts.shape)
+
+    def f(d, t, pref):
+        return integrand(_radial_mass(p, t, d, pref), p.kappa * t + d, t)
+
+    values, _ = integrate_batch(f, p.kappa * flat, np.sqrt(flat), (flat, pref),
+                                lambda i: f"{context} at t = {float(flat[i])!r}", p.quadrature)
+    return values.reshape(ts.shape)
 
 
 def normalization_quadrature(p: H3Params, t):
     """Total kernel mass by radial quadrature; equals 1 for every t.
     Elementwise in t."""
-    return _like(t, _radial_integrals(p, _times(t), lambda mass, r, j: mass,
+    return _like(t, _radial_integrals(p, _times(t), lambda mass, r, t: mass,
                                       "kernel normalization"))
 
 
@@ -217,7 +215,7 @@ def I1_quadrature(p: H3Params, t):
     """Second-moment integral done honestly by radial quadrature.
     Elementwise in t."""
     ts = _times(t)
-    moment = _radial_integrals(p, ts, lambda mass, r, j: mass * r * r, "second moment")
+    moment = _radial_integrals(p, ts, lambda mass, r, t: mass * r * r, "second moment")
     return _like(t, moment / (2.0 * ts))
 
 
@@ -258,8 +256,8 @@ def _closed_forms(p: H3Params, t: np.ndarray):
 
 def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
     """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
-    each (t, prime) point by adaptive quadrature: the oracle the trapezoid
-    rule of ``evaluate_records`` is tested against.
+    each (t, prime) point by the double-exponential rule: the oracle the
+    trapezoid rule of ``evaluate_records`` is tested against.
 
     Each value is the log-weighted sinh integral
 
@@ -267,8 +265,9 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 
     with power 1 for eta and power 3 (times 1/(2t^2)) for eta', a (kappa, t)
     case of ``specfun.shifted_gaussian_quadratures``, so nothing ever sees
-    the exp(kappa^2 t/2) growth directly.  All points run as one lockstep
-    batch; convergence is required point by point, in order.
+    the exp(kappa^2 t/2) growth directly.  Each point's value is
+    bit-identical to its lone run; the first point, in order, that misses
+    the tolerance raises, named by t and kappa.
     """
     k = p.kappa
     cubic = np.array([prime for _, prime in points], dtype=bool)
@@ -306,17 +305,13 @@ def entropy_quadrature(p: H3Params, t):
     Independent oracle for the assembled value; also settles the radial
     Gaussian-weight reading discussed in the module docstring.
     """
-    ts = _times(t)
     k = p.kappa
-    flat = ts.ravel()
-    two_t = 2.0 * flat
-    base = np.array([1.5 * math.log(2.0 * math.pi * s) + 0.5 * k * k * s
-                     for s in flat.tolist()])
 
-    def integrand(mass, r, j):
-        return mass * (r * r / two_t[j] + base[j] + log_sinh_ratio(k * r))
+    def integrand(mass, r, t):
+        base = 1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t
+        return mass * (r * r / (2.0 * t) + base + log_sinh_ratio(k * r))
 
-    return _like(t, _radial_integrals(p, ts, integrand, "direct entropy integral"))
+    return _like(t, _radial_integrals(p, _times(t), integrand, "direct entropy integral"))
 
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
@@ -460,8 +455,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     not depend on the grid it came in.
 
     Raises ValueError naming the first t where kappa^2 t of a row
-    overflows, then QuadratureConvergenceError for the first integral, in
-    the order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
+    overflows, then one naming the first t where a node sum of eta or eta'
+    does; then QuadratureConvergenceError for the first integral, in the
+    order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
     estimate |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature
     spec, and then ValueError naming t where xi, xi' or 1/(2t^2) of a row
     leaves the double range.
@@ -481,6 +477,10 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         if overflows.any():
             raise out_of_range(overflows, "kappa^2 t overflows")
         remainder, ((fine, estimate), (fine_prime, estimate_prime)) = _trapezoid(p, ts, n)
+        overflows = ~np.isfinite(fine)
+        overflows[:n] |= ~np.isfinite(fine_prime)
+        if overflows.any():
+            raise out_of_range(overflows, "a node sum of eta or eta' overflows")
         spec = p.quadrature
         failed, failed_prime = (
             ~(e <= np.maximum(spec.relative_tolerance * np.abs(v),

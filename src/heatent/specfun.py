@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_batch, require_converged
+from .quadrature import QuadratureSpec, integrate_batch
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # numpy has no erf: math.erf mapped over the elements of an array
@@ -129,18 +129,21 @@ def shifted_gaussian_quadratures(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
     """For each case i = (kappa, t), the integral over r > 0 of
-    exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by adaptive
-    quadrature that never forms the exp(kappa^2 t/2) growth.
+    exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by the
+    double-exponential rule, never forming the exp(kappa^2 t/2) growth.
 
     Each exponential half of 2 sinh(kappa r) = e^{kappa r} - e^{-kappa r}
     has its square completed and r = +-kappa t + sqrt(t) s substituted; the
     value is sqrt(t)/2 times the difference of the two s-integrals.
     ``weight(gauss, r, i)`` is their integrand, elementwise: gauss =
-    exp(-s^2/2) times w(r) at radii r >= 0 of case i, multiplied in the
-    caller's order.  All halves run as one lockstep batch, case i's plus
-    half as integral 2i and its minus half as 2i + 1; convergence is
-    required case by case, a failure named by context(i), and so is a case
-    outside the domain or whose peak kappa t overflows.
+    exp(-s^2/2) times w(r) at radii r >= 0, i the (rows, 1) column of case
+    indices, multiplied in the caller's order.  Each half is a case of
+    ``quadrature.integrate_batch`` in s, from its edge (r = 0) on, with width
+    1 and its peak at s = max(0, edge); s is the peak plus the rule's offset,
+    so the plus half, whose peak is s = 0, gets the offset itself, however
+    far out the edge is.  Case i's plus half is integral 2i and its minus
+    half 2i + 1; a failure is named by context(i), and so is a case outside
+    the domain or whose peak kappa t overflows.
     """
     for i, (kappa, t) in enumerate(cases):
         if not (0.0 <= kappa < math.inf and 0.0 < t < math.inf):
@@ -152,18 +155,19 @@ def shifted_gaussian_quadratures(
     centers[1::2] *= -1.0
     scales = np.repeat([math.sqrt(t) for _, t in cases], 2)
     edges = -centers / scales  # s at r = 0; each half runs over s >= its edge
+    tops = np.maximum(edges, 0.0)  # s at each half's peak
 
-    def f(x, j):
-        s = edges[j] + x
+    def f(d, top, center, scale, i):
+        s = top + d
         # maximum() absorbs the one-ulp negative r at the domain edge
-        r = np.maximum(0.0, centers[j] + scales[j] * s)
-        return weight(np.exp(-0.5 * s * s), r, j // 2)
+        r = np.maximum(0.0, center + scale * s)
+        return weight(np.exp(-0.5 * s * s), r, i)
 
-    results = integrate_batch(f, np.maximum(0.0, -edges).tolist(),
-                              [1.0] * edges.size, spec)
-    halves = require_converged(results, lambda j: context(j // 2))
+    halves, _ = integrate_batch(f, tops - edges, np.ones(edges.size),
+                                (tops, centers, scales, np.arange(edges.size) // 2),
+                                lambda j: context(j // 2), spec)
     return [0.5 * math.sqrt(t) * (jp - jm)
-            for (_, t), jp, jm in zip(cases, halves[0::2], halves[1::2])]
+            for (_, t), jp, jm in zip(cases, halves[0::2].tolist(), halves[1::2].tolist())]
 
 
 def hyperbolic_moment_quadratures(

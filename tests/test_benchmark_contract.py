@@ -7,7 +7,9 @@ and its closing repeat must reproduce its original byte for byte.  So must
 blocks 1 and 4 of ``drift-evolve``, which add the request kinds its block 0
 lacks: a long window (odd blocks) and the ``rate_consistency`` group.
 Every CLI request of blocks 0 to 3 of each workload is parsed by the CLI's
-flag table, never by argparse.
+flag table, never by argparse.  Block 0 of ``h3-sweep`` also meets the
+contract under ``perfbench/tracing.py``'s tracer, which ``run.py --trace 1``
+installs and which wraps heatent functions by name.
 """
 
 import argparse
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 from heatent import cli  # noqa: E402
 
@@ -59,3 +62,13 @@ def test_every_cli_request_takes_the_flag_table(monkeypatch):
              for req in workloads.block(workload, 1, index) if req.argv is not None]
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert [cli._parse(argv).command for argv in argvs] == [argv[0] for argv in argvs]
+
+
+def test_traced_first_block_meets_the_request_contract():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        meets_the_request_contract(workloads.block("h3-sweep", 1, 0))
+    finally:
+        tracer.uninstall()
+    assert tracer.spans

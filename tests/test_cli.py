@@ -396,14 +396,30 @@ def test_h3_rejects_non_finite_parameters(key, tmp_path, capsys):
     assert captured.err.count("must be positive and finite") == 2
 
 
-@pytest.mark.parametrize("argv", [("--kappa", "1e150"),
-                                  ("--t-start", "1e300", "--t-stop", "1e300", "--t-count", "1")])
+@pytest.mark.parametrize("argv", [
+    ("--rtol", "1e-300", "--atol", "1e-300", "--t-count", "2"),
+    ("--rtol", "1e-300", "--atol", "1e-300", "--t-start", "1e8", "--t-stop", "1e10",
+     "--t-count", "3")])
 def test_h3_numerical_failure_is_one_stderr_line(argv):
-    # no numpy warning precedes the stated failure; kappa^2 t stays finite
+    # a tolerance the trapezoid rule cannot meet, below and above
+    # kappa^2 t = 100; no numpy warning precedes the stated failure
     proc = run_cli("h3", *argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("quadrature failure: log-weighted sinh integral")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, t", [
+    (("--kappa", "1e150"), 0.1),
+    (("--t-start", "1e300", "--t-stop", "1e300", "--t-count", "1"), 1e300),
+    (("--kappa", "1e100"), 28.942661247167518)])
+def test_h3_range_limit_is_refused_naming_t(argv, t):
+    # kappa^2 t stays finite, but a node sum of eta' overflows: refused as a
+    # range limit, not reported as a quadrature failure
+    proc = run_cli("h3", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: t={t!r} leaves the double range: "
+                           "a node sum of eta or eta' overflows\n")
 
 
 def test_h3_kappa2t_overflow_is_usage_error(capsys):

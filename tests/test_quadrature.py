@@ -1,120 +1,184 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatent import quadrature
-from heatent.quadrature import QuadratureDomainError, QuadratureSpec, integrate_batch
-from heatent.specfun import alpha, shifted_gaussian_quadratures
+from conftest import mp_scaled_moment
+from heatent import h3entropy as h3
+from heatent.quadrature import (
+    QuadratureConvergenceError,
+    QuadratureDomainError,
+    QuadratureSpec,
+    integrate_batch,
+)
+from heatent.specfun import alpha, hyperbolic_moment_closed_form, shifted_gaussian_quadratures
+from heatent.verify import _direct_moment_integrand
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+# no step of the rule meets these: its estimate carries a rounding term
+UNMET = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
+
+
+def name(i):
+    return f"case {i}"
+
+
+def one(f, peak, width, spec=QuadratureSpec()):
+    """(value, estimate) of one integral of f(d) without case parameters."""
+    [value], [estimate] = integrate_batch(f, [peak], [width], (), name, spec)
+    return value, estimate
 
 
 def test_half_gaussian():
-    [result] = integrate_batch(lambda r, j: np.exp(-0.5 * r * r), [0.0], [1.0])
-    assert result.converged
-    assert result.value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
+    value, estimate = one(lambda d: np.exp(-0.5 * d * d), 0.0, 1.0)
+    assert value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
+    assert abs(value - SQRT_HALF_PI) <= estimate <= 1e-10 * value
 
 
 def test_exponential():
-    [result] = integrate_batch(lambda r, j: np.exp(-r), [0.0], [1.0])
-    assert result.value == pytest.approx(1.0, rel=1e-12)
+    value, estimate = one(lambda d: np.exp(-d), 0.0, 1.0)
+    assert value == pytest.approx(1.0, rel=1e-12)
+    assert abs(value - 1.0) <= estimate <= 1e-10
+
+
+@pytest.mark.parametrize("peak", [1e-300, 1e-3, 1.0, 30.0, 1e60, 1e300])
+def test_gaussian_keeps_both_sides_of_any_peak(peak):
+    # exp(-(r - c)^2/2) over r > 0 is sqrt(pi/2) (1 + erf(c/sqrt 2)); the
+    # nodes of [0, c] next to the peak sit at the width's scale however far
+    # out it is, so the mass below it is not lost
+    value, estimate = one(lambda d: np.exp(-0.5 * d * d), peak, 1.0)
+    exact = SQRT_HALF_PI * (1.0 + math.erf(peak / math.sqrt(2.0)))
+    assert value == pytest.approx(exact, rel=1e-14)
+    assert abs(value - exact) <= estimate
+
+
+def test_integrable_singularity_at_a_zero_peak_is_not_evaluated():
+    # with c = 0 there is no [0, c] part, so r = 0, where 1/sqrt(r) is
+    # infinite, is never a node
+    value, estimate = one(lambda d: np.exp(-d) / np.sqrt(d), 0.0, 1.0)
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_gaussian_times_cosh():
-    # closed form: sqrt(pi/2) * exp(1/2) at unit curvature scale and time
-    [result] = integrate_batch(lambda r, j: np.exp(-0.5 * r * r) * np.cosh(r), [1.0], [1.0])
-    assert result.value == pytest.approx(SQRT_HALF_PI * math.exp(0.5), rel=1e-10)
+    # closed form: sqrt(pi/2) exp(1/2); the peak is r = 1, and the integrand
+    # exp(-r^2/2) cosh r is written with its exponentials combined, as the
+    # far nodes (r up to about 5e30) overflow cosh
+    def f(d):
+        r = 1.0 + d
+        return 0.5 * (np.exp(r - 0.5 * r * r) + np.exp(-r - 0.5 * r * r))
+
+    value, estimate = one(f, 1.0, 1.0)
+    exact = SQRT_HALF_PI * math.exp(0.5)
+    assert abs(value - exact) <= estimate <= 1e-10 * exact
 
 
 def test_error_estimate_contract():
     spec = QuadratureSpec()
-    [result] = integrate_batch(lambda r, j: np.exp(-r) * np.sin(r) ** 2, [0.0], [1.0], spec)
-    assert result.converged
-    assert result.error_estimate <= max(
-        spec.relative_tolerance * abs(result.value), spec.absolute_tolerance)
+    value, estimate = one(lambda d: np.exp(-d) * np.sin(d) ** 2, 0.0, 1.0, spec)
+    assert estimate <= max(spec.relative_tolerance * abs(value), spec.absolute_tolerance)
+    assert abs(value - 0.4) <= estimate  # the integral is 2/5
 
 
 def test_determinism_bit_identical():
-    f = lambda r, j: np.exp(-0.5 * r * r) * (1.0 + r ** 3)
-    [a] = integrate_batch(f, [1.5], [1.0])
-    [b] = integrate_batch(f, [1.5], [1.0])
-    assert a.value == b.value
-    assert a.error_estimate == b.error_estimate
-    assert a.evaluations == b.evaluations
+    f = lambda d: np.exp(-0.5 * d * d) * (1.0 + (1.5 + d) ** 3)
+    assert one(f, 1.5, 1.0) == one(f, 1.5, 1.0)
+
+
+def test_moment_cases_against_the_closed_form():
+    # verify's direct path: the 45 sinh moments M(m) at (kappa, t), at the
+    # rule's default tolerances, against the closed form and 40-digit
+    # mpmath; each estimate bounds its actual error
+    cases = [(m, kappa, t) for m in range(5) for kappa in (0.5, 1.0, 2.0)
+             for t in (0.1, 1.0, 10.0)]
+    powers, kappas, ts = np.array(cases).T
+    values, estimates = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
+                                        (powers, kappas, ts), name)
+    for (m, kappa, t), value in zip(cases, values.tolist()):
+        closed = hyperbolic_moment_closed_form(m, kappa, t) * math.exp(0.5 * kappa * kappa * t)
+        assert value == pytest.approx(closed, rel=4e-15), (m, kappa, t)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for (m, kappa, t), value, estimate in zip(cases, values.tolist(), estimates.tolist()):
+            exact = mp_scaled_moment(mp, m, kappa, t) * mp.exp(mp.mpf(kappa) ** 2 * t / 2)
+            error = float(abs(value - exact) / exact)
+            assert error <= 4e-15, (m, kappa, t)
+            assert abs(value - exact) <= estimate, (m, kappa, t)
+
+
+def test_mass_points_within_their_estimates():
+    # verify's h3_normalization points: the radial kernel mass is 1, and the
+    # rule's estimate covers its distance from 1
+    for kappa in (0.5, 1.0, 2.0):
+        p = h3.H3Params(kappa)
+        ts = np.array([0.1, 1.0, 10.0, 50.0])
+        prefs = np.array([h3._mass_prefactor(p, t) for t in ts.tolist()])
+        values, estimates = integrate_batch(
+            lambda d, t, pref: h3._radial_mass(p, t, d, pref), kappa * ts, np.sqrt(ts),
+            (ts, prefs), name)
+        assert np.all(np.abs(values - 1.0) <= estimates), kappa
+        assert np.all(np.abs(values - 1.0) <= 4.5e-16), kappa
 
 
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureDomainError):
-        integrate_batch(lambda r, j: float("nan"), [0.0], [1.0])
+        one(lambda d: np.full(d.shape, np.nan), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("peak", [1.0], ids=["hinted"])
 def test_scalar_nan_return_is_broadcast_and_named(peak):
-    # the first panel centre fails
-    with pytest.raises(QuadratureDomainError, match=r"returned nan at \d"):
-        integrate_batch(lambda r, j: float("nan"), [peak], [1.0])
+    with pytest.raises(QuadratureDomainError, match=r"^case 0: integrand returned nan at \d"):
+        one(lambda d: float("nan"), peak, 1.0)
 
 
 def test_non_finite_node_names_value_and_abscissa():
-    # peak 1, width 1/24: the first initial panel is [0, 0.5], centre 0.25
-    f = lambda r, j: np.where(r == 0.25, np.inf, np.exp(-r))
-    with pytest.raises(QuadratureDomainError, match=r"returned inf at 0\.25$"):
-        integrate_batch(f, [1.0], [0.5 / 12.0])
+    # the middle node of [0, c] (tau = 0) has the offset -c/2 exactly: with
+    # peak 1 it sits at r = 0.5
+    f = lambda d: np.where(d == -0.5, np.inf, np.exp(-(1.0 + d)))
+    with pytest.raises(QuadratureDomainError, match=r"^case 0: integrand returned inf at 0\.5$"):
+        one(f, 1.0, 1.0)
 
 
 def test_overflow_past_the_stopping_probe_is_ignored():
-    # Only the nodes of an integral's panels are evaluated: with peak 0 and
-    # width 1 the tail nodes stay far inside r < 1e3, so the overflow beyond
-    # is never seen.
-    plain = lambda r, j: np.exp(-0.5 * r * r)
-    [result] = integrate_batch(lambda r, j: np.where(r < 1e3, plain(r, j), np.inf),
-                               [0.0], [1.0])
-    assert result.converged
-    assert result.value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
-    assert [result] == integrate_batch(plain, [0.0], [1.0])
+    # The rule's farthest node sits w e^{pi/2 sinh 4.5}, about 5.3e30 w, past
+    # the peak: an integrand that overflows beyond is never evaluated there.
+    plain = lambda d: np.exp(-0.5 * d * d)
+    guarded = lambda d: np.where(d < 1e31, plain(d), np.inf)
+    value, estimate = one(guarded, 0.0, 1.0)
+    assert value == pytest.approx(SQRT_HALF_PI, rel=1e-12)
+    assert abs(value - SQRT_HALF_PI) <= estimate
+    assert (value, estimate) == one(plain, 0.0, 1.0)
 
 
 def _mixed_batch():
-    """Eight unrelated integrands as one f(x, j), with their peaks and widths."""
+    """Eight unrelated integrands as one f(d, power, center, width), with
+    their parameter columns."""
     widths = np.array([0.3, 1.0, 2.5, 4.0, 0.7, 1.5, 3.0, 0.5])
     powers = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0])
     centers = np.array([0.0, 0.0, 0.0, 0.0, 6.0, 40.0, 3.0, 900.0])
 
-    def f(x, j):
-        return x ** powers[j] * np.exp(-0.5 * ((x - centers[j]) / widths[j]) ** 2)
+    def f(d, power, center, width):
+        return (center + d) ** power * np.exp(-0.5 * (d / width) ** 2)
 
-    return f, centers.tolist(), widths.tolist()
+    return f, (powers, centers, widths)
 
 
-def test_lockstep_batch_matches_each_integral_alone():
-    f, peaks, widths = _mixed_batch()
-    batch = integrate_batch(f, peaks, widths)
-    for k, result in enumerate(batch):
-        alone = integrate_batch(lambda x, j: f(x, np.full(x.shape, k)),
-                                [peaks[k]], [widths[k]])
-        assert [result] == alone, k
+def test_case_is_bit_identical_alone_in_any_batch_and_order():
+    f, columns = _mixed_batch()
+    _, centers, widths = columns
+    batch = integrate_batch(f, centers, widths, columns, name)
+    for k in range(centers.size):
+        alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
+                                [column[k:k + 1] for column in columns], name)
+        assert [v[k] for v in batch] == [v[0] for v in alone], k
     order = [5, 2, 7, 0, 3, 6, 1, 4]
-    permuted = integrate_batch(lambda x, j: f(x, np.asarray(order)[j]),
-                               [peaks[k] for k in order], [widths[k] for k in order])
-    assert permuted == [batch[k] for k in order]
-
-
-def test_large_batch_calls_in_bounded_blocks():
-    f, peaks, widths = _mixed_batch()
-    sizes = []
-
-    def recorded(x, j):
-        sizes.append(x.size)
-        return f(x, j % 8)
-
-    n = 400
-    big = integrate_batch(recorded, peaks * (n // 8), widths * (n // 8))
-    assert max(sizes) <= quadrature._BLOCK_NODES
-    assert big == integrate_batch(f, peaks, widths) * (n // 8)
+    permuted = integrate_batch(f, centers[order], widths[order],
+                               [column[order] for column in columns], name)
+    assert [v.tolist() for v in permuted] == [v[order].tolist() for v in batch]
+    big = integrate_batch(f, np.tile(centers, 50), np.tile(widths, 50),
+                          [np.tile(column, 50) for column in columns], name)
+    assert [v.tolist() for v in big] == [np.tile(v, 50).tolist() for v in batch]
 
 
 def test_shifted_gaussians_batch_matches_singles():
@@ -133,7 +197,7 @@ def test_shifted_gaussians_batch_matches_singles():
 
 def test_batch_validates_hint_lengths():
     with pytest.raises(ValueError, match="one peak and one width"):
-        integrate_batch(lambda x, j: np.exp(-x), [0.0, 1.0], [1.0])
+        integrate_batch(lambda d: np.exp(-d), [0.0, 1.0], [1.0], (), name)
 
 
 @pytest.mark.parametrize("peak, width", [
@@ -141,32 +205,28 @@ def test_batch_validates_hint_lengths():
     (0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan),
 ])
 def test_batch_validates_peaks_and_widths(peak, width):
-    with pytest.raises(ValueError, match="finite peak >= 0 and a finite width > 0"):
-        integrate_batch(lambda x, j: np.exp(-x), [1.0, peak], [1.0, width])
+    with pytest.raises(ValueError, match="^case 1: need a finite peak >= 0 and a finite width > 0"):
+        integrate_batch(lambda d: np.exp(-d), [1.0, peak], [1.0, width], (), name)
 
 
-def test_non_convergence_flagged_not_raised(monkeypatch):
-    # A single allowed subdivision cannot resolve a narrow far-out bump.
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
-    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16)
-    [result] = integrate_batch(
-        lambda r, j: np.exp(-((r - 3.0) ** 2) * 40.0) * (1.0 + np.cos(7.0 * r)),
-        [3.0], [0.11], spec)
-    assert not result.converged
+def test_unmet_spec_raises_at_the_finest_step():
+    # a narrow far-out bump at tolerances no step meets: the first case
+    # still short at step 1/512 is named
+    f = lambda d: np.exp(-40.0 * d * d) * (1.0 + np.cos(7.0 * (3.0 + d)))
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"^case 0: error estimate [0-9.e+-]+ at the finest step 1/512$"):
+        integrate_batch(f, [3.0, 3.0], [0.11, 0.11], (), name, UNMET)
 
 
-def test_require_converged_names_only_a_failure():
-    results = integrate_batch(lambda r, j: np.exp(-r), [0.0, 0.0], [1.0, 1.0])
+def test_convergence_failure_names_only_the_failing_case():
+    # a zero integrand meets any tolerance; only the case that fails is named
+    def context(i):
+        assert i == 1, f"named the converged case {i}"
+        return "second"
 
-    def never(i):
-        raise AssertionError(f"named converged integral {i}")
-
-    assert quadrature.require_converged(results, never) == [r.value for r in results]
-    failed = replace(results[1], converged=False)
-    with pytest.raises(quadrature.QuadratureConvergenceError,
-                       match=r"^second: error estimate [0-9.e+-]+ after [0-9]+ evaluations$"):
-        quadrature.require_converged([results[0], failed, failed],
-                                     ["first", "second"].__getitem__)
+    with pytest.raises(QuadratureConvergenceError, match=r"^second: error estimate "):
+        integrate_batch(lambda d, on: on * np.exp(-d), [0.0, 0.0], [1.0, 1.0],
+                        ([0.0, 1.0],), context, UNMET)
 
 
 def test_spec_validation():
@@ -192,13 +252,12 @@ def test_shifted_gaussian_reduces_to_half_gaussian():
 
 def test_shifted_gaussian_cross_oracle():
     # kappa = 5, t = 1: the substituted integral equals the unsubstituted
-    # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly
+    # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly, r = 5 + d
     [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0)],
                                              lambda i: "cross-oracle")
-    [direct] = integrate_batch(
-        lambda r, j: 0.5 * (np.exp(-0.5 * (r - 5.0) ** 2) - np.exp(-0.5 * (r + 5.0) ** 2)),
-        [5.0], [1.0])
-    assert shifted == pytest.approx(direct.value, rel=1e-10)
+    direct, _ = one(lambda d: 0.5 * (np.exp(-0.5 * d * d) - np.exp(-0.5 * (d + 10.0) ** 2)),
+                    5.0, 1.0)
+    assert shifted == pytest.approx(direct, rel=1e-10)
     # nearly half the full Gaussian mass: only the far-left tail of the plus
     # half is missing, and the minus half is as small
     assert shifted == pytest.approx(0.5 * math.sqrt(2.0 * math.pi), rel=1e-5)
@@ -223,13 +282,12 @@ def test_shifted_gaussian_scale_validation():
     width=st.floats(0.3, 4.0),
 )
 def test_linearity(a, b, p, q, width):
-    f = lambda r, j: r ** p * np.exp(-0.5 * (r / width) ** 2)
-    g = lambda r, j: r ** q * np.exp(-0.8 * r)
-    # every integrand has its mass within r < 48
-    [combined] = integrate_batch(lambda r, j: a * f(r, j) + b * g(r, j), [0.0], [4.0])
-    [f_only] = integrate_batch(f, [0.0], [4.0])
-    [g_only] = integrate_batch(g, [0.0], [4.0])
-    expected = a * f_only.value + b * g_only.value
-    tol = (combined.error_estimate + abs(a) * f_only.error_estimate
-           + abs(b) * g_only.error_estimate + 1e-12 * (1.0 + abs(expected)))
-    assert abs(combined.value - expected) <= tol
+    f = lambda d: d ** p * np.exp(-0.5 * (d / width) ** 2)
+    g = lambda d: d ** q * np.exp(-0.8 * d)
+    combined, combined_estimate = one(lambda d: a * f(d) + b * g(d), 0.0, 4.0)
+    f_only, f_estimate = one(f, 0.0, 4.0)
+    g_only, g_estimate = one(g, 0.0, 4.0)
+    expected = a * f_only + b * g_only
+    tol = (combined_estimate + abs(a) * f_estimate + abs(b) * g_estimate
+           + 1e-12 * (1.0 + abs(expected)))
+    assert abs(combined - expected) <= tol

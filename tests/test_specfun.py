@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
-from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_POLY,
@@ -25,15 +24,19 @@ TIGHT = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-16)
 ALL_MOMENTS = range(5)  # the powers m of the sinh moments
 
 
-def stable_moment_integrand(kappa, t, m):
-    """Direct-quadrature oracle integrand with the exponentials combined."""
+def direct_moment(kappa, t, m):
+    """The power-m sinh moment by the double-exponential rule in r, with the
+    exponentials combined: the direct-quadrature oracle."""
 
-    def f(r, j):
+    def f(d):
+        r = kappa * t + d
         gauss = -r * r / (2.0 * t)
         up = np.exp(gauss + kappa * r) / 2.0
         down = np.exp(gauss - kappa * r) / 2.0
         return r ** m * (up - down)
-    return f
+
+    [value], _ = integrate_batch(f, [kappa * t], [math.sqrt(t)], (), lambda i: "direct")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +47,8 @@ def test_erf_against_quadrature_oracle():
     # alpha(kappa, t) = sqrt(pi/2) erf(x) at x = kappa sqrt(t/2), and
     # erf(x) = 1 - (2/sqrt(pi)) * integral_0^inf exp(-(x+u)^2) du
     for kappa, x in zip((0.5, 1.0, 2.0) * 3, (0.25, 0.8, 1.5, 2.5, 3.7, 4.5, 6.0)):
-        tail = integrate_batch(lambda u, j: np.exp(-((x + u) ** 2)),
-                               [0.0], [1.0], TIGHT)[0].value
+        [tail], _ = integrate_batch(lambda u: np.exp(-((x + u) ** 2)), [0.0], [1.0], (),
+                                    lambda i: "erf tail", TIGHT)
         oracle = SQRT_HALF_PI * (1.0 - 2.0 / math.sqrt(math.pi) * tail)
         t = 2.0 * (x / kappa) ** 2
         assert alpha(kappa, t) == pytest.approx(oracle, rel=1e-11)
@@ -148,8 +151,7 @@ def test_moment_table_against_oracle():
         for kappa in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
                 closed = hyperbolic_moment_closed_form(moment, kappa, t)
-                direct = integrate_batch(stable_moment_integrand(kappa, t, moment),
-                                         [kappa * t], [math.sqrt(t)])[0].value
+                direct = direct_moment(kappa, t, moment)
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert closed * grown == pytest.approx(direct, rel=1e-8), (
                     moment, kappa, t)
@@ -175,8 +177,7 @@ def test_moment_paths_agree():
         for kappa in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
                 [shifted] = hyperbolic_moment_quadratures([(moment, kappa, t)])
-                direct = integrate_batch(stable_moment_integrand(kappa, t, moment),
-                                         [kappa * t], [math.sqrt(t)])[0].value
+                direct = direct_moment(kappa, t, moment)
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert shifted * grown == pytest.approx(direct, rel=1e-8)
 
@@ -191,9 +192,18 @@ def test_moment_no_overflow_at_large_scale():
     assert rel < 1e-8
 
 
-def test_shifted_moments_refuse_unconverged_integrals(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
-    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16)
+def test_shifted_moments_at_a_far_peak():
+    # kappa sqrt t = 1e60: the plus half's peak sits 1e60 widths past its
+    # edge, and the mass on both sides of it is kept (M(4) overflows here)
+    for m in range(4):
+        [shifted] = hyperbolic_moment_quadratures([(m, 1e30, 1e60)])
+        assert shifted == pytest.approx(hyperbolic_moment_closed_form(m, 1e30, 1e60),
+                                        rel=1e-14), m
+
+
+def test_shifted_moments_refuse_unconverged_integrals():
+    # no step of the rule meets these tolerances
+    spec = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
     cases = [(moment, 0.5, 0.1) for moment in ALL_MOMENTS]
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^shifted path of M\(0\) at kappa = 0\.5, t = 0\.1: "):

@@ -1,6 +1,5 @@
 import pytest
 
-from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec
 from heatent.verify import CHECKS, check_moment_table, run_checks
 
@@ -42,11 +41,10 @@ def test_fast_checks_pass():
         assert result.passed, (name, result)
 
 
-def test_moment_table_refuses_unconverged_integrals(monkeypatch):
-    # one subdivision at these tolerances leaves every direct integral
-    # unconverged; the first case is named instead of a pass on its value
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
-    spec = QuadratureSpec(relative_tolerance=1e-14, absolute_tolerance=1e-16)
+def test_moment_table_refuses_unconverged_integrals():
+    # no step of the rule meets these tolerances, so every direct integral
+    # misses them; the first case is named instead of a pass on its value
+    spec = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^direct path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
         check_moment_table(spec)
