@@ -7,6 +7,10 @@ Subcommands:
   bounds   closed-form right-hand-side tables for a manifold fixture
   verify   run the verification suite and emit a JSON report
 
+Every subcommand's flags are declared once, as data, in ``_COMMANDS``: an
+argv ``command --flag value ...`` is read from it directly, and argparse,
+built from it, parses any other argv and owns the usage errors and the help.
+
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
 byte-identical output.  ``h3``, ``evolve`` and ``bounds`` each build one
@@ -36,8 +40,30 @@ from . import spectral as sp
 from . import verify as vf
 from .quadrature import QuadratureConvergenceError, QuadratureDomainError, QuadratureSpec
 
-# Time-grid flags default to None so that ``evolve`` can tell a requested
-# grid from its fixture's own; these fill in the ones left unset.
+# Every subcommand's flags, declared once: per subcommand its help and its
+# flags in order, each (option, type or tuple of choices, default, help).
+# ``_build_parser`` builds argparse from it and ``_table_parse`` reads it.
+_OUTPUT = (("--config", str, None, "JSON file of flag values; explicit flags win"),
+           ("--out", str, None, "output path (default: stdout)"))
+_QUADRATURE = (("--rtol", float, 1e-10, "quadrature relative tolerance"),
+               ("--atol", float, 1e-14, "quadrature absolute tolerance"))
+# default None so that ``evolve`` can tell a requested grid from its
+# fixture's own; ``_TIME_GRID`` fills in the ones left unset
+_GRID = (("--t-start", float, None, None), ("--t-stop", float, None, None),
+         ("--t-count", int, None, None), ("--t-scale", ("lin", "log"), None, None))
+_FORMAT = ("--format", ("csv", "json"), "csv", None)
+_MANIFOLD = ("--manifold", ("circle", "torus", "sphere", "torus-drift"), "circle", None)
+_COMMANDS = {
+    "h3": ("hyperbolic-space entropy sweep",
+           (("--kappa", float, 1.0, None), _FORMAT, *_OUTPUT, *_QUADRATURE, *_GRID)),
+    "evolve": ("spectral trace plus bound reports", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
+    "bounds": ("closed-form bound tables", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
+    "verify": ("run the verification suite",
+               (("--only", str, None, "run a single named check group"),
+                ("--inject-fault", str, None,
+                 "debug: force a named check to fail (supported: envelopes)"),
+                *_OUTPUT, *_QUADRATURE)),
+}
 _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
 
@@ -45,95 +71,46 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit status 2."""
 
 
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The flag parser, built once per process: parsing leaves it unchanged."""
+    """The argparse parser of ``_COMMANDS``, built at most once per process,
+    for an argv the table path refuses or a ``--config`` file."""
     parser = argparse.ArgumentParser(
         prog="heatent",
         description="Entropy and entropy-rate of heat flow on model manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, time_grid: bool = True,
-                   quadrature: bool = False):
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file of flag values; explicit flags win")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (default: stdout)")
-        if quadrature:
-            p.add_argument("--rtol", type=float, default=1e-10,
-                           help="quadrature relative tolerance")
-            p.add_argument("--atol", type=float, default=1e-14,
-                           help="quadrature absolute tolerance")
-        if time_grid:
-            p.add_argument("--t-start", type=float, default=None)
-            p.add_argument("--t-stop", type=float, default=None)
-            p.add_argument("--t-count", type=int, default=None)
-            p.add_argument("--t-scale", choices=("lin", "log"), default=None)
-
-    p_h3 = sub.add_parser("h3", help="hyperbolic-space entropy sweep")
-    p_h3.add_argument("--kappa", type=float, default=1.0)
-    p_h3.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p_h3, quadrature=True)
-
-    for name, help_text in (("evolve", "spectral trace plus bound reports"),
-                            ("bounds", "closed-form bound tables")):
+    for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--manifold", choices=("circle", "torus", "sphere", "torus-drift"),
-                       default="circle")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        add_common(p)
-
-    p_vf = sub.add_parser("verify", help="run the verification suite")
-    p_vf.add_argument("--only", type=str, default=None,
-                      help="run a single named check group")
-    p_vf.add_argument("--inject-fault", type=str, default=None,
-                      help="debug: force a named check to fail "
-                           "(supported: envelopes)")
-    add_common(p_vf, time_grid=False, quadrature=True)
-
+        for option, kind, default, help_text in flags:
+            p.add_argument(option, default=default, help=help_text,
+                           **{"choices" if isinstance(kind, tuple) else "type": kind})
     return parser
-
-
-@functools.cache
-def _flag_table() -> dict:
-    """Per subcommand name, its one-value flags' actions by option string and
-    the namespace argparse starts it from: the subcommand and every default.
-    Read from ``_build_parser``'s own actions; the others (``-h``) are left
-    to argparse."""
-    parser = _build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in commands.choices.items():
-        flags = {option: action for action in sub._actions
-                 if type(action) is argparse._StoreAction and action.nargs is None
-                 for option in action.option_strings}
-        start = {commands.dest: name, **{action.dest: action.default for action in sub._actions
-                                         if action.default is not argparse.SUPPRESS}}
-        table[name] = flags, start
-    return table
 
 
 def _table_parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace of ``command --flag value ...`` with every flag a full
-    option string of a table flag and no value starting with '-', each
-    value converted by its flag's type and checked against its choices;
-    None for any other argv, or a value that fails, which argparse parses
-    (and refuses) itself."""
-    if len(argv) % 2 == 0 or argv[0] not in _flag_table():
+    option string of the command's flags in ``_COMMANDS`` and no value
+    starting with '-', each value converted by its flag's type or checked
+    against its choices: what argparse returns for it.  None for any other
+    argv, or a value that fails, which argparse parses (and refuses) itself."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
-    flags, start = _flag_table()[argv[0]]
-    values = dict(start)
+    flags = {option: kind for option, kind, _, _ in _COMMANDS[argv[0]][1]}
+    values = {"command": argv[0],
+              **{_dest(option): default for option, _, default, _ in _COMMANDS[argv[0]][1]}}
     for option, text in zip(argv[1::2], argv[2::2]):
-        action = flags.get(option)
-        if action is None or text.startswith("-"):
+        kind = flags.get(option)
+        if kind is None or text.startswith("-"):
             return None
-        try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        try:  # a type converts the text; a tuple of choices must hold it
+            value = kind(text) if callable(kind) else kind[kind.index(text)]
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
+        values[_dest(option)] = value
     return argparse.Namespace(**values)
 
 
@@ -142,9 +119,8 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     argparse otherwise; a ``--config`` file's entries are parsed as flags of
     the same subcommand placed before the explicit ones, so they pass the
     same checks and explicit flags win."""
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _table_parse(argv) or parser.parse_args(argv)
+    args = _table_parse(argv) or _build_parser().parse_args(argv)
     if args.config is None:
         return args
     try:
@@ -162,7 +138,7 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config key {key!r} needs a number or a string")
         flags.append(f"--{key.replace('_', '-')}={value}")
-    return parser.parse_args([argv[0], *flags, *argv[1:]])
+    return _build_parser().parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _time_grid(args: argparse.Namespace) -> np.ndarray:
@@ -178,9 +154,12 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
                          f"{sys.float_info.min!r}")
     if count == 1:
         return np.array([start])
-    if scale == "log":
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+    grid = (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
+    # a grid too fine for its window repeats a time, as does t-start = t-stop
+    if np.any(grid[1:] <= grid[:-1]):
+        raise UsageError(f"t-start {start!r}, t-stop {stop!r} and t-count {count} "
+                         "give a time grid that is not strictly increasing")
+    return grid
 
 
 def _quadrature_spec(args: argparse.Namespace) -> QuadratureSpec:
@@ -214,30 +193,32 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     given as one float holds it on every row; at least one column is a
     sequence.
 
-    A value is written as its repr, a one-float column's once, into the
-    CSV row template; JSON spells the three non-finite ones as json does.
-    Each JSON object fills one template with the columns in sorted-key
-    order."""
-    header = list(columns)
-    line = ",".join(float.__repr__(c) if isinstance(c, float) else "%r"
-                    for c in columns.values())
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()
-                            if not isinstance(c, float)])
-    lines = [line % row for row in map(tuple, rows.tolist())]
+    Each row fills one row template by ``%``: the CSV line in column order,
+    the JSON object in sorted-key order.  A one-float column's value is
+    written into the template once; the others are ``%r``, a float's repr,
+    except on a JSON row holding a non-finite value, whose cells are spelled
+    as json spells them (NaN, Infinity, -Infinity)."""
+    names = list(columns) if fmt == "csv" else sorted(columns)
+    table = np.column_stack([np.asarray(columns[name], dtype=float) for name in names
+                             if not isinstance(columns[name], float)])
+    rows = map(tuple, table.tolist())
+
+    def cells(spell, spec: str) -> list[str]:
+        return [spell(columns[name]) if isinstance(columns[name], float) else spec
+                for name in names]
+
     if fmt == "csv":
-        return "\n".join([",".join(header), *lines]) + "\n"
-    if not lines:
+        line = ",".join(cells(float.__repr__, "%r"))
+        return "\n".join([",".join(names), *(line % row for row in rows)]) + "\n"
+    if not len(table):
         return "[]\n"
-    members = ",\n".join(
-        "    " + json.dumps(header[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}"
-        for i in sorted(range(len(header)), key=header.__getitem__))
-    template = "  {{\n" + members + "\n  }}"
-    objects = []
-    for line in lines:
-        cells = line.split(",")
-        if "n" in line:  # nan, inf or -inf: no finite repr has an n
-            cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
-        objects.append(template.format(*cells))
+    keys = [json.dumps(name).replace("%", "%%") for name in names]
+    finite, spelled = ("  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in
+                                            zip(keys, cells(json.dumps, spec))) + "\n  }"
+                       for spec in ("%r", "%s"))
+    objects = [finite % row if ok else spelled % tuple(
+                   _JSON_NONFINITE.get(cell, cell) for cell in map(float.__repr__, row))
+               for row, ok in zip(rows, np.isfinite(table).all(axis=1).tolist())]
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 

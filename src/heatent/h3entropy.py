@@ -131,8 +131,8 @@ def heat_kernel(p: H3Params, t: float, d: float) -> float:
     """Transition density at time t between points at geodesic distance d."""
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    if d < 0.0:
-        raise ValueError("d must be nonnegative")
+    if not 0.0 <= d < math.inf:  # a NaN fails too
+        raise ValueError("d must be nonnegative and finite")
     k = p.kappa
     log_h = (
         -d * d / (2.0 * t)

@@ -16,8 +16,10 @@ per axis and analyses by the uniform grid rule; the circle is the one-axis
 torus, the drifted torus the plain torus with a potential.
 ``_SphereTransform`` uses Gauss-Legendre in cos(theta).  Each transform is
 built once per (geometry, side lengths, cutoff, grid size) and shared from
-a bounded cache, so its arrays are read-only.  Synthesis takes rows with
-leading batch axes, each its own product, so values do not depend on the batch.
+a bounded cache, so its arrays are read-only; its Laplacian eigenvalues and
+volume-measure weights are two of them, built with it, which ``eigenvalues``
+and ``spectral_gap`` return and read.  Synthesis takes rows with leading
+batch axes, each its own product, so values do not depend on the batch.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -53,8 +55,8 @@ _FD_STEP_SCALE = 1e-4
 # Largest accepted condition number of the drift's reduced mass matrix M'
 # (see ``_drift_propagator``); the drift fixture reads about 1.5.
 MASS_CONDITION_LIMIT = 1e8
-# Distinct transforms kept.  The benchmark's three workloads use 16, which
-# hold 0.25 MB of arrays together.
+# Distinct transforms kept.  The benchmark's three workloads use 19, which
+# hold 0.36 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
 # Grid values one chunk of the row functionals may hold, in whole groups of
 # rows but never less than one group.  A group counts its rows' values, their
@@ -198,19 +200,13 @@ class _PeriodicTransform:
         # contiguous for matmul's BLAS path
         self.first = tuple(map(_read_only, tables[0]))
         self.last = tuple(_read_only(np.ascontiguousarray(t.T)) for t in tables[-1])
-
-    @staticmethod
-    def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
-        modes = np.arange(-cutoff, cutoff + 1)
-        return sum((2.0 * math.pi * m / length) ** 2
-                   for m, length in zip(np.ix_(*[modes] * len(lengths)), lengths))
+        self.eigenvalues = _read_only(sum((2.0 * math.pi * m / length) ** 2 for m, length
+                                          in zip(np.ix_(*[modes] * len(lengths)), lengths)))
+        self.weights = _read_only(np.full(self.shape, self.volume / self.size))
 
     def points(self) -> Sequence[np.ndarray]:
         axes = [np.arange(self.n) * (length / self.n) for length in self.lengths]
         return np.meshgrid(*axes, indexing="ij")
-
-    def weights(self) -> np.ndarray:
-        return np.full(self.shape, self.volume / self.size)
 
     def synth(self, coeffs: np.ndarray, order: tuple[int, ...] = ()) -> np.ndarray:
         """Grid values of each field's derivative along the axes of ``order``
@@ -265,11 +261,8 @@ class _SphereTransform:
         self.dp = _read_only(self._legendre_derivative_table(self.p, x))
         # P_l at the poles x = 1 and x = -1 is 1 and (-1)^l
         self._poles = _read_only(np.stack([np.ones(cutoff + 1), (-1.0) ** ells], axis=1))
-
-    @staticmethod
-    def eigenvalues(lengths: tuple[float, ...], cutoff: int) -> np.ndarray:
-        ells = np.arange(cutoff + 1)
-        return ells * (ells + 1.0) / lengths[0] ** 2
+        self.eigenvalues = _read_only(ells * (ells + 1.0) / lengths[0] ** 2)
+        self.weights = _read_only(2.0 * math.pi * self.radius ** 2 * w)
 
     @staticmethod
     def _legendre_table(cutoff: int, x: np.ndarray) -> np.ndarray:
@@ -291,9 +284,6 @@ class _SphereTransform:
 
     def points(self) -> Sequence[np.ndarray]:
         return (np.arccos(self.x),)
-
-    def weights(self) -> np.ndarray:
-        return 2.0 * math.pi * self.radius ** 2 * self.w
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return _row_products(coeffs * self.norms, self.p)
@@ -355,8 +345,9 @@ def _cached_transform(geometry, lengths: tuple[float, ...], cutoff: int, n: int)
 
 
 def eigenvalues(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
-    """Laplacian eigenvalues in the field's coefficient layout."""
-    return _geometry(manifold).eigenvalues(manifold.lengths, cutoff)
+    """Laplacian eigenvalues in the field's coefficient layout: the shared
+    transform's read-only array."""
+    return _transform(manifold, cutoff).eigenvalues
 
 
 def spectral_gap(manifold: ManifoldSpec) -> float:
@@ -403,7 +394,7 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
                                       f"and maximum {values.max():.3e}")
     coeffs = tr.analyze(values)
     # the data's whole energy by the grid rule (Parseval on the periodic grid)
-    total = float(np.sum(tr.weights() * values * values))
+    total = float(np.sum(tr.weights * values * values))
     kept = float(np.sum(coeffs * coeffs))
     # The comparison of two quadratures of the same data floors out at a few
     # ulps of the total, so grant that on top of the contractual fraction.
@@ -546,7 +537,7 @@ def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     once per operator; elsewhere it is the plain volume measure.
     """
     if manifold.drift is None:
-        return _transform(manifold, cutoff).weights()
+        return _transform(manifold, cutoff).weights
     return _drift_weights(manifold, cutoff)
 
 
@@ -564,7 +555,7 @@ def _drift_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     tr = _transform(manifold, cutoff)
     potential = manifold.drift
     v = _transform(manifold, potential.cutoff, tr.n).synth(potential.coefficients)
-    raw = np.exp(2.0 * v) * tr.weights()
+    raw = np.exp(2.0 * v) * tr.weights
     return _read_only(raw / raw.sum())
 
 
@@ -775,10 +766,9 @@ def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
     tr = _transform(manifold, field.cutoff)
     (u,), (grad2,) = tr.values_and_gradients(field.coefficients[np.newaxis], 1)
     _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
-    lam = eigenvalues(manifold, field.cutoff)
-    lap_u = tr.synth(field.coefficients * (-lam))
+    lap_u = tr.synth(field.coefficients * (-tr.eigenvalues))
     lap_log = lap_u / u - grad2 / u ** 2
-    w = tr.weights()
+    w = tr.weights
     mean = float(np.sum(w * u * lap_log))
     mean_sq = float(np.sum(w * u * lap_log ** 2))
     fisher = float(np.sum(w * grad2 / u))

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import io
 import json
@@ -253,12 +255,18 @@ VALUES = st.one_of(
     st.floats().map(repr), st.integers(-3, 100).map(str), st.text(max_size=4))
 
 
-def _valid_values(action):
-    if action.choices is not None:
-        return st.sampled_from(sorted(action.choices))
-    if action.type is float:
+def _flags(command):
+    """Each flag of ``command`` in the CLI's flag table, by option string:
+    its type or tuple of choices."""
+    return {option: kind for option, kind, _, _ in cli._COMMANDS[command][1]}
+
+
+def _valid_values(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(sorted(kind))
+    if kind is float:
         return st.floats(min_value=0.0).map(repr)
-    if action.type is int:
+    if kind is int:
         return st.integers(0, 10**6).map(str)
     return st.text(max_size=6)
 
@@ -270,15 +278,15 @@ def argvs(draw):
     abbreviations and flags of other subcommands; its head is sometimes no
     subcommand."""
     command = draw(st.sampled_from(["h3", "evolve", "bounds", "verify"]))
-    actions = cli._flag_table()[command][0]
-    flags = st.sampled_from(sorted(actions))
-    valid = flags.flatmap(lambda f: st.tuples(st.just(f), _valid_values(actions[f])))
-    other = {f for c in ("h3", "evolve", "verify") for f in cli._flag_table()[c][0]}
+    kinds = _flags(command)
+    flags = st.sampled_from(sorted(kinds))
+    valid = flags.flatmap(lambda f: st.tuples(st.just(f), _valid_values(kinds[f])))
+    other = {f for c in ("h3", "evolve", "verify") for f in _flags(c)}
     mixed = st.one_of(
         valid, st.tuples(flags, VALUES), st.tuples(flags),
         st.tuples(flags, VALUES).map(lambda pair: ("=".join(pair),)),
         st.tuples(flags.map(lambda f: f[:-1]), VALUES),
-        st.tuples(st.sampled_from(sorted(other - set(actions)) + ["--bogus", "-h"]), VALUES))
+        st.tuples(st.sampled_from(sorted(other - set(kinds)) + ["--bogus", "-h"]), VALUES))
     pieces = draw(st.lists(valid, max_size=6) | st.lists(mixed, max_size=6))
     head = draw(st.sampled_from([[command]] * 7 + [[], ["bogus"], ["-h"]]))
     return head + [token for piece in pieces for token in piece]
@@ -292,6 +300,30 @@ def test_table_path_equals_argparse(argv):
         expected = cli._build_parser().parse_args(argv)  # must not exit
         assert list(vars(args).items()) == list(vars(expected).items())
         assert [type(v) for v in vars(args).values()] == [type(v) for v in vars(expected).values()]
+
+
+def test_table_argv_builds_no_parser(tmp_path):
+    argvs = [["h3", "--kappa", "2", "--t-count", "3", "--format", "json", "--rtol", "1e-9"],
+             ["evolve", "--manifold", "torus", "--t-scale", "lin", "--t-start", "0.5"],
+             ["bounds", "--manifold", "sphere", "--out", str(tmp_path / "b.csv")],
+             ["verify", "--only", "band", "--inject-fault", "envelopes", "--atol", "0"]]
+    cli._build_parser.cache_clear()
+    assert [cli._parse(argv).command for argv in argvs] == ["h3", "evolve", "bounds", "verify"]
+    assert cli._build_parser.cache_info().misses == 0
+
+
+def test_no_private_name_of_argparse_is_read():
+    # argparse's private names: its module's, its classes' and a parser's own
+    parser = argparse.ArgumentParser()
+    parser.add_subparsers().add_parser("sub")
+    private = {name for owner in (argparse, *(v for v in vars(argparse).values()
+                                              if isinstance(v, type)), parser)
+               for name in dir(owner) if name.startswith("_") and not name.endswith("__")}
+    read = [f"{path.name}:{node.lineno}: {node.attr}"
+            for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+    assert read == []
 
 
 def test_bounds_table():
@@ -363,6 +395,23 @@ def test_non_finite_time_grid_is_usage_error(command, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: need finite") == 2
+
+
+@pytest.mark.parametrize("grid", [("1", "1.0000000000000002", "3", "log"),
+                                  ("1", "1.0000000000000002", "3", "lin"),
+                                  ("1", "1", "2", "log"), ("2.5", "2.5", "4", "lin")])
+def test_time_grid_that_repeats_a_time_is_usage_error(grid, capsys):
+    # one rule for every subcommand that reads a time grid: exit 2, one line
+    start, stop, count, scale = grid
+    for command in ("h3", "evolve", "bounds"):
+        argv = [command, "--t-start", start, "--t-stop", stop, "--t-count", count,
+                "--t-scale", scale]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: t-start {float(start)!r}, t-stop {float(stop)!r} "
+                                f"and t-count {count} give a time grid that is not "
+                                "strictly increasing\n")
 
 
 @pytest.mark.parametrize("command", ["h3", "evolve", "bounds"])

@@ -525,6 +525,12 @@ def test_times_past_double_range_are_refused():
     assert math.isfinite(h3.evaluate_records(P1, [1e-120]).rate_direct[0])
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+def test_kernel_refuses_a_non_finite_distance(d):
+    with pytest.raises(ValueError, match="d must be nonnegative and finite"):
+        h3.heat_kernel(P1, 1.0, d)
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_non_finite_times_are_refused(t):
     for call in (lambda: h3.evaluate_records(P1, [1.0, t]),

@@ -1053,11 +1053,22 @@ def test_cached_transform_arrays_are_read_only(manifold):
     arrays = [a for value in vars(tr).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    # periodic: T, T' and T'' of the first axis and transposed of the last
-    assert len(arrays) == 6
+    # periodic: T, T' and T'' of the first axis and transposed of the last;
+    # both geometries: the eigenvalues and the volume-measure weights
+    assert len(arrays) == 8
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, SPHERE, sp.torus2(1.0, 2.5)],
+                         ids=["circle", "torus", "sphere", "non-square torus"])
+def test_eigenvalues_are_built_once_read_only(manifold):
+    for cutoff in (1, 3):
+        lam = sp.eigenvalues(manifold, cutoff)
+        assert sp.eigenvalues(manifold, cutoff) is lam
+        with pytest.raises(ValueError, match="read-only"):
+            lam.flat[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
