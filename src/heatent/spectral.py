@@ -8,18 +8,15 @@ the cos for m > 0; on the sphere, normalised Legendre polynomials in
 cos(theta)), so undrifted time evolution is exact: each coefficient just
 decays as exp(-lambda t / 2).
 
-One transform class per geometry holds every per-geometry fact (Laplacian
-eigenvalues, grid points, volume-measure weights, synthesis and analysis,
-u with |grad u|^2), and the table ``_GEOMETRY`` picks it by the manifold's
-kind.  ``_PeriodicTransform`` synthesises by products against one real table
-per axis and analyses by the uniform grid rule; the circle is the one-axis
-torus, the drifted torus the plain torus with a potential.
-``_SphereTransform`` uses Gauss-Legendre in cos(theta).  Each transform is
-built once per (geometry, side lengths, cutoff, grid size) and shared from
-a bounded cache, so its arrays are read-only; its Laplacian eigenvalues and
-volume-measure weights are two of them, built with it, which ``eigenvalues``
-and ``spectral_gap`` return and read.  Synthesis takes rows with leading
-batch axes, each its own product, so values do not depend on the batch.
+One class, ``_Transform``, synthesises, analyses and takes gradients on every
+geometry from per-axis tables of the eigenbasis and its derivatives, and
+projects a constant exactly on each.  A geometry's builder only builds that
+data (``_periodic``: a uniform axis per side, the circle being the one-axis
+torus; ``_sphere``: one axis theta at Gauss-Legendre nodes of cos(theta)),
+and ``_GEOMETRY`` picks it, with the eigenvalue formula, by the manifold's
+kind.  Each transform is built once per (builder, side lengths, cutoff, grid
+size) and shared from a bounded cache, so its arrays are read-only.  Each
+row of a batch is its own product, so values do not depend on the batch.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -42,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -55,8 +53,8 @@ _FD_STEP_SCALE = 1e-4
 # Largest accepted condition number of the drift's reduced mass matrix M'
 # (see ``_drift_propagator``); the drift fixture reads about 1.5.
 MASS_CONDITION_LIMIT = 1e8
-# Distinct transforms kept.  The benchmark's three workloads use 19, which
-# hold 0.36 MB of arrays together.
+# Distinct transforms kept.  The benchmark's three workloads use 16, which
+# hold 0.33 MB of arrays together.
 _TRANSFORM_CACHE_SIZE = 64
 # Grid values one chunk of the row functionals may hold, in whole groups of
 # rows but never less than one group.  A group counts its rows' values, their
@@ -102,9 +100,11 @@ class ManifoldSpec:
 class SpectralField:
     """A function stored as real coefficients against the manifold's
     eigenbasis (periodic: per axis, index j is the sin of |m| for m = j -
-    cutoff < 0 and the cos for m > 0); complex coefficients raise TypeError.
-    A value: equality is bitwise over manifold, cutoff, shape and coefficient
-    bytes, read at each call, so a field changed in place keys afresh."""
+    cutoff < 0 and the cos for m > 0), one per eigenvalue; complex
+    coefficients raise TypeError, and another shape or a cutoff that is not
+    a nonnegative integer ValueError.  A value: equality is bitwise over manifold, cutoff, shape
+    and coefficient bytes, read at each call, so a field changed in place
+    keys afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
@@ -113,6 +113,13 @@ class SpectralField:
     def __post_init__(self):
         if np.iscomplexobj(self.coefficients):
             raise TypeError("field coefficients must be real")
+        (kind, lengths), cutoff = (self.manifold.kind, self.manifold.lengths), self.cutoff
+        if not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
+            raise ValueError(f"{kind} field cutoff must be a nonnegative integer, not {cutoff!r}")
+        shape = tuple(lam.size for lam in _geometry(self.manifold)[1](lengths, cutoff))
+        if np.shape(self.coefficients) != shape:
+            raise ValueError(f"{kind} field of cutoff {cutoff} needs coefficients of shape "
+                             f"{shape}, not {np.shape(self.coefficients)}")
 
     def _key(self) -> tuple:
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -126,20 +133,20 @@ class SpectralField:
 
 
 def circle(length: float = 1.0) -> ManifoldSpec:
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
     return ManifoldSpec("circle", (length,), 1, 0.0, length)
 
 
 def torus2(l1: float = 1.0, l2: float = 1.0) -> ManifoldSpec:
-    if l1 <= 0.0 or l2 <= 0.0:
-        raise ValueError("side lengths must be positive")
+    if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf):
+        raise ValueError("side lengths must be positive and finite")
     return ManifoldSpec("torus2", (l1, l2), 2, 0.0, l1 * l2)
 
 
 def sphere2(radius: float = 1.0) -> ManifoldSpec:
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     r2 = radius * radius
     return ManifoldSpec("sphere2", (radius,), 2, 1.0 / r2, 4.0 * math.pi * r2)
 
@@ -170,63 +177,55 @@ def _grid_size(cutoff: int) -> int:
     return max(_MIN_GRID, 2 * GRID_OVERSAMPLE * max(cutoff, 1))
 
 
-class _PeriodicTransform:
-    """Circle and flat 2-tori: one uniform axis per side length and one real
-    orthonormal table per axis, T (n x (2 cutoff + 1)), whose column j is the
-    mode m = j - cutoff: sqrt2 sin(2 pi |m| x / L) / sqrt L for m < 0,
-    1 / sqrt L for m = 0 and sqrt2 cos(2 pi m x / L) / sqrt L for m > 0.  A
-    field A synthesises as T A T^T (the circle, the one-axis torus: A T^T),
-    a derivative swaps the differentiated table T' or T'' in on its axis,
-    and analysis is the grid rule T^T diag(w) u T, exact for these modes."""
+@dataclass(frozen=True, eq=False)
+class _Transform:
+    """Per grid axis a real table T (points x modes) of the eigenbasis, with
+    T' (and T''): ``first`` holds the first axis's, ``last`` the last axis's
+    transposed (one axis: its own), contiguous for matmul's BLAS path.  A
+    field A synthesises as T A T^T (one axis: A T^T), a derivative swaps T'
+    or T'' in on its axis, and analysis is the grid rule T^T diag(w) u T of
+    u - u_0, u_0 the first grid value, with u_0 sqrt(volume) put back on the
+    constant, so a constant projects exactly.  ``off_grid`` holds tables,
+    laid out as ``last``, of points ``grid_extrema`` also searches."""
 
-    def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
-        self.lengths = lengths
-        self.n = n
-        self.shape = (n,) * len(lengths)
-        self.size = math.prod(self.shape)
-        self.volume = math.prod(lengths)
-        modes = np.arange(-cutoff, cutoff + 1)
-        # the phase (|m| j) mod n is exact in integers; x_j = j L / n on every axis
-        angle = (2.0 * math.pi / n) * (np.outer(np.arange(n), np.abs(modes)) % n)
-        wave = (np.where(modes < 0, np.sin(angle), np.cos(angle))
-                * np.where(modes == 0, 1.0, math.sqrt(2.0)))
-        # T, T' and T'' per axis: d/dx takes the cos of mode m > 0 to -k sin and
-        # its sin to k cos (k = 2 pi m / L), so T' is T with its columns
-        # reversed (m to -m) and scaled by -k, and T'' is -k^2 T
-        tables = [(t, -t[:, ::-1] * k, -t * k * k)
-                  for t, k in ((wave / math.sqrt(length), 2.0 * math.pi * modes / length)
-                               for length in lengths)]
-        # the first axis's, and the last's transposed (the same on the circle),
-        # contiguous for matmul's BLAS path
-        self.first = tuple(map(_read_only, tables[0]))
-        self.last = tuple(_read_only(np.ascontiguousarray(t.T)) for t in tables[-1])
-        self.eigenvalues = _read_only(sum((2.0 * math.pi * m / length) ** 2 for m, length
-                                          in zip(np.ix_(*[modes] * len(lengths)), lengths)))
-        self.weights = _read_only(np.full(self.shape, self.volume / self.size))
+    first: tuple[np.ndarray, ...]
+    last: tuple[np.ndarray, ...]
+    axes: tuple[np.ndarray, ...]
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    volume: float
+    constant: tuple[int, ...]
+    off_grid: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        for array in (*self.first, *self.last, *self.axes, *self.off_grid, self.eigenvalues,
+                      self.weights):
+            _read_only(array)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(axis.size for axis in self.axes)
 
     def points(self) -> Sequence[np.ndarray]:
-        axes = [np.arange(self.n) * (length / self.n) for length in self.lengths]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*self.axes, indexing="ij")
 
     def synth(self, coeffs: np.ndarray, order: tuple[int, ...] = ()) -> np.ndarray:
         """Grid values of each field's derivative along the axes of ``order``
-        (an axis at most twice; () for the field itself); axes of ``coeffs``
-        before the mode axes are batch axes.  Each field is its own product
-        on contiguous operands (matmul skips BLAS on strided ones), so its
-        values are the same alone or in any batch."""
+        (() for the field itself); axes of ``coeffs`` before the mode axes
+        are batch axes.  Each field is its own product on contiguous operands
+        (matmul skips BLAS on strided ones), so its values are the same alone
+        or in any batch."""
         a = np.ascontiguousarray(coeffs, dtype=float)
-        last = self.last[order.count(len(self.shape) - 1)]
-        if len(self.shape) == 1:
+        last = self.last[order.count(len(self.axes) - 1)]
+        if len(self.axes) == 1:
             return _row_products(a, last)
         return self.first[order.count(0)] @ (a @ last)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """The grid rule of u - u_0, u_0 the first grid value, with u_0 put
-        back on the constant, so that a constant projects exactly."""
         shift = values.flat[0]
-        u = ((values - shift) * (self.volume / self.size)) @ self.last[0].T
-        coeffs = u if len(self.shape) == 1 else self.first[0].T @ u
-        coeffs[tuple(np.array(coeffs.shape) // 2)] += shift * math.sqrt(self.volume)
+        u = ((values - shift) * self.weights) @ self.last[0].T
+        coeffs = u if len(self.axes) == 1 else self.first[0].T @ u
+        coeffs[self.constant] += shift * math.sqrt(self.volume)
         return coeffs
 
     def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...]) -> np.ndarray:
@@ -236,79 +235,74 @@ class _PeriodicTransform:
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
         the grid; the other rows synthesise no gradient."""
-        grad2, *rest = [self.synth(rows[::every], (axis,)) for axis in range(len(self.shape))]
+        grad2, *rest = [self.synth(rows[::every], (axis,)) for axis in range(len(self.axes))]
         grad2 *= grad2
         for g in rest:  # squared and summed in place
             g *= g
             grad2 += g
         return self.synth(rows), grad2
 
-    extremal_samples = synth  # the field values ``grid_extrema`` searches: the grid's
+
+@functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
+def _periodic_spectrum(lengths: tuple[float, ...], cutoff: int) -> tuple[np.ndarray, ...]:
+    """Per axis of side L, the eigenvalues (2 pi m / L)^2, m = -cutoff..cutoff."""
+    modes = np.arange(-cutoff, cutoff + 1)
+    return tuple(_read_only((2.0 * math.pi * modes / length) ** 2) for length in lengths)
 
 
-class _SphereTransform:
-    """Zonal sector: everything reduces to Gauss-Legendre in x = cos(theta)."""
-
-    def __init__(self, lengths: tuple[float, ...], cutoff: int, n: int):
-        self.radius = lengths[0]
-        x, w = np.polynomial.legendre.leggauss(n)
-        self.x = _read_only(x)
-        self.w = _read_only(w)
-        ells = np.arange(cutoff + 1)
-        self.norms = _read_only(
-            np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi * self.radius * self.radius)))
-        self.p = _read_only(self._legendre_table(cutoff, x))
-        self.dp = _read_only(self._legendre_derivative_table(self.p, x))
-        # P_l at the poles x = 1 and x = -1 is 1 and (-1)^l
-        self._poles = _read_only(np.stack([np.ones(cutoff + 1), (-1.0) ** ells], axis=1))
-        self.eigenvalues = _read_only(ells * (ells + 1.0) / lengths[0] ** 2)
-        self.weights = _read_only(2.0 * math.pi * self.radius ** 2 * w)
-
-    @staticmethod
-    def _legendre_table(cutoff: int, x: np.ndarray) -> np.ndarray:
-        p = np.zeros((cutoff + 1, x.size))
-        p[0] = 1.0
-        if cutoff >= 1:
-            p[1] = x
-        for ell in range(1, cutoff):
-            p[ell + 1] = ((2 * ell + 1) * x * p[ell] - ell * p[ell - 1]) / (ell + 1)
-        return p
-
-    @staticmethod
-    def _legendre_derivative_table(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        dp = np.zeros_like(p)
-        one_minus = 1.0 - x * x  # Gauss nodes are interior, so never zero
-        for ell in range(1, p.shape[0]):
-            dp[ell] = ell * (p[ell - 1] - x * p[ell]) / one_minus
-        return dp
-
-    def points(self) -> Sequence[np.ndarray]:
-        return (np.arccos(self.x),)
-
-    def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return _row_products(coeffs * self.norms, self.p)
-
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        shell = 2.0 * math.pi * self.radius * self.radius
-        return shell * self.norms * (self.p @ (self.w * values))
-
-    def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
-        """(u of each coefficient row, |grad u|^2 of every ``every``-th row) at
-        the Gauss-Legendre nodes; the other rows take no ``dp`` product."""
-        # the zonal gradient is the theta-derivative over the radius
-        sin_theta = np.sqrt(1.0 - self.x * self.x)
-        du = -sin_theta * _row_products(rows[::every] * self.norms, self.dp) / self.radius
-        return _row_products(rows * self.norms, self.p), du * du
-
-    def extremal_samples(self, coeffs: np.ndarray) -> np.ndarray:
-        """The field values ``grid_extrema`` searches: the grid's, then the
-        two poles', which Gauss-Legendre nodes never reach."""
-        scaled = coeffs * self.norms
-        return np.concatenate([_row_products(scaled, t) for t in (self.p, self._poles)], axis=-1)
+@functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
+def _sphere_spectrum(lengths: tuple[float, ...], cutoff: int) -> tuple[np.ndarray, ...]:
+    """On the one axis, the zonal eigenvalues l (l + 1) / R^2, l = 0..cutoff."""
+    ells = np.arange(cutoff + 1)
+    return (_read_only(ells * (ells + 1.0) / lengths[0] ** 2),)
 
 
-_GEOMETRY = {"circle": _PeriodicTransform, "torus2": _PeriodicTransform,
-             "torus2_drift": _PeriodicTransform, "sphere2": _SphereTransform}
+def _periodic(lengths: tuple[float, ...], cutoff: int, n: int) -> _Transform:
+    """Circle and flat 2-tori: n points x_j = j L / n per side L, and column j
+    of T is the mode m = j - cutoff: sqrt2 sin(2 pi |m| x / L) / sqrt L for
+    m < 0, 1 / sqrt L for m = 0 and sqrt2 cos(2 pi m x / L) / sqrt L for m > 0."""
+    modes = np.arange(-cutoff, cutoff + 1)
+    # the phase (|m| j) mod n is exact in integers
+    angle = (2.0 * math.pi / n) * (np.outer(np.arange(n), np.abs(modes)) % n)
+    wave = (np.where(modes < 0, np.sin(angle), np.cos(angle))
+            * np.where(modes == 0, 1.0, math.sqrt(2.0)))
+    # d/dx takes the cos of mode m > 0 to -k sin and its sin to k cos
+    # (k = 2 pi m / L), so T' is T with its columns reversed (m to -m) and
+    # scaled by -k, and T'' is -k^2 T
+    tables = [(t, -t[:, ::-1] * k, -t * k * k)
+              for t, k in ((wave / math.sqrt(length), 2.0 * math.pi * modes / length)
+                           for length in lengths)]
+    volume, shape = math.prod(lengths), (n,) * len(lengths)
+    return _Transform(tables[0], tuple(np.ascontiguousarray(t.T) for t in tables[-1]),
+                      tuple(np.arange(n) * (length / n) for length in lengths),
+                      sum(np.ix_(*_periodic_spectrum(lengths, cutoff))),
+                      np.full(shape, volume / math.prod(shape)), volume, (cutoff,) * len(lengths))
+
+
+def _sphere(lengths: tuple[float, ...], cutoff: int, n: int) -> _Transform:
+    """Zonal 2-sphere of radius R: one axis theta at the Gauss-Legendre nodes
+    of x = cos(theta), T = norms P_l(x) with norms = sqrt((2 l + 1) / (4 pi
+    R^2)), T' = -(sin theta / R) norms P_l'(x) the zonal gradient, and no
+    T''.  The weights are 2 pi R^2 times Gauss-Legendre's; the poles, which
+    the nodes never reach, are off the grid, with P_l(+-1) = (+-1)^l."""
+    (radius,) = lengths
+    x, w = np.polynomial.legendre.leggauss(n)
+    ells = np.arange(cutoff + 1)[:, np.newaxis]
+    norms = np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi * radius * radius))
+    p = np.polynomial.legendre.legvander(x, cutoff).T
+    dp = np.zeros_like(p)  # P_l' = l (P_{l-1} - x P_l) / (1 - x^2), x interior
+    dp[1:] = ells[1:] * (p[:-1] - x * p[1:]) / (1.0 - x * x)
+    last = (norms * p, norms * dp * (-np.sqrt(1.0 - x * x) / radius))
+    return _Transform(tuple(t.T for t in last), last, (np.arccos(x),),
+                      sum(np.ix_(*_sphere_spectrum(lengths, cutoff))),
+                      2.0 * math.pi * radius ** 2 * w, 4.0 * math.pi * radius * radius, (0,),
+                      (norms * np.hstack([np.ones_like(ells), (-1.0) ** ells]),))
+
+
+# each kind's transform builder and per-axis eigenvalue formula; the formulas'
+# arrays are cached and read-only, as every field's shape check reads them
+_GEOMETRY = {"circle": (_periodic, _periodic_spectrum), "torus2": (_periodic, _periodic_spectrum),
+             "torus2_drift": (_periodic, _periodic_spectrum), "sphere2": (_sphere, _sphere_spectrum)}
 
 
 def _geometry(manifold: ManifoldSpec):
@@ -330,18 +324,16 @@ def _row_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _transform(manifold: ManifoldSpec, cutoff: int, grid_points: Optional[int] = None):
-    """The shared transform of the manifold's geometry at this cutoff and grid.
-
-    Keyed on the geometry and side lengths rather than the whole manifold,
-    so the drifted torus shares the build of its plain torus.
-    """
+    """The shared transform of the manifold's geometry at this cutoff and grid,
+    keyed on the builder and side lengths, so the drifted torus shares the
+    build of its plain torus."""
     n = grid_points if grid_points is not None else _grid_size(cutoff)
-    return _cached_transform(_geometry(manifold), manifold.lengths, cutoff, n)
+    return _cached_transform(_geometry(manifold)[0], manifold.lengths, cutoff, n)
 
 
 @functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
-def _cached_transform(geometry, lengths: tuple[float, ...], cutoff: int, n: int):
-    return geometry(lengths, cutoff, n)
+def _cached_transform(build, lengths: tuple[float, ...], cutoff: int, n: int) -> _Transform:
+    return build(lengths, cutoff, n)
 
 
 def eigenvalues(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
@@ -351,9 +343,9 @@ def eigenvalues(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
 
 
 def spectral_gap(manifold: ManifoldSpec) -> float:
-    """Smallest nonzero Laplacian eigenvalue."""
-    lam = eigenvalues(manifold, 1)
-    return float(lam[lam > 0.0].min())
+    """Smallest nonzero Laplacian eigenvalue: the smallest of any axis, since
+    each axis has the constant's 0; no transform is built."""
+    return min(float(lam[lam > 0.0].min()) for lam in _geometry(manifold)[1](manifold.lengths, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +377,8 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
     must be finite and the cutoff must capture essentially all of their
     energy, or SpectralTruncationError is raised.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
+        raise ValueError(f"cutoff must be a nonnegative integer, not {cutoff!r}")
     tr = _transform(manifold, cutoff)
     values = np.asarray(f(*tr.points()), dtype=float)
     if not np.all(np.isfinite(values)):
@@ -554,7 +546,7 @@ def _drift_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     aliasing 2e-3 w^(0) there), which so few modes cannot resolve anyway."""
     tr = _transform(manifold, cutoff)
     potential = manifold.drift
-    v = _transform(manifold, potential.cutoff, tr.n).synth(potential.coefficients)
+    v = _transform(manifold, potential.cutoff, tr.shape[0]).synth(potential.coefficients)
     raw = np.exp(2.0 * v) * tr.weights
     return _read_only(raw / raw.sum())
 
@@ -650,8 +642,8 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
 
 
 def _flat_torus(manifold: ManifoldSpec, cutoff: int, n: Optional[int], check: str):
-    """The transform of a two-axis periodic manifold; other geometries raise."""
-    if _geometry(manifold) is not _PeriodicTransform or len(manifold.lengths) != 2:
+    """The transform of a flat torus, drifted or not; other manifolds raise."""
+    if manifold.kind not in ("torus2", "torus2_drift"):
         raise ValueError(f"the {check} check runs on flat tori")
     return _transform(manifold, cutoff, n)
 
@@ -782,9 +774,9 @@ def laplacian_l2_norm(field: SpectralField) -> float:
 
 
 def grid_extrema(field: SpectralField) -> tuple[float, float]:
-    """(min, max) over the oversampled evaluation grid, and on the sphere
-    also over its two poles, where P_l(+-1) = (+-1)^l gives the field
-    exactly.
+    """(min, max) over the oversampled evaluation grid and the transform's
+    points off it: the sphere's two poles, where P_l(+-1) = (+-1)^l gives
+    the field exactly.
 
     These extrema lie inside the true range.  The periodic fixtures' and the
     sphere fixture's extrema land on these points, so for them the values
@@ -793,5 +785,6 @@ def grid_extrema(field: SpectralField) -> tuple[float, float]:
     makes |log sup f| in the spectral-gap bound larger, so that bound comes
     out looser.
     """
-    u = _transform(field.manifold, field.cutoff).extremal_samples(field.coefficients)
-    return float(u.min()), float(u.max())
+    tr, c = _transform(field.manifold, field.cutoff), field.coefficients
+    u = [tr.synth(c), *(c @ table for table in tr.off_grid)]
+    return min(float(s.min()) for s in u), max(float(s.max()) for s in u)

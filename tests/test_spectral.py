@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,17 @@ def test_drift_requires_plain_torus():
         sp.torus2_drift(circle_pot)
 
 
+@pytest.mark.parametrize("make", [lambda: sp.circle(math.nan), lambda: sp.circle(math.inf),
+                                  lambda: sp.circle(0.0), lambda: sp.torus2(math.inf, 1.0),
+                                  lambda: sp.torus2(1.0, math.nan), lambda: sp.torus2(-1.0, 1.0),
+                                  lambda: sp.sphere2(math.nan), lambda: sp.sphere2(math.inf)],
+                         ids=["circle nan", "circle inf", "circle 0", "torus inf", "torus nan",
+                              "torus negative", "sphere nan", "sphere inf"])
+def test_non_finite_or_non_positive_sizes_are_refused(make):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        make()
+
+
 def test_eigenvalue_conventions():
     lam = sp.eigenvalues(CIRCLE, 2)
     assert lam[2] == 0.0  # constant mode
@@ -79,6 +91,37 @@ def test_non_square_torus_eigenvalues_and_gap():
     assert sp.spectral_gap(torus) == pytest.approx((2.0 * math.pi / 1.5) ** 2, rel=1e-15)
     assert sp.spectral_gap(sp.torus2(1.0, 1.0)) == pytest.approx((2.0 * math.pi) ** 2,
                                                                 rel=1e-15)
+
+
+def test_spectral_gap_builds_no_transform():
+    sp._cached_transform.cache_clear()
+    gaps = [sp.spectral_gap(manifold) for manifold in
+            (sp.circle(), sp.circle(0.3), sp.torus2(1.0, 1.5), sp.sphere2(2.0))]
+    assert sp._cached_transform.cache_info().currsize == 0
+    assert gaps == [(2.0 * math.pi) ** 2, (2.0 * math.pi / 0.3) ** 2,
+                    (2.0 * math.pi / 1.5) ** 2, 0.5]
+    # the same smallest nonzero entry as the transform's eigenvalues
+    for manifold, gap in zip((sp.circle(0.3), sp.torus2(1.0, 1.5), sp.sphere2(2.0)), gaps[1:]):
+        lam = sp.eigenvalues(manifold, 1)
+        assert lam[lam > 0.0].min() == gap
+
+
+def test_sphere_transform_calls_leggauss_once(monkeypatch):
+    # the benchmark counts Gauss-Legendre node builds through this attribute
+    field = fx.get_fixture("sphere").initial
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    sp._cached_transform.cache_clear()
+    tr = sp._transform(field.manifold, field.cutoff)
+    assert sp._transform(field.manifold, field.cutoff) is tr
+    sp.resolve(field)
+    assert calls == [tr.shape[0]]
 
 
 def test_non_square_torus_matches_circle_for_y_profile():
@@ -117,7 +160,9 @@ def test_fields_differing_in_any_part_are_unequal():
     coeffs[2, 2] += 1e-12
     drifted = fx.drift_fixture().initial
     other_potential = sp.project_potential(TORUS, lambda x, y: 0.2 * np.sin(2.0 * np.pi * x), 2)
-    pairs = [(field, sp.SpectralField(TORUS, field.coefficients, 3)),
+    padded = np.zeros((7, 7))
+    padded[1:-1, 1:-1] = field.coefficients
+    pairs = [(field, sp.SpectralField(TORUS, padded, 3)),
              (field, sp.SpectralField(TORUS, coeffs, 2)),
              (field, _equal_torus_field(sp.torus2(1.0, 1.5))),
              (drifted, sp.SpectralField(sp.torus2_drift(other_potential),
@@ -395,18 +440,48 @@ def test_wave_table_synthesis_equals_full_complex_synthesis(lengths, batch, grid
             assert np.array_equal(tr.synth(field, order), values)
 
 
-@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, sp.torus2(1.0, 1.5)],
-                         ids=["circle", "torus", "torus2_1x1.5"])
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, sp.torus2(1.0, 1.5), SPHERE, sp.sphere2(2.0)],
+                         ids=["circle", "torus", "torus2_1x1.5", "sphere", "sphere_r2"])
 def test_analysis_inverts_synthesis_and_projects_constants_exactly(manifold):
-    cutoff = 3
-    tr = sp._transform(manifold, cutoff)
-    coeffs = np.random.default_rng(7).normal(size=(2 * cutoff + 1,) * manifold.dimension)
-    assert np.abs(tr.analyze(tr.synth(coeffs)) - coeffs).max() <= 1e-14
-    constant = tr.analyze(np.full(tr.shape, 0.7))
-    centre = (cutoff,) * manifold.dimension
-    assert constant[centre] == 0.7 * math.sqrt(manifold.volume)
-    constant[centre] = 0.0
-    assert not constant.any()
+    for cutoff in (3, 8):
+        tr = sp._transform(manifold, cutoff)
+        if manifold.kind == "sphere2":  # normalised Legendre l = 0..cutoff
+            shape, centre = (cutoff + 1,), (0,)
+        else:  # modes -cutoff..cutoff per axis
+            shape, centre = (2 * cutoff + 1,) * manifold.dimension, (cutoff,) * manifold.dimension
+        if cutoff == 3:
+            coeffs = np.random.default_rng(7).normal(size=shape)
+            assert np.abs(tr.analyze(tr.synth(coeffs)) - coeffs).max() <= 1e-14
+        constant = tr.analyze(np.full(tr.shape, 0.7))
+        assert constant[centre] == 0.7 * math.sqrt(manifold.volume)
+        constant[centre] = 0.0
+        assert not constant.any(), cutoff
+
+
+@pytest.mark.parametrize("manifold, cutoff, shape, expected", [
+    (CIRCLE, 2, (5, 5), (5,)), (CIRCLE, 2, (7,), (5,)), (TORUS, 2, (5,), (5, 5)),
+    (TORUS, 1, (5, 5), (3, 3)), (SPHERE, 2, (5,), (3,)), (SPHERE, 2, (3, 3), (3,))],
+    ids=["circle batch", "circle cutoff", "torus row", "torus cutoff", "sphere periodic",
+         "sphere batch"])
+def test_mis_shaped_coefficients_are_refused(manifold, cutoff, shape, expected):
+    message = (f"{manifold.kind} field of cutoff {cutoff} needs coefficients of shape "
+               f"{re.escape(str(expected))}, not {re.escape(str(shape))}")
+    with pytest.raises(ValueError, match=message):
+        sp.SpectralField(manifold, np.ones(shape), cutoff)
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, SPHERE], ids=["circle", "torus", "sphere"])
+@pytest.mark.parametrize("cutoff, shape", [(-1, (1,)), (2.5, (6,)), (2.0, (5,))])
+def test_cutoff_that_is_not_a_nonnegative_integer_is_refused(manifold, cutoff, shape):
+    # 2.5 would give the circle modes -2.5..2.5, which are not periodic
+    coeffs = np.ones(shape if manifold.kind != "torus2" else shape * 2)
+    with pytest.raises(ValueError, match=f"{manifold.kind} field cutoff must be a nonnegative "
+                                         f"integer, not {cutoff!r}"):
+        sp.SpectralField(manifold, coeffs, cutoff)
+    misses = sp._cached_transform.cache_info().misses
+    with pytest.raises(ValueError, match=f"cutoff must be a nonnegative integer, not {cutoff!r}"):
+        sp.project_potential(manifold, lambda *x: np.ones_like(x[0]), cutoff)
+    assert sp._cached_transform.cache_info().misses == misses  # no transform was built
 
 
 @pytest.mark.parametrize("name", ["circle", "torus", "torus-drift"])
@@ -884,12 +959,13 @@ def chunk_rows(monkeypatch) -> list:
     """A list that records the row count of every chunk the row functionals
     synthesise (one ``values_and_gradients`` call each) from now on."""
     rows_per_chunk = []
-    for transform in (sp._PeriodicTransform, sp._SphereTransform):
-        def counted(self, rows, every, original=transform.values_and_gradients):
-            rows_per_chunk.append(len(rows))
-            return original(self, rows, every)
+    original = sp._Transform.values_and_gradients
 
-        monkeypatch.setattr(transform, "values_and_gradients", counted)
+    def counted(self, rows, every):
+        rows_per_chunk.append(len(rows))
+        return original(self, rows, every)
+
+    monkeypatch.setattr(sp._Transform, "values_and_gradients", counted)
     return rows_per_chunk
 
 
@@ -936,30 +1012,20 @@ def test_trace_chunk_count(case, monkeypatch):
 # grid axis; the t +- h rows, which feed rate_fd alone, synthesise values only.
 @pytest.mark.parametrize("name, per_time", [("circle", {"fields": 4}), ("torus", {"fields": 5}),
                                             ("torus-drift", {"fields": 5}),
-                                            ("sphere", {"p": 3, "dp": 1})])
+                                            ("sphere", {"fields": 4})])
 def test_neighbour_rows_synthesise_no_gradient(name, per_time, monkeypatch):
     fixture = fx.get_fixture(name)
     field = fixture.initial
     times = fixture.default_times
     sp.entropy_trace(field, times)  # fills the caches outside the count
-    tr = sp._transform(field.manifold, field.cutoff)
     counts = collections.Counter()
-    synth, row_products = sp._PeriodicTransform.synth, sp._row_products
+    synth = sp._Transform.synth
 
     def counted_synth(self, coeffs, *order):
         counts["fields"] += coeffs.size // field.coefficients.size
         return synth(self, coeffs, *order)
 
-    # the sphere's value and derivative tables, not the drift propagator's
-    tables = {id(table): label for label, table in vars(tr).items() if label in ("p", "dp")}
-
-    def counted_products(rows, table):
-        if id(table) in tables:
-            counts[tables[id(table)]] += rows.size // table.shape[0]
-        return row_products(rows, table)
-
-    monkeypatch.setattr(sp._PeriodicTransform, "synth", counted_synth)
-    monkeypatch.setattr(sp, "_row_products", counted_products)
+    monkeypatch.setattr(sp._Transform, "synth", counted_synth)
     sp.entropy_trace(field, times)
     assert counts == {key: n * len(times) for key, n in per_time.items()}
 
@@ -1053,9 +1119,11 @@ def test_cached_transform_arrays_are_read_only(manifold):
     arrays = [a for value in vars(tr).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    # periodic: T, T' and T'' of the first axis and transposed of the last;
-    # both geometries: the eigenvalues and the volume-measure weights
-    assert len(arrays) == 8
+    # the tables of the first axis and transposed of the last (periodic: T, T'
+    # and T''; sphere: T and T'), the grid axes (one per periodic side; the
+    # sphere's theta), the eigenvalues, the volume-measure weights, and the
+    # sphere's pole table
+    assert len(arrays) == {"circle": 9, "torus2": 10, "sphere2": 8}[manifold.kind]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
