@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class BoundReport:
 
     @property
     def all_satisfied(self) -> bool:
-        return bool(np.all(self.satisfied))
+        return bool(self.satisfied.all())
 
 
 def _make_report(name: str, times: np.ndarray, lhs: np.ndarray,
@@ -71,7 +72,7 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t: float) -> float:
     kt = k * t
     # A subnormal k t keeps too few bits for the expm1 ratio below; the k = 0
     # formula is exact to double precision there.
-    if abs(kt) < np.finfo(float).tiny:
+    if abs(kt) < sys.float_info.min:
         return n * q0 / (2.0 * (n + q0 * t))
     if kt > 700.0:
         return 0.0
@@ -153,7 +154,7 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     if manifold != initial.manifold:
         raise ValueError("the manifold must be the initial field's")
     times = np.asarray(times, dtype=float)
-    if not np.all((0.0 < times) & (times < math.inf)):
+    if not ((0.0 < times) & (times < math.inf)).all():
         raise ValueError("times must be positive and finite")
     q0, inf_f, sup_f, norm_lap = _initial_constants(initial)
     k = manifold.ricci_lower_bound

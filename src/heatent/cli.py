@@ -154,11 +154,29 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
                          f"{sys.float_info.min!r}")
     if count == 1:
         return np.array([start])
-    grid = (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
+    if scale == "log":
+        # np.geomspace's arithmetic: 10 ** linspace of the log10 ends, with
+        # the ends themselves put back
+        grid = np.power(10.0, _spaced(*np.log10(np.array([start, stop])), count))
+        grid[0], grid[-1] = start, stop
+    else:
+        grid = _spaced(start, stop, count)
     # a grid too fine for its window repeats a time, as does t-start = t-stop
-    if np.any(grid[1:] <= grid[:-1]):
+    if (grid[1:] <= grid[:-1]).any():
         raise UsageError(f"t-start {start!r}, t-stop {stop!r} and t-count {count} "
                          "give a time grid that is not strictly increasing")
+    return grid
+
+
+def _spaced(start: float, stop: float, count: int) -> np.ndarray:
+    """np.linspace(start, stop, count), count >= 2, by its own arithmetic:
+    i (stop - start) / (count - 1) + start, then stop itself last.  (Where
+    that step underflows to 0 numpy takes another order, but then both grids
+    repeat a time, which ``_time_grid`` refuses.)"""
+    grid = np.arange(count, dtype=float)
+    grid *= (stop - start) / (count - 1)
+    grid += start
+    grid[-1] = stop
     return grid
 
 
@@ -316,7 +334,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
-        "evolve", np.all([r.satisfied for r in reports], axis=0), trace.times,
+        "evolve", np.logical_and.reduce([r.satisfied for r in reports]), trace.times,
         lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
                    for r in reports if not r.satisfied[i]])
 

@@ -414,6 +414,23 @@ def test_time_grid_that_repeats_a_time_is_usage_error(grid, capsys):
                                 "strictly increasing\n")
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ends=st.lists(st.floats(1e-12, 1e12), min_size=2, max_size=2),
+       count=st.integers(2, 59), scale=st.sampled_from(["log", "lin"]))
+def test_time_grid_is_numpys_grid_bit_for_bit(ends, count, scale):
+    # the installed numpy's geomspace or linspace, bit for bit, and a usage
+    # error exactly where that grid repeats a time
+    start, stop = sorted(ends)
+    args = argparse.Namespace(t_start=start, t_stop=stop, t_count=count, t_scale=scale)
+    expected = (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
+    if (expected[1:] > expected[:-1]).all():
+        grid = cli._time_grid(args)
+        assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(cli.UsageError, match="not strictly increasing"):
+            cli._time_grid(args)
+
+
 @pytest.mark.parametrize("command", ["h3", "evolve", "bounds"])
 def test_subnormal_time_grid_is_usage_error(command, tmp_path, capsys):
     grid = {"t_start": 1e-320, "t_stop": 1e-320, "t_count": 1}

@@ -615,7 +615,7 @@ def test_subnormal_coordinates_are_flushed_without_moving_a_bit():
     x = np.exp(np.outer(-times, rates)) * (right @ drift.coefficients.ravel())
     assert np.any((x != 0.0) & (np.abs(x) < tiny))
     assert np.array_equal(sp._propagate(drift, times),
-                          sp._row_products(x, left.T).reshape(rows.shape))
+                          sp._block_products(x, left.T).reshape(rows.shape))
 
 
 def _quadrature_pencil(manifold, cutoff, n=128):
@@ -905,8 +905,9 @@ def test_trace_validates_grid():
         sp.entropy_trace(fx.drift_fixture().initial, [0.2, 0.1])
 
 
-# Every row is synthesised by its own products, so a trace row is
-# bit-identical to the lone field's functionals on every geometry.
+# Every row is synthesised by its own products and drifted rows are
+# propagated in blocks of one shape, so a trace row is bit-identical to the
+# lone field's functionals on every geometry.
 @pytest.mark.parametrize("name", ["circle", "torus", "sphere", "torus-drift"])
 def test_trace_rows_equal_single_time_functionals(name):
     fixture = fx.get_fixture(name)
@@ -926,9 +927,10 @@ def test_trace_rows_equal_single_time_functionals(name):
     assert np.array_equal(trace.rate_fd, rate_fd)
 
 
-# Each drifted row is its own vector-matrix product, so it equals the lone
-# evolve bit for bit whatever the BLAS thread count; the test above asserts
-# the same under the suite's own thread count, this one at 1 and 2 threads.
+# Drifted rows are propagated in blocks of one fixed shape, so each equals
+# the lone evolve bit for bit whatever the BLAS thread count; the test above
+# asserts the same under the suite's own thread count, this one at 1 and 2
+# threads.
 _DRIFT_ROWS_CHECK = """
 import numpy as np
 from heatent import fixtures as fx, spectral as sp
@@ -952,6 +954,44 @@ assert np.array_equal(trace.rate_fd, rate_fd), (trace.rate_fd, rate_fd)
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_drift_trace_rows_equal_single_time_functionals_at_any_thread_count(threads):
     proc = run_python("-c", _DRIFT_ROWS_CHECK, OPENBLAS_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+
+
+# A row's bits in a block product depend neither on its place in the block
+# nor on the rows beside it or the batch's length, and a lone evolve equals
+# its row of a 24-row (8-time) trace batch.  Rows span magnitudes 1e-300 to
+# 1e30, flushed of subnormals as ``_propagate`` flushes them.
+_BLOCK_PRODUCT_CHECK = """
+import sys
+import numpy as np
+from heatent import fixtures as fx, spectral as sp
+
+field = fx.drift_fixture().initial
+table = sp._drift_propagator(field.manifold, field.cutoff)[1].T
+rng = np.random.default_rng(5)
+
+def random_rows(count):
+    rows = rng.standard_normal((count, len(table))) * 10.0 ** rng.uniform(-300, 30, (count, len(table)))
+    rows[np.abs(rows) < sys.float_info.min] = 0.0
+    return rows
+
+for _ in range(25):
+    row = random_rows(1)[0]
+    alone = sp._block_products(row[np.newaxis], table)[0]
+    for position in range(8):
+        batch = random_rows(int(rng.integers(position + 1, 25)))
+        batch[position] = row
+        assert np.array_equal(sp._block_products(batch, table)[position], alone), position
+
+times = np.geomspace(0.02, 2.0, 24)
+for t, row in zip(times, sp._propagate(field, times)):
+    assert np.array_equal(sp.evolve(field, t).coefficients, row), t
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_block_product_rows_do_not_depend_on_their_batch(threads):
+    proc = run_python("-c", _BLOCK_PRODUCT_CHECK, OPENBLAS_NUM_THREADS=threads)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1119,11 +1159,11 @@ def test_cached_transform_arrays_are_read_only(manifold):
     arrays = [a for value in vars(tr).values()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    # the tables of the first axis and transposed of the last (periodic: T, T'
-    # and T''; sphere: T and T'), the grid axes (one per periodic side; the
-    # sphere's theta), the eigenvalues, the volume-measure weights, and the
-    # sphere's pole table
-    assert len(arrays) == {"circle": 9, "torus2": 10, "sphere2": 8}[manifold.kind]
+    # the tables of the first axis (two-axis torus only) and transposed of the
+    # last (periodic: T, T' and T''; sphere: T and T'), the grid axes (one per
+    # periodic side; the sphere's theta), the eigenvalues, the volume-measure
+    # weights, and the sphere's pole table
+    assert len(arrays) == {"circle": 6, "torus2": 10, "sphere2": 6}[manifold.kind]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
