@@ -4,14 +4,12 @@ from . import bounds, fixtures, h3entropy, spectral, verify
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureDomainError,
-    QuadratureSpec,
     integrate_batch,
 )
 
 __all__ = [
     "QuadratureConvergenceError",
     "QuadratureDomainError",
-    "QuadratureSpec",
     "bounds",
     "fixtures",
     "h3entropy",

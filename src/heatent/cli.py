@@ -38,15 +38,13 @@ from . import fixtures as fx
 from . import h3entropy as h3
 from . import spectral as sp
 from . import verify as vf
-from .quadrature import QuadratureConvergenceError, QuadratureDomainError, QuadratureSpec
+from .quadrature import QuadratureConvergenceError, QuadratureDomainError
 
 # Every subcommand's flags, declared once: per subcommand its help and its
 # flags in order, each (option, type or tuple of choices, default, help).
 # ``_build_parser`` builds argparse from it and ``_table_parse`` reads it.
 _OUTPUT = (("--config", str, None, "JSON file of flag values; explicit flags win"),
            ("--out", str, None, "output path (default: stdout)"))
-_QUADRATURE = (("--rtol", float, 1e-10, "quadrature relative tolerance"),
-               ("--atol", float, 1e-14, "quadrature absolute tolerance"))
 # default None so that ``evolve`` can tell a requested grid from its
 # fixture's own; ``_TIME_GRID`` fills in the ones left unset
 _GRID = (("--t-start", float, None, None), ("--t-stop", float, None, None),
@@ -55,14 +53,14 @@ _FORMAT = ("--format", ("csv", "json"), "csv", None)
 _MANIFOLD = ("--manifold", ("circle", "torus", "sphere", "torus-drift"), "circle", None)
 _COMMANDS = {
     "h3": ("hyperbolic-space entropy sweep",
-           (("--kappa", float, 1.0, None), _FORMAT, *_OUTPUT, *_QUADRATURE, *_GRID)),
+           (("--kappa", float, 1.0, None), _FORMAT, *_OUTPUT, *_GRID)),
     "evolve": ("spectral trace plus bound reports", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
     "bounds": ("closed-form bound tables", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
     "verify": ("run the verification suite",
                (("--only", str, None, "run a single named check group"),
                 ("--inject-fault", str, None,
                  "debug: force a named check to fail (supported: envelopes)"),
-                *_OUTPUT, *_QUADRATURE)),
+                *_OUTPUT)),
 }
 _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
@@ -180,14 +178,6 @@ def _spaced(start: float, stop: float, count: int) -> np.ndarray:
     return grid
 
 
-def _quadrature_spec(args: argparse.Namespace) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(
-            relative_tolerance=args.rtol, absolute_tolerance=args.atol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -289,7 +279,7 @@ def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
 
 def cmd_h3(args: argparse.Namespace) -> int:
     kappa = args.kappa
-    params = h3.H3Params(kappa, _quadrature_spec(args))
+    params = h3.H3Params(kappa)
     sweep = h3.evaluate_records(params, _time_grid(args))
     lo, hi = h3.asymptotic_band(params)
     # the sweep holds the eta family times exp(-kappa^2 t/2)
@@ -350,15 +340,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fault = args.inject_fault
-    if fault is not None and fault != "envelopes":
-        raise UsageError(f"unsupported fault {fault!r}; supported: envelopes")
-    if args.only is not None and args.only not in vf.CHECKS:
-        raise UsageError(f"unknown check {args.only!r}; choose from {sorted(vf.CHECKS)}")
-    if fault is not None and args.only is not None and args.only != fault:
-        raise UsageError(f"fault {fault!r} cannot fire in group {args.only!r}; "
-                         f"it acts on the {fault!r} group only")
-    results = vf.run_checks(only=args.only, spec=_quadrature_spec(args), inject_fault=fault)
+    results = vf.run_checks(only=args.only, inject_fault=args.inject_fault)
     payload = {
         name: {
             "pass": result.passed,

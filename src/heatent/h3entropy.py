@@ -75,12 +75,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
+from . import quadrature
+from .quadrature import QuadratureConvergenceError, integrate_batch
 from .specfun import (
     _log_sinh_ratio,
     log_sinh_ratio,
@@ -108,7 +109,7 @@ _UNIT_FROM = 20.0
 _SLACK_ROUNDING = 4.0 * sys.float_info.epsilon
 
 # Central-difference step for the entropy-rate cross-check; balances
-# truncation against quadrature noise at the default tolerances.
+# truncation against quadrature noise at the stated tolerances.
 _FD_STEP_SCALE = 1e-4
 
 # Slack of the large-time band check, in units of kappa^2.
@@ -117,10 +118,9 @@ _BAND_SLACK = 0.05
 
 @dataclass(frozen=True)
 class H3Params:
-    """Hyperbolic-space configuration: curvature magnitude and quadrature budget."""
+    """Hyperbolic-space configuration: the curvature magnitude kappa."""
 
     kappa: float
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:
@@ -182,7 +182,7 @@ def _radial_integrals(p: H3Params, ts: np.ndarray, integrand, context: str) -> n
         return integrand(_radial_mass(p, t, d, pref), p.kappa * t + d, t)
 
     values, _ = integrate_batch(f, p.kappa * flat, np.sqrt(flat), (flat, pref),
-                                lambda i: f"{context} at t = {float(flat[i])!r}", p.quadrature)
+                                lambda i: f"{context} at t = {float(flat[i])!r}")
     return values.reshape(ts.shape)
 
 
@@ -280,7 +280,7 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
         return f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
 
     values = shifted_gaussian_quadratures(
-        weighted, [(k, t) for t, _ in points], context, p.quadrature)
+        weighted, [(k, t) for t, _ in points], context)
     return [value * (0.5 / (t * t)) if prime else value
             for value, (t, prime) in zip(values, points)]
 
@@ -458,9 +458,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     overflows, then one naming the first t where a node sum of eta or eta'
     does; then QuadratureConvergenceError for the first integral, in the
     order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
-    estimate |I_h - I_2h| exceeds max(rtol |I_h|, atol) of the quadrature
-    spec, and then ValueError naming t where xi, xi' or 1/(2t^2) of a row
-    leaves the double range.
+    estimate |I_h - I_2h| exceeds max(RELATIVE_TOLERANCE |I_h|,
+    ABSOLUTE_TOLERANCE) of ``quadrature``, and then ValueError naming t where
+    xi, xi' or 1/(2t^2) of a row leaves the double range.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n = grid.size
@@ -481,10 +481,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         overflows[:n] |= ~np.isfinite(fine_prime)
         if overflows.any():
             raise out_of_range(overflows, "a node sum of eta or eta' overflows")
-        spec = p.quadrature
         failed, failed_prime = (
-            ~(e <= np.maximum(spec.relative_tolerance * np.abs(v),
-                              spec.absolute_tolerance))  # a NaN estimate too
+            ~(e <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(v),
+                              quadrature.ABSOLUTE_TOLERANCE))  # a NaN estimate too
             for v, e in ((fine, estimate), (fine_prime, estimate_prime)))
         # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
         order = np.stack([failed[:n], failed_prime, failed[n:2 * n], failed[2 * n:]], axis=1)

@@ -12,7 +12,8 @@ integrand in tau that decays double-exponentially, so the trapezoid rule on
 The step starts at 1/16 and halves down to 1/512, each halving evaluating
 only the new odd nodes.  A case stops at the first step h where
 |I_h - I_2h| plus _ROUNDING times the sum of |weight x value| meets
-max(rtol |I_h|, atol), and returns I_h with that estimate.  A case still
+max(RELATIVE_TOLERANCE |I_h|, ABSOLUTE_TOLERANCE), the program's one
+acceptance test, and returns I_h with that estimate.  A case still
 short at the finest step raises QuadratureConvergenceError, a node value
 that is not finite QuadratureDomainError naming its abscissa; context(case)
 names the case.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,16 +44,11 @@ class QuadratureConvergenceError(RuntimeError):
     """An integral missed its tolerance at the finest step of the rule."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-14
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_tolerance < math.inf:
-            raise ValueError("relative_tolerance must be positive and finite")
-        if not 0.0 < self.absolute_tolerance < math.inf:
-            raise ValueError("absolute_tolerance must be positive and finite")
+# The acceptance test of every integral, here and in h3entropy's eta rule:
+# an estimate must meet max(RELATIVE_TOLERANCE |value|, ABSOLUTE_TOLERANCE).
+# Both are read at each call, never bound at import.
+RELATIVE_TOLERANCE = 1e-10
+ABSOLUTE_TOLERANCE = 1e-14
 
 
 # Steps 1/16 to 1/512 on |tau| <= 4.5, where |u| reaches 70.7: the end nodes
@@ -78,8 +73,7 @@ _LEVELS = [_nodes(np.arange(-72, 73) * _STEPS[0])] + [
 
 def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
                     widths: Sequence[float], columns: Sequence[Sequence],
-                    context: Callable[[int], str], spec: QuadratureSpec = QuadratureSpec(),
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    context: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """(values, estimates) of f's integral over [0, inf) for each case i, with
     peak peaks[i], width widths[i] and parameters column[i] of the columns."""
     c, w = np.array(peaks, dtype=float), np.array(widths, dtype=float)
@@ -91,7 +85,6 @@ def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
     columns = [np.asarray(column)[:, None] for column in columns]
     values, estimates, sums, sizes = np.zeros((4, c.size))
     rows = np.arange(c.size)
-    rtol, atol = spec.relative_tolerance, spec.absolute_tolerance
     with np.errstate(all="ignore"):  # node values are tested for finiteness
         ratio = w / c  # inf where c = 0, which has no [0, c] part
         for h, (q, dq, e, de) in zip(_STEPS, _LEVELS):
@@ -116,7 +109,8 @@ def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
             if h == _STEPS[0]:
                 continue
             estimate = estimates[rows] = np.abs(fine - coarse) + _ROUNDING * h * sizes[rows]
-            rows = rows[~(estimate <= np.maximum(rtol * np.abs(fine), atol))]
+            rows = rows[~(estimate <= np.maximum(RELATIVE_TOLERANCE * np.abs(fine),
+                                                 ABSOLUTE_TOLERANCE))]
             if not rows.size:
                 return values, estimates
     i = int(rows[0])

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_batch
+from .quadrature import integrate_batch
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # numpy has no erf: math.erf mapped over the elements of an array
@@ -126,7 +126,6 @@ def shifted_gaussian_quadratures(
     weight: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     cases: Sequence[tuple[float, float]],
     context: Callable[[int], str],
-    spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
     """For each case i = (kappa, t), the integral over r > 0 of
     exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by the
@@ -165,15 +164,12 @@ def shifted_gaussian_quadratures(
 
     halves, _ = integrate_batch(f, tops - edges, np.ones(edges.size),
                                 (tops, centers, scales, np.arange(edges.size) // 2),
-                                lambda j: context(j // 2), spec)
+                                lambda j: context(j // 2))
     return [0.5 * math.sqrt(t) * (jp - jm)
             for (_, t), jp, jm in zip(cases, halves[0::2].tolist(), halves[1::2].tolist())]
 
 
-def hyperbolic_moment_quadratures(
-    cases: Sequence[tuple[int, float, float]],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> list[float]:
+def hyperbolic_moment_quadratures(cases: Sequence[tuple[int, float, float]]) -> list[float]:
     """Each (m, kappa, t) power-m sinh moment by ``shifted_gaussian_quadratures``,
     times exp(-kappa^2 t/2): the independent cross-check of the closed forms
     at any kappa^2 t."""
@@ -186,7 +182,7 @@ def hyperbolic_moment_quadratures(
 
     return shifted_gaussian_quadratures(
         lambda gauss, r, i: gauss * r ** powers[i],
-        [(kappa, t) for _, kappa, t in cases], context, spec)
+        [(kappa, t) for _, kappa, t in cases], context)
 
 
 def log_sinh_ratio(x):

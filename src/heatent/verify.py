@@ -18,7 +18,7 @@ from . import bounds as bd
 from . import fixtures as fx
 from . import h3entropy as h3
 from . import spectral as sp
-from .quadrature import QuadratureSpec, integrate_batch
+from .quadrature import integrate_batch
 from .specfun import (
     hyperbolic_moment_closed_form,
     hyperbolic_moment_quadratures,
@@ -50,7 +50,7 @@ def _direct_moment_integrand(d, m, kappa, t):
     return r ** m * (np.exp(gauss + kappa * r - log2) - np.exp(gauss - kappa * r - log2))
 
 
-def check_moment_table(spec: QuadratureSpec) -> CheckResult:
+def check_moment_table() -> CheckResult:
     """Five closed-form sinh moments vs the quadrature oracle, both paths: the
     direct one in r here, the shifted one in s; an integral of either path
     that misses its tolerance raises, naming its case."""
@@ -59,8 +59,8 @@ def check_moment_table(spec: QuadratureSpec) -> CheckResult:
     powers, kappas, ts = np.array(cases, dtype=float).T
     direct, _ = integrate_batch(
         _direct_moment_integrand, kappas * ts, np.sqrt(ts), (powers, kappas, ts),
-        lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]), spec)
-    shifted = hyperbolic_moment_quadratures(cases, spec)
+        lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]))
+    shifted = hyperbolic_moment_quadratures(cases)
     times = np.array(_T_GRID)
     closed = np.concatenate([hyperbolic_moment_closed_form(m, kappa, times)
                              for m in _MOMENTS for kappa in _KAPPA_GRID]).tolist()
@@ -73,39 +73,38 @@ def check_moment_table(spec: QuadratureSpec) -> CheckResult:
                        f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
 
 
-def check_second_moment(spec: QuadratureSpec) -> CheckResult:
+def check_second_moment() -> CheckResult:
     """Closed-form scaled second moment vs radial quadrature; equals 2 at
     kappa^2 t = 1."""
     worst = 0.0
     times = np.array(_T_GRID)
     for kappa in _KAPPA_GRID:
-        p = h3.H3Params(kappa, spec)
+        p = h3.H3Params(kappa)
         closed = h3.I1(p, times)
         quad = h3.I1_quadrature(p, times)
         worst = max(worst, float(np.max(np.abs(closed - quad) / np.abs(closed))))
-    pin = abs(h3.I1(h3.H3Params(2.0, spec), 0.25) - 2.0)
+    pin = abs(h3.I1(h3.H3Params(2.0), 0.25) - 2.0)
     worst = max(worst, pin)
     return CheckResult(worst <= 1e-8, worst,
                        "second moment matches quadrature; value 2 at kappa^2 t = 1")
 
 
-def check_h3_normalization(spec: QuadratureSpec) -> CheckResult:
+def check_h3_normalization() -> CheckResult:
     worst = 0.0
     times = np.array([0.1, 1.0, 10.0, 50.0])
     for kappa in _KAPPA_GRID:
-        mass = h3.normalization_quadrature(h3.H3Params(kappa, spec), times)
+        mass = h3.normalization_quadrature(h3.H3Params(kappa), times)
         worst = max(worst, float(np.max(np.abs(mass - 1.0))))
     return CheckResult(worst <= 1e-8, worst,
                        "radial kernel mass is 1 on the kappa x t grid")
 
 
-def check_envelopes(spec: QuadratureSpec,
-                    narrow_fraction: float = 0.0) -> CheckResult:
+def check_envelopes(narrow_fraction: float = 0.0) -> CheckResult:
     """Quadrature values sit strictly inside the closed-form envelopes on a
     40-point log grid: every side's verdict is inside.  narrow_fraction > 0
     moves each side's margin in by that fraction of its envelope's width,
     relative to eta or eta', for the harness self-test."""
-    sweep = h3.evaluate_records(h3.H3Params(1.0, spec), np.geomspace(0.1, 100.0, 40))
+    sweep = h3.evaluate_records(h3.H3Params(1.0), np.geomspace(0.1, 100.0, 40))
     narrowing = [narrow_fraction * (hi - lo) / np.abs(value)
                  for value, lo, hi in ((sweep.eta, sweep.eta_lower, sweep.eta_upper),
                                        (sweep.etap, sweep.etap_lower, sweep.etap_upper))]
@@ -118,18 +117,18 @@ def check_envelopes(spec: QuadratureSpec,
     return CheckResult(failures == 0, float(failures), detail)
 
 
-def check_band(spec: QuadratureSpec) -> CheckResult:
+def check_band() -> CheckResult:
     """Entropy rate inside the asymptotic band with h3's band slack."""
-    margins = np.concatenate([h3.evaluate_records(h3.H3Params(kappa, spec), ts).band_margin
+    margins = np.concatenate([h3.evaluate_records(h3.H3Params(kappa), ts).band_margin
                               for kappa, ts in ((1.0, (20.0, 50.0, 100.0)),
                                                 (2.0, (5.0, 12.5, 25.0)))])
     return CheckResult(bool(np.all(margins >= 0.0)), max(0.0, float(np.max(-margins))),
                        "large-time entropy rate inside the band at kappa = 1 and 2")
 
 
-def check_rate_consistency(spec: QuadratureSpec) -> CheckResult:
+def check_rate_consistency() -> CheckResult:
     """Direct rate vs finite difference of the entropy, hyperbolic and spectral."""
-    sweep = h3.evaluate_records(h3.H3Params(1.0, spec), (1.0, 5.0, 20.0))
+    sweep = h3.evaluate_records(h3.H3Params(1.0), (1.0, 5.0, 20.0))
     rel = np.abs(sweep.rate_direct - sweep.rate_fd) / np.abs(sweep.rate_direct)
     worst = float(rel.max())
     for name in ("circle", "torus", "sphere", "torus-drift"):
@@ -142,10 +141,9 @@ def check_rate_consistency(spec: QuadratureSpec) -> CheckResult:
                        "all four spectral fixtures")
 
 
-def check_fixture_bounds(spec: QuadratureSpec) -> CheckResult:
+def check_fixture_bounds() -> CheckResult:
     """Every applicable bound holds along every fixture trace, and at large
     times on the sphere the curvature bound beats the gradient bound."""
-    del spec
     failures = []
     worst = -math.inf
     for name in ("circle", "torus", "sphere", "torus-drift"):
@@ -169,10 +167,9 @@ def check_fixture_bounds(spec: QuadratureSpec) -> CheckResult:
     return CheckResult(not failures, worst, detail)
 
 
-def check_bochner(spec: QuadratureSpec) -> CheckResult:
+def check_bochner() -> CheckResult:
     """Pointwise commutation-identity residual for 10 random (field, drift)
     pairs on the torus, the first with zero drift."""
-    del spec
     rng = np.random.default_rng(_RANDOM_SEED)
     torus = sp.torus2(1.0, 1.0)
     worst = 0.0
@@ -186,9 +183,8 @@ def check_bochner(spec: QuadratureSpec) -> CheckResult:
                        "(first has zero drift)")
 
 
-def check_hessian_trace(spec: QuadratureSpec) -> CheckResult:
+def check_hessian_trace() -> CheckResult:
     """Pointwise Hessian-vs-trace inequality for random positive fields."""
-    del spec
     rng = np.random.default_rng(_RANDOM_SEED + 1)
     torus = sp.torus2(1.0, 1.0)
     worst = 0.0
@@ -201,10 +197,9 @@ def check_hessian_trace(spec: QuadratureSpec) -> CheckResult:
                        "pointwise for 8 random positive fields")
 
 
-def check_cauchy_step(spec: QuadratureSpec) -> CheckResult:
+def check_cauchy_step() -> CheckResult:
     """Mean-square step and the integration-by-parts identity on evolved
     fixture densities."""
-    del spec
     worst_ineq = 0.0
     worst_ibp = 0.0
     for name in ("circle", "torus", "sphere"):
@@ -224,10 +219,9 @@ def check_cauchy_step(spec: QuadratureSpec) -> CheckResult:
                        "identity hold on evolved fixture densities")
 
 
-def check_sinh_ratio_bounds(spec: QuadratureSpec) -> CheckResult:
+def check_sinh_ratio_bounds() -> CheckResult:
     """Strict two-sided bound on (1 - e^{-2r})/(2r), plus its sharpness: for
     each beta in (1, 2) the lower comparison flips once r is large enough."""
-    del spec
     violations = 0
     for r in np.geomspace(1e-6, 1e3, 400):
         lo, mid, hi = sinh_ratio_bounds_check(float(r))
@@ -250,9 +244,8 @@ def check_sinh_ratio_bounds(spec: QuadratureSpec) -> CheckResult:
                        "exhibited for beta in {1.25, 1.5, 1.75}")
 
 
-def check_log_sandwich(spec: QuadratureSpec) -> CheckResult:
+def check_log_sandwich() -> CheckResult:
     """kr + log(1/(1+2kr)) < log(sinh kr / kr) < kr + log(1/(1+kr))."""
-    del spec
     x = np.multiply.outer(_KAPPA_GRID, np.geomspace(1e-6, 1e2, 200)).ravel()
     val = log_sinh_ratio(x)
     lo = x - np.log1p(2.0 * x)
@@ -262,16 +255,16 @@ def check_log_sandwich(spec: QuadratureSpec) -> CheckResult:
                        "log sinh ratio sandwich strict on the kappa x r grid")
 
 
-def check_euclidean_limit(spec: QuadratureSpec) -> CheckResult:
+def check_euclidean_limit() -> CheckResult:
     """Small-curvature entropy rate reproduces the flat-space value n/(2t)."""
-    rate = float(h3.evaluate_records(h3.H3Params(0.01, spec), [1.0]).rate_direct[0])
+    rate = float(h3.evaluate_records(h3.H3Params(0.01), [1.0]).rate_direct[0])
     reference = bd.euclidean_rate_reference(3, 1.0)
     rel = abs(rate - reference) / reference
     return CheckResult(rel <= 0.01, rel,
                        f"rate at kappa = 0.01, t = 1 is {rate:.6f} vs flat {reference}")
 
 
-def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
+def check_entropy_decomposition() -> CheckResult:
     """Assembled entropy vs one direct quadrature of -h log h.
 
     This is also the arbiter between the two candidate Gaussian weights in
@@ -281,7 +274,7 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
     worst = 0.0
     times = np.array([0.3, 1.0, 5.0])
     for kappa in (0.5, 1.0, 2.0):
-        p = h3.H3Params(kappa, spec)
+        p = h3.H3Params(kappa)
         assembled = h3.evaluate_records(p, times).entropy
         direct = h3.entropy_quadrature(p, times)
         worst = max(worst, float(np.max(np.abs(assembled - direct) / np.abs(direct))))
@@ -290,7 +283,7 @@ def check_entropy_decomposition(spec: QuadratureSpec) -> CheckResult:
                        "single-Gaussian weight confirmed")
 
 
-CHECKS: dict[str, Callable[[QuadratureSpec], CheckResult]] = {
+CHECKS: dict[str, Callable[[], CheckResult]] = {
     "moment_table": check_moment_table,
     "second_moment": check_second_moment,
     "h3_normalization": check_h3_normalization,
@@ -309,17 +302,23 @@ CHECKS: dict[str, Callable[[QuadratureSpec], CheckResult]] = {
 
 
 def run_checks(only: Optional[str] = None,
-               spec: QuadratureSpec = QuadratureSpec(),
                inject_fault: Optional[str] = None) -> dict[str, CheckResult]:
     """Run the suite (or one named group); inject_fault="envelopes" narrows
-    the envelopes by 10% per side so failure propagation can be exercised."""
+    the envelopes by 10% per side so failure propagation can be exercised.
+    Raises ValueError for a fault other than "envelopes", an unknown group,
+    or a fault that cannot fire in the one group asked for."""
+    if inject_fault is not None and inject_fault != "envelopes":
+        raise ValueError(f"unsupported fault {inject_fault!r}; supported: envelopes")
     if only is not None and only not in CHECKS:
-        raise KeyError(f"unknown check {only!r}; choose from {sorted(CHECKS)}")
+        raise ValueError(f"unknown check {only!r}; choose from {sorted(CHECKS)}")
+    if inject_fault is not None and only is not None and only != inject_fault:
+        raise ValueError(f"fault {inject_fault!r} cannot fire in group {only!r}; "
+                         f"it acts on the {inject_fault!r} group only")
     names = [only] if only else list(CHECKS)
     results: dict[str, CheckResult] = {}
     for name in names:
         if name == "envelopes" and inject_fault == "envelopes":
-            results[name] = check_envelopes(spec, narrow_fraction=0.10)
+            results[name] = check_envelopes(narrow_fraction=0.10)
         else:
-            results[name] = CHECKS[name](spec)
+            results[name] = CHECKS[name]()
     return results

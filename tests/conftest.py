@@ -3,11 +3,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import heatent
+from heatent import quadrature
 
 # The directory the tests import heatent from (src/ in a plain checkout), so
 # that child processes run the same code without an install.
 PACKAGE_PARENT = str(Path(heatent.__file__).resolve().parent.parent)
+
+
+@pytest.fixture
+def tolerances(monkeypatch):
+    """A setter of the program's two quadrature tolerances for one test:
+    ``tolerances(relative, absolute)`` replaces
+    ``quadrature.RELATIVE_TOLERANCE`` and ``quadrature.ABSOLUTE_TOLERANCE``,
+    and both are restored when the test ends."""
+    def set_tolerances(relative: float, absolute: float) -> None:
+        monkeypatch.setattr(quadrature, "RELATIVE_TOLERANCE", relative)
+        monkeypatch.setattr(quadrature, "ABSOLUTE_TOLERANCE", absolute)
+
+    return set_tolerances
 
 
 def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:

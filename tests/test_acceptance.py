@@ -18,7 +18,6 @@ from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import h3entropy as h3
 from heatent import spectral as sp
-from heatent.quadrature import QuadratureSpec
 from heatent.specfun import log_sinh_ratio, sinh_ratio_bounds_check
 from heatent.verify import CHECKS
 
@@ -33,7 +32,7 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 def test_01_moment_table():
     # the check also holds the shifted-Gaussian quadrature path to 1e-8
     start = time.monotonic()
-    result = CHECKS["moment_table"](QuadratureSpec())
+    result = CHECKS["moment_table"]()
     elapsed = time.monotonic() - start
     report(1, "closed-form moment table vs quadrature oracle",
            result.passed and elapsed < 10.0,
@@ -55,13 +54,13 @@ def test_02_second_moment_identity():
 
 
 def test_03_kernel_normalization():
-    result = CHECKS["h3_normalization"](QuadratureSpec())
+    result = CHECKS["h3_normalization"]()
     report(3, "hyperbolic kernel mass is 1", result.passed,
            f"max |mass - 1| = {result.max_error:.2e}")
 
 
 def test_04_envelopes():
-    result = CHECKS["envelopes"](QuadratureSpec())
+    result = CHECKS["envelopes"]()
     report(4, "eta and eta' strictly inside closed-form envelopes", result.passed,
            "40-point log grid, t in [0.1, 100]")
 
@@ -70,14 +69,14 @@ def test_05_asymptotic_band():
     # kappa = 1 at t = 20, 50, 100 and kappa = 2 at t = 5, 12.5, 25, each
     # within 0.05 kappa^2 of kappa^2 (2 -+ log sqrt 2)
     start = time.monotonic()
-    result = CHECKS["band"](QuadratureSpec())
+    result = CHECKS["band"]()
     elapsed = time.monotonic() - start
     report(5, "entropy rate inside the large-time band", result.passed and elapsed < 30.0,
            f"max excess {result.max_error:.2e}, {elapsed:.2f}s")
 
 
 def test_06_rate_assembly_consistency():
-    result = CHECKS["rate_consistency"](QuadratureSpec())
+    result = CHECKS["rate_consistency"]()
     report(6, "direct rate vs finite difference on all traces", result.passed,
            f"max rel err {result.max_error:.2e}")
 
@@ -133,7 +132,7 @@ def test_09_gradient_and_gap_bounds_with_comparison():
 
 
 def test_10_pointwise_identity_residual():
-    result = CHECKS["bochner_residual"](QuadratureSpec())
+    result = CHECKS["bochner_residual"]()
     report(10, "pointwise commutation-identity residual", result.passed,
            f"max rel residual {result.max_error:.2e} over 10 random pairs incl. zero drift")
 
@@ -176,7 +175,7 @@ def test_11_inequality_suite():
 
 
 def test_12_euclidean_reference():
-    result = CHECKS["euclidean_limit"](QuadratureSpec())
+    result = CHECKS["euclidean_limit"]()
     report(12, "flat-space reference rate at vanishing curvature", result.passed,
            f"{result.details}, rel {result.max_error:.2e}")
 

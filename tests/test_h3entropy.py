@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import mp_scaled_moment
 from heatent import h3entropy as h3
 from heatent import specfun
-from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
+from heatent.quadrature import QuadratureConvergenceError, integrate_batch
 from heatent.specfun import alpha, log_sinh_ratio
 
 P1 = h3.H3Params(kappa=1.0)
@@ -359,10 +359,11 @@ def test_eta_quadrature_points_equal_their_lone_runs():
     assert h3.eta_quadrature(p, points[::-1]) == batched[::-1]
 
 
-def test_oracle_failure_names_its_point():
+def test_oracle_failure_names_its_point(tolerances):
     # no step of the rule meets these tolerances: the first point fails,
     # named by t and kappa
-    p = h3.H3Params(0.5, QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300))
+    tolerances(1e-300, 1e-300)
+    p = h3.H3Params(0.5)
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^log-weighted sinh integral \(power 3\) at t=3\.0, kappa=0\.5: "
                              r"error estimate"):
@@ -475,19 +476,18 @@ def test_verdict_states():
     assert h3.verdict_states(-np.nextafter(1e-16, 1.0), 1e-16) == "outside"
 
 
-def test_unconverged_rule_raises():
+def test_unconverged_rule_raises(tolerances):
     # an estimate |I_h - I_2h| above the tolerance is an error, never a value
-    strict = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-18,
-                                             absolute_tolerance=1e-30))
+    tolerances(1e-18, 1e-30)
     with pytest.raises(QuadratureConvergenceError, match="power 1"):
-        h3.evaluate_records(strict, [8.0])
+        h3.evaluate_records(P1, [8.0])
 
 
-def test_first_unconverged_integral_in_row_order_raises():
+def test_first_unconverged_integral_in_row_order_raises(tolerances):
     # at a tolerance no rule meets every integral fails, eta(t) first
-    unmet = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300))
+    tolerances(1e-300, 1e-300)
     with pytest.raises(QuadratureConvergenceError, match=r"\(power 1\) at t=0\.5:"):
-        h3.evaluate_records(unmet, [0.5, 1.0])
+        h3.evaluate_records(P1, [0.5, 1.0])
 
 
 def test_node_sum_overflow_is_refused_before_the_convergence_check():
@@ -555,13 +555,6 @@ def test_extreme_exponential_scale():
     eta = sweep.eta[0]
     assert math.isfinite(eta) and eta > 0.0
     assert sweep.eta_lower[0] < eta < sweep.eta_upper[0]
-
-
-def test_custom_quadrature_spec_threads_through():
-    loose = h3.H3Params(1.0, QuadratureSpec(relative_tolerance=1e-6,
-                                            absolute_tolerance=1e-10))
-    assert h3.evaluate_records(loose, [1.0]).entropy[0] == pytest.approx(
-        h3.evaluate_records(P1, [1.0]).entropy[0], rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

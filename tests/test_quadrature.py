@@ -7,27 +7,21 @@ from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
 from heatent import h3entropy as h3
-from heatent.quadrature import (
-    QuadratureConvergenceError,
-    QuadratureDomainError,
-    QuadratureSpec,
-    integrate_batch,
-)
+from heatent import quadrature
+from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError, integrate_batch
 from heatent.specfun import alpha, hyperbolic_moment_closed_form, shifted_gaussian_quadratures
 from heatent.verify import _direct_moment_integrand
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-# no step of the rule meets these: its estimate carries a rounding term
-UNMET = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
 
 
 def name(i):
     return f"case {i}"
 
 
-def one(f, peak, width, spec=QuadratureSpec()):
+def one(f, peak, width):
     """(value, estimate) of one integral of f(d) without case parameters."""
-    [value], [estimate] = integrate_batch(f, [peak], [width], (), name, spec)
+    [value], [estimate] = integrate_batch(f, [peak], [width], (), name)
     return value, estimate
 
 
@@ -75,9 +69,9 @@ def test_gaussian_times_cosh():
 
 
 def test_error_estimate_contract():
-    spec = QuadratureSpec()
-    value, estimate = one(lambda d: np.exp(-d) * np.sin(d) ** 2, 0.0, 1.0, spec)
-    assert estimate <= max(spec.relative_tolerance * abs(value), spec.absolute_tolerance)
+    value, estimate = one(lambda d: np.exp(-d) * np.sin(d) ** 2, 0.0, 1.0)
+    assert estimate <= max(quadrature.RELATIVE_TOLERANCE * abs(value),
+                           quadrature.ABSOLUTE_TOLERANCE)
     assert abs(value - 0.4) <= estimate  # the integral is 2/5
 
 
@@ -209,36 +203,27 @@ def test_batch_validates_peaks_and_widths(peak, width):
         integrate_batch(lambda d: np.exp(-d), [1.0, peak], [1.0, width], (), name)
 
 
-def test_unmet_spec_raises_at_the_finest_step():
-    # a narrow far-out bump at tolerances no step meets: the first case
-    # still short at step 1/512 is named
+def test_unmet_spec_raises_at_the_finest_step(tolerances):
+    # a narrow far-out bump at tolerances no step meets (the estimate carries
+    # a rounding term): the first case still short at step 1/512 is named
+    tolerances(1e-300, 1e-300)
     f = lambda d: np.exp(-40.0 * d * d) * (1.0 + np.cos(7.0 * (3.0 + d)))
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^case 0: error estimate [0-9.e+-]+ at the finest step 1/512$"):
-        integrate_batch(f, [3.0, 3.0], [0.11, 0.11], (), name, UNMET)
+        integrate_batch(f, [3.0, 3.0], [0.11, 0.11], (), name)
 
 
-def test_convergence_failure_names_only_the_failing_case():
+def test_convergence_failure_names_only_the_failing_case(tolerances):
     # a zero integrand meets any tolerance; only the case that fails is named
+    tolerances(1e-300, 1e-300)
+
     def context(i):
         assert i == 1, f"named the converged case {i}"
         return "second"
 
     with pytest.raises(QuadratureConvergenceError, match=r"^second: error estimate "):
         integrate_batch(lambda d, on: on * np.exp(-d), [0.0, 0.0], [1.0, 1.0],
-                        ([0.0, 1.0],), context, UNMET)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(relative_tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(absolute_tolerance=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(relative_tolerance=bad)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(absolute_tolerance=bad)
+                        ([0.0, 1.0],), context)
 
 
 def test_shifted_gaussian_reduces_to_half_gaussian():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
-from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec, integrate_batch
+from heatent.quadrature import QuadratureConvergenceError, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
@@ -19,7 +19,6 @@ from heatent.specfun import (
 )
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-TIGHT = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-16)
 
 ALL_MOMENTS = range(5)  # the powers m of the sinh moments
 
@@ -43,12 +42,13 @@ def direct_moment(kappa, t, m):
 # erf / alpha
 
 
-def test_erf_against_quadrature_oracle():
+def test_erf_against_quadrature_oracle(tolerances):
+    tolerances(1e-13, 1e-16)
     # alpha(kappa, t) = sqrt(pi/2) erf(x) at x = kappa sqrt(t/2), and
     # erf(x) = 1 - (2/sqrt(pi)) * integral_0^inf exp(-(x+u)^2) du
     for kappa, x in zip((0.5, 1.0, 2.0) * 3, (0.25, 0.8, 1.5, 2.5, 3.7, 4.5, 6.0)):
         [tail], _ = integrate_batch(lambda u: np.exp(-((x + u) ** 2)), [0.0], [1.0], (),
-                                    lambda i: "erf tail", TIGHT)
+                                    lambda i: "erf tail")
         oracle = SQRT_HALF_PI * (1.0 - 2.0 / math.sqrt(math.pi) * tail)
         t = 2.0 * (x / kappa) ** 2
         assert alpha(kappa, t) == pytest.approx(oracle, rel=1e-11)
@@ -201,13 +201,13 @@ def test_shifted_moments_at_a_far_peak():
                                         rel=1e-14), m
 
 
-def test_shifted_moments_refuse_unconverged_integrals():
+def test_shifted_moments_refuse_unconverged_integrals(tolerances):
     # no step of the rule meets these tolerances
-    spec = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
+    tolerances(1e-300, 1e-300)
     cases = [(moment, 0.5, 0.1) for moment in ALL_MOMENTS]
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^shifted path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
-        hyperbolic_moment_quadratures(cases, spec)
+        hyperbolic_moment_quadratures(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from heatent.quadrature import QuadratureConvergenceError, QuadratureSpec
+from heatent.quadrature import QuadratureConvergenceError
 from heatent.verify import CHECKS, check_moment_table, run_checks
 
 
@@ -22,8 +22,19 @@ def test_run_single_check():
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown check 'nope'; choose from \["):
         run_checks(only="nope")
+
+
+@pytest.mark.parametrize("only, fault, message", [
+    ("log_sandwich", "bogus", r"^unsupported fault 'bogus'; supported: envelopes$"),
+    ("log_sandwich", "envelopes", r"^fault 'envelopes' cannot fire in group 'log_sandwich'; "
+                                  r"it acts on the 'envelopes' group only$"),
+    ("nope", "bogus", r"^unsupported fault 'bogus'")])  # the fault is checked first
+def test_fault_that_cannot_fire_is_rejected(only, fault, message):
+    # refused by the library itself, before any check runs
+    with pytest.raises(ValueError, match=message):
+        run_checks(only=only, inject_fault=fault)
 
 
 def test_fault_injection_fails_envelopes():
@@ -33,18 +44,17 @@ def test_fault_injection_fails_envelopes():
 
 
 def test_fast_checks_pass():
-    spec = QuadratureSpec()
     for name in ("moment_table", "second_moment", "h3_normalization",
                  "sinh_ratio_bounds", "log_sandwich", "euclidean_limit",
                  "entropy_decomposition"):
-        result = run_checks(only=name, spec=spec)[name]
+        result = run_checks(only=name)[name]
         assert result.passed, (name, result)
 
 
-def test_moment_table_refuses_unconverged_integrals():
+def test_moment_table_refuses_unconverged_integrals(tolerances):
     # no step of the rule meets these tolerances, so every direct integral
     # misses them; the first case is named instead of a pass on its value
-    spec = QuadratureSpec(relative_tolerance=1e-300, absolute_tolerance=1e-300)
+    tolerances(1e-300, 1e-300)
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^direct path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
-        check_moment_table(spec)
+        check_moment_table()
