@@ -55,14 +55,19 @@ f (r gauss) and f (r^3 gauss) summed per row), for these reasons:
   1 - e^{-2x} rounds to 1.0 and its log is exactly 0.  The nodes below 20
   sit in the leading columns (x rises along a row), the only ones it is
   taken on.
-- Where every row is on one side of kappa^2 t = 100, no row is gathered.
+- Where every row of a block is on one side of kappa^2 t = 100, none is
+  gathered.  The rows run in fixed blocks of 64 (_BLOCK_ROWS), whose node
+  arrays (78 kB each) stay below glibc's 128 kB mmap threshold: the heap
+  reuses them, block after block and call after call, and faults none in.
 Each choice looks only at the values, never at a row's position, so a row
-still does not depend on the grid it came in.
+still does not depend on the grid or the block it came in.
 
-The sweep.  ``evaluate_records`` returns one ``H3Sweep``: a column array per
-quantity, and the margins and error estimates of the four envelope sides as
-(4, n) arrays in the order of ``SIDES``.  ``verdict_states`` is the one rule
-that turns a margin and its error into inside, outside or unresolved.
+The sweep.  ``evaluate_records`` validates once and forms each quantity
+once, over all rows or over the t rows alone; it returns one ``H3Sweep``:
+a column array per quantity, and the margins and error estimates of the
+four envelope sides as (4, n) arrays in the order of ``SIDES``.
+``verdict_states`` is the one rule that turns a margin and its error into
+inside, outside or unresolved.
 
 A note on the radial weight: the density decomposition used here carries a
 single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
@@ -83,9 +88,11 @@ import numpy as np
 from . import quadrature
 from .quadrature import QuadratureConvergenceError, integrate_batch
 from .specfun import (
+    _MOMENT_TABLE,
+    _alpha,
     _log_sinh_ratio,
+    _refuse_overflow,
     log_sinh_ratio,
-    moment_factors,
     shifted_gaussian_quadratures,
 )
 
@@ -104,6 +111,7 @@ _REMAINDER_FROM = 100.0
 # From here on e^{-2x} < 2^-57, a sixteenth of half an ulp of 1, so
 # -expm1(-2x) is exactly 1.0 and its log exactly 0.
 _UNIT_FROM = 20.0
+_BLOCK_ROWS = 64  # rows per block of the trapezoid kernel (module docstring)
 # Relative rounding allowed, on top of the quadrature estimate, for each of
 # the two terms an envelope slack is the difference of.
 _SLACK_ROUNDING = 4.0 * sys.float_info.epsilon
@@ -143,54 +151,61 @@ def heat_kernel(p: H3Params, t: float, d: float) -> float:
     return math.exp(log_h)
 
 
-def _radial_mass(p: H3Params, t, d, pref):
+def _radial_mass(kappa, t, d, pref):
     """Radial density of the kernel at r = kappa t + d: h(t, r) times the
-    4 pi sinh^2(kr)/k^2 shell, pref being ``_mass_prefactor`` at t.
+    4 pi sinh^2(kr)/k^2 shell, pref being ``_mass_prefactor`` at (kappa, t).
 
     Written with the exponentials combined, its Gaussian taken on the offset
     d from the peak, so it stays finite at any kappa^2 t (the raw shell
-    factor alone would overflow).  Elementwise in t, d and pref.
+    factor alone would overflow).  Elementwise in kappa, t, d and pref.
     """
-    k = p.kappa
-    r = k * t + d
-    return pref * r * np.exp(-d * d / (2.0 * t)) * 0.5 * -np.expm1(-2.0 * k * r)
+    r = kappa * t + d
+    return pref * r * np.exp(-d * d / (2.0 * t)) * 0.5 * -np.expm1(-2.0 * kappa * r)
 
 
-def _mass_prefactor(p: H3Params, t: float) -> float:
+def _mass_prefactor(kappa: float, t: float) -> float:
     """The factor 4 pi/k (2 pi t)^-3/2 of ``_radial_mass`` at a float t.
 
     A float power, not numpy's vectorised one, which may differ from it in
     the last bit.
     """
-    return 4.0 * math.pi / p.kappa * (2.0 * math.pi * t) ** -1.5
+    return 4.0 * math.pi / kappa * (2.0 * math.pi * t) ** -1.5
 
 
-def _radial_integrals(p: H3Params, ts: np.ndarray, integrand, context: str) -> np.ndarray:
-    """At each time of ts, the integral over r > 0 of integrand(mass, r, t),
-    where t is a (rows, 1) column of times and mass is ``_radial_mass`` there;
-    an array shaped like ts.
-
-    Each time is one case of the double-exponential rule
-    (``quadrature.integrate_batch``), split at its peak r = kappa t with
-    width sqrt t, so each value is bit-identical to its lone run.  A time
-    whose integral misses the tolerance raises, named by context and t.
+def _radial_integrals(kappas, ts, context: str) -> np.ndarray:
+    """At each (kappa, t) of kappas and ts, which broadcast, the integral
+    over r > 0 of ``_RADIAL[context](mass, r, t, kappa)``, t and kappa being
+    (rows, 1) columns and mass ``_radial_mass`` there.  Each pair is one case
+    of the double-exponential rule (``quadrature.integrate_batch``), split at
+    its peak r = kappa t with width sqrt t, so each value is bit-identical to
+    its lone run; one that misses the tolerance raises, named by context and t.
     """
-    flat = ts.ravel()
-    pref = np.array([_mass_prefactor(p, s) for s in flat.tolist()])
+    kappa, t = np.broadcast_arrays(kappas, ts)
+    shape, kappa, flat = t.shape, kappa.ravel(), t.ravel()
+    pref = np.array([_mass_prefactor(k, s) for k, s in zip(kappa.tolist(), flat.tolist())])
 
-    def f(d, t, pref):
-        return integrand(_radial_mass(p, t, d, pref), p.kappa * t + d, t)
+    def f(d, t, k, pref):
+        return _RADIAL[context](_radial_mass(k, t, d, pref), k * t + d, t, k)
 
-    values, _ = integrate_batch(f, p.kappa * flat, np.sqrt(flat), (flat, pref),
+    values, _ = integrate_batch(f, kappa * flat, np.sqrt(flat), (flat, kappa, pref),
                                 lambda i: f"{context} at t = {float(flat[i])!r}")
-    return values.reshape(ts.shape)
+    return values.reshape(shape)
+
+
+# The radial oracles' integrands by name: the kernel mass, its second moment
+# (before the 1/(2t) of I1) and the entropy density -h log h.
+_RADIAL = {
+    "kernel normalization": lambda mass, r, t, k: mass,
+    "second moment": lambda mass, r, t, k: mass * r * r,
+    "direct entropy integral": lambda mass, r, t, k: mass * (r * r / (2.0 * t) + (
+        1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t) + log_sinh_ratio(k * r)),
+}
 
 
 def normalization_quadrature(p: H3Params, t):
     """Total kernel mass by radial quadrature; equals 1 for every t.
     Elementwise in t."""
-    return _like(t, _radial_integrals(p, _times(t), lambda mass, r, t: mass,
-                                      "kernel normalization"))
+    return _like(t, _radial_integrals(p.kappa, _times(t), "kernel normalization"))
 
 
 def _times(t) -> np.ndarray:
@@ -215,8 +230,7 @@ def I1_quadrature(p: H3Params, t):
     """Second-moment integral done honestly by radial quadrature.
     Elementwise in t."""
     ts = _times(t)
-    moment = _radial_integrals(p, ts, lambda mass, r, t: mass * r * r, "second moment")
-    return _like(t, moment / (2.0 * ts))
+    return _like(t, _radial_integrals(p.kappa, ts, "second moment") / (2.0 * ts))
 
 
 def xi(p: H3Params, t):
@@ -231,9 +245,11 @@ def xi_prime(p: H3Params, t):
     return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
-def _closed_forms(p: H3Params, t: np.ndarray):
-    """((closed, lower term, upper term) for eta, the same for eta', F_0) at
-    the array of times t, all times exp(-kappa^2 t/2); F_0 is alpha(kappa, t).
+def _closed_parts(k: float, ts: np.ndarray, root: np.ndarray, rows):
+    """(closed for eta at every time of ts, ((lower term, upper term) for eta,
+    (closed, lower term, upper term) for eta'), F_0 = alpha) at the times
+    ts[rows], all times exp(-kappa^2 t/2); root is sqrt(ts).  A time where
+    some F_m overflows raises ValueError, as in ``specfun.moment_factors``.
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -245,13 +261,17 @@ def _closed_forms(p: H3Params, t: np.ndarray):
     coefficient F_3/2 and log arguments 1 + 2x F_4/F_3 and 1 + x F_3/F_2.
     One erf per time serves all five F_m.
     """
-    x = p.kappa * np.sqrt(t)
-    f0, f1, f2, f3, f4 = moment_factors(p.kappa, t)
-    coeff, coeff_prime = t * f1, 0.5 * f3
-    return ((t * x * f2, coeff * np.log(2.0 * x * x + 4.0), coeff * np.log1p(x * f1 / f0)),
-            (0.5 * x * f4, coeff_prime * np.log1p(2.0 * x * f4 / f3),
-             coeff_prime * np.log1p(x * f3 / f2)),
-            f0)
+    x, alphas = k * root, _alpha(k, ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        e = np.exp(-0.5 * x * x)
+        f = [factor(x, alphas, e) for factor in _MOMENT_TABLE]
+    _refuse_overflow(f, k, ts, "a moment factor F_0 to F_4")
+    closed = ts * x * f[2]
+    t, x, f = ts[rows], x[rows], [factor[rows] for factor in f]
+    coeff, coeff_prime = t * f[1], 0.5 * f[3]
+    return closed, ((coeff * np.log(2.0 * x * x + 4.0), coeff * np.log1p(x * f[1] / f[0])),
+                    (0.5 * x * f[4], coeff_prime * np.log1p(2.0 * x * f[4] / f[3]),
+                     coeff_prime * np.log1p(x * f[3] / f[2]))), f[0]
 
 
 def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
@@ -288,13 +308,15 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 def eta_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds that eta must sit strictly inside,
     times exp(-kappa^2 t/2)."""
-    (closed, lower, upper), _, _ = _closed_forms(p, _times(t))
+    ts = _times(t)
+    closed, ((lower, upper), _), _ = _closed_parts(p.kappa, ts, np.sqrt(ts), ...)
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
 def eta_prime_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
-    _, (closed, lower, upper), _ = _closed_forms(p, _times(t))
+    ts = _times(t)
+    _, (closed, lower, upper) = _closed_parts(p.kappa, ts, np.sqrt(ts), ...)[1]
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
@@ -305,13 +327,7 @@ def entropy_quadrature(p: H3Params, t):
     Independent oracle for the assembled value; also settles the radial
     Gaussian-weight reading discussed in the module docstring.
     """
-    k = p.kappa
-
-    def integrand(mass, r, t):
-        base = 1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t
-        return mass * (r * r / (2.0 * t) + base + log_sinh_ratio(k * r))
-
-    return _like(t, _radial_integrals(p, _times(t), integrand, "direct entropy integral"))
+    return _like(t, _radial_integrals(p.kappa, _times(t), "direct entropy integral"))
 
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
@@ -321,6 +337,7 @@ def asymptotic_band(p: H3Params) -> tuple[float, float]:
 
 
 SIDES = ("eta lower", "eta upper", "eta' lower", "eta' upper")
+_LOWER_SIDES = np.array([[True], [False], [True], [False]])
 
 
 def verdict_states(margin, error):
@@ -384,38 +401,42 @@ class H3Sweep:
 
 def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
     """The fixed-node trapezoid rule of the module docstring at the times ts:
-    the node sums for eta at every time and for eta' at the first n, each
-    with its estimate |I_h - I_2h|, before the sqrt(t)/2 (and 1/(2t^2))
-    scale.  L, or G where the mask returned first is set, is evaluated once
-    per time and serves both sums.  Each time is one row of the array
-    program, and every shortcut of the module docstring leaves each node
-    value as it would be alone, so its sums do not depend on the others."""
-    k = p.kappa
+    (mask, sums, estimates |I_h - I_2h|), the sums before the sqrt(t)/2 (and
+    1/(2t^2)) scale, for eta at every time and then for eta' at the first n.
+    L, or G where the mask is set, is evaluated once per time and serves
+    both sums.  The times run in blocks of _BLOCK_ROWS rows, which sum into
+    the arrays made here, so no node-sized array outlives its block."""
+    k, size = p.kappa, ts.size
     remainder = k * k * ts >= _REMAINDER_FROM
-    r = np.multiply.outer(np.sqrt(ts), _NODES)
-    r += (k * ts)[:, None]
-    x = k * r
-    if remainder.all():
-        f = _remainder_weight(x)
-    elif not remainder.any():
-        f = _log_sinh_ratio(np.abs(x, out=x))
-    else:
-        f = np.empty(r.shape)
-        inner = x[~remainder]
-        f[~remainder] = _log_sinh_ratio(np.abs(inner, out=inner))
-        f[remainder] = _remainder_weight(x[remainder])
-    # the products f (r gauss) and f (r^3 gauss), each taken in place
-    near = r[:n] * r[:n]
-    near *= r[:n]
-    near *= _GAUSS
-    near *= f[:n]
-    r *= _GAUSS
-    r *= f
-    rules = []
-    for weighted in (r, near):
-        fine = _STEP * weighted.sum(axis=1)
-        rules.append((fine, np.abs(fine - 2.0 * _STEP * weighted[:, ::2].sum(axis=1))))
-    return remainder, rules
+    root, peaks = np.sqrt(ts), k * ts
+    fine, coarse = np.empty(size + n), np.empty(size + n)  # eta, then eta' at the first n
+    for start in range(0, size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, size)
+        m, rows = max(0, min(stop, n) - start), remainder[start:stop]
+        r = np.multiply.outer(root[start:stop], _NODES)
+        r += peaks[start:stop, None]
+        x = k * r
+        if rows.all():
+            f = _remainder_weight(x)
+        elif not rows.any():
+            f = _log_sinh_ratio(np.abs(x, out=x))
+        else:
+            f = np.empty(r.shape)
+            inner = x[~rows]
+            f[~rows] = _log_sinh_ratio(np.abs(inner, out=inner))
+            f[rows] = _remainder_weight(x[rows])
+        # the products f (r gauss) and f (r^3 gauss), each taken in place
+        near = r[:m] * r[:m]
+        near *= r[:m]
+        near *= _GAUSS
+        near *= f[:m]
+        r *= _GAUSS
+        r *= f
+        for weighted, at in ((r, start), (near, size + start)):
+            np.sum(weighted, axis=1, out=fine[at:at + len(weighted)])
+            np.sum(weighted[:, ::2], axis=1, out=coarse[at:at + len(weighted)])
+    fine *= _STEP
+    return remainder, fine, np.abs(fine - 2.0 * _STEP * coarse)
 
 
 def _remainder_weight(x: np.ndarray) -> np.ndarray:
@@ -435,97 +456,100 @@ def _remainder_weight(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _slack_margins(value, rest, error, lower, upper):
-    """(margins, errors) of the lower and the upper envelope side, each of
-    shape (2, n) and taken on the remainder: eta - lower = (lower term) - R
-    and upper - eta = R - (upper term), relative to the checked value."""
-    size = np.where(value == 0.0, 1.0, np.abs(value))  # eta underflowed to 0: absolute
-    slacks = np.array([lower - rest, rest - upper])
-    rounding = _SLACK_ROUNDING * (np.abs([lower, upper]) + np.abs(rest))
-    return slacks / size, (error + rounding) / size
-
-
 def evaluate_records(p: H3Params, times) -> H3Sweep:
     """The sweep over the times, from one array program over the time grid.
 
     Its rows are t, t + h and t - h (h = 1e-4 t, for rate_fd); the
     trapezoid rule gives eta on every row and eta' on the t rows, and every
-    closed form, envelope, rate and verdict margin is an expression over
-    these rows.  Each row is computed on its own, so a row of the sweep does
-    not depend on the grid it came in.
+    closed form, rate and verdict margin is an expression over these rows
+    (the envelopes and eta' over the t rows alone).  Each row is computed on
+    its own, so a row of the sweep does not depend on the grid it came in.
 
     Raises ValueError naming the first t where kappa^2 t of a row
     overflows, then one naming the first t where a node sum of eta or eta'
     does; then QuadratureConvergenceError for the first integral, in the
     order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
     estimate |I_h - I_2h| exceeds max(RELATIVE_TOLERANCE |I_h|,
-    ABSOLUTE_TOLERANCE) of ``quadrature``, and then ValueError naming t where
-    xi, xi' or 1/(2t^2) of a row leaves the double range.
+    ABSOLUTE_TOLERANCE) of ``quadrature``; then ValueError naming t where
+    xi, xi' or 1/(2t^2) of a row leaves the double range, one naming kappa
+    and the row's time where a moment factor F_m overflows, and one naming t
+    where a closed part, envelope term or margin is not finite.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
-    n = grid.size
-    k = p.kappa
+    n, k = grid.size, p.kappa
 
-    def out_of_range(bad: np.ndarray, why: str) -> ValueError:
-        t = grid[np.flatnonzero(bad.reshape(3, n).any(axis=0))[0]]
+    def out_of_range(bad: np.ndarray, why: str) -> ValueError:  # bad: blocks of n rows
+        t = grid[np.flatnonzero(bad.reshape(-1, n).any(axis=0))[0]]
         return ValueError(f"t={float(t)!r} leaves the double range: {why}")
+
+    def t_rows(a: np.ndarray) -> np.ndarray:  # (4, n): its t rows of eta, eta, eta', eta'
+        return np.repeat([a[:n], a[3 * n:]], 2, axis=0)
 
     with np.errstate(all="ignore"):
         steps = _FD_STEP_SCALE * grid
         ts = np.concatenate([grid, grid + steps, grid - steps])
-        overflows = ~np.isfinite(k * k * ts)
-        if overflows.any():
-            raise out_of_range(overflows, "kappa^2 t overflows")
-        remainder, ((fine, estimate), (fine_prime, estimate_prime)) = _trapezoid(p, ts, n)
-        overflows = ~np.isfinite(fine)
-        overflows[:n] |= ~np.isfinite(fine_prime)
-        if overflows.any():
-            raise out_of_range(overflows, "a node sum of eta or eta' overflows")
-        failed, failed_prime = (
-            ~(e <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(v),
-                              quadrature.ABSOLUTE_TOLERANCE))  # a NaN estimate too
-            for v, e in ((fine, estimate), (fine_prime, estimate_prime)))
-        # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
-        order = np.stack([failed[:n], failed_prime, failed[n:2 * n], failed[2 * n:]], axis=1)
-        if order.any():
-            i, slot = divmod(int(np.flatnonzero(order)[0]), 4)
-            row = i if slot < 2 else (slot - 1) * n + i  # its row of ts
+        k2t = k * k * ts
+        if not np.isfinite(k2t).all():
+            raise out_of_range(~np.isfinite(k2t), "kappa^2 t overflows")
+        # eta at every row of ts, then eta' at the t rows
+        remainder, fine, estimate = _trapezoid(p, ts, n)
+        if not np.isfinite(fine).all():
+            raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
+        failed = ~(estimate <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(fine),
+                                          quadrature.ABSOLUTE_TOLERANCE))  # a NaN estimate too
+        if failed.any():
+            # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
+            i, slot = divmod(int(np.flatnonzero(failed.reshape(4, n)[[0, 3, 1, 2]].T)[0]), 4)
             raise QuadratureConvergenceError(
                 f"log-weighted sinh integral (power {3 if slot == 1 else 1}) at "
-                f"t={float(ts[row])!r}: error estimate "
-                f"{(estimate_prime if slot == 1 else estimate)[row]:.3e} "
-                f"on {_NODES.size} nodes")
+                f"t={float(ts[i + (0, 0, n, 2 * n)[slot]])!r}: error estimate "
+                f"{estimate[i + (0, 3 * n, n, 2 * n)[slot]]:.3e} on {_NODES.size} nodes")
 
-        xis, xi_primes, prime_scale = xi(p, ts), xi_prime(p, ts), 0.5 / (ts * ts)
-        in_range = np.all([np.isfinite(v) & (v != 0.0)
-                           for v in (xis, xi_primes, prime_scale)], axis=0)
-        if not in_range.all():
-            raise out_of_range(~in_range, "xi, xi' or the eta' scale 1/(2t^2) "
-                                          "overflows or underflows")
+        # xi, xi' (both times exp(kappa^2 t/2)) and the eta' scale 1/(2t^2)
+        xis = _SQRT_TWO_OVER_PI / (k * ts ** 1.5)
+        scales = np.array([xis, -(k2t + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5), 0.5 / (ts * ts)])
+        if not (np.isfinite(scales).all() and scales.all()):
+            raise out_of_range(~(np.isfinite(scales) & (scales != 0.0)).all(axis=0),
+                               "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
+        scales = scales[1:, :n].copy()  # xi' and the eta' scale at the t rows alone
+        xi_primes, prime_scale = scales
+        root = np.sqrt(ts)
+        closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), alphas = (
+            _closed_parts(k, ts, root, slice(n)))
 
-        scale = 0.5 * np.sqrt(ts)
-        quad, quad_prime = fine * scale, fine_prime * (scale[:n] * prime_scale[:n])
-        error, error_prime = estimate * scale, estimate_prime * (scale[:n] * prime_scale[:n])
-        (closed, lower, upper), eta_prime_terms, alphas = _closed_forms(p, ts)
-        closed_prime, lower_prime, upper_prime = (v[:n] for v in eta_prime_terms)
-        eta = np.where(remainder, closed - quad, quad)
-        rest = np.where(remainder, quad, closed - quad)
-        etap = np.where(remainder[:n], closed_prime - quad_prime, quad_prime)
-        rest_prime = np.where(remainder[:n], quad_prime, closed_prime - quad_prime)
+        scale = np.concatenate([0.5 * root, 0.5 * root[:n] * prime_scale])
+        quad, error = (np.multiply(a, scale, out=a) for a in (fine, estimate))  # in place
+        closed = np.concatenate([closed, closed_prime])
+        remainder = np.concatenate([remainder, remainder[:n]])
+        rest = closed - quad
+        eta = np.where(remainder, rest, quad)
+        np.copyto(rest, quad, where=remainder)
 
-        i1 = I1(p, ts)
-        i2 = xis * eta
+        i1 = 0.5 * (k2t + 3.0)
+        i2 = xis * eta[:3 * n]
         entropy = 1.5 * np.log(2.0 * math.pi * ts) + 0.5 * k * k * ts + i1 + i2
         # xi' kappa M_2 + xi kappa M_4/(2t^2), the closed part of the rate,
         # cancels analytically to 2 kappa^2 alpha/sqrt(2 pi)
         # + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t); only -(xi' R + xi R') is left.
-        closed_rate = 2.0 * k * (k * alphas[:n] + np.exp(-0.5 * k * k * grid) / np.sqrt(grid))
+        closed_rate = 2.0 * k * (k * alphas + np.exp(-0.5 * k * k * grid) / root[:n])
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
-            xi_primes[:n] * rest[:n] + xis[:n] * rest_prime)
+            xi_primes * rest[:n] + xis[:n] * rest[3 * n:])
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
-        margins, errors = (np.concatenate(pair) for pair in zip(
-            _slack_margins(eta[:n], rest[:n], error[:n], lower[:n], upper[:n]),
-            _slack_margins(etap, rest_prime, error_prime, lower_prime, upper_prime)))
+        del ts, k2t, root, scale, alphas  # so that a long sweep's margins reuse their memory
+
+        # The four sides in the order of SIDES, each taken on the remainder:
+        # eta - lower = (lower term) - R and upper - eta = R - (upper term),
+        # relative to the checked value (absolute where it underflowed to 0),
+        # with the rule's error plus _SLACK_ROUNDING of both terms.
+        terms, rests = np.array([lower, upper, lower_prime, upper_prime]), t_rows(rest)
+        values = np.abs(t_rows(eta))
+        values[values == 0.0] = 1.0
+        margins = np.where(_LOWER_SIDES, terms - rests, rests - terms) / values
+        errors = (t_rows(error) + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))) / values
+        # every closed part, envelope term and margin, in blocks of n rows
+        finite = np.concatenate([np.isfinite(a).ravel() for a in (closed, terms, margins, errors)])
+        if not finite.all():
+            raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
-                       closed[:n] - lower[:n], closed[:n] - upper[:n], etap,
+                       closed[:n] - lower, closed[:n] - upper, eta[3 * n:],
                        closed_prime - lower_prime, closed_prime - upper_prime, margins, errors)

@@ -10,17 +10,20 @@ integrand in tau that decays double-exponentially, so the trapezoid rule on
 1974; Trefethen & Weideman, SIAM Rev. 56, 2014).  Nothing is probed.
 
 The step starts at 1/16 and halves down to 1/512, each halving evaluating
-only the new odd nodes.  A case stops at the first step h where
-|I_h - I_2h| plus _ROUNDING times the sum of |weight x value| meets
-max(RELATIVE_TOLERANCE |I_h|, ABSOLUTE_TOLERANCE), the program's one
+only the new odd nodes: first the [0, c] parts of the running cases, then
+their parts beyond c, each in fixed blocks of 64 cases (_BLOCK_CASES), so
+each case adds its [0, c] sum first and the first failure met is the one a
+single (cases x nodes) array would show first.  A case stops at the first
+step h where |I_h - I_2h| plus _ROUNDING times the sum of |weight x value|
+meets max(RELATIVE_TOLERANCE |I_h|, ABSOLUTE_TOLERANCE), the program's one
 acceptance test, and returns I_h with that estimate.  A case still
 short at the finest step raises QuadratureConvergenceError, a node value
 that is not finite QuadratureDomainError naming its abscissa; context(case)
 names the case.
 
 Integrand contract.  ``integrate_batch`` calls f(d, *columns): d holds the
-nodes' offsets r - c, a row per case still running on [0, c] (if c > 0) and
-one beyond c, and each case parameter comes as a (rows, 1) column; f
+nodes' offsets r - c, a row per case of a block, all on [0, c] or all
+beyond c, and each case parameter comes as a (rows, 1) column; f
 returns d's shape (or a scalar), elementwise.  On [0, c],
 d = -w/(w/c + e^{2u}), so nodes next to the peak keep every digit of their
 distance from it.  A case's values and sums depend on its own rows alone, so
@@ -55,6 +58,7 @@ ABSOLUTE_TOLERANCE = 1e-14
 # of [0, c] sit within w e^{-141} of c and (c^2/w) e^{-141} of 0, and those
 # beyond c at w e^{-70.7} and w e^{70.7} past it.
 _STEPS = [2.0 ** -k for k in range(4, 10)]
+_BLOCK_CASES = 64  # a block's node arrays: 64 x 145 doubles at the first steps
 # Per unit of sum |weight x value|: a pairwise sum's 14 ulp and 2 per value.
 _ROUNDING = 16.0 * sys.float_info.epsilon
 
@@ -88,22 +92,25 @@ def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
     with np.errstate(all="ignore"):  # node values are tested for finiteness
         ratio = w / c  # inf where c = 0, which has no [0, c] part
         for h, (q, dq, e, de) in zip(_STEPS, _LEVELS):
-            inner = rows[c[rows] > 0.0]
-            span = ratio[inner, None] + q
-            # the [0, c] rows of the cases with c > 0, then every case's rest
-            cases = np.concatenate((inner, rows))
-            d = np.concatenate((-w[inner, None] / span, w[rows, None] * e))
-            weights = np.concatenate((-d[:inner.size] * dq / span, w[rows, None] * de))
-            fx = np.broadcast_to(f(d, *(column[cases] for column in columns)), d.shape)
-            bad = np.flatnonzero(~np.isfinite(fx))
-            if bad.size:
-                row, node = divmod(int(bad[0]), d.shape[1])
-                raise QuadratureDomainError(
-                    f"{context(int(cases[row]))}: integrand returned {float(fx[row, node])!r} "
-                    f"at {float(c[cases[row]] + d[row, node])!r}")
-            terms = fx * weights
-            np.add.at(sums, cases, terms.sum(axis=1))
-            np.add.at(sizes, cases, np.abs(terms).sum(axis=1))
+            parts = enumerate((rows[c[rows] > 0.0], rows))  # [0, c] parts, then the rest
+            for outer, cases in ((outer, part[start:start + _BLOCK_CASES]) for outer, part in parts
+                                 for start in range(0, part.size, _BLOCK_CASES)):
+                if outer:
+                    d, weights = w[cases, None] * e, w[cases, None] * de
+                else:
+                    span = ratio[cases, None] + q
+                    d = -w[cases, None] / span
+                    weights = -d * dq / span
+                fx = np.broadcast_to(f(d, *(column[cases] for column in columns)), d.shape)
+                bad = np.flatnonzero(~np.isfinite(fx))
+                if bad.size:
+                    row, node = divmod(int(bad[0]), d.shape[1])
+                    raise QuadratureDomainError(
+                        f"{context(int(cases[row]))}: integrand returned "
+                        f"{float(fx[row, node])!r} at {float(c[cases[row]] + d[row, node])!r}")
+                terms = fx * weights
+                sums[cases] += terms.sum(axis=1)
+                sizes[cases] += np.abs(terms).sum(axis=1)
             coarse = values[rows]
             fine = values[rows] = h * sums[rows]
             if h == _STEPS[0]:

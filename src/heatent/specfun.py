@@ -57,8 +57,13 @@ def alpha(kappa: float, t):
     # a NaN fails every comparison, so it is refused too
     if not (0.0 < kappa < math.inf and np.all((0.0 < ts) & (ts < math.inf))):
         raise ValueError("need finite kappa > 0 and finite t > 0")
-    erf = np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
-    return float(_SQRT_HALF_PI * erf) if ts.ndim == 0 else _SQRT_HALF_PI * erf
+    a = _alpha(kappa, ts)
+    return float(a) if ts.ndim == 0 else a
+
+
+def _alpha(kappa: float, ts: np.ndarray) -> np.ndarray:
+    """``alpha`` at the float array ts, unchecked: one erf per time."""
+    return _SQRT_HALF_PI * np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
 
 
 # F_m(x) of each power m of the sinh moment, from x = kappa sqrt(t),
@@ -92,7 +97,7 @@ def _factors(kappa: float, ts: np.ndarray, powers) -> list:
 def _refuse_overflow(values: list, kappa: float, ts: np.ndarray, what: str) -> None:
     """ValueError naming kappa and the first t where one of the values,
     each shaped like ts, is not finite."""
-    finite = np.ravel(np.all(np.isfinite(values), axis=0))
+    finite = np.ravel(np.logical_and.reduce([np.isfinite(v) for v in values]))
     if not finite.all():
         t = float(np.ravel(ts)[np.flatnonzero(~finite)[0]])
         raise ValueError(f"{what} overflows at kappa = {kappa!r}, t = {t!r}")

@@ -490,6 +490,42 @@ def test_h3_range_limit_is_refused_naming_t(argv, t):
                            "a node sum of eta or eta' overflows\n")
 
 
+def test_h3_closed_part_past_double_range_is_refused_naming_t(capsys):
+    # kappa^2 t, the node sums, xi and the moment factors are finite, but the
+    # closed part x F_4/2 of eta' overflows at x = kappa sqrt(t) = 3e70: a
+    # range limit (exit 2, one line), not an inf column and a failed verdict
+    argv = ["h3", "--kappa", "1e40", "--t-start", "1e61", "--t-stop", "1e61", "--t-count", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: t=1e+61 leaves the double range: a closed part, envelope term or "
+            "margin is not finite\n")
+
+
+def test_h3_unresolved_rows_keep_their_verdict(capsys):
+    # rows past kappa^2 t = 3e13 are unresolved (not out of range): exit 1
+    argv = ["h3", "--kappa", "100", "--t-start", "1e-12", "--t-stop", "1e12", "--t-count", "50"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("h3: 6 of 50 rows failed; first at t=3556480306.223121: "
+                          "envelope check (eta lower unresolved: margin 9.478e-28")
+
+
+def test_warm_long_h3_sweep_hardly_faults():
+    # the trapezoid kernel runs in fixed row blocks: a warm h3 request of
+    # 6,000 kernel rows maps no node-sized arrays afresh (about 4,500 minor
+    # faults per request when the kernel took every row at once)
+    code = ("import os, resource; from heatent import cli\n"
+            "argv = ['h3', '--t-count', '2000', '--out', os.devnull]\n"
+            "for _ in range(3): cli.main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20): assert cli.main(argv) == 0\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 500.0
+
+
 def test_h3_kappa2t_overflow_is_usage_error(capsys):
     # refused by name before any integral, in process and in a fresh one
     argv = ["h3", "--kappa", "1e200", "--t-count", "2"]

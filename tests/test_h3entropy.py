@@ -91,8 +91,8 @@ def test_radial_mass_matches_kernel_times_shell():
         p = h3.H3Params(kappa)
         naive = (h3.heat_kernel(p, t, r)
                  * 4.0 * math.pi * math.sinh(kappa * r) ** 2 / kappa ** 2)
-        pref = h3._mass_prefactor(p, t)
-        assert h3._radial_mass(p, t, r - kappa * t, pref) == pytest.approx(naive, rel=1e-12)
+        pref = h3._mass_prefactor(kappa, t)
+        assert h3._radial_mass(kappa, t, r - kappa * t, pref) == pytest.approx(naive, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,9 @@ def test_closed_form_terms_against_mpmath():
         for kappa in (0.3, 1.0, 2.7):
             p = h3.H3Params(kappa)
             times = k2t / kappa ** 2
-            eta_terms, eta_prime_terms, _ = h3._closed_forms(p, times)
-            terms = eta_terms + eta_prime_terms
+            closed, ((lower, upper), eta_prime_terms), _ = h3._closed_parts(
+                kappa, times, np.sqrt(times), ...)
+            terms = (closed, lower, upper) + eta_prime_terms
             for i, t in enumerate(times.tolist()):
                 k, tt = mp.mpf(kappa), mp.mpf(t)
                 m0, m1, m2, m3, m4 = (mp_scaled_moment(mp, m, kappa, t)
@@ -503,8 +504,8 @@ def test_node_sum_overflow_is_refused_before_the_convergence_check():
             h3.evaluate_records(params, times)
     # the refusal is where the sum itself overflows
     with np.errstate(over="ignore"):
-        _, (_, (sums, _)) = h3._trapezoid(p, np.array([26.7, 26.9]), 2)
-    assert math.isfinite(sums[0]) and sums[1] == math.inf
+        _, sums, _ = h3._trapezoid(p, np.array([26.7, 26.9]), 2)  # eta, eta, eta', eta'
+    assert math.isfinite(sums[2]) and sums[3] == math.inf
 
 
 def test_kappa2t_overflow_is_refused_before_any_integral():
@@ -523,6 +524,63 @@ def test_times_past_double_range_are_refused():
         with pytest.raises(ValueError, match=f"t={t!r}"):
             h3.evaluate_records(P1, [1.0, t])
     assert math.isfinite(h3.evaluate_records(P1, [1e-120]).rate_direct[0])
+
+
+_DOUBLE_RANGE = "leaves the double range: "
+
+
+@pytest.mark.parametrize("kappa, times, message", [
+    # each refusal, and each one raised before any later one that also applies
+    (1e200, [0.5, -1.0], "t must be positive and finite"),
+    (1e200, [0.5, 1.0], "t=0.5 " + _DOUBLE_RANGE + "kappa^2 t overflows"),
+    (1.0, [1.0, 1e300, 2e300],
+     "t=1e+300 " + _DOUBLE_RANGE + "a node sum of eta or eta' overflows"),
+    (1e78, [1.0, 1e-130],
+     "t=1e-130 " + _DOUBLE_RANGE + "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows"),
+    (1e78, [1e-20, 1.0],
+     "a moment factor F_0 to F_4 overflows at kappa = 1e+78, t = 1.0"),
+    (1e78, [1e-20],
+     "t=1e-20 " + _DOUBLE_RANGE + "a closed part, envelope term or margin is not finite"),
+    (1e40, [1e61],
+     "t=1e+61 " + _DOUBLE_RANGE + "a closed part, envelope term or margin is not finite"),
+    (1e40, [1e61, 1e-130],
+     "t=1e-130 " + _DOUBLE_RANGE + "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows"),
+])
+def test_evaluate_records_refusals_in_order(kappa, times, message):
+    with pytest.raises(ValueError) as raised:
+        h3.evaluate_records(h3.H3Params(kappa), times)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.5, 1e-130], "log-weighted sinh integral (power 1) at t=0.5: error estimate 5.551e-17 "
+                    "on 153 nodes"),
+    ([1e-130, 0.5], "log-weighted sinh integral (power 1) at t=1e-130: error estimate "
+                    "1.052e-211 on 153 nodes")])
+def test_unconverged_rule_is_refused_before_the_range_of_xi(times, message, tolerances):
+    tolerances(1e-300, 1e-300)
+    with pytest.raises(QuadratureConvergenceError) as raised:
+        h3.evaluate_records(P1, times)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 6000])
+def test_blocked_trapezoid_rows_equal_lone_rows(count):
+    # the kernel runs in blocks of _BLOCK_ROWS rows; at every row count, on
+    # shuffled rows that put both branches and mixed blocks on either side of
+    # each block boundary, each row's sums and estimates are its lone ones
+    assert h3._BLOCK_ROWS == 64
+    p = h3.H3Params(0.8)
+    ts = np.random.default_rng(count).permutation(np.geomspace(1e-8, 1e12, count)) / 0.64
+    n = (count + 2) // 3
+    mask, fine, estimate = h3._trapezoid(p, ts, n)
+    assert fine.shape == estimate.shape == (count + n,)
+    for i, t in enumerate(ts.tolist()):
+        lone_mask, lone_fine, lone_estimate = h3._trapezoid(p, np.array([t]), int(i < n))
+        rows = [i, count + i] if i < n else [i]
+        assert mask[i] == lone_mask[0]
+        assert fine[rows].tobytes() == lone_fine.tobytes(), (count, i)
+        assert estimate[rows].tobytes() == lone_estimate.tobytes(), (count, i)
 
 
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
@@ -602,9 +660,10 @@ def frozen_trapezoid(p, ts, n):
 
 def assert_kernel_is_frozen(p, ts, n):
     with np.errstate(all="ignore"):
-        mask, rules = h3._trapezoid(p, ts, n)
+        mask, fine, estimate = h3._trapezoid(p, ts, n)
         frozen_mask, frozen_rules = frozen_trapezoid(p, ts, n)
     assert mask.tolist() == frozen_mask.tolist()
+    rules = [(fine[:ts.size], estimate[:ts.size]), (fine[ts.size:], estimate[ts.size:])]
     for got, want in zip(rules, frozen_rules):
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (p.kappa, ts, n)

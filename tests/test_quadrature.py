@@ -105,11 +105,10 @@ def test_mass_points_within_their_estimates():
     # verify's h3_normalization points: the radial kernel mass is 1, and the
     # rule's estimate covers its distance from 1
     for kappa in (0.5, 1.0, 2.0):
-        p = h3.H3Params(kappa)
         ts = np.array([0.1, 1.0, 10.0, 50.0])
-        prefs = np.array([h3._mass_prefactor(p, t) for t in ts.tolist()])
+        prefs = np.array([h3._mass_prefactor(kappa, t) for t in ts.tolist()])
         values, estimates = integrate_batch(
-            lambda d, t, pref: h3._radial_mass(p, t, d, pref), kappa * ts, np.sqrt(ts),
+            lambda d, t, pref: h3._radial_mass(kappa, t, d, pref), kappa * ts, np.sqrt(ts),
             (ts, prefs), name)
         assert np.all(np.abs(values - 1.0) <= estimates), kappa
         assert np.all(np.abs(values - 1.0) <= 4.5e-16), kappa
@@ -173,6 +172,71 @@ def test_case_is_bit_identical_alone_in_any_batch_and_order():
     big = integrate_batch(f, np.tile(centers, 50), np.tile(widths, 50),
                           [np.tile(column, 50) for column in columns], name)
     assert [v.tolist() for v in big] == [np.tile(v, 50).tolist() for v in batch]
+
+
+B = quadrature._BLOCK_CASES
+
+
+@pytest.mark.parametrize("count", [B - 1, B, B + 1, 3 * B + 5])
+def test_blocked_batch_equals_lone_runs(count):
+    # the cases run in blocks of _BLOCK_CASES; at every case count each
+    # case's value and estimate are those of its lone run
+    f, columns = _mixed_batch()
+    columns = [np.resize(column, count) for column in columns]
+    _, centers, widths = columns
+    values, estimates = integrate_batch(f, centers, widths, columns, name)
+    for k in range(count):
+        alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
+                                [column[k:k + 1] for column in columns], name)
+        assert (values[k], estimates[k]) == (alone[0][0], alone[1][0]), k
+
+
+def _failure(f, peaks, columns, monkeypatch, block):
+    """The message integrate_batch raises with blocks of `block` cases."""
+    monkeypatch.setattr(quadrature, "_BLOCK_CASES", block)
+    with pytest.raises((QuadratureDomainError, QuadratureConvergenceError)) as raised:
+        integrate_batch(f, peaks, np.ones(peaks.size), columns, name)
+    return f"{type(raised.value).__name__}: {raised.value}"
+
+
+@pytest.mark.parametrize("inner, outer, named", [
+    # the [0, c] parts of every case come before any part beyond c, and
+    # cases in their order, whichever blocks they fall in
+    ((B + 2,), (1,), B + 2), ((B - 1, B), (), B - 1), ((), (B, B - 1), B - 1),
+    ((3 * B + 1,), (2 * B,), 3 * B + 1), ((), (B,), B)])
+def test_domain_failure_named_across_blocks_as_in_one_array(inner, outer, named, monkeypatch):
+    # a NaN on one side of a case's peak: the case and the abscissa named
+    # are the ones a single (cases x nodes) array names first
+    count = 3 * B + 5
+    side = np.zeros(count)
+    side[list(inner)], side[list(outer)] = -1.0, 1.0
+
+    def f(d, side):
+        return np.where(side * d > 0.0, np.nan, np.exp(-0.5 * d * d))
+
+    peaks = np.full(count, 3.0)
+    blocked = _failure(f, peaks, (side,), monkeypatch, B)
+    assert blocked == _failure(f, peaks, (side,), monkeypatch, count)
+    assert blocked.startswith(f"QuadratureDomainError: case {named}: integrand returned nan at ")
+
+
+@pytest.mark.parametrize("failing", [(B + 3, B - 2), (2 * B, 3 * B + 4), (B,)])
+def test_convergence_failure_named_across_blocks_as_in_one_array(failing, tolerances,
+                                                                 monkeypatch):
+    # a zero integrand meets any tolerance; of the cases that miss them, on
+    # both sides of block boundaries, the first is named, with its estimate
+    tolerances(1e-300, 1e-300)
+    count = 3 * B + 5
+    on = np.zeros(count)
+    on[list(failing)] = 1.0
+
+    def f(d, on):
+        return on * np.exp(-40.0 * d * d) * (1.0 + np.cos(7.0 * (3.0 + d)))
+
+    peaks = np.full(count, 3.0)
+    blocked = _failure(f, peaks, (on,), monkeypatch, B)
+    assert blocked == _failure(f, peaks, (on,), monkeypatch, count)
+    assert blocked.startswith(f"QuadratureConvergenceError: case {min(failing)}: error estimate")
 
 
 def test_shifted_gaussians_batch_matches_singles():

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from heatent import h3entropy as h3
+from heatent import verify as vf
 from heatent.quadrature import QuadratureConvergenceError
 from heatent.verify import CHECKS, check_moment_table, run_checks
 
@@ -58,3 +61,23 @@ def test_moment_table_refuses_unconverged_integrals(tolerances):
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^direct path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
         check_moment_table()
+
+
+def test_kappa_batched_checks_equal_the_per_kappa_oracles():
+    # each radial group integrates its kappa x t grid as one batch; its
+    # max_error is, bit for bit, the one of the per-kappa public oracles
+    params = [h3.H3Params(kappa) for kappa in vf._KAPPA_GRID]
+    times = np.array(vf._T_GRID)
+    worst = max(float(np.max(np.abs(h3.I1(p, times) - h3.I1_quadrature(p, times))
+                             / np.abs(h3.I1(p, times)))) for p in params)
+    pin = abs(h3.I1(h3.H3Params(2.0), 0.25) - 2.0)
+    assert vf.check_second_moment().max_error == max(worst, pin)
+    times = np.array([0.1, 1.0, 10.0, 50.0])
+    worst = max(float(np.max(np.abs(h3.normalization_quadrature(p, times) - 1.0)))
+                for p in params)
+    assert vf.check_h3_normalization().max_error == worst
+    times = np.array([0.3, 1.0, 5.0])
+    worst = max(float(np.max(np.abs(h3.evaluate_records(p, times).entropy - direct)
+                             / np.abs(direct)))
+                for p in params for direct in [h3.entropy_quadrature(p, times)])
+    assert vf.check_entropy_decomposition().max_error == worst
