@@ -88,11 +88,9 @@ import numpy as np
 from . import quadrature
 from .quadrature import QuadratureConvergenceError, integrate_batch
 from .specfun import (
-    _MOMENT_TABLE,
-    _alpha,
     _log_sinh_ratio,
-    _refuse_overflow,
     log_sinh_ratio,
+    moment_factors,
     shifted_gaussian_quadratures,
 )
 
@@ -248,8 +246,9 @@ def xi_prime(p: H3Params, t):
 def _closed_parts(k: float, ts: np.ndarray, root: np.ndarray, rows):
     """(closed for eta at every time of ts, ((lower term, upper term) for eta,
     (closed, lower term, upper term) for eta'), F_0 = alpha) at the times
-    ts[rows], all times exp(-kappa^2 t/2); root is sqrt(ts).  A time where
-    some F_m overflows raises ValueError, as in ``specfun.moment_factors``.
+    ts[rows], all times exp(-kappa^2 t/2); root is sqrt(ts).  The F_m are
+    ``specfun.moment_factors``, so a time where one overflows raises its
+    ValueError.
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -259,13 +258,8 @@ def _closed_parts(k: float, ts: np.ndarray, root: np.ndarray, rows):
     x = kappa sqrt(t): for eta, closed = t x F_2 with coefficient t F_1 and
     log arguments 2x^2 + 4 and 1 + x F_1/F_0; for eta', closed = x F_4/2 with
     coefficient F_3/2 and log arguments 1 + 2x F_4/F_3 and 1 + x F_3/F_2.
-    One erf per time serves all five F_m.
     """
-    x, alphas = k * root, _alpha(k, ts)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        e = np.exp(-0.5 * x * x)
-        f = [factor(x, alphas, e) for factor in _MOMENT_TABLE]
-    _refuse_overflow(f, k, ts, "a moment factor F_0 to F_4")
+    x, f = k * root, moment_factors(k, ts)
     closed = ts * x * f[2]
     t, x, f = ts[rows], x[rows], [factor[rows] for factor in f]
     coeff, coeff_prime = t * f[1], 0.5 * f[3]

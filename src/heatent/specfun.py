@@ -9,7 +9,8 @@ in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
 comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
 x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds F_0, ..., F_4; the moments
-and h3entropy's closed parts and envelope terms of eta are read from it.
+are read from it, and h3entropy's closed parts and envelope terms of eta
+from its one evaluation ``moment_factors``.
 
 The closed forms take a finite kappa > 0, the oracle a finite kappa >= 0,
 and both finite times t > 0; anything else raises ValueError, and so does
@@ -54,16 +55,8 @@ def alpha(kappa: float, t):
     array of times; a float t gives a float.
     """
     ts = np.asarray(t, dtype=float)
-    # a NaN fails every comparison, so it is refused too
-    if not (0.0 < kappa < math.inf and np.all((0.0 < ts) & (ts < math.inf))):
-        raise ValueError("need finite kappa > 0 and finite t > 0")
-    a = _alpha(kappa, ts)
+    [a] = _factors(kappa, ts, [0])  # F_0 is alpha
     return float(a) if ts.ndim == 0 else a
-
-
-def _alpha(kappa: float, ts: np.ndarray) -> np.ndarray:
-    """``alpha`` at the float array ts, unchecked: one erf per time."""
-    return _SQRT_HALF_PI * np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
 
 
 # F_m(x) of each power m of the sinh moment, from x = kappa sqrt(t),
@@ -86,8 +79,13 @@ def _check_power(m: int) -> None:
 
 def _factors(kappa: float, ts: np.ndarray, powers) -> list:
     """F_m at kappa sqrt(ts) for each m of powers, elementwise in the float
-    array ts, where an overflow gives inf or nan without a warning."""
-    a = alpha(kappa, ts)  # first: it checks kappa and t
+    array ts (numpy scalars for a 0-d ts), where an overflow gives inf or
+    nan without a warning.  kappa and ts are checked first; one erf per
+    time serves every F_m."""
+    # a NaN fails every comparison, so it is refused too
+    if not (0.0 < kappa < math.inf and np.all((0.0 < ts) & (ts < math.inf))):
+        raise ValueError("need finite kappa > 0 and finite t > 0")
+    a = _SQRT_HALF_PI * np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         x = kappa * np.sqrt(ts)
         e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x

@@ -690,7 +690,11 @@ class BochnerReport:
 
     @property
     def relative(self) -> float:
-        return self.max_residual / self.term_scale if self.term_scale > 0.0 else 0.0
+        """max_residual / term_scale: NaN when either is NaN, and 0.0 for
+        an exact zero scale."""
+        if self.term_scale == 0.0:
+            return math.nan if math.isnan(self.max_residual) else 0.0
+        return self.max_residual / self.term_scale
 
 
 def bochner_residual(w: SpectralField,
@@ -704,7 +708,10 @@ def bochner_residual(w: SpectralField,
     with d/dt expanded through the evolution equation du/dt = Lu and Ric = 0.
     Every derivative of a trigonometric polynomial is taken spectrally, so the
     returned residual is pure roundoff when the identity holds.  An explicit
-    potential must live on a manifold equal to the field's.
+    potential must live on a manifold equal to the field's.  The identity
+    divides by u, so a field that is not strictly positive on the grid
+    raises PositivityError; a NaN anywhere makes ``relative`` NaN, which
+    fails verify's ``bochner_residual`` group.
     """
     manifold = w.manifold
     if potential is None:
@@ -716,6 +723,7 @@ def bochner_residual(w: SpectralField,
 
     tr = _flat_torus(manifold, w.cutoff, n, "residual")
     u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
+    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
     lap_u = uxx + uyy
 
     if potential is not None:
@@ -750,8 +758,9 @@ def bochner_residual(w: SpectralField,
     drift_term = -2.0 * (vxx * ux * ux + 2.0 * vxy * ux * uy + vyy * uy * uy) / u
     rhs = hess_term + drift_term
 
-    scale = max(*(float(np.abs(term).max())
-                  for term in (0.5 * lap_p, dt_p, hess_term, drift_term)), 1e-300)
+    # np.max, unlike the builtin max, keeps a NaN term scale
+    scale = float(np.max([np.abs(term).max() for term in (0.5 * lap_p, dt_p, hess_term,
+                                                          drift_term)], initial=1e-300))
     return BochnerReport(float(np.abs(lhs - rhs).max()), scale)
 
 
@@ -759,10 +768,14 @@ def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
     """Pointwise slack of |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n.
 
     Returns (minimum slack over the grid, scale of the dominating side);
-    the slack must be nonnegative up to roundoff for positive fields.
+    the slack must be nonnegative up to roundoff for positive fields.  Both
+    sides divide by w, so a field that is not strictly positive on the grid
+    raises PositivityError; a NaN slack fails verify's ``hessian_trace``
+    group.
     """
     tr = _flat_torus(w.manifold, w.cutoff, None, "trace inequality")
     u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
+    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
     lhs = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy)
     lap_log = (uxx + uyy) / u - (ux * ux + uy * uy) / u ** 2
     rhs = u * u / w.manifold.dimension * lap_log ** 2

@@ -36,9 +36,25 @@ _RANDOM_SEED = 20240817
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One group's verdict.  max_error is the group's worst error floored at
+    0 (a violation count for the counting groups); for ``fixture_bounds`` it
+    is the largest rate - rhs, negative while every bound holds.  It is NaN
+    when any case is NaN, and a NaN fails the group."""
+
     passed: bool
     max_error: float
     details: str
+
+
+def _result(errors, tolerance, details: str) -> CheckResult:
+    """The pass rule of every group but ``fixture_bounds``: max_error is the
+    largest of the errors floored at 0, NaN when any is NaN, and the group
+    passes only when every error is at most its tolerance, one number or one
+    per error (broadcast against the errors' shape), so a NaN fails it."""
+    errors = np.asarray(errors, dtype=float)
+    # max propagates a NaN; adding 0.0 turns a -0.0 it keeps over the floor into 0.0
+    return CheckResult(bool((errors <= tolerance).all()),
+                       float(errors.max(initial=0.0)) + 0.0, details)
 
 
 def _direct_moment_integrand(d, m, kappa, t):
@@ -64,14 +80,11 @@ def check_moment_table() -> CheckResult:
     shifted = hyperbolic_moment_quadratures(cases)
     times = np.array(_T_GRID)
     closed = np.concatenate([hyperbolic_moment_closed_form(m, kappa, times)
-                             for m in _MOMENTS for kappa in _KAPPA_GRID]).tolist()
-    worst = 0.0
-    for (_, kappa, t), d, s, c in zip(cases, direct.tolist(), shifted, closed):
-        grown = math.exp(0.5 * kappa * kappa * t)
-        worst = max(worst, abs(grown * c - d) / abs(d), abs(grown * s - d) / abs(d))
-    return CheckResult(worst <= 1e-8, worst,
-                       "closed forms and both integration paths agree on the "
-                       f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
+                             for m in _MOMENTS for kappa in _KAPPA_GRID])
+    grown = np.array([math.exp(0.5 * kappa * kappa * t) for _, kappa, t in cases])
+    return _result(np.abs(grown * np.array([closed, shifted]) - direct) / np.abs(direct), 1e-8,
+                   "closed forms and both integration paths agree on the "
+                   f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
 
 
 def check_second_moment() -> CheckResult:
@@ -80,18 +93,14 @@ def check_second_moment() -> CheckResult:
     times = np.array(_T_GRID)
     closed = np.array([h3.I1(h3.H3Params(kappa), times) for kappa in _KAPPA_GRID])
     quad = h3._radial_integrals(_KAPPAS, times, "second moment") / (2.0 * times)
-    worst = float(np.max(np.abs(closed - quad) / np.abs(closed)))
     pin = abs(h3.I1(h3.H3Params(2.0), 0.25) - 2.0)
-    worst = max(worst, pin)
-    return CheckResult(worst <= 1e-8, worst,
-                       "second moment matches quadrature; value 2 at kappa^2 t = 1")
+    return _result(np.append(np.abs(closed - quad) / np.abs(closed), pin), 1e-8,
+                   "second moment matches quadrature; value 2 at kappa^2 t = 1")
 
 
 def check_h3_normalization() -> CheckResult:
     mass = h3._radial_integrals(_KAPPAS, (0.1, 1.0, 10.0, 50.0), "kernel normalization")
-    worst = float(np.max(np.abs(mass - 1.0)))
-    return CheckResult(worst <= 1e-8, worst,
-                       "radial kernel mass is 1 on the kappa x t grid")
+    return _result(np.abs(mass - 1.0), 1e-8, "radial kernel mass is 1 on the kappa x t grid")
 
 
 def check_envelopes(narrow_fraction: float = 0.0) -> CheckResult:
@@ -109,7 +118,7 @@ def check_envelopes(narrow_fraction: float = 0.0) -> CheckResult:
     detail = "eta and eta' strictly inside their envelopes on the log grid"
     if narrow_fraction > 0.0:
         detail += f" (fault injected: narrowed by {narrow_fraction:.0%} per side)"
-    return CheckResult(failures == 0, float(failures), detail)
+    return _result(failures, 0, detail)
 
 
 def check_band() -> CheckResult:
@@ -117,37 +126,34 @@ def check_band() -> CheckResult:
     margins = np.concatenate([h3.evaluate_records(h3.H3Params(kappa), ts).band_margin
                               for kappa, ts in ((1.0, (20.0, 50.0, 100.0)),
                                                 (2.0, (5.0, 12.5, 25.0)))])
-    return CheckResult(bool(np.all(margins >= 0.0)), max(0.0, float(np.max(-margins))),
-                       "large-time entropy rate inside the band at kappa = 1 and 2")
+    return _result(-margins, 0.0, "large-time entropy rate inside the band at kappa = 1 and 2")
 
 
 def check_rate_consistency() -> CheckResult:
     """Direct rate vs finite difference of the entropy, hyperbolic and spectral."""
-    sweep = h3.evaluate_records(h3.H3Params(1.0), (1.0, 5.0, 20.0))
-    rel = np.abs(sweep.rate_direct - sweep.rate_fd) / np.abs(sweep.rate_direct)
-    worst = float(rel.max())
+    traces = [h3.evaluate_records(h3.H3Params(1.0), (1.0, 5.0, 20.0))]
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
-        trace = sp.entropy_trace(fixture.initial, fixture.rate_check_times)
-        rel = np.abs(trace.rate_direct - trace.rate_fd) / np.abs(trace.rate_direct)
-        worst = max(worst, float(rel.max()))
-    return CheckResult(worst <= 1e-4, worst,
-                       "rate_direct and rate_fd agree on hyperbolic space and "
-                       "all four spectral fixtures")
+        traces.append(sp.entropy_trace(fixture.initial, fixture.rate_check_times))
+    errors = np.concatenate([np.abs(trace.rate_direct - trace.rate_fd) / np.abs(trace.rate_direct)
+                             for trace in traces])
+    return _result(errors, 1e-4,
+                   "rate_direct and rate_fd agree on hyperbolic space and "
+                   "all four spectral fixtures")
 
 
 def check_fixture_bounds() -> CheckResult:
     """Every applicable bound holds along every fixture trace, and at large
     times on the sphere the curvature bound beats the gradient bound."""
     failures = []
-    worst = -math.inf
+    excess = []  # rate - rhs of every bound at every time
     for name in ("circle", "torus", "sphere", "torus-drift"):
         fixture = fx.get_fixture(name)
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
         for report in bd.check_bounds(trace, fixture.manifold, fixture.initial):
             if not report.all_satisfied:
                 failures.append(f"{name}:{report.bound_name}")
-            worst = max(worst, float(np.max(trace.rate_direct - report.rhs)))
+            excess.append(trace.rate_direct - report.rhs)
     sphere = fx.get_fixture("sphere")
     comparison = (5.0, 8.0)
     table = bd.bound_table(sphere.manifold, sphere.initial, comparison)
@@ -159,7 +165,8 @@ def check_fixture_bounds() -> CheckResult:
               "bound on the sphere at large t")
     if failures:
         detail = "violations: " + ", ".join(failures)
-    return CheckResult(not failures, worst, detail)
+    # max propagates a NaN, as in _result
+    return CheckResult(not failures, float(np.concatenate(excess).max()), detail)
 
 
 def check_bochner() -> CheckResult:
@@ -167,76 +174,60 @@ def check_bochner() -> CheckResult:
     pairs on the torus, the first with zero drift."""
     rng = np.random.default_rng(_RANDOM_SEED)
     torus = sp.torus2(1.0, 1.0)
-    worst = 0.0
+    errors = []
     for trial in range(10):
         w = fx.random_positive_torus_field(rng, torus)
         potential = None if trial == 0 else fx.random_torus_potential(rng, torus)
-        report = sp.bochner_residual(w, potential=potential)
-        worst = max(worst, report.relative)
-    return CheckResult(worst <= 1e-8, worst,
-                       "identity residual is roundoff-level for 10 random pairs "
-                       "(first has zero drift)")
+        errors.append(sp.bochner_residual(w, potential=potential).relative)
+    return _result(errors, 1e-8,
+                   "identity residual is roundoff-level for 10 random pairs "
+                   "(first has zero drift)")
 
 
 def check_hessian_trace() -> CheckResult:
     """Pointwise Hessian-vs-trace inequality for random positive fields."""
     rng = np.random.default_rng(_RANDOM_SEED + 1)
     torus = sp.torus2(1.0, 1.0)
-    worst = 0.0
+    errors = []
     for _ in range(8):
-        w = fx.random_positive_torus_field(rng, torus)
-        gap, scale = sp.hessian_trace_gap(w)
-        worst = max(worst, -gap / scale)
-    return CheckResult(worst <= 1e-12, worst,
-                       "squared traceless-Hessian term dominates the trace term "
-                       "pointwise for 8 random positive fields")
+        gap, scale = sp.hessian_trace_gap(fx.random_positive_torus_field(rng, torus))
+        errors.append(-gap / scale)
+    return _result(errors, 1e-12,
+                   "squared traceless-Hessian term dominates the trace term "
+                   "pointwise for 8 random positive fields")
 
 
 def check_cauchy_step() -> CheckResult:
     """Mean-square step and the integration-by-parts identity on evolved
     fixture densities."""
-    worst_ineq = 0.0
-    worst_ibp = 0.0
+    errors = []  # (inequality, identity) per evolved density
     for name in ("circle", "torus", "sphere"):
         fixture = fx.get_fixture(name)
         for t in (0.05, 0.2, 1.0):
-            field = sp.evolve(fixture.initial, t)
-            mean_sq, second, fisher = sp.cauchy_step_values(field)
-            scale = max(second, 1e-30)
-            worst_ineq = max(worst_ineq, (mean_sq - second) / scale)
+            mean_sq, second, fisher = sp.cauchy_step_values(sp.evolve(fixture.initial, t))
             # absolute floor: once the field is flat, fisher sits at the
             # roundoff floor and a pure relative comparison is noise
-            worst_ibp = max(worst_ibp,
-                            abs(math.sqrt(mean_sq) - fisher) / max(fisher, 1e-10))
-    passed = worst_ineq <= 1e-12 and worst_ibp <= 1e-8
-    return CheckResult(passed, max(worst_ineq, worst_ibp),
-                       "mean-square inequality and the integration-by-parts "
-                       "identity hold on evolved fixture densities")
+            errors.append(((mean_sq - second) / max(second, 1e-30),
+                           abs(math.sqrt(mean_sq) - fisher) / max(fisher, 1e-10)))
+    return _result(errors, (1e-12, 1e-8),
+                   "mean-square inequality and the integration-by-parts "
+                   "identity hold on evolved fixture densities")
 
 
 def check_sinh_ratio_bounds() -> CheckResult:
     """Strict two-sided bound on (1 - e^{-2r})/(2r), plus its sharpness: for
     each beta in (1, 2) the lower comparison flips once r is large enough."""
-    violations = 0
-    for r in np.geomspace(1e-6, 1e3, 400):
-        lo, mid, hi = sinh_ratio_bounds_check(float(r))
-        if not (lo < mid < hi):
-            violations += 1
+    violations = sum(not lo < mid < hi for lo, mid, hi in
+                     map(sinh_ratio_bounds_check, np.geomspace(1e-6, 1e3, 400).tolist()))
     for beta in (1.25, 1.5, 1.75):
         r_max = (beta - 1.0) / beta
-        inner = np.linspace(r_max / 50.0, r_max * (1.0 - 1e-9), 50)
-        for r in inner:
-            _, mid, _ = sinh_ratio_bounds_check(float(r))
-            if not mid > 1.0 / (1.0 + beta * float(r)):
-                violations += 1
-        flipped = any(
-            sinh_ratio_bounds_check(float(r))[1] < 1.0 / (1.0 + beta * float(r))
-            for r in np.geomspace(1.0, 1e3, 40))
-        if not flipped:
-            violations += 1
-    return CheckResult(violations == 0, float(violations),
-                       "two-sided bound strict on the log grid; sharpness "
-                       "exhibited for beta in {1.25, 1.5, 1.75}")
+        inner = np.linspace(r_max / 50.0, r_max * (1.0 - 1e-9), 50).tolist()
+        violations += sum(not sinh_ratio_bounds_check(r)[1] > 1.0 / (1.0 + beta * r)
+                          for r in inner)
+        violations += not any(sinh_ratio_bounds_check(r)[1] < 1.0 / (1.0 + beta * r)
+                              for r in np.geomspace(1.0, 1e3, 40).tolist())
+    return _result(violations, 0, "two-sided bound strict on the log grid; sharpness "
+                                  "exhibited for beta in {1.25, 1.5, 1.75}")
 
 
 def check_log_sandwich() -> CheckResult:
@@ -245,18 +236,16 @@ def check_log_sandwich() -> CheckResult:
     val = log_sinh_ratio(x)
     lo = x - np.log1p(2.0 * x)
     hi = x - np.log1p(x)
-    violations = int(np.count_nonzero(~((lo < val) & (val < hi))))
-    return CheckResult(violations == 0, float(violations),
-                       "log sinh ratio sandwich strict on the kappa x r grid")
+    return _result(np.count_nonzero(~((lo < val) & (val < hi))), 0,
+                   "log sinh ratio sandwich strict on the kappa x r grid")
 
 
 def check_euclidean_limit() -> CheckResult:
     """Small-curvature entropy rate reproduces the flat-space value n/(2t)."""
     rate = float(h3.evaluate_records(h3.H3Params(0.01), [1.0]).rate_direct[0])
     reference = bd.euclidean_rate_reference(3, 1.0)
-    rel = abs(rate - reference) / reference
-    return CheckResult(rel <= 0.01, rel,
-                       f"rate at kappa = 0.01, t = 1 is {rate:.6f} vs flat {reference}")
+    return _result(abs(rate - reference) / reference, 0.01,
+                   f"rate at kappa = 0.01, t = 1 is {rate:.6f} vs flat {reference}")
 
 
 def check_entropy_decomposition() -> CheckResult:
@@ -270,10 +259,9 @@ def check_entropy_decomposition() -> CheckResult:
     assembled = np.array([h3.evaluate_records(h3.H3Params(kappa), times).entropy
                           for kappa in _KAPPA_GRID])
     direct = h3._radial_integrals(_KAPPAS, times, "direct entropy integral")
-    worst = float(np.max(np.abs(assembled - direct) / np.abs(direct)))
-    return CheckResult(worst <= 1e-6, worst,
-                       "decomposed entropy equals the direct integral; "
-                       "single-Gaussian weight confirmed")
+    return _result(np.abs(assembled - direct) / np.abs(direct), 1e-6,
+                   "decomposed entropy equals the direct integral; "
+                   "single-Gaussian weight confirmed")
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {
@@ -298,8 +286,11 @@ def run_checks(only: Optional[str] = None,
                inject_fault: Optional[str] = None) -> dict[str, CheckResult]:
     """Run the suite (or one named group); inject_fault="envelopes" narrows
     the envelopes by 10% per side so failure propagation can be exercised.
-    Raises ValueError for a fault other than "envelopes", an unknown group,
-    or a fault that cannot fire in the one group asked for."""
+    Each group's max_error is its worst error floored at 0 (for
+    ``fixture_bounds`` the largest rate - rhs, negative inside); it is NaN
+    when any case is NaN, and a NaN fails the group.  Raises ValueError for
+    a fault other than "envelopes", an unknown group, or a fault that cannot
+    fire in the one group asked for."""
     if inject_fault is not None and inject_fault != "envelopes":
         raise ValueError(f"unsupported fault {inject_fault!r}; supported: envelopes")
     if only is not None and only not in CHECKS:

@@ -1,0 +1,97 @@
+"""Sensitivity of the verify groups: each row corrupts one case of one
+library call and requires the group that reads it to fail.
+
+A row is data: the module and attribute to wrap, the case made NaN (which
+call of the attribute during the group, 0 first, and the path into its
+result: attribute names and indices), and the group.  The wrapper is put in
+with monkeypatch, in process, so every other call returns its true value.
+A NaN case must fail its group with ``max_error`` NaN, and
+``verify --only <group>`` must exit 1.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from heatent import cli
+from heatent import h3entropy as h3
+from heatent import spectral as sp
+from heatent import verify as vf
+
+NAN_ROWS = [
+    # the shifted path of the seventh (m, kappa, t) case of the table
+    (vf, "hyperbolic_moment_quadratures", 0, (7,), "moment_table"),
+    # rate_direct at the second check time of the sphere fixture, the
+    # third of circle, torus, sphere and torus-drift
+    (sp, "entropy_trace", 2, ("rate_direct", 1), "rate_consistency"),
+    # the fourth random (field, drift) pair
+    (sp, "bochner_residual", 3, ("max_residual",), "bochner_residual"),
+    # the slack of the sixth random field
+    (sp, "hessian_trace_gap", 5, (0,), "hessian_trace"),
+    # the Fisher information of the torus fixture at t = 0.2
+    (sp, "cauchy_step_values", 4, (2,), "cauchy_step"),
+    # rate_direct at the first time of kappa = 2, the second sweep
+    (h3, "evaluate_records", 1, ("rate_direct", 0), "band"),
+]
+
+
+def _with_nan(value, path):
+    """value with the entry at path set to NaN, the rest unchanged."""
+    if not path:
+        return math.nan
+    key, rest = path[0], path[1:]
+    if isinstance(key, str):
+        return dataclasses.replace(value, **{key: _with_nan(getattr(value, key), rest)})
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[key] = _with_nan(value[key], rest)
+        return value
+    items = list(value)
+    items[key] = _with_nan(items[key], rest)
+    return type(value)(items)
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """``corrupt(module, name, call, path)`` wraps module.name so that its
+    call-th call returns its result with the entry at path set to NaN;
+    returns the list of calls made so far, one None per call, which the
+    caller may clear to count afresh."""
+    def install(module, name, call, path):
+        original = getattr(module, name)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            value = original(*args, **kwargs)
+            calls.append(None)
+            return _with_nan(value, path) if len(calls) - 1 == call else value
+
+        monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    return install
+
+
+@pytest.mark.parametrize("module, name, call, path, group", NAN_ROWS,
+                         ids=[row[-1] for row in NAN_ROWS])
+def test_a_nan_case_fails_its_group(corrupt, capsys, module, name, call, path, group):
+    calls = corrupt(module, name, call, path)
+    result = vf.run_checks(only=group)[group]
+    assert len(calls) > call  # the corrupted case was reached
+    assert not result.passed
+    assert math.isnan(result.max_error)
+    calls.clear()  # the CLI run counts its calls afresh
+    assert cli.main(["verify", "--only", group]) == 1
+    captured = capsys.readouterr()
+    assert '"max_error": NaN' in captured.out
+    assert captured.err == f"verify: failed checks: {group}\n"
+
+
+@pytest.mark.parametrize("group", sorted({row[-1] for row in NAN_ROWS}))
+def test_the_groups_pass_uncorrupted(group):
+    # so that a failing row above is the NaN's doing
+    result = vf.run_checks(only=group)[group]
+    assert result.passed
+    assert math.isfinite(result.max_error)

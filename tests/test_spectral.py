@@ -1255,6 +1255,33 @@ def test_hessian_trace_inequality_random_fields():
         assert gap >= -1e-12 * scale
 
 
+def test_identities_refuse_a_sign_changing_field():
+    # u = 0.2 + cos 2 pi x has minimum -0.8; both identities divide by u, and
+    # without the guard they return finite numbers that read as passing
+    field = sp.project_potential(TORUS, lambda x, y: 0.2 + np.cos(2.0 * np.pi * x), 2)
+    with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
+        sp.hessian_trace_gap(field)
+    with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
+        sp.bochner_residual(field)
+
+
+@pytest.mark.parametrize("residual, scale, relative", [
+    (1.0, math.nan, math.nan), (math.nan, 1.0, math.nan), (math.nan, 0.0, math.nan),
+    (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 4.0, 0.25)])
+def test_bochner_relative_keeps_a_nan(residual, scale, relative):
+    assert sp.BochnerReport(residual, scale).relative == pytest.approx(relative, nan_ok=True)
+
+
+def test_bochner_term_scale_keeps_a_nan():
+    # a NaN drift term enters the scale; the builtin max dropped it
+    field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
+    potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2)
+    potential.coefficients[2, 3] = math.nan
+    report = sp.bochner_residual(field, potential=potential)
+    assert math.isnan(report.term_scale)
+    assert math.isnan(report.relative)
+
+
 def test_cauchy_step_and_integration_by_parts():
     field = two_mode_circle()
     for t in (0.02, 0.2):
