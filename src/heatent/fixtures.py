@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,47 +123,47 @@ def _trig_layout(cutoff: int) -> tuple[np.ndarray, ...]:
         eye[cutoff + np.abs(modes)], np.sign(modes)[:, np.newaxis] * eye[cutoff - np.abs(modes)])))
 
 
-def _random_trig_coefficients(rng: np.random.Generator, manifold: sp.ManifoldSpec,
-                              cutoff: int, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, grid values) of a random real zero-mean trigonometric
-    polynomial with sup norm ``amplitude`` on the grid: over the half-plane
-    of modes (m1 > 0, or m1 == 0 and m2 > 0), a_m 0.5^(|m1| + |m2|)
-    cos(2 pi m.x/L + phi_m) with a_m normal and phi_m uniform, which is
-    p cos1 cos2 - q cos1 sin2 - p sin1 sin2 - q sin1 cos2 with p, q = a_m
-    0.5^(|m1| + |m2|) (cos phi_m, sin phi_m), cos_i and sin_i of 2 pi m_i x_i / L_i."""
+def random_torus_fields(rng: np.random.Generator, manifold: sp.ManifoldSpec,
+                        positive: Sequence[bool], cutoff: int = 2,
+                        amplitudes: Optional[Sequence[float]] = None) -> list[sp.SpectralField]:
+    """A random trigonometric polynomial per entry of ``positive``: 1.5 + noise
+    where true (the first to reach the positivity floor raises PositivityError),
+    the signed noise where false.  Draw after draw from ``rng``: normal a_m, then
+    uniform phi_m, on the half-plane of modes (m1 > 0, or m1 == 0 < m2), noise
+    a_m 0.5^(|m1| + |m2|) cos(2 pi m.x/L + phi_m) = p cos1 cos2 - q cos1 sin2 -
+    p sin1 sin2 - q sin1 cos2 (p, q its cos and sin parts), scaled to sup norm
+    ``amplitudes`` (default 0.5, 0.3); all draws make one array program."""
     if manifold.kind != "torus2":
         raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
-    amplitudes = rng.normal(size=(cutoff + 1, 2 * cutoff + 1))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=amplitudes.shape)
+    positive = np.array(positive, dtype=bool)
+    shape = (cutoff + 1, 2 * cutoff + 1)
+    sizes, phases = np.array([(rng.normal(size=shape), rng.uniform(0.0, 2.0 * np.pi, size=shape))
+                              for _ in positive]).reshape(-1, 2, *shape).swapaxes(0, 1)
     weights, cos2, sin2 = _trig_layout(cutoff)
-    size = math.sqrt(manifold.volume) * weights * amplitudes
+    size = math.sqrt(manifold.volume) * weights * sizes
     p, q = size * np.cos(phases), size * np.sin(phases)
     # the cos of m1 at row cutoff + m1, and its sin (m1 > 0) at cutoff - m1
-    coeffs = np.concatenate([-(p @ sin2 + q @ cos2)[:0:-1], p @ cos2 - q @ sin2])
-    values = sp.resolve(sp.SpectralField(manifold, coeffs, cutoff))
-    peak = np.abs(values).max()
-    if peak > 0.0:
-        coeffs *= amplitude / peak
-        values *= amplitude / peak
-    return coeffs, values
+    coeffs = np.concatenate([-(p @ sin2 + q @ cos2)[:, :0:-1], p @ cos2 - q @ sin2], axis=1)
+    values = sp._transform(manifold, cutoff).synth(coeffs)
+    peak = np.abs(values).max(axis=(1, 2))
+    # a zero polynomial keeps its zeros
+    factor = np.divide(np.where(positive, 0.5, 0.3) if amplitudes is None else amplitudes, peak,
+                       out=np.ones_like(peak), where=peak > 0.0)[:, None, None]
+    coeffs *= factor
+    sp._require_positive(1.5 + (values * factor)[positive], sp._RESOLVED_MINIMUM)
+    coeffs[positive, cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
+    return [sp.SpectralField(manifold, c, cutoff) for c in coeffs]
 
 
-def random_positive_torus_field(rng: np.random.Generator,
-                                manifold: sp.ManifoldSpec,
-                                cutoff: int = 2,
-                                amplitude: float = 0.5) -> sp.SpectralField:
-    """Random strictly positive trigonometric polynomial: 1.5 + bounded noise.
-    Raises PositivityError where ``amplitude`` lets it reach the positivity floor."""
-    coeffs, values = _random_trig_coefficients(rng, manifold, cutoff, amplitude)
-    sp._require_positive(1.5 + values[np.newaxis], sp._RESOLVED_MINIMUM)
-    coeffs[cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
-    return sp.SpectralField(manifold, coeffs, cutoff)
+def random_positive_torus_field(rng: np.random.Generator, manifold: sp.ManifoldSpec,
+                                cutoff: int = 2, amplitude: float = 0.5) -> sp.SpectralField:
+    """Random strictly positive trigonometric polynomial, 1.5 + bounded noise:
+    the one-draw case of ``random_torus_fields``."""
+    return random_torus_fields(rng, manifold, [True], cutoff, [amplitude])[0]
 
 
-def random_torus_potential(rng: np.random.Generator,
-                           manifold: sp.ManifoldSpec,
-                           cutoff: int = 2,
-                           amplitude: float = 0.3) -> sp.SpectralField:
-    """Random signed trigonometric potential with bounded sup-norm."""
-    coeffs, _ = _random_trig_coefficients(rng, manifold, cutoff, amplitude)
-    return sp.SpectralField(manifold, coeffs, cutoff)
+def random_torus_potential(rng: np.random.Generator, manifold: sp.ManifoldSpec,
+                           cutoff: int = 2, amplitude: float = 0.3) -> sp.SpectralField:
+    """Random signed trigonometric potential with bounded sup-norm: the
+    one-draw case of ``random_torus_fields``."""
+    return random_torus_fields(rng, manifold, [False], cutoff, [amplitude])[0]

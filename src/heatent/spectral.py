@@ -18,7 +18,9 @@ kind.  Each transform is built once per (builder, side lengths, cutoff, grid
 size) and shared from a bounded cache, so its arrays are read-only.  Each
 row of a batch is its own product, so values do not depend on the batch;
 drifted propagation multiplies rows in blocks of one fixed shape instead,
-which also keeps a row's bits independent of its batch.
+which also keeps a row's bits independent of its batch.  The flat torus's
+pointwise identities run over blocks of fields, every derivative set of a
+block one broadcast product; a lone call is a block of one.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -72,6 +74,9 @@ _CHUNK_POINTS = 150_000
 # reads the propagator table once for the whole block, where per-row products
 # read it once per row.
 _BLOCK_ROWS = 8
+# Fields per array program of a pointwise identity (``_blocks``): three hold six derivative
+# orders on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
+_BLOCK_FIELDS = 3
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -192,8 +197,8 @@ class _Transform:
     transposed (one axis: its own), contiguous for matmul's BLAS path.  A
     field A synthesises as T A T^T (one axis: A T^T), a derivative swaps T'
     or T'' in on its axis, and analysis is the grid rule T^T diag(w) u T of
-    u - u_0, u_0 the first grid value, with u_0 sqrt(volume) put back on the
-    constant, so a constant projects exactly.  ``off_grid`` holds tables,
+    u - u_0, u_0 a field's first grid value, with u_0 sqrt(volume) put back on
+    the constant, so a constant projects exactly.  ``off_grid`` holds tables,
     laid out as ``last``, of points ``grid_extrema`` also searches."""
 
     first: tuple[np.ndarray, ...]
@@ -230,15 +235,24 @@ class _Transform:
         return self.first[order.count(0)] @ (a @ last)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        shift = values.flat[0]
-        u = ((values - shift) * self.weights) @ self.last[0].T
-        coeffs = u if len(self.axes) == 1 else self.first[0].T @ u
-        coeffs[self.constant] += shift * math.sqrt(self.volume)
+        """Coefficients of each field of grid values; axes of ``values``
+        before the grid axes are batch axes."""
+        dims = len(self.axes)
+        shift = values[(...,) + (slice(1),) * dims]  # each field's first value
+        u, table = (values - shift) * self.weights, self.last[0].T
+        coeffs = _row_products(u, table) if dims == 1 else self.first[0].T @ (u @ table)
+        coeffs[(..., *self.constant)] += shift[(...,) + (0,) * dims] * math.sqrt(self.volume)
         return coeffs
 
     def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...]) -> np.ndarray:
-        """``synth`` of each order, stacked on a leading axis."""
-        return np.stack([self.synth(coeffs, order) for order in orders])
+        """``synth`` of each order, stacked on a leading axis; on two axes one
+        broadcast product, per field and order of ``synth``'s shapes and bits."""
+        if len(self.axes) == 1:
+            return np.stack([self.synth(coeffs, order) for order in orders])
+        a = np.ascontiguousarray(coeffs, dtype=float)
+        lead = (len(orders),) + (1,) * (a.ndim - 2)  # broadcast over the batch axes
+        first, last = (t.reshape(lead + t.shape[1:]) for t in _order_tables(self, orders))
+        return first @ (a @ last)
 
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
@@ -249,6 +263,13 @@ class _Transform:
             g *= g
             grad2 += g
         return self.synth(rows), grad2
+
+
+@functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
+def _order_tables(tr: _Transform, orders: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """Read-only stacks, a table per order, of a two-axis transform's axes."""
+    return tuple(_read_only(np.stack([tables[order.count(axis)] for order in orders]))
+                 for axis, tables in enumerate((tr.first, tr.last)))
 
 
 @functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
@@ -402,7 +423,8 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
     if not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
         raise ValueError(f"cutoff must be a nonnegative integer, not {cutoff!r}")
     tr = _transform(manifold, cutoff)
-    values = np.asarray(f(*tr.points()), dtype=float)
+    # a constant or broadcastable result stands for the grid array it broadcasts to
+    values = np.broadcast_to(np.asarray(f(*tr.points()), dtype=float), tr.shape)
     if not np.all(np.isfinite(values)):
         raise SpectralTruncationError(f"data must be finite, but has minimum {values.min():.3e} "
                                       f"and maximum {values.max():.3e}")
@@ -479,8 +501,8 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
     """Raise PositivityError, with ``message`` formatted by the row's
     minimum, for the first row of grid values at or below the floor, or
     with a NaN minimum."""
-    minima = rows.reshape(len(rows), -1).min(axis=1)
-    if not minima.min() > POSITIVITY_FLOOR:  # a NaN minimum fails too
+    minima = rows.min(axis=tuple(range(1, rows.ndim)))
+    if not (minima > POSITIVITY_FLOOR).all():  # a NaN minimum fails, an empty batch passes
         first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
         raise PositivityError(message.format(float(minima[first])))
 
@@ -666,11 +688,11 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
 # pointwise identities on the flat torus
 
 
-def _flat_torus(manifold: ManifoldSpec, cutoff: int, n: Optional[int], check: str):
-    """The transform of a flat torus, drifted or not; other manifolds raise."""
-    if manifold.kind not in ("torus2", "torus2_drift"):
-        raise ValueError(f"the {check} check runs on flat tori")
-    return _transform(manifold, cutoff, n)
+def _blocks(keys: Sequence) -> list[slice]:
+    """Slices of each run of equal consecutive keys, cut to ``_BLOCK_FIELDS``."""
+    ends = [i for i in range(1, len(keys) + 1) if i == len(keys) or keys[i] != keys[i - 1]]
+    return [slice(i, min(i + _BLOCK_FIELDS, end))
+            for start, end in zip([0, *ends], ends) for i in range(start, end, _BLOCK_FIELDS)]
 
 
 def _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy) -> np.ndarray:
@@ -705,43 +727,53 @@ def bochner_residual(w: SpectralField,
             = |Hess u - grad u (x) grad u / u|^2 / u
               + (Ric(grad u, grad u) - 2 <D_{grad u} Z, grad u>) / u
 
-    with d/dt expanded through the evolution equation du/dt = Lu and Ric = 0.
-    Every derivative of a trigonometric polynomial is taken spectrally, so the
-    returned residual is pure roundoff when the identity holds.  An explicit
-    potential must live on a manifold equal to the field's.  The identity
-    divides by u, so a field that is not strictly positive on the grid
-    raises PositivityError; a NaN anywhere makes ``relative`` NaN, which
-    fails verify's ``bochner_residual`` group.
+    with d/dt expanded through the evolution equation du/dt = Lu and Ric = 0:
+    the one-field case of ``bochner_residuals``.
     """
-    manifold = w.manifold
-    if potential is None:
-        potential = manifold.drift
-    elif potential.manifold != manifold:
-        raise ValueError("the potential must live on the field's manifold")
-    cutoff = w.cutoff if potential is None else max(w.cutoff, potential.cutoff)
+    return bochner_residuals([(w, potential)])[0]
+
+
+def bochner_residuals(pairs: Sequence[tuple]) -> list[BochnerReport]:
+    """``bochner_residual`` of each (field, potential) pair, one array program
+    per block of consecutive pairs sharing the field's manifold and cutoff and
+    the potential's cutoff; no potential and no drift is a zero potential of
+    the field's cutoff.  Derivatives are spectral, so a residual is roundoff
+    when the identity holds.  An explicit potential must live on its field's
+    manifold; the first field not strictly positive on its grid raises
+    PositivityError, and a NaN makes ``relative`` NaN, failing verify."""
+    for w, v in pairs:
+        if v is not None and v.manifold != w.manifold:
+            raise ValueError("the potential must live on the field's manifold")
+        if w.manifold.kind not in ("torus2", "torus2_drift"):
+            raise ValueError("the residual check runs on flat tori")
+    pairs = [(w, w.manifold.drift if v is None else v) for w, v in pairs]
+    keys = [(w.manifold, w.cutoff, w.cutoff if v is None else v.cutoff) for w, v in pairs]
+    return [report for block in _blocks(keys)
+            for report in _bochner_block(pairs[block], *keys[block.start])]
+
+
+def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> list[BochnerReport]:
+    """One block of ``bochner_residuals``: every array (field, grid point)."""
+    cutoff = max(w_cutoff, v_cutoff)
     n = _grid_size(2 * cutoff)
-
-    tr = _flat_torus(manifold, w.cutoff, n, "residual")
-    u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
-    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
+    u, ux, uy, uxx, uxy, uyy = _transform(manifold, w_cutoff, n).derivatives(
+        np.stack([w.coefficients for w, _ in pairs]), (), *_GRADIENT, *_HESSIAN)
+    _require_positive(u, _RESOLVED_MINIMUM)
     lap_u = uxx + uyy
-
-    if potential is not None:
-        tv = _transform(manifold, potential.cutoff, n)
-        vx, vy, vxx, vxy, vyy = tv.derivatives(potential.coefficients, *_GRADIENT, *_HESSIAN)
-    else:
-        vx = vy = vxx = vxy = vyy = np.zeros_like(u)
+    vx, vy, vxx, vxy, vyy = _transform(manifold, v_cutoff, n).derivatives(
+        np.stack([np.zeros(np.shape(w.coefficients)) if v is None else v.coefficients
+                  for w, v in pairs]), *_GRADIENT, *_HESSIAN)
 
     # |grad u|^2 is again a trigonometric polynomial (band 2*cutoff), so its
     # derivatives are exact too.
     g = ux * ux + uy * uy
-    tg = _transform(manifold, 2 * w.cutoff, n)
+    tg = _transform(manifold, 2 * w_cutoff, n)
     gx, gy, gxx, gyy = tg.derivatives(tg.analyze(g), *_GRADIENT, (0, 0), (1, 1))
     lap_g = gxx + gyy
 
     # Lu = Laplacian/2 + advection; band cutoff + potential band, still exact.
     lu_grid = 0.5 * lap_u + vx * ux + vy * uy
-    tl = _transform(manifold, cutoff + w.cutoff, n)
+    tl = _transform(manifold, cutoff + w_cutoff, n)
     lux, luy = tl.derivatives(tl.analyze(lu_grid), *_GRADIENT)
 
     # P = |grad u|^2 / u is not band-limited; expand its derivatives by the
@@ -759,50 +791,67 @@ def bochner_residual(w: SpectralField,
     rhs = hess_term + drift_term
 
     # np.max, unlike the builtin max, keeps a NaN term scale
-    scale = float(np.max([np.abs(term).max() for term in (0.5 * lap_p, dt_p, hess_term,
-                                                          drift_term)], initial=1e-300))
-    return BochnerReport(float(np.abs(lhs - rhs).max()), scale)
+    scale = np.max([np.abs(term).max((-2, -1)) for term in (0.5 * lap_p, dt_p, hess_term,
+                                                            drift_term)], axis=0, initial=1e-300)
+    return [BochnerReport(float(residual), float(s))  # per field, over its grid
+            for residual, s in zip(np.abs(lhs - rhs).max((-2, -1)), scale)]
 
 
 def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
-    """Pointwise slack of |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n.
+    """Pointwise slack of |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n:
+    the one-field case of ``hessian_trace_gaps``."""
+    return tuple(map(float, hessian_trace_gaps([w])[0]))
 
-    Returns (minimum slack over the grid, scale of the dominating side);
-    the slack must be nonnegative up to roundoff for positive fields.  Both
-    sides divide by w, so a field that is not strictly positive on the grid
-    raises PositivityError; a NaN slack fails verify's ``hessian_trace``
-    group.
-    """
-    tr = _flat_torus(w.manifold, w.cutoff, None, "trace inequality")
-    u, ux, uy, uxx, uxy, uyy = tr.derivatives(w.coefficients, (), *_GRADIENT, *_HESSIAN)
-    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
-    lhs = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy)
-    lap_log = (uxx + uyy) / u - (ux * ux + uy * uy) / u ** 2
-    rhs = u * u / w.manifold.dimension * lap_log ** 2
-    gap = lhs - rhs
-    scale = max(float(lhs.max()), float(rhs.max()), 1e-300)
-    return float(gap.min()), scale
+
+def hessian_trace_gaps(fields: Sequence[SpectralField]) -> np.ndarray:
+    """Rows (minimum slack over the grid, scale of the dominating side), one
+    array program per block of consecutive fields sharing a manifold and a
+    cutoff; the slack is nonnegative up to roundoff.  The first field not
+    strictly positive on its grid raises PositivityError; a NaN side makes
+    the slack and scale NaN, failing verify's ``hessian_trace`` group."""
+    if any(w.manifold.kind not in ("torus2", "torus2_drift") for w in fields):
+        raise ValueError("the trace inequality check runs on flat tori")
+    keys = [(w.manifold, w.cutoff) for w in fields]
+    gaps = np.empty((len(fields), 2))
+    for block in _blocks(keys):
+        manifold, cutoff = keys[block.start]
+        u, ux, uy, uxx, uxy, uyy = _transform(manifold, cutoff).derivatives(
+            np.stack([w.coefficients for w in fields[block]]), (), *_GRADIENT, *_HESSIAN)
+        _require_positive(u, _RESOLVED_MINIMUM)
+        lhs = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy)
+        lap_log = (uxx + uyy) / u - (ux * ux + uy * uy) / u ** 2
+        rhs = u * u / manifold.dimension * lap_log ** 2
+        gaps[block, 0] = (lhs - rhs).min((-2, -1))  # per field, over its grid
+        gaps[block, 1] = np.maximum(np.maximum(lhs.max((-2, -1)), rhs.max((-2, -1))), 1e-300)
+    return gaps
 
 
 def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
     """((integral of u lap log u)^2, integral of u (lap log u)^2, fisher).
 
     Feeds the mean-square inequality and the integration-by-parts identity
-    integral u lap log u dx = -q used in the curvature-rate argument.
+    integral u lap log u dx = -q used in the curvature-rate argument: the
+    t = 0 case of ``cauchy_step_trace``.
     """
-    manifold = field.manifold
-    if manifold.drift is not None:
+    return tuple(map(float, cauchy_step_trace(field, [0.0])[0]))
+
+
+def cauchy_step_trace(field: SpectralField, times) -> np.ndarray:
+    """Rows (mean_sq, second, fisher) of ``cauchy_step_values`` of exp(tL)
+    field, one per finite nonnegative time, all rows from one ``_propagate``
+    call and one array program; each sum is one pass over its row's grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not ((0.0 <= times) & (times < math.inf)).all():
+        raise ValueError("times must be a sequence of finite nonnegative numbers")
+    if field.manifold.drift is not None:
         raise ValueError("cauchy step values are defined for the plain volume measure")
-    tr = _transform(manifold, field.cutoff)
-    (u,), (grad2,) = tr.values_and_gradients(field.coefficients[np.newaxis], 1)
-    _require_positive(u[np.newaxis], _RESOLVED_MINIMUM)
-    lap_u = tr.synth(field.coefficients * (-tr.eigenvalues))
-    lap_log = lap_u / u - grad2 / u ** 2
-    w = tr.weights
-    mean = float(np.sum(w * u * lap_log))
-    mean_sq = float(np.sum(w * u * lap_log ** 2))
-    fisher = float(np.sum(w * grad2 / u))
-    return mean * mean, mean_sq, fisher
+    tr, rows = _transform(field.manifold, field.cutoff), _propagate(field, times)
+    u, grad2 = tr.values_and_gradients(rows, 1)
+    _require_positive(u, _RESOLVED_MINIMUM)
+    lap_log = tr.synth(rows * (-tr.eigenvalues)) / u - grad2 / u ** 2
+    mean, second, fisher = (a.reshape(len(rows), -1).sum(axis=1) for a in (
+        tr.weights * u * lap_log, tr.weights * u * lap_log ** 2, tr.weights * grad2 / u))
+    return np.stack([mean * mean, second, fisher], axis=1)
 
 
 def laplacian_l2_norm(field: SpectralField) -> float:

@@ -171,44 +171,34 @@ def check_fixture_bounds() -> CheckResult:
 
 def check_bochner() -> CheckResult:
     """Pointwise commutation-identity residual for 10 random (field, drift)
-    pairs on the torus, the first with zero drift."""
-    rng = np.random.default_rng(_RANDOM_SEED)
-    torus = sp.torus2(1.0, 1.0)
-    errors = []
-    for trial in range(10):
-        w = fx.random_positive_torus_field(rng, torus)
-        potential = None if trial == 0 else fx.random_torus_potential(rng, torus)
-        errors.append(sp.bochner_residual(w, potential=potential).relative)
-    return _result(errors, 1e-8,
+    pairs on the torus, the first with zero drift, drawn in one pass."""
+    draws = fx.random_torus_fields(np.random.default_rng(_RANDOM_SEED), sp.torus2(1.0, 1.0),
+                                   [True] + [True, False] * 9)
+    reports = sp.bochner_residuals([(draws[0], None), *zip(draws[1::2], draws[2::2])])
+    return _result([report.relative for report in reports], 1e-8,
                    "identity residual is roundoff-level for 10 random pairs "
                    "(first has zero drift)")
 
 
 def check_hessian_trace() -> CheckResult:
-    """Pointwise Hessian-vs-trace inequality for random positive fields."""
-    rng = np.random.default_rng(_RANDOM_SEED + 1)
-    torus = sp.torus2(1.0, 1.0)
-    errors = []
-    for _ in range(8):
-        gap, scale = sp.hessian_trace_gap(fx.random_positive_torus_field(rng, torus))
-        errors.append(-gap / scale)
-    return _result(errors, 1e-12,
+    """Pointwise Hessian-vs-trace inequality for 8 random positive fields, drawn in one pass."""
+    gaps = sp.hessian_trace_gaps(fx.random_torus_fields(
+        np.random.default_rng(_RANDOM_SEED + 1), sp.torus2(1.0, 1.0), [True] * 8))
+    return _result(-gaps[:, 0] / gaps[:, 1], 1e-12,
                    "squared traceless-Hessian term dominates the trace term "
                    "pointwise for 8 random positive fields")
 
 
 def check_cauchy_step() -> CheckResult:
     """Mean-square step and the integration-by-parts identity on evolved
-    fixture densities."""
-    errors = []  # (inequality, identity) per evolved density
-    for name in ("circle", "torus", "sphere"):
-        fixture = fx.get_fixture(name)
-        for t in (0.05, 0.2, 1.0):
-            mean_sq, second, fisher = sp.cauchy_step_values(sp.evolve(fixture.initial, t))
-            # absolute floor: once the field is flat, fisher sits at the
-            # roundoff floor and a pure relative comparison is noise
-            errors.append(((mean_sq - second) / max(second, 1e-30),
-                           abs(math.sqrt(mean_sq) - fisher) / max(fisher, 1e-10)))
+    fixture densities, each fixture's three times from one propagation."""
+    mean_sq, second, fisher = np.concatenate([
+        sp.cauchy_step_trace(fx.get_fixture(name).initial, (0.05, 0.2, 1.0))
+        for name in ("circle", "torus", "sphere")]).T
+    # (inequality, identity) per evolved density; fisher has an absolute floor, as
+    # once the field is flat it sits at the roundoff floor, where a ratio is noise
+    errors = np.stack([(mean_sq - second) / np.maximum(second, 1e-30),
+                       np.abs(np.sqrt(mean_sq) - fisher) / np.maximum(fisher, 1e-10)], axis=1)
     return _result(errors, (1e-12, 1e-8),
                    "mean-square inequality and the integration-by-parts "
                    "identity hold on evolved fixture densities")

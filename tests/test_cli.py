@@ -526,6 +526,29 @@ def test_warm_long_h3_sweep_hardly_faults():
     assert float(proc.stdout) < 500.0
 
 
+def test_warm_identity_checks_hardly_fault():
+    # the pointwise identities run in blocks of _BLOCK_FIELDS fields, whose
+    # arrays stay below the sizes glibc maps afresh for each request (blocks
+    # of four fields took about 200 minor faults per bochner_residual request)
+    code = ("import contextlib, os, resource; from heatent import cli\n"
+            "faults = {}\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    for group in ('bochner_residual', 'hessian_trace'):\n"
+            "        argv = ['verify', '--only', group]\n"
+            "        for _ in range(3): cli.main(argv)\n"
+            "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "        for _ in range(20): assert cli.main(argv) == 0\n"
+            "        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "        faults[group] = (after - before) / 20\n"
+            "for group, count in faults.items(): print(group, count)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    faults = dict(line.split() for line in proc.stdout.splitlines())
+    assert sorted(faults) == ["bochner_residual", "hessian_trace"]
+    for group, count in faults.items():
+        assert float(count) < 10.0, (group, count)
+
+
 def test_h3_kappa2t_overflow_is_usage_error(capsys):
     # refused by name before any integral, in process and in a fresh one
     argv = ["h3", "--kappa", "1e200", "--t-count", "2"]

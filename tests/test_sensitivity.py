@@ -26,12 +26,13 @@ NAN_ROWS = [
     # rate_direct at the second check time of the sphere fixture, the
     # third of circle, torus, sphere and torus-drift
     (sp, "entropy_trace", 2, ("rate_direct", 1), "rate_consistency"),
-    # the fourth random (field, drift) pair
-    (sp, "bochner_residual", 3, ("max_residual",), "bochner_residual"),
-    # the slack of the sixth random field
-    (sp, "hessian_trace_gap", 5, (0,), "hessian_trace"),
-    # the Fisher information of the torus fixture at t = 0.2
-    (sp, "cauchy_step_values", 4, (2,), "cauchy_step"),
+    # the fourth random (field, drift) pair of the one batched call
+    (sp, "bochner_residuals", 0, (3, "max_residual"), "bochner_residual"),
+    # the slack of the sixth random field of the one batched call
+    (sp, "hessian_trace_gaps", 0, (5, 0), "hessian_trace"),
+    # the Fisher information of the torus fixture (the second trace) at
+    # t = 0.2, its second time
+    (sp, "cauchy_step_trace", 1, (1, 2), "cauchy_step"),
     # rate_direct at the first time of kappa = 2, the second sweep
     (h3, "evaluate_records", 1, ("rate_direct", 0), "band"),
 ]

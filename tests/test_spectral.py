@@ -193,6 +193,18 @@ def test_project_constant():
     assert sp.mass(field) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, SPHERE], ids=["circle", "torus", "sphere"])
+@pytest.mark.parametrize("project", [sp.project_initial, sp.project_potential])
+def test_projection_accepts_a_python_float(manifold, project):
+    # f may return a constant, not a grid array: it stands for the constant field
+    field = project(manifold, lambda *points: 2.0, 2)
+    centre = (0,) if manifold.kind == "sphere2" else (2,) * manifold.dimension
+    assert field.coefficients[centre] == 2.0 * math.sqrt(manifold.volume)
+    assert np.count_nonzero(field.coefficients) == 1
+    assert np.array_equal(sp.resolve(field), sp.resolve(project(
+        manifold, lambda *points: np.full_like(points[0], 2.0), 2)))
+
+
 def test_project_two_mode():
     field = two_mode_circle()
     nonzero = np.abs(field.coefficients) > 1e-14
@@ -311,6 +323,39 @@ def test_random_fields_equal_the_hermitian_construction(lengths):
                 assert error <= 1e-14, (cutoff, seed, error)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 4])
+def test_batched_draws_equal_the_lone_generators(cutoff):
+    # the same rng stream in the same order gives the same bits and leaves
+    # the generator in the same state
+    torus = sp.torus2(1.0, 1.5)
+    positive = [True, False, True, True, False, False, True]
+    amplitudes = [0.5, 0.3, 0.25, 0.6, 0.1, 0.3, 0.5]
+    for given_amplitudes in (None, amplitudes):
+        batched, lone = np.random.default_rng(cutoff), np.random.default_rng(cutoff)
+        fields = fx.random_torus_fields(batched, torus, positive, cutoff, given_amplitudes)
+        for field, flag, amplitude in zip(fields, positive, amplitudes):
+            make = fx.random_positive_torus_field if flag else fx.random_torus_potential
+            want = (make(lone, torus, cutoff) if given_amplitudes is None
+                    else make(lone, torus, cutoff, amplitude))
+            assert field.manifold is torus and field.cutoff == cutoff
+            assert field.coefficients.tobytes() == want.coefficients.tobytes()
+        assert batched.bit_generator.state == lone.bit_generator.state
+    assert fx.random_torus_fields(np.random.default_rng(0), torus, [], cutoff) == []
+
+
+def test_batched_draws_refuse_the_first_field_past_the_floor():
+    positive, amplitudes = [True, False, True, True], [0.5, 5.0, 100.0, 200.0]
+    lone = np.random.default_rng(4)
+    for make, amplitude in zip((fx.random_positive_torus_field, fx.random_torus_potential),
+                               amplitudes):
+        make(lone, TORUS, 2, amplitude)
+    with pytest.raises(sp.PositivityError) as want:
+        fx.random_positive_torus_field(lone, TORUS, 2, amplitudes[2])
+    with pytest.raises(sp.PositivityError) as got:
+        fx.random_torus_fields(np.random.default_rng(4), TORUS, positive, 2, amplitudes)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("name", ["circle", "sphere", "torus-drift"])
 def test_random_fields_refuse_other_manifolds(name):
     manifold = fx.get_fixture(name).manifold
@@ -344,6 +389,40 @@ def test_stacked_derivatives_equal_single_orders_and_analytic_modes(lengths):
         want = {0: 2.0 + np.cos(theta), 1: -factor * np.sin(theta),
                 2: -factor * np.cos(theta)}[len(order)]
         assert np.abs(values - want).max() <= 1e-13 * max(1.0, factor), order
+
+
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 6])
+def test_derivatives_have_the_bits_of_synth(cutoff, n):
+    # one broadcast product per order set, each field's product of synth's shapes
+    tr = sp._transform(TORUS, cutoff, n)
+    orders = [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
+    for stack in sp._order_tables(tr, tuple(orders)):  # built once, shared, read-only
+        assert stack.shape[0] == len(orders) and not stack.flags.writeable
+    rng = np.random.default_rng(100 * cutoff + n)
+    for batch in ((), (3,), (2, 5)):
+        coeffs = rng.normal(size=batch + (2 * cutoff + 1,) * 2)
+        for subset in (orders, orders[1:3], orders[::-1], [(0, 1)]):
+            stacked = tr.derivatives(coeffs, *subset)
+            assert stacked.shape == (len(subset), *batch, n, n)
+            for order, values in zip(subset, stacked):
+                assert np.array_equal(values, tr.synth(coeffs, order)), (batch, order)
+                for index in np.ndindex(*batch):
+                    assert np.array_equal(values[index], tr.synth(coeffs[index], order))
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, TORUS, sp.torus2(1.0, 1.5), SPHERE],
+                         ids=["circle", "torus", "torus2_1x1.5", "sphere"])
+def test_batched_analysis_equals_lone_analysis(manifold):
+    # each field is shifted by its own first grid value
+    tr = sp._transform(manifold, 3)
+    rng = np.random.default_rng(8)
+    values = 2.0 + rng.normal(size=(2, 3) + tr.shape)
+    values[0, 1] = 0.7  # a constant field in the batch
+    batched = tr.analyze(values)
+    assert batched.shape == (2, 3) + tr.analyze(values[0, 0]).shape
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(batched[index], tr.analyze(values[index])), index
 
 
 def _exponentials(cutoff):
@@ -1263,6 +1342,102 @@ def test_identities_refuse_a_sign_changing_field():
         sp.hessian_trace_gap(field)
     with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
         sp.bochner_residual(field)
+
+
+def _block_sizes():
+    return [sp._BLOCK_FIELDS - 1, sp._BLOCK_FIELDS, sp._BLOCK_FIELDS + 1,
+            2 * sp._BLOCK_FIELDS + 1]
+
+
+@pytest.mark.parametrize("count", _block_sizes())
+def test_batched_bochner_residuals_equal_lone_calls(count):
+    # one batch alternates pairs without a potential (a zero one in the
+    # block) and with one; in the other each pair changes the field's
+    # manifold or cutoff or the potential's cutoff, which starts a new block
+    rng = np.random.default_rng(count)
+    drift = sp.torus2_drift(fx.random_torus_potential(rng, TORUS, cutoff=1))
+
+    def field(cutoff=2):
+        return fx.random_positive_torus_field(rng, TORUS, cutoff=cutoff)
+
+    mixed = [(field(), None if i % 2 == 0 else fx.random_torus_potential(rng, TORUS))
+             for i in range(count)]
+    makers = [lambda: (sp.SpectralField(drift, field().coefficients, 2), None),
+              lambda: (field(3), fx.random_torus_potential(rng, TORUS, cutoff=1)),
+              lambda: (field(), None)]
+    changing = [makers[i % 3]() for i in range(count)]
+    for pairs in (mixed, changing):
+        reports = sp.bochner_residuals(pairs)
+        assert len(reports) == count
+        for (w, potential), report in zip(pairs, reports):
+            assert report == sp.bochner_residual(w, potential)
+            assert report.relative <= 1e-8
+    assert sp.bochner_residuals([]) == []
+
+
+@pytest.mark.parametrize("count", _block_sizes())
+def test_batched_hessian_trace_gaps_equal_lone_calls(count):
+    rng = np.random.default_rng(20 + count)
+    fields = [fx.random_positive_torus_field(rng, TORUS, cutoff=1 + i % 2) for i in range(count)]
+    gaps = sp.hessian_trace_gaps(fields)
+    assert gaps.shape == (count, 2)
+    for field, row in zip(fields, gaps):
+        assert tuple(row) == sp.hessian_trace_gap(field)
+    assert sp.hessian_trace_gaps([]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("name", ["circle", "torus", "sphere"])
+@pytest.mark.parametrize("count", _block_sizes())
+def test_cauchy_step_trace_equals_lone_calls(name, count):
+    # every row of one propagation against evolve and the lone call
+    field = fx.get_fixture(name).initial
+    times = np.linspace(0.0, 1.0, count)
+    rows = sp.cauchy_step_trace(field, times)
+    assert rows.shape == (count, 3)
+    for t, row in zip(times, rows):
+        assert tuple(row) == sp.cauchy_step_values(sp.evolve(field, t))
+
+
+def test_a_batch_refuses_its_non_positive_field_in_the_lone_words():
+    good = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
+    bad = sp.project_potential(TORUS, lambda x, y: 0.3 + np.cos(2.0 * np.pi * y), 2)
+    fields = [good, bad, good, good]
+    for lone, batched in ((sp.hessian_trace_gap, lambda: sp.hessian_trace_gaps(fields)),
+                          (sp.bochner_residual,
+                           lambda: sp.bochner_residuals([(w, None) for w in fields]))):
+        with pytest.raises(sp.PositivityError) as want:
+            lone(bad)
+        with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -7\.000e-01$"):
+            batched()
+        assert str(want.value) == "resolved field has minimum -7.000e-01"
+    # at t = 0 the sign-changing circle field is refused, as a lone call refuses it
+    field = sp.project_potential(CIRCLE, lambda x: 0.2 + np.cos(2.0 * np.pi * x), 2)
+    with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
+        sp.cauchy_step_values(field)
+    with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
+        sp.cauchy_step_trace(field, [1.0, 0.0, 2.0])
+
+
+def test_a_batch_keeps_the_lone_refusals():
+    good = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
+    other = sp.project_potential(sp.torus2(1.0, 2.0), lambda x, y: 0.3 * np.sin(2.0 * np.pi * x),
+                                 2)
+    with pytest.raises(ValueError, match="^the potential must live on the field's manifold$"):
+        sp.bochner_residuals([(good, None), (good, other)])
+    circle = two_mode_circle()
+    with pytest.raises(ValueError, match="^the residual check runs on flat tori$"):
+        sp.bochner_residuals([(good, None), (circle, None)])
+    with pytest.raises(ValueError, match="^the trace inequality check runs on flat tori$"):
+        sp.hessian_trace_gaps([good, circle])
+    drifted = fx.get_fixture("torus-drift").initial
+    for call in (lambda: sp.cauchy_step_values(drifted),
+                 lambda: sp.cauchy_step_trace(drifted, [0.1, 0.2])):
+        with pytest.raises(ValueError, match="^cauchy step values are defined for the plain "
+                                             "volume measure$"):
+            call()
+    for times in ([-1.0], [math.inf], [[0.1]]):
+        with pytest.raises(ValueError, match="^times must be a sequence of finite nonnegative"):
+            sp.cauchy_step_trace(good, times)
 
 
 @pytest.mark.parametrize("residual, scale, relative", [
