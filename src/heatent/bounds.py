@@ -4,8 +4,9 @@ Every bound compares the measured entropy rate (half the Fisher information)
 against a closed-form right-hand side built from the curvature lower bound,
 the spectral gap, or the initial data's extrema.  Checks carry a small slack
 so quadrature and truncation noise cannot produce false violations of true
-inequalities.  Times must be finite; an initial field's constants are cached
-on the field, which compares by content.
+inequalities.  Each right-hand side is elementwise in t: its float formula
+(libm's exp and expm1) at every time, the times checked once per call.  An
+initial field's constants are cached by its content.
 """
 
 from __future__ import annotations
@@ -49,15 +50,26 @@ class BoundReport:
         return bool(self.satisfied.all())
 
 
-def _make_report(name: str, times: np.ndarray, lhs: np.ndarray,
-                 rhs: np.ndarray) -> BoundReport:
+def _make_report(name: str, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> BoundReport:
     slack = SLACK_ABSOLUTE + SLACK_RELATIVE * np.abs(rhs)
     satisfied = lhs <= rhs + slack
-    return BoundReport(name, times, lhs, rhs, satisfied,
-                       float(np.min(rhs - lhs)))
+    return BoundReport(name, times, lhs, rhs, satisfied, float((rhs - lhs).min()))
 
 
-def ricci_bound_rhs(n: int, k: float, q0: float, t: float) -> float:
+def _elementwise(rhs, t, valid=lambda x: 0.0 < x < math.inf,
+                 message: str = "t must be positive and finite"):
+    """The float formula ``rhs`` at each time of t, every time checked by
+    ``valid`` first (ValueError with ``message``): a float for a float t,
+    else a float array of t's shape, each element the float call's bits."""
+    times = np.asarray(t, dtype=float)
+    values = times.ravel().tolist()
+    if not all(map(valid, values)):
+        raise ValueError(message)
+    column = np.array([rhs(x) for x in values]).reshape(times.shape)
+    return column if times.ndim else float(column)
+
+
+def ricci_bound_rhs(n: int, k: float, q0: float, t):
     """Entropy-rate bound from a Ricci lower bound k and initial Fisher q0.
 
     The k = 0 branch is n q0 / (2 (n + q0 t)); the k != 0 branch is written
@@ -67,16 +79,18 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t: float) -> float:
     """
     if q0 <= 0.0:
         raise ValueError("q0 must be positive")
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    kt = k * t
-    # A subnormal k t keeps too few bits for the expm1 ratio below; the k = 0
-    # formula is exact to double precision there.
-    if abs(kt) < sys.float_info.min:
-        return n * q0 / (2.0 * (n + q0 * t))
-    if kt > 700.0:
-        return 0.0
-    return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))
+
+    def rhs(t: float) -> float:
+        kt = k * t
+        # A subnormal k t keeps too few bits for the expm1 ratio below; the
+        # k = 0 formula is exact to double precision there.
+        if abs(kt) < sys.float_info.min:
+            return n * q0 / (2.0 * (n + q0 * t))
+        if kt > 700.0:
+            return 0.0
+        return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))
+
+    return _elementwise(rhs, t)
 
 
 def ricci_bound_asymptote(n: int, k: float) -> float:
@@ -86,31 +100,32 @@ def ricci_bound_asymptote(n: int, k: float) -> float:
     return 0.0
 
 
-def hamilton_bound_rhs(k: float, sup_f: float, t: float) -> float:
+def hamilton_bound_rhs(k: float, sup_f: float, t):
     """Gradient-estimate bound (1/t - k) log(sup f).
 
     sup_f is the supremum of the initial density with respect to the
     volume-normalised measure, so it is >= 1 for unit-mass data and the
     logarithm is nonnegative.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
     if sup_f <= 0.0:
         raise ValueError("sup_f must be positive")
-    return (1.0 / t - k) * math.log(sup_f)
+    log_sup = math.log(sup_f)
+    return _elementwise(lambda t: (1.0 / t - k) * log_sup, t)
 
 
 def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
-                           inf_f: float, sup_f: float, t: float) -> float:
+                           inf_f: float, sup_f: float, t):
     """Exponentially decaying bound from the spectral gap:
     (1/2) exp(-lambda1 t / 2) ||Lap f||_2 sqrt(vol) (|log inf f| + |log sup f|).
     """
     if lambda1 <= 0.0 or vol <= 0.0 or inf_f <= 0.0 or sup_f <= 0.0:
         raise ValueError("lambda1, vol and the extrema must be positive")
-    if norm_laplacian_f < 0.0 or not 0.0 <= t < math.inf:
-        raise ValueError("norm_laplacian_f must be nonnegative and t finite and nonnegative")
-    return (0.5 * math.exp(-0.5 * lambda1 * t) * norm_laplacian_f
-            * math.sqrt(vol) * (abs(math.log(inf_f)) + abs(math.log(sup_f))))
+    message = "norm_laplacian_f must be nonnegative and t finite and nonnegative"
+    if norm_laplacian_f < 0.0:
+        raise ValueError(message)
+    root_vol, logs = math.sqrt(vol), abs(math.log(inf_f)) + abs(math.log(sup_f))
+    return _elementwise(lambda t: 0.5 * math.exp(-0.5 * lambda1 * t) * norm_laplacian_f
+                        * root_vol * logs, t, lambda x: 0.0 <= x < math.inf, message)
 
 
 def euclidean_rate_reference(n: int, t: float) -> float:
@@ -120,15 +135,17 @@ def euclidean_rate_reference(n: int, t: float) -> float:
     return n / (2.0 * t)
 
 
-def _drift_bound_rhs(k: float, q0: float, t: float) -> float:
+def _drift_bound_rhs(k: float, q0: float, t):
     """Drift-curvature bound (1/2) e^{-k t} q0; math.inf once e^{-k t} passes
     double range, which is a true and trivially satisfied bound."""
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    try:
-        return 0.5 * math.exp(-k * t) * q0
-    except OverflowError:
-        return math.inf
+
+    def rhs(t: float) -> float:
+        try:
+            return 0.5 * math.exp(-k * t) * q0
+        except OverflowError:
+            return math.inf
+
+    return _elementwise(rhs, t)
 
 
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
@@ -154,19 +171,13 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     if manifold != initial.manifold:
         raise ValueError("the manifold must be the initial field's")
     times = np.asarray(times, dtype=float)
-    if not ((0.0 < times) & (times < math.inf)).all():
-        raise ValueError("times must be positive and finite")
     q0, inf_f, sup_f, norm_lap = _initial_constants(initial)
     k = manifold.ricci_lower_bound
-
-    def q0_column(rhs) -> np.ndarray:
-        if q0 > 0.0:
-            return np.array([rhs(t) for t in times])
-        # constant datum: the bound degenerates to 0 = 0
-        return np.zeros_like(times)
+    # constant datum: the q0 bounds degenerate to 0 = 0 (each formula checks its times)
+    flat = None if q0 > 0.0 else _elementwise(lambda t: 0.0, times)
 
     if manifold.drift is not None:
-        return {"drift_curvature": q0_column(lambda t: _drift_bound_rhs(k, q0, t))}
+        return {"drift_curvature": _drift_bound_rhs(k, q0, times) if flat is None else flat}
 
     # The gradient estimate needs a nonpositive curvature parameter and the
     # density taken against the volume-normalised measure (both restrictions
@@ -175,12 +186,10 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     sup_rel = sup_f * manifold.volume
     lam1 = spectral_gap(manifold)
     return {
-        "ricci_curvature": q0_column(lambda t: ricci_bound_rhs(n, k, q0, t)),
-        "gradient_log_sup": np.array(
-            [hamilton_bound_rhs(min(k, 0.0), sup_rel, t) for t in times]),
-        "spectral_gap": np.array(
-            [spectral_gap_bound_rhs(lam1, norm_lap, manifold.volume, inf_f, sup_f, t)
-             for t in times]),
+        "ricci_curvature": ricci_bound_rhs(n, k, q0, times) if flat is None else flat,
+        "gradient_log_sup": hamilton_bound_rhs(min(k, 0.0), sup_rel, times),
+        "spectral_gap": spectral_gap_bound_rhs(lam1, norm_lap, manifold.volume, inf_f, sup_f,
+                                               times),
     }
 
 

@@ -8,8 +8,9 @@ Subcommands:
   verify   run the verification suite and emit a JSON report
 
 Every subcommand's flags are declared once, as data, in ``_COMMANDS``: an
-argv ``command --flag value ...`` is read from it directly, and argparse,
-built from it, parses any other argv and owns the usage errors and the help.
+argv ``command --flag value ...`` is read from its flag map and defaults,
+built once at import, and argparse, built from it, parses any other argv
+and owns the usage errors and the help.
 
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
@@ -42,7 +43,7 @@ from .quadrature import QuadratureConvergenceError, QuadratureDomainError
 
 # Every subcommand's flags, declared once: per subcommand its help and its
 # flags in order, each (option, type or tuple of choices, default, help).
-# ``_build_parser`` builds argparse from it and ``_table_parse`` reads it.
+# ``_build_parser`` builds argparse from it and ``_table_parse`` its tables.
 _OUTPUT = (("--config", str, None, "JSON file of flag values; explicit flags win"),
            ("--out", str, None, "output path (default: stdout)"))
 # default None so that ``evolve`` can tell a requested grid from its
@@ -69,8 +70,11 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit status 2."""
 
 
-def _dest(option: str) -> str:
-    return option[2:].replace("-", "_")
+# ``_table_parse``'s tables, built once: per subcommand (dest, kind, default) by option, defaults
+_FLAGS = {name: {option: (option[2:].replace("-", "_"), kind, default)
+                 for option, kind, default, _ in flags} for name, (_, flags) in _COMMANDS.items()}
+_DEFAULTS = {name: {"command": name, **{dest: default for dest, _, default in flags.values()}}
+             for name, flags in _FLAGS.items()}
 
 
 @functools.cache
@@ -97,18 +101,16 @@ def _table_parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     argv, or a value that fails, which argparse parses (and refuses) itself."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
-    flags = {option: kind for option, kind, _, _ in _COMMANDS[argv[0]][1]}
-    values = {"command": argv[0],
-              **{_dest(option): default for option, _, default, _ in _COMMANDS[argv[0]][1]}}
+    flags, values = _FLAGS[argv[0]], dict(_DEFAULTS[argv[0]])
     for option, text in zip(argv[1::2], argv[2::2]):
-        kind = flags.get(option)
-        if kind is None or text.startswith("-"):
+        flag = flags.get(option)
+        if flag is None or text.startswith("-"):
             return None
+        dest, kind, _ = flag
         try:  # a type converts the text; a tuple of choices must hold it
-            value = kind(text) if callable(kind) else kind[kind.index(text)]
+            values[dest] = kind(text) if callable(kind) else kind[kind.index(text)]
         except ValueError:
             return None
-        values[_dest(option)] = value
     return argparse.Namespace(**values)
 
 
@@ -207,9 +209,8 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     except on a JSON row holding a non-finite value, whose cells are spelled
     as json spells them (NaN, Infinity, -Infinity)."""
     names = list(columns) if fmt == "csv" else sorted(columns)
-    table = np.column_stack([np.asarray(columns[name], dtype=float) for name in names
-                             if not isinstance(columns[name], float)])
-    rows = map(tuple, table.tolist())
+    rows = list(zip(*[np.asarray(columns[name], dtype=float).tolist() for name in names
+                      if not isinstance(columns[name], float)]))
 
     def cells(spell, spec: str) -> list[str]:
         return [spell(columns[name]) if isinstance(columns[name], float) else spec
@@ -218,15 +219,15 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     if fmt == "csv":
         line = ",".join(cells(float.__repr__, "%r"))
         return "\n".join([",".join(names), *(line % row for row in rows)]) + "\n"
-    if not len(table):
+    if not rows:
         return "[]\n"
     keys = [json.dumps(name).replace("%", "%%") for name in names]
     finite, spelled = ("  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in
                                             zip(keys, cells(json.dumps, spec))) + "\n  }"
                        for spec in ("%r", "%s"))
-    objects = [finite % row if ok else spelled % tuple(
+    objects = [finite % row if all(map(math.isfinite, row)) else spelled % tuple(
                    _JSON_NONFINITE.get(cell, cell) for cell in map(float.__repr__, row))
-               for row, ok in zip(rows, np.isfinite(table).all(axis=1).tolist())]
+               for row in rows]
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
@@ -235,9 +236,9 @@ def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
     """Exit status 0 when every row is ok.  Otherwise 1, and one stderr line
     names the failing row count, the first failing t and the checks
     ``checks_at`` gives for its row index."""
-    failing = np.flatnonzero(~ok)
-    if failing.size == 0:
+    if ok.all():
         return 0
+    failing = np.flatnonzero(~ok)
     i = int(failing[0])
     sys.stderr.write(f"{command}: {failing.size} of {ok.size} rows failed; first at "
                      f"t={float(times[i])!r}: {' and '.join(checks_at(i))}\n")
@@ -324,7 +325,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
-        "evolve", np.logical_and.reduce([r.satisfied for r in reports]), trace.times,
+        "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]), trace.times,
         lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
                    for r in reports if not r.satisfied[i]])
 

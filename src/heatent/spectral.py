@@ -32,11 +32,11 @@ discretised.  An entropy trace is one array program: the rows of every time
 it needs (t and t +- h) are evolved together, synthesised in chunks of
 whole times, as many as fit in ``_CHUNK_POINTS`` grid values (counting each
 time's values, log buffer and gradient) but at least one, and reduced in
-place to entropy and Fisher information by row sums.  The t +- h
-rows feed the finite-difference rate through their entropy alone, so only
-the t rows synthesise a gradient and take a Fisher sum.  The drifted
-measure weights exp(2V)/sum are built once per operator and serve both those
-sums and the pencil.
+place to entropy and Fisher information by row sums.  The t +- h rows feed
+the finite-difference rate through their entropy alone, so only the t rows
+take a gradient (one ``derivatives`` product) and a Fisher sum.  A drifted
+operator is one cached record per (manifold, cutoff), its measure weights
+exp(2V)/sum and its pencil; a field's modal coordinates are cached per content.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ POSITIVITY_FLOOR = 1e-8
 _TAIL_ENERGY_FRACTION = 1e-20
 _FD_STEP_SCALE = 1e-4
 # Largest accepted condition number of the drift's reduced mass matrix M'
-# (see ``_drift_propagator``); the drift fixture reads about 1.5.
+# (see ``_drift_operator``); the drift fixture reads about 1.5.
 MASS_CONDITION_LIMIT = 1e8
 # Distinct transforms kept.  The benchmark's three workloads use 16, which
 # hold 0.33 MB of arrays together.
@@ -77,6 +77,7 @@ _BLOCK_ROWS = 8
 # Fields per array program of a pointwise identity (``_blocks``): three hold six derivative
 # orders on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
 _BLOCK_FIELDS = 3
+_DriftOperator = NamedTuple("_DriftOperator", [("weights", np.ndarray), ("pencil", Callable)])
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -255,14 +256,11 @@ class _Transform:
         return first @ (a @ last)
 
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
-        """(u of each coefficient row, |grad u|^2 of every ``every``-th row) on
-        the grid; the other rows synthesise no gradient."""
-        grad2, *rest = [self.synth(rows[::every], (axis,)) for axis in range(len(self.axes))]
-        grad2 *= grad2
-        for g in rest:  # squared and summed in place
-            g *= g
-            grad2 += g
-        return self.synth(rows), grad2
+        """(u of each coefficient row, |grad u|^2 of every ``every``-th row, from
+        one ``derivatives`` call) on the grid; the other rows take no gradient."""
+        grad = self.derivatives(rows[::every], *_GRADIENT[:len(self.axes)])
+        grad *= grad  # squared in place, then summed over the axes
+        return self.synth(rows), np.add.reduce(grad)
 
 
 @functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
@@ -460,9 +458,11 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
     Undrifted, each coefficient decays as exp(-lambda t / 2).  On the drifted
     torus c(t) = left (e^{-rates t} * right c) solves the Galerkin pencil
     M c' = -S c in L^2(mu) exactly, from the decomposition that
-    ``_drift_propagator`` builds once per operator; an ill-conditioned M
-    raises PropagatorError.  t must be finite, and a drifted result must stay
-    strictly positive.
+    ``_drift_operator`` builds once per operator and the field's cached modal
+    coordinates ``right c``; an ill-conditioned M raises PropagatorError.  t
+    must be finite, and a drifted result strictly positive.  The one row is a
+    zero-padded ``_BLOCK_ROWS``-row block on purpose, for the bits of its
+    time's row in a trace (the padding took a lone call from 32-47 to 39-59 us).
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
@@ -478,17 +478,17 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
 def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
     leading axis: A0 exp(-lambda t / 2) as an outer product, or on the
-    drifted torus (e^{-t rates} * right a0) left^T with a0 the flattened A0,
-    multiplied in fixed blocks of ``_BLOCK_ROWS`` rows against the
-    C-contiguous left^T, so a row's bits do not depend on its batch."""
+    drifted torus (e^{-t rates} * right a0) left^T with a0 the flattened A0
+    (``right a0`` cached), multiplied in fixed blocks of ``_BLOCK_ROWS`` rows
+    against the C-contiguous left^T, so a row's bits do not depend on its batch."""
     manifold = field.manifold
     c0 = field.coefficients
     if manifold.drift is None:
         lam = eigenvalues(manifold, field.cutoff)
         x = c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
     else:
-        rates, left, right = _drift_propagator(manifold, field.cutoff)
-        x = np.exp(np.outer(-times, rates)) * (right @ c0.ravel())
+        rates, left, _ = _drift_operator(manifold, field.cutoff).pencil()
+        x = np.exp(np.multiply.outer(-times, rates)) * _modal_coordinates(field)
     # A decaying mode passes through subnormals (below 2.2e-308), which cost the
     # products that follow a slow path and cannot reach a value above 1e-290.
     x[np.abs(x) < sys.float_info.min] = 0.0
@@ -508,7 +508,29 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
+def _drift_operator(manifold: ManifoldSpec, cutoff: int) -> _DriftOperator:
+    """The drifted operator's record at this field cutoff, shared by every
+    field, trace and CLI call on an equal manifold (a value): the weights
+    w = exp(2V) dx / their total on the cutoff's grid, read-only, and
+    ``pencil()``, its ``_drift_pencil``, built on first call, so w alone builds none.
+
+    The pencil reads the modes |j - k| <= 2c per axis of w's Fourier
+    transform w^ (c the field cutoff); on this n >= max(32, 8c) grid each such
+    mode is aliased only by modes at least n - 2c >= 24 away.  For V = a
+    sin(2 pi x) cos(2 pi y) at the largest a that MASS_CONDITION_LIMIT
+    accepts, the aliasing is at most 2e-9 w^(0) at c = 4 (a = 6.25) and 5e-15
+    w^(0) from c = 5 on; at c <= 3 the limit admits far larger potentials
+    (every a up to 30 at c = 2, aliasing 2e-3 w^(0) there), which so few
+    modes cannot resolve anyway.
+    """
+    tr, potential = _transform(manifold, cutoff), manifold.drift
+    v = _transform(manifold, potential.cutoff, tr.shape[0]).synth(potential.coefficients)
+    raw = np.exp(2.0 * v) * tr.weights
+    w = _read_only(raw / raw.sum())
+    return _DriftOperator(w, functools.cache(lambda: _drift_pencil(manifold, cutoff, w)))
+
+
+def _drift_pencil(manifold: ManifoldSpec, cutoff: int, w: np.ndarray):
     """(rates, left, right), real and read-only, with exp(tL) acting on the
     flattened coefficients a of a field as a(t) = left (e^{-rates t} * right a).
 
@@ -517,7 +539,7 @@ def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
     basis Phi = T (x) T of the field's coefficients is the real symmetric
     pencil M a' = -S a, with M = Phi^T diag(w) Phi and
     S = 1/2 sum_axes (d Phi)^T diag(w) d Phi by the grid rule of
-    ``_drift_weights`` w, contracted one axis at a time.  This basis is an
+    the measure weights w, contracted one axis at a time.  This basis is an
     orthogonal change from the exponentials', so cond(M') is that of their
     Hermitian pencil.  S vanishes on the constant (flat index z), so with y
     the other coordinates and beta = M[z, y] / M[z, z] the mu-mass
@@ -528,12 +550,9 @@ def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
     e^{-lam t} Q^T d^{1/2} U^T y(0).  cond(M') = max d / min d above
     MASS_CONDITION_LIMIT raises PropagatorError.  ``left`` is stored in
     Fortran order, so ``left.T`` is the C-contiguous table that
-    ``_propagate`` multiplies its row blocks by.  Keyed on the drifted
-    manifold, a value, so every field, trace and CLI call on an equal
-    operator shares one build.
+    ``_propagate`` multiplies its row blocks by.
     """
     tr = _transform(manifold, cutoff)
-    w = _drift_weights(manifold, cutoff)
     (tx, dx), (ty, dy) = tr.first[:2], (table.T for table in tr.last[:2])
     size = tx.shape[1] ** 2
 
@@ -564,38 +583,24 @@ def _drift_propagator(manifold: ManifoldSpec, cutoff: int):
     return _read_only(rates), _read_only(left), _read_only(right)
 
 
+@functools.lru_cache(maxsize=16)  # at cutoff 6, 16 x 169 floats
+def _modal_coordinates(field: SpectralField) -> np.ndarray:
+    """``right a0`` of a drifted field (a0 its flattened coefficients), read-only, per content."""
+    right = _drift_operator(field.manifold, field.cutoff).pencil()[2]
+    return _read_only(right @ field.coefficients.ravel())
+
+
 # ---------------------------------------------------------------------------
 # functionals
 
 
 def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     """Quadrature weights of the reference measure on the evaluation grid of
-    this cutoff.
-
-    With a drift this is exp(2V) dx normalised to unit total mass, built
-    once per operator; elsewhere it is the plain volume measure.
-    """
+    this cutoff: the plain volume measure, or with a drift the operator
+    record's exp(2V) dx normalised to unit total mass."""
     if manifold.drift is None:
         return _transform(manifold, cutoff).weights
-    return _drift_weights(manifold, cutoff)
-
-
-@functools.lru_cache(maxsize=4)
-def _drift_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
-    """exp(2V) dx / its total on the grid of the field cutoff, keyed on the
-    drifted manifold as ``_drift_propagator`` is, whose pencil reads the modes
-    |j - k| <= 2c per axis of their Fourier transform w^ (c the field
-    cutoff).  On this n >= max(32, 8c) grid each such mode is aliased only by
-    modes at least n - 2c >= 24 away.  For V = a sin(2 pi x) cos(2 pi y) at
-    the largest a that MASS_CONDITION_LIMIT accepts, the aliasing is at most
-    2e-9 w^(0) at c = 4 (a = 6.25) and 5e-15 w^(0) from c = 5 on; at c <= 3
-    the limit admits far larger potentials (every a up to 30 at c = 2,
-    aliasing 2e-3 w^(0) there), which so few modes cannot resolve anyway."""
-    tr = _transform(manifold, cutoff)
-    potential = manifold.drift
-    v = _transform(manifold, potential.cutoff, tr.shape[0]).synth(potential.coefficients)
-    raw = np.exp(2.0 * v) * tr.weights
-    return _read_only(raw / raw.sum())
+    return _drift_operator(manifold, cutoff).weights
 
 
 def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, message: str,
@@ -664,17 +669,19 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
 
     rate_direct is half the Fisher information; rate_fd is a central finite
     difference of the entropy with step 1e-4 * t, the package-wide
-    cross-check policy.
+    cross-check policy.  A grid not one-dimensional raises TypeError.
     """
-    times = np.asarray([float(t) for t in times])
-    in_range = ((0.0 < times) & (times < math.inf)).all()
-    if times.size == 0 or not in_range or (times[1:] <= times[:-1]).any():
+    times = np.array(times, dtype=float)
+    if times.size and times.ndim != 1:
+        raise TypeError(f"times must be one-dimensional, not of shape {times.shape}")
+    if not (times.size and 0.0 < times[0] and times[-1] < math.inf
+            and (times[1:] > times[:-1]).all()):  # so every time is in range; NaN fails
         raise ValueError("times must be strictly increasing, positive and finite")
     h = _FD_STEP_SCALE * times
     # rows t, t + h, t - h of each time in turn, so that a loss of positivity
     # is reported at the first time it occurs; the t +- h rows feed rate_fd
     # through their entropy alone, so only the t rows take a Fisher sum
-    grid = np.stack([times, times + h, times - h], axis=1).ravel()
+    grid = (times[:, np.newaxis] + np.multiply.outer(h, (0.0, 1.0, -1.0))).ravel()
     message = (_RESOLVED_MINIMUM if field.manifold.drift is None
                else _DRIFT_LOST_POSITIVITY)
     entropy, fisher = _row_functionals(field.manifold, field.cutoff,

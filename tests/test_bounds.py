@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +252,82 @@ def test_bound_constants_cache_is_bounded():
         bd.bound_table(torus, field, [0.1])
     info = bd._initial_constants.cache_info()
     assert (info.misses, info.currsize) == (size + 3, size)
+
+
+# ---------------------------------------------------------------------------
+# elementwise formulas: an array of times has the bits of the float calls
+
+
+def _ricci_reference(n, k, q0, t):
+    """Reference: the Ricci bound at one float time, branch by branch."""
+    kt = k * t
+    if abs(kt) < sys.float_info.min:
+        return n * q0 / (2.0 * (n + q0 * t))
+    if kt > 700.0:
+        return 0.0
+    return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))
+
+
+def _drift_reference(k, q0, t):
+    """Reference: the drift bound at one float time."""
+    try:
+        return 0.5 * math.exp(-k * t) * q0
+    except OverflowError:
+        return math.inf
+
+
+def _formulas(n, k, q0, sup_f):
+    """Per bound: (its formula as a function of t, its float reference)."""
+    lambda1, norm, vol, inf_f = abs(k) or 1.0, 2.5, 1.5, 0.5
+    log_term = abs(math.log(inf_f)) + abs(math.log(sup_f))
+    return {
+        "ricci": (lambda t: bd.ricci_bound_rhs(n, k, q0, t),
+                  lambda t: _ricci_reference(n, k, q0, t)),
+        "gradient": (lambda t: bd.hamilton_bound_rhs(min(k, 0.0), sup_f, t),
+                     lambda t: (1.0 / t - min(k, 0.0)) * math.log(sup_f)),
+        "spectral_gap": (lambda t: bd.spectral_gap_bound_rhs(lambda1, norm, vol, inf_f, sup_f, t),
+                         lambda t: (0.5 * math.exp(-0.5 * lambda1 * t) * norm * math.sqrt(vol)
+                                    * log_term)),
+        "drift": (lambda t: bd._drift_bound_rhs(k, q0, t), lambda t: _drift_reference(k, q0, t)),
+    }
+
+
+_TIMES = st.lists(st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e3),
+                            st.floats(1e3, 1e300), st.floats(1e300, 1.7e308)),
+                  min_size=1, max_size=9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4),
+       k=st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
+                   st.floats(-1e3, 1e3)),
+       q0=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+       sup_f=st.sampled_from([1.0, 1.25, 3.0]), times=_TIMES)
+@example(n=2, k=1e-310, q0=3.0, sup_f=1.25, times=[0.5, 2.0, 1e-3])  # subnormal k t
+@example(n=2, k=1.0, q0=3.0, sup_f=1.25, times=[699.0, 700.0, 700.5, 1e6])  # k t past 700
+@example(n=2, k=-1.0, q0=3.0, sup_f=1.25, times=[709.0, 709.8, 710.0, 1e300])  # e^{-k t} is inf
+@example(n=2, k=-1.0, q0=0.0, sup_f=1.25, times=[0.5, 709.0, 710.0])  # q0 = 0
+def test_bound_formulas_on_arrays_have_the_bits_of_float_calls(n, k, q0, sup_f, times):
+    t = np.array(times)
+    for name, (formula, reference) in _formulas(n, k, q0, sup_f).items():
+        if name == "ricci" and q0 <= 0.0:
+            for argument in (t, times[0]):
+                with pytest.raises(ValueError, match="q0"):
+                    formula(argument)
+            continue
+        floats = [formula(x) for x in times]
+        assert all(type(value) is float for value in floats), name
+        values = formula(t)
+        assert values.shape == t.shape and values.tobytes() == np.array(floats).tobytes(), name
+        references = np.array([reference(x) for x in times])
+        assert values.tobytes() == references.tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_bound_formulas_refuse_a_non_finite_time_in_an_array(bad):
+    for name, (formula, _) in _formulas(2, -1.0, 1.0, 1.5).items():
+        with pytest.raises(ValueError, match="finite"):
+            formula(np.array([0.5, bad, 1.0]))
 
 
 # ---------------------------------------------------------------------------

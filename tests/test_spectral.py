@@ -689,7 +689,7 @@ def test_subnormal_coordinates_are_flushed_without_moving_a_bit():
     tr = sp._transform(TORUS, 6)
     assert np.array_equal(tr.synth(rows), tr.synth(raw))
     drift = fx.get_fixture("torus-drift").initial
-    rates, left, right = sp._drift_propagator(drift.manifold, drift.cutoff)
+    rates, left, right = sp._drift_operator(drift.manifold, drift.cutoff).pencil()
     times = np.geomspace(0.1, 2.0, 16)
     x = np.exp(np.outer(-times, rates)) * (right @ drift.coefficients.ravel())
     assert np.any((x != 0.0) & (np.abs(x) < tiny))
@@ -742,7 +742,7 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
         coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
-    rates, left, right = sp._drift_propagator(manifold, 6)
+    rates, left, right = sp._drift_operator(manifold, 6).pencil()
     assert left.dtype == right.dtype == float
     # the oracle's pencil in the real coefficients, whose complex layout is
     # basis @ a: the Gram matrices of real functions, e_k / sqrt(vol) each
@@ -774,7 +774,7 @@ def _exponential_drift_propagator(manifold, cutoff):
     lengths = manifold.lengths
     modes = np.arange(-cutoff, cutoff + 1)
     m = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
-    w_hat = np.fft.fftn(sp._drift_weights(manifold, cutoff))
+    w_hat = np.fft.fftn(sp._drift_operator(manifold, cutoff).weights)
     mass = w_hat[tuple((m[:, :, np.newaxis] - m[:, np.newaxis, :]) % w_hat.shape[0])]
     size = m.shape[1]
     zero = size // 2
@@ -863,11 +863,98 @@ def test_drift_fisher_converges_in_cutoff():
 
 
 def test_drift_propagator_shared_across_fixture_rebuilds():
-    sp._drift_propagator.cache_clear()
-    for _ in range(3):
-        sp.evolve(fx.drift_fixture().initial, 0.5)
-    info = sp._drift_propagator.cache_info()
+    # three separate builds (each reads its weights from the operator record),
+    # and the fields' shared modal coordinates cached before the count, so
+    # that each evolve looks the record up once
+    fields = [fx.drift_fixture().initial for _ in range(3)]
+    sp.evolve(fields[0], 0.5)
+    sp._drift_operator.cache_clear()
+    for field in fields:
+        sp.evolve(field, 0.5)
+    info = sp._drift_operator.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# a drifted field's modal coordinates, built once per content
+
+
+def test_modal_coordinates_follow_in_place_changes():
+    fixture = fx.drift_fixture()
+    field = sp.SpectralField(fixture.manifold, fixture.initial.coefficients.copy(),
+                             fixture.initial.cutoff)
+    before = sp.evolve(field, 0.3).coefficients
+    field.coefficients[...] *= 1.5
+    after = sp.evolve(field, 0.3).coefficients
+    sp._modal_coordinates.cache_clear()
+    fresh = sp.evolve(field, 0.3).coefficients
+    assert after.tobytes() == fresh.tobytes()
+    assert after.tobytes() != before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sp._modal_coordinates(field)[0] = 0.0
+
+
+def test_equal_fields_share_one_modal_entry():
+    sp._modal_coordinates.cache_clear()
+    traces = []
+    for _ in range(3):
+        field = fx.drift_fixture().initial  # a separate build with equal contents
+        traces.append(sp.entropy_trace(field, [0.1, 1.0]))
+    info = sp._modal_coordinates.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for trace in traces[1:]:
+        for column in ("entropy", "fisher", "rate_fd"):
+            assert getattr(trace, column).tobytes() == getattr(traces[0], column).tobytes()
+
+
+def test_modal_cache_is_bounded():
+    size = sp._modal_coordinates.cache_info().maxsize
+    assert size is not None
+    sp._modal_coordinates.cache_clear()
+    manifold = fx.drift_fixture().manifold
+    for seed in range(size + 3):
+        data = fx.random_positive_torus_field(np.random.default_rng(seed), TORUS)
+        sp.evolve(sp.SpectralField(manifold, data.coefficients, data.cutoff), 0.1)
+    info = sp._modal_coordinates.cache_info()
+    assert (info.misses, info.currsize) == (size + 3, size)
+
+
+# The weights alone (a drifted field's mass, its lone functionals, the drift
+# bound's constants) decompose no pencil; the first propagation does, once.
+def test_drift_weights_alone_build_no_pencil():
+    fixture = fx.drift_fixture()
+    sp._drift_operator.cache_clear()
+    sp.mass(fixture.initial)
+    bd.bound_table(fixture.manifold, fixture.initial, [0.1, 1.0])
+    operator = sp._drift_operator(fixture.manifold, fixture.initial.cutoff)
+    assert operator.pencil.cache_info().currsize == 0
+    sp.evolve(fixture.initial, 0.1)
+    sp.entropy_trace(fixture.initial, [0.1, 0.2])
+    assert operator.pencil.cache_info().misses == 1
+    assert sp._drift_operator(fixture.manifold, fixture.initial.cutoff) is operator
+
+
+# A warm drifted request re-derives nothing: a second trace and bound check
+# of the same field, at other times, misses no cache of either layer.
+def test_warm_drift_request_misses_no_cache():
+    fixture = fx.get_fixture("torus-drift")
+
+    def request(times):
+        trace = sp.entropy_trace(fixture.initial, times)
+        bd.check_bounds(trace, fixture.manifold, fixture.initial)
+
+    caches = {f"{module.__name__}.{name}": value for module in (sp, bd)
+              for name, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert {"heatent.spectral._drift_operator", "heatent.spectral._modal_coordinates",
+            "heatent.spectral._cached_transform", "heatent.bounds._initial_constants"} <= set(caches)
+    request(np.geomspace(0.02, 0.2, 5))
+    before = {name: cache.cache_info() for name, cache in caches.items()}
+    request(np.linspace(0.3, 1.7, 7))
+    after = {name: cache.cache_info() for name, cache in caches.items()}
+    assert {name: info.misses for name, info in after.items()} == \
+           {name: info.misses for name, info in before.items()}
+    for name in ("_drift_operator", "_modal_coordinates"):
+        assert after[f"heatent.spectral.{name}"].hits > before[f"heatent.spectral.{name}"].hits
 
 
 def test_evolve_drift_positivity_guard():
@@ -984,6 +1071,31 @@ def test_trace_validates_grid():
         sp.entropy_trace(fx.drift_fixture().initial, [0.2, 0.1])
 
 
+# A grid of another dimension raises TypeError, and an empty, unsorted,
+# repeating, non-positive or non-finite one ValueError.
+@pytest.mark.parametrize("times, error", [
+    (0.5, TypeError), (np.array(0.5), TypeError), ([[0.1, 0.2]], TypeError),
+    (np.array([[0.1], [0.2]]), TypeError), ([], ValueError), (np.zeros((0, 3)), ValueError),
+    ([0.2, 0.1], ValueError), ([0.1, 0.1], ValueError), ([-0.1, 0.2], ValueError),
+    ([0.0, 0.1], ValueError), ([-math.inf, 0.1], ValueError), ([math.nan], ValueError),
+    ([0.1, math.nan, 0.3], ValueError), ([math.nan, 0.2], ValueError), ([0.1, math.inf], ValueError),
+    ([math.inf], ValueError)])
+@pytest.mark.parametrize("name", ["torus", "torus-drift"])
+def test_trace_refusals_keep_their_exception_types(name, times, error):
+    with pytest.raises(error):
+        sp.entropy_trace(fx.get_fixture(name).initial, times)
+
+
+def test_trace_accepts_any_strictly_increasing_sequence_of_numbers():
+    field = fx.get_fixture("torus").initial
+    expected = sp.entropy_trace(field, np.array([0.1, 0.25]))
+    for times in ([0.1, 0.25], (0.1, 0.25), ["0.1", "0.25"], np.array([0.1, 0.25], np.float32)):
+        trace = sp.entropy_trace(field, times)
+        assert trace.times.dtype == float and trace.times.ndim == 1
+        if not isinstance(times, np.ndarray):
+            assert trace.entropy.tobytes() == expected.entropy.tobytes()
+
+
 # Every row is synthesised by its own products and drifted rows are
 # propagated in blocks of one shape, so a trace row is bit-identical to the
 # lone field's functionals on every geometry.
@@ -1046,7 +1158,7 @@ import numpy as np
 from heatent import fixtures as fx, spectral as sp
 
 field = fx.drift_fixture().initial
-table = sp._drift_propagator(field.manifold, field.cutoff)[1].T
+table = sp._drift_operator(field.manifold, field.cutoff).pencil()[1].T
 rng = np.random.default_rng(5)
 
 def random_rows(count):
@@ -1129,6 +1241,8 @@ def test_trace_chunk_count(case, monkeypatch):
 
 # Per time, the t row synthesises its values and one gradient component per
 # grid axis; the t +- h rows, which feed rate_fd alone, synthesise values only.
+# A field counts once per order it is synthesised in, by ``synth`` or by
+# ``derivatives`` (whose one-axis case calls ``synth``, counted there alone).
 @pytest.mark.parametrize("name, per_time", [("circle", {"fields": 4}), ("torus", {"fields": 5}),
                                             ("torus-drift", {"fields": 5}),
                                             ("sphere", {"fields": 4})])
@@ -1138,13 +1252,24 @@ def test_neighbour_rows_synthesise_no_gradient(name, per_time, monkeypatch):
     times = fixture.default_times
     sp.entropy_trace(field, times)  # fills the caches outside the count
     counts = collections.Counter()
-    synth = sp._Transform.synth
+    synth, derivatives = sp._Transform.synth, sp._Transform.derivatives
+    inside = []  # set while a derivatives call runs
 
     def counted_synth(self, coeffs, *order):
-        counts["fields"] += coeffs.size // field.coefficients.size
+        if not inside:
+            counts["fields"] += coeffs.size // field.coefficients.size
         return synth(self, coeffs, *order)
 
+    def counted_derivatives(self, coeffs, *orders):
+        counts["fields"] += len(orders) * (coeffs.size // field.coefficients.size)
+        inside.append(True)
+        try:
+            return derivatives(self, coeffs, *orders)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(sp._Transform, "synth", counted_synth)
+    monkeypatch.setattr(sp._Transform, "derivatives", counted_derivatives)
     sp.entropy_trace(field, times)
     assert counts == {key: n * len(times) for key, n in per_time.items()}
 
@@ -1211,10 +1336,10 @@ def test_warm_drift_trace_calls_no_fft(monkeypatch):
 
     for name in ("irfftn", "ifftn", "irfft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    weight_misses = sp._drift_weights.cache_info().misses
+    weight_misses = sp._drift_operator.cache_info().misses
     sp.entropy_trace(fixture.initial, times)
     assert calls == {}
-    assert sp._drift_weights.cache_info().misses == weight_misses
+    assert sp._drift_operator.cache_info().misses == weight_misses
 
 
 @pytest.mark.parametrize("name", list(fx.FIXTURE_BUILDERS))
