@@ -253,9 +253,8 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise (Dekker;
-    Python 3.11 has no math.fma)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise in float
+    arrays or floats (Dekker; Python 3.11 has no math.fma)."""
     p = a * b
     (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
@@ -263,19 +262,21 @@ def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
     """scaled * exp(kappa^2 t / 2) elementwise, inf of scaled's sign where
-    hi + log|scaled| passes 709.  The exponent kappa^2 t / 2 of the floats
-    kappa and t is hi + lo: hi the float product, lo its remainder from two
-    exact two-products, so no rounding of the exponent reaches the result.
-    exp(hi) enters as two factors exp(hi/2): the exp of hi + log|scaled|
-    would turn the rounding of a sum as large as 709 into a relative error
-    of the result."""
+    hi + log|scaled| passes 709, and a signed zero or a NaN as it is.  The
+    exponent kappa^2 t / 2 of the floats kappa and t is hi + lo: hi the float
+    product, lo its remainder from two exact two-products (kappa^2's in float
+    arithmetic), so no rounding of the exponent reaches the result.  exp(hi)
+    enters as two factors exp(hi/2): the exp of hi + log|scaled| would turn
+    the rounding of a sum as large as 709 into a relative error of the
+    result."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k2, k2_err = _two_product(kappa, kappa)
         p, p_err = _two_product(k2, t)
         hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
-        half = np.exp(0.5 * hi)
+        half = np.exp(0.5 * hi)  # inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
         past = hi + np.log(np.abs(scaled)) > 709.0
-        return np.where(past, np.copysign(np.inf, scaled), scaled * half * half * np.exp(lo))
+        grown = np.where(scaled == 0.0, scaled, scaled * half * half * np.exp(lo))
+        return np.where(past, np.copysign(np.inf, scaled), grown)
 
 
 def cmd_h3(args: argparse.Namespace) -> int:

@@ -88,7 +88,9 @@ import numpy as np
 from . import quadrature
 from .quadrature import QuadratureConvergenceError, integrate_batch
 from .specfun import (
+    _factors,
     _log_sinh_ratio,
+    _refuse_overflow,
     log_sinh_ratio,
     moment_factors,
     shifted_gaussian_quadratures,
@@ -209,7 +211,7 @@ def normalization_quadrature(p: H3Params, t):
 def _times(t) -> np.ndarray:
     """t as a float array, 0-d for a scalar; every time positive and finite."""
     ts = np.asarray(t, dtype=float)
-    if not np.all((0.0 < ts) & (ts < math.inf)):
+    if not ((0.0 < ts) & (ts < math.inf)).all():
         raise ValueError("t must be positive and finite")
     return ts
 
@@ -243,12 +245,11 @@ def xi_prime(p: H3Params, t):
     return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
-def _closed_parts(k: float, ts: np.ndarray, root: np.ndarray, rows):
+def _closed_parts(ts: np.ndarray, x: np.ndarray, f: list, rows):
     """(closed for eta at every time of ts, ((lower term, upper term) for eta,
     (closed, lower term, upper term) for eta'), F_0 = alpha) at the times
-    ts[rows], all times exp(-kappa^2 t/2); root is sqrt(ts).  The F_m are
-    ``specfun.moment_factors``, so a time where one overflows raises its
-    ValueError.
+    ts[rows], all times exp(-kappa^2 t/2); x is kappa sqrt(ts) and f the F_m
+    of ``specfun.moment_factors`` there.
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -259,12 +260,11 @@ def _closed_parts(k: float, ts: np.ndarray, root: np.ndarray, rows):
     log arguments 2x^2 + 4 and 1 + x F_1/F_0; for eta', closed = x F_4/2 with
     coefficient F_3/2 and log arguments 1 + 2x F_4/F_3 and 1 + x F_3/F_2.
     """
-    x, f = k * root, moment_factors(k, ts)
     closed = ts * x * f[2]
     t, x, f = ts[rows], x[rows], [factor[rows] for factor in f]
-    coeff, coeff_prime = t * f[1], 0.5 * f[3]
-    return closed, ((coeff * np.log(2.0 * x * x + 4.0), coeff * np.log1p(x * f[1] / f[0])),
-                    (0.5 * x * f[4], coeff_prime * np.log1p(2.0 * x * f[4] / f[3]),
+    coeff, coeff_prime, twice = t * f[1], 0.5 * f[3], 2.0 * x
+    return closed, ((coeff * np.log(twice * x + 4.0), coeff * np.log1p(x * f[1] / f[0])),
+                    (0.5 * x * f[4], coeff_prime * np.log1p(twice * f[4] / f[3]),
                      coeff_prime * np.log1p(x * f[3] / f[2]))), f[0]
 
 
@@ -303,14 +303,16 @@ def eta_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds that eta must sit strictly inside,
     times exp(-kappa^2 t/2)."""
     ts = _times(t)
-    closed, ((lower, upper), _), _ = _closed_parts(p.kappa, ts, np.sqrt(ts), ...)
+    closed, ((lower, upper), _), _ = _closed_parts(
+        ts, p.kappa * np.sqrt(ts), moment_factors(p.kappa, ts), ...)
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
 def eta_prime_envelope(p: H3Params, t):
     """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
     ts = _times(t)
-    _, (closed, lower, upper) = _closed_parts(p.kappa, ts, np.sqrt(ts), ...)[1]
+    _, (closed, lower, upper) = _closed_parts(
+        ts, p.kappa * np.sqrt(ts), moment_factors(p.kappa, ts), ...)[1]
     return _like(t, closed - lower), _like(t, closed - upper)
 
 
@@ -326,12 +328,15 @@ def entropy_quadrature(p: H3Params, t):
 
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
     """Large-time band for the entropy rate: kappa^2 (2 -+ log sqrt 2)."""
-    k2 = p.kappa * p.kappa
+    return _band(p.kappa)
+
+
+def _band(kappa: float) -> tuple[float, float]:
+    k2 = kappa * kappa
     return k2 * (2.0 - _LOG_SQRT2), k2 * (2.0 + _LOG_SQRT2)
 
 
 SIDES = ("eta lower", "eta upper", "eta' lower", "eta' upper")
-_LOWER_SIDES = np.array([[True], [False], [True], [False]])
 
 
 def verdict_states(margin, error):
@@ -381,16 +386,19 @@ class H3Sweep:
     def band_margin(self) -> np.ndarray:
         """How far rate_direct sits inside the band widened by _BAND_SLACK
         kappa^2; negative outside."""
-        lo, hi = asymptotic_band(H3Params(self.kappa))
-        slack = _BAND_SLACK * self.kappa * self.kappa
         with np.errstate(all="ignore"):
-            return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)
+            return self._band_margin()
 
     @property
     def band_ok(self) -> np.ndarray:
         """Band containment, enforced once t >= 20/kappa^2."""
         with np.errstate(all="ignore"):
-            return (self.t * self.kappa * self.kappa < 20.0) | (self.band_margin >= 0.0)
+            return (self.t * self.kappa * self.kappa < 20.0) | (self._band_margin() >= 0.0)
+
+    def _band_margin(self) -> np.ndarray:
+        lo, hi = _band(self.kappa)
+        slack = _BAND_SLACK * self.kappa * self.kappa
+        return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)
 
 
 def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
@@ -427,8 +435,8 @@ def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
         r *= _GAUSS
         r *= f
         for weighted, at in ((r, start), (near, size + start)):
-            np.sum(weighted, axis=1, out=fine[at:at + len(weighted)])
-            np.sum(weighted[:, ::2], axis=1, out=coarse[at:at + len(weighted)])
+            np.add.reduce(weighted, axis=1, out=fine[at:at + len(weighted)])
+            np.add.reduce(weighted[:, ::2], axis=1, out=coarse[at:at + len(weighted)])
     fine *= _STEP
     return remainder, fine, np.abs(fine - 2.0 * _STEP * coarse)
 
@@ -467,7 +475,10 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     ABSOLUTE_TOLERANCE) of ``quadrature``; then ValueError naming t where
     xi, xi' or 1/(2t^2) of a row leaves the double range, one naming kappa
     and the row's time where a moment factor F_m overflows, and one naming t
-    where a closed part, envelope term or margin is not finite.
+    where a closed part, envelope term or margin is not finite.  kappa^2 t
+    is checked before the kernel runs; every later check passes one gate
+    after the last margin is formed, and only when it trips is the first
+    failing check, in this order, worked out.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n, k = grid.size, p.kappa
@@ -475,9 +486,6 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     def out_of_range(bad: np.ndarray, why: str) -> ValueError:  # bad: blocks of n rows
         t = grid[np.flatnonzero(bad.reshape(-1, n).any(axis=0))[0]]
         return ValueError(f"t={float(t)!r} leaves the double range: {why}")
-
-    def t_rows(a: np.ndarray) -> np.ndarray:  # (4, n): its t rows of eta, eta, eta', eta'
-        return np.repeat([a[:n], a[3 * n:]], 2, axis=0)
 
     with np.errstate(all="ignore"):
         steps = _FD_STEP_SCALE * grid
@@ -487,39 +495,30 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             raise out_of_range(~np.isfinite(k2t), "kappa^2 t overflows")
         # eta at every row of ts, then eta' at the t rows
         remainder, fine, estimate = _trapezoid(p, ts, n)
-        if not np.isfinite(fine).all():
-            raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
-        failed = ~(estimate <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(fine),
-                                          quadrature.ABSOLUTE_TOLERANCE))  # a NaN estimate too
-        if failed.any():
-            # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
-            i, slot = divmod(int(np.flatnonzero(failed.reshape(4, n)[[0, 3, 1, 2]].T)[0]), 4)
-            raise QuadratureConvergenceError(
-                f"log-weighted sinh integral (power {3 if slot == 1 else 1}) at "
-                f"t={float(ts[i + (0, 0, n, 2 * n)[slot]])!r}: error estimate "
-                f"{estimate[i + (0, 3 * n, n, 2 * n)[slot]]:.3e} on {_NODES.size} nodes")
+        converged = estimate <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(fine),
+                                           quadrature.ABSOLUTE_TOLERANCE)  # a NaN is not
 
         # xi, xi' (both times exp(kappa^2 t/2)) and the eta' scale 1/(2t^2)
+        k2t3 = k2t + 3.0
         xis = _SQRT_TWO_OVER_PI / (k * ts ** 1.5)
-        scales = np.array([xis, -(k2t + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5), 0.5 / (ts * ts)])
-        if not (np.isfinite(scales).all() and scales.all()):
-            raise out_of_range(~(np.isfinite(scales) & (scales != 0.0)).all(axis=0),
-                               "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
-        scales = scales[1:, :n].copy()  # xi' and the eta' scale at the t rows alone
-        xi_primes, prime_scale = scales
+        xi_primes, prime_scale = -k2t3 / (_SQRT_TWO_PI * k * ts ** 2.5), 0.5 / (ts * ts)
+        scales = np.array([xis, xi_primes, prime_scale])
         root = np.sqrt(ts)
+        x = k * root
+        factors = _factors(k, ts, x)
         closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), alphas = (
-            _closed_parts(k, ts, root, slice(n)))
+            _closed_parts(ts, x, factors, slice(n)))
 
-        scale = np.concatenate([0.5 * root, 0.5 * root[:n] * prime_scale])
-        quad, error = (np.multiply(a, scale, out=a) for a in (fine, estimate))  # in place
+        half = 0.5 * root
+        scale = np.concatenate([half, half[:n] * prime_scale[:n]])
+        quad, error = fine * scale, estimate * scale
         closed = np.concatenate([closed, closed_prime])
         remainder = np.concatenate([remainder, remainder[:n]])
         rest = closed - quad
         eta = np.where(remainder, rest, quad)
         np.copyto(rest, quad, where=remainder)
 
-        i1 = 0.5 * (k2t + 3.0)
+        i1 = 0.5 * k2t3
         i2 = xis * eta[:3 * n]
         entropy = 1.5 * np.log(2.0 * math.pi * ts) + 0.5 * k * k * ts + i1 + i2
         # xi' kappa M_2 + xi kappa M_4/(2t^2), the closed part of the rate,
@@ -527,23 +526,47 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         # + 2 kappa exp(-kappa^2 t/2)/sqrt(2 pi t); only -(xi' R + xi R') is left.
         closed_rate = 2.0 * k * (k * alphas + np.exp(-0.5 * k * k * grid) / root[:n])
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
-            xi_primes * rest[:n] + xis[:n] * rest[3 * n:])
+            xi_primes[:n] * rest[:n] + xis[:n] * rest[3 * n:])
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
-        del ts, k2t, root, scale, alphas  # so that a long sweep's margins reuse their memory
+        del k2t, k2t3, root, x, half, scale, alphas  # a long sweep's margins reuse the memory
 
         # The four sides in the order of SIDES, each taken on the remainder:
         # eta - lower = (lower term) - R and upper - eta = R - (upper term),
         # relative to the checked value (absolute where it underflowed to 0),
-        # with the rule's error plus _SLACK_ROUNDING of both terms.
-        terms, rests = np.array([lower, upper, lower_prime, upper_prime]), t_rows(rest)
-        values = np.abs(t_rows(eta))
+        # with the rule's error plus _SLACK_ROUNDING of both terms: as (eta,
+        # eta') x (lower, upper) x n arrays, against the t rows of eta and of
+        # eta' (the first and last of four blocks of n rows).
+        terms = np.array([[lower, upper], [lower_prime, upper_prime]])
+        rests = rest.reshape(4, n)[::3, None]
+        values = np.abs(eta.reshape(4, n)[::3, None])
         values[values == 0.0] = 1.0
-        margins = np.where(_LOWER_SIDES, terms - rests, rests - terms) / values
-        errors = (t_rows(error) + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))) / values
-        # every closed part, envelope term and margin, in blocks of n rows
-        finite = np.concatenate([np.isfinite(a).ravel() for a in (closed, terms, margins, errors)])
-        if not finite.all():
-            raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
+        margins = terms - rests
+        np.subtract(rests[:, 0], terms[:, 1], out=margins[:, 1])
+        margins /= values
+        errors = error.reshape(4, n)[::3, None] + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))
+        errors /= values
+        bounds = closed.reshape(4, n)[::3, None] - terms  # the envelopes
+        # every quantity a refusal tests, the last four in blocks of n rows
+        finite = np.isfinite(np.concatenate([fine, scales.ravel(), *factors, closed,
+                                             terms.ravel(), margins.ravel(), errors.ravel()]))
+        if not (finite.all() and converged.all() and scales.all()):
+            if not np.isfinite(fine).all():
+                raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
+            if not converged.all():
+                # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
+                i, slot = divmod(int(np.flatnonzero(~converged.reshape(4, n)[[0, 3, 1, 2]].T)[0]),
+                                 4)
+                raise QuadratureConvergenceError(
+                    f"log-weighted sinh integral (power {3 if slot == 1 else 1}) at "
+                    f"t={float(ts[i + (0, 0, n, 2 * n)[slot]])!r}: error estimate "
+                    f"{estimate[i + (0, 3 * n, n, 2 * n)[slot]]:.3e} on {_NODES.size} nodes")
+            bad = ~(np.isfinite(scales) & (scales != 0.0)).all(axis=0)
+            if bad.any():
+                raise out_of_range(
+                    bad, "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
+            _refuse_overflow(factors, k, ts, "a moment factor F_0 to F_4")
+            raise out_of_range(~finite[-16 * n:],
+                               "a closed part, envelope term or margin is not finite")
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
-                       closed[:n] - lower, closed[:n] - upper, eta[3 * n:],
-                       closed_prime - lower_prime, closed_prime - upper_prime, margins, errors)
+                       *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
+                       errors.reshape(4, n))

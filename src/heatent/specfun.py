@@ -8,7 +8,7 @@ The moment table evaluates integrals of the form
 in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
 comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
-x = kappa sqrt(t) alone.  ``_MOMENT_TABLE`` holds F_0, ..., F_4; the moments
+x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4; the moments
 are read from it, and h3entropy's closed parts and envelope terms of eta
 from its one evaluation ``moment_factors``.
 
@@ -27,8 +27,6 @@ import numpy as np
 from .quadrature import integrate_batch
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-# numpy has no erf: math.erf mapped over the elements of an array
-_ERF = np.frompyfunc(math.erf, 1, 1)
 
 # Up to this point log(sinh x / x) is y P(y) at y = x^2, P the degree-9
 # polynomial below (highest degree first): mpmath.chebyfit of
@@ -54,50 +52,53 @@ def alpha(kappa: float, t):
     Monotone increasing in t with limit sqrt(pi/2).  Elementwise over an
     array of times; a float t gives a float.
     """
-    ts = np.asarray(t, dtype=float)
-    [a] = _factors(kappa, ts, [0])  # F_0 is alpha
+    ts = _checked(kappa, t)
+    a = _alpha(kappa, ts)
     return float(a) if ts.ndim == 0 else a
 
 
-# F_m(x) of each power m of the sinh moment, from x = kappa sqrt(t),
-# a = alpha(kappa, t) and e = exp(-x^2/2): the moment times exp(-kappa^2 t/2)
-# is t^{(m+1)/2} F_m(x).
-_MOMENT_TABLE = (
-    lambda x, a, e: a,
-    lambda x, a, e: _SQRT_HALF_PI * x,
-    lambda x, a, e: x * e + (x * x + 1.0) * a,
-    lambda x, a, e: _SQRT_HALF_PI * x * (x * x + 3.0),
-    lambda x, a, e: (
-        x * (x * x + 5.0) * e + (x * x * (x * x + 6.0) + 3.0) * a),
-)
+def _alpha(kappa: float, ts: np.ndarray):
+    """alpha at the checked float array ts, by one erf per time (numpy has none)."""
+    z = kappa * np.sqrt(0.5 * ts)
+    return _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float,
+                                       z.size).reshape(z.shape)
 
 
 def _check_power(m: int) -> None:
-    if m not in range(len(_MOMENT_TABLE)):
+    if m not in range(5):
         raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
 
 
-def _factors(kappa: float, ts: np.ndarray, powers) -> list:
-    """F_m at kappa sqrt(ts) for each m of powers, elementwise in the float
-    array ts (numpy scalars for a 0-d ts), where an overflow gives inf or
-    nan without a warning.  kappa and ts are checked first; one erf per
-    time serves every F_m."""
-    # a NaN fails every comparison, so it is refused too
-    if not (0.0 < kappa < math.inf and np.all((0.0 < ts) & (ts < math.inf))):
+def _checked(kappa: float, t) -> np.ndarray:
+    """t as a float array, once kappa and every time are checked finite and
+    positive (a NaN fails every comparison, so it is refused too)."""
+    ts = np.asarray(t, dtype=float)
+    if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
         raise ValueError("need finite kappa > 0 and finite t > 0")
-    a = _SQRT_HALF_PI * np.asarray(_ERF(kappa * np.sqrt(0.5 * ts)), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = kappa * np.sqrt(ts)
-        e = np.exp(-0.5 * x * x)  # harmless underflow to 0 at large x
-        return [_MOMENT_TABLE[m](x, a, e) for m in powers]
+    return ts
+
+
+def _factors(kappa: float, ts: np.ndarray, x) -> list:
+    """F_0, ..., F_4 at x = kappa sqrt(ts), elementwise in the float array ts
+    (numpy scalars for a 0-d ts), unchecked: where one overflows it is inf or
+    nan, with a RuntimeWarning unless the caller's errstate ignores it.
+
+    F_m(x) is the moment of power m times exp(-kappa^2 t/2), divided by
+    t^{(m+1)/2}; with a = alpha(kappa, t) and e = exp(-x^2/2) it is a, then
+    sqrt(pi/2) x, x e + (x^2 + 1) a, sqrt(pi/2) x (x^2 + 3) and
+    x (x^2 + 5) e + (x^2 (x^2 + 6) + 3) a."""
+    xx, f1 = x * x, _SQRT_HALF_PI * x
+    a, e = _alpha(kappa, ts), np.exp(-0.5 * xx)  # harmless underflow to 0 at large x
+    return [a, f1, x * e + (xx + 1.0) * a, f1 * (xx + 3.0),
+            x * (xx + 5.0) * e + (xx * (xx + 6.0) + 3.0) * a]
 
 
 def _refuse_overflow(values: list, kappa: float, ts: np.ndarray, what: str) -> None:
     """ValueError naming kappa and the first t where one of the values,
     each shaped like ts, is not finite."""
-    finite = np.ravel(np.logical_and.reduce([np.isfinite(v) for v in values]))
+    finite = np.isfinite(values).all(axis=0).reshape(-1)
     if not finite.all():
-        t = float(np.ravel(ts)[np.flatnonzero(~finite)[0]])
+        t = float(ts.reshape(-1)[np.flatnonzero(~finite)[0]])
         raise ValueError(f"{what} overflows at kappa = {kappa!r}, t = {t!r}")
 
 
@@ -105,8 +106,9 @@ def moment_factors(kappa: float, t) -> list:
     """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
     each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  A t where
     one of them overflows raises ValueError."""
-    ts = np.asarray(t, dtype=float)
-    factors = _factors(kappa, ts, range(len(_MOMENT_TABLE)))
+    ts = _checked(kappa, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _factors(kappa, ts, kappa * np.sqrt(ts))
     _refuse_overflow(factors, kappa, ts, "a moment factor F_0 to F_4")
     return factors
 
@@ -117,10 +119,9 @@ def hyperbolic_moment_closed_form(m: int, kappa: float, t):
     float.  A t where it overflows raises ValueError.
     """
     _check_power(m)
-    ts = np.asarray(t, dtype=float)
-    [factor] = _factors(kappa, ts, [m])
+    ts = _checked(kappa, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = ts ** (0.5 * (m + 1)) * factor
+        value = ts ** (0.5 * (m + 1)) * _factors(kappa, ts, kappa * np.sqrt(ts))[m]
     _refuse_overflow([value], kappa, ts, f"the closed form of M({m})")
     return float(value) if np.ndim(t) == 0 else value
 
@@ -217,19 +218,30 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
             xs[huge] = far - np.log(far) - math.log(2.0)
         return xs
     near = xs[small]
-    # sinh x / x = e^x (1 - e^{-2x}) / (2x).  Where some elements are small
-    # this also runs on them (0/0 at x = 0) before the polynomial overwrites
-    # them: cheaper than gathering the large ones apart.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.multiply(xs, -2.0)
-        np.expm1(ratio, out=ratio)
-        np.negative(ratio, out=ratio)
-        ratio /= 2.0 * xs
-        np.log(ratio, out=ratio)
-        xs += ratio
+    if 4 * near.size >= 3 * xs.size:
+        # mostly small: the closed form on the large elements alone, which
+        # is cheaper there than running it on every element
+        large = ~small
+        xs[large] = _log_sinh_ratio_closed(xs[large])
+    else:
+        # cheaper on every element, the small ones too (0/0 at x = 0), before
+        # the polynomial overwrites them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _log_sinh_ratio_closed(xs)
     if near.size:
         near *= near
         xs[small] = _log_sinh_ratio_poly(near)
+    return xs
+
+
+def _log_sinh_ratio_closed(xs: np.ndarray) -> np.ndarray:
+    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs."""
+    ratio = np.multiply(xs, -2.0)
+    np.expm1(ratio, out=ratio)
+    np.negative(ratio, out=ratio)
+    ratio /= 2.0 * xs
+    np.log(ratio, out=ratio)
+    xs += ratio
     return xs
 
 

@@ -20,9 +20,9 @@ from . import h3entropy as h3
 from . import spectral as sp
 from .quadrature import integrate_batch
 from .specfun import (
-    hyperbolic_moment_closed_form,
     hyperbolic_moment_quadratures,
     log_sinh_ratio,
+    moment_factors,
     sinh_ratio_bounds_check,
 )
 
@@ -78,9 +78,11 @@ def check_moment_table() -> CheckResult:
         _direct_moment_integrand, kappas * ts, np.sqrt(ts), (powers, kappas, ts),
         lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]))
     shifted = hyperbolic_moment_quadratures(cases)
+    # the closed forms t^{(m+1)/2} F_m, from one moment_factors pass per kappa
     times = np.array(_T_GRID)
-    closed = np.concatenate([hyperbolic_moment_closed_form(m, kappa, times)
-                             for m in _MOMENTS for kappa in _KAPPA_GRID])
+    factors = np.array([moment_factors(kappa, times) for kappa in _KAPPA_GRID])
+    closed = np.concatenate([times ** (0.5 * (m + 1)) * factors[:, m] for m in _MOMENTS],
+                            axis=None)
     grown = np.array([math.exp(0.5 * kappa * kappa * t) for _, kappa, t in cases])
     return _result(np.abs(grown * np.array([closed, shifted]) - direct) / np.abs(direct), 1e-8,
                    "closed forms and both integration paths agree on the "

@@ -43,7 +43,8 @@ def sweep_cases():
             yield f"{count}x1e{window}", kappa, k2t / kappa ** 2
         for draw in range(2):
             kappa = 0.25 * 16.0 ** rng.random()
-            yield f"{count}xmixed{draw}", kappa, 10.0 ** rng.uniform(-8.0, 12.0, count) / kappa ** 2
+            k2t = 10.0 ** rng.uniform(-8.0, 12.0, count)
+            yield f"{count}xmixed{draw}", kappa, k2t / kappa ** 2
 
 
 FROZEN_SWEEPS = """

@@ -439,7 +439,7 @@ def test_closed_form_terms_against_mpmath():
             p = h3.H3Params(kappa)
             times = k2t / kappa ** 2
             closed, ((lower, upper), eta_prime_terms), _ = h3._closed_parts(
-                kappa, times, np.sqrt(times), ...)
+                times, kappa * np.sqrt(times), specfun.moment_factors(kappa, times), ...)
             terms = (closed, lower, upper) + eta_prime_terms
             for i, t in enumerate(times.tolist()):
                 k, tt = mp.mpf(kappa), mp.mpf(t)
