@@ -262,13 +262,12 @@ def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
     """scaled * exp(kappa^2 t / 2) elementwise, inf of scaled's sign where
-    hi + log|scaled| passes 709, and a signed zero or a NaN as it is.  The
-    exponent kappa^2 t / 2 of the floats kappa and t is hi + lo: hi the float
-    product, lo its remainder from two exact two-products (kappa^2's in float
-    arithmetic), so no rounding of the exponent reaches the result.  exp(hi)
-    enters as two factors exp(hi/2): the exp of hi + log|scaled| would turn
-    the rounding of a sum as large as 709 into a relative error of the
-    result."""
+    hi + log|scaled| passes 709, a signed zero or NaN as it is.  kappa^2 t / 2
+    of the floats kappa and t is hi + lo: hi the float product, lo its
+    remainder from two exact two-products, so no rounding of the exponent
+    reaches the result.  exp(hi) enters as two factors exp(hi/2): the exp of
+    hi + log|scaled| would turn the rounding of a sum as large as 709 into a
+    relative error of the result."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k2, k2_err = _two_product(kappa, kappa)
         p, p_err = _two_product(k2, t)

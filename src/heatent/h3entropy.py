@@ -59,11 +59,16 @@ f (r gauss) and f (r^3 gauss) summed per row), for these reasons:
   gathered.  The rows run in fixed blocks of 64 (_BLOCK_ROWS), whose node
   arrays (78 kB each) stay below glibc's 128 kB mmap threshold: the heap
   reuses them, block after block and call after call, and faults none in.
+- L, a polynomial at x <= 1 and a closed form above, runs its closed form
+  on the large nodes alone where at least three quarters are small, else on
+  every node before the polynomial overwrites the small ones.
 Each choice looks only at the values, never at a row's position, so a row
 still does not depend on the grid or the block it came in.
 
 The sweep.  ``evaluate_records`` validates once and forms each quantity
-once, over all rows or over the t rows alone; it returns one ``H3Sweep``:
+once, over all rows or over the t rows alone; past the kernel, every
+refusal is one gate over one stacked mask, and the first failing check is
+worked out only when it trips.  It returns one ``H3Sweep``:
 a column array per quantity, and the margins and error estimates of the
 four envelope sides as (4, n) arrays in the order of ``SIDES``.
 ``verdict_states`` is the one rule that turns a margin and its error into
@@ -386,19 +391,16 @@ class H3Sweep:
     def band_margin(self) -> np.ndarray:
         """How far rate_direct sits inside the band widened by _BAND_SLACK
         kappa^2; negative outside."""
+        lo, hi = _band(self.kappa)
+        slack = _BAND_SLACK * self.kappa * self.kappa
         with np.errstate(all="ignore"):
-            return self._band_margin()
+            return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)
 
     @property
     def band_ok(self) -> np.ndarray:
-        """Band containment, enforced once t >= 20/kappa^2."""
-        with np.errstate(all="ignore"):
-            return (self.t * self.kappa * self.kappa < 20.0) | (self._band_margin() >= 0.0)
-
-    def _band_margin(self) -> np.ndarray:
-        lo, hi = _band(self.kappa)
-        slack = _BAND_SLACK * self.kappa * self.kappa
-        return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)
+        """Band containment, enforced once t >= 20/kappa^2 (kappa^2 t of a
+        sweep is far inside the double range: its moment factors are)."""
+        return (self.t * self.kappa * self.kappa < 20.0) | (self.band_margin >= 0.0)
 
 
 def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
@@ -475,10 +477,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     ABSOLUTE_TOLERANCE) of ``quadrature``; then ValueError naming t where
     xi, xi' or 1/(2t^2) of a row leaves the double range, one naming kappa
     and the row's time where a moment factor F_m overflows, and one naming t
-    where a closed part, envelope term or margin is not finite.  kappa^2 t
-    is checked before the kernel runs; every later check passes one gate
-    after the last margin is formed, and only when it trips is the first
-    failing check, in this order, worked out.
+    where a closed part, envelope term or margin is not finite.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n, k = grid.size, p.kappa
@@ -533,9 +532,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         # The four sides in the order of SIDES, each taken on the remainder:
         # eta - lower = (lower term) - R and upper - eta = R - (upper term),
         # relative to the checked value (absolute where it underflowed to 0),
-        # with the rule's error plus _SLACK_ROUNDING of both terms: as (eta,
-        # eta') x (lower, upper) x n arrays, against the t rows of eta and of
-        # eta' (the first and last of four blocks of n rows).
+        # with the rule's error plus _SLACK_ROUNDING of both terms; (eta, eta')
+        # x (lower, upper) x n arrays against the t rows of eta and eta'.
         terms = np.array([[lower, upper], [lower_prime, upper_prime]])
         rests = rest.reshape(4, n)[::3, None]
         values = np.abs(eta.reshape(4, n)[::3, None])
@@ -554,16 +552,15 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
                 raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
             if not converged.all():
                 # per time, the slots eta(t), eta'(t), eta(t + h), eta(t - h)
-                i, slot = divmod(int(np.flatnonzero(~converged.reshape(4, n)[[0, 3, 1, 2]].T)[0]),
-                                 4)
+                slots = ~converged.reshape(4, n)[[0, 3, 1, 2]].T
+                i, slot = divmod(int(np.flatnonzero(slots)[0]), 4)
                 raise QuadratureConvergenceError(
                     f"log-weighted sinh integral (power {3 if slot == 1 else 1}) at "
                     f"t={float(ts[i + (0, 0, n, 2 * n)[slot]])!r}: error estimate "
                     f"{estimate[i + (0, 3 * n, n, 2 * n)[slot]]:.3e} on {_NODES.size} nodes")
-            bad = ~(np.isfinite(scales) & (scales != 0.0)).all(axis=0)
-            if bad.any():
-                raise out_of_range(
-                    bad, "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
+            if not (np.isfinite(scales).all() and scales.all()):
+                raise out_of_range(~(np.isfinite(scales) & (scales != 0.0)).all(axis=0),
+                                   "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
             _refuse_overflow(factors, k, ts, "a moment factor F_0 to F_4")
             raise out_of_range(~finite[-16 * n:],
                                "a closed part, envelope term or margin is not finite")

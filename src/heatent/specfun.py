@@ -52,16 +52,8 @@ def alpha(kappa: float, t):
     Monotone increasing in t with limit sqrt(pi/2).  Elementwise over an
     array of times; a float t gives a float.
     """
-    ts = _checked(kappa, t)
-    a = _alpha(kappa, ts)
+    ts, [a, *_] = _checked_factors(kappa, t)
     return float(a) if ts.ndim == 0 else a
-
-
-def _alpha(kappa: float, ts: np.ndarray):
-    """alpha at the checked float array ts, by one erf per time (numpy has none)."""
-    z = kappa * np.sqrt(0.5 * ts)
-    return _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float,
-                                       z.size).reshape(z.shape)
 
 
 def _check_power(m: int) -> None:
@@ -69,26 +61,25 @@ def _check_power(m: int) -> None:
         raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
 
 
-def _checked(kappa: float, t) -> np.ndarray:
-    """t as a float array, once kappa and every time are checked finite and
-    positive (a NaN fails every comparison, so it is refused too)."""
+def _checked_factors(kappa: float, t) -> tuple[np.ndarray, list]:
+    """(t as a float array, ``_factors`` there) once kappa and every time are
+    checked finite and positive, an overflow giving inf or nan unwarned."""
     ts = np.asarray(t, dtype=float)
     if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
         raise ValueError("need finite kappa > 0 and finite t > 0")
-    return ts
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ts, _factors(kappa, ts, kappa * np.sqrt(ts))
 
 
 def _factors(kappa: float, ts: np.ndarray, x) -> list:
-    """F_0, ..., F_4 at x = kappa sqrt(ts), elementwise in the float array ts
-    (numpy scalars for a 0-d ts), unchecked: where one overflows it is inf or
-    nan, with a RuntimeWarning unless the caller's errstate ignores it.
-
-    F_m(x) is the moment of power m times exp(-kappa^2 t/2), divided by
-    t^{(m+1)/2}; with a = alpha(kappa, t) and e = exp(-x^2/2) it is a, then
-    sqrt(pi/2) x, x e + (x^2 + 1) a, sqrt(pi/2) x (x^2 + 3) and
-    x (x^2 + 5) e + (x^2 (x^2 + 6) + 3) a."""
-    xx, f1 = x * x, _SQRT_HALF_PI * x
-    a, e = _alpha(kappa, ts), np.exp(-0.5 * xx)  # harmless underflow to 0 at large x
+    """F_0, ..., F_4 at x = kappa sqrt(ts), elementwise in the float array ts,
+    unchecked (an overflow warns unless the caller ignores it): with alpha a,
+    one erf per time, and e = exp(-x^2/2), a, sqrt(pi/2) x, x e + (x^2 + 1) a,
+    sqrt(pi/2) x (x^2 + 3) and x (x^2 + 5) e + (x^2 (x^2 + 6) + 3) a."""
+    z, xx, f1 = kappa * np.sqrt(0.5 * ts), x * x, _SQRT_HALF_PI * x
+    a = _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(
+        z.shape)
+    e = np.exp(-0.5 * xx)  # harmless underflow to 0 at large x
     return [a, f1, x * e + (xx + 1.0) * a, f1 * (xx + 3.0),
             x * (xx + 5.0) * e + (xx * (xx + 6.0) + 3.0) * a]
 
@@ -106,9 +97,7 @@ def moment_factors(kappa: float, t) -> list:
     """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
     each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  A t where
     one of them overflows raises ValueError."""
-    ts = _checked(kappa, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = _factors(kappa, ts, kappa * np.sqrt(ts))
+    ts, factors = _checked_factors(kappa, t)
     _refuse_overflow(factors, kappa, ts, "a moment factor F_0 to F_4")
     return factors
 
@@ -119,9 +108,9 @@ def hyperbolic_moment_closed_form(m: int, kappa: float, t):
     float.  A t where it overflows raises ValueError.
     """
     _check_power(m)
-    ts = _checked(kappa, t)
+    ts, factors = _checked_factors(kappa, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = ts ** (0.5 * (m + 1)) * _factors(kappa, ts, kappa * np.sqrt(ts))[m]
+        value = ts ** (0.5 * (m + 1)) * factors[m]
     _refuse_overflow([value], kappa, ts, f"the closed form of M({m})")
     return float(value) if np.ndim(t) == 0 else value
 
@@ -218,14 +207,12 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
             xs[huge] = far - np.log(far) - math.log(2.0)
         return xs
     near = xs[small]
+    # the closed form on the large elements alone where at least three
+    # quarters are small, else on every element (0/0 at x = 0) before the
+    # polynomial overwrites the small ones: whichever was measured cheaper
     if 4 * near.size >= 3 * xs.size:
-        # mostly small: the closed form on the large elements alone, which
-        # is cheaper there than running it on every element
-        large = ~small
-        xs[large] = _log_sinh_ratio_closed(xs[large])
+        xs[~small] = _log_sinh_ratio_closed(xs[~small])
     else:
-        # cheaper on every element, the small ones too (0/0 at x = 0), before
-        # the polynomial overwrites them
         with np.errstate(divide="ignore", invalid="ignore"):
             _log_sinh_ratio_closed(xs)
     if near.size:
@@ -235,7 +222,7 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
 
 
 def _log_sinh_ratio_closed(xs: np.ndarray) -> np.ndarray:
-    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs."""
+    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs >= 0."""
     ratio = np.multiply(xs, -2.0)
     np.expm1(ratio, out=ratio)
     np.negative(ratio, out=ratio)

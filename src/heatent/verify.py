@@ -78,11 +78,9 @@ def check_moment_table() -> CheckResult:
         _direct_moment_integrand, kappas * ts, np.sqrt(ts), (powers, kappas, ts),
         lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]))
     shifted = hyperbolic_moment_quadratures(cases)
-    # the closed forms t^{(m+1)/2} F_m, from one moment_factors pass per kappa
-    times = np.array(_T_GRID)
+    times = np.array(_T_GRID)  # the closed forms t^{(m+1)/2} F_m, F_m one pass per kappa
     factors = np.array([moment_factors(kappa, times) for kappa in _KAPPA_GRID])
-    closed = np.concatenate([times ** (0.5 * (m + 1)) * factors[:, m] for m in _MOMENTS],
-                            axis=None)
+    closed = np.array([times ** (0.5 * (m + 1)) * factors[:, m] for m in _MOMENTS]).ravel()
     grown = np.array([math.exp(0.5 * kappa * kappa * t) for _, kappa, t in cases])
     return _result(np.abs(grown * np.array([closed, shifted]) - direct) / np.abs(direct), 1e-8,
                    "closed forms and both integration paths agree on the "

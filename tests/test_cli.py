@@ -648,6 +648,52 @@ def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
     assert 0 < finite_rows < len(rows)
 
 
+def _check_unscaled(mp, values, kappa, t):
+    """cli._unscaled of the values at (kappa, t) against mpmath at 200 bits:
+    each value times exp(kappa^2 t/2), kappa^2 t the exact product of the
+    floats, to 1e-15 relative, or inf of the value's sign where its log
+    passes 709."""
+    got = cli._unscaled(np.array(values)[:, None], kappa, np.array([t]))[:, 0]
+    with mp.workprec(200):
+        half = mp.mpf(kappa) ** 2 * mp.mpf(t) / 2
+        for value, result in zip(values, got.tolist()):
+            size = mp.log(abs(mp.mpf(value))) + half
+            assert abs(size - 709) > 1e-9, (value, kappa, t)  # no case decided by rounding
+            if size > 709:
+                assert result == math.copysign(math.inf, value), (value, kappa, t)
+            else:
+                exact = mp.mpf(value) * mp.exp(half)
+                assert abs(mp.mpf(result) / exact - 1) <= 1e-15, (value, kappa, t)
+
+
+def test_unscaled_against_mpmath():
+    # kappa in [0.25, 4] and kappa^2 t in [1e-8, 1e12] at random, values of
+    # either sign from 1e-300 to 1e300
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20240817)
+    for _ in range(300):
+        kappa = 0.25 * 16.0 ** rng.random()
+        t = 10.0 ** rng.uniform(-8.0, 12.0) / kappa ** 2
+        values = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-300.0, 300.0, 3)
+        _check_unscaled(mp, values.tolist(), kappa, t)
+
+
+@pytest.mark.parametrize("kappa, t", [(1.0, 100.0), (0.3, 9000.0), (2.7, 300.0), (1.0, 2e3)])
+def test_unscaled_on_both_sides_of_the_709_cut(kappa, t):
+    # log|value| + kappa^2 t/2 is 709 -+ 1/2: the value grown, or inf of its sign
+    mp = pytest.importorskip("mpmath")
+    below, above = (math.exp(709.0 + side - kappa * kappa * t / 2) for side in (-0.5, 0.5))
+    _check_unscaled(mp, [below, -below, above, -above], kappa, t)
+
+
+@pytest.mark.parametrize("k2t", [1e-8, 1.0, 1e3, 2839.0, 3000.0, 1e12])
+def test_unscaled_keeps_signed_zeros_and_nan(k2t):
+    # exp(kappa^2 t/4) overflows from kappa^2 t of about 2839 on; 0 stays 0
+    got = cli._unscaled(np.array([[0.0], [-0.0], [math.nan]]), 1.0, np.array([k2t]))[:, 0]
+    assert got[:2].tolist() == [0.0, 0.0] and np.signbit(got[:2]).tolist() == [False, True]
+    assert math.isnan(got[2])
+
+
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0, 100.0, 0.3])
 def test_h3_eta_columns_against_mpmath(kappa, capsys):
     # The written eta columns are the sweep's scaled values times

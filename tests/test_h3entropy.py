@@ -426,6 +426,33 @@ def test_eta_and_rate_against_mpmath():
                 assert abs(rate_direct - rate) <= 1e-14 * rate, (kappa, k2t)
 
 
+# Relative errors of eta and eta' allowed below kappa^2 t = 1, about twice
+# the largest measured against mpmath over kappa in {0.3, 1, 2.7}: the odd
+# part of r L(kappa |r|) cancels around r = 0, so digits go as kappa^2 t falls
+# (at kappa = 1: 6.3e-14 at 1e-8 and 1.1e-14 at 1e-4).
+SMALL_KAPPA2T_TOLERANCES = {1e-8: 2.5e-12, 1e-6: 2e-13, 1e-4: 2.5e-14, 1e-2: 3e-15}
+
+
+def test_eta_and_rate_below_kappa2t_1_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for kappa in (0.3, 1.0, 2.7):
+            p = h3.H3Params(kappa)
+            for k2t, tolerance in SMALL_KAPPA2T_TOLERANCES.items():
+                t = k2t / kappa ** 2
+                sweep = h3.evaluate_records(p, [t])
+                e, ep, rate_direct = (float(c[0]) for c in (sweep.eta, sweep.etap,
+                                                            sweep.rate_direct))
+                exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
+                assert abs(e - exact) <= tolerance * exact, (kappa, k2t)
+                assert abs(ep - exact_prime) <= tolerance * exact_prime, (kappa, k2t)
+                k, tt = mp.mpf(kappa), mp.mpf(t)
+                xi = mp.sqrt(2 / mp.pi) / (k * tt ** 1.5)
+                xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
+                rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
+                assert abs(rate_direct - rate) <= 1e-15 * rate, (kappa, k2t)
+
+
 def test_closed_form_terms_against_mpmath():
     # closed, lower and upper terms of eta and eta' against the paper's
     # envelopes in the moments M_m of sinh at 60 digits:
@@ -711,6 +738,20 @@ def test_node_weights_equal_their_frozen_forms(kappa):
                 got = specfun._log_sinh_ratio(np.abs(x))
                 want = frozen_log_sinh_ratio(np.abs(x))
         assert got.tobytes() == want.tobytes(), (kappa, remainder)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.74, 0.75, 0.9, 0.999, 1.0])
+def test_log_sinh_ratio_branches_equal_their_frozen_form(share):
+    # at each share of elements x <= 1 (x = 0 and x = 1 among them), whether
+    # the closed form runs on the large elements alone (a share of at least
+    # three quarters) or on every element, each element keeps its bits
+    rng = np.random.default_rng(round(1000 * share))
+    count = round(share * 1000)
+    small = np.concatenate([[0.0, 1.0][:count], rng.uniform(0.0, 1.0, max(0, count - 2))])
+    x = rng.permutation(np.concatenate([small, rng.uniform(1.0, 60.0, 1000 - count)]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = frozen_log_sinh_ratio(x.copy())
+    assert specfun._log_sinh_ratio(x.copy()).tobytes() == want.tobytes()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
