@@ -59,16 +59,15 @@ f (r gauss) and f (r^3 gauss) summed per row), for these reasons:
   gathered.  The rows run in fixed blocks of 64 (_BLOCK_ROWS), whose node
   arrays (78 kB each) stay below glibc's 128 kB mmap threshold: the heap
   reuses them, block after block and call after call, and faults none in.
-- L, a polynomial at x <= 1 and a closed form above, runs its closed form
-  on the large nodes alone where at least three quarters are small, else on
-  every node before the polynomial overwrites the small ones.
+- L's closed form runs on its large nodes (x > 1) alone where at least three
+  quarters are small, else on all before the polynomial overwrites the rest.
 Each choice looks only at the values, never at a row's position, so a row
 still does not depend on the grid or the block it came in.
 
 The sweep.  ``evaluate_records`` validates once and forms each quantity
 once, over all rows or over the t rows alone; past the kernel, every
-refusal is one gate over one stacked mask, and the first failing check is
-worked out only when it trips.  It returns one ``H3Sweep``:
+refusal passes one gate, on the sums of what it tests, and the first failing
+check is worked out only when it trips.  It returns one ``H3Sweep``:
 a column array per quantity, and the margins and error estimates of the
 four envelope sides as (4, n) arrays in the order of ``SIDES``.
 ``verdict_states`` is the one rule that turns a margin and its error into
@@ -337,8 +336,7 @@ def asymptotic_band(p: H3Params) -> tuple[float, float]:
 
 
 def _band(kappa: float) -> tuple[float, float]:
-    k2 = kappa * kappa
-    return k2 * (2.0 - _LOG_SQRT2), k2 * (2.0 + _LOG_SQRT2)
+    return kappa * kappa * (2.0 - _LOG_SQRT2), kappa * kappa * (2.0 + _LOG_SQRT2)
 
 
 SIDES = ("eta lower", "eta upper", "eta' lower", "eta' upper")
@@ -413,16 +411,16 @@ def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
     k, size = p.kappa, ts.size
     remainder = k * k * ts >= _REMAINDER_FROM
     root, peaks = np.sqrt(ts), k * ts
-    fine, coarse = np.empty(size + n), np.empty(size + n)  # eta, then eta' at the first n
+    fine, coarse = np.empty((2, size + n))  # eta, then eta' at the first n
     for start in range(0, size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, size)
         m, rows = max(0, min(stop, n) - start), remainder[start:stop]
         r = np.multiply.outer(root[start:stop], _NODES)
         r += peaks[start:stop, None]
-        x = k * r
-        if rows.all():
+        x, count = k * r, np.count_nonzero(rows)
+        if count == rows.size:
             f = _remainder_weight(x)
-        elif not rows.any():
+        elif not count:
             f = _log_sinh_ratio(np.abs(x, out=x))
         else:
             f = np.empty(r.shape)
@@ -430,13 +428,16 @@ def _trapezoid(p: H3Params, ts: np.ndarray, n: int):
             f[~rows] = _log_sinh_ratio(np.abs(inner, out=inner))
             f[rows] = _remainder_weight(x[rows])
         # the products f (r gauss) and f (r^3 gauss), each taken in place
-        near = r[:m] * r[:m]
-        near *= r[:m]
-        near *= _GAUSS
-        near *= f[:m]
+        products = [(r, start)]
+        if m:
+            near = r[:m] * r[:m]
+            near *= r[:m]
+            near *= _GAUSS
+            near *= f[:m]
+            products.append((near, size + start))
         r *= _GAUSS
         r *= f
-        for weighted, at in ((r, start), (near, size + start)):
+        for weighted, at in products:
             np.add.reduce(weighted, axis=1, out=fine[at:at + len(weighted)])
             np.add.reduce(weighted[:, ::2], axis=1, out=coarse[at:at + len(weighted)])
     fine *= _STEP
@@ -499,14 +500,18 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
 
         # xi, xi' (both times exp(kappa^2 t/2)) and the eta' scale 1/(2t^2)
         k2t3 = k2t + 3.0
-        xis = _SQRT_TWO_OVER_PI / (k * ts ** 1.5)
-        xi_primes, prime_scale = -k2t3 / (_SQRT_TWO_PI * k * ts ** 2.5), 0.5 / (ts * ts)
-        scales = np.array([xis, xi_primes, prime_scale])
+        scales = np.array([_SQRT_TWO_OVER_PI / (k * ts ** 1.5),
+                           -k2t3 / (_SQRT_TWO_PI * k * ts ** 2.5), 0.5 / (ts * ts)])
+        xis, xi_primes, prime_scale = scales
         root = np.sqrt(ts)
         x = k * root
         factors = _factors(k, ts, x)
         closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), alphas = (
             _closed_parts(ts, x, factors, slice(n)))
+        # What a refusal tests is finite where the sum of its sums is (bar an
+        # overflow, which trips the gate but no check); sums copy nothing.
+        total = np.add.reduce(scales, axis=None) + sum(np.add.reduce(f) for f in factors)
+        del factors
 
         half = 0.5 * root
         scale = np.concatenate([half, half[:n] * prime_scale[:n]])
@@ -527,7 +532,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         rate_direct = 1.5 / grid + k * k + closed_rate / _SQRT_TWO_PI - (
             xi_primes[:n] * rest[:n] + xis[:n] * rest[3 * n:])
         rate_fd = (entropy[n:2 * n] - entropy[2 * n:]) / (2.0 * steps)
-        del k2t, k2t3, root, x, half, scale, alphas  # a long sweep's margins reuse the memory
+        del k2t, k2t3, root, half, scale, alphas  # a long sweep's margins reuse the memory
 
         # The four sides in the order of SIDES, each taken on the remainder:
         # eta - lower = (lower term) - R and upper - eta = R - (upper term),
@@ -544,10 +549,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         errors = error.reshape(4, n)[::3, None] + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))
         errors /= values
         bounds = closed.reshape(4, n)[::3, None] - terms  # the envelopes
-        # every quantity a refusal tests, the last four in blocks of n rows
-        finite = np.isfinite(np.concatenate([fine, scales.ravel(), *factors, closed,
-                                             terms.ravel(), margins.ravel(), errors.ravel()]))
-        if not (finite.all() and converged.all() and scales.all()):
+        total += sum(np.add.reduce(a, axis=None) for a in (fine, closed, terms, margins, errors))
+        if not (np.isfinite(total) and converged.all() and scales.all()):
             if not np.isfinite(fine).all():
                 raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
             if not converged.all():
@@ -561,9 +564,10 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             if not (np.isfinite(scales).all() and scales.all()):
                 raise out_of_range(~(np.isfinite(scales) & (scales != 0.0)).all(axis=0),
                                    "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
-            _refuse_overflow(factors, k, ts, "a moment factor F_0 to F_4")
-            raise out_of_range(~finite[-16 * n:],
-                               "a closed part, envelope term or margin is not finite")
+            _refuse_overflow(_factors(k, ts, x), k, ts, "a moment factor F_0 to F_4")
+            finite = np.isfinite(np.concatenate([closed, terms, margins, errors], axis=None))
+            if not finite.all():  # in blocks of n rows
+                raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
                        *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
                        errors.reshape(4, n))

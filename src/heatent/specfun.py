@@ -62,8 +62,7 @@ def _check_power(m: int) -> None:
 
 
 def _checked_factors(kappa: float, t) -> tuple[np.ndarray, list]:
-    """(t as a float array, ``_factors`` there) once kappa and every time are
-    checked finite and positive, an overflow giving inf or nan unwarned."""
+    """(t as a float array, ``_factors`` there, overflowing unwarned), checked."""
     ts = np.asarray(t, dtype=float)
     if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
         raise ValueError("need finite kappa > 0 and finite t > 0")
@@ -77,8 +76,7 @@ def _factors(kappa: float, ts: np.ndarray, x) -> list:
     one erf per time, and e = exp(-x^2/2), a, sqrt(pi/2) x, x e + (x^2 + 1) a,
     sqrt(pi/2) x (x^2 + 3) and x (x^2 + 5) e + (x^2 (x^2 + 6) + 3) a."""
     z, xx, f1 = kappa * np.sqrt(0.5 * ts), x * x, _SQRT_HALF_PI * x
-    a = _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(
-        z.shape)
+    a = _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float).reshape(z.shape)
     e = np.exp(-0.5 * xx)  # harmless underflow to 0 at large x
     return [a, f1, x * e + (xx + 1.0) * a, f1 * (xx + 3.0),
             x * (xx + 5.0) * e + (xx * (xx + 6.0) + 3.0) * a]
@@ -87,7 +85,7 @@ def _factors(kappa: float, ts: np.ndarray, x) -> list:
 def _refuse_overflow(values: list, kappa: float, ts: np.ndarray, what: str) -> None:
     """ValueError naming kappa and the first t where one of the values,
     each shaped like ts, is not finite."""
-    finite = np.isfinite(values).all(axis=0).reshape(-1)
+    finite = np.array([np.isfinite(v) for v in values]).all(axis=0).reshape(-1)
     if not finite.all():
         t = float(ts.reshape(-1)[np.flatnonzero(~finite)[0]])
         raise ValueError(f"{what} overflows at kappa = {kappa!r}, t = {t!r}")
@@ -194,7 +192,7 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
     """``log_sinh_ratio`` of a float array xs >= 0, which it overwrites:
     every step runs in place, so few arrays of its size are ever live."""
     small = xs <= _LOG_SINH_RATIO_SWITCH
-    if small.all():
+    if np.count_nonzero(small) == xs.size:
         xs *= xs
         return _log_sinh_ratio_poly(xs)
     if xs.max() >= _DOUBLING_OVERFLOWS:
@@ -207,9 +205,8 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
             xs[huge] = far - np.log(far) - math.log(2.0)
         return xs
     near = xs[small]
-    # the closed form on the large elements alone where at least three
-    # quarters are small, else on every element (0/0 at x = 0) before the
-    # polynomial overwrites the small ones: whichever was measured cheaper
+    # the closed form on the large elements alone where three quarters are
+    # small, else (cheaper there) on all, 0/0 at x = 0, before the polynomial
     if 4 * near.size >= 3 * xs.size:
         xs[~small] = _log_sinh_ratio_closed(xs[~small])
     else:
