@@ -383,7 +383,7 @@ class H3Sweep:
     def envelope_ok(self) -> np.ndarray:
         """Per row: every envelope side resolved inside (``verdict_states``'
         rule: margin > error, so a NaN is not inside)."""
-        return np.all(self.margins > self.errors, axis=0)
+        return (self.margins > self.errors).all(axis=0)
 
     @property
     def band_margin(self) -> np.ndarray:
