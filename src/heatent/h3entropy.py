@@ -396,8 +396,8 @@ class H3Sweep:
 
     @property
     def band_ok(self) -> np.ndarray:
-        """Band containment, enforced once t >= 20/kappa^2 (kappa^2 t of a
-        sweep is far inside the double range: its moment factors are)."""
+        """Band containment, enforced once t >= 20/kappa^2 (t kappa^2 does not
+        overflow: a sweep's moment factors, which overflow first, are finite)."""
         return (self.t * self.kappa * self.kappa < 20.0) | (self.band_margin >= 0.0)
 
 
@@ -508,8 +508,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         factors = _factors(k, ts, x)
         closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), alphas = (
             _closed_parts(ts, x, factors, slice(n)))
-        # What a refusal tests is finite where the sum of its sums is (bar an
-        # overflow, which trips the gate but no check); sums copy nothing.
+        # The gate: what a refusal tests is finite where the sum of its sums
+        # is (an overflowing sum trips it, and no check fails); sums copy nothing.
         total = np.add.reduce(scales, axis=None) + sum(np.add.reduce(f) for f in factors)
         del factors
 

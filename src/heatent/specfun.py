@@ -8,9 +8,9 @@ The moment table evaluates integrals of the form
 in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
 comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
-x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4; the moments
-are read from it, and h3entropy's closed parts and envelope terms of eta
-from its one evaluation ``moment_factors``.
+x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4 in one pass; the
+moments are read from it, and so are h3entropy's closed parts and envelope
+terms of eta, through ``moment_factors`` or, in its sweep, directly.
 
 The closed forms take a finite kappa > 0, the oracle a finite kappa >= 0,
 and both finite times t > 0; anything else raises ValueError, and so does
@@ -62,7 +62,7 @@ def _check_power(m: int) -> None:
 
 
 def _checked_factors(kappa: float, t) -> tuple[np.ndarray, list]:
-    """(t as a float array, ``_factors`` there, overflowing unwarned), checked."""
+    """(ts, ``_factors`` at ts) for finite kappa > 0 and t > 0; an overflow is unwarned."""
     ts = np.asarray(t, dtype=float)
     if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
         raise ValueError("need finite kappa > 0 and finite t > 0")
@@ -205,8 +205,8 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
             xs[huge] = far - np.log(far) - math.log(2.0)
         return xs
     near = xs[small]
-    # the closed form on the large elements alone where three quarters are
-    # small, else (cheaper there) on all, 0/0 at x = 0, before the polynomial
+    # the closed form, on the large elements alone where at least three
+    # quarters are small, else on all (0/0 at x = 0): each cheaper there
     if 4 * near.size >= 3 * xs.size:
         xs[~small] = _log_sinh_ratio_closed(xs[~small])
     else:
