@@ -510,7 +510,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             _closed_parts(ts, x, factors, slice(n)))
         # The gate: what a refusal tests is finite where the sum of its sums
         # is (an overflowing sum trips it, and no check fails); sums copy nothing.
-        total = np.add.reduce(scales, axis=None) + sum(np.add.reduce(f) for f in factors)
+        total = np.add.reduce(scales, None) + sum(map(np.add.reduce, factors))
         del factors
 
         half = 0.5 * root
@@ -549,8 +549,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         errors = error.reshape(4, n)[::3, None] + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))
         errors /= values
         bounds = closed.reshape(4, n)[::3, None] - terms  # the envelopes
-        total += sum(np.add.reduce(a, axis=None) for a in (fine, closed, terms, margins, errors))
-        if not (np.isfinite(total) and converged.all() and scales.all()):
+        total += sum(map(np.add.reduce, (fine, closed, terms, margins, errors), (None,) * 5))
+        if not (math.isfinite(total) and converged.all() and scales.all()):
             if not np.isfinite(fine).all():
                 raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
             if not converged.all():
