@@ -265,16 +265,19 @@ def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
     hi + log|scaled| passes 709, a signed zero or NaN as it is.  kappa^2 t / 2
     of the floats kappa and t is hi + lo: hi the float product, lo its
     remainder from two exact two-products, so no rounding of the exponent
-    reaches the result.  exp(hi) enters as two factors exp(hi/2): the exp of
-    hi + log|scaled| would turn the rounding of a sum as large as 709 into a
-    relative error of the result."""
+    reaches the result.  exp(hi) enters as two factors exp(hi/2), four exp(hi/4)
+    where those overflow: the exp of hi + log|scaled| would turn the rounding
+    of a sum as large as 709 into a relative error of the result."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k2, k2_err = _two_product(kappa, kappa)
         p, p_err = _two_product(k2, t)
         hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
-        half = np.exp(0.5 * hi)  # inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
+        # half is inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
+        half, quarter = np.exp(0.5 * hi), np.exp(0.25 * hi)
         past = hi + np.log(np.abs(scaled)) > 709.0
-        grown = np.where(scaled == 0.0, scaled, scaled * half * half * np.exp(lo))
+        grown = np.where(half < np.inf, scaled * half * half,
+                         scaled * quarter * quarter * quarter * quarter)
+        grown = np.where(scaled == 0.0, scaled, grown * np.exp(lo))
         return np.where(past, np.copysign(np.inf, scaled), grown)
 
 

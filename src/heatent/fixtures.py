@@ -4,8 +4,8 @@ All initial data are low-band trigonometric polynomials, normalised to unit
 mass against the relevant reference measure.  On the periodic fixtures their
 extrema land exactly on the evaluation grid, and on the sphere at the poles,
 which ``spectral.grid_extrema`` evaluates exactly on top of its grid.
-``get_fixture`` builds each fixture once per process and hands the same one
-to every caller, so every array a fixture holds is read-only.
+``get_fixture`` and ``seeded_torus_fields`` build their fields once per process
+and hand the same ones to every caller, so every array they hold is read-only.
 """
 
 from __future__ import annotations
@@ -153,6 +153,16 @@ def random_torus_fields(rng: np.random.Generator, manifold: sp.ManifoldSpec,
     sp._require_positive(1.5 + (values * factor)[positive], sp._RESOLVED_MINIMUM)
     coeffs[positive, cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
     return [sp.SpectralField(manifold, c, cutoff) for c in coeffs]
+
+
+@functools.lru_cache(maxsize=8)
+def seeded_torus_fields(seed: int, positive: tuple[bool, ...]) -> tuple[sp.SpectralField, ...]:
+    """``random_torus_fields`` of a fresh ``default_rng(seed)`` on the unit
+    torus, drawn on first use and shared from then on, so read-only."""
+    fields = tuple(random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive))
+    for field in fields:
+        sp._read_only(field.coefficients)
+    return fields
 
 
 def random_positive_torus_field(rng: np.random.Generator, manifold: sp.ManifoldSpec,

@@ -19,8 +19,8 @@ size) and shared from a bounded cache, so its arrays are read-only.  Each
 row of a batch is its own product, so values do not depend on the batch;
 drifted propagation multiplies rows in blocks of one fixed shape instead,
 which also keeps a row's bits independent of its batch.  The flat torus's
-pointwise identities run over blocks of fields, every derivative set of a
-block one broadcast product; a lone call is a block of one.
+pointwise identities run over blocks of fields, each block's derivative set
+one broadcast product and its one division r = 1/u; a lone call is a block of one.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -702,12 +702,23 @@ def _blocks(keys: Sequence) -> list[slice]:
             for start, end in zip([0, *ends], ends) for i in range(start, end, _BLOCK_FIELDS)]
 
 
-def _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy) -> np.ndarray:
-    """|Hess u - grad u (x) grad u / u|^2, pointwise."""
-    a11 = uxx - ux * ux / u
-    a12 = uxy - ux * uy / u
-    a22 = uyy - uy * uy / u
-    return a11 * a11 + 2.0 * a12 * a12 + a22 * a22
+def _pointwise_terms(tr: _Transform, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(r = 1/u, ux, uy, Lap u, |grad u|^2, ux ux r, ux uy r, uy uy r,
+    |Hess u - grad u (x) grad u r|^2) on the grid of each field u of ``coeffs``,
+    r taking u's buffer and the last the Hessian's; the first field not
+    strictly positive on its grid raises PositivityError."""
+    u, ux, uy, uxx, uxy, uyy = tr.derivatives(coeffs, (), *_GRADIENT, *_HESSIAN)
+    _require_positive(u, _RESOLVED_MINIMUM)
+    r, xx, xy, yy, lap_u = np.divide(1.0, u, out=u), ux * ux, ux * uy, uy * uy, uxx + uyy
+    g = xx + yy
+    for product, entry in ((xx, uxx), (xy, uxy), (yy, uyy)):
+        product *= r
+        entry -= product
+        entry *= entry
+    uxy += uxy  # the off-diagonal entry counts twice
+    uxx += uxy
+    uxx += uyy
+    return r, ux, uy, lap_u, g, xx, xy, yy, uxx
 
 
 @dataclass(frozen=True)
@@ -760,48 +771,40 @@ def bochner_residuals(pairs: Sequence[tuple]) -> list[BochnerReport]:
 
 
 def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> list[BochnerReport]:
-    """One block of ``bochner_residuals``: every array (field, grid point)."""
+    """One block of ``bochner_residuals``: every array (field, grid point),
+    around the one reciprocal r = 1/u."""
     cutoff = max(w_cutoff, v_cutoff)
     n = _grid_size(2 * cutoff)
-    u, ux, uy, uxx, uxy, uyy = _transform(manifold, w_cutoff, n).derivatives(
-        np.stack([w.coefficients for w, _ in pairs]), (), *_GRADIENT, *_HESSIAN)
-    _require_positive(u, _RESOLVED_MINIMUM)
-    lap_u = uxx + uyy
+    r, ux, uy, lap_u, g, xx, xy, yy, hess = _pointwise_terms(
+        _transform(manifold, w_cutoff, n), np.stack([w.coefficients for w, _ in pairs]))
     vx, vy, vxx, vxy, vyy = _transform(manifold, v_cutoff, n).derivatives(
         np.stack([np.zeros(np.shape(w.coefficients)) if v is None else v.coefficients
                   for w, v in pairs]), *_GRADIENT, *_HESSIAN)
+    hess *= r
+    drift = -2.0 * (vxx * xx + 2.0 * vxy * xy + vyy * yy)  # -2 Hess V(grad u, grad u) r
+    del xx, xy, yy
 
-    # |grad u|^2 is again a trigonometric polynomial (band 2*cutoff), so its
-    # derivatives are exact too.
-    g = ux * ux + uy * uy
-    tg = _transform(manifold, 2 * w_cutoff, n)
+    # g = |grad u|^2 and Lu = Laplacian/2 + advection are trigonometric
+    # polynomials (bands 2 w_cutoff and cutoff + w_cutoff): exact derivatives
+    tg, tl = _transform(manifold, 2 * w_cutoff, n), _transform(manifold, cutoff + w_cutoff, n)
     gx, gy, gxx, gyy = tg.derivatives(tg.analyze(g), *_GRADIENT, (0, 0), (1, 1))
-    lap_g = gxx + gyy
+    lu = 0.5 * lap_u + vx * ux + vy * uy
+    lux, luy = tl.derivatives(tl.analyze(lu), *_GRADIENT)
 
-    # Lu = Laplacian/2 + advection; band cutoff + potential band, still exact.
-    lu_grid = 0.5 * lap_u + vx * ux + vy * uy
-    tl = _transform(manifold, cutoff + w_cutoff, n)
-    lux, luy = tl.derivatives(tl.analyze(lu_grid), *_GRADIENT)
-
-    # P = |grad u|^2 / u is not band-limited; expand its derivatives by the
-    # quotient rule in terms of the exact pieces above.
-    px = gx / u - g * ux / u ** 2
-    py = gy / u - g * uy / u ** 2
-    lap_p = (lap_g / u - 2.0 * (gx * ux + gy * uy) / u ** 2
-             - g * lap_u / u ** 2 + 2.0 * g * g / u ** 3)
-
-    dt_p = (2.0 * (lux * ux + luy * uy)) / u - g * lu_grid / u ** 2
-    lhs = 0.5 * lap_p + vx * px + vy * py - dt_p
-
-    hess_term = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy) / u
-    drift_term = -2.0 * (vxx * ux * ux + 2.0 * vxy * ux * uy + vyy * uy * uy) / u
-    rhs = hess_term + drift_term
+    # P = g r is not band-limited: grad P = (grad g - P grad u) r, and Lap P
+    # and dP/dt likewise through g = P u, from the exact pieces above
+    p = np.multiply(g, r, out=g)
+    dt_p = (2.0 * (ux * lux + uy * luy) - p * lu) * r
+    del lu, lux, luy
+    px, py = (gx - p * ux) * r, (gy - p * uy) * r
+    half_lap_p = 0.5 * (gxx + gyy - 2.0 * (ux * px + uy * py) - p * lap_u) * r
+    residuals = half_lap_p + vx * px + vy * py - dt_p - hess - drift
 
     # np.max, unlike the builtin max, keeps a NaN term scale
-    scale = np.max([np.abs(term).max((-2, -1)) for term in (0.5 * lap_p, dt_p, hess_term,
-                                                            drift_term)], axis=0, initial=1e-300)
+    scale = np.max([np.abs(term).max((-2, -1)) for term in (half_lap_p, dt_p, hess, drift)],
+                   axis=0, initial=1e-300)
     return [BochnerReport(float(residual), float(s))  # per field, over its grid
-            for residual, s in zip(np.abs(lhs - rhs).max((-2, -1)), scale)]
+            for residual, s in zip(np.abs(residuals).max((-2, -1)), scale)]
 
 
 def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
@@ -822,14 +825,13 @@ def hessian_trace_gaps(fields: Sequence[SpectralField]) -> np.ndarray:
     gaps = np.empty((len(fields), 2))
     for block in _blocks(keys):
         manifold, cutoff = keys[block.start]
-        u, ux, uy, uxx, uxy, uyy = _transform(manifold, cutoff).derivatives(
-            np.stack([w.coefficients for w in fields[block]]), (), *_GRADIENT, *_HESSIAN)
-        _require_positive(u, _RESOLVED_MINIMUM)
-        lhs = _hessian_defect_squared(u, ux, uy, uxx, uxy, uyy)
-        lap_log = (uxx + uyy) / u - (ux * ux + uy * uy) / u ** 2
-        rhs = u * u / manifold.dimension * lap_log ** 2
-        gaps[block, 0] = (lhs - rhs).min((-2, -1))  # per field, over its grid
+        _, _, _, lap_u, _, xx, _, yy, lhs = _pointwise_terms(
+            _transform(manifold, cutoff), np.stack([w.coefficients for w in fields[block]]))
+        # u^2 |Lap log u|^2 / n, as u Lap log u = Lap u - |grad u|^2 r
+        rhs = (lap_u - xx - yy) ** 2 / manifold.dimension
         gaps[block, 1] = np.maximum(np.maximum(lhs.max((-2, -1)), rhs.max((-2, -1))), 1e-300)
+        gaps[block, 0] = np.subtract(lhs, rhs, out=lhs).min((-2, -1))  # per field, over its grid
+        del _, lap_u, xx, yy, lhs, rhs  # freed before the next block's
     return gaps
 
 
@@ -853,11 +855,13 @@ def cauchy_step_trace(field: SpectralField, times) -> np.ndarray:
     if field.manifold.drift is not None:
         raise ValueError("cauchy step values are defined for the plain volume measure")
     tr, rows = _transform(field.manifold, field.cutoff), _propagate(field, times)
-    u, grad2 = tr.values_and_gradients(rows, 1)
+    u, fisher = tr.values_and_gradients(rows, 1)
     _require_positive(u, _RESOLVED_MINIMUM)
-    lap_log = tr.synth(rows * (-tr.eigenvalues)) / u - grad2 / u ** 2
-    mean, second, fisher = (a.reshape(len(rows), -1).sum(axis=1) for a in (
-        tr.weights * u * lap_log, tr.weights * u * lap_log ** 2, tr.weights * grad2 / u))
+    r = np.divide(1.0, u, out=u)
+    fisher *= r  # |grad u|^2 / u
+    mean = tr.synth(rows * (-tr.eigenvalues)) - fisher  # u Lap log u = Lap u - |grad u|^2 / u
+    mean, second, fisher = ((tr.weights * a).reshape(len(rows), -1).sum(axis=1)
+                            for a in (mean, mean * mean * r, fisher))
     return np.stack([mean * mean, second, fisher], axis=1)
 
 

@@ -171,9 +171,8 @@ def check_fixture_bounds() -> CheckResult:
 
 def check_bochner() -> CheckResult:
     """Pointwise commutation-identity residual for 10 random (field, drift)
-    pairs on the torus, the first with zero drift, drawn in one pass."""
-    draws = fx.random_torus_fields(np.random.default_rng(_RANDOM_SEED), sp.torus2(1.0, 1.0),
-                                   [True] + [True, False] * 9)
+    pairs on the torus, the first with zero drift, drawn once."""
+    draws = fx.seeded_torus_fields(_RANDOM_SEED, (True,) + (True, False) * 9)
     reports = sp.bochner_residuals([(draws[0], None), *zip(draws[1::2], draws[2::2])])
     return _result([report.relative for report in reports], 1e-8,
                    "identity residual is roundoff-level for 10 random pairs "
@@ -181,9 +180,8 @@ def check_bochner() -> CheckResult:
 
 
 def check_hessian_trace() -> CheckResult:
-    """Pointwise Hessian-vs-trace inequality for 8 random positive fields, drawn in one pass."""
-    gaps = sp.hessian_trace_gaps(fx.random_torus_fields(
-        np.random.default_rng(_RANDOM_SEED + 1), sp.torus2(1.0, 1.0), [True] * 8))
+    """Pointwise Hessian-vs-trace inequality for 8 random positive fields, drawn once."""
+    gaps = sp.hessian_trace_gaps(fx.seeded_torus_fields(_RANDOM_SEED + 1, (True,) * 8))
     return _result(-gaps[:, 0] / gaps[:, 1], 1e-12,
                    "squared traceless-Hessian term dominates the trace term "
                    "pointwise for 8 random positive fields")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from heatent import fixtures as fx
 from heatent import h3entropy as h3
+from heatent import spectral as sp
 from heatent import verify as vf
 from heatent.quadrature import QuadratureConvergenceError
 from heatent.verify import CHECKS, check_moment_table, run_checks
@@ -81,3 +83,38 @@ def test_kappa_batched_checks_equal_the_per_kappa_oracles():
                              / np.abs(direct)))
                 for p in params for direct in [h3.entropy_quadrature(p, times)])
     assert vf.check_entropy_decomposition().max_error == worst
+
+
+# the seeded random fields of the two pointwise-identity groups
+IDENTITY_DRAWS = {"bochner_residual": (vf._RANDOM_SEED, (True,) + (True, False) * 9),
+                  "hessian_trace": (vf._RANDOM_SEED + 1, (True,) * 8)}
+
+
+def test_identity_groups_draw_their_fields_once_per_process(monkeypatch):
+    # drawn afresh once after the cache is emptied, then shared by every
+    # later request of either group
+    calls, draw = [], fx.random_torus_fields
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(fx, "random_torus_fields", counted)
+    fx.seeded_torus_fields.cache_clear()
+    for count, group in enumerate(IDENTITY_DRAWS, 1):
+        first = run_checks(only=group)[group]
+        assert len(calls) == count
+        assert run_checks(only=group)[group] == first
+        assert len(calls) == count
+
+
+@pytest.mark.parametrize("group", sorted(IDENTITY_DRAWS))
+def test_shared_draws_are_read_only_fresh_draws(group):
+    seed, positive = IDENTITY_DRAWS[group]
+    shared = fx.seeded_torus_fields(seed, positive)
+    assert fx.seeded_torus_fields(seed, positive) is shared
+    fresh = fx.random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive)
+    assert list(shared) == fresh  # bit for bit
+    for field in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            field.coefficients[0, 0] = 0.0
