@@ -272,11 +272,13 @@ def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
         k2, k2_err = _two_product(kappa, kappa)
         p, p_err = _two_product(k2, t)
         hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
-        # half is inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
-        half, quarter = np.exp(0.5 * hi), np.exp(0.25 * hi)
+        half = np.exp(0.5 * hi)  # inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
         past = hi + np.log(np.abs(scaled)) > 709.0
-        grown = np.where(half < np.inf, scaled * half * half,
-                         scaled * quarter * quarter * quarter * quarter)
+        grown = scaled * half * half
+        over = ~(half < np.inf)  # where only a subnormal scaled is below the cut
+        if over.any():
+            quarter = np.exp(0.25 * hi[over])
+            grown[..., over] = scaled[..., over] * quarter * quarter * quarter * quarter
         grown = np.where(scaled == 0.0, scaled, grown * np.exp(lo))
         return np.where(past, np.copysign(np.inf, scaled), grown)
 

@@ -157,8 +157,7 @@ def random_torus_fields(rng: np.random.Generator, manifold: sp.ManifoldSpec,
 
 @functools.lru_cache(maxsize=8)
 def seeded_torus_fields(seed: int, positive: tuple[bool, ...]) -> tuple[sp.SpectralField, ...]:
-    """``random_torus_fields`` of a fresh ``default_rng(seed)`` on the unit
-    torus, drawn on first use and shared from then on, so read-only."""
+    """``random_torus_fields`` of a fresh ``default_rng(seed)`` on the unit torus, read-only."""
     fields = tuple(random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive))
     for field in fields:
         sp._read_only(field.coefficients)

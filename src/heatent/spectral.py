@@ -771,8 +771,7 @@ def bochner_residuals(pairs: Sequence[tuple]) -> list[BochnerReport]:
 
 
 def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> list[BochnerReport]:
-    """One block of ``bochner_residuals``: every array (field, grid point),
-    around the one reciprocal r = 1/u."""
+    """One block of ``bochner_residuals``, every array (field, grid point), around r = 1/u."""
     cutoff = max(w_cutoff, v_cutoff)
     n = _grid_size(2 * cutoff)
     r, ux, uy, lap_u, g, xx, xy, yy, hess = _pointwise_terms(
