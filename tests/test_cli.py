@@ -712,7 +712,7 @@ def test_unscaled_on_both_sides_of_the_709_cut(kappa, t):
 def test_unscaled_grows_subnormal_values(k2t):
     # from kappa^2 t of about 2839 on exp(kappa^2 t/4) overflows, and only a
     # subnormal value stays below the cut; its product is finite and exact to
-    # 1e-15 (it read inf), at several kappa
+    # 1e-15, at several kappa
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(round(k2t))
     for kappa in (0.3, 1.0, 2.7):
