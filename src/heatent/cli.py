@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -111,7 +112,9 @@ def _table_parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             values[dest] = kind(text) if callable(kind) else kind[kind.index(text)]
         except ValueError:
             return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
@@ -141,10 +144,20 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return _build_parser().parse_args([argv[0], *flags, *argv[1:]])
 
 
-def _time_grid(args: argparse.Namespace) -> np.ndarray:
-    start, stop, count, scale = (
-        default if getattr(args, key) is None else getattr(args, key)
-        for key, default in _TIME_GRID.items())
+def _time_grid(args: argparse.Namespace, fixed: Optional[np.ndarray] = None) -> np.ndarray:
+    """The time grid of the four grid flags, ``_TIME_GRID`` filling in the
+    unset ones, or ``fixed``, when given, if none is set."""
+    start, stop, count, scale = args.t_start, args.t_stop, args.t_count, args.t_scale
+    if fixed is not None and start is stop is count is scale is None:
+        return fixed
+    if start is None:
+        start = _TIME_GRID["t_start"]
+    if stop is None:
+        stop = _TIME_GRID["t_stop"]
+    if count is None:
+        count = _TIME_GRID["t_count"]
+    if scale is None:
+        scale = _TIME_GRID["t_scale"]
     # chained so that a NaN or infinite end fails too
     if not 0.0 < start <= stop < math.inf or count < 1:
         raise UsageError("need finite 0 < t-start <= t-stop and t-count >= 1")
@@ -157,26 +170,27 @@ def _time_grid(args: argparse.Namespace) -> np.ndarray:
     if scale == "log":
         # np.geomspace's arithmetic: 10 ** linspace of the log10 ends, with
         # the ends themselves put back
-        grid = np.power(10.0, _spaced(*np.log10(np.array([start, stop])), count))
+        grid = np.power(10.0, _spaced(*np.log10(np.array([start, stop])).tolist(), count))
         grid[0], grid[-1] = start, stop
+        values = grid.tolist()
     else:
-        grid = _spaced(start, stop, count)
+        values = _spaced(start, stop, count)
+        grid = np.array(values)
     # a grid too fine for its window repeats a time, as does t-start = t-stop
-    if (grid[1:] <= grid[:-1]).any():
+    if not all(map(operator.lt, values, values[1:])):
         raise UsageError(f"t-start {start!r}, t-stop {stop!r} and t-count {count} "
                          "give a time grid that is not strictly increasing")
     return grid
 
 
-def _spaced(start: float, stop: float, count: int) -> np.ndarray:
-    """np.linspace(start, stop, count), count >= 2, by its own arithmetic:
-    i (stop - start) / (count - 1) + start, then stop itself last.  (Where
-    that step underflows to 0 numpy takes another order, but then both grids
-    repeat a time, which ``_time_grid`` refuses.)"""
-    grid = np.arange(count, dtype=float)
-    grid *= (stop - start) / (count - 1)
-    grid += start
-    grid[-1] = stop
+def _spaced(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count), count >= 2, by its own arithmetic in
+    floats: i (stop - start) / (count - 1) + start, then stop itself last.
+    (Where that step underflows to 0 numpy takes another order, but then
+    both grids repeat a time, which ``_time_grid`` refuses.)"""
+    step = (stop - start) / (count - 1)
+    grid = [i * step + start for i in range(count - 1)]
+    grid.append(stop)
     return grid
 
 
@@ -231,16 +245,16 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
+def _report_failures(command: str, ok: Sequence[bool], times: Sequence[float],
                      checks_at: Callable[[int], list[str]]) -> int:
     """Exit status 0 when every row is ok.  Otherwise 1, and one stderr line
     names the failing row count, the first failing t and the checks
     ``checks_at`` gives for its row index."""
-    if ok.all():
+    failing = [i for i, good in enumerate(ok) if not good]
+    if not failing:
         return 0
-    failing = np.flatnonzero(~ok)
-    i = int(failing[0])
-    sys.stderr.write(f"{command}: {failing.size} of {ok.size} rows failed; first at "
+    i = failing[0]
+    sys.stderr.write(f"{command}: {len(failing)} of {len(ok)} rows failed; first at "
                      f"t={float(times[i])!r}: {' and '.join(checks_at(i))}\n")
     return 1
 
@@ -312,14 +326,12 @@ def cmd_h3(args: argparse.Namespace) -> int:
             checks.append(f"band check (margin {sweep.band_margin[i]:.3e})")
         return checks
 
-    return _report_failures("h3", sweep.envelope_ok & band_ok, sweep.t, checks_at)
+    return _report_failures("h3", (sweep.envelope_ok & band_ok).tolist(), sweep.t, checks_at)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(args.manifold)
-    grid_requested = any(getattr(args, key) is not None for key in _TIME_GRID)
-    times = _time_grid(args) if grid_requested else fixture.default_times
-    trace = sp.entropy_trace(fixture.initial, times)
+    trace = sp.entropy_trace(fixture.initial, _time_grid(args, fixture.default_times))
     reports = bd.check_bounds(trace, fixture.manifold, fixture.initial)
 
     columns = {"t": trace.times, "entropy": trace.entropy, "fisher": trace.fisher,
@@ -330,9 +342,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
-        "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]), trace.times,
-        lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
-                   for r in reports if not r.satisfied[i]])
+        "evolve", [all(row) for row in zip(*[r.satisfied.tolist() for r in reports])],
+        trace.times, lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
+                                for r in reports if not r.satisfied[i]])
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

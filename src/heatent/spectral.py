@@ -56,7 +56,7 @@ POSITIVITY_FLOOR = 1e-8
 _TAIL_ENERGY_FRACTION = 1e-20
 _FD_STEP_SCALE = 1e-4
 # Largest accepted condition number of the drift's reduced mass matrix M'
-# (see ``_drift_operator``); the drift fixture reads about 1.5.
+# (see ``_operator``); the drift fixture reads about 1.5.
 MASS_CONDITION_LIMIT = 1e8
 # Distinct transforms kept.  The benchmark's three workloads use 16, which
 # hold 0.33 MB of arrays together.
@@ -77,7 +77,9 @@ _BLOCK_ROWS = 8
 # Fields per array program of a pointwise identity (``_blocks``): three hold six derivative
 # orders on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
 _BLOCK_FIELDS = 3
-_DriftOperator = NamedTuple("_DriftOperator", [("weights", np.ndarray), ("pencil", Callable)])
+# (manifold, cutoff) records of ``_operator``.  The benchmark's three workloads use 17; a
+# drifted record holds its pencil once built, 0.46 MB at c = 6.
+_OPERATOR_CACHE_SIZE = 32
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -99,7 +101,9 @@ class PropagatorError(ArithmeticError):
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A model closed manifold with its curvature lower bound and volume;
-    equal, and hashed alike, when every field is, the drift included."""
+    equal when every field is, the drift included.  The hash reads the kind,
+    the side lengths and the drift potential's coefficient bytes, on which
+    equal manifolds agree and which follow a potential changed in place."""
 
     kind: str  # "circle" | "torus2" | "sphere2" | "torus2_drift"
     lengths: tuple[float, ...]
@@ -108,6 +112,11 @@ class ManifoldSpec:
     volume: float
     drift: Optional["SpectralField"] = None
 
+    def __hash__(self) -> int:
+        potential = self.drift
+        return hash((self.kind, self.lengths,
+                     None if potential is None else potential.coefficients.tobytes()))
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
@@ -115,9 +124,10 @@ class SpectralField:
     eigenbasis (periodic: per axis, index j is the sin of |m| for m = j -
     cutoff < 0 and the cos for m > 0), one per eigenvalue; complex
     coefficients raise TypeError, and another shape or a cutoff that is not
-    a nonnegative integer ValueError.  A value: equality is bitwise over manifold, cutoff, shape
-    and coefficient bytes, read at each call, so a field changed in place
-    keys afresh."""
+    a nonnegative integer ValueError; the coefficients are kept as a float
+    array.  A value: equality is bitwise over manifold, cutoff, shape and
+    coefficient bytes, and the hash reads the manifold, the cutoff and the
+    bytes, each at every call, so a field changed in place keys afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
@@ -126,6 +136,7 @@ class SpectralField:
     def __post_init__(self):
         if np.iscomplexobj(self.coefficients):
             raise TypeError("field coefficients must be real")
+        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
         (kind, lengths), cutoff = (self.manifold.kind, self.manifold.lengths), self.cutoff
         if not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
             raise ValueError(f"{kind} field cutoff must be a nonnegative integer, not {cutoff!r}")
@@ -135,14 +146,13 @@ class SpectralField:
                              f"{shape}, not {np.shape(self.coefficients)}")
 
     def _key(self) -> tuple:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        return (self.manifold, self.cutoff, coeffs.shape, coeffs.tobytes())
+        return (self.manifold, self.cutoff, self.coefficients.shape, self.coefficients.tobytes())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpectralField) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.manifold, self.cutoff, self.coefficients.tobytes()))
 
 
 def circle(length: float = 1.0) -> ManifoldSpec:
@@ -252,8 +262,8 @@ class _Transform:
             return np.stack([self.synth(coeffs, order) for order in orders])
         a = np.ascontiguousarray(coeffs, dtype=float)
         lead = (len(orders),) + (1,) * (a.ndim - 2)  # broadcast over the batch axes
-        first, last = (t.reshape(lead + t.shape[1:]) for t in _order_tables(self, orders))
-        return first @ (a @ last)
+        first, last = _order_tables(self, orders)
+        return first.reshape(lead + first.shape[1:]) @ (a @ last.reshape(lead + last.shape[1:]))
 
     def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row, from
@@ -447,9 +457,8 @@ def resolve(field: SpectralField) -> np.ndarray:
 
 def mass(field: SpectralField) -> float:
     """Integral of the field against its manifold's measure (mu for drift)."""
-    tr = _transform(field.manifold, field.cutoff)
-    return float(np.sum(_measure_weights(field.manifold, field.cutoff)
-                        * tr.synth(field.coefficients)))
+    op = _operator(field.manifold, field.cutoff)
+    return float(np.sum(op.weights * op.transform.synth(field.coefficients)))
 
 
 def evolve(field: SpectralField, t: float) -> SpectralField:
@@ -458,7 +467,7 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
     Undrifted, each coefficient decays as exp(-lambda t / 2).  On the drifted
     torus c(t) = left (e^{-rates t} * right c) solves the Galerkin pencil
     M c' = -S c in L^2(mu) exactly, from the decomposition that
-    ``_drift_operator`` builds once per operator and the field's cached modal
+    ``_operator`` builds once per operator and the field's cached modal
     coordinates ``right c``; an ill-conditioned M raises PropagatorError.  t
     must be finite, and a drifted result strictly positive.  The one row is a
     zero-padded ``_BLOCK_ROWS``-row block on purpose, for the bits of its
@@ -468,31 +477,34 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
         raise ValueError("t must be finite and nonnegative")
     if t == 0.0:
         return field
-    rows = _propagate(field, np.array([float(t)]))
-    if field.manifold.drift is not None:
-        _require_positive(_transform(field.manifold, field.cutoff).synth(rows),
-                          _DRIFT_LOST_POSITIVITY)
+    op = _operator(field.manifold, field.cutoff)
+    rows = _propagate(field, np.array([float(t)]), op)
+    if op.pencil is not None:
+        _require_positive(op.transform.synth(rows), _DRIFT_LOST_POSITIVITY)
     return SpectralField(field.manifold, rows[0], field.cutoff)
 
 
-def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
+def _propagate(field: SpectralField, times: np.ndarray, op: Optional[_Operator] = None):
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
-    leading axis: A0 exp(-lambda t / 2) as an outer product, or on the
-    drifted torus (e^{-t rates} * right a0) left^T with a0 the flattened A0
-    (``right a0`` cached), multiplied in fixed blocks of ``_BLOCK_ROWS`` rows
-    against the C-contiguous left^T, so a row's bits do not depend on its batch."""
-    manifold = field.manifold
+    leading axis, from the field's operator record ``op`` (looked up when not
+    given): A0 exp(-lambda t / 2) as an outer product, or on the drifted torus
+    (e^{-t rates} * right a0) left^T with a0 the flattened A0 (``right a0``
+    cached), multiplied in fixed blocks of ``_BLOCK_ROWS`` rows against the
+    C-contiguous left^T, so a row's bits do not depend on its batch."""
+    if op is None:
+        op = _operator(field.manifold, field.cutoff)
     c0 = field.coefficients
-    if manifold.drift is None:
-        lam = eigenvalues(manifold, field.cutoff)
+    if op.pencil is None:
+        lam = op.transform.eigenvalues
         x = c0 * np.exp(-0.5 * lam * times.reshape(times.shape + (1,) * lam.ndim))
     else:
-        rates, left, _ = _drift_operator(manifold, field.cutoff).pencil()
-        x = np.exp(np.multiply.outer(-times, rates)) * _modal_coordinates(field)
+        rates, left, _ = op.pencil()
+        x = np.exp(np.multiply.outer(-times, rates))
+        x *= _modal_coordinates(field)
     # A decaying mode passes through subnormals (below 2.2e-308), which cost the
     # products that follow a slow path and cannot reach a value above 1e-290.
     x[np.abs(x) < sys.float_info.min] = 0.0
-    if manifold.drift is None:
+    if op.pencil is None:
         return x
     return _block_products(x, left.T).reshape(times.shape + c0.shape)
 
@@ -500,21 +512,34 @@ def _propagate(field: SpectralField, times: np.ndarray) -> np.ndarray:
 def _require_positive(rows: np.ndarray, message: str) -> None:
     """Raise PositivityError, with ``message`` formatted by the row's
     minimum, for the first row of grid values at or below the floor, or
-    with a NaN minimum."""
+    with a NaN minimum; the rows' one minimum clears them all at once."""
+    if rows.min(initial=math.inf) > POSITIVITY_FLOOR:  # a NaN fails, an empty batch passes
+        return
     minima = rows.min(axis=tuple(range(1, rows.ndim)))
-    if not (minima > POSITIVITY_FLOOR).all():  # a NaN minimum fails, an empty batch passes
-        first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
-        raise PositivityError(message.format(float(minima[first])))
+    first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
+    raise PositivityError(message.format(float(minima[first])))
 
 
-@functools.lru_cache(maxsize=4)
-def _drift_operator(manifold: ManifoldSpec, cutoff: int) -> _DriftOperator:
-    """The drifted operator's record at this field cutoff, shared by every
-    field, trace and CLI call on an equal manifold (a value): the weights
-    w = exp(2V) dx / their total on the cutoff's grid, read-only, and
-    ``pencil()``, its ``_drift_pencil``, built on first call, so w alone builds none.
+class _Operator(NamedTuple):
+    """What a field's functionals and propagation read at one (manifold,
+    cutoff), besides the field: its transform, the measure weights on the
+    transform's grid, and on the drifted torus ``pencil()``, else None."""
 
-    The pencil reads the modes |j - k| <= 2c per axis of w's Fourier
+    transform: _Transform
+    weights: np.ndarray
+    pencil: Optional[Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]]
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _operator(manifold: ManifoldSpec, cutoff: int) -> _Operator:
+    """The operator record at this field cutoff, shared by every field, trace
+    and CLI call on an equal manifold (a value), so a trace looks it up once.
+    Undrifted, the weights are the transform's volume weights.  Drifted, they
+    are w = exp(2V) dx / their total on the cutoff's grid, read-only, and
+    ``pencil()``, its ``_drift_pencil``, is built on first call, so w alone
+    builds none.
+
+    The drifted pencil reads the modes |j - k| <= 2c per axis of w's Fourier
     transform w^ (c the field cutoff); on this n >= max(32, 8c) grid each such
     mode is aliased only by modes at least n - 2c >= 24 away.  For V = a
     sin(2 pi x) cos(2 pi y) at the largest a that MASS_CONDITION_LIMIT
@@ -524,10 +549,12 @@ def _drift_operator(manifold: ManifoldSpec, cutoff: int) -> _DriftOperator:
     modes cannot resolve anyway.
     """
     tr, potential = _transform(manifold, cutoff), manifold.drift
+    if potential is None:
+        return _Operator(tr, tr.weights, None)
     v = _transform(manifold, potential.cutoff, tr.shape[0]).synth(potential.coefficients)
     raw = np.exp(2.0 * v) * tr.weights
     w = _read_only(raw / raw.sum())
-    return _DriftOperator(w, functools.cache(lambda: _drift_pencil(manifold, cutoff, w)))
+    return _Operator(tr, w, functools.cache(lambda: _drift_pencil(manifold, cutoff, w)))
 
 
 def _drift_pencil(manifold: ManifoldSpec, cutoff: int, w: np.ndarray):
@@ -586,7 +613,7 @@ def _drift_pencil(manifold: ManifoldSpec, cutoff: int, w: np.ndarray):
 @functools.lru_cache(maxsize=16)  # at cutoff 6, 16 x 169 floats
 def _modal_coordinates(field: SpectralField) -> np.ndarray:
     """``right a0`` of a drifted field (a0 its flattened coefficients), read-only, per content."""
-    right = _drift_operator(field.manifold, field.cutoff).pencil()[2]
+    right = _operator(field.manifold, field.cutoff).pencil()[2]
     return _read_only(right @ field.coefficients.ravel())
 
 
@@ -596,58 +623,49 @@ def _modal_coordinates(field: SpectralField) -> np.ndarray:
 
 def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
     """Quadrature weights of the reference measure on the evaluation grid of
-    this cutoff: the plain volume measure, or with a drift the operator
-    record's exp(2V) dx normalised to unit total mass."""
-    if manifold.drift is None:
-        return _transform(manifold, cutoff).weights
-    return _drift_operator(manifold, cutoff).weights
+    this cutoff: the plain volume measure, or with a drift exp(2V) dx
+    normalised to unit total mass; the operator record's."""
+    return _operator(manifold, cutoff).weights
 
 
-def _row_functionals(manifold: ManifoldSpec, cutoff: int, rows: np.ndarray, message: str,
+def _row_functionals(op: _Operator, rows: np.ndarray, message: str,
                      every: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(entropy of each coefficient row of ``rows``, Fisher information of
-    every ``every``-th row, starting with the first).
+    every ``every``-th row, starting with the first), against the transform
+    and weights of the rows' operator record ``op``.
 
     Rows are synthesised in chunks of whole groups of ``every`` rows, as
     many groups as fit in ``_CHUNK_POINTS`` grid values but at least one.  A
     group counts its rows' values, their log buffer and one gradient
     component per grid axis of its first row, which bounds what a chunk
-    holds at once; a chunk's arrays are freed before the next is built.
-    Each row's sum is one dot product with the weights, as a lone field's
-    is, so chunking moves no bit.  The first row whose resolved field is not
-    strictly positive raises PositivityError with ``message``.
+    holds at once; a chunk's arrays, worked in place, are freed before the
+    next is built.  Each row's sum is one dot product with the weights, as a
+    lone field's is, so chunking moves no bit.  The first row whose resolved
+    field is not strictly positive raises PositivityError with ``message``.
     """
-    tr = _transform(manifold, cutoff)
-    w = _measure_weights(manifold, cutoff)
+    tr, w = op.transform, op.weights
     step = every * max(1, _CHUNK_POINTS // ((2 * every + w.ndim) * w.size))
     w = w.reshape(-1, 1)
-    entropy = np.empty(len(rows))
-    fisher = np.empty(len(rows[::every]))
+    entropy, fisher = [], []  # per chunk
     for start in range(0, len(rows), step):
-        first = start // every
-        entropy[start:start + step], fisher[first:first + step // every] = _chunk_functionals(
-            tr, w, rows[start:start + step], every, message)
-    return -entropy, fisher
-
-
-def _chunk_functionals(tr, w: np.ndarray, rows: np.ndarray, every: int,
-                       message: str) -> tuple[np.ndarray, np.ndarray]:
-    """(weighted sum of u log u of each row, Fisher information of every
-    ``every``-th row) for one chunk of ``_row_functionals``, worked in place
-    in the chunk's own buffers."""
-    u, grad2 = (a.reshape(len(a), -1) for a in tr.values_and_gradients(rows, every))
-    _require_positive(u, message)
-    grad2 /= u[::every]
-    fisher = _row_products(grad2, w)[:, 0]
-    del grad2  # freed before the log buffer is built
-    u_log_u = np.log(u)
-    u_log_u *= u
-    return _row_products(u_log_u, w)[:, 0], fisher
+        u, grad2 = tr.values_and_gradients(rows[start:start + step], every)
+        u, grad2 = u.reshape(len(u), -1), grad2.reshape(len(grad2), -1)
+        _require_positive(u, message)
+        grad2 /= u[::every]
+        fisher.append(_row_products(grad2, w)[:, 0])
+        del grad2  # freed before the log buffer is built
+        u_log_u = np.log(u)
+        u_log_u *= u
+        entropy.append(_row_products(u_log_u, w)[:, 0])
+        del u, u_log_u
+    if len(entropy) == 1:
+        return -entropy[0], fisher[0]
+    return -np.concatenate(entropy), np.concatenate(fisher)
 
 
 def entropy_and_fisher(field: SpectralField) -> tuple[float, float]:
     """(entropy, Fisher information) of a strictly positive resolved field."""
-    entropy, fisher = _row_functionals(field.manifold, field.cutoff,
+    entropy, fisher = _row_functionals(_operator(field.manifold, field.cutoff),
                                        field.coefficients[np.newaxis], _RESOLVED_MINIMUM)
     return float(entropy[0]), float(fisher[0])
 
@@ -674,21 +692,23 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
     times = np.array(times, dtype=float)
     if times.size and times.ndim != 1:
         raise TypeError(f"times must be one-dimensional, not of shape {times.shape}")
-    if not (times.size and 0.0 < times[0] and times[-1] < math.inf
-            and (times[1:] > times[:-1]).all()):  # so every time is in range; NaN fails
+    t = times.tolist()
+    if not (t and 0.0 < t[0] and t[-1] < math.inf
+            and all(map(float.__lt__, t, t[1:]))):  # so every time is in range; NaN fails
         raise ValueError("times must be strictly increasing, positive and finite")
-    h = _FD_STEP_SCALE * times
-    # rows t, t + h, t - h of each time in turn, so that a loss of positivity
-    # is reported at the first time it occurs; the t +- h rows feed rate_fd
-    # through their entropy alone, so only the t rows take a Fisher sum
-    grid = (times[:, np.newaxis] + np.multiply.outer(h, (0.0, 1.0, -1.0))).ravel()
-    message = (_RESOLVED_MINIMUM if field.manifold.drift is None
-               else _DRIFT_LOST_POSITIVITY)
-    entropy, fisher = _row_functionals(field.manifold, field.cutoff,
-                                       _propagate(field, grid), message, every=3)
-    entropy = entropy.reshape(-1, 3)
-    rate_fd = (entropy[:, 1] - entropy[:, 2]) / (2.0 * h)
-    return EntropyTrace(times, entropy[:, 0], 0.5 * fisher, rate_fd, fisher)
+    # The grid's and rate_fd's few scalars are Python floats, which round as
+    # numpy's elementwise arithmetic does.  Rows t, t + h, t - h of each time
+    # in turn, so that a loss of positivity is reported at the first time it
+    # occurs; the t +- h rows feed rate_fd through their entropy alone, so only
+    # the t rows take a Fisher sum.
+    h = [_FD_STEP_SCALE * x for x in t]
+    grid = np.array([row for x, dx in zip(t, h) for row in (x, x + dx, x - dx)])
+    op = _operator(field.manifold, field.cutoff)
+    message = _RESOLVED_MINIMUM if op.pencil is None else _DRIFT_LOST_POSITIVITY
+    entropy, fisher = _row_functionals(op, _propagate(field, grid, op), message, every=3)
+    s = entropy.tolist()
+    rate_fd = [(s[i + 1] - s[i + 2]) / (2.0 * dx) for i, dx in zip(range(0, len(s), 3), h)]
+    return EntropyTrace(times, entropy[::3], 0.5 * fisher, np.array(rate_fd), fisher)
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +873,8 @@ def cauchy_step_trace(field: SpectralField, times) -> np.ndarray:
         raise ValueError("times must be a sequence of finite nonnegative numbers")
     if field.manifold.drift is not None:
         raise ValueError("cauchy step values are defined for the plain volume measure")
-    tr, rows = _transform(field.manifold, field.cutoff), _propagate(field, times)
+    op = _operator(field.manifold, field.cutoff)
+    tr, rows = op.transform, _propagate(field, times, op)
     u, fisher = tr.values_and_gradients(rows, 1)
     _require_positive(u, _RESOLVED_MINIMUM)
     r = np.divide(1.0, u, out=u)

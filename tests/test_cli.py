@@ -197,7 +197,7 @@ def test_propagator_failure_exits_one(monkeypatch, capsys):
     def refuse(*args):
         raise sp.PropagatorError("drift mass matrix too ill-conditioned")
 
-    monkeypatch.setattr(sp, "_drift_operator", refuse)
+    monkeypatch.setattr(sp, "_operator", refuse)
     assert cli.main(["evolve", "--manifold", "torus-drift"]) == 1
     assert "propagator failure" in capsys.readouterr().err
 

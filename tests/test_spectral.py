@@ -689,7 +689,7 @@ def test_subnormal_coordinates_are_flushed_without_moving_a_bit():
     tr = sp._transform(TORUS, 6)
     assert np.array_equal(tr.synth(rows), tr.synth(raw))
     drift = fx.get_fixture("torus-drift").initial
-    rates, left, right = sp._drift_operator(drift.manifold, drift.cutoff).pencil()
+    rates, left, right = sp._operator(drift.manifold, drift.cutoff).pencil()
     times = np.geomspace(0.1, 2.0, 16)
     x = np.exp(np.outer(-times, rates)) * (right @ drift.coefficients.ravel())
     assert np.any((x != 0.0) & (np.abs(x) < tiny))
@@ -742,7 +742,7 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
         coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
-    rates, left, right = sp._drift_operator(manifold, 6).pencil()
+    rates, left, right = sp._operator(manifold, 6).pencil()
     assert left.dtype == right.dtype == float
     # the oracle's pencil in the real coefficients, whose complex layout is
     # basis @ a: the Gram matrices of real functions, e_k / sqrt(vol) each
@@ -774,7 +774,7 @@ def _exponential_drift_propagator(manifold, cutoff):
     lengths = manifold.lengths
     modes = np.arange(-cutoff, cutoff + 1)
     m = np.stack([axis.ravel() for axis in np.meshgrid(modes, modes, indexing="ij")])
-    w_hat = np.fft.fftn(sp._drift_operator(manifold, cutoff).weights)
+    w_hat = np.fft.fftn(sp._operator(manifold, cutoff).weights)
     mass = w_hat[tuple((m[:, :, np.newaxis] - m[:, np.newaxis, :]) % w_hat.shape[0])]
     size = m.shape[1]
     zero = size // 2
@@ -868,10 +868,10 @@ def test_drift_propagator_shared_across_fixture_rebuilds():
     # that each evolve looks the record up once
     fields = [fx.drift_fixture().initial for _ in range(3)]
     sp.evolve(fields[0], 0.5)
-    sp._drift_operator.cache_clear()
+    sp._operator.cache_clear()
     for field in fields:
         sp.evolve(field, 0.5)
-    info = sp._drift_operator.cache_info()
+    info = sp._operator.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
@@ -923,15 +923,15 @@ def test_modal_cache_is_bounded():
 # bound's constants) decompose no pencil; the first propagation does, once.
 def test_drift_weights_alone_build_no_pencil():
     fixture = fx.drift_fixture()
-    sp._drift_operator.cache_clear()
+    sp._operator.cache_clear()
     sp.mass(fixture.initial)
     bd.bound_table(fixture.manifold, fixture.initial, [0.1, 1.0])
-    operator = sp._drift_operator(fixture.manifold, fixture.initial.cutoff)
+    operator = sp._operator(fixture.manifold, fixture.initial.cutoff)
     assert operator.pencil.cache_info().currsize == 0
     sp.evolve(fixture.initial, 0.1)
     sp.entropy_trace(fixture.initial, [0.1, 0.2])
     assert operator.pencil.cache_info().misses == 1
-    assert sp._drift_operator(fixture.manifold, fixture.initial.cutoff) is operator
+    assert sp._operator(fixture.manifold, fixture.initial.cutoff) is operator
 
 
 # A warm drifted request re-derives nothing: a second trace and bound check
@@ -945,7 +945,7 @@ def test_warm_drift_request_misses_no_cache():
 
     caches = {f"{module.__name__}.{name}": value for module in (sp, bd)
               for name, value in vars(module).items() if hasattr(value, "cache_info")}
-    assert {"heatent.spectral._drift_operator", "heatent.spectral._modal_coordinates",
+    assert {"heatent.spectral._operator", "heatent.spectral._modal_coordinates",
             "heatent.spectral._cached_transform", "heatent.bounds._initial_constants"} <= set(caches)
     request(np.geomspace(0.02, 0.2, 5))
     before = {name: cache.cache_info() for name, cache in caches.items()}
@@ -953,7 +953,7 @@ def test_warm_drift_request_misses_no_cache():
     after = {name: cache.cache_info() for name, cache in caches.items()}
     assert {name: info.misses for name, info in after.items()} == \
            {name: info.misses for name, info in before.items()}
-    for name in ("_drift_operator", "_modal_coordinates"):
+    for name in ("_operator", "_modal_coordinates"):
         assert after[f"heatent.spectral.{name}"].hits > before[f"heatent.spectral.{name}"].hits
 
 
@@ -1158,7 +1158,7 @@ import numpy as np
 from heatent import fixtures as fx, spectral as sp
 
 field = fx.drift_fixture().initial
-table = sp._drift_operator(field.manifold, field.cutoff).pencil()[1].T
+table = sp._operator(field.manifold, field.cutoff).pencil()[1].T
 rng = np.random.default_rng(5)
 
 def random_rows(count):
@@ -1314,12 +1314,14 @@ def test_transforms_built_once_per_content_key():
             trace = sp.entropy_trace(fixture.initial, fixture.default_times)
             bd.check_bounds(trace, fixture.manifold, fixture.initial)
 
+    # a warm trace reads its transform from its operator record: the second
+    # use builds no transform and no record, and is served by the records
     use_every_fixture()
-    before = sp._cached_transform.cache_info()
+    before = [cache.cache_info() for cache in (sp._cached_transform, sp._operator)]
     use_every_fixture()
-    after = sp._cached_transform.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+    after = [cache.cache_info() for cache in (sp._cached_transform, sp._operator)]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert after[1].hits > before[1].hits
 
 
 def test_warm_drift_trace_calls_no_fft(monkeypatch):
@@ -1336,10 +1338,10 @@ def test_warm_drift_trace_calls_no_fft(monkeypatch):
 
     for name in ("irfftn", "ifftn", "irfft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    weight_misses = sp._drift_operator.cache_info().misses
+    weight_misses = sp._operator.cache_info().misses
     sp.entropy_trace(fixture.initial, times)
     assert calls == {}
-    assert sp._drift_operator.cache_info().misses == weight_misses
+    assert sp._operator.cache_info().misses == weight_misses
 
 
 @pytest.mark.parametrize("name", list(fx.FIXTURE_BUILDERS))
