@@ -232,7 +232,7 @@ def _columns(manifold: ManifoldSpec, initial: SpectralField,
     """(t as a float array, ``bound_table``'s columns as (name, floats) pairs),
     every check of ``bound_table`` made: the manifold, then the initial
     field's constants, then the times, once, then each formula's own."""
-    if manifold != initial.manifold:
+    if manifold is not initial.manifold and manifold != initial.manifold:
         raise ValueError("the manifold must be the initial field's")
     q0, inf_f, sup_f, norm_lap, lam1 = _initial_constants(initial)
     times, values = _times(t)

@@ -205,6 +205,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write output {out!r}: {exc}") from exc
 
 
+_FLOAT = np.dtype(float)
 # json's spellings of the floats that have no JSON number
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -223,8 +224,11 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     except on a JSON row holding a non-finite value, whose cells are spelled
     as json spells them (NaN, Infinity, -Infinity)."""
     names = list(columns) if fmt == "csv" else sorted(columns)
-    rows = list(zip(*[np.asarray(columns[name], dtype=float).tolist() for name in names
-                      if not isinstance(columns[name], float)]))
+    # a float array's own floats, anything else's through a float array
+    rows = list(zip(*[column.tolist() if getattr(column, "dtype", None) is _FLOAT
+                      else np.asarray(column, dtype=float).tolist()
+                      for column in map(columns.__getitem__, names)
+                      if not isinstance(column, float)]))
 
     def cells(spell, spec: str) -> list[str]:
         return [spell(columns[name]) if isinstance(columns[name], float) else spec

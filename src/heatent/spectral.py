@@ -513,7 +513,8 @@ def _require_positive(rows: np.ndarray, message: str) -> None:
     """Raise PositivityError, with ``message`` formatted by the row's
     minimum, for the first row of grid values at or below the floor, or
     with a NaN minimum; the rows' one minimum clears them all at once."""
-    if rows.min(initial=math.inf) > POSITIVITY_FLOOR:  # a NaN fails, an empty batch passes
+    # a NaN fails, an empty batch passes (the ufunc, unlike the method, calls no Python)
+    if np.minimum.reduce(rows, axis=None, initial=math.inf) > POSITIVITY_FLOOR:
         return
     minima = rows.min(axis=tuple(range(1, rows.ndim)))
     first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
