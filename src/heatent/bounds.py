@@ -5,11 +5,9 @@ against a closed-form right-hand side built from the curvature lower bound,
 the spectral gap, or the initial data's extrema.  Checks carry a small slack
 so quadrature and truncation noise cannot produce false violations of true
 inequalities.  Each right-hand side is elementwise in t: its float formula
-(libm's exp and expm1) at every time, the times checked once per call and
-once per table.  An initial field's constants, the spectral gap among them,
-are cached by its content; a table's columns and a report's verdicts are
-worked out in Python floats, which for a trace's few times cost less than
-array calls and round alike.
+(libm's exp and expm1) at every time, the times checked once per call.  An
+initial field's constants are cached by its content, and a report's verdicts
+are worked out in floats, which round as numpy does and cost less at few times.
 """
 
 from __future__ import annotations
@@ -33,6 +31,8 @@ from .spectral import (
 
 SLACK_ABSOLUTE = 1e-9
 SLACK_RELATIVE = 1e-6
+# the time checks of ``_elementwise``, each one C call per element, a NaN failing all
+_POSITIVE, _NONNEGATIVE, _FINITE = (0.0).__lt__, (0.0).__le__, math.inf.__gt__
 # Initial fields whose constants ``bound_table`` keeps; the CLI has four.
 _CONSTANTS_CACHE_SIZE = 16
 
@@ -53,45 +53,26 @@ class BoundReport:
         return bool(self.satisfied.all())
 
 
-def _make_report(name: str, times: np.ndarray, lhs: np.ndarray, rates: list[float],
-                 column: list[float]) -> BoundReport:
-    """The report of one column of right-hand sides against ``lhs``, whose
-    floats are ``rates``: each verdict and margin as numpy's elementwise
-    arithmetic rounds it, and the least margin NaN when any margin is."""
-    satisfied = [rate <= rhs + (SLACK_ABSOLUTE + SLACK_RELATIVE * abs(rhs))
-                 for rate, rhs in zip(rates, column)]
-    margins = [rhs - rate for rate, rhs in zip(rates, column)]
-    return BoundReport(name, times, lhs, _shaped(column, times), _shaped(satisfied, times),
+def _make_report(name: str, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> BoundReport:
+    """The report of ``rhs`` against ``lhs``; the least margin is NaN when any margin is."""
+    rates, column = lhs.ravel().tolist(), rhs.ravel().tolist()
+    satisfied = [rate <= value + (SLACK_ABSOLUTE + SLACK_RELATIVE * abs(value))
+                 for rate, value in zip(rates, column)]
+    margins = [value - rate for rate, value in zip(rates, column)]
+    return BoundReport(name, times, lhs, rhs, np.array(satisfied).reshape(rhs.shape),
                        math.nan if any(map(math.isnan, margins)) else min(margins))
 
 
-_POSITIVE, _NONNEGATIVE, _BELOW_INF = (0.0).__lt__, (0.0).__le__, math.inf.__gt__
-_TIMES_MESSAGE = "t must be positive and finite"
-
-
-def _times(t, lower=_POSITIVE, message: str = _TIMES_MESSAGE) -> tuple[np.ndarray, list[float]]:
-    """(t as a float array, the list of its elements), every element checked
-    by ``lower`` (0 < x by default) and x < inf, a NaN failing both;
-    ValueError with ``message`` otherwise."""
+def _elementwise(rhs, t, lower=_POSITIVE, message: str = "t must be positive and finite"):
+    """The float formula ``rhs`` at each time of t, every time checked first to pass ``lower``
+    and be finite (ValueError with ``message``): a float for a float t, else a
+    float array of t's shape, each element the float call's bits."""
     times = np.asarray(t, dtype=float)
     values = times.ravel().tolist()
-    if not (all(map(lower, values)) and all(map(_BELOW_INF, values))):
+    if not (all(map(lower, values)) and all(map(_FINITE, values))):
         raise ValueError(message)
-    return times, values
-
-
-def _shaped(column: list, times: np.ndarray):
-    """A column of floats (or verdicts) as an array of t's shape, or its one
-    float for a 0-d t."""
-    return np.array(column).reshape(times.shape) if times.ndim else column[0]
-
-
-def _elementwise(rhs, t, lower=_POSITIVE, message: str = _TIMES_MESSAGE):
-    """The float formula ``rhs`` at each time of t, every time checked first
-    as ``_times`` checks it: a float for a float t, else a float array of
-    t's shape, each element the float call's bits."""
-    times, values = _times(t, lower, message)
-    return _shaped(list(map(rhs, values)), times)
+    column = np.array([rhs(x) for x in values]).reshape(times.shape)
+    return column if times.ndim else float(column)
 
 
 def ricci_bound_rhs(n: int, k: float, q0: float, t):
@@ -102,11 +83,6 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t):
     either sign: as t grows it tends to -n k / 2 for k < 0 and to 0 for
     k > 0.
     """
-    return _elementwise(_ricci(n, k, q0), t)
-
-
-def _ricci(n: int, k: float, q0: float):
-    """``ricci_bound_rhs`` at one time, a function of t."""
     if q0 <= 0.0:
         raise ValueError("q0 must be positive")
 
@@ -120,7 +96,7 @@ def _ricci(n: int, k: float, q0: float):
             return 0.0
         return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))
 
-    return rhs
+    return _elementwise(rhs, t)
 
 
 def ricci_bound_asymptote(n: int, k: float) -> float:
@@ -137,15 +113,10 @@ def hamilton_bound_rhs(k: float, sup_f: float, t):
     volume-normalised measure, so it is >= 1 for unit-mass data and the
     logarithm is nonnegative.
     """
-    return _elementwise(_hamilton(k, sup_f), t)
-
-
-def _hamilton(k: float, sup_f: float):
-    """``hamilton_bound_rhs`` at one time, a function of t."""
     if sup_f <= 0.0:
         raise ValueError("sup_f must be positive")
     log_sup = math.log(sup_f)
-    return lambda t: (1.0 / t - k) * log_sup
+    return _elementwise(lambda t: (1.0 / t - k) * log_sup, t)
 
 
 def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
@@ -153,22 +124,14 @@ def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
     """Exponentially decaying bound from the spectral gap:
     (1/2) exp(-lambda1 t / 2) ||Lap f||_2 sqrt(vol) (|log inf f| + |log sup f|).
     """
-    return _elementwise(_spectral_gap(lambda1, norm_laplacian_f, vol, inf_f, sup_f), t,
-                        _NONNEGATIVE, _SPECTRAL_GAP_MESSAGE)
-
-
-_SPECTRAL_GAP_MESSAGE = "norm_laplacian_f must be nonnegative and t finite and nonnegative"
-
-
-def _spectral_gap(lambda1: float, norm_laplacian_f: float, vol: float, inf_f: float,
-                  sup_f: float):
-    """``spectral_gap_bound_rhs`` at one time, a function of t."""
     if lambda1 <= 0.0 or vol <= 0.0 or inf_f <= 0.0 or sup_f <= 0.0:
         raise ValueError("lambda1, vol and the extrema must be positive")
+    message = "norm_laplacian_f must be nonnegative and t finite and nonnegative"
     if norm_laplacian_f < 0.0:
-        raise ValueError(_SPECTRAL_GAP_MESSAGE)
+        raise ValueError(message)
     root_vol, logs = math.sqrt(vol), abs(math.log(inf_f)) + abs(math.log(sup_f))
-    return lambda t: 0.5 * math.exp(-0.5 * lambda1 * t) * norm_laplacian_f * root_vol * logs
+    return _elementwise(lambda t: 0.5 * math.exp(-0.5 * lambda1 * t) * norm_laplacian_f
+                        * root_vol * logs, t, _NONNEGATIVE, message)
 
 
 def euclidean_rate_reference(n: int, t: float) -> float:
@@ -181,11 +144,6 @@ def euclidean_rate_reference(n: int, t: float) -> float:
 def _drift_bound_rhs(k: float, q0: float, t):
     """Drift-curvature bound (1/2) e^{-k t} q0; math.inf once e^{-k t} passes
     double range, which is a true and trivially satisfied bound."""
-    return _elementwise(_drift(k, q0), t)
-
-
-def _drift(k: float, q0: float):
-    """``_drift_bound_rhs`` at one time, a function of t."""
 
     def rhs(t: float) -> float:
         try:
@@ -193,22 +151,15 @@ def _drift(k: float, q0: float):
         except OverflowError:
             return math.inf
 
-    return rhs
-
-
-def _flat(t: float) -> float:
-    """A q0 bound of a constant datum, 0 = 0 at every time."""
-    return 0.0
+    return _elementwise(rhs, t)
 
 
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _initial_constants(initial: SpectralField) -> tuple[float, float, float, float, float]:
-    """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per
-    content: its Fisher information, ``grid_extrema``, ``laplacian_l2_norm``
-    and its manifold's ``spectral_gap``."""
+    """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per content: its
+    Fisher information, ``grid_extrema``, ``laplacian_l2_norm`` and ``spectral_gap``."""
     _, q0 = entropy_and_fisher(initial)
-    return (q0, *grid_extrema(initial), laplacian_l2_norm(initial),
-            spectral_gap(initial.manifold))
+    return (q0, *grid_extrema(initial), laplacian_l2_norm(initial), spectral_gap(initial.manifold))
 
 
 def bound_table(manifold: ManifoldSpec, initial: SpectralField,
@@ -223,37 +174,33 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     field's constants (q0, grid extrema, Laplacian norm) are built once per
     content in a bounded cache, so a field changed in place gets fresh ones.
     """
-    times, columns = _columns(manifold, initial, times)
-    return {name: _shaped(column, times) for name, column in columns}
-
-
-def _columns(manifold: ManifoldSpec, initial: SpectralField,
-             t) -> tuple[np.ndarray, list[tuple[str, list[float]]]]:
-    """(t as a float array, ``bound_table``'s columns as (name, floats) pairs),
-    every check of ``bound_table`` made: the manifold, then the initial
-    field's constants, then the times, once, then each formula's own."""
     if manifold is not initial.manifold and manifold != initial.manifold:
         raise ValueError("the manifold must be the initial field's")
+    times = np.asarray(times, dtype=float)
     q0, inf_f, sup_f, norm_lap, lam1 = _initial_constants(initial)
-    times, values = _times(t)
     k = manifold.ricci_lower_bound
+    # constant datum: the q0 bounds degenerate to 0 = 0 (each formula checks its times)
+    flat = None if q0 > 0.0 else _elementwise(lambda t: 0.0, times)
+
     if manifold.drift is not None:
-        formulas = [("drift_curvature", _drift(k, q0) if q0 > 0.0 else _flat)]
-    else:
-        # The gradient estimate needs a nonpositive curvature parameter and the
-        # density taken against the volume-normalised measure (both restrictions
-        # are what make the stated bound true on manifolds of any volume).
-        formulas = [("ricci_curvature", _ricci(manifold.dimension, k, q0) if q0 > 0.0 else _flat),
-                    ("gradient_log_sup", _hamilton(min(k, 0.0), sup_f * manifold.volume)),
-                    ("spectral_gap", _spectral_gap(lam1, norm_lap, manifold.volume, inf_f,
-                                                   sup_f))]
-    return times, [(name, list(map(rhs, values))) for name, rhs in formulas]
+        return {"drift_curvature": _drift_bound_rhs(k, q0, times) if flat is None else flat}
+
+    # The gradient estimate needs a nonpositive curvature parameter and the
+    # density taken against the volume-normalised measure (both restrictions
+    # are what make the stated bound true on manifolds of any volume).
+    n = manifold.dimension
+    sup_rel = sup_f * manifold.volume
+    return {
+        "ricci_curvature": ricci_bound_rhs(n, k, q0, times) if flat is None else flat,
+        "gradient_log_sup": hamilton_bound_rhs(min(k, 0.0), sup_rel, times),
+        "spectral_gap": spectral_gap_bound_rhs(lam1, norm_lap, manifold.volume, inf_f, sup_f,
+                                               times),
+    }
 
 
 def check_bounds(trace: EntropyTrace, manifold: ManifoldSpec,
                  initial: SpectralField) -> list[BoundReport]:
     """Every column of ``bound_table``, checked along the trace."""
-    times, columns = _columns(manifold, initial, trace.times)
-    lhs = trace.rate_direct
-    rates = lhs.ravel().tolist()
-    return [_make_report(name, times, lhs, rates, column) for name, column in columns]
+    table = bound_table(manifold, initial, trace.times)
+    return [_make_report(name, trace.times, trace.rate_direct, rhs)
+            for name, rhs in table.items()]

@@ -71,8 +71,10 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit status 2."""
 
 
-# ``_table_parse``'s tables, built once: per subcommand (dest, kind, default) by option, defaults
-_FLAGS = {name: {option: (option[2:].replace("-", "_"), kind, default)
+# ``_table_parse``'s tables, built once: per subcommand (dest, convert, default) by option (a
+# type converts the text, a tuple of choices looks it up), and defaults
+_FLAGS = {name: {option: (option[2:].replace("-", "_"),
+                          kind if callable(kind) else {c: c for c in kind}.__getitem__, default)
                  for option, kind, default, _ in flags} for name, (_, flags) in _COMMANDS.items()}
 _DEFAULTS = {name: {"command": name, **{dest: default for dest, _, default in flags.values()}}
              for name, flags in _FLAGS.items()}
@@ -107,13 +109,12 @@ def _table_parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         flag = flags.get(option)
         if flag is None or text.startswith("-"):
             return None
-        dest, kind, _ = flag
-        try:  # a type converts the text; a tuple of choices must hold it
-            values[dest] = kind(text) if callable(kind) else kind[kind.index(text)]
-        except ValueError:
+        dest, convert, _ = flag
+        try:
+            values[dest] = convert(text)
+        except (KeyError, ValueError):  # not one of the choices, or not of the type
             return None
-    args = argparse.Namespace()
-    vars(args).update(values)
+    vars(args := argparse.Namespace()).update(values)  # __init__ would loop over them in Python
     return args
 
 
@@ -145,19 +146,12 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def _time_grid(args: argparse.Namespace, fixed: Optional[np.ndarray] = None) -> np.ndarray:
-    """The time grid of the four grid flags, ``_TIME_GRID`` filling in the
-    unset ones, or ``fixed``, when given, if none is set."""
-    start, stop, count, scale = args.t_start, args.t_stop, args.t_count, args.t_scale
-    if fixed is not None and start is stop is count is scale is None:
+    """The grid flags' time grid, ``_TIME_GRID`` filling unset ones; ``fixed`` if none is set."""
+    given = [args.t_start, args.t_stop, args.t_count, args.t_scale]
+    if fixed is not None and given == [None] * 4:
         return fixed
-    if start is None:
-        start = _TIME_GRID["t_start"]
-    if stop is None:
-        stop = _TIME_GRID["t_stop"]
-    if count is None:
-        count = _TIME_GRID["t_count"]
-    if scale is None:
-        scale = _TIME_GRID["t_scale"]
+    start, stop, count, scale = [default if value is None else value
+                                 for value, default in zip(given, _TIME_GRID.values())]
     # chained so that a NaN or infinite end fails too
     if not 0.0 < start <= stop < math.inf or count < 1:
         raise UsageError("need finite 0 < t-start <= t-stop and t-count >= 1")
@@ -205,7 +199,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write output {out!r}: {exc}") from exc
 
 
-_FLOAT = np.dtype(float)
 # json's spellings of the floats that have no JSON number
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -224,11 +217,8 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     except on a JSON row holding a non-finite value, whose cells are spelled
     as json spells them (NaN, Infinity, -Infinity)."""
     names = list(columns) if fmt == "csv" else sorted(columns)
-    # a float array's own floats, anything else's through a float array
-    rows = list(zip(*[column.tolist() if getattr(column, "dtype", None) is _FLOAT
-                      else np.asarray(column, dtype=float).tolist()
-                      for column in map(columns.__getitem__, names)
-                      if not isinstance(column, float)]))
+    rows = list(zip(*[np.asarray(columns[name], dtype=float).tolist() for name in names
+                      if not isinstance(columns[name], float)]))
 
     def cells(spell, spec: str) -> list[str]:
         return [spell(columns[name]) if isinstance(columns[name], float) else spec
@@ -236,7 +226,7 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
 
     if fmt == "csv":
         line = ",".join(cells(float.__repr__, "%r"))
-        return "\n".join([",".join(names), *(line % row for row in rows)]) + "\n"
+        return "\n".join([",".join(names), *map(line.__mod__, rows)]) + "\n"
     if not rows:
         return "[]\n"
     keys = [json.dumps(name).replace("%", "%%") for name in names]
@@ -346,7 +336,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
-        "evolve", [all(row) for row in zip(*[r.satisfied.tolist() for r in reports])],
+        "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]).tolist(),
         trace.times, lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
                                 for r in reports if not r.satisfied[i]])
 

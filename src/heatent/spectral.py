@@ -34,9 +34,10 @@ whole times, as many as fit in ``_CHUNK_POINTS`` grid values (counting each
 time's values, log buffer and gradient) but at least one, and reduced in
 place to entropy and Fisher information by row sums.  The t +- h rows feed
 the finite-difference rate through their entropy alone, so only the t rows
-take a gradient (one ``derivatives`` product) and a Fisher sum.  A drifted
-operator is one cached record per (manifold, cutoff), its measure weights
-exp(2V)/sum and its pencil; a field's modal coordinates are cached per content.
+take a gradient (one ``derivatives`` product) and a Fisher sum.  A trace
+looks up one cached operator record per (manifold, cutoff): its transform,
+measure weights (exp(2V)/sum when drifted) and pencil; a field's modal
+coordinates are cached per content, and fields hash by their bytes alone.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ _BLOCK_ROWS = 8
 # Fields per array program of a pointwise identity (``_blocks``): three hold six derivative
 # orders on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
 _BLOCK_FIELDS = 3
-# (manifold, cutoff) records of ``_operator``.  The benchmark's three workloads use 17; a
-# drifted record holds its pencil once built, 0.46 MB at c = 6.
-_OPERATOR_CACHE_SIZE = 32
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -101,9 +99,8 @@ class PropagatorError(ArithmeticError):
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A model closed manifold with its curvature lower bound and volume;
-    equal when every field is, the drift included.  The hash reads the kind,
-    the side lengths and the drift potential's coefficient bytes, on which
-    equal manifolds agree and which follow a potential changed in place."""
+    equal when every field is, the drift included, and hashed by its kind,
+    side lengths and drift potential's bytes, read at each call."""
 
     kind: str  # "circle" | "torus2" | "sphere2" | "torus2_drift"
     lengths: tuple[float, ...]
@@ -124,10 +121,10 @@ class SpectralField:
     eigenbasis (periodic: per axis, index j is the sin of |m| for m = j -
     cutoff < 0 and the cos for m > 0), one per eigenvalue; complex
     coefficients raise TypeError, and another shape or a cutoff that is not
-    a nonnegative integer ValueError; the coefficients are kept as a float
-    array.  A value: equality is bitwise over manifold, cutoff, shape and
-    coefficient bytes, and the hash reads the manifold, the cutoff and the
-    bytes, each at every call, so a field changed in place keys afresh."""
+    a nonnegative integer ValueError.  A value, kept as a float array:
+    equality is bitwise over manifold, cutoff, shape and coefficient bytes, the
+    hash reads the cutoff, the bytes and the drift potential's, each at every
+    call, so a field changed in place keys afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
@@ -152,7 +149,9 @@ class SpectralField:
         return isinstance(other, SpectralField) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.manifold, self.cutoff, self.coefficients.tobytes()))
+        potential = self.manifold.drift
+        return hash((self.cutoff, self.coefficients.tobytes(),
+                     None if potential is None else potential.coefficients.tobytes()))
 
 
 def circle(length: float = 1.0) -> ManifoldSpec:
@@ -486,13 +485,12 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
 
 def _propagate(field: SpectralField, times: np.ndarray, op: Optional[_Operator] = None):
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
-    leading axis, from the field's operator record ``op`` (looked up when not
-    given): A0 exp(-lambda t / 2) as an outer product, or on the drifted torus
+    leading axis, by the field's operator record ``op`` (looked up if None):
+    A0 exp(-lambda t / 2) as an outer product, or on the drifted torus
     (e^{-t rates} * right a0) left^T with a0 the flattened A0 (``right a0``
     cached), multiplied in fixed blocks of ``_BLOCK_ROWS`` rows against the
     C-contiguous left^T, so a row's bits do not depend on its batch."""
-    if op is None:
-        op = _operator(field.manifold, field.cutoff)
+    op = op or _operator(field.manifold, field.cutoff)
     c0 = field.coefficients
     if op.pencil is None:
         lam = op.transform.eigenvalues
@@ -512,35 +510,27 @@ def _propagate(field: SpectralField, times: np.ndarray, op: Optional[_Operator] 
 def _require_positive(rows: np.ndarray, message: str) -> None:
     """Raise PositivityError, with ``message`` formatted by the row's
     minimum, for the first row of grid values at or below the floor, or
-    with a NaN minimum; the rows' one minimum clears them all at once."""
-    # a NaN fails, an empty batch passes (the ufunc, unlike the method, calls no Python)
-    if np.minimum.reduce(rows, axis=None, initial=math.inf) > POSITIVITY_FLOOR:
+    with a NaN minimum; one minimum over all the rows clears them at once."""
+    if np.minimum.reduce(rows, axis=None, initial=math.inf) > POSITIVITY_FLOOR:  # NaN fails
         return
     minima = rows.min(axis=tuple(range(1, rows.ndim)))
     first = np.flatnonzero(~(minima > POSITIVITY_FLOOR))[0]
     raise PositivityError(message.format(float(minima[first])))
 
 
-class _Operator(NamedTuple):
-    """What a field's functionals and propagation read at one (manifold,
-    cutoff), besides the field: its transform, the measure weights on the
-    transform's grid, and on the drifted torus ``pencil()``, else None."""
-
-    transform: _Transform
-    weights: np.ndarray
-    pencil: Optional[Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]]
+_Operator = NamedTuple("_Operator", [("transform", _Transform), ("weights", np.ndarray),
+                                     ("pencil", Optional[Callable])])
 
 
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+@functools.lru_cache(maxsize=32)  # a benchmark workload uses 16; a drift record keeps its pencil
 def _operator(manifold: ManifoldSpec, cutoff: int) -> _Operator:
-    """The operator record at this field cutoff, shared by every field, trace
-    and CLI call on an equal manifold (a value), so a trace looks it up once.
-    Undrifted, the weights are the transform's volume weights.  Drifted, they
-    are w = exp(2V) dx / their total on the cutoff's grid, read-only, and
-    ``pencil()``, its ``_drift_pencil``, is built on first call, so w alone
-    builds none.
+    """What a field's functionals and propagation read at this cutoff besides
+    the field, shared by every field, trace and CLI call on an equal manifold
+    (a value): the transform, the weights w (the volume weights, or drifted
+    exp(2V) dx / their total on the cutoff's grid, read-only) and, drifted,
+    ``pencil()``, its ``_drift_pencil``, built on first call, so w alone builds none.
 
-    The drifted pencil reads the modes |j - k| <= 2c per axis of w's Fourier
+    The pencil reads the modes |j - k| <= 2c per axis of w's Fourier
     transform w^ (c the field cutoff); on this n >= max(32, 8c) grid each such
     mode is aliased only by modes at least n - 2c >= 24 away.  For V = a
     sin(2 pi x) cos(2 pi y) at the largest a that MASS_CONDITION_LIMIT
@@ -622,13 +612,6 @@ def _modal_coordinates(field: SpectralField) -> np.ndarray:
 # functionals
 
 
-def _measure_weights(manifold: ManifoldSpec, cutoff: int) -> np.ndarray:
-    """Quadrature weights of the reference measure on the evaluation grid of
-    this cutoff: the plain volume measure, or with a drift exp(2V) dx
-    normalised to unit total mass; the operator record's."""
-    return _operator(manifold, cutoff).weights
-
-
 def _row_functionals(op: _Operator, rows: np.ndarray, message: str,
                      every: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(entropy of each coefficient row of ``rows``, Fisher information of
@@ -697,11 +680,9 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
     if not (t and 0.0 < t[0] and t[-1] < math.inf
             and all(map(float.__lt__, t, t[1:]))):  # so every time is in range; NaN fails
         raise ValueError("times must be strictly increasing, positive and finite")
-    # The grid's and rate_fd's few scalars are Python floats, which round as
-    # numpy's elementwise arithmetic does.  Rows t, t + h, t - h of each time
-    # in turn, so that a loss of positivity is reported at the first time it
-    # occurs; the t +- h rows feed rate_fd through their entropy alone, so only
-    # the t rows take a Fisher sum.
+    # rows t, t + h, t - h of each time in turn (in floats, which round as numpy
+    # does), so that a loss of positivity is reported at the first time it
+    # occurs; the t +- h rows feed rate_fd through their entropy alone
     h = [_FD_STEP_SCALE * x for x in t]
     grid = np.array([row for x, dx in zip(t, h) for row in (x, x + dx, x - dx)])
     op = _operator(field.manifold, field.cutoff)

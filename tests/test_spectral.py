@@ -1209,7 +1209,7 @@ def test_trace_chunking_leaves_rows_unchanged(name, monkeypatch):
     monkeypatch.setattr(sp, "_CHUNK_POINTS", 10 ** 9)
     whole = sp.entropy_trace(fixture.initial, times)
     # a time's group: 3 rows of values, their log buffer, one gradient per axis
-    weights = sp._measure_weights(fixture.manifold, fixture.initial.cutoff)
+    weights = sp._operator(fixture.manifold, fixture.initial.cutoff).weights
     for points, chunks in ((1, [3] * 16), (3 * (6 + weights.ndim) * weights.size, [9] * 5 + [3])):
         monkeypatch.setattr(sp, "_CHUNK_POINTS", points)
         rows_per_chunk = chunk_rows(monkeypatch)

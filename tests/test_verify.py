@@ -26,6 +26,17 @@ def test_run_single_check():
     assert results["log_sandwich"].max_error == 0.0
 
 
+def test_hessian_trace_details_show_the_closest_approach():
+    # max_error floors the errors -slack/scale at 0; the details keep the
+    # least slack/scale of the group's 8 fields
+    gaps = sp.hessian_trace_gaps(fx.seeded_torus_fields(vf._RANDOM_SEED + 1, (True,) * 8))
+    closest = min(gaps[:, 0] / gaps[:, 1])
+    result = run_checks(only="hessian_trace")["hessian_trace"]
+    assert result.passed and result.max_error == 0.0 and closest > 0.0
+    assert result.details.endswith(f"; least slack/scale {closest:.3e}")
+    assert float(result.details.rsplit(" ", 1)[1]) == pytest.approx(closest, rel=1e-3)
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError, match=r"^unknown check 'nope'; choose from \["):
         run_checks(only="nope")
