@@ -166,10 +166,9 @@ def _time_grid(args: argparse.Namespace, fixed: Optional[np.ndarray] = None) -> 
         # the ends themselves put back
         grid = np.power(10.0, _spaced(*np.log10(np.array([start, stop])).tolist(), count))
         grid[0], grid[-1] = start, stop
-        values = grid.tolist()
     else:
-        values = _spaced(start, stop, count)
-        grid = np.array(values)
+        grid = np.array(_spaced(start, stop, count))
+    values = grid.tolist()
     # a grid too fine for its window repeats a time, as does t-start = t-stop
     if not all(map(operator.lt, values, values[1:])):
         raise UsageError(f"t-start {start!r}, t-stop {stop!r} and t-count {count} "
