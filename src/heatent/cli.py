@@ -238,16 +238,16 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _report_failures(command: str, ok: Sequence[bool], times: Sequence[float],
+def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
                      checks_at: Callable[[int], list[str]]) -> int:
     """Exit status 0 when every row is ok.  Otherwise 1, and one stderr line
     names the failing row count, the first failing t and the checks
     ``checks_at`` gives for its row index."""
-    failing = [i for i, good in enumerate(ok) if not good]
-    if not failing:
+    if ok.all():
         return 0
-    i = failing[0]
-    sys.stderr.write(f"{command}: {len(failing)} of {len(ok)} rows failed; first at "
+    failing = np.flatnonzero(~ok)
+    i = int(failing[0])
+    sys.stderr.write(f"{command}: {failing.size} of {ok.size} rows failed; first at "
                      f"t={float(times[i])!r}: {' and '.join(checks_at(i))}\n")
     return 1
 
@@ -319,7 +319,7 @@ def cmd_h3(args: argparse.Namespace) -> int:
             checks.append(f"band check (margin {sweep.band_margin[i]:.3e})")
         return checks
 
-    return _report_failures("h3", (sweep.envelope_ok & band_ok).tolist(), sweep.t, checks_at)
+    return _report_failures("h3", sweep.envelope_ok & band_ok, sweep.t, checks_at)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -335,9 +335,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit(_table_text(columns, args.format), args.out)
 
     return _report_failures(
-        "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]).tolist(),
-        trace.times, lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
-                                for r in reports if not r.satisfied[i]])
+        "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]), trace.times,
+        lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
+                   for r in reports if not r.satisfied[i]])
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
