@@ -121,10 +121,10 @@ class SpectralField:
     eigenbasis (periodic: per axis, index j is the sin of |m| for m = j -
     cutoff < 0 and the cos for m > 0), one per eigenvalue; complex
     coefficients raise TypeError, and another shape or a cutoff that is not
-    a nonnegative integer ValueError.  A value, kept as a float array:
-    equality is bitwise over manifold, cutoff, shape and coefficient bytes, the
-    hash reads the cutoff, the bytes and the drift potential's, each at every
-    call, so a field changed in place keys afresh."""
+    a nonnegative integer ValueError; the coefficients are kept as a float
+    array.  A value: equality is bitwise over manifold, cutoff, shape and
+    coefficient bytes, the hash reads the cutoff, the bytes and the drift
+    potential's, each at every call, so a field changed in place keys afresh."""
 
     manifold: ManifoldSpec
     coefficients: np.ndarray
@@ -483,7 +483,8 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
     return SpectralField(field.manifold, rows[0], field.cutoff)
 
 
-def _propagate(field: SpectralField, times: np.ndarray, op: Optional[_Operator] = None):
+def _propagate(field: SpectralField, times: np.ndarray,
+               op: Optional[_Operator] = None) -> np.ndarray:
     """Coefficients of exp(tL) field for each of ``times``, stacked on a
     leading axis, by the field's operator record ``op`` (looked up if None):
     A0 exp(-lambda t / 2) as an outer product, or on the drifted torus

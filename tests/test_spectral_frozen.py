@@ -3,7 +3,8 @@ of ``entropy_trace``'s columns, of every ``check_bounds`` report and of lone
 ``evolve`` coefficients, over the four fixtures and seeded random fields, and
 the sha256 of (exit status, stdout, stderr) of ``evolve`` and ``bounds`` on
 every manifold.  Every digest is computed in one child process at one BLAS
-thread, whose products round alike on every machine of one numpy build.
+thread, so no product's rounding depends on how the BLAS splits it between
+threads.
 
 The grids of 1, 2, 3, 8, 9 and 17 times are 3, 6, 9, 24, 27 and 51 trace
 rows: one, one, two, three, four and seven 8-row blocks of drifted
