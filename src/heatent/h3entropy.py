@@ -112,6 +112,9 @@ _GAUSS = np.exp(-0.5 * _NODES * _NODES)
 # From kappa^2 t = 100 on, r = kappa t + sqrt(t) s is positive at every node
 # (9.5^2 < 100) and the remainder R = closed - eta is integrated instead.
 _REMAINDER_FROM = 100.0
+# Least kappa^2 t of a requested time: below, eta and eta' lose digits around r = 0
+# (relative error vs 40-digit mpmath 1.9e-12 here, 4.5e-10 at 1e-13).
+_KAPPA2T_FLOOR = 1e-10
 # From here on e^{-2x} < 2^-57, a sixteenth of half an ulp of 1, so
 # -expm1(-2x) is exactly 1.0 and its log exactly 0.
 _UNIT_FROM = 20.0
@@ -477,8 +480,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     estimate |I_h - I_2h| exceeds max(RELATIVE_TOLERANCE |I_h|,
     ABSOLUTE_TOLERANCE) of ``quadrature``; then ValueError naming t where
     xi, xi' or 1/(2t^2) of a row leaves the double range, one naming kappa
-    and the row's time where a moment factor F_m overflows, and one naming t
-    where a closed part, envelope term or margin is not finite.
+    and the row's time where a moment factor F_m overflows, one naming t
+    where a closed part, envelope term or margin is not finite, and last the
+    first t whose kappa^2 t is below 1e-10.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n, k = grid.size, p.kappa
@@ -493,6 +497,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         k2t = k * k * ts
         if not np.isfinite(k2t).all():
             raise out_of_range(~np.isfinite(k2t), "kappa^2 t overflows")
+        resolved = k2t[:n].min(initial=math.inf) >= _KAPPA2T_FLOOR
         # eta at every row of ts, then eta' at the t rows
         remainder, fine, estimate = _trapezoid(p, ts, n)
         converged = estimate <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(fine),
@@ -550,7 +555,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         errors /= values
         bounds = closed.reshape(4, n)[::3, None] - terms  # the envelopes
         total += sum(map(np.add.reduce, (fine, closed, terms, margins, errors), (None,) * 5))
-        if not (math.isfinite(total) and converged.all() and scales.all()):
+        if not (math.isfinite(total) and converged.all() and scales.all() and resolved):
             if not np.isfinite(fine).all():
                 raise out_of_range(~np.isfinite(fine), "a node sum of eta or eta' overflows")
             if not converged.all():
@@ -568,6 +573,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             finite = np.isfinite(np.concatenate([closed, terms, margins, errors], axis=None))
             if not finite.all():  # in blocks of n rows
                 raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
+            if not resolved:
+                raise ValueError(f"t={float(grid[k * k * grid < _KAPPA2T_FLOOR][0])!r} puts "
+                                 "kappa^2 t below 1e-10, where eta and eta' lose digits")
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
                        *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
                        errors.reshape(4, n))

@@ -18,9 +18,9 @@ kind.  Each transform is built once per (builder, side lengths, cutoff, grid
 size) and shared from a bounded cache, so its arrays are read-only.  Each
 row of a batch is its own product, so values do not depend on the batch;
 drifted propagation multiplies rows in blocks of one fixed shape instead,
-which also keeps a row's bits independent of its batch.  The flat torus's
-pointwise identities run over blocks of fields, each block's derivative set
-one broadcast product and its one division r = 1/u; a lone call is a block of one.
+which also keeps a row's bits independent of its batch.  A pointwise identity
+returns one float row per case; the flat torus's two share one block driver,
+each block's derivatives one broadcast product and its one division r = 1/u.
 
 Nonlinear functionals (entropy, Fisher information) are evaluated on a grid
 oversampled 4x beyond the spectral cutoff, where either grid sum is a
@@ -75,8 +75,8 @@ _CHUNK_POINTS = 150_000
 # reads the propagator table once for the whole block, where per-row products
 # read it once per row.
 _BLOCK_ROWS = 8
-# Fields per array program of a pointwise identity (``_blocks``): three hold six derivative
-# orders on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
+# Fields per array program of ``_identity_rows``: three hold six derivative orders
+# on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
 _BLOCK_FIELDS = 3
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
@@ -698,13 +698,6 @@ def entropy_trace(field: SpectralField, times) -> EntropyTrace:
 # pointwise identities on the flat torus
 
 
-def _blocks(keys: Sequence) -> list[slice]:
-    """Slices of each run of equal consecutive keys, cut to ``_BLOCK_FIELDS``."""
-    ends = [i for i in range(1, len(keys) + 1) if i == len(keys) or keys[i] != keys[i - 1]]
-    return [slice(i, min(i + _BLOCK_FIELDS, end))
-            for start, end in zip([0, *ends], ends) for i in range(start, end, _BLOCK_FIELDS)]
-
-
 def _pointwise_terms(tr: _Transform, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     """(r = 1/u, ux, uy, Lap u, |grad u|^2, ux ux r, ux uy r, uy uy r,
     |Hess u - grad u (x) grad u r|^2) on the grid of each field u of ``coeffs``,
@@ -724,56 +717,38 @@ def _pointwise_terms(tr: _Transform, coeffs: np.ndarray) -> tuple[np.ndarray, ..
     return r, ux, uy, lap_u, g, xx, xy, yy, uxx
 
 
-@dataclass(frozen=True)
-class BochnerReport:
-    """Pointwise residual of the commutation identity, with its term scale."""
-
-    max_residual: float
-    term_scale: float
-
-    @property
-    def relative(self) -> float:
-        """max_residual / term_scale: NaN when either is NaN, and 0.0 for
-        an exact zero scale."""
-        if self.term_scale == 0.0:
-            return math.nan if math.isnan(self.max_residual) else 0.0
-        return self.max_residual / self.term_scale
-
-
-def bochner_residual(w: SpectralField,
-                     potential: Optional[SpectralField] = None) -> BochnerReport:
-    """Check, pointwise on the flat torus, that for u = w and Z = grad V
-
-        (L - d/dt)(|grad u|^2 / u)
-            = |Hess u - grad u (x) grad u / u|^2 / u
-              + (Ric(grad u, grad u) - 2 <D_{grad u} Z, grad u>) / u
-
-    with d/dt expanded through the evolution equation du/dt = Lu and Ric = 0:
-    the one-field case of ``bochner_residuals``.
-    """
-    return bochner_residuals([(w, potential)])[0]
+def _identity_rows(block: Callable, items: Sequence, keys: Sequence, what: str) -> np.ndarray:
+    """Rows (value, scale) of a pointwise identity, one per item: the two
+    columns ``block(items[run], *key)`` returns for each ``_BLOCK_FIELDS``
+    slice of a run of equal consecutive keys, each key (manifold, cutoffs)."""
+    if any(key[0].kind not in ("torus2", "torus2_drift") for key in keys):
+        raise ValueError(f"the {what} check runs on flat tori")
+    ends = [i for i in range(1, len(keys) + 1) if i == len(keys) or keys[i] != keys[i - 1]]
+    rows = np.empty((len(keys), 2))
+    for start, end in zip([0, *ends], ends):
+        for i in range(start, end, _BLOCK_FIELDS):
+            run = slice(i, min(i + _BLOCK_FIELDS, end))
+            rows[run, 0], rows[run, 1] = block(items[run], *keys[i])
+    return rows
 
 
-def bochner_residuals(pairs: Sequence[tuple]) -> list[BochnerReport]:
-    """``bochner_residual`` of each (field, potential) pair, one array program
-    per block of consecutive pairs sharing the field's manifold and cutoff and
-    the potential's cutoff; no potential and no drift is a zero potential of
-    the field's cutoff.  Derivatives are spectral, so a residual is roundoff
-    when the identity holds.  An explicit potential must live on its field's
-    manifold; the first field not strictly positive on its grid raises
-    PositivityError, and a NaN makes ``relative`` NaN, failing verify."""
-    for w, v in pairs:
-        if v is not None and v.manifold != w.manifold:
-            raise ValueError("the potential must live on the field's manifold")
-        if w.manifold.kind not in ("torus2", "torus2_drift"):
-            raise ValueError("the residual check runs on flat tori")
+def bochner_residuals(pairs: Sequence[tuple]) -> np.ndarray:
+    """Rows (largest residual over the grid, term scale >= 1e-300) of the
+    identity (L - d/dt)(|grad u|^2 / u) = (|Hess u - grad u (x) grad u / u|^2
+    + Ric(grad u, grad u) - 2 <D_{grad u} Z, grad u>) / u on the flat torus,
+    one per (field w, potential V) pair: u = w, Z = grad V, du/dt = Lu, Ric = 0.
+    A block is a run of pairs sharing the field's manifold and cutoff and the
+    potential's cutoff; no potential and no drift is a zero potential.  A
+    potential off its field's manifold raises ValueError, the first field not
+    strictly positive PositivityError; a NaN term makes the scale NaN."""
+    if any(v is not None and v.manifold != w.manifold for w, v in pairs):
+        raise ValueError("the potential must live on the field's manifold")
     pairs = [(w, w.manifold.drift if v is None else v) for w, v in pairs]
     keys = [(w.manifold, w.cutoff, w.cutoff if v is None else v.cutoff) for w, v in pairs]
-    return [report for block in _blocks(keys)
-            for report in _bochner_block(pairs[block], *keys[block.start])]
+    return _identity_rows(_bochner_block, pairs, keys, "residual")
 
 
-def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> list[BochnerReport]:
+def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> tuple[np.ndarray, ...]:
     """One block of ``bochner_residuals``, every array (field, grid point), around r = 1/u."""
     cutoff = max(w_cutoff, v_cutoff)
     n = _grid_size(2 * cutoff)
@@ -805,52 +780,32 @@ def _bochner_block(pairs, manifold, w_cutoff: int, v_cutoff: int) -> list[Bochne
     # np.max, unlike the builtin max, keeps a NaN term scale
     scale = np.max([np.abs(term).max((-2, -1)) for term in (half_lap_p, dt_p, hess, drift)],
                    axis=0, initial=1e-300)
-    return [BochnerReport(float(residual), float(s))  # per field, over its grid
-            for residual, s in zip(np.abs(residuals).max((-2, -1)), scale)]
-
-
-def hessian_trace_gap(w: SpectralField) -> tuple[float, float]:
-    """Pointwise slack of |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n:
-    the one-field case of ``hessian_trace_gaps``."""
-    return tuple(map(float, hessian_trace_gaps([w])[0]))
+    return np.abs(residuals).max((-2, -1)), scale  # per field, over its grid
 
 
 def hessian_trace_gaps(fields: Sequence[SpectralField]) -> np.ndarray:
-    """Rows (minimum slack over the grid, scale of the dominating side), one
-    array program per block of consecutive fields sharing a manifold and a
-    cutoff; the slack is nonnegative up to roundoff.  The first field not
-    strictly positive on its grid raises PositivityError; a NaN side makes
-    the slack and scale NaN, failing verify's ``hessian_trace`` group."""
-    if any(w.manifold.kind not in ("torus2", "torus2_drift") for w in fields):
-        raise ValueError("the trace inequality check runs on flat tori")
-    keys = [(w.manifold, w.cutoff) for w in fields]
-    gaps = np.empty((len(fields), 2))
-    for block in _blocks(keys):
-        manifold, cutoff = keys[block.start]
-        _, _, _, lap_u, _, xx, _, yy, lhs = _pointwise_terms(
-            _transform(manifold, cutoff), np.stack([w.coefficients for w in fields[block]]))
-        # u^2 |Lap log u|^2 / n, as u Lap log u = Lap u - |grad u|^2 r
-        rhs = (lap_u - xx - yy) ** 2 / manifold.dimension
-        gaps[block, 1] = np.maximum(np.maximum(lhs.max((-2, -1)), rhs.max((-2, -1))), 1e-300)
-        gaps[block, 0] = np.subtract(lhs, rhs, out=lhs).min((-2, -1))  # per field, over its grid
-        del _, lap_u, xx, yy, lhs, rhs  # freed before the next block's
-    return gaps
+    """Rows (least slack over the grid, scale of the larger side) of
+    |Hess w - grad w (x) grad w / w|^2 >= w^2 |Lap log w|^2 / n on the flat
+    torus, one per field w, a block being a run sharing a manifold and cutoff.
+    The first field not strictly positive raises PositivityError."""
+    return _identity_rows(_trace_gap_block, fields, [(w.manifold, w.cutoff) for w in fields],
+                          "trace inequality")
 
 
-def cauchy_step_values(field: SpectralField) -> tuple[float, float, float]:
-    """((integral of u lap log u)^2, integral of u (lap log u)^2, fisher).
-
-    Feeds the mean-square inequality and the integration-by-parts identity
-    integral u lap log u dx = -q used in the curvature-rate argument: the
-    t = 0 case of ``cauchy_step_trace``.
-    """
-    return tuple(map(float, cauchy_step_trace(field, [0.0])[0]))
+def _trace_gap_block(fields, manifold, cutoff: int) -> tuple[np.ndarray, ...]:
+    """One block of ``hessian_trace_gaps``, every array (field, grid point)."""
+    _, _, _, lap_u, _, xx, _, yy, lhs = _pointwise_terms(
+        _transform(manifold, cutoff), np.stack([w.coefficients for w in fields]))
+    # u^2 |Lap log u|^2 / n, as u Lap log u = Lap u - |grad u|^2 r
+    rhs = (lap_u - xx - yy) ** 2 / manifold.dimension
+    scale = np.maximum(np.maximum(lhs.max((-2, -1)), rhs.max((-2, -1))), 1e-300)
+    return np.subtract(lhs, rhs, out=lhs).min((-2, -1)), scale  # per field, over its grid
 
 
 def cauchy_step_trace(field: SpectralField, times) -> np.ndarray:
-    """Rows (mean_sq, second, fisher) of ``cauchy_step_values`` of exp(tL)
-    field, one per finite nonnegative time, all rows from one ``_propagate``
-    call and one array program; each sum is one pass over its row's grid."""
+    """Rows ((integral of u lap log u)^2, integral of u (lap log u)^2, fisher)
+    of u = exp(tL) field, one per finite nonnegative time, from one
+    ``_propagate`` call: the mean-square step and integral u lap log u = -fisher."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not ((0.0 <= times) & (times < math.inf)).all():
         raise ValueError("times must be a sequence of finite nonnegative numbers")

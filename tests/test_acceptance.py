@@ -143,12 +143,11 @@ def test_11_inequality_suite():
     torus = sp.torus2(1.0, 1.0)
     for _ in range(5):
         w = fx.random_positive_torus_field(rng, torus)
-        gap, scale = sp.hessian_trace_gap(w)
+        gap, scale = sp.hessian_trace_gaps([w])[0]
         if gap < -1e-12 * scale:
             violations += 1
     circle = fx.circle_fixture()
-    for t in (0.02, 0.2, 1.0):
-        mean_sq, second, _ = sp.cauchy_step_values(sp.evolve(circle.initial, t))
+    for mean_sq, second, _ in sp.cauchy_step_trace(circle.initial, (0.02, 0.2, 1.0)):
         if mean_sq > second * (1.0 + 1e-12):
             violations += 1
     for r in np.geomspace(1e-6, 1e3, 400):

@@ -446,12 +446,14 @@ def test_subnormal_time_grid_is_usage_error(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("t, status", [("1e-125", 2), ("1e-130", 2), ("1e-300", 2),
-                                       ("1e-120", 0)])
+                                       ("1e-120", 2)])
 def test_h3_refuses_times_past_double_range(t, status, capsys):
     assert cli.main(["h3", "--t-start", t, "--t-stop", t, "--t-count", "1"]) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert (f"error: t={float(t)!r} leaves the double range" in err) == (status == 2)
+    # the double range is checked first; 1e-120 is inside it, but below kappa^2 t = 1e-10
+    reason = "puts kappa^2 t below 1e-10" if t == "1e-120" else "leaves the double range"
+    assert f"error: t={float(t)!r} {reason}" in err
 
 
 @pytest.mark.parametrize("key", ["kappa"])

@@ -429,13 +429,16 @@ def test_eta_and_rate_against_mpmath():
 # Relative errors of eta and eta' allowed below kappa^2 t = 1, about twice
 # the largest measured against mpmath over kappa in {0.3, 1, 2.7}: the odd
 # part of r L(kappa |r|) cancels around r = 0, so digits go as kappa^2 t falls
-# (at kappa = 1: 6.3e-14 at 1e-8 and 1.1e-14 at 1e-4).
-SMALL_KAPPA2T_TOLERANCES = {1e-8: 2.5e-12, 1e-6: 2e-13, 1e-4: 2.5e-14, 1e-2: 3e-15}
+# (at kappa = 1: 7e-13 at 1e-10, 6.3e-14 at 1e-8 and 1.1e-14 at 1e-4; the
+# largest at 1e-10 is 1.9e-12, 40 digits, and below 1e-10 ``evaluate_records``
+# refuses the time).
+SMALL_KAPPA2T_TOLERANCES = {1e-10: 4e-12, 1e-8: 2.5e-12, 1e-6: 2e-13, 1e-4: 2.5e-14,
+                            1e-2: 3e-15}
 
 
 def test_eta_and_rate_below_kappa2t_1_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
+    with mp.workdps(40):
         for kappa in (0.3, 1.0, 2.7):
             p = h3.H3Params(kappa)
             for k2t, tolerance in SMALL_KAPPA2T_TOLERANCES.items():
@@ -451,6 +454,17 @@ def test_eta_and_rate_below_kappa2t_1_against_mpmath():
                 xi_prime = -(k * k * tt + 3) / (mp.sqrt(2 * mp.pi) * k * tt ** 2.5)
                 rate = 1.5 / tt + k * k + xi_prime * exact + xi * exact_prime
                 assert abs(rate_direct - rate) <= 1e-15 * rate, (kappa, k2t)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.7])
+def test_times_below_the_kappa2t_floor_are_refused(kappa):
+    # the first requested time below kappa^2 t = 1e-10 is named, whatever its place
+    p = h3.H3Params(kappa)
+    below = 1e-11 / kappa ** 2
+    for times in ([below], [1.0, below, 0.5 * below], [below, 1.0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"t={below!r} puts kappa^2 t below 1e-10, where eta and eta' lose digits")):
+            h3.evaluate_records(p, times)
 
 
 def test_closed_form_terms_against_mpmath():
@@ -550,7 +564,11 @@ def test_times_past_double_range_are_refused():
     for t in (1e-125, 1e-130, 1e-300):
         with pytest.raises(ValueError, match=f"t={t!r}"):
             h3.evaluate_records(P1, [1.0, t])
-    assert math.isfinite(h3.evaluate_records(P1, [1e-120]).rate_direct[0])
+    # t = 1e-120 is inside the double range: at kappa = 1 the kappa^2 t floor
+    # refuses it, and at kappa^2 t = 1e-10 it is finite
+    with pytest.raises(ValueError, match=r"^t=1e-120 puts kappa\^2 t below 1e-10"):
+        h3.evaluate_records(P1, [1e-120])
+    assert math.isfinite(h3.evaluate_records(h3.H3Params(1e55), [1e-120]).rate_direct[0])
 
 
 _DOUBLE_RANGE = "leaves the double range: "

@@ -26,8 +26,10 @@ NAN_ROWS = [
     # rate_direct at the second check time of the sphere fixture, the
     # third of circle, torus, sphere and torus-drift
     (sp, "entropy_trace", 2, ("rate_direct", 1), "rate_consistency"),
-    # the fourth random (field, drift) pair of the one batched call
-    (sp, "bochner_residuals", 0, (3, "max_residual"), "bochner_residual"),
+    # the residual, then the term scale, of the fourth random (field, drift)
+    # pair of the one batched call
+    (sp, "bochner_residuals", 0, (3, 0), "bochner_residual"),
+    (sp, "bochner_residuals", 0, (3, 1), "bochner_residual"),
     # the slack of the sixth random field of the one batched call
     (sp, "hessian_trace_gaps", 0, (5, 0), "hessian_trace"),
     # the Fisher information of the torus fixture (the second trace) at
@@ -75,8 +77,14 @@ def corrupt(monkeypatch):
     return install
 
 
-@pytest.mark.parametrize("module, name, call, path, group", NAN_ROWS,
-                         ids=[row[-1] for row in NAN_ROWS])
+def _row_ids(rows):
+    """A group's first row by the group's name, each further one by the name and its path."""
+    ids = [row[-1] for row in rows]
+    return [group if ids.index(group) == i else "-".join(map(str, (group, *path)))
+            for i, (*_, path, group) in enumerate(rows)]
+
+
+@pytest.mark.parametrize("module, name, call, path, group", NAN_ROWS, ids=_row_ids(NAN_ROWS))
 def test_a_nan_case_fails_its_group(corrupt, capsys, module, name, call, path, group):
     calls = corrupt(module, name, call, path)
     result = vf.run_checks(only=group)[group]

@@ -12,6 +12,7 @@ from conftest import run_python
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
+from heatent import verify as vf
 
 CIRCLE = sp.circle(1.0)
 TORUS = sp.torus2(1.0, 1.0)
@@ -1389,23 +1390,28 @@ def test_eigenvalues_are_built_once_read_only(manifold):
 # pointwise identities
 
 
+def _bochner_relative(field, potential=None):
+    """residual / scale of the one pair's row, as verify reads it."""
+    residual, scale = sp.bochner_residuals([(field, potential)])[0]
+    return residual / scale
+
+
 def test_bochner_constant_field():
     field = sp.project_initial(TORUS, lambda x, y: np.ones_like(x), 1)
-    report = sp.bochner_residual(field)
-    assert report.max_residual == pytest.approx(0.0, abs=1e-14)
+    residual, _ = sp.bochner_residuals([(field, None)])[0]
+    assert residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bochner_product_mode_no_drift():
     field = sp.project_initial(
         TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y), 2)
-    report = sp.bochner_residual(field)
-    assert report.relative <= 1e-8
+    assert _bochner_relative(field) <= 1e-8
 
 
 def test_bochner_with_cross_variable_drift():
     field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
     potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2.0 * np.pi * y), 2)
-    assert sp.bochner_residual(field, potential=potential).relative <= 1e-8
+    assert _bochner_relative(field, potential) <= 1e-8
 
 
 def test_bochner_drift_term_materially_nonzero():
@@ -1413,8 +1419,7 @@ def test_bochner_drift_term_materially_nonzero():
     # term Hess V(grad w, grad w) genuinely enters both sides
     field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
     potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2)
-    report = sp.bochner_residual(field, potential=potential)
-    assert report.relative <= 1e-8
+    assert _bochner_relative(field, potential) <= 1e-8
     tr = sp._transform(TORUS, 2, 32)
     (wx,) = tr.derivatives(field.coefficients, (0,))
     (vxx,) = tr.derivatives(potential.coefficients, (0, 0))
@@ -1426,7 +1431,7 @@ def test_bochner_random_fields():
     for trial in range(5):
         w = fx.random_positive_torus_field(rng, TORUS)
         potential = None if trial == 0 else fx.random_torus_potential(rng, TORUS)
-        assert sp.bochner_residual(w, potential=potential).relative <= 1e-8
+        assert _bochner_relative(w, potential) <= 1e-8
 
 
 @pytest.mark.parametrize("other", [sp.circle(1.0), sp.torus2(1.0, 2.0), sp.torus2(1.0, 1.5)],
@@ -1436,28 +1441,28 @@ def test_bochner_rejects_potential_from_another_manifold(other):
     potential = sp.project_potential(
         other, lambda x, *rest: 0.3 * np.sin(2.0 * np.pi * x), 2)
     with pytest.raises(ValueError, match="potential must live on"):
-        sp.bochner_residual(field, potential=potential)
+        sp.bochner_residuals([(field, potential)])
 
 
 def test_bochner_accepts_potential_on_an_equal_torus():
     field = _equal_torus_field(sp.torus2(1.0, 1.0))
-    shared, apart = (sp.bochner_residual(field, potential=sp.project_potential(
-                         torus, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2))
+    shared, apart = (sp.bochner_residuals([(field, sp.project_potential(
+                         torus, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2))]).tobytes()
                      for torus in (field.manifold, sp.torus2(1.0, 1.0)))
-    assert apart == shared  # bit for bit
+    assert apart == shared
 
 
 def test_bochner_rejects_other_manifolds():
     field = two_mode_circle()
     with pytest.raises(ValueError):
-        sp.bochner_residual(field)
+        sp.bochner_residuals([(field, None)])
 
 
 def test_hessian_trace_inequality_random_fields():
     rng = np.random.default_rng(5)
     for _ in range(6):
         w = fx.random_positive_torus_field(rng, TORUS)
-        gap, scale = sp.hessian_trace_gap(w)
+        gap, scale = sp.hessian_trace_gaps([w])[0]
         assert gap >= -1e-12 * scale
 
 
@@ -1481,7 +1486,7 @@ def _direct_defect_squared(u, ux, uy, uxx, uxy, uyy):
 
 
 def _direct_bochner(w, potential):
-    """(max residual, term scale) of ``bochner_residual`` in the direct form."""
+    """(max residual, term scale) of ``bochner_residuals`` in the direct form."""
     manifold, v = w.manifold, w.manifold.drift if potential is None else potential
     v_cutoff = w.cutoff if v is None else v.cutoff
     cutoff = max(w.cutoff, v_cutoff)
@@ -1510,7 +1515,7 @@ def _direct_bochner(w, potential):
 
 
 def _direct_trace_gap(w):
-    """(minimum slack, scale) of ``hessian_trace_gap`` in the direct form."""
+    """(minimum slack, scale) of ``hessian_trace_gaps`` in the direct form."""
     u, ux, uy, uxx, uxy, uyy = sp._transform(w.manifold, w.cutoff).derivatives(
         w.coefficients, *_ORDERS)
     lhs = _direct_defect_squared(u, ux, uy, uxx, uxy, uyy)
@@ -1539,19 +1544,19 @@ _ORACLE_CASES = dict(seed=st.integers(0, 2 ** 32 - 1), cutoff=st.integers(1, 4),
 @given(**_ORACLE_CASES)
 def test_bochner_residual_matches_the_direct_form(seed, cutoff, kind, v_cutoff):
     field, potential = _oracle_case(seed, cutoff, kind, v_cutoff)
-    report = sp.bochner_residual(field, potential)
+    got_residual, got_scale = sp.bochner_residuals([(field, potential)])[0]
     residual, scale = _direct_bochner(field, potential)
     eps = np.finfo(float).eps
-    assert abs(report.max_residual - residual) <= ORACLE_RESIDUAL_ULPS * eps * scale
-    assert abs(report.term_scale - scale) <= ORACLE_SCALE_RTOL * scale
-    assert report.relative <= 1e-8
+    assert abs(got_residual - residual) <= ORACLE_RESIDUAL_ULPS * eps * scale
+    assert abs(got_scale - scale) <= ORACLE_SCALE_RTOL * scale
+    assert got_residual / got_scale <= 1e-8
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(**_ORACLE_CASES)
 def test_hessian_trace_gap_matches_the_direct_form(seed, cutoff, kind, v_cutoff):
     field, _ = _oracle_case(seed, cutoff, kind, v_cutoff)
-    gap, scale = sp.hessian_trace_gap(field)
+    gap, scale = sp.hessian_trace_gaps([field])[0]
     direct_gap, direct_scale = _direct_trace_gap(field)
     eps = np.finfo(float).eps
     assert abs(gap - direct_gap) <= ORACLE_GAP_ULPS * eps * direct_scale
@@ -1563,9 +1568,9 @@ def test_identities_refuse_a_sign_changing_field():
     # without the guard they return finite numbers that read as passing
     field = sp.project_potential(TORUS, lambda x, y: 0.2 + np.cos(2.0 * np.pi * x), 2)
     with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
-        sp.hessian_trace_gap(field)
+        sp.hessian_trace_gaps([field])
     with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
-        sp.bochner_residual(field)
+        sp.bochner_residuals([(field, None)])
 
 
 def _block_sizes():
@@ -1591,12 +1596,12 @@ def test_batched_bochner_residuals_equal_lone_calls(count):
               lambda: (field(), None)]
     changing = [makers[i % 3]() for i in range(count)]
     for pairs in (mixed, changing):
-        reports = sp.bochner_residuals(pairs)
-        assert len(reports) == count
-        for (w, potential), report in zip(pairs, reports):
-            assert report == sp.bochner_residual(w, potential)
-            assert report.relative <= 1e-8
-    assert sp.bochner_residuals([]) == []
+        rows = sp.bochner_residuals(pairs)
+        assert rows.shape == (count, 2)
+        for pair, row in zip(pairs, rows):
+            assert row.tobytes() == sp.bochner_residuals([pair]).tobytes()
+            assert row[0] / row[1] <= 1e-8
+    assert sp.bochner_residuals([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("count", _block_sizes())
@@ -1606,38 +1611,39 @@ def test_batched_hessian_trace_gaps_equal_lone_calls(count):
     gaps = sp.hessian_trace_gaps(fields)
     assert gaps.shape == (count, 2)
     for field, row in zip(fields, gaps):
-        assert tuple(row) == sp.hessian_trace_gap(field)
+        assert row.tobytes() == sp.hessian_trace_gaps([field]).tobytes()
     assert sp.hessian_trace_gaps([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("name", ["circle", "torus", "sphere"])
 @pytest.mark.parametrize("count", _block_sizes())
 def test_cauchy_step_trace_equals_lone_calls(name, count):
-    # every row of one propagation against evolve and the lone call
+    # every row of one propagation against evolve and a call at t = 0
     field = fx.get_fixture(name).initial
     times = np.linspace(0.0, 1.0, count)
     rows = sp.cauchy_step_trace(field, times)
     assert rows.shape == (count, 3)
     for t, row in zip(times, rows):
-        assert tuple(row) == sp.cauchy_step_values(sp.evolve(field, t))
+        assert row.tobytes() == sp.cauchy_step_trace(sp.evolve(field, t), [0.0]).tobytes()
 
 
 def test_a_batch_refuses_its_non_positive_field_in_the_lone_words():
     good = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
     bad = sp.project_potential(TORUS, lambda x, y: 0.3 + np.cos(2.0 * np.pi * y), 2)
     fields = [good, bad, good, good]
-    for lone, batched in ((sp.hessian_trace_gap, lambda: sp.hessian_trace_gaps(fields)),
-                          (sp.bochner_residual,
+    for lone, batched in ((lambda w: sp.hessian_trace_gaps([w]),
+                           lambda: sp.hessian_trace_gaps(fields)),
+                          (lambda w: sp.bochner_residuals([(w, None)]),
                            lambda: sp.bochner_residuals([(w, None) for w in fields]))):
         with pytest.raises(sp.PositivityError) as want:
             lone(bad)
         with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -7\.000e-01$"):
             batched()
         assert str(want.value) == "resolved field has minimum -7.000e-01"
-    # at t = 0 the sign-changing circle field is refused, as a lone call refuses it
+    # at t = 0 the sign-changing circle field is refused, as a grid of t = 0 alone refuses it
     field = sp.project_potential(CIRCLE, lambda x: 0.2 + np.cos(2.0 * np.pi * x), 2)
     with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
-        sp.cauchy_step_values(field)
+        sp.cauchy_step_trace(field, [0.0])
     with pytest.raises(sp.PositivityError, match=r"^resolved field has minimum -8\.000e-01$"):
         sp.cauchy_step_trace(field, [1.0, 0.0, 2.0])
 
@@ -1654,11 +1660,10 @@ def test_a_batch_keeps_the_lone_refusals():
     with pytest.raises(ValueError, match="^the trace inequality check runs on flat tori$"):
         sp.hessian_trace_gaps([good, circle])
     drifted = fx.get_fixture("torus-drift").initial
-    for call in (lambda: sp.cauchy_step_values(drifted),
-                 lambda: sp.cauchy_step_trace(drifted, [0.1, 0.2])):
+    for times in ([0.0], [0.1, 0.2]):
         with pytest.raises(ValueError, match="^cauchy step values are defined for the plain "
                                              "volume measure$"):
-            call()
+            sp.cauchy_step_trace(drifted, times)
     for times in ([-1.0], [math.inf], [[0.1]]):
         with pytest.raises(ValueError, match="^times must be a sequence of finite nonnegative"):
             sp.cauchy_step_trace(good, times)
@@ -1666,9 +1671,11 @@ def test_a_batch_keeps_the_lone_refusals():
 
 @pytest.mark.parametrize("residual, scale, relative", [
     (1.0, math.nan, math.nan), (math.nan, 1.0, math.nan), (math.nan, 0.0, math.nan),
-    (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 4.0, 0.25)])
-def test_bochner_relative_keeps_a_nan(residual, scale, relative):
-    assert sp.BochnerReport(residual, scale).relative == pytest.approx(relative, nan_ok=True)
+    (1.0, 4.0, 0.25)])
+def test_bochner_relative_keeps_a_nan(monkeypatch, residual, scale, relative):
+    # verify's group divides each row's residual by its scale
+    monkeypatch.setattr(sp, "bochner_residuals", lambda pairs: np.array([[residual, scale]]))
+    assert vf.check_bochner().max_error == pytest.approx(relative, nan_ok=True)
 
 
 def test_bochner_term_scale_keeps_a_nan():
@@ -1676,16 +1683,14 @@ def test_bochner_term_scale_keeps_a_nan():
     field = sp.project_initial(TORUS, lambda x, y: 2.0 + np.cos(2.0 * np.pi * x), 2)
     potential = sp.project_potential(TORUS, lambda x, y: 0.3 * np.sin(2.0 * np.pi * x), 2)
     potential.coefficients[2, 3] = math.nan
-    report = sp.bochner_residual(field, potential=potential)
-    assert math.isnan(report.term_scale)
-    assert math.isnan(report.relative)
+    residual, scale = sp.bochner_residuals([(field, potential)])[0]
+    assert math.isnan(scale)
+    assert math.isnan(residual / scale)
 
 
 def test_cauchy_step_and_integration_by_parts():
     field = two_mode_circle()
-    for t in (0.02, 0.2):
-        evolved = sp.evolve(field, t)
-        mean_sq, second, fisher = sp.cauchy_step_values(evolved)
+    for mean_sq, second, fisher in sp.cauchy_step_trace(field, (0.02, 0.2)):
         assert mean_sq <= second * (1.0 + 1e-12)
         assert math.sqrt(mean_sq) == pytest.approx(fisher, rel=1e-10)
 
