@@ -574,8 +574,8 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             if not finite.all():  # in blocks of n rows
                 raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
             if not resolved:
-                raise ValueError(f"t={float(grid[k * k * grid < _KAPPA2T_FLOOR][0])!r} puts "
-                                 "kappa^2 t below 1e-10, where eta and eta' lose digits")
+                raise ValueError(f"t={float(grid[k * k * grid < _KAPPA2T_FLOOR][0])!r} puts kappa^2"
+                                 f" t below {_KAPPA2T_FLOOR!r}, where eta and eta' lose digits")
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
                        *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
                        errors.reshape(4, n))
