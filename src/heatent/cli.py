@@ -163,27 +163,17 @@ def _time_grid(args: argparse.Namespace, fixed: Optional[np.ndarray] = None) -> 
         return np.array([start])
     if scale == "log":
         # np.geomspace's arithmetic: 10 ** linspace of the log10 ends, with
-        # the ends themselves put back
-        grid = np.power(10.0, _spaced(*np.log10(np.array([start, stop])).tolist(), count))
+        # the ends themselves put back (the ends as floats, which np.linspace
+        # takes about 2.5 us faster than numpy scalars)
+        grid = np.power(10.0, np.linspace(*np.log10([start, stop]).tolist(), count))
         grid[0], grid[-1] = start, stop
     else:
-        grid = np.array(_spaced(start, stop, count))
+        grid = np.linspace(start, stop, count)
     values = grid.tolist()
     # a grid too fine for its window repeats a time, as does t-start = t-stop
     if not all(map(operator.lt, values, values[1:])):
         raise UsageError(f"t-start {start!r}, t-stop {stop!r} and t-count {count} "
                          "give a time grid that is not strictly increasing")
-    return grid
-
-
-def _spaced(start: float, stop: float, count: int) -> list[float]:
-    """np.linspace(start, stop, count), count >= 2, by its own arithmetic in
-    floats: i (stop - start) / (count - 1) + start, then stop itself last.
-    (Where that step underflows to 0 numpy takes another order, but then
-    both grids repeat a time, which ``_time_grid`` refuses.)"""
-    step = (stop - start) / (count - 1)
-    grid = [i * step + start for i in range(count - 1)]
-    grid.append(stop)
     return grid
 
 
@@ -343,9 +333,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(args.manifold)
     times = _time_grid(args)
-    n = fixture.manifold.dimension
+    # bd.euclidean_rate_reference over the grid, which _time_grid has checked
     columns = {"t": times, **bd.bound_table(fixture.manifold, fixture.initial, times),
-               "euclidean_reference": [bd.euclidean_rate_reference(n, t) for t in times]}
+               "euclidean_reference": fixture.manifold.dimension / (2.0 * times)}
     _emit(_table_text(columns, args.format), args.out)
     return 0
 

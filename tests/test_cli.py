@@ -573,6 +573,39 @@ def test_warm_identity_checks_allocate_within_the_direct_forms_peaks():
         assert peak <= bounds[group], (group, peak)
 
 
+# tracemalloc peak of a warm request of each command, in bytes: 1.25 times
+# the peak each read when its bound was set, the 0.57 and 2.31 MB of h3 among
+# them (README's layer table states each)
+COMMAND_PEAKS = {
+    "h3": 715_000, "h3 --t-count 2000": 2_892_000, "verify": 884_000,
+    "evolve --manifold circle": 28_800, "evolve --manifold torus": 751_000,
+    "evolve --manifold sphere": 61_700, "evolve --manifold torus-drift": 874_000,
+    "bounds --manifold circle": 21_500, "bounds --manifold torus": 21_300,
+    "bounds --manifold sphere": 21_700, "bounds --manifold torus-drift": 15_700,
+}
+
+
+def test_warm_commands_allocate_within_their_peaks():
+    # the third of three calls of each command, in one process
+    code = ("import contextlib, os, sys, tracemalloc; from heatent import cli\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    for command in sys.argv[1:]:\n"
+            "        argv = command.split()\n"
+            "        for _ in range(2): cli.main(argv)\n"
+            "        tracemalloc.start()\n"
+            "        assert cli.main(argv) == 0\n"
+            "        peak = tracemalloc.get_traced_memory()[1]\n"
+            "        tracemalloc.stop()\n"
+            "        print(command, peak, sep=',', file=sys.stderr)\n")
+    proc = run_python("-c", code, *COMMAND_PEAKS)
+    assert proc.returncode == 0, proc.stderr
+    peaks = {command: int(peak) for command, peak in
+             (line.split(",") for line in proc.stderr.splitlines())}
+    assert sorted(peaks) == sorted(COMMAND_PEAKS)
+    for command, peak in peaks.items():
+        assert peak <= COMMAND_PEAKS[command], (command, peak)
+
+
 def test_h3_kappa2t_overflow_is_usage_error(capsys):
     # refused by name before any integral, in process and in a fresh one
     argv = ["h3", "--kappa", "1e200", "--t-count", "2"]

@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_scaled_moment
+from heatent import bounds as bd
 from heatent import h3entropy as h3
 from heatent import specfun
 from heatent.quadrature import QuadratureConvergenceError, integrate_batch
@@ -288,6 +291,54 @@ def test_band_values():
 def test_flat_reference_rate():
     rate = h3.evaluate_records(h3.H3Params(0.01), [1.0]).rate_direct[0]
     assert abs(rate - 1.5) / 1.5 <= 0.01
+
+
+# kappa^2 t from the 1e-10 floor to 1e12, ten rows a decade
+RICCI_K2T = np.logspace(-10.0, 12.0, 221)
+
+
+@functools.cache
+def ricci_rows(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, rate_direct, rhs) on RICCI_K2T: rhs the paper's Ricci estimate on H^3
+    at q0 = inf (a heat kernel's Fisher information starts infinite), n = 3 and
+    K = Ric = -2 kappa^2, that is 3 kappa^2 / (1 - exp(-2 kappa^2 t))."""
+    k2 = kappa * kappa
+    t = RICCI_K2T / k2
+    rhs = bd.ricci_bound_rhs(3, -2.0 * k2, math.inf, t)
+    return t, h3.evaluate_records(h3.H3Params(kappa), t).rate_direct, rhs
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.7])
+def test_h3_rates_lie_below_the_ricci_estimate(kappa):
+    # CD(-2 kappa^2, 3) bounds the rate at every t; the worst excess measured
+    # is 2.2e-16 relative, at kappa^2 t between 1e-10 and 1e-9, where the two
+    # sides agree to rounding
+    t, rate, rhs = ricci_rows(kappa)
+    assert (rate <= rhs * (1.0 + 8.0 * sys.float_info.epsilon)).all()
+    # as kappa^2 t grows rhs tends to 3 kappa^2 and the rate to 2 kappa^2:
+    # the gap is a third of rhs less about 1/(6 kappa^2 t)
+    far = RICCI_K2T >= 100.0
+    short = 1.0 / 3.0 - (rhs - rate)[far] / rhs[far]
+    assert (short > 0.0).all() and (short * RICCI_K2T[far] <= 0.2).all()
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.7])
+def test_ricci_gap_is_a_third_of_kappa4t_at_small_kappa2t(kappa):
+    # rhs = 3/(2t) + 3 kappa^2/2 + kappa^4 t/2 + ... and the rate's series has
+    # kappa^4 t/6 there, so (rhs - rate)/(kappa^4 t) = 1/3 + O(kappa^2 t).  The
+    # bound is a kappa^2 t + b 1.5 eps/(kappa^2 t)^2, the second term the
+    # rounding of a rate near 3/(2t) divided by kappa^4 t; a and b are twice
+    # the worst read over kappa in {0.3, 1, 2.7} (0.0555 from kappa^2 t = 1e-3
+    # on, 1.32 up to 1e-5) until the rate's series (ROADMAP item 17) derives
+    # the kappa^2 t coefficient.  A rate error of 1e-9 relative moves the
+    # ratio by about 1.5e-9/(kappa^2 t)^2, 0.15 at kappa^2 t = 1e-4.
+    a, b = 0.111, 2.65
+    t, rate, rhs = ricci_rows(kappa)
+    near = (RICCI_K2T >= 1e-6) & (RICCI_K2T <= 1e-2)
+    k2t = RICCI_K2T[near]
+    ratio = (rhs - rate)[near] / (kappa ** 4 * t[near])
+    bound = a * k2t + b * 1.5 * sys.float_info.epsilon / k2t ** 2
+    assert (abs(ratio - 1.0 / 3.0) <= bound).all(), (ratio - 1.0 / 3.0) / bound
 
 
 def test_record_consistency():
