@@ -551,26 +551,34 @@ def test_warm_identity_checks_hardly_fault():
         assert float(count) < 10.0, (group, count)
 
 
-def test_warm_identity_checks_allocate_within_the_direct_forms_peaks():
-    # tracemalloc peak of a warm request of each identity group, in bytes: the
-    # direct-form arithmetic these groups replaced read 0.80, 0.40 and 0.18 MB
-    bounds = {"bochner_residual": 800_000, "hessian_trace": 400_000, "cauchy_step": 180_000}
+def warm_peaks(commands: list[str]) -> dict[str, int]:
+    """The tracemalloc peak in bytes of a call of each command (an argv
+    joined by spaces) after three warm-up calls, all in one child process."""
     code = ("import contextlib, os, sys, tracemalloc; from heatent import cli\n"
             "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
-            "    for group in sys.argv[1:]:\n"
-            "        argv = ['verify', '--only', group]\n"
+            "    for command in sys.argv[1:]:\n"
+            "        argv = command.split()\n"
             "        for _ in range(3): cli.main(argv)\n"
             "        tracemalloc.start()\n"
             "        assert cli.main(argv) == 0\n"
             "        peak = tracemalloc.get_traced_memory()[1]\n"
             "        tracemalloc.stop()\n"
-            "        print(group, peak, file=sys.stderr)\n")
-    proc = run_python("-c", code, *bounds)
+            "        print(command, peak, sep=',', file=sys.stderr)\n")
+    proc = run_python("-c", code, *commands)
     assert proc.returncode == 0, proc.stderr
-    peaks = {group: int(peak) for group, peak in map(str.split, proc.stderr.splitlines())}
-    assert sorted(peaks) == sorted(bounds)
-    for group, peak in peaks.items():
-        assert peak <= bounds[group], (group, peak)
+    peaks = {command: int(peak) for command, peak in
+             (line.split(",") for line in proc.stderr.splitlines())}
+    assert sorted(peaks) == sorted(commands)
+    return peaks
+
+
+def test_warm_identity_checks_allocate_within_the_direct_forms_peaks():
+    # tracemalloc peak of a warm request of each identity group, in bytes: the
+    # direct-form arithmetic these groups replaced read 0.80, 0.40 and 0.18 MB
+    bounds = {"bochner_residual": 800_000, "hessian_trace": 400_000, "cauchy_step": 180_000}
+    peaks = warm_peaks([f"verify --only {group}" for group in bounds])
+    for group, bound in bounds.items():
+        assert peaks[f"verify --only {group}"] <= bound, (group, peaks)
 
 
 # tracemalloc peak of a warm request of each command, in bytes: 1.25 times
@@ -586,23 +594,7 @@ COMMAND_PEAKS = {
 
 
 def test_warm_commands_allocate_within_their_peaks():
-    # the third of three calls of each command, in one process
-    code = ("import contextlib, os, sys, tracemalloc; from heatent import cli\n"
-            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
-            "    for command in sys.argv[1:]:\n"
-            "        argv = command.split()\n"
-            "        for _ in range(2): cli.main(argv)\n"
-            "        tracemalloc.start()\n"
-            "        assert cli.main(argv) == 0\n"
-            "        peak = tracemalloc.get_traced_memory()[1]\n"
-            "        tracemalloc.stop()\n"
-            "        print(command, peak, sep=',', file=sys.stderr)\n")
-    proc = run_python("-c", code, *COMMAND_PEAKS)
-    assert proc.returncode == 0, proc.stderr
-    peaks = {command: int(peak) for command, peak in
-             (line.split(",") for line in proc.stderr.splitlines())}
-    assert sorted(peaks) == sorted(COMMAND_PEAKS)
-    for command, peak in peaks.items():
+    for command, peak in warm_peaks(list(COMMAND_PEAKS)).items():
         assert peak <= COMMAND_PEAKS[command], (command, peak)
 
 
