@@ -75,23 +75,32 @@ def _elementwise(rhs, t, lower=_POSITIVE, message: str = "t must be positive and
     return column if times.ndim else float(column)
 
 
-def ricci_bound_rhs(n: int, k: float, q0: float, t):
-    """Entropy-rate bound from a Ricci lower bound k and initial Fisher q0.
+def ricci_bound_rhs(n: float, k: float, q0: float, t):
+    """Entropy-rate bound under CD(k, n) from initial Fisher information q0,
+    the one curvature-dimension formula for every geometry and datum.
 
-    The k = 0 branch is n q0 / (2 (n + q0 t)); the k != 0 branch is written
-    with expm1 so it is cancellation-free as k -> 0 and overflow-free for
-    either sign: as t grows it tends to -n k / 2 for k < 0 and to 0 for
-    k > 0.
+    The k = 0 branch is n q0 / (2 (n + q0 t)), and n / (2 t), the flat
+    kernel's rate, at q0 = inf; the k != 0 branch is written with expm1 so it
+    is cancellation-free as k -> 0 and overflow-free for either sign: as t
+    grows it tends to -n k / 2 for k < 0 and to 0 for k > 0.  n = inf is the
+    CD(k, inf) bound (1/2) e^{-k t} q0, math.inf once e^{-k t} passes double
+    range, which is a true and trivially satisfied bound (n = q0 = inf
+    bounds nothing: inf, or NaN where e^{-k t} underflows).
     """
     if q0 <= 0.0:
         raise ValueError("q0 must be positive")
 
     def rhs(t: float) -> float:
         kt = k * t
+        if n == math.inf:
+            try:
+                return 0.5 * math.exp(-kt) * q0
+            except OverflowError:
+                return math.inf
         # A subnormal k t keeps too few bits for the expm1 ratio below; the
         # k = 0 formula is exact to double precision there.
         if abs(kt) < sys.float_info.min:
-            return n * q0 / (2.0 * (n + q0 * t))
+            return n / (2.0 * t) if q0 == math.inf else n * q0 / (2.0 * (n + q0 * t))
         if kt > 700.0:
             return 0.0
         return 0.5 / (math.exp(kt) / q0 + math.expm1(kt) / (n * k))
@@ -99,8 +108,9 @@ def ricci_bound_rhs(n: int, k: float, q0: float, t):
     return _elementwise(rhs, t)
 
 
-def ricci_bound_asymptote(n: int, k: float) -> float:
-    """Large-time limit of ricci_bound_rhs: -n k / 2 for k < 0, else 0."""
+def ricci_bound_asymptote(n: float, k: float) -> float:
+    """Large-time limit of ricci_bound_rhs: -n k / 2 for k < 0 (inf at n = inf),
+    else 0, bar n = inf at k = 0, whose rhs stays q0 / 2."""
     if k < 0.0:
         return -n * k / 2.0
     return 0.0
@@ -134,26 +144,6 @@ def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
                         * root_vol * logs, t, _NONNEGATIVE, message)
 
 
-def euclidean_rate_reference(n: int, t: float) -> float:
-    """Exact entropy rate of the flat-space kernel, n/(2t); the rigidity benchmark."""
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    return n / (2.0 * t)
-
-
-def _drift_bound_rhs(k: float, q0: float, t):
-    """Drift-curvature bound (1/2) e^{-k t} q0; math.inf once e^{-k t} passes
-    double range, which is a true and trivially satisfied bound."""
-
-    def rhs(t: float) -> float:
-        try:
-            return 0.5 * math.exp(-k * t) * q0
-        except OverflowError:
-            return math.inf
-
-    return _elementwise(rhs, t)
-
-
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _initial_constants(initial: SpectralField) -> tuple[float, float, float, float, float]:
     """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per content: its
@@ -182,8 +172,9 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
     # constant datum: the q0 bounds degenerate to 0 = 0 (each formula checks its times)
     flat = None if q0 > 0.0 else _elementwise(lambda t: 0.0, times)
 
-    if manifold.drift is not None:
-        return {"drift_curvature": _drift_bound_rhs(k, q0, times) if flat is None else flat}
+    if manifold.drift is not None:  # the CD(k, inf) bound
+        return {"drift_curvature":
+                ricci_bound_rhs(math.inf, k, q0, times) if flat is None else flat}
 
     # The gradient estimate needs a nonpositive curvature parameter and the
     # density taken against the volume-normalised measure (both restrictions

@@ -333,7 +333,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(args.manifold)
     times = _time_grid(args)
-    # bd.euclidean_rate_reference over the grid, which _time_grid has checked
+    # bd.ricci_bound_rhs(n, 0.0, math.inf, t) over the grid, which _time_grid has checked
     columns = {"t": times, **bd.bound_table(fixture.manifold, fixture.initial, times),
                "euclidean_reference": fixture.manifold.dimension / (2.0 * times)}
     _emit(_table_text(columns, args.format), args.out)

@@ -230,9 +230,10 @@ def check_log_sandwich() -> CheckResult:
 
 
 def check_euclidean_limit() -> CheckResult:
-    """Small-curvature entropy rate reproduces the flat-space value n/(2t)."""
+    """Small-curvature entropy rate reproduces the flat-space value n/(2t), the
+    Ricci estimate at K = 0 and q0 = inf."""
     rate = float(h3.evaluate_records(h3.H3Params(0.01), [1.0]).rate_direct[0])
-    reference = bd.euclidean_rate_reference(3, 1.0)
+    reference = bd.ricci_bound_rhs(3, 0.0, math.inf, 1.0)
     return _result(abs(rate - reference) / reference, 0.01,
                    f"rate at kappa = 0.01, t = 1 is {rate:.6f} vs flat {reference}")
 

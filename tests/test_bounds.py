@@ -68,6 +68,7 @@ def test_asymptote_values():
     assert bd.ricci_bound_asymptote(3, -1.0) == 1.5
     assert bd.ricci_bound_asymptote(2, 1.0) == 0.0
     assert bd.ricci_bound_asymptote(2, 0.0) == 0.0
+    assert bd.ricci_bound_asymptote(math.inf, -1.0) == math.inf
 
 
 def test_asymptote_matches_large_time_limit():
@@ -96,11 +97,27 @@ def test_spectral_gap_rhs_circle_decay():
         at_zero * math.exp(-0.5 * lam1 * t), rel=1e-14)
 
 
-def test_euclidean_reference():
-    assert bd.euclidean_rate_reference(3, 1.0) == 1.5
-    assert bd.euclidean_rate_reference(3, 10.0) == pytest.approx(0.15)
+def test_ricci_rhs_flat_kernel_limit():
+    # K = 0 and q0 = inf: the Euclidean kernel's rate n / (2 t), bit for bit,
+    # also where k t is subnormal but not zero (it read NaN, inf / inf, before)
+    assert bd.ricci_bound_rhs(3, 0.0, math.inf, 1.0) == 1.5
+    for n, k, t in ((3, 0.0, 10.0), (3, 5e-324, 1.0), (2, 1e-310, 3.0), (1, -2.5e-309, 0.7),
+                    (3, 1e-300, 1e-10)):
+        assert abs(k * t) < sys.float_info.min
+        assert bd.ricci_bound_rhs(n, k, math.inf, t) == n / (2.0 * t), (n, k, t)
     with pytest.raises(ValueError):
-        bd.euclidean_rate_reference(3, 0.0)
+        bd.ricci_bound_rhs(3, 0.0, math.inf, 0.0)
+
+
+def test_ricci_rhs_infinite_dimension_is_the_drift_bound():
+    # n = inf: the CD(k, inf) bound (1/2) e^{-k t} q0, bit for bit, and inf
+    # once e^{-k t} passes double range
+    for k, q0, t in ((-7.9, 2.5, 0.3), (-1.0, 3.0, 709.0), (1.0, 3.0, 2.0), (0.0, 5.0, 4.0),
+                     (5e-324, 1.5, 1.0), (2.0, 0.7, 400.0)):
+        assert bd.ricci_bound_rhs(math.inf, k, q0, t) == 0.5 * math.exp(-k * t) * q0, (k, q0, t)
+    assert bd.ricci_bound_rhs(math.inf, -1.0, 3.0, 710.0) == math.inf
+    assert bd.ricci_bound_rhs(math.inf, -1.0, 3.0, np.array([709.0, 1e3])).tolist() == [
+        0.5 * math.exp(709.0) * 3.0, math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +209,7 @@ def test_three_curvature_regimes():
     circle = fx.circle_fixture()
     trace = sp.entropy_trace(circle.initial, [0.05, 0.1, 0.2])
     for t, rate in zip(trace.times, trace.rate_direct):
-        assert rate <= bd.euclidean_rate_reference(1, t)
+        assert rate <= bd.ricci_bound_rhs(1, 0.0, math.inf, t)
 
     # positive curvature: exponential decay, tested via the sphere report
     sphere = fx.sphere_fixture()
@@ -207,6 +224,56 @@ def test_report_rates_nonnegative():
         fixture = builder()
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
         assert np.all(trace.rate_direct >= -1e-15), fixture.name
+
+
+# ---------------------------------------------------------------------------
+# the paper's Ricci estimate on the drifted torus: CD(rho_N, N) for every N > 2
+
+_DIMENSIONS = (3.0, 4.0, 6.0, 10.0, 30.0)
+
+
+def _rho(potential, n, grid_points=256):
+    """rho_N, least over a grid_points^2 grid of the least eigenvalue of
+    -2 Hess V - 4 grad V (x) grad V / (N - 2): by Bakry & Qian (Rev. Mat.
+    Iberoam. 16, 2000), with W = 2 V on the flat 2-torus, 1/2 Lap + grad V . grad
+    satisfies CD(rho_N, N)."""
+    tr = sp._transform(potential.manifold, potential.cutoff, grid_points)
+    vx, vy, vxx, vxy, vyy = tr.derivatives(potential.coefficients, (0,), (1,), (0, 0), (0, 1),
+                                           (1, 1))
+    c = 4.0 / (n - 2.0)
+    a, b, d = -2.0 * vxx - c * vx * vx, -2.0 * vxy - c * vx * vy, -2.0 * vyy - c * vy * vy
+    return float((0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)).min())
+
+
+def _seeded_drift_field(seed):
+    """A cutoff-2 potential of sup 0.15 and a cutoff-3 datum from one seeded
+    generator, the datum re-wrapped on the drifted torus at unit mass."""
+    rng = np.random.default_rng(seed)
+    potential = fx.random_torus_potential(rng, sp.torus2(1.0, 1.0), cutoff=2, amplitude=0.15)
+    datum = fx.random_positive_torus_field(rng, sp.torus2(1.0, 1.0), cutoff=3)
+    raw = sp.SpectralField(sp.torus2_drift(potential), datum.coefficients, datum.cutoff)
+    return sp.SpectralField(raw.manifold, raw.coefficients / sp.mass(raw), raw.cutoff)
+
+
+@pytest.mark.parametrize("case", ["fixture", *range(1000, 1012)])
+def test_drifted_rates_obey_every_curvature_dimension_bound(case):
+    # rho_N = -7.8957 on the fixture for every N (V'' peaks where V' = 0);
+    # least relative margin 0.381 there and 0.521 on the seeded fields, on a
+    # 256^2 grid as on a 512^2 one.  The N = inf member is the drift_curvature
+    # column, whose k the potential's own grid gives.
+    if case == "fixture":
+        field, times = fx.drift_fixture().initial, np.geomspace(0.01, 14.0, 40)
+    else:
+        field, times = _seeded_drift_field(case), np.geomspace(0.005, 3.0, 30)
+    manifold = field.manifold
+    rates = sp.entropy_trace(field, times).rate_direct
+    _, q0 = sp.entropy_and_fisher(field)
+    for n in _DIMENSIONS:
+        assert np.all(rates <= bd.ricci_bound_rhs(n, _rho(manifold.drift, n), q0, times)), n
+    limit = bd.ricci_bound_rhs(math.inf, manifold.ricci_lower_bound, q0, times)
+    assert np.all(rates <= limit)
+    column = bd.bound_table(manifold, field, times)["drift_curvature"]
+    assert limit.tobytes() == column.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +336,7 @@ def _ricci_reference(n, k, q0, t):
 
 
 def _drift_reference(k, q0, t):
-    """Reference: the drift bound at one float time."""
+    """Reference: the CD(k, inf) (drift) bound at one float time."""
     try:
         return 0.5 * math.exp(-k * t) * q0
     except OverflowError:
@@ -288,7 +355,10 @@ def _formulas(n, k, q0, sup_f):
         "spectral_gap": (lambda t: bd.spectral_gap_bound_rhs(lambda1, norm, vol, inf_f, sup_f, t),
                          lambda t: (0.5 * math.exp(-0.5 * lambda1 * t) * norm * math.sqrt(vol)
                                     * log_term)),
-        "drift": (lambda t: bd._drift_bound_rhs(k, q0, t), lambda t: _drift_reference(k, q0, t)),
+        "drift": (lambda t: bd.ricci_bound_rhs(math.inf, k, q0, t),
+                  lambda t: _drift_reference(k, q0, t)),
+        "flat_kernel": (lambda t: bd.ricci_bound_rhs(n, 0.0, math.inf, t),
+                        lambda t: n / (2.0 * t)),
     }
 
 
@@ -310,7 +380,7 @@ _TIMES = st.lists(st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e3),
 def test_bound_formulas_on_arrays_have_the_bits_of_float_calls(n, k, q0, sup_f, times):
     t = np.array(times)
     for name, (formula, reference) in _formulas(n, k, q0, sup_f).items():
-        if name == "ricci" and q0 <= 0.0:
+        if name in ("ricci", "drift") and q0 <= 0.0:
             for argument in (t, times[0]):
                 with pytest.raises(ValueError, match="q0"):
                     formula(argument)
@@ -340,8 +410,8 @@ def test_rhs_functions_refuse_non_finite_times(t):
                 lambda: bd.ricci_bound_rhs(2, 0.0, 1.0, t),
                 lambda: bd.hamilton_bound_rhs(0.0, 2.0, t),
                 lambda: bd.spectral_gap_bound_rhs(1.0, 1.0, 1.0, 0.5, 2.0, t),
-                lambda: bd._drift_bound_rhs(-1.0, 1.0, t),
-                lambda: bd.euclidean_rate_reference(2, t)):
+                lambda: bd.ricci_bound_rhs(math.inf, -1.0, 1.0, t),
+                lambda: bd.ricci_bound_rhs(2, 0.0, math.inf, t)):
         with pytest.raises(ValueError, match="finite"):
             rhs()
 
