@@ -23,8 +23,7 @@ from .spectral import (
     EntropyTrace,
     ManifoldSpec,
     SpectralField,
-    entropy_and_fisher,
-    grid_extrema,
+    fisher_and_extrema,
     laplacian_l2_norm,
     spectral_gap,
 )
@@ -147,9 +146,9 @@ def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _initial_constants(initial: SpectralField) -> tuple[float, float, float, float, float]:
     """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per content: its
-    Fisher information, ``grid_extrema``, ``laplacian_l2_norm`` and ``spectral_gap``."""
-    _, q0 = entropy_and_fisher(initial)
-    return (q0, *grid_extrema(initial), laplacian_l2_norm(initial), spectral_gap(initial.manifold))
+    ``fisher_and_extrema``, ``laplacian_l2_norm`` and ``spectral_gap``."""
+    return (*fisher_and_extrema(initial), laplacian_l2_norm(initial),
+            spectral_gap(initial.manifold))
 
 
 def bound_table(manifold: ManifoldSpec, initial: SpectralField,

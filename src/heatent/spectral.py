@@ -32,7 +32,8 @@ discretised.  An entropy trace is one array program: the rows of every time
 it needs (t and t +- h) are evolved together, synthesised in chunks of
 whole times, as many as fit in ``_CHUNK_POINTS`` grid values (counting each
 time's values, log buffer and gradient) but at least one, and reduced in
-place to entropy and Fisher information by row sums.  The t +- h rows feed
+place to entropy and Fisher information by row sums, every chunk in one flat
+buffer that each thread keeps between calls.  The t +- h rows feed
 the finite-difference rate through their entropy alone, so only the t rows
 take a gradient (one ``derivatives`` product) and a Fisher sum.  A trace
 looks up one cached operator record per (manifold, cutoff): its transform,
@@ -46,6 +47,7 @@ import functools
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -68,8 +70,8 @@ _TRANSFORM_CACHE_SIZE = 64
 # the n = 48 (c = 6) torus, drifted or not, a trace's group (3 rows, 2
 # components) is 18,432 values, so a chunk holds 8 times, a whole
 # drift-evolve window; on the c = 2 torus (n = 32) it is 8,192, so 18 times.
-# tracemalloc peaks: an 8-time drift trace 0.92 MB, a 16-time c = 6 torus
-# trace (two chunks) 0.97 MB.
+# Warm tracemalloc peaks, which exclude the kept chunk buffer: an 8-time drift
+# trace 154 kB, a 16-time c = 6 torus trace (two chunks) 199 kB.
 _CHUNK_POINTS = 150_000
 # Rows per BLAS call of drifted propagation (``_block_products``): each call
 # reads the propagator table once for the whole block, where per-row products
@@ -78,6 +80,8 @@ _BLOCK_ROWS = 8
 # Fields per array program of ``_identity_rows``: three hold six derivative orders
 # on the 32-point grid in 147 kB; four (196 kB) took ~200 minor faults per verify request.
 _BLOCK_FIELDS = 3
+# Per thread, the chunk buffer ``_chunk_buffer`` keeps between calls.
+_per_thread = threading.local()
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -232,17 +236,18 @@ class _Transform:
     def points(self) -> Sequence[np.ndarray]:
         return np.meshgrid(*self.axes, indexing="ij")
 
-    def synth(self, coeffs: np.ndarray, order: tuple[int, ...] = ()) -> np.ndarray:
+    def synth(self, coeffs: np.ndarray, order: tuple[int, ...] = (),
+              out: Optional[np.ndarray] = None) -> np.ndarray:
         """Grid values of each field's derivative along the axes of ``order``
-        (() for the field itself); axes of ``coeffs`` before the mode axes
-        are batch axes.  Each field is its own product on contiguous operands
-        (matmul skips BLAS on strided ones), so its values are the same alone
-        or in any batch."""
+        (() for the field itself), written into ``out`` if given; axes of
+        ``coeffs`` before the mode axes are batch axes.  Each field is its own
+        product on contiguous operands (matmul skips BLAS on strided ones), so
+        its values are the same alone or in any batch."""
         a = np.ascontiguousarray(coeffs, dtype=float)
         last = self.last[order.count(len(self.axes) - 1)]
         if len(self.axes) == 1:
-            return _row_products(a, last)
-        return self.first[order.count(0)] @ (a @ last)
+            return _row_products(a, last, out)
+        return np.matmul(self.first[order.count(0)], a @ last, out=out)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of each field of grid values; axes of ``values``
@@ -254,22 +259,38 @@ class _Transform:
         coeffs[(..., *self.constant)] += shift[(...,) + (0,) * dims] * math.sqrt(self.volume)
         return coeffs
 
-    def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...]) -> np.ndarray:
-        """``synth`` of each order, stacked on a leading axis; on two axes one
-        broadcast product, per field and order of ``synth``'s shapes and bits."""
+    def derivatives(self, coeffs: np.ndarray, *orders: tuple[int, ...],
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``synth`` of each order, stacked on a leading axis (in ``out`` if
+        given); on two axes one broadcast product, per field and order of
+        ``synth``'s shapes and bits."""
         if len(self.axes) == 1:
-            return np.stack([self.synth(coeffs, order) for order in orders])
+            return np.stack([self.synth(coeffs, order) for order in orders], out=out)
         a = np.ascontiguousarray(coeffs, dtype=float)
         lead = (len(orders),) + (1,) * (a.ndim - 2)  # broadcast over the batch axes
         first, last = _order_tables(self, orders)
-        return first.reshape(lead + first.shape[1:]) @ (a @ last.reshape(lead + last.shape[1:]))
+        return np.matmul(first.reshape(lead + first.shape[1:]),
+                         a @ last.reshape(lead + last.shape[1:]), out=out)
 
-    def values_and_gradients(self, rows: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
+    def values_and_gradients(self, rows: np.ndarray, every: int,
+                             out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """(u of each coefficient row, |grad u|^2 of every ``every``-th row, from
-        one ``derivatives`` call) on the grid; the other rows take no gradient."""
-        grad = self.derivatives(rows[::every], *_GRADIENT[:len(self.axes)])
-        grad *= grad  # squared in place, then summed over the axes
-        return self.synth(rows), np.add.reduce(grad)
+        one ``derivatives`` call) on the grid; the other rows take no gradient.
+        Both are views of the flat float buffer ``out`` (a new one if None),
+        which needs a grid of values per row and per grid axis of each
+        gradient row: u first, then the gradient components."""
+        firsts, dims, grid = rows[::every], len(self.axes), self.weights.shape
+        values = len(rows) * self.weights.size
+        end = values + dims * len(firsts) * self.weights.size
+        out = np.empty(end) if out is None else out
+        u = self.synth(rows, out=out[:values].reshape((len(rows), *grid)))
+        grad = self.derivatives(firsts, *_GRADIENT[:dims],
+                                out=out[values:end].reshape((dims, len(firsts), *grid)))
+        grad *= grad  # squared in place, then summed over the axes into the first
+        total = grad[0]
+        for component in grad[1:]:
+            total += component
+        return u, total
 
 
 @functools.lru_cache(maxsize=_TRANSFORM_CACHE_SIZE)
@@ -354,11 +375,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _row_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``rows @ table`` by one vector-matrix product per row, whose rounding,
-    unlike one matrix-matrix product's over a batch of any size, does not
-    depend on the other rows."""
-    return (rows[..., np.newaxis, :] @ table)[..., 0, :]
+def _row_products(rows: np.ndarray, table: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``rows @ table`` (into ``out`` if given) by one vector-matrix product
+    per row, whose rounding, unlike one matrix-matrix product's over a batch
+    of any size, does not depend on the other rows."""
+    products = np.matmul(rows[..., np.newaxis, :], table,
+                         out=None if out is None else out[..., np.newaxis, :])
+    return products[..., 0, :]
 
 
 def _block_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -623,29 +647,47 @@ def _row_functionals(op: _Operator, rows: np.ndarray, message: str,
     many groups as fit in ``_CHUNK_POINTS`` grid values but at least one.  A
     group counts its rows' values, their log buffer and one gradient
     component per grid axis of its first row, which bounds what a chunk
-    holds at once; a chunk's arrays, worked in place, are freed before the
-    next is built.  Each row's sum is one dot product with the weights, as a
-    lone field's is, so chunking moves no bit.  The first row whose resolved
-    field is not strictly positive raises PositivityError with ``message``.
+    holds at once; every chunk is worked in place in views of one flat
+    buffer, this thread's kept one (``_chunk_buffer``).  Each row's sum is
+    one dot product with the weights, as a lone field's is, so chunking
+    moves no bit.  The first row whose resolved field is not strictly
+    positive raises PositivityError with ``message``.
     """
     tr, w = op.transform, op.weights
     step = every * max(1, _CHUNK_POINTS // ((2 * every + w.ndim) * w.size))
+    most = min(step, len(rows))  # the rows of the largest chunk, the first
+    # u, then the larger of the gradients and the log buffer that replaces them
+    buffer = _chunk_buffer((most + max(most, w.ndim * -(-most // every))) * w.size)
     w = w.reshape(-1, 1)
     entropy, fisher = [], []  # per chunk
     for start in range(0, len(rows), step):
-        u, grad2 = tr.values_and_gradients(rows[start:start + step], every)
+        chunk = rows[start:start + step]
+        values = len(chunk) * w.size
+        u, grad2 = tr.values_and_gradients(chunk, every, buffer)
         u, grad2 = u.reshape(len(u), -1), grad2.reshape(len(grad2), -1)
         _require_positive(u, message)
         grad2 /= u[::every]
         fisher.append(_row_products(grad2, w)[:, 0])
-        del grad2  # freed before the log buffer is built
-        u_log_u = np.log(u)
+        u_log_u = np.log(u, out=buffer[values:2 * values].reshape(u.shape))
         u_log_u *= u
         entropy.append(_row_products(u_log_u, w)[:, 0])
-        del u, u_log_u
     if len(entropy) == 1:
         return -entropy[0], fisher[0]
     return -np.concatenate(entropy), np.concatenate(fisher)
+
+
+def _chunk_buffer(size: int) -> np.ndarray:
+    """A flat float buffer of at least ``size`` values for ``_row_functionals``:
+    this thread's kept one, replaced by a larger one when a chunk needs more.
+    A buffer within ``_CHUNK_POINTS`` is kept between calls, so warm traces
+    allocate no grid-sized array (freed ones glibc trims from the heap top
+    and the next trace faults back in); a larger one serves its call alone."""
+    buffer = getattr(_per_thread, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        if size <= _CHUNK_POINTS:
+            _per_thread.buffer = buffer
+    return buffer
 
 
 def entropy_and_fisher(field: SpectralField) -> tuple[float, float]:
@@ -841,6 +883,25 @@ def grid_extrema(field: SpectralField) -> tuple[float, float]:
     makes |log sup f| in the spectral-gap bound larger, so that bound comes
     out looser.
     """
-    tr, c = _transform(field.manifold, field.cutoff), field.coefficients
-    u = [tr.synth(c), *(c @ table for table in tr.off_grid)]
+    tr = _transform(field.manifold, field.cutoff)
+    return _extrema(tr, field.coefficients, tr.synth(field.coefficients))
+
+
+def _extrema(tr: _Transform, c: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a field's grid values ``u`` and its values at ``tr``'s
+    points off the grid, from its coefficients ``c``."""
+    u = [u, *(c @ table for table in tr.off_grid)]
     return min(float(s.min()) for s in u), max(float(s.max()) for s in u)
+
+
+def fisher_and_extrema(field: SpectralField) -> tuple[float, float, float]:
+    """(Fisher information, *``grid_extrema``) of a strictly positive
+    resolved field, with the bits of ``entropy_and_fisher``'s Fisher
+    information and of ``grid_extrema``, from one synthesis and no entropy."""
+    op = _operator(field.manifold, field.cutoff)
+    rows = field.coefficients[np.newaxis]
+    u, grad2 = op.transform.values_and_gradients(rows, 1)
+    _require_positive(u, _RESOLVED_MINIMUM)
+    grad2 /= u
+    fisher = _row_products(grad2.reshape(1, -1), op.weights.reshape(-1, 1))[0, 0]
+    return (float(fisher), *_extrema(op.transform, field.coefficients, u[0]))

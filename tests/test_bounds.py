@@ -280,6 +280,46 @@ def test_drifted_rates_obey_every_curvature_dimension_bound(case):
 # the initial field's constants, built once per content
 
 
+def seeded_sphere_field(seed: int) -> sp.SpectralField:
+    # 1 + small zonal modes of degree up to cutoff // 2, positive on the sphere
+    rng = np.random.default_rng(seed)
+    cutoff = 6 + seed % 5
+    coeffs = np.zeros(cutoff + 1)
+    coeffs[0] = math.sqrt(4.0 * math.pi)
+    coeffs[1:cutoff // 2 + 1] = 0.1 * rng.normal(size=cutoff // 2)
+    return sp.SpectralField(sp.sphere2(1.0), coeffs, cutoff)
+
+
+CONSTANT_FIELDS = [
+    *((name, lambda name=name: fx.get_fixture(name).initial)
+      for name in ("circle", "torus", "sphere", "torus-drift")),
+    *((f"torus {seed}", lambda seed=seed: fx.random_positive_torus_field(
+        np.random.default_rng(seed), sp.torus2(1.0, 1.0), cutoff=2 + seed % 5))
+      for seed in range(10)),
+    *((f"sphere {seed}", lambda seed=seed: seeded_sphere_field(seed)) for seed in range(10)),
+]
+
+
+# q0 and the extrema come from one synthesis and no entropy, with the bits of
+# entropy_and_fisher's Fisher information and of grid_extrema
+@pytest.mark.parametrize("build", [build for _, build in CONSTANT_FIELDS],
+                         ids=[name for name, _ in CONSTANT_FIELDS])
+def test_initial_constants_keep_the_fisher_and_extrema_bits(build):
+    field = build()
+    bd._initial_constants.cache_clear()
+    q0, inf_f, sup_f = bd._initial_constants(field)[:3]
+    assert (q0, inf_f, sup_f) == (sp.entropy_and_fisher(field)[1], *sp.grid_extrema(field))
+    assert sp.fisher_and_extrema(field) == (q0, inf_f, sup_f)
+
+
+def test_initial_field_not_positive_is_refused_by_name():
+    torus = sp.torus2(1.0, 1.0)
+    coeffs = np.zeros((5, 5))
+    coeffs[2, 2], coeffs[2, 3] = 1.0, 2.0  # 1 + 2 sqrt2 cos(2 pi y) dips below zero
+    with pytest.raises(sp.PositivityError, match="resolved field has minimum -"):
+        bd.bound_table(torus, sp.SpectralField(torus, coeffs, 2), [0.1])
+
+
 def test_bound_constants_follow_in_place_changes():
     fixture = fx.torus_fixture()
     field = sp.SpectralField(fixture.manifold, fixture.initial.coefficients.copy(),

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -513,42 +514,72 @@ def test_h3_unresolved_rows_keep_their_verdict(capsys):
                           "envelope check (eta lower unresolved: margin 9.478e-28")
 
 
+def warm_faults(commands: list[str]) -> dict[str, float]:
+    """The minor page faults per call of each command over 20 rounds, each
+    calling every command once in turn, after three warm-up rounds, all in
+    one child process.  A command is an argv of ``cli.main`` joined by
+    spaces, or ``trace CUTOFF COUNT``: ``entropy_trace`` and ``check_bounds``
+    of a seeded unit-mass torus field of that cutoff at COUNT log-spaced
+    times in [0.01, 2], as an API client runs them.  Every call must exit 0
+    (a trace: every bound satisfied)."""
+    code = ("import contextlib, os, resource, sys\n"
+            "import numpy as np\n"
+            "from heatent import bounds, cli, fixtures, spectral\n"
+            "def call(command):\n"
+            "    words = command.split()\n"
+            "    if words[0] != 'trace':\n"
+            "        return lambda: cli.main(words)\n"
+            "    raw = fixtures.random_positive_torus_field(\n"
+            "        np.random.default_rng(0), spectral.torus2(), int(words[1]))\n"
+            "    field = spectral.SpectralField(raw.manifold, raw.coefficients / spectral.mass(raw),\n"
+            "                                   raw.cutoff)\n"
+            "    times = np.geomspace(0.01, 2.0, int(words[2]))\n"
+            "    return lambda: 0 if all(report.all_satisfied for report in bounds.check_bounds(\n"
+            "        spectral.entropy_trace(field, times), field.manifold, field)) else 1\n"
+            "calls, faults = [call(command) for command in sys.argv[1:]], [0] * (len(sys.argv) - 1)\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    for turn in range(23):\n"
+            "        for i, run in enumerate(calls):\n"
+            "            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "            assert run() == 0, sys.argv[1 + i]\n"
+            "            if turn >= 3:\n"
+            "                faults[i] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "for command, count in zip(sys.argv[1:], faults):\n"
+            "    print(command, count / 20, sep=',', file=sys.stderr)\n")
+    proc = run_python("-c", code, *commands)
+    assert proc.returncode == 0, proc.stderr
+    faults = {command: float(count) for command, count in
+              (line.split(",") for line in proc.stderr.splitlines())}
+    assert sorted(faults) == sorted(commands)
+    return faults
+
+
 def test_warm_long_h3_sweep_hardly_faults():
     # the trapezoid kernel runs in fixed row blocks: a warm h3 request of
     # 6,000 kernel rows maps no node-sized arrays afresh (about 4,500 minor
     # faults per request when the kernel took every row at once)
-    code = ("import os, resource; from heatent import cli\n"
-            "argv = ['h3', '--t-count', '2000', '--out', os.devnull]\n"
-            "for _ in range(3): cli.main(argv)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(20): assert cli.main(argv) == 0\n"
-            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n")
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 500.0
+    command = f"h3 --t-count 2000 --out {os.devnull}"
+    assert warm_faults([command])[command] < 500.0
 
 
 def test_warm_identity_checks_hardly_fault():
     # the pointwise identities run in blocks of _BLOCK_FIELDS fields, whose
     # arrays stay below the sizes glibc maps afresh for each request (blocks
     # of four fields took about 200 minor faults per bochner_residual request)
-    code = ("import contextlib, os, resource; from heatent import cli\n"
-            "faults = {}\n"
-            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
-            "    for group in ('bochner_residual', 'hessian_trace'):\n"
-            "        argv = ['verify', '--only', group]\n"
-            "        for _ in range(3): cli.main(argv)\n"
-            "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "        for _ in range(20): assert cli.main(argv) == 0\n"
-            "        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "        faults[group] = (after - before) / 20\n"
-            "for group, count in faults.items(): print(group, count)\n")
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    faults = dict(line.split() for line in proc.stdout.splitlines())
-    assert sorted(faults) == ["bochner_residual", "hessian_trace"]
-    for group, count in faults.items():
-        assert float(count) < 10.0, (group, count)
+    for group in ("bochner_residual", "hessian_trace"):
+        command = f"verify --only {group}"
+        assert warm_faults([command])[command] < 10.0, group
+
+
+def test_warm_torus_requests_hardly_fault_between_other_requests():
+    # the row functionals work each chunk in one kept buffer, so a torus
+    # request after a sphere request finds its pages mapped (when each chunk
+    # allocated and freed its own arrays, these took 224, 67 and 93 faults)
+    commands = ["evolve --manifold sphere", "trace 2 16", "verify --only bochner_residual",
+                "evolve --manifold torus"]
+    faults = warm_faults(commands)
+    for command in commands[1:]:
+        assert faults[command] < 15.0, (command, faults)
 
 
 def warm_peaks(commands: list[str]) -> dict[str, int]:

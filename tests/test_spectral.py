@@ -1,6 +1,9 @@
 import collections
+import concurrent.futures
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1193,9 +1196,9 @@ def chunk_rows(monkeypatch) -> list:
     rows_per_chunk = []
     original = sp._Transform.values_and_gradients
 
-    def counted(self, rows, every):
+    def counted(self, rows, every, out=None):
         rows_per_chunk.append(len(rows))
-        return original(self, rows, every)
+        return original(self, rows, every, out)
 
     monkeypatch.setattr(sp._Transform, "values_and_gradients", counted)
     return rows_per_chunk
@@ -1256,16 +1259,16 @@ def test_neighbour_rows_synthesise_no_gradient(name, per_time, monkeypatch):
     synth, derivatives = sp._Transform.synth, sp._Transform.derivatives
     inside = []  # set while a derivatives call runs
 
-    def counted_synth(self, coeffs, *order):
+    def counted_synth(self, coeffs, *order, out=None):
         if not inside:
             counts["fields"] += coeffs.size // field.coefficients.size
-        return synth(self, coeffs, *order)
+        return synth(self, coeffs, *order, out=out)
 
-    def counted_derivatives(self, coeffs, *orders):
+    def counted_derivatives(self, coeffs, *orders, out=None):
         counts["fields"] += len(orders) * (coeffs.size // field.coefficients.size)
         inside.append(True)
         try:
-            return derivatives(self, coeffs, *orders)
+            return derivatives(self, coeffs, *orders, out=out)
         finally:
             inside.pop()
 
@@ -1300,6 +1303,65 @@ def test_drift_window_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+TRACE_COLUMNS = ("entropy", "rate_direct", "rate_fd", "fisher")
+
+
+# Each thread works its chunks in its own kept buffer: threads tracing
+# different torus fields at once, more threads than a two-core host has cores,
+# get the bits of serial runs.
+def test_concurrent_traces_match_serial_runs():
+    fields = [fx.random_positive_torus_field(np.random.default_rng(seed), TORUS, cutoff=cutoff)
+              for seed, cutoff in ((3, 2), (4, 6), (5, 3), (6, 5))]
+    times = np.geomspace(0.01, 2.0, 16)
+    serial = [sp.entropy_trace(field, times) for field in fields]
+    start = threading.Barrier(len(fields))
+
+    def traces(field):
+        start.wait(timeout=60)
+        return [sp.entropy_trace(field, times) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(fields)) as pool:
+            futures = [pool.submit(traces, field) for field in fields]
+            runs = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for alone, concurrent_runs in zip(serial, runs):
+        for trace in concurrent_runs:
+            for column in TRACE_COLUMNS:
+                assert np.array_equal(getattr(trace, column), getattr(alone, column)), column
+
+
+# The buffer a thread keeps holds at most the chunk budget, max(_CHUNK_POINTS,
+# one group) floats; a warm trace reuses it, and a chunk past _CHUNK_POINTS
+# (one group of the c = 20 torus) is served by a buffer that is not kept.
+def test_kept_chunk_buffer_stays_within_the_chunk_budget():
+    def traces():
+        kept = None
+        for cutoff in range(2, 7):
+            field = fx.random_positive_torus_field(np.random.default_rng(cutoff), TORUS,
+                                                   cutoff=cutoff)
+            group = (2 * 3 + 2) * sp._grid_size(cutoff) ** 2
+            for count in (2, 5, 12, 24):
+                times = np.geomspace(0.01, 2.0, count)
+                sp.entropy_trace(field, times)
+                kept = sp._per_thread.buffer
+                assert kept.size <= max(sp._CHUNK_POINTS, group), (cutoff, count, kept.size)
+                sp.entropy_trace(field, times)
+                assert sp._per_thread.buffer is kept
+        wide = fx.random_positive_torus_field(np.random.default_rng(20), TORUS, cutoff=20)
+        assert (2 * 3 + 2) * sp._grid_size(20) ** 2 > sp._CHUNK_POINTS
+        sp.entropy_trace(wide, [0.1])
+        return kept.size, sp._per_thread.buffer is kept
+
+    # the largest chunk is 8 times of the c = 6 torus: u of its 24 rows and
+    # their log buffer, which reuses the gradients' place, 110,592 floats (0.88 MB)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:  # a thread that kept nothing yet
+        assert pool.submit(traces).result() == (2 * 24 * 2_304, True)
 
 
 def test_transforms_built_once_per_content_key():
