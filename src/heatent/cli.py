@@ -188,8 +188,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write output {out!r}: {exc}") from exc
 
 
-# json's spellings of the floats that have no JSON number
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's spellings of the floats that have no JSON number, each replacing a
+# repr at a value position of a JSON table: after a key's ": " and at a line's
+# end (json escapes a newline in a key, and no finite repr holds these letters)
+_JSON_NONFINITE = {f": {value}{end}": f": {spelled}{end}"
+                   for value, spelled in (("nan", "NaN"), ("inf", "Infinity"),
+                                          ("-inf", "-Infinity"))
+                   for end in (",\n", "\n")}
 
 
 def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str:
@@ -201,31 +206,25 @@ def _table_text(columns: Mapping[str, float | Sequence[float]], fmt: str) -> str
     sequence.
 
     Each row fills one row template by ``%``: the CSV line in column order,
-    the JSON object in sorted-key order.  A one-float column's value is
-    written into the template once; the others are ``%r``, a float's repr,
-    except on a JSON row holding a non-finite value, whose cells are spelled
-    as json spells them (NaN, Infinity, -Infinity)."""
+    the JSON object in sorted-key order.  A one-float column's repr is
+    written into the template once; the others are ``%r``, a float's repr.
+    On a JSON table one pass over the text then spells each non-finite value
+    as json does (NaN, Infinity, -Infinity), through ``_JSON_NONFINITE``."""
     names = list(columns) if fmt == "csv" else sorted(columns)
     rows = list(zip(*[np.asarray(columns[name], dtype=float).tolist() for name in names
                       if not isinstance(columns[name], float)]))
-
-    def cells(spell, spec: str) -> list[str]:
-        return [spell(columns[name]) if isinstance(columns[name], float) else spec
-                for name in names]
-
+    cells = [float.__repr__(columns[name]) if isinstance(columns[name], float) else "%r"
+             for name in names]
     if fmt == "csv":
-        line = ",".join(cells(float.__repr__, "%r"))
-        return "\n".join([",".join(names), *map(line.__mod__, rows)]) + "\n"
+        return "\n".join([",".join(names), *map(",".join(cells).__mod__, rows)]) + "\n"
     if not rows:
         return "[]\n"
-    keys = [json.dumps(name).replace("%", "%%") for name in names]
-    finite, spelled = ("  {\n" + ",\n".join(f"    {key}: {cell}" for key, cell in
-                                            zip(keys, cells(json.dumps, spec))) + "\n  }"
-                       for spec in ("%r", "%s"))
-    objects = [finite % row if all(map(math.isfinite, row)) else spelled % tuple(
-                   _JSON_NONFINITE.get(cell, cell) for cell in map(float.__repr__, row))
-               for row in rows]
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    template = "  {\n" + ",\n".join(f"    {json.dumps(name).replace('%', '%%')}: {cell}"
+                                    for name, cell in zip(names, cells)) + "\n  }"
+    text = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n]\n"
+    for value, spelled in _JSON_NONFINITE.items():
+        text = text.replace(value, spelled)
+    return text
 
 
 def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],

@@ -133,6 +133,9 @@ AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e
      "w", "v", "u", "s", "r"],
     ['odd "key"', "brace{0}", "}{", "ünï", "n", "nan", "inf", "-inf", "k:", ",", "0",
      "10", "9", "e", "E", "f", "g"],
+    # keys holding what the JSON writer spells at a value position, one with
+    # a real newline (json escapes it)
+    ["a: inf", "b: nan,", "c: -inf", "d: -inf,", "e: inf\n", "f: nan\n", "g: inf,\n", "h"],
 ])
 def test_table_writer_matches_the_stdlib(header):
     rng = np.random.default_rng(5)
@@ -141,12 +144,17 @@ def test_table_writer_matches_the_stdlib(header):
     rows += [list(rng.normal(size=len(header)) * 10.0 ** rng.integers(-300, 300))
              for _ in range(5)]
     columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
-    expected_json = json.dumps([dict(zip(header, map(float, row))) for row in rows],
-                               indent=2, sort_keys=True) + "\n"
-    expected_csv = "\n".join([",".join(header)] + [
-        ",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
-    assert cli._table_text(columns, "json") == expected_json
-    assert cli._table_text(columns, "csv") == expected_csv
+    # the same table with every other column given as one float, non-finite ones among them
+    fixed = {name: AWKWARD[j // 2] if j % 2 else columns[name]
+             for j, name in enumerate(header)}
+    for table in (columns, fixed):
+        table_rows = [[table[name] if isinstance(table[name], float) else table[name][i]
+                       for name in header] for i in range(len(rows))]
+        assert cli._table_text(table, "json") == json.dumps(
+            [dict(zip(header, map(float, row))) for row in table_rows],
+            indent=2, sort_keys=True) + "\n"
+        assert cli._table_text(table, "csv") == "\n".join([",".join(header)] + [
+            ",".join(repr(float(v)) for v in row) for row in table_rows]) + "\n"
     empty = {name: [] for name in header}
     assert cli._table_text(empty, "json") == json.dumps([], indent=2) + "\n"
     assert cli._table_text(empty, "csv") == ",".join(header) + "\n"
@@ -614,11 +622,13 @@ def test_warm_identity_checks_allocate_within_the_direct_forms_peaks():
 
 # tracemalloc peak of a warm request of each command, in bytes: 1.25 times
 # the peak each read when its bound was set, the 0.57 and 2.31 MB of h3 among
-# them (README's layer table states each)
+# them, and the evolve peaks with the row functionals' kept chunk buffer
+# (allocated in the warm-up calls) of 11,648, 75,704, 16,413 and 124,536
+# bytes (README's layer table states each)
 COMMAND_PEAKS = {
     "h3": 715_000, "h3 --t-count 2000": 2_892_000, "verify": 884_000,
-    "evolve --manifold circle": 28_800, "evolve --manifold torus": 751_000,
-    "evolve --manifold sphere": 61_700, "evolve --manifold torus-drift": 874_000,
+    "evolve --manifold circle": 14_560, "evolve --manifold torus": 94_630,
+    "evolve --manifold sphere": 20_516, "evolve --manifold torus-drift": 155_670,
     "bounds --manifold circle": 21_500, "bounds --manifold torus": 21_300,
     "bounds --manifold sphere": 21_700, "bounds --manifold torus-drift": 15_700,
 }
