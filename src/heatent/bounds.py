@@ -107,14 +107,6 @@ def ricci_bound_rhs(n: float, k: float, q0: float, t):
     return _elementwise(rhs, t)
 
 
-def ricci_bound_asymptote(n: float, k: float) -> float:
-    """Large-time limit of ricci_bound_rhs: -n k / 2 for k < 0 (inf at n = inf),
-    else 0, bar n = inf at k = 0, whose rhs stays q0 / 2."""
-    if k < 0.0:
-        return -n * k / 2.0
-    return 0.0
-
-
 def hamilton_bound_rhs(k: float, sup_f: float, t):
     """Gradient-estimate bound (1/t - k) log(sup f).
 

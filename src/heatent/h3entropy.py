@@ -14,11 +14,9 @@ closed-form envelopes; the entropy rate assembles as
 and for large t it settles inside the band kappa^2 * (2 -+ log sqrt 2).
 
 xi carries a factor exp(-kappa^2 t/2) and eta a factor exp(+kappa^2 t/2).
-Each is returned as a plain float with its factor taken out: xi and xi'
-times exp(kappa^2 t/2); eta, eta' and their envelopes times exp(-kappa^2 t/2).
-So xi eta and xi' eta + xi eta' are plain products, and nothing overflows at
-any kappa^2 t.  The closed forms are elementwise: a float t gives a float,
-an array of times an array.
+Each is formed with its factor taken out: xi and xi' times exp(kappa^2 t/2);
+eta, eta' and their envelopes times exp(-kappa^2 t/2).  So xi eta and
+xi' eta + xi eta' are plain products, and nothing overflows at any kappa^2 t.
 
 The trapezoid rule.  With L(x) = log(sinh x / x), eta is the integral over
 r > 0 of exp(-r^2/2t) r^p sinh(kappa r) L(kappa r), p = 1 (eta' is the
@@ -41,9 +39,9 @@ kappa^2 t = 100 on, every node has r > 0 and the rule integrates R itself.
 Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
 difference of two quantities each known to a few ulp, never a rounded eta
 against a rounded envelope.  Each side is inside, outside or unresolved
-against the error estimate.  ``eta_quadrature``, the same eta by
-specfun's shifted-Gaussian quadrature, is the oracle the tests hold the rule
-to.
+against the error estimate.  ``eta_quadrature`` in ``tests/oracles.py``,
+the same eta by specfun's shifted-Gaussian quadrature, is the oracle the
+tests hold the rule to.
 
 Shortcuts that change no bit.  ``_trapezoid`` gives every node value and
 sum the bits of its plain form (kappa t + sqrt(t) s, L or G at each node,
@@ -76,7 +74,8 @@ inside, outside or unresolved.
 A note on the radial weight: the density decomposition used here carries a
 single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
 of that integrand is inconsistent with the closed-form pieces; the direct
-quadrature of -integral h log h dV (``entropy_quadrature``) confirms the
+quadrature of -integral h log h dV (``verify``'s ``entropy_decomposition``
+group, and ``entropy_quadrature`` in ``tests/oracles.py``) confirms the
 single-Gaussian reading to full tolerance.
 """
 
@@ -85,7 +84,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -96,8 +94,6 @@ from .specfun import (
     _log_sinh_ratio,
     _refuse_overflow,
     log_sinh_ratio,
-    moment_factors,
-    shifted_gaussian_quadratures,
 )
 
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -140,22 +136,6 @@ class H3Params:
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
-
-
-def heat_kernel(p: H3Params, t: float, d: float) -> float:
-    """Transition density at time t between points at geodesic distance d."""
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    if not 0.0 <= d < math.inf:  # a NaN fails too
-        raise ValueError("d must be nonnegative and finite")
-    k = p.kappa
-    log_h = (
-        -d * d / (2.0 * t)
-        - 1.5 * math.log(2.0 * math.pi * t)
-        - log_sinh_ratio(k * d)
-        - 0.5 * k * k * t
-    )
-    return math.exp(log_h)
 
 
 def _radial_mass(kappa, t, d, pref):
@@ -209,12 +189,6 @@ _RADIAL = {
 }
 
 
-def normalization_quadrature(p: H3Params, t):
-    """Total kernel mass by radial quadrature; equals 1 for every t.
-    Elementwise in t."""
-    return _like(t, _radial_integrals(p.kappa, _times(t), "kernel normalization"))
-
-
 def _times(t) -> np.ndarray:
     """t as a float array, 0-d for a scalar; every time positive and finite."""
     ts = np.asarray(t, dtype=float)
@@ -231,25 +205,6 @@ def _like(t, value):
 def I1(p: H3Params, t):
     """Scaled second moment of the kernel, in closed form: (kappa^2 t + 3)/2."""
     return _like(t, 0.5 * (p.kappa * p.kappa * _times(t) + 3.0))
-
-
-def I1_quadrature(p: H3Params, t):
-    """Second-moment integral done honestly by radial quadrature.
-    Elementwise in t."""
-    ts = _times(t)
-    return _like(t, _radial_integrals(p.kappa, ts, "second moment") / (2.0 * ts))
-
-
-def xi(p: H3Params, t):
-    """xi times exp(kappa^2 t/2): sqrt(2/pi) / (kappa t^{3/2}); always positive."""
-    return _like(t, _SQRT_TWO_OVER_PI / (p.kappa * _times(t) ** 1.5))
-
-
-def xi_prime(p: H3Params, t):
-    """d/dt of xi, times exp(kappa^2 t/2); always negative."""
-    ts = _times(t)
-    k = p.kappa
-    return _like(t, -(k * k * ts + 3.0) / (_SQRT_TWO_PI * k * ts ** 2.5))
 
 
 def _closed_parts(ts: np.ndarray, x: np.ndarray, f: list, rows):
@@ -275,71 +230,10 @@ def _closed_parts(ts: np.ndarray, x: np.ndarray, f: list, rows):
                      coeff_prime * np.log1p(x * f[3] / f[2]))), f[0]
 
 
-def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[float]:
-    """eta(t), or eta'(t) where the flag is set, times exp(-kappa^2 t/2), at
-    each (t, prime) point by the double-exponential rule: the oracle the
-    trapezoid rule of ``evaluate_records`` is tested against.
-
-    Each value is the log-weighted sinh integral
-
-        integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
-
-    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', a (kappa, t)
-    case of ``specfun.shifted_gaussian_quadratures``, so nothing ever sees
-    the exp(kappa^2 t/2) growth directly.  Each point's value is
-    bit-identical to its lone run; the first point, in order, that misses
-    the tolerance raises, named by t and kappa.
-    """
-    k = p.kappa
-    cubic = np.array([prime for _, prime in points], dtype=bool)
-
-    def weighted(gauss, r, i):
-        return gauss * np.where(cubic[i], r * r * r, r) * log_sinh_ratio(k * r)
-
-    def context(i):
-        t, prime = points[i]
-        return f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
-
-    values = shifted_gaussian_quadratures(
-        weighted, [(k, t) for t, _ in points], context)
-    return [value * (0.5 / (t * t)) if prime else value
-            for value, (t, prime) in zip(values, points)]
-
-
-def eta_envelope(p: H3Params, t):
-    """Closed-form (lower, upper) bounds that eta must sit strictly inside,
-    times exp(-kappa^2 t/2)."""
-    ts = _times(t)
-    closed, ((lower, upper), _), _ = _closed_parts(
-        ts, p.kappa * np.sqrt(ts), moment_factors(p.kappa, ts), ...)
-    return _like(t, closed - lower), _like(t, closed - upper)
-
-
-def eta_prime_envelope(p: H3Params, t):
-    """Closed-form (lower, upper) bounds for eta', times exp(-kappa^2 t/2)."""
-    ts = _times(t)
-    _, (closed, lower, upper) = _closed_parts(
-        ts, p.kappa * np.sqrt(ts), moment_factors(p.kappa, ts), ...)[1]
-    return _like(t, closed - lower), _like(t, closed - upper)
-
-
-def entropy_quadrature(p: H3Params, t):
-    """Entropy by one direct radial quadrature of -h log h, no decomposition.
-    Elementwise in t.
-
-    Independent oracle for the assembled value; also settles the radial
-    Gaussian-weight reading discussed in the module docstring.
-    """
-    return _like(t, _radial_integrals(p.kappa, _times(t), "direct entropy integral"))
-
-
 def asymptotic_band(p: H3Params) -> tuple[float, float]:
     """Large-time band for the entropy rate: kappa^2 (2 -+ log sqrt 2)."""
-    return _band(p.kappa)
-
-
-def _band(kappa: float) -> tuple[float, float]:
-    return kappa * kappa * (2.0 - _LOG_SQRT2), kappa * kappa * (2.0 + _LOG_SQRT2)
+    k2 = p.kappa * p.kappa
+    return k2 * (2.0 - _LOG_SQRT2), k2 * (2.0 + _LOG_SQRT2)
 
 
 SIDES = ("eta lower", "eta upper", "eta' lower", "eta' upper")
@@ -392,7 +286,7 @@ class H3Sweep:
     def band_margin(self) -> np.ndarray:
         """How far rate_direct sits inside the band widened by _BAND_SLACK
         kappa^2; negative outside."""
-        lo, hi = _band(self.kappa)
+        lo, hi = asymptotic_band(H3Params(self.kappa))
         slack = _BAND_SLACK * self.kappa * self.kappa
         with np.errstate(all="ignore"):
             return np.minimum(self.rate_direct - (lo - slack), (hi + slack) - self.rate_direct)

@@ -8,13 +8,14 @@ The moment table evaluates integrals of the form
 in closed form.  Every entry carries an exp(kappa^2 t / 2) factor, so each
 comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
-x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4 in one pass; the
-moments are read from it, and so are h3entropy's closed parts and envelope
-terms of eta, through ``moment_factors`` or, in its sweep, directly.
+x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4 in one pass.
+``moment_factors`` is its checked form, from which ``verify`` reads each
+moment as t^{(m+1)/2} F_m; h3entropy's sweep reads its closed parts and
+envelope terms of eta from ``_factors`` directly.
 
-The closed forms take a finite kappa > 0, the oracle a finite kappa >= 0,
+``moment_factors`` takes a finite kappa > 0, the oracle a finite kappa >= 0,
 and both finite times t > 0; anything else raises ValueError, and so does
-a closed form that overflows or an oracle case whose peak kappa t does.
+a moment factor that overflows or an oracle case whose peak kappa t does.
 """
 
 from __future__ import annotations
@@ -46,30 +47,6 @@ _LOG_SINH_RATIO_POLY = (
 _DOUBLING_OVERFLOWS = 2.0 ** 1023
 
 
-def alpha(kappa: float, t):
-    """Truncated half-Gaussian mass: integral of exp(-r^2/2) over [0, kappa*sqrt(t)].
-
-    Monotone increasing in t with limit sqrt(pi/2).  Elementwise over an
-    array of times; a float t gives a float.
-    """
-    ts, [a, *_] = _checked_factors(kappa, t)
-    return float(a) if ts.ndim == 0 else a
-
-
-def _check_power(m: int) -> None:
-    if m not in range(5):
-        raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
-
-
-def _checked_factors(kappa: float, t) -> tuple[np.ndarray, list]:
-    """(ts, ``_factors`` at ts) for finite kappa > 0 and t > 0; an overflow is unwarned."""
-    ts = np.asarray(t, dtype=float)
-    if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
-        raise ValueError("need finite kappa > 0 and finite t > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ts, _factors(kappa, ts, kappa * np.sqrt(ts))
-
-
 def _factors(kappa: float, ts: np.ndarray, x) -> list:
     """F_0, ..., F_4 at x = kappa sqrt(ts), elementwise in the float array ts,
     unchecked (an overflow warns unless the caller ignores it): with alpha a,
@@ -93,24 +70,16 @@ def _refuse_overflow(values: list, kappa: float, ts: np.ndarray, what: str) -> N
 
 def moment_factors(kappa: float, t) -> list:
     """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
-    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  A t where
-    one of them overflows raises ValueError."""
-    ts, factors = _checked_factors(kappa, t)
+    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  kappa and
+    every t must be finite and positive, and a t where one of them overflows
+    raises ValueError."""
+    ts = np.asarray(t, dtype=float)
+    if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
+        raise ValueError("need finite kappa > 0 and finite t > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _factors(kappa, ts, kappa * np.sqrt(ts))
     _refuse_overflow(factors, kappa, ts, "a moment factor F_0 to F_4")
     return factors
-
-
-def hyperbolic_moment_closed_form(m: int, kappa: float, t):
-    """Closed form of the power-m sinh moment, times exp(-kappa^2 t/2):
-    t^{(m+1)/2} F_m(kappa sqrt t).  Elementwise in t; a float t gives a
-    float.  A t where it overflows raises ValueError.
-    """
-    _check_power(m)
-    ts, factors = _checked_factors(kappa, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ts ** (0.5 * (m + 1)) * factors[m]
-    _refuse_overflow([value], kappa, ts, f"the closed form of M({m})")
-    return float(value) if np.ndim(t) == 0 else value
 
 
 def shifted_gaussian_quadratures(
@@ -165,7 +134,8 @@ def hyperbolic_moment_quadratures(cases: Sequence[tuple[int, float, float]]) -> 
     times exp(-kappa^2 t/2): the independent cross-check of the closed forms
     at any kappa^2 t."""
     for m, _, _ in cases:
-        _check_power(m)
+        if m not in range(5):
+            raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
     powers = np.array([float(m) for m, _, _ in cases])
 
     def context(i):

@@ -495,6 +495,10 @@ def evolve(field: SpectralField, t: float) -> SpectralField:
     must be finite, and a drifted result strictly positive.  The one row is a
     zero-padded ``_BLOCK_ROWS``-row block on purpose, for the bits of its
     time's row in a trace (the padding took a lone call from 32-47 to 39-59 us).
+
+    No command calls it: it is the library's one-time API, which README
+    names, and the lone reference of the row-independence tests, which hold
+    a trace's row to its bits.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")

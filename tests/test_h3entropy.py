@@ -14,7 +14,14 @@ from heatent import bounds as bd
 from heatent import h3entropy as h3
 from heatent import specfun
 from heatent.quadrature import QuadratureConvergenceError, integrate_batch
-from heatent.specfun import alpha, log_sinh_ratio
+from heatent.specfun import log_sinh_ratio
+from oracles import (
+    I1_quadrature,
+    entropy_quadrature,
+    eta_quadrature,
+    heat_kernel,
+    normalization_quadrature,
+)
 
 P1 = h3.H3Params(kappa=1.0)
 LOG_SQRT2 = 0.5 * math.log(2.0)
@@ -30,9 +37,22 @@ def unscaled(value, p, t):
     return value * math.exp(0.5 * p.kappa * p.kappa * t)
 
 
-def xi_value(f, p, t):
-    """xi or xi' at t as a plain float: the scaled value times exp(-kappa^2 t/2)."""
-    return f(p, t) * math.exp(-0.5 * p.kappa * p.kappa * t)
+def xi_closed(kappa, t):
+    """(xi, xi') times exp(kappa^2 t/2) at t, by their formulas
+    sqrt(2/pi)/(kappa t^{3/2}) and -(kappa^2 t + 3)/(sqrt(2 pi) kappa t^{5/2})."""
+    return (math.sqrt(2.0 / math.pi) / (kappa * t ** 1.5),
+            -(kappa * kappa * t + 3.0) / (math.sqrt(2.0 * math.pi) * kappa * t ** 2.5))
+
+
+def xi_rows(p, times):
+    """(xi, xi') as plain values at the times, read from the rows of
+    ``evaluate_records``: xi = I2/eta, and xi' from the rate's cross term
+    xi' eta + xi eta' = rate_direct - 3/(2t) - kappa^2."""
+    sweep = h3.evaluate_records(p, times)
+    xi = sweep.I2 / sweep.eta
+    xi_prime = (sweep.rate_direct - 1.5 / sweep.t - p.kappa ** 2 - xi * sweep.etap) / sweep.eta
+    shrink = np.exp(-0.5 * p.kappa * p.kappa * sweep.t)
+    return xi * shrink, xi_prime * shrink
 
 
 def test_params_validation():
@@ -51,7 +71,7 @@ def test_params_validation():
 
 def test_kernel_at_origin():
     expected = (2.0 * math.pi) ** -1.5 * math.exp(-0.5)
-    assert h3.heat_kernel(P1, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert heat_kernel(P1, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_kernel_flat_limit():
@@ -59,32 +79,32 @@ def test_kernel_flat_limit():
     p = h3.H3Params(kappa=1e-7)
     for d in (0.0, 0.7, 2.0):
         gauss = (2.0 * math.pi) ** -1.5 * math.exp(-0.5 * d * d)
-        assert h3.heat_kernel(p, 1.0, d) == pytest.approx(gauss, rel=1e-6)
+        assert heat_kernel(p, 1.0, d) == pytest.approx(gauss, rel=1e-6)
 
 
 def test_kernel_domain():
     with pytest.raises(ValueError):
-        h3.heat_kernel(P1, 0.0, 1.0)
+        heat_kernel(P1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        h3.heat_kernel(P1, 1.0, -0.1)
+        heat_kernel(P1, 1.0, -0.1)
 
 
 def test_normalization_unit_params():
-    assert h3.normalization_quadrature(P1, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert normalization_quadrature(P1, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_normalization_grid():
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa)
         for t in (0.1, 1.0, 10.0, 50.0):
-            assert h3.normalization_quadrature(p, t) == pytest.approx(
+            assert normalization_quadrature(p, t) == pytest.approx(
                 1.0, abs=1e-8), (kappa, t)
 
 
 def test_normalization_at_a_far_peak():
     # kappa sqrt t up to 1e75: the mass below the peak r = kappa t is kept
     for t in (1e110, 1e120, 1e150):
-        assert h3.normalization_quadrature(P1, t) == pytest.approx(1.0, abs=1e-15), t
+        assert normalization_quadrature(P1, t) == pytest.approx(1.0, abs=1e-15), t
 
 
 def test_radial_mass_matches_kernel_times_shell():
@@ -92,7 +112,7 @@ def test_radial_mass_matches_kernel_times_shell():
     # naive product is representable
     for kappa, t, r in ((1.0, 1.0, 0.5), (0.5, 2.0, 3.0), (2.0, 0.3, 1.2)):
         p = h3.H3Params(kappa)
-        naive = (h3.heat_kernel(p, t, r)
+        naive = (heat_kernel(p, t, r)
                  * 4.0 * math.pi * math.sinh(kappa * r) ** 2 / kappa ** 2)
         pref = h3._mass_prefactor(kappa, t)
         assert h3._radial_mass(kappa, t, r - kappa * t, pref) == pytest.approx(naive, rel=1e-12)
@@ -111,27 +131,27 @@ def test_I1_matches_quadrature():
     for kappa in (0.5, 1.0, 2.0):
         p = h3.H3Params(kappa)
         for t in (0.1, 1.0, 10.0):
-            assert h3.I1_quadrature(p, t) == pytest.approx(
+            assert I1_quadrature(p, t) == pytest.approx(
                 h3.I1(p, t), rel=1e-8)
 
 
 def test_xi_value():
     expected = math.sqrt(2.0 / math.pi) * math.exp(-0.5)
-    assert xi_value(h3.xi, P1, 1.0) == pytest.approx(expected, rel=1e-14)
+    assert xi_rows(P1, [1.0])[0][0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_xi_prime_negative_everywhere():
     for kappa in (0.5, 1.0, 2.0):
-        p = h3.H3Params(kappa)
-        for t in np.geomspace(0.01, 100.0, 25):
-            assert h3.xi_prime(p, float(t)) < 0.0
+        _, xi_prime = xi_rows(h3.H3Params(kappa), np.geomspace(0.01, 100.0, 25))
+        assert (xi_prime < 0.0).all(), kappa
 
 
 def test_xi_prime_matches_finite_difference():
     for t in (0.5, 1.0, 5.0):
         h = 1e-4 * t
-        fd = (xi_value(h3.xi, P1, t + h) - xi_value(h3.xi, P1, t - h)) / (2.0 * h)
-        assert xi_value(h3.xi_prime, P1, t) == pytest.approx(fd, rel=1e-6)
+        xi, xi_prime = xi_rows(P1, [t, t + h, t - h])
+        fd = (xi[1] - xi[2]) / (2.0 * h)
+        assert xi_prime[0] == pytest.approx(fd, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +185,26 @@ def test_eta_integrand_vanishes_at_origin():
 
 def test_eta_split_representation_at_large_t():
     # eta(100) carries a factor exp(50); the scaled value leaves it out
-    e = h3.evaluate_records(P1, [100.0]).eta[0]
+    sweep = h3.evaluate_records(P1, [100.0])
+    e, lo, hi = sweep.eta[0], sweep.eta_lower[0], sweep.eta_upper[0]
     assert math.isfinite(e) and e > 0.0
-    lo, hi = h3.eta_envelope(P1, 100.0)
     assert lo < e < hi
 
 
 def test_eta_positive_and_inside_envelope():
-    e = h3.evaluate_records(P1, [1.0]).eta[0]
-    lo, hi = h3.eta_envelope(P1, 1.0)
+    sweep = h3.evaluate_records(P1, [1.0])
+    e, lo, hi = sweep.eta[0], sweep.eta_lower[0], sweep.eta_upper[0]
     assert e > 0.0
     assert lo < e < hi
 
 
 def test_envelope_ordering_and_containment_on_grid():
     sweep = h3.evaluate_records(P1, np.geomspace(0.1, 100.0, 40))
-    for t, eta, etap in zip(sweep.t.tolist(), sweep.eta.tolist(), sweep.etap.tolist()):
-        lo, hi = h3.eta_envelope(P1, t)
+    columns = (sweep.t, sweep.eta, sweep.eta_lower, sweep.eta_upper, sweep.etap,
+               sweep.etap_lower, sweep.etap_upper)
+    for t, eta, lo, hi, etap, plo, phi in zip(*(column.tolist() for column in columns)):
         assert lo < hi
         assert lo < eta < hi, t
-        plo, phi = h3.eta_prime_envelope(P1, t)
         assert plo < phi
         assert plo < etap < phi, t
 
@@ -204,27 +224,25 @@ def test_eta_prime_is_derivative_of_eta():
 
 
 def test_eta_prime_envelope_other_curvature():
-    p = h3.H3Params(0.5)
-    lo, hi = h3.eta_prime_envelope(p, 10.0)
-    assert lo < h3.evaluate_records(p, [10.0]).etap[0] < hi
+    sweep = h3.evaluate_records(h3.H3Params(0.5), [10.0])
+    assert sweep.etap_lower[0] < sweep.etap[0] < sweep.etap_upper[0]
 
 
 def test_envelope_gap_stays_bounded():
     # xi * (upper - lower) tends to log 2; it must stay below with 5% headroom
-    for t in (50.0, 100.0):
-        x = h3.xi(P1, t)
-        lo, hi = h3.eta_envelope(P1, t)
-        assert x * (hi - lo) <= 1.05 * math.log(2.0)
+    sweep = h3.evaluate_records(P1, (50.0, 100.0))
+    x = sweep.I2 / sweep.eta  # xi times exp(kappa^2 t/2)
+    assert (x * (sweep.eta_upper - sweep.eta_lower) <= 1.05 * math.log(2.0)).all()
 
 
 def test_envelope_bracket_contains_rate_cross_term():
     # xi' eta + xi eta' evaluated at envelope corners brackets the true term
-    for t in (1.0, 10.0, 50.0, 100.0):
-        x = h3.xi(P1, t)
-        xp = h3.xi_prime(P1, t)
-        lo, hi = h3.eta_envelope(P1, t)
-        plo, phi = h3.eta_prime_envelope(P1, t)
-        cross = h3.evaluate_records(P1, [t]).rate_direct[0] - 1.5 / t - 1.0
+    sweep = h3.evaluate_records(P1, (1.0, 10.0, 50.0, 100.0))
+    columns = (sweep.t, sweep.eta_lower, sweep.eta_upper, sweep.etap_lower,
+               sweep.etap_upper, sweep.rate_direct)
+    for t, lo, hi, plo, phi, rate in zip(*(column.tolist() for column in columns)):
+        x, xp = xi_closed(1.0, t)
+        cross = rate - 1.5 / t - 1.0
         bracket_lo = xp * hi + x * plo
         bracket_hi = xp * lo + x * phi
         assert bracket_lo <= cross <= bracket_hi, t
@@ -236,7 +254,7 @@ def test_envelope_bracket_contains_rate_cross_term():
 
 def test_entropy_assembly():
     sweep = h3.evaluate_records(P1, [1.0])
-    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + h3.xi(P1, 1.0) * sweep.eta[0]
+    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + xi_closed(1.0, 1.0)[0] * sweep.eta[0]
     assert sweep.entropy[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -245,7 +263,7 @@ def test_entropy_matches_direct_quadrature():
         p = h3.H3Params(kappa)
         sweep = h3.evaluate_records(p, (0.3, 1.0, 5.0))
         for t, entropy in zip(sweep.t.tolist(), sweep.entropy.tolist()):
-            assert entropy == pytest.approx(h3.entropy_quadrature(p, t), rel=1e-6)
+            assert entropy == pytest.approx(entropy_quadrature(p, t), rel=1e-6)
 
 
 def test_entropy_flat_limit():
@@ -346,14 +364,19 @@ def test_record_consistency():
     sweep = h3.evaluate_records(P1, [2.0])
     eta, etap, i1, i2 = sweep.eta[0], sweep.etap[0], sweep.I1[0], sweep.I2[0]
     assert sweep.t[0] == 2.0
+    x, xp = xi_closed(1.0, 2.0)
     assert i1 == h3.I1(P1, 2.0)
-    assert i2 == pytest.approx(h3.xi(P1, 2.0) * eta, rel=1e-12)
+    assert i2 == pytest.approx(x * eta, rel=1e-12)
     assert sweep.entropy[0] == pytest.approx(
         1.5 * math.log(4.0 * math.pi) + 1.0 + i1 + i2, rel=1e-12)
-    assert sweep.rate_direct[0] == pytest.approx(
-        0.75 + 1.0 + h3.xi_prime(P1, 2.0) * eta + h3.xi(P1, 2.0) * etap, rel=1e-12)
-    assert (sweep.eta_lower[0], sweep.eta_upper[0]) == h3.eta_envelope(P1, 2.0)
-    assert (sweep.etap_lower[0], sweep.etap_upper[0]) == h3.eta_prime_envelope(P1, 2.0)
+    assert sweep.rate_direct[0] == pytest.approx(0.75 + 1.0 + xp * eta + x * etap, rel=1e-12)
+    # each envelope is the closed part less its term, bit for bit
+    ts = np.array([2.0])
+    closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), _ = h3._closed_parts(
+        ts, np.sqrt(ts), specfun.moment_factors(1.0, ts), ...)
+    assert (sweep.eta_lower[0], sweep.eta_upper[0]) == (closed[0] - lower[0], closed[0] - upper[0])
+    assert (sweep.etap_lower[0], sweep.etap_upper[0]) == (closed_prime[0] - lower_prime[0],
+                                                          closed_prime[0] - upper_prime[0])
     assert sweep.envelope_ok[0]
     assert sweep.band_ok[0]  # t < 20: trivially fine
     assert h3.evaluate_records(P1, [1.0, 2.0]).t.tolist() == [1.0, 2.0]
@@ -385,18 +408,12 @@ def test_closed_forms_are_elementwise():
     # an array of times gives, element by element, what each float gives
     times = np.geomspace(1e-4, 1e4, 9)
     for p in (P1, h3.H3Params(0.3)):
-        for f in (h3.I1, h3.xi, h3.xi_prime, lambda p, t: alpha(p.kappa, t),
-                  h3.normalization_quadrature, h3.I1_quadrature, h3.entropy_quadrature):
+        for f in (h3.I1, normalization_quadrature, I1_quadrature, entropy_quadrature):
             alone = [f(p, float(t)) for t in times]
             assert all(type(v) is float for v in alone)
             assert f(p, times).tolist() == alone
-        for f in (h3.eta_envelope, h3.eta_prime_envelope):
-            alone = [f(p, float(t)) for t in times]
-            assert all(type(v) is float for pair in alone for v in pair)
-            lower, upper = f(p, times)
-            assert list(zip(lower.tolist(), upper.tolist())) == alone
         with pytest.raises(ValueError):
-            h3.xi(p, np.array([1.0, 0.0]))
+            h3.I1(p, np.array([1.0, 0.0]))
 
 
 def test_eta_quadrature_points_equal_their_lone_runs():
@@ -405,9 +422,9 @@ def test_eta_quadrature_points_equal_their_lone_runs():
     p = h3.H3Params(0.7)
     points = [(float(t), prime) for t in np.geomspace(1e-6, 1e9, 16)
               for prime in (False, True)]
-    batched = h3.eta_quadrature(p, points)
-    assert [h3.eta_quadrature(p, [point])[0] for point in points] == batched
-    assert h3.eta_quadrature(p, points[::-1]) == batched[::-1]
+    batched = eta_quadrature(p, points)
+    assert [eta_quadrature(p, [point])[0] for point in points] == batched
+    assert eta_quadrature(p, points[::-1]) == batched[::-1]
 
 
 def test_oracle_failure_names_its_point(tolerances):
@@ -418,7 +435,7 @@ def test_oracle_failure_names_its_point(tolerances):
     with pytest.raises(QuadratureConvergenceError,
                        match=r"^log-weighted sinh integral \(power 3\) at t=3\.0, kappa=0\.5: "
                              r"error estimate"):
-        h3.eta_quadrature(p, [(3.0, True), (1.0, False)])
+        eta_quadrature(p, [(3.0, True), (1.0, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +450,7 @@ def test_trapezoid_matches_adaptive_oracle():
         sweep = h3.evaluate_records(p, k2t / kappa ** 2)
         points = [(t, prime) for t in sweep.t.tolist() for prime in (False, True)]
         rule = np.stack([sweep.eta, sweep.etap], axis=1).ravel()
-        oracle = np.array(h3.eta_quadrature(p, points))
+        oracle = np.array(eta_quadrature(p, points))
         rel = np.abs(rule - oracle) / oracle
         assert rel[small].max() <= 2e-12, kappa
         assert rel[~small].max() <= 5e-14, kappa
@@ -682,15 +699,15 @@ def test_blocked_trapezoid_rows_equal_lone_rows(count):
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
 def test_kernel_refuses_a_non_finite_distance(d):
     with pytest.raises(ValueError, match="d must be nonnegative and finite"):
-        h3.heat_kernel(P1, 1.0, d)
+        heat_kernel(P1, 1.0, d)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_non_finite_times_are_refused(t):
     for call in (lambda: h3.evaluate_records(P1, [1.0, t]),
                  lambda: h3.I1(P1, t),
-                 lambda: h3.xi(P1, np.array([1.0, t])),
-                 lambda: h3.heat_kernel(P1, t, 0.5)):
+                 lambda: h3.I1(P1, np.array([1.0, t])),
+                 lambda: heat_kernel(P1, t, 0.5)):
         with pytest.raises(ValueError, match="finite"):
             call()
 
@@ -701,7 +718,7 @@ def test_extreme_exponential_scale():
     # whole pipeline exact
     p = h3.H3Params(6.0)
     t = 100.0
-    assert h3.normalization_quadrature(p, t) == pytest.approx(1.0, abs=1e-8)
+    assert normalization_quadrature(p, t) == pytest.approx(1.0, abs=1e-8)
     sweep = h3.evaluate_records(p, [t])
     assert sweep.envelope_ok[0]
     lo, hi = h3.asymptotic_band(p)

@@ -1,0 +1,63 @@
+"""The layout of ``src/``: it holds what the commands run.
+
+Every public top-level function or class of ``src/heatent`` must be
+referenced by code somewhere in ``src/``, as a name, an attribute or an
+import (a docstring does not count).  Lone forms of what a batch path
+computes fold into that path, and oracles that only tests call live in
+``tests/oracles.py``.  The few exceptions are listed with their reasons.
+"""
+
+import ast
+from pathlib import Path
+
+import heatent
+
+SOURCE = Path(heatent.__file__).resolve().parent
+
+# module.name -> why it stays in src/ with no caller there
+UNREFERENCED = {
+    "spectral.evolve": "the library's one-time API (README), and the row-independence "
+                       "tests' lone reference for a trace's row",
+    "spectral.entropy_and_fisher": "the one-time API of the functionals (README), and the "
+                                   "row-independence tests' lone reference",
+    "spectral.grid_extrema": "the one-time API of the extrema (README), and the lone "
+                             "reference of fisher_and_extrema's bits",
+    "fixtures.random_positive_torus_field": "perfbench's and the tests' seeded field draw",
+    "fixtures.random_torus_potential": "the tests' seeded potential draw, which frozen "
+                                       "digests pin",
+}
+
+
+def _layout() -> tuple[dict[str, str], set[str]]:
+    """(public top-level functions and classes as module.name -> name, every
+    name that code in src/ refers to)."""
+    public, referenced = {}, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return public, referenced
+
+
+def test_every_public_name_is_referenced_in_src():
+    public, referenced = _layout()
+    unreferenced = sorted(qualified for qualified, name in public.items()
+                          if name not in referenced and qualified not in UNREFERENCED)
+    assert unreferenced == []
+
+
+def test_every_allowlisted_name_exists_and_is_unreferenced():
+    # an entry that gains a caller in src/, or is gone, leaves the list
+    public, referenced = _layout()
+    for qualified in UNREFERENCED:
+        assert qualified in public, qualified
+        assert public[qualified] not in referenced, qualified

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_scaled_moment
+from conftest import closed_moment, mp_scaled_moment
 from heatent import h3entropy as h3
 from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError, integrate_batch
-from heatent.specfun import alpha, hyperbolic_moment_closed_form, shifted_gaussian_quadratures
+from heatent.specfun import moment_factors, shifted_gaussian_quadratures
 from heatent.verify import _direct_moment_integrand
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -90,7 +90,7 @@ def test_moment_cases_against_the_closed_form():
     values, estimates = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
                                         (powers, kappas, ts), name)
     for (m, kappa, t), value in zip(cases, values.tolist()):
-        closed = hyperbolic_moment_closed_form(m, kappa, t) * math.exp(0.5 * kappa * kappa * t)
+        closed = closed_moment(m, kappa, t) * math.exp(0.5 * kappa * kappa * t)
         assert value == pytest.approx(closed, rel=4e-15), (m, kappa, t)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
@@ -291,12 +291,12 @@ def test_convergence_failure_names_only_the_failing_case(tolerances):
 
 
 def test_shifted_gaussian_reduces_to_half_gaussian():
-    # with weight 1 the value is M(0) = sqrt(t) alpha(kappa, t), a truncated
-    # half-Gaussian mass
+    # with weight 1 the value is M(0) = sqrt(t) F_0(kappa sqrt t), F_0 the
+    # truncated half-Gaussian mass
     kappa, t = 0.75, 4.0
     [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(kappa, t)],
                                            lambda i: "half-Gaussian")
-    assert value == pytest.approx(math.sqrt(t) * alpha(kappa, t), rel=1e-12)
+    assert value == pytest.approx(math.sqrt(t) * float(moment_factors(kappa, t)[0]), rel=1e-12)
 
 
 def test_shifted_gaussian_cross_oracle():

@@ -1,12 +1,13 @@
 """Sensitivity of the verify groups: each row corrupts one case of one
 library call and requires the group that reads it to fail.
 
-A row is data: the module and attribute to wrap, the case made NaN (which
+A row is data: the module and attribute to wrap, the case corrupted (which
 call of the attribute during the group, 0 first, and the path into its
 result: attribute names and indices), and the group.  The wrapper is put in
 with monkeypatch, in process, so every other call returns its true value.
-A NaN case must fail its group with ``max_error`` NaN, and
-``verify --only <group>`` must exit 1.
+A NaN row makes its case NaN, which must fail its group with ``max_error``
+NaN; a factor row scales its case by 1 + 1e-9, which must fail its group
+too.  Either way ``verify --only <group>`` must exit 1.
 """
 
 import dataclasses
@@ -39,37 +40,55 @@ NAN_ROWS = [
     (h3, "evaluate_records", 1, ("rate_direct", 0), "band"),
 ]
 
+# the relative error each factor row puts in its case
+FACTOR = 1.0 + 1e-9
+
+FACTOR_ROWS = [
+    # the entropy column of the first sweep, kappa = 0.5
+    (h3, "evaluate_records", 0, ("entropy",), "entropy_decomposition"),
+]
+
+
+def _changed(value, path, change):
+    """value with the entry at path replaced by change(entry), the rest unchanged."""
+    if not path:
+        return change(value)
+    key, rest = path[0], path[1:]
+    if isinstance(key, str):
+        return dataclasses.replace(value, **{key: _changed(getattr(value, key), rest, change)})
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[key] = _changed(value[key], rest, change)
+        return value
+    items = list(value)
+    items[key] = _changed(items[key], rest, change)
+    return type(value)(items)
+
 
 def _with_nan(value, path):
     """value with the entry at path set to NaN, the rest unchanged."""
-    if not path:
-        return math.nan
-    key, rest = path[0], path[1:]
-    if isinstance(key, str):
-        return dataclasses.replace(value, **{key: _with_nan(getattr(value, key), rest)})
-    if isinstance(value, np.ndarray):
-        value = value.copy()
-        value[key] = _with_nan(value[key], rest)
-        return value
-    items = list(value)
-    items[key] = _with_nan(items[key], rest)
-    return type(value)(items)
+    return _changed(value, path, lambda entry: math.nan)
+
+
+def _with_factor(value, path):
+    """value with the entry at path multiplied by FACTOR, the rest unchanged."""
+    return _changed(value, path, lambda entry: entry * FACTOR)
 
 
 @pytest.fixture
 def corrupt(monkeypatch):
-    """``corrupt(module, name, call, path)`` wraps module.name so that its
-    call-th call returns its result with the entry at path set to NaN;
-    returns the list of calls made so far, one None per call, which the
-    caller may clear to count afresh."""
-    def install(module, name, call, path):
+    """``corrupt(module, name, call, path, corruption)`` wraps module.name so
+    that its call-th call returns ``corruption(result, path)`` (``_with_nan``
+    by default); returns the list of calls made so far, one None per call,
+    which the caller may clear to count afresh."""
+    def install(module, name, call, path, corruption=_with_nan):
         original = getattr(module, name)
         calls = []
 
         def wrapped(*args, **kwargs):
             value = original(*args, **kwargs)
             calls.append(None)
-            return _with_nan(value, path) if len(calls) - 1 == call else value
+            return corruption(value, path) if len(calls) - 1 == call else value
 
         monkeypatch.setattr(module, name, wrapped)
         return calls
@@ -98,9 +117,22 @@ def test_a_nan_case_fails_its_group(corrupt, capsys, module, name, call, path, g
     assert captured.err == f"verify: failed checks: {group}\n"
 
 
-@pytest.mark.parametrize("group", sorted({row[-1] for row in NAN_ROWS}))
+@pytest.mark.parametrize("module, name, call, path, group", FACTOR_ROWS,
+                         ids=_row_ids(FACTOR_ROWS))
+def test_a_factor_error_fails_its_group(corrupt, capsys, module, name, call, path, group):
+    calls = corrupt(module, name, call, path, _with_factor)
+    result = vf.run_checks(only=group)[group]
+    assert len(calls) > call  # the corrupted case was reached
+    assert not result.passed
+    assert result.max_error >= 0.5 * (FACTOR - 1.0)
+    calls.clear()  # the CLI run counts its calls afresh
+    assert cli.main(["verify", "--only", group]) == 1
+    assert capsys.readouterr().err == f"verify: failed checks: {group}\n"
+
+
+@pytest.mark.parametrize("group", sorted({row[-1] for row in NAN_ROWS + FACTOR_ROWS}))
 def test_the_groups_pass_uncorrupted(group):
-    # so that a failing row above is the NaN's doing
+    # so that a failing row above is the corruption's doing
     result = vf.run_checks(only=group)[group]
     assert result.passed
     assert math.isfinite(result.max_error)

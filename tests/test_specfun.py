@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_scaled_moment
+from conftest import closed_moment, mp_scaled_moment
 from heatent.quadrature import QuadratureConvergenceError, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
-    alpha,
-    hyperbolic_moment_closed_form,
     hyperbolic_moment_quadratures,
     log_sinh_ratio,
     moment_factors,
@@ -36,6 +34,12 @@ def direct_moment(kappa, t, m):
 
     [value], _ = integrate_batch(f, [kappa * t], [math.sqrt(t)], (), lambda i: "direct")
     return value
+
+
+def alpha(kappa, t):
+    """F_0 of the moment table, the truncated half-Gaussian mass: the
+    integral of exp(-r^2/2) over [0, kappa sqrt(t)], as a float."""
+    return float(moment_factors(kappa, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_alpha_domain():
     with pytest.raises(ValueError):
         alpha(1.0, 0.0)
     with pytest.raises(ValueError):
-        alpha(1.0, np.array([1.0, 0.0]))
+        moment_factors(1.0, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +89,6 @@ def test_alpha_domain():
 def test_moment_power_validation():
     for m in (-1, 5):
         with pytest.raises(ValueError, match="powers 0 to 4"):
-            hyperbolic_moment_closed_form(m, 1.0, 1.0)
-        with pytest.raises(ValueError, match="powers 0 to 4"):
             hyperbolic_moment_quadratures([(0, 1.0, 1.0), (m, 1.0, 1.0)])
 
 
@@ -94,7 +96,7 @@ def test_moment_power_validation():
 DOMAIN_CALLS = {
     "alpha": alpha,
     "moment_factors": lambda kappa, t: moment_factors(kappa, np.array([1.0, t])),
-    "closed_form": lambda kappa, t: hyperbolic_moment_closed_form(2, kappa, t),
+    "closed_form": lambda kappa, t: closed_moment(2, kappa, t),
     "quadratures": lambda kappa, t: hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, kappa, t)]),
 }
 
@@ -113,17 +115,6 @@ def test_shifted_moment_domain_failure_names_its_case():
         hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, 1.0, math.inf)])
 
 
-def test_closed_form_refuses_overflow():
-    # x = kappa sqrt t = 1e150, so x^4 in F_4 overflows; M(0) = sqrt(t) F_0 does not
-    with pytest.raises(ValueError, match=r"^the closed form of M\(4\) overflows at "
-                                         r"kappa = 1e\+100, t = 1e\+100$"):
-        hyperbolic_moment_closed_form(4, 1e100, 1e100)
-    assert math.isfinite(hyperbolic_moment_closed_form(0, 1e100, 1e100))
-    # here F_4 is tiny and its power of t overflows; the first such t is named
-    with pytest.raises(ValueError, match=r"kappa = 1e-200, t = 1e\+200$"):
-        hyperbolic_moment_closed_form(4, 1e-200, np.array([1.0, 1e200, 1e300]))
-
-
 def test_moment_factors_refuse_overflow():
     with pytest.raises(ValueError, match=r"^a moment factor F_0 to F_4 overflows at "
                                          r"kappa = 1e\+200, t = 1e\+200$"):
@@ -140,9 +131,9 @@ def test_shifted_moments_refuse_an_overflowing_peak():
 
 def test_moment_closed_form_examples():
     # each moment comes back times exp(-kappa^2 t/2)
-    v = hyperbolic_moment_closed_form(1, 1.0, 1.0)
+    v = closed_moment(1, 1.0, 1.0)
     assert v * math.exp(0.5) == pytest.approx(SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
-    v = hyperbolic_moment_closed_form(3, 1.0, 1.0)
+    v = closed_moment(3, 1.0, 1.0)
     assert v * math.exp(0.5) == pytest.approx(4.0 * SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
 
 
@@ -150,7 +141,7 @@ def test_moment_table_against_oracle():
     for moment in ALL_MOMENTS:
         for kappa in (0.5, 1.0, 2.0):
             for t in (0.1, 1.0, 10.0):
-                closed = hyperbolic_moment_closed_form(moment, kappa, t)
+                closed = closed_moment(moment, kappa, t)
                 direct = direct_moment(kappa, t, moment)
                 grown = math.exp(0.5 * kappa * kappa * t)
                 assert closed * grown == pytest.approx(direct, rel=1e-8), (
@@ -166,7 +157,7 @@ def test_moment_table_against_mpmath():
         for kappa in (0.3, 1.0, 2.7):
             times = (x / kappa) ** 2
             for moment in ALL_MOMENTS:
-                closed = hyperbolic_moment_closed_form(moment, kappa, times)
+                closed = closed_moment(moment, kappa, times)
                 for t, value in zip(times.tolist(), closed.tolist()):
                     exact = mp_scaled_moment(mp, moment, kappa, t)
                     assert abs(value - exact) <= 2e-15 * exact, (moment, kappa, t)
@@ -185,7 +176,7 @@ def test_moment_paths_agree():
 def test_moment_no_overflow_at_large_scale():
     # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
     # it times exp(-200) and agree without ever materialising it
-    closed = hyperbolic_moment_closed_form(3, 2.0, 100.0)
+    closed = closed_moment(3, 2.0, 100.0)
     [shifted] = hyperbolic_moment_quadratures([(3, 2.0, 100.0)])
     assert math.isfinite(closed) and math.isfinite(shifted)
     rel = abs(closed - shifted) / abs(closed)
@@ -197,7 +188,7 @@ def test_shifted_moments_at_a_far_peak():
     # edge, and the mass on both sides of it is kept (M(4) overflows here)
     for m in range(4):
         [shifted] = hyperbolic_moment_quadratures([(m, 1e30, 1e60)])
-        assert shifted == pytest.approx(hyperbolic_moment_closed_form(m, 1e30, 1e60),
+        assert shifted == pytest.approx(closed_moment(m, 1e30, 1e60),
                                         rel=1e-14), m
 
 

@@ -7,6 +7,7 @@ from heatent import spectral as sp
 from heatent import verify as vf
 from heatent.quadrature import QuadratureConvergenceError
 from heatent.verify import CHECKS, check_moment_table, run_checks
+from oracles import I1_quadrature, entropy_quadrature, normalization_quadrature
 
 
 def test_check_registry_names_are_stable():
@@ -78,21 +79,21 @@ def test_moment_table_refuses_unconverged_integrals(tolerances):
 
 def test_kappa_batched_checks_equal_the_per_kappa_oracles():
     # each radial group integrates its kappa x t grid as one batch; its
-    # max_error is, bit for bit, the one of the per-kappa public oracles
+    # max_error is, bit for bit, the one of the per-kappa oracles (tests/oracles.py)
     params = [h3.H3Params(kappa) for kappa in vf._KAPPA_GRID]
     times = np.array(vf._T_GRID)
-    worst = max(float(np.max(np.abs(h3.I1(p, times) - h3.I1_quadrature(p, times))
+    worst = max(float(np.max(np.abs(h3.I1(p, times) - I1_quadrature(p, times))
                              / np.abs(h3.I1(p, times)))) for p in params)
     pin = abs(h3.I1(h3.H3Params(2.0), 0.25) - 2.0)
     assert vf.check_second_moment().max_error == max(worst, pin)
     times = np.array([0.1, 1.0, 10.0, 50.0])
-    worst = max(float(np.max(np.abs(h3.normalization_quadrature(p, times) - 1.0)))
+    worst = max(float(np.max(np.abs(normalization_quadrature(p, times) - 1.0)))
                 for p in params)
     assert vf.check_h3_normalization().max_error == worst
     times = np.array([0.3, 1.0, 5.0])
     worst = max(float(np.max(np.abs(h3.evaluate_records(p, times).entropy - direct)
                              / np.abs(direct)))
-                for p in params for direct in [h3.entropy_quadrature(p, times)])
+                for p in params for direct in [entropy_quadrature(p, times)])
     assert vf.check_entropy_decomposition().max_error == worst
 
 
