@@ -40,7 +40,7 @@ Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
 difference of two quantities each known to a few ulp, never a rounded eta
 against a rounded envelope.  Each side is inside, outside or unresolved
 against the error estimate.  ``eta_quadrature`` in ``tests/oracles.py``,
-the same eta by specfun's shifted-Gaussian quadrature, is the oracle the
+the same eta by verify's shifted-Gaussian quadrature, is the oracle the
 tests hold the rule to.
 
 Shortcuts that change no bit.  ``_trapezoid`` gives every node value and
@@ -71,12 +71,9 @@ four envelope sides as (4, n) arrays in the order of ``SIDES``.
 ``verdict_states`` is the one rule that turns a margin and its error into
 inside, outside or unresolved.
 
-A note on the radial weight: the density decomposition used here carries a
-single Gaussian factor exp(-r^2/2t) inside eta.  A doubled-Gaussian variant
-of that integrand is inconsistent with the closed-form pieces; the direct
-quadrature of -integral h log h dV (``verify``'s ``entropy_decomposition``
-group, and ``entropy_quadrature`` in ``tests/oracles.py``) confirms the
-single-Gaussian reading to full tolerance.
+The radial quadratures that check this module (the kernel's mass, second
+moment and entropy by the double-exponential rule) live in ``verify``,
+beside the groups that run them; ``verify`` reads ``I1`` and the band here.
 """
 
 from __future__ import annotations
@@ -88,13 +85,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureConvergenceError, integrate_batch
-from .specfun import (
-    _factors,
-    _log_sinh_ratio,
-    _refuse_overflow,
-    log_sinh_ratio,
-)
+from .quadrature import QuadratureConvergenceError
+from .specfun import _factors, _log_sinh_ratio, _refuse_overflow
 
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT2 = 0.5 * math.log(2.0)
@@ -136,57 +128,6 @@ class H3Params:
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
-
-
-def _radial_mass(kappa, t, d, pref):
-    """Radial density of the kernel at r = kappa t + d: h(t, r) times the
-    4 pi sinh^2(kr)/k^2 shell, pref being ``_mass_prefactor`` at (kappa, t).
-
-    Written with the exponentials combined, its Gaussian taken on the offset
-    d from the peak, so it stays finite at any kappa^2 t (the raw shell
-    factor alone would overflow).  Elementwise in kappa, t, d and pref.
-    """
-    r = kappa * t + d
-    return pref * r * np.exp(-d * d / (2.0 * t)) * 0.5 * -np.expm1(-2.0 * kappa * r)
-
-
-def _mass_prefactor(kappa: float, t: float) -> float:
-    """The factor 4 pi/k (2 pi t)^-3/2 of ``_radial_mass`` at a float t.
-
-    A float power, not numpy's vectorised one, which may differ from it in
-    the last bit.
-    """
-    return 4.0 * math.pi / kappa * (2.0 * math.pi * t) ** -1.5
-
-
-def _radial_integrals(kappas, ts, context: str) -> np.ndarray:
-    """At each (kappa, t) of kappas and ts, which broadcast, the integral
-    over r > 0 of ``_RADIAL[context](mass, r, t, kappa)``, t and kappa being
-    (rows, 1) columns and mass ``_radial_mass`` there.  Each pair is one case
-    of the double-exponential rule (``quadrature.integrate_batch``), split at
-    its peak r = kappa t with width sqrt t, so each value is bit-identical to
-    its lone run; one that misses the tolerance raises, named by context and t.
-    """
-    kappa, t = np.broadcast_arrays(kappas, ts)
-    shape, kappa, flat = t.shape, kappa.ravel(), t.ravel()
-    pref = np.array([_mass_prefactor(k, s) for k, s in zip(kappa.tolist(), flat.tolist())])
-
-    def f(d, t, k, pref):
-        return _RADIAL[context](_radial_mass(k, t, d, pref), k * t + d, t, k)
-
-    values, _ = integrate_batch(f, kappa * flat, np.sqrt(flat), (flat, kappa, pref),
-                                lambda i: f"{context} at t = {float(flat[i])!r}")
-    return values.reshape(shape)
-
-
-# The radial oracles' integrands by name: the kernel mass, its second moment
-# (before the 1/(2t) of I1) and the entropy density -h log h.
-_RADIAL = {
-    "kernel normalization": lambda mass, r, t, k: mass,
-    "second moment": lambda mass, r, t, k: mass * r * r,
-    "direct entropy integral": lambda mass, r, t, k: mass * (r * r / (2.0 * t) + (
-        1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t) + log_sinh_ratio(k * r)),
-}
 
 
 def _times(t) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Numerically stable special functions, the Gaussian-sinh moment table
-and its shifted-Gaussian quadrature oracle.
+"""Numerically stable special functions and the Gaussian-sinh moment table.
 
 The moment table evaluates integrals of the form
 
@@ -10,22 +9,19 @@ comes back times exp(-kappa^2 t / 2), a plain float that never overflows,
 and is then t^{(m+1)/2} F_m(x): a power of t times a function of
 x = kappa sqrt(t) alone.  ``_factors`` forms F_0, ..., F_4 in one pass.
 ``moment_factors`` is its checked form, from which ``verify`` reads each
-moment as t^{(m+1)/2} F_m; h3entropy's sweep reads its closed parts and
-envelope terms of eta from ``_factors`` directly.
+moment as t^{(m+1)/2} F_m and checks it against its own quadratures, formed
+in the same scale; h3entropy's sweep reads its closed parts and envelope
+terms of eta from ``_factors`` directly.
 
-``moment_factors`` takes a finite kappa > 0, the oracle a finite kappa >= 0,
-and both finite times t > 0; anything else raises ValueError, and so does
-a moment factor that overflows or an oracle case whose peak kappa t does.
+``moment_factors`` takes a finite kappa > 0 and finite times t > 0;
+anything else raises ValueError, and so does a moment factor that overflows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
-
-from .quadrature import integrate_batch
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -80,70 +76,6 @@ def moment_factors(kappa: float, t) -> list:
         factors = _factors(kappa, ts, kappa * np.sqrt(ts))
     _refuse_overflow(factors, kappa, ts, "a moment factor F_0 to F_4")
     return factors
-
-
-def shifted_gaussian_quadratures(
-    weight: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    cases: Sequence[tuple[float, float]],
-    context: Callable[[int], str],
-) -> list[float]:
-    """For each case i = (kappa, t), the integral over r > 0 of
-    exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by the
-    double-exponential rule, never forming the exp(kappa^2 t/2) growth.
-
-    Each exponential half of 2 sinh(kappa r) = e^{kappa r} - e^{-kappa r}
-    has its square completed and r = +-kappa t + sqrt(t) s substituted; the
-    value is sqrt(t)/2 times the difference of the two s-integrals.
-    ``weight(gauss, r, i)`` is their integrand, elementwise: gauss =
-    exp(-s^2/2) times w(r) at radii r >= 0, i the (rows, 1) column of case
-    indices, multiplied in the caller's order.  Each half is a case of
-    ``quadrature.integrate_batch`` in s, from its edge (r = 0) on, with width
-    1 and its peak at s = max(0, edge); s is the peak plus the rule's offset,
-    so the plus half, whose peak is s = 0, gets the offset itself, however
-    far out the edge is.  Case i's plus half is integral 2i and its minus
-    half 2i + 1; a failure is named by context(i), and so is a case outside
-    the domain or whose peak kappa t overflows.
-    """
-    for i, (kappa, t) in enumerate(cases):
-        if not (0.0 <= kappa < math.inf and 0.0 < t < math.inf):
-            raise ValueError(
-                f"{context(i)}: shifted Gaussians require finite kappa >= 0 and finite t > 0")
-        if kappa * t == math.inf:
-            raise ValueError(f"{context(i)}: the peak kappa t leaves the double range")
-    centers = np.repeat([kappa * t for kappa, t in cases], 2)
-    centers[1::2] *= -1.0
-    scales = np.repeat([math.sqrt(t) for _, t in cases], 2)
-    edges = -centers / scales  # s at r = 0; each half runs over s >= its edge
-    tops = np.maximum(edges, 0.0)  # s at each half's peak
-
-    def f(d, top, center, scale, i):
-        s = top + d
-        # maximum() absorbs the one-ulp negative r at the domain edge
-        r = np.maximum(0.0, center + scale * s)
-        return weight(np.exp(-0.5 * s * s), r, i)
-
-    halves, _ = integrate_batch(f, tops - edges, np.ones(edges.size),
-                                (tops, centers, scales, np.arange(edges.size) // 2),
-                                lambda j: context(j // 2))
-    return [0.5 * math.sqrt(t) * (jp - jm)
-            for (_, t), jp, jm in zip(cases, halves[0::2].tolist(), halves[1::2].tolist())]
-
-
-def hyperbolic_moment_quadratures(cases: Sequence[tuple[int, float, float]]) -> list[float]:
-    """Each (m, kappa, t) power-m sinh moment by ``shifted_gaussian_quadratures``,
-    times exp(-kappa^2 t/2): the independent cross-check of the closed forms
-    at any kappa^2 t."""
-    for m, _, _ in cases:
-        if m not in range(5):
-            raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
-    powers = np.array([float(m) for m, _, _ in cases])
-
-    def context(i):
-        return "shifted path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i])
-
-    return shifted_gaussian_quadratures(
-        lambda gauss, r, i: gauss * r ** powers[i],
-        [(kappa, t) for _, kappa, t in cases], context)
 
 
 def log_sinh_ratio(x):

@@ -4,9 +4,10 @@ large-time limit of the Ricci bound.
 
 Each is independent of the path it checks: the radial integrals run the
 double-exponential rule of ``heatent.quadrature`` on the kernel's radial
-density (``h3entropy._radial_integrals``, which ``verify`` runs too), and
-eta and eta' run ``specfun.shifted_gaussian_quadratures`` against the
-fixed-node trapezoid rule of ``h3entropy.evaluate_records``.
+density (``verify._radial_integrals``, which ``verify``'s groups run too),
+and eta and eta' run ``verify.shifted_gaussian_quadratures`` against the
+fixed-node trapezoid rule of ``h3entropy.evaluate_records``.  Both live in
+``verify`` and form every integral times exp(-kappa^2 t/2).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from heatent.h3entropy import H3Params, _like, _radial_integrals, _times
-from heatent.specfun import log_sinh_ratio, shifted_gaussian_quadratures
+from heatent.h3entropy import H3Params, _like, _times
+from heatent.specfun import log_sinh_ratio
+from heatent.verify import _radial_integrals, shifted_gaussian_quadratures
 
 
 def heat_kernel(p: H3Params, t: float, d: float) -> float:
@@ -59,7 +61,7 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
         integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
 
     with power 1 for eta and power 3 (times 1/(2t^2)) for eta', a (kappa, t)
-    case of ``specfun.shifted_gaussian_quadratures``, so nothing ever sees
+    case of ``verify.shifted_gaussian_quadratures``, so nothing ever sees
     the exp(kappa^2 t/2) growth directly.  Each point's value is
     bit-identical to its lone run; the first point, in order, that misses
     the tolerance raises, named by t and kappa.
@@ -85,8 +87,7 @@ def entropy_quadrature(p: H3Params, t):
     Elementwise in t.
 
     Independent oracle for the assembled value; also settles the radial
-    Gaussian-weight reading discussed in the ``heatent.h3entropy`` module
-    docstring.
+    Gaussian-weight reading, as ``verify``'s ``entropy_decomposition`` does.
     """
     return _like(t, _radial_integrals(p.kappa, _times(t), "direct entropy integral"))
 

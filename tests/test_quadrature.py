@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_moment, mp_scaled_moment
-from heatent import h3entropy as h3
 from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError, integrate_batch
-from heatent.specfun import moment_factors, shifted_gaussian_quadratures
-from heatent.verify import _direct_moment_integrand
+from heatent.specfun import moment_factors
+from heatent.verify import (
+    _direct_moment_integrand,
+    _mass_prefactor,
+    _radial_mass,
+    shifted_gaussian_quadratures,
+)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -81,24 +85,36 @@ def test_determinism_bit_identical():
 
 
 def test_moment_cases_against_the_closed_form():
-    # verify's direct path: the 45 sinh moments M(m) at (kappa, t), at the
-    # rule's default tolerances, against the closed form and 40-digit
-    # mpmath; each estimate bounds its actual error
+    # verify's direct path: the 45 sinh moments M(m) at (kappa, t), each
+    # times exp(-kappa^2 t/2) as the table gives it, at the rule's default
+    # tolerances, against the closed form and 40-digit mpmath; each estimate
+    # bounds its actual error
     cases = [(m, kappa, t) for m in range(5) for kappa in (0.5, 1.0, 2.0)
              for t in (0.1, 1.0, 10.0)]
     powers, kappas, ts = np.array(cases).T
     values, estimates = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
                                         (powers, kappas, ts), name)
     for (m, kappa, t), value in zip(cases, values.tolist()):
-        closed = closed_moment(m, kappa, t) * math.exp(0.5 * kappa * kappa * t)
-        assert value == pytest.approx(closed, rel=4e-15), (m, kappa, t)
+        assert value == pytest.approx(closed_moment(m, kappa, t), rel=4e-15), (m, kappa, t)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         for (m, kappa, t), value, estimate in zip(cases, values.tolist(), estimates.tolist()):
-            exact = mp_scaled_moment(mp, m, kappa, t) * mp.exp(mp.mpf(kappa) ** 2 * t / 2)
+            exact = mp_scaled_moment(mp, m, kappa, t)
             error = float(abs(value - exact) / exact)
             assert error <= 4e-15, (m, kappa, t)
             assert abs(value - exact) <= estimate, (m, kappa, t)
+
+
+def test_direct_moments_have_the_range_of_the_closed_forms():
+    # scaled by exp(-kappa^2 t/2) inside the integrand, the direct path stays
+    # finite far past kappa^2 t = 1e4, where the unscaled moment overflows
+    cases = [(m, kappa, t) for kappa, t in ((1.0, 1e3), (2.0, 1e4), (1.0, 1e6), (3.0, 1e8))
+             for m in range(5)]
+    powers, kappas, ts = np.array(cases).T
+    values, _ = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
+                                (powers, kappas, ts), name)
+    for (m, kappa, t), value in zip(cases, values.tolist()):
+        assert value == pytest.approx(closed_moment(m, kappa, t), rel=4e-15), (m, kappa, t)
 
 
 def test_mass_points_within_their_estimates():
@@ -106,9 +122,9 @@ def test_mass_points_within_their_estimates():
     # rule's estimate covers its distance from 1
     for kappa in (0.5, 1.0, 2.0):
         ts = np.array([0.1, 1.0, 10.0, 50.0])
-        prefs = np.array([h3._mass_prefactor(kappa, t) for t in ts.tolist()])
+        prefs = np.array([_mass_prefactor(kappa, t) for t in ts.tolist()])
         values, estimates = integrate_batch(
-            lambda d, t, pref: h3._radial_mass(kappa, t, d, pref), kappa * ts, np.sqrt(ts),
+            lambda d, t, pref: _radial_mass(kappa, t, d, pref), kappa * ts, np.sqrt(ts),
             (ts, prefs), name)
         assert np.all(np.abs(values - 1.0) <= estimates), kappa
         assert np.all(np.abs(values - 1.0) <= 4.5e-16), kappa

@@ -10,11 +10,11 @@ from heatent.quadrature import QuadratureConvergenceError, integrate_batch
 from heatent.specfun import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
-    hyperbolic_moment_quadratures,
     log_sinh_ratio,
     moment_factors,
     sinh_ratio_bounds_check,
 )
+from heatent.verify import hyperbolic_moment_quadratures
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
