@@ -23,7 +23,8 @@ from .spectral import (
     EntropyTrace,
     ManifoldSpec,
     SpectralField,
-    fisher_and_extrema,
+    entropy_and_fisher,
+    grid_extrema,
     laplacian_l2_norm,
     spectral_gap,
 )
@@ -137,9 +138,10 @@ def spectral_gap_bound_rhs(lambda1: float, norm_laplacian_f: float, vol: float,
 
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _initial_constants(initial: SpectralField) -> tuple[float, float, float, float, float]:
-    """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per content: its
-    ``fisher_and_extrema``, ``laplacian_l2_norm`` and ``spectral_gap``."""
-    return (*fisher_and_extrema(initial), laplacian_l2_norm(initial),
+    """(q0, inf f, sup f, ||Lap f||, lambda1) of the initial field f, once per content: the
+    Fisher information of ``entropy_and_fisher``, ``grid_extrema``, ``laplacian_l2_norm``
+    and ``spectral_gap``."""
+    return (entropy_and_fisher(initial)[1], *grid_extrema(initial), laplacian_l2_norm(initial),
             spectral_gap(initial.manifold))
 
 

@@ -52,7 +52,7 @@ _OUTPUT = (("--config", str, None, "JSON file of flag values; explicit flags win
 _GRID = (("--t-start", float, None, None), ("--t-stop", float, None, None),
          ("--t-count", int, None, None), ("--t-scale", ("lin", "log"), None, None))
 _FORMAT = ("--format", ("csv", "json"), "csv", None)
-_MANIFOLD = ("--manifold", ("circle", "torus", "sphere", "torus-drift"), "circle", None)
+_MANIFOLD = ("--manifold", tuple(fx.FIXTURE_BUILDERS), "circle", None)
 _COMMANDS = {
     "h3": ("hyperbolic-space entropy sweep",
            (("--kappa", float, 1.0, None), _FORMAT, *_OUTPUT, *_GRID)),

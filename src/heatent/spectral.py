@@ -878,7 +878,7 @@ def laplacian_l2_norm(field: SpectralField) -> float:
 def grid_extrema(field: SpectralField) -> tuple[float, float]:
     """(min, max) over the oversampled evaluation grid and the transform's
     points off it: the sphere's two poles, where P_l(+-1) = (+-1)^l gives
-    the field exactly.
+    the field exactly.  They are the inf f and sup f of the bound constants.
 
     These extrema lie inside the true range.  The periodic fixtures' and the
     sphere fixture's extrema land on these points, so for them the values
@@ -887,25 +887,6 @@ def grid_extrema(field: SpectralField) -> tuple[float, float]:
     makes |log sup f| in the spectral-gap bound larger, so that bound comes
     out looser.
     """
-    tr = _transform(field.manifold, field.cutoff)
-    return _extrema(tr, field.coefficients, tr.synth(field.coefficients))
-
-
-def _extrema(tr: _Transform, c: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a field's grid values ``u`` and its values at ``tr``'s
-    points off the grid, from its coefficients ``c``."""
-    u = [u, *(c @ table for table in tr.off_grid)]
+    tr, c = _transform(field.manifold, field.cutoff), field.coefficients
+    u = [tr.synth(c), *(c @ table for table in tr.off_grid)]
     return min(float(s.min()) for s in u), max(float(s.max()) for s in u)
-
-
-def fisher_and_extrema(field: SpectralField) -> tuple[float, float, float]:
-    """(Fisher information, *``grid_extrema``) of a strictly positive
-    resolved field, with the bits of ``entropy_and_fisher``'s Fisher
-    information and of ``grid_extrema``, from one synthesis and no entropy."""
-    op = _operator(field.manifold, field.cutoff)
-    rows = field.coefficients[np.newaxis]
-    u, grad2 = op.transform.values_and_gradients(rows, 1)
-    _require_positive(u, _RESOLVED_MINIMUM)
-    grad2 /= u
-    fisher = _row_products(grad2.reshape(1, -1), op.weights.reshape(-1, 1))[0, 0]
-    return (float(fisher), *_extrema(op.transform, field.coefficients, u[0]))

@@ -253,7 +253,7 @@ def check_rate_consistency() -> CheckResult:
     place of rate_fd (ROADMAP item 20) lets it tighten.
     """
     traces = [h3.evaluate_records(h3.H3Params(1.0), (1.0, 5.0, 20.0))]
-    for name in ("circle", "torus", "sphere", "torus-drift"):
+    for name in fx.FIXTURE_BUILDERS:
         fixture = fx.get_fixture(name)
         traces.append(sp.entropy_trace(fixture.initial, fixture.rate_check_times))
     errors = np.concatenate([np.abs(trace.rate_direct - trace.rate_fd) / np.abs(trace.rate_direct)
@@ -268,7 +268,7 @@ def check_fixture_bounds() -> CheckResult:
     times on the sphere the curvature bound beats the gradient bound."""
     failures = []
     excess = []  # rate - rhs of every bound at every time
-    for name in ("circle", "torus", "sphere", "torus-drift"):
+    for name in fx.FIXTURE_BUILDERS:
         fixture = fx.get_fixture(name)
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
         for report in bd.check_bounds(trace, fixture.manifold, fixture.initial):

@@ -301,8 +301,8 @@ CONSTANT_FIELDS = [
 ]
 
 
-# q0 and the extrema come from one synthesis and no entropy, with the bits of
-# entropy_and_fisher's Fisher information and of grid_extrema
+# q0 and the extrema are the bits of entropy_and_fisher's Fisher information
+# and of grid_extrema, the library's one-time functionals
 @pytest.mark.parametrize("build", [build for _, build in CONSTANT_FIELDS],
                          ids=[name for name, _ in CONSTANT_FIELDS])
 def test_initial_constants_keep_the_fisher_and_extrema_bits(build):
@@ -310,7 +310,6 @@ def test_initial_constants_keep_the_fisher_and_extrema_bits(build):
     bd._initial_constants.cache_clear()
     q0, inf_f, sup_f = bd._initial_constants(field)[:3]
     assert (q0, inf_f, sup_f) == (sp.entropy_and_fisher(field)[1], *sp.grid_extrema(field))
-    assert sp.fisher_and_extrema(field) == (q0, inf_f, sup_f)
 
 
 def test_initial_field_not_positive_is_refused_by_name():

@@ -79,6 +79,19 @@ def test_h3_rejects_bad_grid():
     assert proc.returncode == 2
 
 
+def test_unknown_manifold_lists_the_fixtures():
+    # the choices are the fixture table's names, in its order
+    proc = run_python("-m", "heatent", "evolve", "--manifold", "klein", COLUMNS="80")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage: heatent evolve [-h] [--manifold {circle,torus,sphere,torus-drift}]\n"
+        "                      [--format {csv,json}] [--config CONFIG] [--out OUT]\n"
+        "                      [--t-start T_START] [--t-stop T_STOP]\n"
+        "                      [--t-count T_COUNT] [--t-scale {lin,log}]\n"
+        "heatent evolve: error: argument --manifold: invalid choice: 'klein' "
+        "(choose from 'circle', 'torus', 'sphere', 'torus-drift')\n")
+
+
 # past kappa^2 t ~ 1.4e3 the eta columns overflow, so the second window also
 # pins JSON's non-finite spellings
 H3_WINDOWS = [["--kappa", "2", "--t-start", "0.2", "--t-stop", "30", "--t-count", "7"],

@@ -19,10 +19,6 @@ SOURCE = Path(heatent.__file__).resolve().parent
 UNREFERENCED = {
     "spectral.evolve": "the library's one-time API (README), and the row-independence "
                        "tests' lone reference for a trace's row",
-    "spectral.entropy_and_fisher": "the one-time API of the functionals (README), and the "
-                                   "row-independence tests' lone reference",
-    "spectral.grid_extrema": "the one-time API of the extrema (README), and the lone "
-                             "reference of fisher_and_extrema's bits",
     "fixtures.random_positive_torus_field": "perfbench's and the tests' seeded field draw",
     "fixtures.random_torus_potential": "the tests' seeded potential draw, which frozen "
                                        "digests pin",

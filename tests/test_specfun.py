@@ -21,21 +21,6 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 ALL_MOMENTS = range(5)  # the powers m of the sinh moments
 
 
-def direct_moment(kappa, t, m):
-    """The power-m sinh moment by the double-exponential rule in r, with the
-    exponentials combined: the direct-quadrature oracle."""
-
-    def f(d):
-        r = kappa * t + d
-        gauss = -r * r / (2.0 * t)
-        up = np.exp(gauss + kappa * r) / 2.0
-        down = np.exp(gauss - kappa * r) / 2.0
-        return r ** m * (up - down)
-
-    [value], _ = integrate_batch(f, [kappa * t], [math.sqrt(t)], (), lambda i: "direct")
-    return value
-
-
 def alpha(kappa, t):
     """F_0 of the moment table, the truncated half-Gaussian mass: the
     integral of exp(-r^2/2) over [0, kappa sqrt(t)], as a float."""
@@ -137,17 +122,6 @@ def test_moment_closed_form_examples():
     assert v * math.exp(0.5) == pytest.approx(4.0 * SQRT_HALF_PI * math.exp(0.5), rel=1e-14)
 
 
-def test_moment_table_against_oracle():
-    for moment in ALL_MOMENTS:
-        for kappa in (0.5, 1.0, 2.0):
-            for t in (0.1, 1.0, 10.0):
-                closed = closed_moment(moment, kappa, t)
-                direct = direct_moment(kappa, t, moment)
-                grown = math.exp(0.5 * kappa * kappa * t)
-                assert closed * grown == pytest.approx(direct, rel=1e-8), (
-                    moment, kappa, t)
-
-
 def test_moment_table_against_mpmath():
     # every entry t^{(m+1)/2} F_m(kappa sqrt t) against the two Gaussian
     # partial moments at 50 digits, from x = kappa sqrt t = 1e-6 to 1e7
@@ -164,13 +138,12 @@ def test_moment_table_against_mpmath():
 
 
 def test_moment_paths_agree():
-    for moment in ALL_MOMENTS:
-        for kappa in (0.5, 1.0, 2.0):
-            for t in (0.1, 1.0, 10.0):
-                [shifted] = hyperbolic_moment_quadratures([(moment, kappa, t)])
-                direct = direct_moment(kappa, t, moment)
-                grown = math.exp(0.5 * kappa * kappa * t)
-                assert shifted * grown == pytest.approx(direct, rel=1e-8)
+    # the shifted path against the closed form, both in the table's scale
+    # exp(-kappa^2 t/2), on the 45 cases of the direct path's test
+    cases = [(moment, kappa, t) for moment in ALL_MOMENTS for kappa in (0.5, 1.0, 2.0)
+             for t in (0.1, 1.0, 10.0)]
+    for case, shifted in zip(cases, hyperbolic_moment_quadratures(cases)):
+        assert shifted == pytest.approx(closed_moment(*case), rel=4e-15), case
 
 
 def test_moment_no_overflow_at_large_scale():
@@ -180,7 +153,7 @@ def test_moment_no_overflow_at_large_scale():
     [shifted] = hyperbolic_moment_quadratures([(3, 2.0, 100.0)])
     assert math.isfinite(closed) and math.isfinite(shifted)
     rel = abs(closed - shifted) / abs(closed)
-    assert rel < 1e-8
+    assert rel < 4e-15
 
 
 def test_shifted_moments_at_a_far_peak():
