@@ -170,9 +170,3 @@ def random_positive_torus_field(rng: np.random.Generator, manifold: sp.ManifoldS
     the one-draw case of ``random_torus_fields``."""
     return random_torus_fields(rng, manifold, [True], cutoff, [amplitude])[0]
 
-
-def random_torus_potential(rng: np.random.Generator, manifold: sp.ManifoldSpec,
-                           cutoff: int = 2, amplitude: float = 0.3) -> sp.SpectralField:
-    """Random signed trigonometric potential with bounded sup-norm: the
-    one-draw case of ``random_torus_fields``."""
-    return random_torus_fields(rng, manifold, [False], cutoff, [amplitude])[0]

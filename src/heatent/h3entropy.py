@@ -34,7 +34,7 @@ one t share every node value of L.
 The remainder.  Since L(x) = x - G(x) with G(x) = log(2x) - log(1 - e^{-2x}),
 eta = kappa M(2, sinh) - R, where the closed part is the moment both
 envelopes share and R is the same integral with G in place of L.  The closed
-parts and the envelope terms are read from specfun's moment table.  From
+parts and the envelope terms are read from the moment table below.  From
 kappa^2 t = 100 on, every node has r > 0 and the rule integrates R itself.
 Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
 difference of two quantities each known to a few ulp, never a rounded eta
@@ -42,6 +42,14 @@ against a rounded envelope.  Each side is inside, outside or unresolved
 against the error estimate.  ``eta_quadrature`` in ``tests/oracles.py``,
 the same eta by verify's shifted-Gaussian quadrature, is the oracle the
 tests hold the rule to.
+
+The moment table.  M(m) = integral_0^inf exp(-r^2/2t) r^m sinh(kappa r) dr,
+m = 0, ..., 4, in closed form, carries a factor exp(kappa^2 t/2); taken out,
+M(m) is t^{(m+1)/2} F_m(x), a power of t times a function of x = kappa sqrt(t)
+alone, a plain float that never overflows.  ``_factors`` forms F_0, ..., F_4
+in one pass, which the sweep reads; ``moment_factors`` is its checked form
+(finite kappa > 0 and t > 0, else ValueError, as for a factor that overflows,
+the sweep's refusal too), which ``verify`` checks against its quadratures.
 
 Shortcuts that change no bit.  ``_trapezoid`` gives every node value and
 sum the bits of its plain form (kappa t + sqrt(t) s, L or G at each node,
@@ -86,11 +94,28 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import QuadratureConvergenceError
-from .specfun import _factors, _log_sinh_ratio, _refuse_overflow
 
+_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT2 = 0.5 * math.log(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+# Up to this point log(sinh x / x) is y P(y) at y = x^2, P the degree-9
+# polynomial below (highest degree first): mpmath.chebyfit of
+# log(sinh sqrt(y) / sqrt(y)) / y on y in [0, 1] with 10 terms at 40 digits,
+# fit error 1.3e-18.  The tests refit it with mpmath and require
+# the same bits.  Above the switch the closed form
+# x + log((1 - e^{-2x})/2x) cancels less than a factor of 7, so both
+# branches hold about 1e-15 relative.
+_LOG_SINH_RATIO_SWITCH = 1.0
+_LOG_SINH_RATIO_POLY = (
+    -7.310715998325355e-12, 1.1708532674413125e-10, -1.3794517478122135e-09,
+    1.565518031433476e-08, -1.803643341350071e-07, 2.13777920281465e-06,
+    -2.645502634614059e-05, 0.00035273368605855023, -0.0055555555555553,
+    0.16666666666666666,
+)
+# the least x whose 2x overflows
+_DOUBLING_OVERFLOWS = 2.0 ** 1023
 
 # Trapezoid nodes in the shifted variable s: |s| <= 9.5 at step 1/8, where
 # exp(-s^2/2) has fallen below 3e-20.  Every other node is the step-1/4 rule.
@@ -152,7 +177,7 @@ def _closed_parts(ts: np.ndarray, x: np.ndarray, f: list, rows):
     """(closed for eta at every time of ts, ((lower term, upper term) for eta,
     (closed, lower term, upper term) for eta'), F_0 = alpha) at the times
     ts[rows], all times exp(-kappa^2 t/2); x is kappa sqrt(ts) and f the F_m
-    of ``specfun.moment_factors`` there.
+    of ``moment_factors`` there.
 
     closed is kappa M(2, sinh) for eta and kappa M(4, sinh)/(2t^2) for eta',
     the part of the integral that log(sinh x/x) = x - G(x) gives in closed
@@ -214,7 +239,7 @@ class H3Sweep:
     margins: np.ndarray
     errors: np.ndarray
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the row count, by which perfbench's tracer counts records
         return self.t.size
 
     @property
@@ -404,7 +429,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             if not (np.isfinite(scales).all() and scales.all()):
                 raise out_of_range(~(np.isfinite(scales) & (scales != 0.0)).all(axis=0),
                                    "xi, xi' or the eta' scale 1/(2t^2) overflows or underflows")
-            _refuse_overflow(_factors(k, ts, x), k, ts, "a moment factor F_0 to F_4")
+            moment_factors(k, ts)
             finite = np.isfinite(np.concatenate([closed, terms, margins, errors], axis=None))
             if not finite.all():  # in blocks of n rows
                 raise out_of_range(~finite, "a closed part, envelope term or margin is not finite")
@@ -414,3 +439,96 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
                        *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
                        errors.reshape(4, n))
+
+
+def _factors(kappa: float, ts: np.ndarray, x) -> list:
+    """F_0, ..., F_4 at x = kappa sqrt(ts), elementwise in the float array ts,
+    unchecked (an overflow warns unless the caller ignores it): with alpha a,
+    one erf per time, and e = exp(-x^2/2), a, sqrt(pi/2) x, x e + (x^2 + 1) a,
+    sqrt(pi/2) x (x^2 + 3) and x (x^2 + 5) e + (x^2 (x^2 + 6) + 3) a."""
+    z, xx, f1 = kappa * np.sqrt(0.5 * ts), x * x, _SQRT_HALF_PI * x
+    a = _SQRT_HALF_PI * np.fromiter(map(math.erf, z.ravel().tolist()), float).reshape(z.shape)
+    e = np.exp(-0.5 * xx)  # harmless underflow to 0 at large x
+    return [a, f1, x * e + (xx + 1.0) * a, f1 * (xx + 3.0),
+            x * (xx + 5.0) * e + (xx * (xx + 6.0) + 3.0) * a]
+
+
+def moment_factors(kappa: float, t) -> list:
+    """F_0, ..., F_4 at kappa sqrt t, elementwise in t: the closed form of
+    each moment times exp(-kappa^2 t/2), divided by t^{(m+1)/2}.  kappa and
+    every t must be finite and positive, and a t where one of them overflows
+    raises ValueError."""
+    ts = np.asarray(t, dtype=float)
+    if not (0.0 < kappa < math.inf and ((0.0 < ts) & (ts < math.inf)).all()):
+        raise ValueError("need finite kappa > 0 and finite t > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _factors(kappa, ts, kappa * np.sqrt(ts))
+    finite = np.array([np.isfinite(f) for f in factors]).all(axis=0).reshape(-1)
+    if not finite.all():
+        first = float(ts.reshape(-1)[np.flatnonzero(~finite)[0]])
+        raise ValueError(f"a moment factor F_0 to F_4 overflows at kappa = {kappa!r}, "
+                         f"t = {first!r}")
+    return factors
+
+
+def log_sinh_ratio(x):
+    """log(sinh x / x), continuous and overflow-free for all x >= 0.
+
+    Elementwise over an array; a float argument gives a float.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0.0):
+        raise ValueError("log_sinh_ratio requires x >= 0")
+    out = _log_sinh_ratio(xs.copy())
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
+    """``log_sinh_ratio`` of a float array xs >= 0, which it overwrites:
+    every step runs in place, so few arrays of its size are ever live."""
+    small = xs <= _LOG_SINH_RATIO_SWITCH
+    if np.count_nonzero(small) == xs.size:
+        xs *= xs
+        return _log_sinh_ratio_poly(xs)
+    if xs.max() >= _DOUBLING_OVERFLOWS:
+        # where 2x overflows, log(sinh x / x) = x - log 2x is x - log x - log 2
+        huge = xs >= _DOUBLING_OVERFLOWS
+        far = xs[huge]
+        xs[huge] = 2.0
+        xs = _log_sinh_ratio(xs)
+        with np.errstate(invalid="ignore"):  # nan at x = inf, as the closed form gives
+            xs[huge] = far - np.log(far) - math.log(2.0)
+        return xs
+    near = xs[small]
+    # the closed form, on the large elements alone where at least three
+    # quarters are small, else on all (0/0 at x = 0): each cheaper there
+    if 4 * near.size >= 3 * xs.size:
+        xs[~small] = _log_sinh_ratio_closed(xs[~small])
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _log_sinh_ratio_closed(xs)
+    if near.size:
+        near *= near
+        xs[small] = _log_sinh_ratio_poly(near)
+    return xs
+
+
+def _log_sinh_ratio_closed(xs: np.ndarray) -> np.ndarray:
+    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs >= 0."""
+    ratio = np.multiply(xs, -2.0)
+    np.expm1(ratio, out=ratio)
+    np.negative(ratio, out=ratio)
+    ratio /= 2.0 * xs
+    np.log(ratio, out=ratio)
+    xs += ratio
+    return xs
+
+
+def _log_sinh_ratio_poly(x2: np.ndarray) -> np.ndarray:
+    """log(sinh x / x) at x^2 = x2 <= 1: x2 P(x2) by Horner's rule, in place
+    on the one array it returns."""
+    poly = x2 * _LOG_SINH_RATIO_POLY[0]
+    for c in _LOG_SINH_RATIO_POLY[1:]:
+        poly += c
+        poly *= x2
+    return poly

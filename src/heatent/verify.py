@@ -25,7 +25,6 @@ from . import h3entropy as h3
 from . import quadrature
 from . import spectral as sp
 from .quadrature import integrate_batch
-from .specfun import log_sinh_ratio, moment_factors, sinh_ratio_bounds_check
 
 _MOMENTS = range(5)  # the powers m of the sinh moments
 _KAPPA_GRID = (0.5, 1.0, 2.0)
@@ -109,7 +108,7 @@ _RADIAL = {
     "kernel normalization": lambda mass, r, t, k: mass,
     "second moment": lambda mass, r, t, k: mass * r * r,
     "direct entropy integral": lambda mass, r, t, k: mass * (r * r / (2.0 * t) + (
-        1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t) + log_sinh_ratio(k * r)),
+        1.5 * np.log(2.0 * math.pi * t) + 0.5 * k * k * t) + h3.log_sinh_ratio(k * r)),
 }
 
 
@@ -188,7 +187,7 @@ def check_moment_table() -> CheckResult:
         lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]))
     shifted = hyperbolic_moment_quadratures(cases)
     times = np.array(_T_GRID)  # the closed forms t^{(m+1)/2} F_m, F_m one pass per kappa
-    factors = np.array([moment_factors(kappa, times) for kappa in _KAPPA_GRID])
+    factors = np.array([h3.moment_factors(kappa, times) for kappa in _KAPPA_GRID])
     closed = np.array([times ** (0.5 * (m + 1)) * factors[:, m] for m in _MOMENTS]).ravel()
     return _result(np.abs(np.array([closed, shifted]) - direct) / np.abs(direct),
                    2.0 * quadrature.RELATIVE_TOLERANCE,
@@ -324,6 +323,14 @@ def check_cauchy_step() -> CheckResult:
                    "identity hold on evolved fixture densities")
 
 
+def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:
+    """The strictly ordered triple 1/(1+2r) < (1 - e^{-2r})/(2r) < 1/(1+r)."""
+    if r <= 0.0:
+        raise ValueError("sinh_ratio_bounds_check requires r > 0")
+    mid = -math.expm1(-2.0 * r) / (2.0 * r)
+    return 1.0 / (1.0 + 2.0 * r), mid, 1.0 / (1.0 + r)
+
+
 def check_sinh_ratio_bounds() -> CheckResult:
     """Strict two-sided bound on (1 - e^{-2r})/(2r), plus its sharpness: for
     each beta in (1, 2) the lower comparison flips once r is large enough."""
@@ -343,7 +350,7 @@ def check_sinh_ratio_bounds() -> CheckResult:
 def check_log_sandwich() -> CheckResult:
     """kr + log(1/(1+2kr)) < log(sinh kr / kr) < kr + log(1/(1+kr))."""
     x = np.multiply.outer(_KAPPA_GRID, np.geomspace(1e-6, 1e2, 200)).ravel()
-    val = log_sinh_ratio(x)
+    val = h3.log_sinh_ratio(x)
     lo = x - np.log1p(2.0 * x)
     hi = x - np.log1p(x)
     return _result(np.count_nonzero(~((lo < val) & (val < hi))), 0,

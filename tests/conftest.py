@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import heatent
+from heatent import fixtures as fx
 from heatent import quadrature
-from heatent.specfun import moment_factors
+from heatent.h3entropy import moment_factors
 
 # The directory the tests import heatent from (src/ in a plain checkout), so
 # that child processes run the same code without an install.
@@ -42,6 +43,13 @@ def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``python -m heatent ARGS`` in a child process, output captured as text."""
     return run_python("-m", "heatent", *args)
+
+
+def random_torus_potential(rng: np.random.Generator, manifold, cutoff: int = 2,
+                           amplitude: float = 0.3):
+    """A random signed trigonometric potential with sup norm ``amplitude``:
+    the one-draw case of ``fixtures.random_torus_fields``."""
+    return fx.random_torus_fields(rng, manifold, [False], cutoff, [amplitude])[0]
 
 
 def closed_moment(m: int, kappa: float, t):

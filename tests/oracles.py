@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from heatent.h3entropy import H3Params, _like, _times
-from heatent.specfun import log_sinh_ratio
+from heatent.h3entropy import H3Params, _like, _times, log_sinh_ratio
 from heatent.verify import _radial_integrals, shifted_gaussian_quadratures
 
 

@@ -18,8 +18,8 @@ from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import h3entropy as h3
 from heatent import spectral as sp
-from heatent.specfun import log_sinh_ratio, sinh_ratio_bounds_check
-from heatent.verify import CHECKS
+from heatent.h3entropy import log_sinh_ratio
+from heatent.verify import CHECKS, sinh_ratio_bounds_check
 from oracles import I1_quadrature
 
 

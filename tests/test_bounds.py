@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
+from conftest import random_torus_potential
 from oracles import ricci_bound_asymptote
 
 
@@ -250,7 +251,7 @@ def _seeded_drift_field(seed):
     """A cutoff-2 potential of sup 0.15 and a cutoff-3 datum from one seeded
     generator, the datum re-wrapped on the drifted torus at unit mass."""
     rng = np.random.default_rng(seed)
-    potential = fx.random_torus_potential(rng, sp.torus2(1.0, 1.0), cutoff=2, amplitude=0.15)
+    potential = random_torus_potential(rng, sp.torus2(1.0, 1.0), cutoff=2, amplitude=0.15)
     datum = fx.random_positive_torus_field(rng, sp.torus2(1.0, 1.0), cutoff=3)
     raw = sp.SpectralField(sp.torus2_drift(potential), datum.coefficients, datum.cutoff)
     return sp.SpectralField(raw.manifold, raw.coefficients / sp.mass(raw), raw.cutoff)

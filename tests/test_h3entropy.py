@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from conftest import mp_scaled_moment
 from heatent import bounds as bd
 from heatent import h3entropy as h3
-from heatent import specfun
 from heatent.quadrature import QuadratureConvergenceError, integrate_batch
-from heatent.specfun import log_sinh_ratio
 from heatent.verify import _mass_prefactor, _radial_mass
 from oracles import (
     I1_quadrature,
@@ -174,14 +172,14 @@ def test_eta_matches_direct_quadrature_at_moderate_t():
         r = t + d
         gauss = -r * r / (2.0 * t)
         sinh_weighted = 0.5 * (np.exp(gauss + r) - np.exp(gauss - r))
-        return r * sinh_weighted * log_sinh_ratio(r)
+        return r * sinh_weighted * h3.log_sinh_ratio(r)
 
     [oracle], _ = integrate_batch(direct, [t], [math.sqrt(t)], (), lambda i: "direct eta")
     assert unscaled(h3.evaluate_records(P1, [t]).eta[0], P1, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_eta_integrand_vanishes_at_origin():
-    assert log_sinh_ratio(0.0) == 0.0  # r sinh(kr) log(...) -> 0 with it
+    assert h3.log_sinh_ratio(0.0) == 0.0  # r sinh(kr) log(...) -> 0 with it
 
 
 def test_eta_split_representation_at_large_t():
@@ -374,7 +372,7 @@ def test_record_consistency():
     # each envelope is the closed part less its term, bit for bit
     ts = np.array([2.0])
     closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), _ = h3._closed_parts(
-        ts, np.sqrt(ts), specfun.moment_factors(1.0, ts), ...)
+        ts, np.sqrt(ts), h3.moment_factors(1.0, ts), ...)
     assert (sweep.eta_lower[0], sweep.eta_upper[0]) == (closed[0] - lower[0], closed[0] - upper[0])
     assert (sweep.etap_lower[0], sweep.etap_upper[0]) == (closed_prime[0] - lower_prime[0],
                                                           closed_prime[0] - upper_prime[0])
@@ -549,7 +547,7 @@ def test_closed_form_terms_against_mpmath():
             p = h3.H3Params(kappa)
             times = k2t / kappa ** 2
             closed, ((lower, upper), eta_prime_terms), _ = h3._closed_parts(
-                times, kappa * np.sqrt(times), specfun.moment_factors(kappa, times), ...)
+                times, kappa * np.sqrt(times), h3.moment_factors(kappa, times), ...)
             terms = (closed, lower, upper) + eta_prime_terms
             for i, t in enumerate(times.tolist()):
                 k, tt = mp.mpf(kappa), mp.mpf(t)
@@ -733,7 +731,7 @@ def test_extreme_exponential_scale():
 # the trapezoid kernel against a frozen copy of its straightforward form:
 # every node value and both rules of each row, bit for bit
 
-_FROZEN_POLY = specfun._LOG_SINH_RATIO_POLY
+_FROZEN_POLY = h3._LOG_SINH_RATIO_POLY
 
 
 def frozen_poly(x2):
@@ -822,7 +820,7 @@ def test_node_weights_equal_their_frozen_forms(kappa):
                 got = h3._remainder_weight(x.copy())
                 want = np.log(2.0 * x) - np.log(-np.expm1(-2.0 * x))
             else:
-                got = specfun._log_sinh_ratio(np.abs(x))
+                got = h3._log_sinh_ratio(np.abs(x))
                 want = frozen_log_sinh_ratio(np.abs(x))
         assert got.tobytes() == want.tobytes(), (kappa, remainder)
 
@@ -838,7 +836,7 @@ def test_log_sinh_ratio_branches_equal_their_frozen_form(share):
     x = rng.permutation(np.concatenate([small, rng.uniform(1.0, 60.0, 1000 - count)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         want = frozen_log_sinh_ratio(x.copy())
-    assert specfun._log_sinh_ratio(x.copy()).tobytes() == want.tobytes()
+    assert h3._log_sinh_ratio(x.copy()).tobytes() == want.tobytes()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -38,7 +38,7 @@ def bochner_cases(rng):
         for count in COUNTS:
             fields = fx.random_torus_fields(rng, TORUS, (True,) * count, cutoff)
             potentials = fx.random_torus_fields(rng, TORUS, (False,) * count, cutoff)
-            drift = sp.torus2_drift(fx.random_torus_potential(rng, TORUS, cutoff=2))
+            drift = sp.torus2_drift(fx.random_torus_fields(rng, TORUS, [False], 2, [0.3])[0])
             yield f"c={cutoff} {count} none", [(w, None) for w in fields]
             yield f"c={cutoff} {count} explicit", list(zip(fields, potentials))
             yield f"c={cutoff} {count} mixed", [(w, v if i % 2 else None) for i, (w, v)

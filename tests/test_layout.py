@@ -9,19 +9,19 @@ few exceptions to either rule are listed with their reasons.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import heatent
 
 SOURCE = Path(heatent.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # module.name -> why it stays in src/ with no caller there
 UNREFERENCED = {
     "spectral.evolve": "the library's one-time API (README), and the row-independence "
                        "tests' lone reference for a trace's row",
     "fixtures.random_positive_torus_field": "perfbench's and the tests' seeded field draw",
-    "fixtures.random_torus_potential": "the tests' seeded potential draw, which frozen "
-                                       "digests pin",
 }
 
 # (reader, sibling) -> (the sibling's private names the reader uses, why)
@@ -29,10 +29,6 @@ PRIVATE_READS = {
     ("fixtures", "spectral"): (
         {"_read_only", "_transform", "_require_positive", "_RESOLVED_MINIMUM"},
         "the seeded draws build fields straight in spectral's coefficient layout"),
-    ("h3entropy", "specfun"): (
-        {"_factors", "_log_sinh_ratio", "_refuse_overflow"},
-        "the unchecked kernels behind specfun's checked public forms, which the "
-        "sweep runs under its one errstate and gate"),
 }
 
 
@@ -98,3 +94,11 @@ def test_no_module_reads_a_private_name_of_another_but_the_listed():
     allowed = {(reader, sibling, name) for (reader, sibling), (names, _) in PRIVATE_READS.items()
                for name in names}
     assert sorted(_private_reads()) == sorted(allowed)
+
+
+def test_the_readme_layout_names_exactly_the_modules():
+    # one row per module of src/heatent, none for a module that is gone
+    section = README.read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `heatent\.(\w+)` \|", section, flags=re.MULTILINE)
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(rows) == sorted(modules)

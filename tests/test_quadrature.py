@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import closed_moment, mp_scaled_moment
 from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError, integrate_batch
-from heatent.specfun import moment_factors
+from heatent.h3entropy import moment_factors
 from heatent.verify import (
     _direct_moment_integrand,
     _mass_prefactor,

@@ -47,7 +47,7 @@ FACTOR_ROWS = [
     # the entropy column of the first sweep, kappa = 0.5
     (h3, "evaluate_records", 0, ("entropy",), "entropy_decomposition"),
     # F_2 at kappa = 0.5, t = 1: the closed M(2) there
-    (vf, "moment_factors", 0, (2, 1), "moment_table"),
+    (h3, "moment_factors", 0, (2, 1), "moment_table"),
     # the closed I1 at kappa = 0.5, t = 1
     (h3, "I1", 0, (1,), "second_moment"),
     # the radial kernel mass at kappa = 0.5, t = 1

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import closed_moment, mp_scaled_moment
 from heatent.quadrature import QuadratureConvergenceError, integrate_batch
-from heatent.specfun import (
+from heatent.h3entropy import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
     log_sinh_ratio,
     moment_factors,
-    sinh_ratio_bounds_check,
 )
-from heatent.verify import hyperbolic_moment_quadratures
+from heatent.verify import hyperbolic_moment_quadratures, sinh_ratio_bounds_check
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 

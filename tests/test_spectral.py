@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import random_torus_potential, run_python
 from heatent import bounds as bd
 from heatent import fixtures as fx
 from heatent import spectral as sp
@@ -280,7 +280,7 @@ def test_random_fields_equal_their_projected_grid_polynomials(cutoff):
     for seed in (0, 3, 11):
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         field = fx.random_positive_torus_field(rng, TORUS, cutoff=cutoff)
-        potential = fx.random_torus_potential(rng, TORUS, cutoff=cutoff)
+        potential = random_torus_potential(rng, TORUS, cutoff=cutoff)
         noise = _grid_trig_poly(oracle, cutoff, 0.5)
         want_field = sp.project_initial(TORUS, lambda x, y: 1.5 + noise(x, y), cutoff)
         want_potential = sp.project_potential(TORUS, _grid_trig_poly(oracle, cutoff, 0.3),
@@ -320,7 +320,7 @@ def test_random_fields_equal_the_hermitian_construction(lengths):
         for seed in range(4):
             rng, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
             field = fx.random_positive_torus_field(rng, torus, cutoff=cutoff)
-            potential = fx.random_torus_potential(rng, torus, cutoff=cutoff)
+            potential = random_torus_potential(rng, torus, cutoff=cutoff)
             for got, amplitude, offset in ((field, 0.5, 1.5), (potential, 0.3, 0.0)):
                 want = offset + _hermitian_grid_values(frozen, torus, cutoff, amplitude)
                 error = np.abs(sp.resolve(got) - want).max() / np.abs(want).max()
@@ -338,7 +338,7 @@ def test_batched_draws_equal_the_lone_generators(cutoff):
         batched, lone = np.random.default_rng(cutoff), np.random.default_rng(cutoff)
         fields = fx.random_torus_fields(batched, torus, positive, cutoff, given_amplitudes)
         for field, flag, amplitude in zip(fields, positive, amplitudes):
-            make = fx.random_positive_torus_field if flag else fx.random_torus_potential
+            make = fx.random_positive_torus_field if flag else random_torus_potential
             want = (make(lone, torus, cutoff) if given_amplitudes is None
                     else make(lone, torus, cutoff, amplitude))
             assert field.manifold is torus and field.cutoff == cutoff
@@ -350,7 +350,7 @@ def test_batched_draws_equal_the_lone_generators(cutoff):
 def test_batched_draws_refuse_the_first_field_past_the_floor():
     positive, amplitudes = [True, False, True, True], [0.5, 5.0, 100.0, 200.0]
     lone = np.random.default_rng(4)
-    for make, amplitude in zip((fx.random_positive_torus_field, fx.random_torus_potential),
+    for make, amplitude in zip((fx.random_positive_torus_field, random_torus_potential),
                                amplitudes):
         make(lone, TORUS, 2, amplitude)
     with pytest.raises(sp.PositivityError) as want:
@@ -363,7 +363,7 @@ def test_batched_draws_refuse_the_first_field_past_the_floor():
 @pytest.mark.parametrize("name", ["circle", "sphere", "torus-drift"])
 def test_random_fields_refuse_other_manifolds(name):
     manifold = fx.get_fixture(name).manifold
-    for make in (fx.random_positive_torus_field, fx.random_torus_potential):
+    for make in (fx.random_positive_torus_field, random_torus_potential):
         with pytest.raises(ValueError, match="plain torus2"):
             make(np.random.default_rng(0), manifold)
 
@@ -743,7 +743,7 @@ def test_drift_pencil_matches_quadrature_oracle(lengths, seed):
     if seed is None:
         potential = fx.drift_fixture().manifold.drift
     else:
-        coeffs = fx.random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
+        coeffs = random_torus_potential(np.random.default_rng(seed), TORUS).coefficients
         potential = sp.SpectralField(base, coeffs, 2)
     manifold = sp.torus2_drift(potential)
     rates, left, right = sp._operator(manifold, 6).pencil()
@@ -803,7 +803,7 @@ def _drift_cases():
     yield "fixture", fx.drift_fixture().initial
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        manifold = sp.torus2_drift(fx.random_torus_potential(rng, TORUS))
+        manifold = sp.torus2_drift(random_torus_potential(rng, TORUS))
         data = fx.random_positive_torus_field(rng, TORUS, cutoff=2)
         for cutoff in (4, 6):
             coeffs = np.zeros((2 * cutoff + 1,) * 2)
@@ -1492,7 +1492,7 @@ def test_bochner_random_fields():
     rng = np.random.default_rng(11)
     for trial in range(5):
         w = fx.random_positive_torus_field(rng, TORUS)
-        potential = None if trial == 0 else fx.random_torus_potential(rng, TORUS)
+        potential = None if trial == 0 else random_torus_potential(rng, TORUS)
         assert _bochner_relative(w, potential) <= 1e-8
 
 
@@ -1590,7 +1590,7 @@ def _oracle_case(seed, cutoff, kind, v_cutoff):
     """A random positive field of the cutoff and its potential: none on the plain
     torus, an explicit one, or none on a torus drifted by it."""
     rng = np.random.default_rng(seed)
-    potential = fx.random_torus_potential(rng, TORUS, cutoff=v_cutoff)
+    potential = random_torus_potential(rng, TORUS, cutoff=v_cutoff)
     field = fx.random_positive_torus_field(rng, TORUS, cutoff=cutoff)
     if kind == "drifted":
         field = sp.SpectralField(sp.torus2_drift(potential), field.coefficients, cutoff)
@@ -1646,15 +1646,15 @@ def test_batched_bochner_residuals_equal_lone_calls(count):
     # block) and with one; in the other each pair changes the field's
     # manifold or cutoff or the potential's cutoff, which starts a new block
     rng = np.random.default_rng(count)
-    drift = sp.torus2_drift(fx.random_torus_potential(rng, TORUS, cutoff=1))
+    drift = sp.torus2_drift(random_torus_potential(rng, TORUS, cutoff=1))
 
     def field(cutoff=2):
         return fx.random_positive_torus_field(rng, TORUS, cutoff=cutoff)
 
-    mixed = [(field(), None if i % 2 == 0 else fx.random_torus_potential(rng, TORUS))
+    mixed = [(field(), None if i % 2 == 0 else random_torus_potential(rng, TORUS))
              for i in range(count)]
     makers = [lambda: (sp.SpectralField(drift, field().coefficients, 2), None),
-              lambda: (field(3), fx.random_torus_potential(rng, TORUS, cutoff=1)),
+              lambda: (field(3), random_torus_potential(rng, TORUS, cutoff=1)),
               lambda: (field(), None)]
     changing = [makers[i % 3]() for i in range(count)]
     for pairs in (mixed, changing):
