@@ -39,28 +39,15 @@ _CONSTANTS_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-time record of the measured rate against one closed-form bound."""
+    """Per-time verdicts of the measured rate against one closed-form bound."""
 
     bound_name: str
-    times: np.ndarray
-    lhs: np.ndarray
     rhs: np.ndarray
     satisfied: np.ndarray
-    min_margin: float
 
     @property
     def all_satisfied(self) -> bool:
         return bool(self.satisfied.all())
-
-
-def _make_report(name: str, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> BoundReport:
-    """The report of ``rhs`` against ``lhs``; the least margin is NaN when any margin is."""
-    rates, column = lhs.ravel().tolist(), rhs.ravel().tolist()
-    satisfied = [rate <= value + (SLACK_ABSOLUTE + SLACK_RELATIVE * abs(value))
-                 for rate, value in zip(rates, column)]
-    margins = [value - rate for rate, value in zip(rates, column)]
-    return BoundReport(name, times, lhs, rhs, np.array(satisfied).reshape(rhs.shape),
-                       math.nan if any(map(math.isnan, margins)) else min(margins))
 
 
 def _elementwise(rhs, t, lower=_POSITIVE, message: str = "t must be positive and finite"):
@@ -145,20 +132,18 @@ def _initial_constants(initial: SpectralField) -> tuple[float, float, float, flo
             spectral_gap(initial.manifold))
 
 
-def bound_table(manifold: ManifoldSpec, initial: SpectralField,
-                times) -> dict[str, np.ndarray]:
-    """Right-hand sides of every bound applicable to the manifold, by name.
+def bound_table(initial: SpectralField, times) -> dict[str, np.ndarray]:
+    """Right-hand sides of every bound applicable to the initial field's manifold, by name.
 
     Undrifted manifolds get the Ricci-rate, gradient-estimate and
     spectral-gap columns, in that order; the drifted torus gets the
     drift-curvature column alone (the other three assume the plain heat
-    semigroup and are omitted, not failed).  A time not positive and finite,
-    or a manifold unequal to the initial field's, raises ValueError.  The
-    field's constants (q0, grid extrema, Laplacian norm) are built once per
-    content in a bounded cache, so a field changed in place gets fresh ones.
+    semigroup and are omitted, not failed).  A time not positive and finite
+    raises ValueError.  The field's constants (q0, grid extrema, Laplacian
+    norm) are built once per content in a bounded cache, so a field changed
+    in place gets fresh ones.
     """
-    if manifold is not initial.manifold and manifold != initial.manifold:
-        raise ValueError("the manifold must be the initial field's")
+    manifold = initial.manifold
     times = np.asarray(times, dtype=float)
     q0, inf_f, sup_f, norm_lap, lam1 = _initial_constants(initial)
     k = manifold.ricci_lower_bound
@@ -184,7 +169,15 @@ def bound_table(manifold: ManifoldSpec, initial: SpectralField,
 
 def check_bounds(trace: EntropyTrace, manifold: ManifoldSpec,
                  initial: SpectralField) -> list[BoundReport]:
-    """Every column of ``bound_table``, checked along the trace."""
-    table = bound_table(manifold, initial, trace.times)
-    return [_make_report(name, trace.times, trace.rate_direct, rhs)
-            for name, rhs in table.items()]
+    """Every column of ``bound_table``, checked along the trace: a time satisfies a
+    bound where its rate_direct is at most the rhs plus the slack.  A manifold
+    unequal to the initial field's raises ValueError."""
+    if manifold is not initial.manifold and manifold != initial.manifold:
+        raise ValueError("the manifold must be the initial field's")
+    rates = trace.rate_direct.ravel().tolist()
+    reports = []
+    for name, rhs in bound_table(initial, trace.times).items():
+        satisfied = [rate <= value + (SLACK_ABSOLUTE + SLACK_RELATIVE * abs(value))
+                     for rate, value in zip(rates, rhs.ravel().tolist())]
+        reports.append(BoundReport(name, rhs, np.array(satisfied).reshape(rhs.shape)))
+    return reports

@@ -325,7 +325,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     return _report_failures(
         "evolve", functools.reduce(np.logical_and, [r.satisfied for r in reports]), trace.times,
-        lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - r.lhs[i]:.3e})"
+        lambda i: [f"{r.bound_name} bound (margin {r.rhs[i] - trace.rate_direct[i]:.3e})"
                    for r in reports if not r.satisfied[i]])
 
 
@@ -333,7 +333,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     fixture = fx.get_fixture(args.manifold)
     times = _time_grid(args)
     # bd.ricci_bound_rhs(n, 0.0, math.inf, t) over the grid, which _time_grid has checked
-    columns = {"t": times, **bd.bound_table(fixture.manifold, fixture.initial, times),
+    columns = {"t": times, **bd.bound_table(fixture.initial, times),
                "euclidean_reference": fixture.manifold.dimension / (2.0 * times)}
     _emit(_table_text(columns, args.format), args.out)
     return 0
@@ -367,16 +367,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bounds":
             return cmd_bounds(args)
         return cmd_verify(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    # the numerical clauses first: a QuadratureDomainError is a ValueError too
     except (QuadratureDomainError, QuadratureConvergenceError) as exc:
         sys.stderr.write(f"quadrature failure: {exc}\n")
         return 1
     except sp.PropagatorError as exc:
         sys.stderr.write(f"propagator failure: {exc}\n")
         return 1
-    except (sp.PositivityError, sp.SpectralTruncationError, ValueError) as exc:
+    except ValueError as exc:  # usage and config errors, PositivityError, SpectralTruncationError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -22,7 +22,6 @@ from . import spectral as sp
 
 @dataclass(frozen=True, eq=False)
 class Fixture:
-    name: str
     initial: sp.SpectralField
     default_times: np.ndarray
     # Grid restricted to where rates stay well above the float noise floor,
@@ -45,7 +44,6 @@ def circle_fixture() -> Fixture:
     initial = sp.project_initial(
         sp.circle(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x), cutoff=2)
     return Fixture(
-        name="circle",
         initial=initial,
         default_times=np.geomspace(0.01, 2.0, 12),
         rate_check_times=np.geomspace(0.01, 0.4, 8),
@@ -58,7 +56,6 @@ def torus_fixture() -> Fixture:
         lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x) + 0.25 * np.sin(2.0 * np.pi * y),
         cutoff=2)
     return Fixture(
-        name="torus",
         initial=initial,
         default_times=np.geomspace(0.01, 2.0, 12),
         rate_check_times=np.geomspace(0.01, 0.4, 8),
@@ -71,7 +68,6 @@ def sphere_fixture() -> Fixture:
     initial = sp.project_initial(
         sp.sphere2(1.0), lambda th: (1.0 + 0.5 * np.cos(th)) / (4.0 * math.pi), cutoff=8)
     return Fixture(
-        name="sphere",
         initial=initial,
         default_times=np.geomspace(0.01, 8.0, 14),
         rate_check_times=np.geomspace(0.05, 2.0, 8),
@@ -85,7 +81,6 @@ def drift_fixture() -> Fixture:
     raw = sp.project_initial(
         sp.torus2_drift(potential), lambda x, y: 1.0 + 0.2 * np.cos(2.0 * np.pi * x), cutoff=6)
     return Fixture(
-        name="torus-drift",
         initial=sp.SpectralField(raw.manifold, raw.coefficients / sp.mass(raw), raw.cutoff),
         default_times=np.geomspace(0.1, 2.0, 6),
         rate_check_times=np.geomspace(0.02, 0.3, 5),

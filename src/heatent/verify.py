@@ -276,7 +276,7 @@ def check_fixture_bounds() -> CheckResult:
             excess.append(trace.rate_direct - report.rhs)
     sphere = fx.get_fixture("sphere")
     comparison = (5.0, 8.0)
-    table = bd.bound_table(sphere.manifold, sphere.initial, comparison)
+    table = bd.bound_table(sphere.initial, comparison)
     for t, ricci, gradient in zip(comparison, table["ricci_curvature"],
                                   table["gradient_log_sup"]):
         if not ricci < gradient:

@@ -59,6 +59,21 @@ def test_ricci_rhs_validation():
         bd.ricci_bound_rhs(2, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("rhs, args, message", [
+    (bd.hamilton_bound_rhs, (0.0, 0.0, 1.0), "sup_f must be positive"),
+    (bd.hamilton_bound_rhs, (-1.0, -2.0, 1.0), "sup_f must be positive"),
+    (bd.spectral_gap_bound_rhs, (0.0, 1.0, 1.0, 0.5, 1.5, 1.0), "the extrema must be positive"),
+    (bd.spectral_gap_bound_rhs, (1.0, 1.0, 0.0, 0.5, 1.5, 1.0), "the extrema must be positive"),
+    (bd.spectral_gap_bound_rhs, (1.0, 1.0, 1.0, 0.0, 1.5, 1.0), "the extrema must be positive"),
+    (bd.spectral_gap_bound_rhs, (1.0, 1.0, 1.0, 0.5, -1.5, 1.0), "the extrema must be positive"),
+    (bd.spectral_gap_bound_rhs, (1.0, -1e-300, 1.0, 0.5, 1.5, 1.0),
+     "norm_laplacian_f must be nonnegative")],
+    ids=["sup_f zero", "sup_f negative", "lambda1", "vol", "inf_f", "sup_f", "norm"])
+def test_rhs_functions_refuse_constants_out_of_range(rhs, args, message):
+    with pytest.raises(ValueError, match=message):
+        rhs(*args)
+
+
 def test_ricci_rhs_no_overflow_at_extreme_times():
     # k < 0: stays finite and approaches -n k / 2 instead of overflowing
     assert math.isfinite(bd.ricci_bound_rhs(3, -1.0, 5.0, 1e6))
@@ -134,16 +149,15 @@ def test_circle_reports_all_satisfied():
         "ricci_curvature", "gradient_log_sup", "spectral_gap"}
     for report in reports:
         assert report.all_satisfied, report.bound_name
-        assert report.lhs.shape == trace.times.shape
+        assert report.rhs.shape == report.satisfied.shape == trace.times.shape
 
 
 def test_constant_datum_trivially_satisfied():
     manifold = sp.torus2(1.0, 1.0)
     field = sp.project_initial(manifold, lambda x, y: np.ones_like(x), 1)
     trace = sp.entropy_trace(field, [0.1, 1.0])
-    reports = bd.check_bounds(trace, manifold, field)
-    for report in reports:
-        assert np.abs(report.lhs).max() < 1e-14
+    assert np.abs(trace.rate_direct).max() < 1e-14
+    for report in bd.check_bounds(trace, manifold, field):
         assert report.all_satisfied
 
 
@@ -151,7 +165,7 @@ def test_bound_table_constant_datum_gives_zeros():
     for manifold, name in ((sp.torus2(1.0, 1.0), "ricci_curvature"),
                            (fx.drift_fixture().manifold, "drift_curvature")):
         field = sp.project_initial(manifold, lambda x, y: np.ones_like(x), 1)
-        table = bd.bound_table(manifold, field, [0.1, 1.0, 1e3])
+        table = bd.bound_table(field, [0.1, 1.0, 1e3])
         assert table[name].tolist() == [0.0, 0.0, 0.0]
 
 
@@ -225,7 +239,7 @@ def test_report_rates_nonnegative():
     for builder in (fx.circle_fixture, fx.torus_fixture, fx.sphere_fixture):
         fixture = builder()
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
-        assert np.all(trace.rate_direct >= -1e-15), fixture.name
+        assert np.all(trace.rate_direct >= -1e-15), builder.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +288,7 @@ def test_drifted_rates_obey_every_curvature_dimension_bound(case):
         assert np.all(rates <= bd.ricci_bound_rhs(n, _rho(manifold.drift, n), q0, times)), n
     limit = bd.ricci_bound_rhs(math.inf, manifold.ricci_lower_bound, q0, times)
     assert np.all(rates <= limit)
-    column = bd.bound_table(manifold, field, times)["drift_curvature"]
+    column = bd.bound_table(field, times)["drift_curvature"]
     assert limit.tobytes() == column.tobytes()
 
 
@@ -318,7 +332,7 @@ def test_initial_field_not_positive_is_refused_by_name():
     coeffs = np.zeros((5, 5))
     coeffs[2, 2], coeffs[2, 3] = 1.0, 2.0  # 1 + 2 sqrt2 cos(2 pi y) dips below zero
     with pytest.raises(sp.PositivityError, match="resolved field has minimum -"):
-        bd.bound_table(torus, sp.SpectralField(torus, coeffs, 2), [0.1])
+        bd.bound_table(sp.SpectralField(torus, coeffs, 2), [0.1])
 
 
 def test_bound_constants_follow_in_place_changes():
@@ -326,11 +340,11 @@ def test_bound_constants_follow_in_place_changes():
     field = sp.SpectralField(fixture.manifold, fixture.initial.coefficients.copy(),
                              fixture.initial.cutoff)
     times = [0.1, 1.0]
-    before = bd.bound_table(fixture.manifold, field, times)
+    before = bd.bound_table(field, times)
     field.coefficients[...] *= 2.0
-    after = bd.bound_table(fixture.manifold, field, times)
+    after = bd.bound_table(field, times)
     bd._initial_constants.cache_clear()
-    fresh = bd.bound_table(fixture.manifold, field, times)
+    fresh = bd.bound_table(field, times)
     for name, column in after.items():
         assert column.tolist() == fresh[name].tolist(), name
         assert column.tolist() != before[name].tolist(), name
@@ -342,7 +356,7 @@ def test_equal_fields_share_one_constants_entry(builder):
     tables = []
     for _ in range(3):
         fixture = builder()  # a separate build with equal contents
-        tables.append(bd.bound_table(fixture.manifold, fixture.initial, [0.1, 1.0]))
+        tables.append(bd.bound_table(fixture.initial, [0.1, 1.0]))
     info = bd._initial_constants.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     for table in tables[1:]:
@@ -357,7 +371,7 @@ def test_bound_constants_cache_is_bounded():
     torus = sp.torus2(1.0, 1.0)
     for seed in range(size + 3):
         field = fx.random_positive_torus_field(np.random.default_rng(seed), torus)
-        bd.bound_table(torus, field, [0.1])
+        bd.bound_table(field, [0.1])
     info = bd._initial_constants.cache_info()
     assert (info.misses, info.currsize) == (size + 3, size)
 
@@ -465,25 +479,25 @@ def test_bound_table_refuses_non_finite_times(name):
     for initial in (fixture.initial, constant):
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                bd.bound_table(fixture.manifold, initial, [0.5, t])
+                bd.bound_table(initial, [0.5, t])
 
 
 @pytest.mark.parametrize("manifold", [sp.sphere2(1.0), sp.torus2(1.0, 1.5),
                                       fx.drift_fixture().manifold],
                          ids=["sphere", "torus2_1x1.5", "torus-drift"])
-def test_bound_table_refuses_another_manifold(manifold):
+def test_check_bounds_refuses_another_manifold(manifold):
     fixture = fx.get_fixture("torus")
-    with pytest.raises(ValueError, match="the initial field's"):
-        bd.bound_table(manifold, fixture.initial, [0.5])
     trace = sp.entropy_trace(fixture.initial, [0.5])
     with pytest.raises(ValueError, match="the initial field's"):
         bd.check_bounds(trace, manifold, fixture.initial)
 
 
-def test_bound_table_accepts_an_equal_manifold():
+def test_check_bounds_accepts_an_equal_manifold():
     fixture = fx.get_fixture("torus")
     assert fixture.manifold is fixture.initial.manifold
-    shared = bd.bound_table(fixture.manifold, fixture.initial, [0.5, 1.0])
-    apart = bd.bound_table(sp.torus2(1.0, 1.0), fixture.initial, [0.5, 1.0])
-    assert {k: v.tolist() for k, v in apart.items()} == \
-           {k: v.tolist() for k, v in shared.items()}
+    trace = sp.entropy_trace(fixture.initial, [0.5, 1.0])
+    shared, apart = (
+        [(r.bound_name, r.rhs.tolist(), r.satisfied.tolist())
+         for r in bd.check_bounds(trace, manifold, fixture.initial)]
+        for manifold in (fixture.manifold, sp.torus2(1.0, 1.0)))
+    assert apart == shared

@@ -21,6 +21,7 @@ from heatent import fixtures as fx
 from heatent import h3entropy as h3
 from heatent import spectral as sp
 from heatent import verify as vf
+from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError
 
 H3_HEADER = ("t,entropy,I1,I2,rate_direct,rate_fd,eta,eta_lower,eta_upper,"
              "etap,etap_lower,etap_upper,band_lo,band_hi")
@@ -222,6 +223,22 @@ def test_propagator_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(sp, "_operator", refuse)
     assert cli.main(["evolve", "--manifold", "torus-drift"]) == 1
     assert "propagator failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, status, prefix", [
+    (QuadratureDomainError, 1, "quadrature failure"),
+    (QuadratureConvergenceError, 1, "quadrature failure"),
+    (sp.PropagatorError, 1, "propagator failure"), (sp.PositivityError, 2, "error"),
+    (sp.SpectralTruncationError, 2, "error"), (cli.UsageError, 2, "error"),
+    (ValueError, 2, "error")])
+def test_each_error_exits_by_its_clause(error, status, prefix, monkeypatch, capsys):
+    # a QuadratureDomainError is a ValueError, and still a numerical failure
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(h3, "evaluate_records", refuse)
+    assert cli.main(["h3"]) == status
+    assert tuple(capsys.readouterr()) == ("", f"{prefix}: refused\n")
 
 
 # argvs the flag table leaves to argparse, which accepts, refuses or helps
@@ -704,20 +721,24 @@ def test_h3_failure_names_check_row_and_count(monkeypatch, capsys):
 def test_evolve_failure_names_bounds_row_and_count(monkeypatch, capsys):
     # Two bounds fail at the second time, a third bound at the fourth one;
     # the line names the row count, the first failing t and every bound
-    # failing there with its margin rhs - lhs.
-    original = bd.check_bounds
+    # failing there with its margin rhs - rate_direct.  The rates and the rhs
+    # are injected, and check_bounds finds the failing rows itself.
+    trace_of, table_of = sp.entropy_trace, bd.bound_table
 
-    def failing(trace, manifold, initial):
-        reports = original(trace, manifold, initial)
-        for j, (i, lhs, rhs) in enumerate(((1, 1.5, 1.0), (1, 0.75, 0.5), (3, 2.0, 1.0))):
-            report = reports[j]
-            values = {name: getattr(report, name).copy()
-                      for name in ("lhs", "rhs", "satisfied")}
-            values["lhs"][i], values["rhs"][i], values["satisfied"][i] = lhs, rhs, False
-            reports[j] = replace(report, **values)
-        return reports
+    def rates(field, times):
+        trace = trace_of(field, times)
+        rate_direct = trace.rate_direct.copy()
+        rate_direct[[1, 3]] = 1.5, 2.0
+        return replace(trace, rate_direct=rate_direct)
 
-    monkeypatch.setattr(bd, "check_bounds", failing)
+    def table(initial, times):
+        columns = {name: rhs.copy() for name, rhs in table_of(initial, times).items()}
+        for rhs, (i, value) in zip(columns.values(), ((1, 1.0), (1, 1.25), (3, 1.0))):
+            rhs[i] = value
+        return columns
+
+    monkeypatch.setattr(sp, "entropy_trace", rates)
+    monkeypatch.setattr(bd, "bound_table", table)
     times = fx.get_fixture("circle").default_times
     assert cli.main(["evolve", "--manifold", "circle"]) == 1
     captured = capsys.readouterr()
@@ -927,6 +948,20 @@ def test_config_rejects_unknown_keys(tmp_path: Path):
     config.write_text(json.dumps({"nonsense": 1}))
     proc = run_cli("h3", "--config", str(config))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config {path}: "), ("{bad", "cannot read config {path}: "),
+    ("[1, 2]", "config file must hold a JSON object\n")], ids=["missing", "invalid", "list"])
+def test_config_that_is_no_json_object_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["h3", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def _config_exit_status(command: str, config: dict, tmp_path: Path, *flags: str) -> int:

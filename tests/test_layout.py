@@ -2,7 +2,9 @@
 
 Every public top-level function or class of ``src/heatent`` must be
 referenced by code somewhere in ``src/``, as a name, an attribute or an
-import (a docstring does not count).  Lone forms of what a batch path
+import (a docstring does not count), and every field of a dataclass or
+NamedTuple there must be read in ``src/``, as an attribute or as a string
+constant (``getattr``'s column names).  Lone forms of what a batch path
 computes fold into that path, and oracles that only tests call live in
 ``tests/oracles.py``.  No module reads another module's private name.  The
 few exceptions to either rule are listed with their reasons.
@@ -102,3 +104,34 @@ def test_the_readme_layout_names_exactly_the_modules():
     rows = re.findall(r"^\| `heatent\.(\w+)` \|", section, flags=re.MULTILINE)
     modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(rows) == sorted(modules)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated ``@dataclass`` (bare or called) or derived from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in {"dataclass", "NamedTuple"}
+               for n in decorators + node.bases)
+
+
+def _records_and_reads() -> tuple[dict[str, str], set[str]]:
+    """(every field of a dataclass or NamedTuple of src/heatent as module.Class.field ->
+    field, every attribute that code in src/ loads and every string constant there)."""
+    fields, reads = {}, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{path.stem}.{node.name}.{item.target.id}"] = item.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return fields, reads
+
+
+def test_every_record_field_is_read_in_src():
+    # read as an attribute, or named by a string constant as getattr's columns are
+    fields, reads = _records_and_reads()
+    assert sorted(qualified for qualified, name in fields.items() if name not in reads) == []

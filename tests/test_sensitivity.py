@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from heatent import bounds as bd
 from heatent import cli
 from heatent import h3entropy as h3
 from heatent import spectral as sp
@@ -27,6 +28,9 @@ NAN_ROWS = [
     # rate_direct at the second check time of the sphere fixture, the
     # third of circle, torus, sphere and torus-drift
     (sp, "entropy_trace", 2, ("rate_direct", 1), "rate_consistency"),
+    # rate_direct at the first default time of the torus fixture, the second
+    # trace: every torus bound report fails
+    (sp, "entropy_trace", 1, ("rate_direct", 0), "fixture_bounds"),
     # the residual, then the term scale, of the fourth random (field, drift)
     # pair of the one batched call
     (sp, "bochner_residuals", 0, (3, 0), "bochner_residual"),
@@ -134,6 +138,26 @@ def test_a_factor_error_fails_its_group(corrupt, capsys, module, name, call, pat
     calls.clear()  # the CLI run counts its calls afresh
     assert cli.main(["verify", "--only", group]) == 1
     assert capsys.readouterr().err == f"verify: failed checks: {group}\n"
+
+
+def test_a_lost_sphere_comparison_fails_fixture_bounds(corrupt, capsys):
+    # the Ricci column at t = 5 of the fifth bound table, the sphere's
+    # comparison one after the four fixtures' reports: only the comparison
+    # fails, so max_error, the reports' largest excess, stays finite
+    def nan_ricci_at_5(table, _):
+        ricci = table["ricci_curvature"].copy()
+        ricci[0] = math.nan
+        return {**table, "ricci_curvature": ricci}
+
+    calls = corrupt(bd, "bound_table", 4, None, nan_ricci_at_5)
+    result = vf.run_checks(only="fixture_bounds")["fixture_bounds"]
+    assert len(calls) == 5
+    assert not result.passed
+    assert math.isfinite(result.max_error)
+    assert result.details == "violations: comparison:t=5.0"
+    calls.clear()
+    assert cli.main(["verify", "--only", "fixture_bounds"]) == 1
+    assert capsys.readouterr().err == "verify: failed checks: fixture_bounds\n"
 
 
 @pytest.mark.parametrize("group", sorted({row[-1] for row in NAN_ROWS + FACTOR_ROWS}))

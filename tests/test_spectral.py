@@ -541,6 +541,14 @@ def test_analysis_inverts_synthesis_and_projects_constants_exactly(manifold):
         assert not constant.any(), cutoff
 
 
+def test_an_unknown_fixture_or_manifold_kind_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown fixture 'cone'; choose from \["):
+        fx.get_fixture("cone")
+    cone = sp.ManifoldSpec("cone", (1.0,), 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^unknown manifold kind 'cone'$"):
+        sp.SpectralField(cone, np.ones(3), 1)
+
+
 @pytest.mark.parametrize("manifold, cutoff, shape, expected", [
     (CIRCLE, 2, (5, 5), (5,)), (CIRCLE, 2, (7,), (5,)), (TORUS, 2, (5,), (5, 5)),
     (TORUS, 1, (5, 5), (3, 3)), (SPHERE, 2, (5,), (3,)), (SPHERE, 2, (3, 3), (3,))],
@@ -626,7 +634,7 @@ def test_mass_conserved_on_every_manifold():
         fixture = builder()
         for t in (0.1, 1.0, 5.0):
             assert sp.mass(sp.evolve(fixture.initial, t)) == pytest.approx(
-                1.0, rel=1e-12), (fixture.name, t)
+                1.0, rel=1e-12), (builder.__name__, t)
 
 
 @settings(max_examples=20, deadline=None)
@@ -929,7 +937,7 @@ def test_drift_weights_alone_build_no_pencil():
     fixture = fx.drift_fixture()
     sp._operator.cache_clear()
     sp.mass(fixture.initial)
-    bd.bound_table(fixture.manifold, fixture.initial, [0.1, 1.0])
+    bd.bound_table(fixture.initial, [0.1, 1.0])
     operator = sp._operator(fixture.manifold, fixture.initial.cutoff)
     assert operator.pencil.cache_info().currsize == 0
     sp.evolve(fixture.initial, 0.1)
@@ -1050,9 +1058,10 @@ def test_trace_rate_consistency():
 
 
 def test_trace_entropy_monotone():
-    for fixture in (fx.circle_fixture(), fx.torus_fixture(), fx.sphere_fixture()):
+    for builder in (fx.circle_fixture, fx.torus_fixture, fx.sphere_fixture):
+        fixture = builder()
         trace = sp.entropy_trace(fixture.initial, fixture.default_times)
-        assert np.all(np.diff(trace.entropy) > -1e-13), fixture.name
+        assert np.all(np.diff(trace.entropy) > -1e-13), builder.__name__
 
 
 def test_trace_small_amplitude_linearization():

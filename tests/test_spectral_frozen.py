@@ -1,5 +1,6 @@
 """The bits of the spectral path, frozen: digests (sha256 of ``tobytes()``)
-of ``entropy_trace``'s columns, of every ``check_bounds`` report and of lone
+of ``entropy_trace``'s columns, of every ``check_bounds`` report (its name, the
+rates, its rhs and verdicts, and the least rhs - rate) and of lone
 ``evolve`` coefficients, over the four fixtures and seeded random fields, and
 the sha256 of (exit status, stdout, stderr) of ``evolve`` and ``bounds`` on
 every manifold.  Every digest is computed in one child process at one BLAS
@@ -68,12 +69,19 @@ def cases():
         yield f"drift c={cutoff}", field, seeded_times(rng, 0.02, 2.0, count)
 
 
+def least_margin(rhs, rates):
+    # the least rhs - rate in floats, NaN when any margin is
+    margins = [value - rate for rate, value in zip(rates.ravel().tolist(), rhs.ravel().tolist())]
+    return math.nan if any(map(math.isnan, margins)) else min(margins)
+
+
 def arrays(field, times):
     trace = sp.entropy_trace(field, times)
     reports = bd.check_bounds(trace, field.manifold, field)
-    return [digest(trace.times, trace.entropy, trace.rate_direct, trace.rate_fd, trace.fisher),
-            digest(*(a for r in reports
-                     for a in (r.bound_name, r.lhs, r.rhs, r.satisfied, r.min_margin))),
+    rates = trace.rate_direct
+    return [digest(trace.times, trace.entropy, rates, trace.rate_fd, trace.fisher),
+            digest(*(a for r in reports for a in (r.bound_name, rates, r.rhs, r.satisfied,
+                                                  least_margin(r.rhs, rates)))),
             digest(*(sp.evolve(field, t).coefficients for t in times))]
 
 

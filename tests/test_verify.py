@@ -54,6 +54,12 @@ def test_fault_that_cannot_fire_is_rejected(only, fault, message):
         run_checks(only=only, inject_fault=fault)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_sinh_ratio_bounds_check_refuses_r_not_positive(r):
+    with pytest.raises(ValueError, match="requires r > 0"):
+        vf.sinh_ratio_bounds_check(r)
+
+
 def test_fault_injection_fails_envelopes():
     results = run_checks(only="envelopes", inject_fault="envelopes")
     assert not results["envelopes"].passed
