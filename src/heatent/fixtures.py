@@ -6,6 +6,8 @@ extrema land exactly on the evaluation grid, and on the sphere at the poles,
 which ``spectral.grid_extrema`` evaluates exactly on top of its grid.
 ``get_fixture`` and ``seeded_torus_fields`` build their fields once per process
 and hand the same ones to every caller, so every array they hold is read-only.
+The random torus fields are ``spectral.random_torus_fields`` draws, written
+in the coefficient layout by the module that defines it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -105,63 +106,20 @@ def get_fixture(name: str) -> Fixture:
                          f"choose from {sorted(FIXTURE_BUILDERS)}") from None
 
 
-@functools.lru_cache(maxsize=16)
-def _trig_layout(cutoff: int) -> tuple[np.ndarray, ...]:
-    """Read-only (weights, cos2, sin2): 0.5^(|m1| + |m2|) / (g1 g2) on the
-    half-plane of modes, g = sqrt2 off the constant and 1 on it, and where the
-    cos and the sin (signed) of mode m2 go among ``SpectralField``'s columns."""
-    modes = np.arange(-cutoff, cutoff + 1)
-    m1, m2 = np.ix_(modes[cutoff:], modes)
-    g, eye = np.where(modes == 0, 1.0, math.sqrt(2.0)), np.eye(2 * cutoff + 1)
-    return tuple(map(sp._read_only, (
-        0.5 ** (m1 + np.abs(m2)) * ((m1 > 0) | (m2 > 0)) / np.outer(g[cutoff:], g),
-        eye[cutoff + np.abs(modes)], np.sign(modes)[:, np.newaxis] * eye[cutoff - np.abs(modes)])))
-
-
-def random_torus_fields(rng: np.random.Generator, manifold: sp.ManifoldSpec,
-                        positive: Sequence[bool], cutoff: int = 2,
-                        amplitudes: Optional[Sequence[float]] = None) -> list[sp.SpectralField]:
-    """A random trigonometric polynomial per entry of ``positive``: 1.5 + noise
-    where true (the first to reach the positivity floor raises PositivityError),
-    the signed noise where false.  Draw after draw from ``rng``: normal a_m, then
-    uniform phi_m, on the half-plane of modes (m1 > 0, or m1 == 0 < m2), noise
-    a_m 0.5^(|m1| + |m2|) cos(2 pi m.x/L + phi_m) = p cos1 cos2 - q cos1 sin2 -
-    p sin1 sin2 - q sin1 cos2 (p, q its cos and sin parts), scaled to sup norm
-    ``amplitudes`` (default 0.5, 0.3); all draws make one array program."""
-    if manifold.kind != "torus2":
-        raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
-    positive = np.array(positive, dtype=bool)
-    shape = (cutoff + 1, 2 * cutoff + 1)
-    sizes, phases = np.array([(rng.normal(size=shape), rng.uniform(0.0, 2.0 * np.pi, size=shape))
-                              for _ in positive]).reshape(-1, 2, *shape).swapaxes(0, 1)
-    weights, cos2, sin2 = _trig_layout(cutoff)
-    size = math.sqrt(manifold.volume) * weights * sizes
-    p, q = size * np.cos(phases), size * np.sin(phases)
-    # the cos of m1 at row cutoff + m1, and its sin (m1 > 0) at cutoff - m1
-    coeffs = np.concatenate([-(p @ sin2 + q @ cos2)[:, :0:-1], p @ cos2 - q @ sin2], axis=1)
-    values = sp._transform(manifold, cutoff).synth(coeffs)
-    peak = np.abs(values).max(axis=(1, 2))
-    # a zero polynomial keeps its zeros
-    factor = np.divide(np.where(positive, 0.5, 0.3) if amplitudes is None else amplitudes, peak,
-                       out=np.ones_like(peak), where=peak > 0.0)[:, None, None]
-    coeffs *= factor
-    sp._require_positive(1.5 + (values * factor)[positive], sp._RESOLVED_MINIMUM)
-    coeffs[positive, cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
-    return [sp.SpectralField(manifold, c, cutoff) for c in coeffs]
-
-
 @functools.lru_cache(maxsize=8)
 def seeded_torus_fields(seed: int, positive: tuple[bool, ...]) -> tuple[sp.SpectralField, ...]:
-    """``random_torus_fields`` of a fresh ``default_rng(seed)`` on the unit torus, read-only."""
-    fields = tuple(random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive))
+    """``spectral.random_torus_fields`` of a fresh ``default_rng(seed)`` on the
+    unit torus, read-only."""
+    rng, torus = np.random.default_rng(seed), sp.torus2(1.0, 1.0)
+    fields = tuple(sp.random_torus_fields(rng, torus, positive))
     for field in fields:
-        sp._read_only(field.coefficients)
+        field.coefficients.setflags(write=False)
     return fields
 
 
 def random_positive_torus_field(rng: np.random.Generator, manifold: sp.ManifoldSpec,
                                 cutoff: int = 2, amplitude: float = 0.5) -> sp.SpectralField:
     """Random strictly positive trigonometric polynomial, 1.5 + bounded noise:
-    the one-draw case of ``random_torus_fields``."""
-    return random_torus_fields(rng, manifold, [True], cutoff, [amplitude])[0]
+    the one-draw case of ``spectral.random_torus_fields``."""
+    return sp.random_torus_fields(rng, manifold, [True], cutoff, [amplitude])[0]
 

@@ -114,8 +114,6 @@ _LOG_SINH_RATIO_POLY = (
     -2.645502634614059e-05, 0.00035273368605855023, -0.0055555555555553,
     0.16666666666666666,
 )
-# the least x whose 2x overflows
-_DOUBLING_OVERFLOWS = 2.0 ** 1023
 
 # Trapezoid nodes in the shifted variable s: |s| <= 9.5 at step 1/8, where
 # exp(-s^2/2) has fallen below 3e-20.  Every other node is the step-1/4 rule.
@@ -479,7 +477,9 @@ def log_sinh_ratio(x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0):
         raise ValueError("log_sinh_ratio requires x >= 0")
-    out = _log_sinh_ratio(xs.copy())
+    # -2x overflows to -inf past 2^1023, where expm1 gives -1; x = inf gives nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _log_sinh_ratio(xs.copy())
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -490,15 +490,6 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
     if np.count_nonzero(small) == xs.size:
         xs *= xs
         return _log_sinh_ratio_poly(xs)
-    if xs.max() >= _DOUBLING_OVERFLOWS:
-        # where 2x overflows, log(sinh x / x) = x - log 2x is x - log x - log 2
-        huge = xs >= _DOUBLING_OVERFLOWS
-        far = xs[huge]
-        xs[huge] = 2.0
-        xs = _log_sinh_ratio(xs)
-        with np.errstate(invalid="ignore"):  # nan at x = inf, as the closed form gives
-            xs[huge] = far - np.log(far) - math.log(2.0)
-        return xs
     near = xs[small]
     # the closed form, on the large elements alone where at least three
     # quarters are small, else on all (0/0 at x = 0): each cheaper there
@@ -514,11 +505,13 @@ def _log_sinh_ratio(xs: np.ndarray) -> np.ndarray:
 
 
 def _log_sinh_ratio_closed(xs: np.ndarray) -> np.ndarray:
-    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs >= 0."""
+    """log(sinh x / x) = x + log((1 - e^{-2x})/2x), in place on xs >= 0; the
+    ratio is divided by x and then halved, so no finite x overflows it."""
     ratio = np.multiply(xs, -2.0)
     np.expm1(ratio, out=ratio)
     np.negative(ratio, out=ratio)
-    ratio /= 2.0 * xs
+    ratio /= xs
+    ratio *= 0.5
     np.log(ratio, out=ratio)
     xs += ratio
     return xs

@@ -6,7 +6,9 @@ live as real coefficient arrays against an orthonormal Laplacian eigenbasis
 (per periodic axis, index j is the sin of mode |m| for m = j - cutoff < 0 and
 the cos for m > 0; on the sphere, normalised Legendre polynomials in
 cos(theta)), so undrifted time evolution is exact: each coefficient just
-decays as exp(-lambda t / 2).
+decays as exp(-lambda t / 2).  Fields enter by projection of pointwise data
+or, on the plain torus, as seeded random trigonometric polynomials drawn
+straight into that layout (``random_torus_fields``).
 
 One class, ``_Transform``, synthesises, analyses and takes gradients on every
 geometry from per-axis tables of the eigenbasis and its derivatives, and
@@ -471,6 +473,51 @@ def project_potential(manifold: ManifoldSpec, f: Callable, cutoff: int) -> Spect
             f"cutoff {cutoff} leaves tail energy {total - kept:.3e} "
             f"of total {total:.3e}")
     return SpectralField(manifold, coeffs, cutoff)
+
+
+@functools.lru_cache(maxsize=16)
+def _trig_layout(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Read-only (weights, cos2, sin2): 0.5^(|m1| + |m2|) / (g1 g2) on the
+    half-plane of modes, g = sqrt2 off the constant and 1 on it, and where the
+    cos and the sin (signed) of mode m2 go among ``SpectralField``'s columns."""
+    modes = np.arange(-cutoff, cutoff + 1)
+    m1, m2 = np.ix_(modes[cutoff:], modes)
+    g, eye = np.where(modes == 0, 1.0, math.sqrt(2.0)), np.eye(2 * cutoff + 1)
+    return tuple(map(_read_only, (
+        0.5 ** (m1 + np.abs(m2)) * ((m1 > 0) | (m2 > 0)) / np.outer(g[cutoff:], g),
+        eye[cutoff + np.abs(modes)], np.sign(modes)[:, np.newaxis] * eye[cutoff - np.abs(modes)])))
+
+
+def random_torus_fields(rng: np.random.Generator, manifold: ManifoldSpec,
+                        positive: Sequence[bool], cutoff: int = 2,
+                        amplitudes: Optional[Sequence[float]] = None) -> list[SpectralField]:
+    """A random trigonometric polynomial per entry of ``positive``: 1.5 + noise
+    where true (the first to reach the positivity floor raises PositivityError),
+    the signed noise where false.  Draw after draw from ``rng``: normal a_m, then
+    uniform phi_m, on the half-plane of modes (m1 > 0, or m1 == 0 < m2), noise
+    a_m 0.5^(|m1| + |m2|) cos(2 pi m.x/L + phi_m) = p cos1 cos2 - q cos1 sin2 -
+    p sin1 sin2 - q sin1 cos2 (p, q its cos and sin parts), scaled to sup norm
+    ``amplitudes`` (default 0.5, 0.3); all draws make one array program."""
+    if manifold.kind != "torus2":
+        raise ValueError(f"random fields live on a plain torus2, not {manifold.kind!r}")
+    positive = np.array(positive, dtype=bool)
+    shape = (cutoff + 1, 2 * cutoff + 1)
+    sizes, phases = np.array([(rng.normal(size=shape), rng.uniform(0.0, 2.0 * np.pi, size=shape))
+                              for _ in positive]).reshape(-1, 2, *shape).swapaxes(0, 1)
+    weights, cos2, sin2 = _trig_layout(cutoff)
+    size = math.sqrt(manifold.volume) * weights * sizes
+    p, q = size * np.cos(phases), size * np.sin(phases)
+    # the cos of m1 at row cutoff + m1, and its sin (m1 > 0) at cutoff - m1
+    coeffs = np.concatenate([-(p @ sin2 + q @ cos2)[:, :0:-1], p @ cos2 - q @ sin2], axis=1)
+    values = _transform(manifold, cutoff).synth(coeffs)
+    peak = np.abs(values).max(axis=(1, 2))
+    # a zero polynomial keeps its zeros
+    factor = np.divide(np.where(positive, 0.5, 0.3) if amplitudes is None else amplitudes, peak,
+                       out=np.ones_like(peak), where=peak > 0.0)[:, None, None]
+    coeffs *= factor
+    _require_positive(1.5 + (values * factor)[positive], _RESOLVED_MINIMUM)
+    coeffs[positive, cutoff, cutoff] += 1.5 * math.sqrt(manifold.volume)
+    return [SpectralField(manifold, c, cutoff) for c in coeffs]
 
 
 def resolve(field: SpectralField) -> np.ndarray:

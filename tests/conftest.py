@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import heatent
-from heatent import fixtures as fx
 from heatent import quadrature
+from heatent import spectral as sp
 from heatent.h3entropy import moment_factors
 
 # The directory the tests import heatent from (src/ in a plain checkout), so
@@ -48,8 +48,8 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def random_torus_potential(rng: np.random.Generator, manifold, cutoff: int = 2,
                            amplitude: float = 0.3):
     """A random signed trigonometric potential with sup norm ``amplitude``:
-    the one-draw case of ``fixtures.random_torus_fields``."""
-    return fx.random_torus_fields(rng, manifold, [False], cutoff, [amplitude])[0]
+    the one-draw case of ``spectral.random_torus_fields``."""
+    return sp.random_torus_fields(rng, manifold, [False], cutoff, [amplitude])[0]
 
 
 def closed_moment(m: int, kappa: float, t):

@@ -36,9 +36,9 @@ def bochner_cases(rng):
     yield "verify", [(draws[0], None), *zip(draws[1::2], draws[2::2])]
     for cutoff in (2, 3, 4):
         for count in COUNTS:
-            fields = fx.random_torus_fields(rng, TORUS, (True,) * count, cutoff)
-            potentials = fx.random_torus_fields(rng, TORUS, (False,) * count, cutoff)
-            drift = sp.torus2_drift(fx.random_torus_fields(rng, TORUS, [False], 2, [0.3])[0])
+            fields = sp.random_torus_fields(rng, TORUS, (True,) * count, cutoff)
+            potentials = sp.random_torus_fields(rng, TORUS, (False,) * count, cutoff)
+            drift = sp.torus2_drift(sp.random_torus_fields(rng, TORUS, [False], 2, [0.3])[0])
             yield f"c={cutoff} {count} none", [(w, None) for w in fields]
             yield f"c={cutoff} {count} explicit", list(zip(fields, potentials))
             yield f"c={cutoff} {count} mixed", [(w, v if i % 2 else None) for i, (w, v)
@@ -51,7 +51,7 @@ def trace_cases(rng):
     yield "verify", fx.seeded_torus_fields(vf._RANDOM_SEED + 1, (True,) * 8)
     for cutoff in (2, 3, 4):
         for count in COUNTS:
-            yield f"c={cutoff} {count}", fx.random_torus_fields(rng, TORUS, (True,) * count, cutoff)
+            yield f"c={cutoff} {count}", sp.random_torus_fields(rng, TORUS, (True,) * count, cutoff)
     yield "mixed", [fx.random_positive_torus_field(rng, TORUS, cutoff=2 + i % 3) for i in range(7)]
 
 

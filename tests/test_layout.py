@@ -6,8 +6,9 @@ import (a docstring does not count), and every field of a dataclass or
 NamedTuple there must be read in ``src/``, as an attribute or as a string
 constant (``getattr``'s column names).  Lone forms of what a batch path
 computes fold into that path, and oracles that only tests call live in
-``tests/oracles.py``.  No module reads another module's private name.  The
-few exceptions to either rule are listed with their reasons.
+``tests/oracles.py``.  The few public names with no caller in ``src/`` are
+listed with their reasons.  No module reads another module's private name,
+and that rule has no exception.
 """
 
 import ast
@@ -23,14 +24,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 UNREFERENCED = {
     "spectral.evolve": "the library's one-time API (README), and the row-independence "
                        "tests' lone reference for a trace's row",
-    "fixtures.random_positive_torus_field": "perfbench's and the tests' seeded field draw",
-}
-
-# (reader, sibling) -> (the sibling's private names the reader uses, why)
-PRIVATE_READS = {
-    ("fixtures", "spectral"): (
-        {"_read_only", "_transform", "_require_positive", "_RESOLVED_MINIMUM"},
-        "the seeded draws build fields straight in spectral's coefficient layout"),
+    "fixtures.random_positive_torus_field": "perfbench's one-draw call of "
+                                            "spectral.random_torus_fields",
 }
 
 
@@ -91,11 +86,8 @@ def _private_reads() -> set[tuple[str, str, str]]:
     return reads
 
 
-def test_no_module_reads_a_private_name_of_another_but_the_listed():
-    # a listed read that is gone leaves the list too
-    allowed = {(reader, sibling, name) for (reader, sibling), (names, _) in PRIVATE_READS.items()
-               for name in names}
-    assert sorted(_private_reads()) == sorted(allowed)
+def test_no_module_reads_a_private_name_of_another():
+    assert sorted(_private_reads()) == []
 
 
 def test_the_readme_layout_names_exactly_the_modules():

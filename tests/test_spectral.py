@@ -336,7 +336,7 @@ def test_batched_draws_equal_the_lone_generators(cutoff):
     amplitudes = [0.5, 0.3, 0.25, 0.6, 0.1, 0.3, 0.5]
     for given_amplitudes in (None, amplitudes):
         batched, lone = np.random.default_rng(cutoff), np.random.default_rng(cutoff)
-        fields = fx.random_torus_fields(batched, torus, positive, cutoff, given_amplitudes)
+        fields = sp.random_torus_fields(batched, torus, positive, cutoff, given_amplitudes)
         for field, flag, amplitude in zip(fields, positive, amplitudes):
             make = fx.random_positive_torus_field if flag else random_torus_potential
             want = (make(lone, torus, cutoff) if given_amplitudes is None
@@ -344,7 +344,7 @@ def test_batched_draws_equal_the_lone_generators(cutoff):
             assert field.manifold is torus and field.cutoff == cutoff
             assert field.coefficients.tobytes() == want.coefficients.tobytes()
         assert batched.bit_generator.state == lone.bit_generator.state
-    assert fx.random_torus_fields(np.random.default_rng(0), torus, [], cutoff) == []
+    assert sp.random_torus_fields(np.random.default_rng(0), torus, [], cutoff) == []
 
 
 def test_batched_draws_refuse_the_first_field_past_the_floor():
@@ -356,7 +356,7 @@ def test_batched_draws_refuse_the_first_field_past_the_floor():
     with pytest.raises(sp.PositivityError) as want:
         fx.random_positive_torus_field(lone, TORUS, 2, amplitudes[2])
     with pytest.raises(sp.PositivityError) as got:
-        fx.random_torus_fields(np.random.default_rng(4), TORUS, positive, 2, amplitudes)
+        sp.random_torus_fields(np.random.default_rng(4), TORUS, positive, 2, amplitudes)
     assert str(got.value) == str(want.value)
 
 

@@ -63,7 +63,7 @@ def cases():
     for cutoff, count in zip(range(6, 15), COUNTS + (8, 3, 1)):
         yield f"sphere c={cutoff}", sphere_field(rng, cutoff), seeded_times(rng, 0.01, 8.0, count)
     for cutoff, count in ((3, 9), (6, 17)):
-        potential = fx.random_torus_fields(rng, torus, [False], 2, [0.3])[0]
+        potential = sp.random_torus_fields(rng, torus, [False], 2, [0.3])[0]
         data = fx.random_positive_torus_field(rng, torus, cutoff)
         field = sp.SpectralField(sp.torus2_drift(potential), data.coefficients, cutoff)
         yield f"drift c={cutoff}", field, seeded_times(rng, 0.02, 2.0, count)

@@ -111,13 +111,13 @@ IDENTITY_DRAWS = {"bochner_residual": (vf._RANDOM_SEED, (True,) + (True, False) 
 def test_identity_groups_draw_their_fields_once_per_process(monkeypatch):
     # drawn afresh once after the cache is emptied, then shared by every
     # later request of either group
-    calls, draw = [], fx.random_torus_fields
+    calls, draw = [], sp.random_torus_fields
 
     def counted(*args, **kwargs):
         calls.append(None)
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(fx, "random_torus_fields", counted)
+    monkeypatch.setattr(sp, "random_torus_fields", counted)
     fx.seeded_torus_fields.cache_clear()
     for count, group in enumerate(IDENTITY_DRAWS, 1):
         first = run_checks(only=group)[group]
@@ -131,7 +131,7 @@ def test_shared_draws_are_read_only_fresh_draws(group):
     seed, positive = IDENTITY_DRAWS[group]
     shared = fx.seeded_torus_fields(seed, positive)
     assert fx.seeded_torus_fields(seed, positive) is shared
-    fresh = fx.random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive)
+    fresh = sp.random_torus_fields(np.random.default_rng(seed), sp.torus2(1.0, 1.0), positive)
     assert list(shared) == fresh  # bit for bit
     for field in shared:
         with pytest.raises(ValueError, match="read-only"):
