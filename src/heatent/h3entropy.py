@@ -40,8 +40,8 @@ Every envelope verdict is taken on R: eta - lower = coeff log(...) - R, a
 difference of two quantities each known to a few ulp, never a rounded eta
 against a rounded envelope.  Each side is inside, outside or unresolved
 against the error estimate.  ``eta_quadrature`` in ``tests/oracles.py``,
-the same eta by verify's shifted-Gaussian quadrature, is the oracle the
-tests hold the rule to.
+the same eta by verify's direct Gaussian-sinh quadrature in r, not in s, is
+the oracle the tests hold the rule to.
 
 The moment table.  M(m) = integral_0^inf exp(-r^2/2t) r^m sinh(kappa r) dr,
 m = 0, ..., 4, in closed form, carries a factor exp(kappa^2 t/2); taken out,
@@ -49,7 +49,8 @@ M(m) is t^{(m+1)/2} F_m(x), a power of t times a function of x = kappa sqrt(t)
 alone, a plain float that never overflows.  ``_factors`` forms F_0, ..., F_4
 in one pass, which the sweep reads; ``moment_factors`` is its checked form
 (finite kappa > 0 and t > 0, else ValueError, as for a factor that overflows,
-the sweep's refusal too), which ``verify`` checks against its quadratures.
+the sweep's refusal too), which ``verify`` checks against its direct
+quadrature in r.
 
 Shortcuts that change no bit.  ``_trapezoid`` gives every node value and
 sum the bits of its plain form (kappa t + sqrt(t) s, L or G at each node,

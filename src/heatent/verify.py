@@ -6,16 +6,16 @@ deterministic JSON report.  Check names are stable identifiers usable with
 ``--only``.
 
 Every oracle integral the H^3 groups run lives here, beside the check that
-reads it, times exp(-kappa^2 t/2), the moment table's scale: the direct
-paths in r by one Gaussian-sinh expression, the shifted path in s, each a
-batch of the one double-exponential rule of ``quadrature``.
+reads it, times exp(-kappa^2 t/2), the moment table's scale: each a batch
+of the one double-exponential rule of ``quadrature`` in r, by one
+overflow-free Gaussian-sinh expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -112,86 +112,23 @@ _RADIAL = {
 }
 
 
-def shifted_gaussian_quadratures(weight: Callable, cases: Sequence[tuple[float, float]],
-                                 context: Callable[[int], str]) -> list[float]:
-    """For each case i = (kappa, t), the integral over r > 0 of
-    exp(-r^2/2t) w(r) sinh(kappa r), times exp(-kappa^2 t/2), by the
-    double-exponential rule, never forming the exp(kappa^2 t/2) growth.
-
-    Each exponential half of 2 sinh(kappa r) = e^{kappa r} - e^{-kappa r}
-    has its square completed and r = +-kappa t + sqrt(t) s substituted; the
-    value is sqrt(t)/2 times the difference of the two s-integrals.
-    ``weight(gauss, r, i)`` is their integrand, elementwise: gauss =
-    exp(-s^2/2) times w(r) at radii r >= 0, i the (rows, 1) column of case
-    indices, multiplied in the caller's order.  Each half is a case of
-    ``quadrature.integrate_batch`` in s, from its edge (r = 0) on, with width
-    1 and its peak at s = max(0, edge); s is the peak plus the rule's offset,
-    so the plus half, whose peak is s = 0, gets the offset itself, however
-    far out the edge is.  Case i's plus half is integral 2i and its minus
-    half 2i + 1; a failure is named by context(i), and so is a case outside
-    the domain or whose peak kappa t overflows.
-    """
-    for i, (kappa, t) in enumerate(cases):
-        if not (0.0 <= kappa < math.inf and 0.0 < t < math.inf):
-            raise ValueError(
-                f"{context(i)}: shifted Gaussians require finite kappa >= 0 and finite t > 0")
-        if kappa * t == math.inf:
-            raise ValueError(f"{context(i)}: the peak kappa t leaves the double range")
-    centers = np.repeat([kappa * t for kappa, t in cases], 2)
-    centers[1::2] *= -1.0
-    scales = np.repeat([math.sqrt(t) for _, t in cases], 2)
-    edges = -centers / scales  # s at r = 0; each half runs over s >= its edge
-    tops = np.maximum(edges, 0.0)  # s at each half's peak
-
-    def f(d, top, center, scale, i):
-        s = top + d
-        # maximum() absorbs the one-ulp negative r at the domain edge
-        r = np.maximum(0.0, center + scale * s)
-        return weight(np.exp(-0.5 * s * s), r, i)
-
-    halves, _ = integrate_batch(f, tops - edges, np.ones(edges.size),
-                                (tops, centers, scales, np.arange(edges.size) // 2),
-                                lambda j: context(j // 2))
-    return [0.5 * math.sqrt(t) * (jp - jm)
-            for (_, t), jp, jm in zip(cases, halves[0::2].tolist(), halves[1::2].tolist())]
-
-
-def hyperbolic_moment_quadratures(cases: Sequence[tuple[int, float, float]]) -> list[float]:
-    """Each (m, kappa, t) power-m sinh moment by ``shifted_gaussian_quadratures``,
-    times exp(-kappa^2 t/2): the independent cross-check of the closed forms
-    at any kappa^2 t."""
-    for m, _, _ in cases:
-        if m not in _MOMENTS:
-            raise ValueError(f"the moment table has the powers 0 to 4, not {m!r}")
-    powers = np.array([float(m) for m, _, _ in cases])
-
-    def context(i):
-        return "shifted path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i])
-
-    return shifted_gaussian_quadratures(
-        lambda gauss, r, i: gauss * r ** powers[i],
-        [(kappa, t) for _, kappa, t in cases], context)
-
-
 def check_moment_table() -> CheckResult:
-    """Five closed-form sinh moments vs the quadrature oracle, both paths: the
-    direct one in r, the shifted one in s; an integral of either path that
-    misses its tolerance raises, naming its case.  Each path meets the rule's
-    relative tolerance eps and the closed forms carry only rounding, so each
-    difference is at most 2 eps (read at call time)."""
+    """Five closed-form sinh moments vs the direct quadrature path in r; an
+    integral that misses its tolerance raises, naming its case.  The path
+    meets the rule's relative tolerance eps and the closed forms carry only
+    rounding, so each difference is at most 2 eps (read at call time)."""
     cases = [(m, kappa, t) for m in _MOMENTS
              for kappa in _KAPPA_GRID for t in _T_GRID]
     powers, kappas, ts = np.array(cases, dtype=float).T
     direct, _ = integrate_batch(
         _direct_moment_integrand, kappas * ts, np.sqrt(ts), (powers, kappas, ts),
         lambda i: "direct path of M({}) at kappa = {!r}, t = {!r}".format(*cases[i]))
-    shifted = hyperbolic_moment_quadratures(cases)
     times = np.array(_T_GRID)  # the closed forms t^{(m+1)/2} F_m, F_m one pass per kappa
     factors = np.array([h3.moment_factors(kappa, times) for kappa in _KAPPA_GRID])
     closed = np.array([times ** (0.5 * (m + 1)) * factors[:, m] for m in _MOMENTS]).ravel()
-    return _result(np.abs(np.array([closed, shifted]) - direct) / np.abs(direct),
+    return _result(np.abs(closed - direct) / np.abs(direct),
                    2.0 * quadrature.RELATIVE_TOLERANCE,
-                   "closed forms and both integration paths agree on the "
+                   "closed forms agree with the direct integral on the "
                    f"{len(_MOMENTS)}x{len(_KAPPA_GRID)}x{len(_T_GRID)} grid")
 
 

@@ -1,12 +1,13 @@
 """Oracles that only the tests call: the hyperbolic heat kernel, its radial
-integrals by quadrature, eta and eta' by the shifted-Gaussian rule, and the
-large-time limit of the Ricci bound.
+integrals by quadrature, eta and eta' by the direct Gaussian-sinh path in r,
+and the large-time limit of the Ricci bound.
 
-Each is independent of the path it checks: the radial integrals run the
-double-exponential rule of ``heatent.quadrature`` on the kernel's radial
-density (``verify._radial_integrals``, which ``verify``'s groups run too),
-and eta and eta' run ``verify.shifted_gaussian_quadratures`` against the
-fixed-node trapezoid rule of ``h3entropy.evaluate_records``.  Both live in
+Each is independent of the path it checks: every integral runs the
+double-exponential rule of ``heatent.quadrature`` in r, on the kernel's
+radial density (``verify._radial_integrals``, which ``verify``'s groups run
+too) or on eta's integrand (``verify._gaussian_sinh``, the expression of
+``verify``'s moment path), never in the shifted variable s of the fixed-node
+trapezoid rule of ``h3entropy.evaluate_records``.  Both forms live in
 ``verify`` and form every integral times exp(-kappa^2 t/2).
 """
 
@@ -18,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from heatent.h3entropy import H3Params, _like, _times, log_sinh_ratio
-from heatent.verify import _radial_integrals, shifted_gaussian_quadratures
+from heatent.quadrature import integrate_batch
+from heatent.verify import _gaussian_sinh, _radial_integrals
 
 
 def heat_kernel(p: H3Params, t: float, d: float) -> float:
@@ -59,26 +61,28 @@ def eta_quadrature(p: H3Params, points: Sequence[tuple[float, bool]]) -> list[fl
 
         integral_0^inf exp(-r^2/2t) r^power sinh(kappa r) log(sinh kr/kr) dr
 
-    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', a (kappa, t)
-    case of ``verify.shifted_gaussian_quadratures``, so nothing ever sees
-    the exp(kappa^2 t/2) growth directly.  Each point's value is
-    bit-identical to its lone run; the first point, in order, that misses
-    the tolerance raises, named by t and kappa.
+    with power 1 for eta and power 3 (times 1/(2t^2)) for eta', one case of
+    ``quadrature.integrate_batch`` in r with its peak at kappa t and width
+    sqrt t, its integrand ``verify._gaussian_sinh``, so nothing ever sees the
+    exp(kappa^2 t/2) growth directly.  Each point's value is bit-identical
+    to its lone run; the first point, in order, that misses the tolerance
+    raises, named by t and kappa.
     """
     k = p.kappa
-    cubic = np.array([prime for _, prime in points], dtype=bool)
+    ts = np.array([t for t, _ in points], dtype=float)
+    powers = np.array([3.0 if prime else 1.0 for _, prime in points])
 
-    def weighted(gauss, r, i):
-        return gauss * np.where(cubic[i], r * r * r, r) * log_sinh_ratio(k * r)
+    def f(d, t, power):
+        # |kappa r|: the node next to r = 0 can land one ulp below it
+        return _gaussian_sinh(lambda r: r ** power * log_sinh_ratio(np.abs(k * r)), k, t, d)
 
     def context(i):
         t, prime = points[i]
         return f"log-weighted sinh integral (power {3 if prime else 1}) at t={t!r}, kappa={k!r}"
 
-    values = shifted_gaussian_quadratures(
-        weighted, [(k, t) for t, _ in points], context)
+    values, _ = integrate_batch(f, k * ts, np.sqrt(ts), (ts, powers), context)
     return [value * (0.5 / (t * t)) if prime else value
-            for value, (t, prime) in zip(values, points)]
+            for value, (t, prime) in zip(values.tolist(), points)]
 
 
 def entropy_quadrature(p: H3Params, t):

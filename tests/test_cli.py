@@ -651,12 +651,14 @@ def test_warm_identity_checks_allocate_within_the_direct_forms_peaks():
 
 
 # tracemalloc peak of a warm request of each command, in bytes: 1.25 times
-# the peak each read when its bound was set, the 0.57 and 2.31 MB of h3 among
-# them, and the evolve peaks with the row functionals' kept chunk buffer
+# the peak each read when its bound was set, the 0.57 and 2.31 MB of h3 and
+# the 622,690 and 536,145 bytes of verify and its moment table among them,
+# and the evolve peaks with the row functionals' kept chunk buffer
 # (allocated in the warm-up calls) of 11,648, 75,704, 16,413 and 124,536
 # bytes (README's layer table states each)
 COMMAND_PEAKS = {
-    "h3": 715_000, "h3 --t-count 2000": 2_892_000, "verify": 884_000,
+    "h3": 715_000, "h3 --t-count 2000": 2_892_000, "verify": 778_400,
+    "verify --only moment_table": 670_200,
     "evolve --manifold circle": 14_560, "evolve --manifold torus": 94_630,
     "evolve --manifold sphere": 20_516, "evolve --manifold torus-drift": 155_670,
     "bounds --manifold circle": 21_500, "bounds --manifold torus": 21_300,

@@ -416,8 +416,8 @@ def test_closed_forms_are_elementwise():
 
 
 def test_eta_quadrature_points_equal_their_lone_runs():
-    # each point's two shifted halves are cases of one batch; a point's value
-    # does not depend on the batch it came in, nor on its place there
+    # each point is one case of one batch; a point's value does not depend
+    # on the batch it came in, nor on its place there
     p = h3.H3Params(0.7)
     points = [(float(t), prime) for t in np.geomspace(1e-6, 1e9, 16)
               for prime in (False, True)]

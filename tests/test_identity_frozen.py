@@ -188,7 +188,7 @@ FROZEN_VERIFY = {
     "verify --only bochner_residual": "bdfb94e8ffc69af0",
     "verify --only hessian_trace": "a22c80a14285c0e2",
     "verify --only cauchy_step": "b74947ce23861f6e",
-    "verify": "c6059afb2f83489d",
+    "verify": "8cc20184e1ac1c92",
 }
 
 

@@ -8,10 +8,12 @@ constant (``getattr``'s column names).  Lone forms of what a batch path
 computes fold into that path, and oracles that only tests call live in
 ``tests/oracles.py``.  The few public names with no caller in ``src/`` are
 listed with their reasons.  No module reads another module's private name,
-and that rule has no exception.
+and that rule has no exception.  Every ``module.name`` README's prose gives
+a module of ``src/heatent`` is an attribute of that module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -96,6 +98,29 @@ def test_the_readme_layout_names_exactly_the_modules():
     rows = re.findall(r"^\| `heatent\.(\w+)` \|", section, flags=re.MULTILINE)
     modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(rows) == sorted(modules)
+
+
+def _readme_names() -> set[tuple[str, str]]:
+    """Every (module, name) that README's prose, its fenced code blocks
+    aside, writes in backticks as ``heatent.<module>.<name>`` or
+    ``<module>.<name>``, module being one of src/heatent."""
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
+    names = set()
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+    for span in re.findall(r"`([^`]+)`", prose):
+        for module, name in re.findall(r"(?<![\w./])(?:heatent\.)?(\w+)\.(\w+)", span):
+            if module in modules:
+                names.add((module, name))
+    return names
+
+
+def test_every_name_the_readme_gives_a_module_exists():
+    # a name deleted from its module leaves README with it
+    names = _readme_names()
+    assert names  # the pattern still finds README's names
+    stale = sorted(f"{module}.{name}" for module, name in names
+                   if not hasattr(importlib.import_module(f"heatent.{module}"), name))
+    assert stale == []
 
 
 def _is_record(node: ast.ClassDef) -> bool:

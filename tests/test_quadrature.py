@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from conftest import closed_moment, mp_scaled_moment
 from heatent import quadrature
 from heatent.quadrature import QuadratureConvergenceError, QuadratureDomainError, integrate_batch
-from heatent.h3entropy import moment_factors
 from heatent.verify import (
     _direct_moment_integrand,
     _mass_prefactor,
     _radial_mass,
-    shifted_gaussian_quadratures,
 )
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -255,20 +253,6 @@ def test_convergence_failure_named_across_blocks_as_in_one_array(failing, tolera
     assert blocked.startswith(f"QuadratureConvergenceError: case {min(failing)}: error estimate")
 
 
-def test_shifted_gaussians_batch_matches_singles():
-    # (kappa, t) give the halves' shifts +-kappa t and scales sqrt t
-    cases = [(5.0, 1.0), (0.75, 4.0), (0.0, 0.25), (1.0, 1e4)]
-    scales = np.sqrt([t for _, t in cases])
-    batch = shifted_gaussian_quadratures(
-        lambda gauss, r, i: gauss * (1.0 + scales[i] * r * r), cases, lambda i: "batch")
-    for k, (case, sc) in enumerate(zip(cases, scales.tolist())):
-        alone = shifted_gaussian_quadratures(
-            lambda gauss, r, i: gauss * (1.0 + sc * r * r), [case], lambda i: "alone")
-        assert [batch[k]] == alone, k
-    # at kappa = 0 the two halves are the same integral, and sinh 0 = 0
-    assert batch[2] == 0.0
-
-
 def test_batch_validates_hint_lengths():
     with pytest.raises(ValueError, match="one peak and one width"):
         integrate_batch(lambda d: np.exp(-d), [0.0, 1.0], [1.0], (), name)
@@ -304,38 +288,6 @@ def test_convergence_failure_names_only_the_failing_case(tolerances):
     with pytest.raises(QuadratureConvergenceError, match=r"^second: error estimate "):
         integrate_batch(lambda d, on: on * np.exp(-d), [0.0, 0.0], [1.0, 1.0],
                         ([0.0, 1.0],), context)
-
-
-def test_shifted_gaussian_reduces_to_half_gaussian():
-    # with weight 1 the value is M(0) = sqrt(t) F_0(kappa sqrt t), F_0 the
-    # truncated half-Gaussian mass
-    kappa, t = 0.75, 4.0
-    [value] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(kappa, t)],
-                                           lambda i: "half-Gaussian")
-    assert value == pytest.approx(math.sqrt(t) * float(moment_factors(kappa, t)[0]), rel=1e-12)
-
-
-def test_shifted_gaussian_cross_oracle():
-    # kappa = 5, t = 1: the substituted integral equals the unsubstituted
-    # exp(-r^2/2) sinh(5r) exp(-25/2) integrated directly, r = 5 + d
-    [shifted] = shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(5.0, 1.0)],
-                                             lambda i: "cross-oracle")
-    direct, _ = one(lambda d: 0.5 * (np.exp(-0.5 * d * d) - np.exp(-0.5 * (d + 10.0) ** 2)),
-                    5.0, 1.0)
-    assert shifted == pytest.approx(direct, rel=1e-10)
-    # nearly half the full Gaussian mass: only the far-left tail of the plus
-    # half is missing, and the minus half is as small
-    assert shifted == pytest.approx(0.5 * math.sqrt(2.0 * math.pi), rel=1e-5)
-
-
-def test_shifted_gaussian_scale_validation():
-    bad = [(1.0, t) for t in (0.0, -1.0, math.inf, math.nan)]
-    bad += [(kappa, 1.0) for kappa in (-1.0, math.inf, math.nan)]
-    for case in bad:
-        # the failing case is named, after a valid one
-        with pytest.raises(ValueError, match=r"^case 1: shifted Gaussians require finite"):
-            shifted_gaussian_quadratures(lambda gauss, r, i: gauss, [(1.0, 1.0), case],
-                                         "case {}".format)
 
 
 @settings(max_examples=25, deadline=None)

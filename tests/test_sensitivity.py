@@ -23,8 +23,8 @@ from heatent import spectral as sp
 from heatent import verify as vf
 
 NAN_ROWS = [
-    # the shifted path of the seventh (m, kappa, t) case of the table
-    (vf, "hyperbolic_moment_quadratures", 0, (7,), "moment_table"),
+    # the direct path's M(0) at kappa = 2, t = 1, case 7 of the table
+    (vf, "integrate_batch", 0, (0, 7), "moment_table"),
     # rate_direct at the second check time of the sphere fixture, the
     # third of circle, torus, sphere and torus-drift
     (sp, "entropy_trace", 2, ("rate_direct", 1), "rate_consistency"),
@@ -52,6 +52,8 @@ FACTOR_ROWS = [
     (h3, "evaluate_records", 0, ("entropy",), "entropy_decomposition"),
     # F_2 at kappa = 0.5, t = 1: the closed M(2) there
     (h3, "moment_factors", 0, (2, 1), "moment_table"),
+    # the direct path's M(0) at kappa = 2, t = 1, case 7 of the table
+    (vf, "integrate_batch", 0, (0, 7), "moment_table"),
     # the closed I1 at kappa = 0.5, t = 1
     (h3, "I1", 0, (1,), "second_moment"),
     # the radial kernel mass at kappa = 0.5, t = 1

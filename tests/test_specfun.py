@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_moment, mp_scaled_moment
-from heatent.quadrature import QuadratureConvergenceError, integrate_batch
+from heatent.quadrature import integrate_batch
 from heatent.h3entropy import (
     _LOG_SINH_RATIO_POLY,
     _LOG_SINH_RATIO_SWITCH,
     log_sinh_ratio,
     moment_factors,
 )
-from heatent.verify import hyperbolic_moment_quadratures, sinh_ratio_bounds_check
+from heatent.verify import _direct_moment_integrand, sinh_ratio_bounds_check
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -24,6 +24,14 @@ def alpha(kappa, t):
     """F_0 of the moment table, the truncated half-Gaussian mass: the
     integral of exp(-r^2/2) over [0, kappa sqrt(t)], as a float."""
     return float(moment_factors(kappa, t)[0])
+
+
+def direct_moments(cases):
+    """verify's direct path: M(m) at each (m, kappa, t), times exp(-kappa^2 t/2)."""
+    powers, kappas, ts = np.array(cases, dtype=float).T
+    values, _ = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
+                                (powers, kappas, ts), "case {}".format)
+    return values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +78,11 @@ def test_alpha_domain():
 # moment table
 
 
-def test_moment_power_validation():
-    for m in (-1, 5):
-        with pytest.raises(ValueError, match="powers 0 to 4"):
-            hyperbolic_moment_quadratures([(0, 1.0, 1.0), (m, 1.0, 1.0)])
-
-
-# each function of the moment table and its oracle, called at (kappa, t)
+# each function of the moment table, called at (kappa, t)
 DOMAIN_CALLS = {
     "alpha": alpha,
     "moment_factors": lambda kappa, t: moment_factors(kappa, np.array([1.0, t])),
     "closed_form": lambda kappa, t: closed_moment(2, kappa, t),
-    "quadratures": lambda kappa, t: hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, kappa, t)]),
 }
 
 
@@ -94,23 +95,12 @@ def test_moment_functions_refuse_non_finite_arguments(name, argument, value):
         DOMAIN_CALLS[name](kappa, t)
 
 
-def test_shifted_moment_domain_failure_names_its_case():
-    with pytest.raises(ValueError, match=r"^shifted path of M\(2\) at kappa = 1\.0, t = inf: "):
-        hyperbolic_moment_quadratures([(0, 1.0, 1.0), (2, 1.0, math.inf)])
-
-
 def test_moment_factors_refuse_overflow():
     with pytest.raises(ValueError, match=r"^a moment factor F_0 to F_4 overflows at "
                                          r"kappa = 1e\+200, t = 1e\+200$"):
         moment_factors(1e200, 1e200)
     with pytest.raises(ValueError, match=r"kappa = 1e\+50, t = 1e\+100$"):
         moment_factors(1e50, np.array([1.0, 1e100]))
-
-
-def test_shifted_moments_refuse_an_overflowing_peak():
-    with pytest.raises(ValueError, match=r"^shifted path of M\(0\) at kappa = 1e\+200, "
-                                         r"t = 1e\+200: the peak kappa t leaves the double"):
-        hyperbolic_moment_quadratures([(0, 1.0, 1.0), (0, 1e200, 1e200)])
 
 
 def test_moment_closed_form_examples():
@@ -136,41 +126,22 @@ def test_moment_table_against_mpmath():
                     assert abs(value - exact) <= 2e-15 * exact, (moment, kappa, t)
 
 
-def test_moment_paths_agree():
-    # the shifted path against the closed form, both in the table's scale
-    # exp(-kappa^2 t/2), on the 45 cases of the direct path's test
-    cases = [(moment, kappa, t) for moment in ALL_MOMENTS for kappa in (0.5, 1.0, 2.0)
-             for t in (0.1, 1.0, 10.0)]
-    for case, shifted in zip(cases, hyperbolic_moment_quadratures(cases)):
-        assert shifted == pytest.approx(closed_moment(*case), rel=4e-15), case
-
-
 def test_moment_no_overflow_at_large_scale():
     # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
     # it times exp(-200) and agree without ever materialising it
     closed = closed_moment(3, 2.0, 100.0)
-    [shifted] = hyperbolic_moment_quadratures([(3, 2.0, 100.0)])
-    assert math.isfinite(closed) and math.isfinite(shifted)
-    rel = abs(closed - shifted) / abs(closed)
+    [direct] = direct_moments([(3, 2.0, 100.0)])
+    assert math.isfinite(closed) and math.isfinite(direct)
+    rel = abs(closed - direct) / abs(closed)
     assert rel < 4e-15
 
 
 def test_shifted_moments_at_a_far_peak():
-    # kappa sqrt t = 1e60: the plus half's peak sits 1e60 widths past its
-    # edge, and the mass on both sides of it is kept (M(4) overflows here)
+    # kappa sqrt t = 1e60: the peak kappa t sits 1e60 widths past r = 0, and
+    # the direct path keeps the mass on both sides of it (M(4) overflows here)
     for m in range(4):
-        [shifted] = hyperbolic_moment_quadratures([(m, 1e30, 1e60)])
-        assert shifted == pytest.approx(closed_moment(m, 1e30, 1e60),
-                                        rel=1e-14), m
-
-
-def test_shifted_moments_refuse_unconverged_integrals(tolerances):
-    # no step of the rule meets these tolerances
-    tolerances(1e-300, 1e-300)
-    cases = [(moment, 0.5, 0.1) for moment in ALL_MOMENTS]
-    with pytest.raises(QuadratureConvergenceError,
-                       match=r"^shifted path of M\(0\) at kappa = 0\.5, t = 0\.1: "):
-        hyperbolic_moment_quadratures(cases)
+        [direct] = direct_moments([(m, 1e30, 1e60)])
+        assert direct == pytest.approx(closed_moment(m, 1e30, 1e60), rel=1e-14), m
 
 
 # ---------------------------------------------------------------------------
