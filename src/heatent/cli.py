@@ -14,13 +14,14 @@ and owns the usage errors and the help.
 
 Numbers are serialised in shortest-roundtrip decimal, CSV uses a mandatory
 header row with LF line endings, and identical configurations produce
-byte-identical output.  ``h3``, ``evolve`` and ``bounds`` each build one
-table, an ordered dict of column name to array, and the one writer
-``_table_text`` writes it as CSV or as the JSON list of row objects, byte for
-byte what ``json.dumps(..., indent=2, sort_keys=True)`` writes for its rows;
-only the nested ``verify`` report goes through json itself.  Exit status: 0
-success, 1 verification or numerical (quadrature, drift propagator) failure,
-2 usage or configuration error.
+byte-identical output.  ``h3``, ``evolve`` and ``bounds`` each write one
+table, an ordered dict of column name to array (``h3``'s from
+``h3entropy.table``), and the one writer ``_table_text`` writes it as CSV or
+as the JSON list of row objects, byte for byte what ``json.dumps(...,
+indent=2, sort_keys=True)`` writes for its rows; only the nested ``verify``
+report goes through json itself.  Exit status: 0 success, 1 verification or
+numerical (quadrature, drift propagator) failure, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -241,57 +242,9 @@ def _report_failures(command: str, ok: np.ndarray, times: Sequence[float],
     return 1
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo, exactly, with hi and lo of 26 bits each."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise in float
-    arrays or floats (Dekker; Python 3.11 has no math.fma)."""
-    p = a * b
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
-    """scaled * exp(kappa^2 t / 2) elementwise, inf of scaled's sign where
-    hi + log|scaled| passes 709, a signed zero or NaN as it is.  kappa^2 t / 2
-    of the floats kappa and t is hi + lo: hi the float product, lo its
-    remainder from two exact two-products, so no rounding of the exponent
-    reaches the result.  exp(hi) enters as two factors exp(hi/2), four exp(hi/4)
-    where those overflow: the exp of hi + log|scaled| would turn the rounding
-    of a sum as large as 709 into a relative error of the result."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k2, k2_err = _two_product(kappa, kappa)
-        p, p_err = _two_product(k2, t)
-        hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
-        half = np.exp(0.5 * hi)  # inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
-        past = hi + np.log(np.abs(scaled)) > 709.0
-        grown = scaled * half * half
-        over = ~(half < np.inf)  # where only a subnormal scaled is below the cut
-        if over.any():
-            quarter = np.exp(0.25 * hi[over])
-            grown[..., over] = scaled[..., over] * quarter * quarter * quarter * quarter
-        grown = np.where(scaled == 0.0, scaled, grown * np.exp(lo))
-        return np.where(past, np.copysign(np.inf, scaled), grown)
-
-
 def cmd_h3(args: argparse.Namespace) -> int:
-    kappa = args.kappa
-    params = h3.H3Params(kappa)
-    sweep = h3.evaluate_records(params, _time_grid(args))
-    lo, hi = h3.asymptotic_band(params)
-    # the sweep holds the eta family times exp(-kappa^2 t/2)
-    eta_names = ("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper")
-    etas = _unscaled(np.array([getattr(sweep, name) for name in eta_names]), kappa, sweep.t)
-    columns = {"t": sweep.t, "entropy": sweep.entropy, "I1": sweep.I1, "I2": sweep.I2,
-               "rate_direct": sweep.rate_direct, "rate_fd": sweep.rate_fd,
-               **dict(zip(eta_names, etas)),
-               "band_lo": lo, "band_hi": hi}
-    _emit(_table_text(columns, args.format), args.out)
+    sweep = h3.evaluate_records(h3.H3Params(args.kappa), _time_grid(args))
+    _emit(_table_text(h3.table(sweep), args.format), args.out)
 
     band_ok = sweep.band_ok
 

@@ -75,10 +75,11 @@ The sweep.  ``evaluate_records`` validates once and forms each quantity
 once, over all rows or over the t rows alone; past the kernel, every
 refusal passes one gate, on the sums of what it tests, and the first failing
 check is worked out only when it trips.  It returns one ``H3Sweep``:
-a column array per quantity, and the margins and error estimates of the
-four envelope sides as (4, n) arrays in the order of ``SIDES``.
-``verdict_states`` is the one rule that turns a margin and its error into
-inside, outside or unresolved.
+a column array per quantity, eta, eta' and their envelopes as one (6, n)
+block, and the margins and error estimates of the four envelope sides as
+(4, n) arrays in the order of ``SIDES``.  ``verdict_states`` is the one rule
+that turns a margin and its error into inside, outside or unresolved.
+``table`` assembles the ``h3`` row, the eta block times exp(kappa^2 t/2).
 
 The radial quadratures that check this module (the kernel's mass, second
 moment and entropy by the double-exponential rule) live in ``verify``,
@@ -216,10 +217,10 @@ def verdict_states(margin, error):
 class H3Sweep:
     """The hyperbolic entropy sweep over a time grid, one array per column.
 
-    The six eta columns hold eta, eta' and their envelopes times
-    exp(-kappa^2 t/2).  margins and errors are shaped (4, n), one row per
-    envelope side in the order of SIDES; both are relative to the checked
-    value.
+    etas, shaped (6, n), holds eta, its lower and upper envelope, then eta'
+    and its two (``table``'s order), times exp(-kappa^2 t/2).  margins and
+    errors are shaped (4, n), one row per envelope side in the order of
+    SIDES; both are relative to the checked value.
     """
 
     kappa: float
@@ -229,12 +230,7 @@ class H3Sweep:
     I2: np.ndarray
     rate_direct: np.ndarray
     rate_fd: np.ndarray
-    eta: np.ndarray
-    eta_lower: np.ndarray
-    eta_upper: np.ndarray
-    etap: np.ndarray
-    etap_lower: np.ndarray
-    etap_upper: np.ndarray
+    etas: np.ndarray
     margins: np.ndarray
     errors: np.ndarray
 
@@ -412,7 +408,9 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         margins /= values
         errors = error.reshape(4, n)[::3, None] + _SLACK_ROUNDING * (np.abs(terms) + np.abs(rests))
         errors /= values
-        bounds = closed.reshape(4, n)[::3, None] - terms  # the envelopes
+        etas = np.empty((2, 3, n))  # (eta, lower, upper) for eta and then for eta'
+        etas[:, 0] = eta.reshape(4, n)[::3]
+        np.subtract(closed.reshape(4, n)[::3, None], terms, out=etas[:, 1:])
         total += sum(map(np.add.reduce, (fine, closed, terms, margins, errors), (None,) * 5))
         if not (math.isfinite(total) and converged.all() and scales.all() and resolved):
             if not np.isfinite(fine).all():
@@ -435,9 +433,58 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
             if not resolved:
                 raise ValueError(f"t={float(grid[k * k * grid < _KAPPA2T_FLOOR][0])!r} puts kappa^2"
                                  f" t below {_KAPPA2T_FLOOR!r}, where eta and eta' lose digits")
-        return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd, eta[:n],
-                       *bounds[0], eta[3 * n:], *bounds[1], margins.reshape(4, n),
-                       errors.reshape(4, n))
+        return H3Sweep(k, grid, entropy[:n], i1[:n], i2[:n], rate_direct, rate_fd,
+                       etas.reshape(6, n), margins.reshape(4, n), errors.reshape(4, n))
+
+
+def table(sweep: H3Sweep) -> dict:
+    """The ``h3`` command's columns by name, in output order: the sweep's, the
+    eta block times exp(kappa^2 t/2) and the band's two ends, each one float."""
+    lo, hi = asymptotic_band(H3Params(sweep.kappa))
+    etas = _unscaled(sweep.etas, sweep.kappa, sweep.t)
+    return {"t": sweep.t, "entropy": sweep.entropy, "I1": sweep.I1, "I2": sweep.I2,
+            "rate_direct": sweep.rate_direct, "rate_fd": sweep.rate_fd,
+            **dict(zip(("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper"),
+                       etas)),
+            "band_lo": lo, "band_hi": hi}
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, exactly, with hi and lo of 26 bits each."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise in float
+    arrays or floats (Dekker; Python 3.11 has no math.fma)."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _unscaled(scaled: np.ndarray, kappa: float, t: np.ndarray) -> np.ndarray:
+    """scaled * exp(kappa^2 t / 2) elementwise, inf of scaled's sign where
+    hi + log|scaled| passes 709, a signed zero or NaN as it is.  kappa^2 t / 2
+    of the floats kappa and t is hi + lo: hi the float product, lo its
+    remainder from two exact two-products, so no rounding of the exponent
+    reaches the result.  exp(hi) enters as two factors exp(hi/2), four exp(hi/4)
+    where those overflow: the exp of hi + log|scaled| would turn the rounding
+    of a sum as large as 709 into a relative error of the result."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k2, k2_err = _two_product(kappa, kappa)
+        p, p_err = _two_product(k2, t)
+        hi, lo = 0.5 * p, 0.5 * (p_err + k2_err * t)
+        half = np.exp(0.5 * hi)  # inf from kappa^2 t of about 2839 on, where 0 * inf is NaN
+        past = hi + np.log(np.abs(scaled)) > 709.0
+        grown = scaled * half * half
+        over = ~(half < np.inf)  # where only a subnormal scaled is below the cut
+        if over.any():
+            quarter = np.exp(0.25 * hi[over])
+            grown[..., over] = scaled[..., over] * quarter * quarter * quarter * quarter
+        grown = np.where(scaled == 0.0, scaled, grown * np.exp(lo))
+        return np.where(past, np.copysign(np.inf, scaled), grown)
 
 
 def _factors(kappa: float, ts: np.ndarray, x) -> list:

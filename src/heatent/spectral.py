@@ -45,6 +45,8 @@ coordinates are cached per content, and fields hash by their bytes alone.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import numbers
@@ -84,6 +86,8 @@ _BLOCK_ROWS = 8
 _BLOCK_FIELDS = 3
 # Per thread, the chunk buffer ``_chunk_buffer`` keeps between calls.
 _per_thread = threading.local()
+# Held from pinning the process-global BLAS thread count to its restore.
+_BLAS_THREADS_LOCK = threading.Lock()
 _RESOLVED_MINIMUM = "resolved field has minimum {:.3e}"
 _DRIFT_LOST_POSITIVITY = ("drifted evolution lost positivity (min {:.3e}); "
                           "raise the cutoff or fix the data")
@@ -624,6 +628,42 @@ def _operator(manifold: ManifoldSpec, cutoff: int) -> _Operator:
     return _Operator(tr, w, functools.cache(lambda: _drift_pencil(manifold, cutoff, w)))
 
 
+@functools.cache
+def _blas_thread_count():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found in
+    numpy's own extension module, or None where it exports neither (another
+    BLAS, or another numpy)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_count = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one BLAS thread and restore the count after, under
+    one lock, as the count is process-global; without a setter
+    (``_blas_thread_count``, looked up on first use) at the BLAS's own count."""
+    count = _blas_thread_count()
+    if count is None:
+        yield
+        return
+    get, set_count = count
+    with _BLAS_THREADS_LOCK:
+        before = get()
+        set_count(1)
+        try:
+            yield
+        finally:
+            set_count(before)
+
+
+@_one_blas_thread()
 def _drift_pencil(manifold: ManifoldSpec, cutoff: int, w: np.ndarray):
     """(rates, left, right), real and read-only, with exp(tL) acting on the
     flattened coefficients a of a field as a(t) = left (e^{-rates t} * right a).
@@ -645,6 +685,10 @@ def _drift_pencil(manifold: ManifoldSpec, cutoff: int, w: np.ndarray):
     MASS_CONDITION_LIMIT raises PropagatorError.  ``left`` is stored in
     Fortran order, so ``left.T`` is the C-contiguous table that
     ``_propagate`` multiplies its row blocks by.
+
+    LAPACK's ``eigh`` rounds by the BLAS thread count at this size (169
+    modes at cutoff 6), so the pencil is built at one BLAS thread
+    (``_one_blas_thread``): drifted output is the same at any thread count.
     """
     tr = _transform(manifold, cutoff)
     (tx, dx), (ty, dy) = tr.first[:2], (table.T for table in tr.last[:2])

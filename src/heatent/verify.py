@@ -8,7 +8,8 @@ deterministic JSON report.  Check names are stable identifiers usable with
 Every oracle integral the H^3 groups run lives here, beside the check that
 reads it, times exp(-kappa^2 t/2), the moment table's scale: each a batch
 of the one double-exponential rule of ``quadrature`` in r, by one
-overflow-free Gaussian-sinh expression.
+overflow-free Gaussian-sinh expression.  So do the closed ``forms`` of D and
+I on the one- and two-mode spectral fixtures, which ``closed_forms`` reads.
 """
 
 from __future__ import annotations
@@ -159,9 +160,8 @@ def check_envelopes(narrow_fraction: float = 0.0) -> CheckResult:
     moves each side's margin in by that fraction of its envelope's width,
     relative to eta or eta', for the harness self-test."""
     sweep = h3.evaluate_records(h3.H3Params(1.0), np.geomspace(0.1, 100.0, 40))
-    narrowing = [narrow_fraction * (hi - lo) / np.abs(value)
-                 for value, lo, hi in ((sweep.eta, sweep.eta_lower, sweep.eta_upper),
-                                       (sweep.etap, sweep.etap_lower, sweep.etap_upper))]
+    value, lo, hi = sweep.etas.reshape(2, 3, -1).swapaxes(0, 1)  # each for eta, then eta'
+    narrowing = narrow_fraction * (hi - lo) / np.abs(value)
     states = h3.verdict_states(sweep.margins - np.repeat(narrowing, 2, axis=0), sweep.errors)
     # a (row, eta or eta') pair fails when either of its two sides is not inside
     failures = int(np.count_nonzero(~np.all(states.reshape(2, 2, -1) == "inside", axis=1)))
@@ -260,6 +260,64 @@ def check_cauchy_step() -> CheckResult:
                    "identity hold on evolved fixture densities")
 
 
+# closed_forms: per fixture its late times and the last time its entropy is resolved
+_CLOSED_FORM_TIMES = {"circle": ((5.0, 10.0), 0.18), "torus": ((5.0, 10.0), 0.112),
+                      "sphere": ((5.0, 10.0, 20.0), 1.023)}
+
+
+def circle_forms(a):
+    """(D, I), the relative entropy and Fisher information, of 1 + a cos 2 pi x on the circle."""
+    q = a * a / (1.0 + np.sqrt(1.0 - a * a))
+    return q + np.log1p(-0.5 * q), 4.0 * math.pi ** 2 * q
+
+
+def torus_forms(a):
+    """(D, I) of 1 + a cos 2 pi x + a sin 2 pi y on the unit torus, elementwise:
+    the circle's at c = a/A, A = 1 + a sin 2 pi y, by a 128-node sum over y."""
+    a = np.asarray(a, dtype=float)[..., np.newaxis]
+    y = 2.0 * math.pi * np.arange(128) / 128
+    big_a = 1.0 + a * np.sin(y)
+    c = a / big_a
+    s = np.sqrt(1.0 - c * c)
+    fisher = 4.0 * math.pi ** 2 * a[..., 0] ** 2 * np.mean(
+        (1.0 / (1.0 + s) + np.cos(y) ** 2 / s) / big_a, axis=-1)
+    return circle_forms(a[..., 0])[0] + np.mean(big_a * circle_forms(c)[0], axis=-1), fisher
+
+
+def sphere_forms(b):
+    """(D, I) of (1 + b cos theta)/(4 pi) on the unit sphere, by 40 terms of their series."""
+    k = np.arange(1, 41)
+    powers = np.asarray(b, dtype=float)[..., np.newaxis] ** (2 * k)
+    odd = (2 * k - 1) * (2 * k + 1)
+    return np.sum(powers / (odd * 2 * k), axis=-1), np.sum(2.0 * powers / odd, axis=-1)
+
+
+def forms(name: str, t):
+    """(D, I) of the circle, torus or sphere fixture at each time of t; rate_direct = I/2."""
+    form, amplitude, rate = {"circle": (circle_forms, 0.5, 2.0 * math.pi ** 2),
+                             "torus": (torus_forms, 0.25, 2.0 * math.pi ** 2),
+                             "sphere": (sphere_forms, 0.5, 1.0)}[name]
+    return form(amplitude * np.exp(-rate * np.asarray(t, dtype=float)))
+
+
+def check_closed_forms() -> CheckResult:
+    """Fisher and rate_direct of three fixture traces against ``forms``, and
+    D = log(volume) - entropy where resolved, all to 1e-13 relative."""
+    errors = []
+    for name, (late, resolved_up_to) in _CLOSED_FORM_TIMES.items():
+        fixture = fx.get_fixture(name)
+        times = np.union1d(fixture.default_times, late)
+        trace = sp.entropy_trace(fixture.initial, times)
+        relative, fisher = forms(name, times)
+        resolved = times <= resolved_up_to
+        log_volume = math.log(4.0 * math.pi) if name == "sphere" else 0.0
+        errors += [np.abs(got - want) / np.abs(want) for got, want in (
+            (trace.fisher, fisher), (trace.rate_direct, 0.5 * fisher),
+            (log_volume - trace.entropy[resolved], relative[resolved]))]
+    return _result(np.concatenate(errors), 1e-13,
+                   "Fisher, rate_direct and resolved D follow the circle, torus and sphere forms")
+
+
 def sinh_ratio_bounds_check(r: float) -> tuple[float, float, float]:
     """The strictly ordered triple 1/(1+2r) < (1 - e^{-2r})/(2r) < 1/(1+r)."""
     if r <= 0.0:
@@ -331,6 +389,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "band": check_band,
     "rate_consistency": check_rate_consistency,
     "fixture_bounds": check_fixture_bounds,
+    "closed_forms": check_closed_forms,
     "bochner_residual": check_bochner,
     "hessian_trace": check_hessian_trace,
     "cauchy_step": check_cauchy_step,

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -29,13 +30,15 @@ def tolerances(monkeypatch):
     return set_tolerances
 
 
-def run_python(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, **env_overrides: Optional[str]) -> subprocess.CompletedProcess:
     """``python ARGS`` in a child process that imports this heatent, with
-    ``env_overrides`` set in its environment; output captured as text.
+    ``env_overrides`` set in its environment (one given as None unset);
+    output captured as text.
 
     The child turns warnings into errors, as ``filterwarnings = ["error"]``
     does in this process."""
-    env = {**os.environ, "PYTHONWARNINGS": "error", **env_overrides}
+    env = {name: value for name, value in
+           {**os.environ, "PYTHONWARNINGS": "error", **env_overrides}.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 

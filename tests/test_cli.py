@@ -759,12 +759,14 @@ def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
     assert cli.main(argv) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     sweep = h3.evaluate_records(h3.H3Params(1.0), [float(row["t"]) for row in rows])
-    names = ("eta_lower", "eta", "eta_upper", "etap_lower", "etap", "etap_upper")
+    # (column, its row of the sweep's eta block), each family lower, value, upper
+    names = (("eta_lower", 1), ("eta", 0), ("eta_upper", 2), ("etap_lower", 4), ("etap", 3),
+             ("etap_upper", 5))
     finite_rows = 0
     for i, (row, t) in enumerate(zip(rows, sweep.t.tolist())):
-        values = [float(row[name]) for name in names]
-        for name, value in zip(names, values):
-            below = 0.5 * t + math.log(getattr(sweep, name)[i]) <= 709.0
+        values = [float(row[name]) for name, _ in names]
+        for (name, j), value in zip(names, values):
+            below = 0.5 * t + math.log(sweep.etas[j, i]) <= 709.0
             assert math.isfinite(value) == below, (t, name)
             assert below or value == math.inf
         if all(math.isfinite(v) for v in values):
@@ -774,12 +776,14 @@ def test_h3_eta_columns_overflow_only_past_exp_709(capsys):
     assert 0 < finite_rows < len(rows)
 
 
+# The unscaling of the eta block that the h3 command writes, h3entropy's
+# double-double exp(kappa^2 t/2) (``h3entropy.table``), against mpmath.
 def _check_unscaled(mp, values, kappa, t):
-    """cli._unscaled of the values at (kappa, t) against mpmath at 200 bits:
+    """h3._unscaled of the values at (kappa, t) against mpmath at 200 bits:
     each value times exp(kappa^2 t/2), kappa^2 t the exact product of the
     floats, to 1e-15 relative, or inf of the value's sign where its log
     passes 709."""
-    got = cli._unscaled(np.array(values)[:, None], kappa, np.array([t]))[:, 0]
+    got = h3._unscaled(np.array(values)[:, None], kappa, np.array([t]))[:, 0]
     with mp.workprec(200):
         half = mp.mpf(kappa) ** 2 * mp.mpf(t) / 2
         for value, result in zip(values, got.tolist()):
@@ -822,13 +826,13 @@ def test_unscaled_grows_subnormal_values(k2t):
     for kappa in (0.3, 1.0, 2.7):
         values = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-323.5, -307.7, 8)
         _check_unscaled(mp, [5e-324, -1e-315, *values.tolist()], kappa, k2t / kappa ** 2)
-    assert math.isfinite(cli._unscaled(np.array([[1e-315]]), 1.0, np.array([2860.0]))[0, 0])
+    assert math.isfinite(h3._unscaled(np.array([[1e-315]]), 1.0, np.array([2860.0]))[0, 0])
 
 
 @pytest.mark.parametrize("k2t", [1e-8, 1.0, 1e3, 2839.0, 3000.0, 1e12])
 def test_unscaled_keeps_signed_zeros_and_nan(k2t):
     # exp(kappa^2 t/4) overflows from kappa^2 t of about 2839 on; 0 stays 0
-    got = cli._unscaled(np.array([[0.0], [-0.0], [math.nan]]), 1.0, np.array([k2t]))[:, 0]
+    got = h3._unscaled(np.array([[0.0], [-0.0], [math.nan]]), 1.0, np.array([k2t]))[:, 0]
     assert got[:2].tolist() == [0.0, 0.0] and np.signbit(got[:2]).tolist() == [False, True]
     assert math.isnan(got[2])
 
@@ -848,17 +852,18 @@ def test_h3_eta_columns_against_mpmath(kappa, capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     times = [float(row["t"]) for row in rows]
     sweep = h3.evaluate_records(h3.H3Params(kappa), times)
+    # the eta block's rows, in order
     names = ("eta", "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper")
     finite = 0
     with mp.workprec(200):
         for i, (row, t) in enumerate(zip(rows, times)):
             scale = mp.exp(mp.mpf(kappa) ** 2 * mp.mpf(t) / 2)
-            for name in names:
+            for name, scaled in zip(names, sweep.etas[:, i].tolist()):
                 written = float(row[name])
                 if not math.isfinite(written):
                     continue
                 finite += 1
-                exact = mp.mpf(float(getattr(sweep, name)[i])) * scale
+                exact = mp.mpf(scaled) * scale
                 assert abs(mp.mpf(written) / exact - 1) <= 1e-15, (t, name)
     assert finite > 0.9 * 6 * len(rows)
 

@@ -1,6 +1,7 @@
 """Closed-form relative entropy and Fisher information of the one- and
 two-mode fixtures, an oracle for the spectral functionals that shares none
-of their code.
+of their code.  The forms live in ``verify`` (its ``closed_forms`` group);
+here they are held to mpmath, and the traces to them.
 
 With m the mass and u-bar = m / volume, D = int u log u - m log u-bar is the
 relative entropy (-entropy on the unit circle and torus, log 4 pi - entropy on
@@ -33,6 +34,7 @@ import pytest
 
 from heatent import fixtures as fx
 from heatent import spectral as sp
+from heatent.verify import forms
 
 TOLERANCE = 1e-13
 # times beyond the fixtures' default grids, where D and I are tiny
@@ -41,41 +43,6 @@ LATE_TIMES = {"circle": (5.0, 10.0), "torus": (5.0, 10.0), "sphere": (5.0, 10.0,
 RESOLVED_UP_TO = {"circle": 0.18, "torus": 0.112, "sphere": 1.023}
 # what D is measured from: D = OFFSET - entropy
 OFFSET = {"circle": 0.0, "torus": 0.0, "sphere": math.log(4.0 * math.pi)}
-
-
-def circle_forms(a):
-    """(D, I) of 1 + a cos 2 pi x on the unit circle."""
-    q = a * a / (1.0 + np.sqrt(1.0 - a * a))
-    return q + np.log1p(-0.5 * q), 4.0 * math.pi ** 2 * q
-
-
-def torus_forms(a):
-    """(D, I) of 1 + a cos 2 pi x + a sin 2 pi y on the unit torus, a scalar."""
-    y = 2.0 * math.pi * np.arange(128) / 128
-    big_a = 1.0 + a * np.sin(y)
-    c = a / big_a
-    s = np.sqrt(1.0 - c * c)
-    fisher = 4.0 * math.pi ** 2 * a * a * np.mean((1.0 / (1.0 + s) + np.cos(y) ** 2 / s) / big_a)
-    return circle_forms(a)[0] + np.mean(big_a * circle_forms(c)[0]), fisher
-
-
-def sphere_forms(b):
-    """(D, I) of (1 + b cos theta) / (4 pi) on the unit sphere, by their series."""
-    k = np.arange(1, 41)
-    powers = np.asarray(b, dtype=float)[..., np.newaxis] ** (2 * k)
-    odd = (2 * k - 1) * (2 * k + 1)
-    return np.sum(powers / (odd * 2 * k), axis=-1), np.sum(2.0 * powers / odd, axis=-1)
-
-
-def forms(name, t):
-    """(D, I) of the named fixture evolved to each time of ``t``."""
-    t = np.asarray(t, dtype=float)
-    if name == "circle":
-        return circle_forms(0.5 * np.exp(-2.0 * math.pi ** 2 * t))
-    if name == "sphere":
-        return sphere_forms(0.5 * np.exp(-t))
-    pairs = [torus_forms(0.25 * math.exp(-2.0 * math.pi ** 2 * x)) for x in t.tolist()]
-    return tuple(np.array(column) for column in zip(*pairs))
 
 
 def relative_error(got, want):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import mp_scaled_moment
 from heatent import bounds as bd
 from heatent import h3entropy as h3
-from heatent.quadrature import QuadratureConvergenceError, integrate_batch
+from heatent.quadrature import QuadratureConvergenceError
 from heatent.verify import _mass_prefactor, _radial_mass
 from oracles import (
     I1_quadrature,
@@ -48,8 +48,9 @@ def xi_rows(p, times):
     ``evaluate_records``: xi = I2/eta, and xi' from the rate's cross term
     xi' eta + xi eta' = rate_direct - 3/(2t) - kappa^2."""
     sweep = h3.evaluate_records(p, times)
-    xi = sweep.I2 / sweep.eta
-    xi_prime = (sweep.rate_direct - 1.5 / sweep.t - p.kappa ** 2 - xi * sweep.etap) / sweep.eta
+    eta, etap = sweep.etas[::3]
+    xi = sweep.I2 / eta
+    xi_prime = (sweep.rate_direct - 1.5 / sweep.t - p.kappa ** 2 - xi * etap) / eta
     shrink = np.exp(-0.5 * p.kappa * p.kappa * sweep.t)
     return xi * shrink, xi_prime * shrink
 
@@ -158,24 +159,8 @@ def test_xi_prime_matches_finite_difference():
 
 
 def test_eta_frozen_value():
-    eta = h3.evaluate_records(P1, [1.0]).eta[0]
+    eta = h3.evaluate_records(P1, [1.0]).etas[0, 0]
     assert unscaled(eta, P1, 1.0) == pytest.approx(ETA_1_1, rel=1e-9)
-
-
-def test_eta_matches_direct_quadrature_at_moderate_t():
-    # both paths work at kappa = 1, t = 10; the shifted path must agree
-    t = 10.0
-
-    def direct(d):
-        # exp(-r^2/2t) sinh(r) at r = t + d with the exponentials combined:
-        # the naive sinh overflows on the far nodes
-        r = t + d
-        gauss = -r * r / (2.0 * t)
-        sinh_weighted = 0.5 * (np.exp(gauss + r) - np.exp(gauss - r))
-        return r * sinh_weighted * h3.log_sinh_ratio(r)
-
-    [oracle], _ = integrate_batch(direct, [t], [math.sqrt(t)], (), lambda i: "direct eta")
-    assert unscaled(h3.evaluate_records(P1, [t]).eta[0], P1, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_eta_integrand_vanishes_at_origin():
@@ -185,22 +170,21 @@ def test_eta_integrand_vanishes_at_origin():
 def test_eta_split_representation_at_large_t():
     # eta(100) carries a factor exp(50); the scaled value leaves it out
     sweep = h3.evaluate_records(P1, [100.0])
-    e, lo, hi = sweep.eta[0], sweep.eta_lower[0], sweep.eta_upper[0]
+    e, lo, hi = sweep.etas[:3, 0]
     assert math.isfinite(e) and e > 0.0
     assert lo < e < hi
 
 
 def test_eta_positive_and_inside_envelope():
     sweep = h3.evaluate_records(P1, [1.0])
-    e, lo, hi = sweep.eta[0], sweep.eta_lower[0], sweep.eta_upper[0]
+    e, lo, hi = sweep.etas[:3, 0]
     assert e > 0.0
     assert lo < e < hi
 
 
 def test_envelope_ordering_and_containment_on_grid():
     sweep = h3.evaluate_records(P1, np.geomspace(0.1, 100.0, 40))
-    columns = (sweep.t, sweep.eta, sweep.eta_lower, sweep.eta_upper, sweep.etap,
-               sweep.etap_lower, sweep.etap_upper)
+    columns = (sweep.t, *sweep.etas)
     for t, eta, lo, hi, etap, plo, phi in zip(*(column.tolist() for column in columns)):
         assert lo < hi
         assert lo < eta < hi, t
@@ -209,7 +193,7 @@ def test_envelope_ordering_and_containment_on_grid():
 
 
 def test_eta_prime_frozen_value():
-    etap = h3.evaluate_records(P1, [1.0]).etap[0]
+    etap = h3.evaluate_records(P1, [1.0]).etas[3, 0]
     assert unscaled(etap, P1, 1.0) == pytest.approx(ETAP_1_1, rel=1e-9)
 
 
@@ -217,28 +201,29 @@ def test_eta_prime_is_derivative_of_eta():
     for t, tol in ((2.0, 1e-5), (0.5, 1e-5), (5.0, 1e-5)):
         h = 1e-4 * t
         sweep = h3.evaluate_records(P1, [t + h, t - h])
-        up, down = (unscaled(eta, P1, s) for eta, s in zip(sweep.eta.tolist(), sweep.t.tolist()))
+        up, down = (unscaled(eta, P1, s)
+                    for eta, s in zip(sweep.etas[0].tolist(), sweep.t.tolist()))
         fd = (up - down) / (2.0 * h)
-        assert unscaled(h3.evaluate_records(P1, [t]).etap[0], P1, t) == pytest.approx(fd, rel=tol)
+        etap = h3.evaluate_records(P1, [t]).etas[3, 0]
+        assert unscaled(etap, P1, t) == pytest.approx(fd, rel=tol)
 
 
 def test_eta_prime_envelope_other_curvature():
     sweep = h3.evaluate_records(h3.H3Params(0.5), [10.0])
-    assert sweep.etap_lower[0] < sweep.etap[0] < sweep.etap_upper[0]
+    assert sweep.etas[4, 0] < sweep.etas[3, 0] < sweep.etas[5, 0]
 
 
 def test_envelope_gap_stays_bounded():
     # xi * (upper - lower) tends to log 2; it must stay below with 5% headroom
     sweep = h3.evaluate_records(P1, (50.0, 100.0))
-    x = sweep.I2 / sweep.eta  # xi times exp(kappa^2 t/2)
-    assert (x * (sweep.eta_upper - sweep.eta_lower) <= 1.05 * math.log(2.0)).all()
+    x = sweep.I2 / sweep.etas[0]  # xi times exp(kappa^2 t/2)
+    assert (x * (sweep.etas[2] - sweep.etas[1]) <= 1.05 * math.log(2.0)).all()
 
 
 def test_envelope_bracket_contains_rate_cross_term():
     # xi' eta + xi eta' evaluated at envelope corners brackets the true term
     sweep = h3.evaluate_records(P1, (1.0, 10.0, 50.0, 100.0))
-    columns = (sweep.t, sweep.eta_lower, sweep.eta_upper, sweep.etap_lower,
-               sweep.etap_upper, sweep.rate_direct)
+    columns = (sweep.t, *sweep.etas[[1, 2, 4, 5]], sweep.rate_direct)
     for t, lo, hi, plo, phi, rate in zip(*(column.tolist() for column in columns)):
         x, xp = xi_closed(1.0, t)
         cross = rate - 1.5 / t - 1.0
@@ -253,7 +238,8 @@ def test_envelope_bracket_contains_rate_cross_term():
 
 def test_entropy_assembly():
     sweep = h3.evaluate_records(P1, [1.0])
-    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + xi_closed(1.0, 1.0)[0] * sweep.eta[0]
+    eta = sweep.etas[0, 0]
+    expected = 1.5 * math.log(2.0 * math.pi) + 0.5 + 2.0 + xi_closed(1.0, 1.0)[0] * eta
     assert sweep.entropy[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -361,7 +347,7 @@ def test_ricci_gap_is_a_third_of_kappa4t_at_small_kappa2t(kappa):
 def test_record_consistency():
     # each column against its definition from the closed forms and eta, eta'
     sweep = h3.evaluate_records(P1, [2.0])
-    eta, etap, i1, i2 = sweep.eta[0], sweep.etap[0], sweep.I1[0], sweep.I2[0]
+    eta, etap, i1, i2 = sweep.etas[0, 0], sweep.etas[3, 0], sweep.I1[0], sweep.I2[0]
     assert sweep.t[0] == 2.0
     x, xp = xi_closed(1.0, 2.0)
     assert i1 == h3.I1(P1, 2.0)
@@ -373,9 +359,9 @@ def test_record_consistency():
     ts = np.array([2.0])
     closed, ((lower, upper), (closed_prime, lower_prime, upper_prime)), _ = h3._closed_parts(
         ts, np.sqrt(ts), h3.moment_factors(1.0, ts), ...)
-    assert (sweep.eta_lower[0], sweep.eta_upper[0]) == (closed[0] - lower[0], closed[0] - upper[0])
-    assert (sweep.etap_lower[0], sweep.etap_upper[0]) == (closed_prime[0] - lower_prime[0],
-                                                          closed_prime[0] - upper_prime[0])
+    assert sweep.etas[1:3, 0].tolist() == [closed[0] - lower[0], closed[0] - upper[0]]
+    assert sweep.etas[4:, 0].tolist() == [closed_prime[0] - lower_prime[0],
+                                          closed_prime[0] - upper_prime[0]]
     assert sweep.envelope_ok[0]
     assert sweep.band_ok[0]  # t < 20: trivially fine
     assert h3.evaluate_records(P1, [1.0, 2.0]).t.tolist() == [1.0, 2.0]
@@ -401,6 +387,26 @@ def test_sweep_length_is_its_row_count(count):
     sweep = h3.evaluate_records(P1, times)
     assert len(sweep) == len(times)
     assert sweep.margins.shape == sweep.errors.shape == (len(h3.SIDES), count)
+    assert sweep.etas.shape == (6, count)
+
+
+def test_table_is_the_h3_row():
+    # the sweep's columns, the eta block times exp(kappa^2 t/2) row by row, and
+    # the band's two ends as floats, in the h3 command's column order
+    p = h3.H3Params(0.7)
+    sweep = h3.evaluate_records(p, [0.5, 2.0, 40.0])
+    columns = h3.table(sweep)
+    assert list(columns) == ["t", "entropy", "I1", "I2", "rate_direct", "rate_fd", "eta",
+                             "eta_lower", "eta_upper", "etap", "etap_lower", "etap_upper",
+                             "band_lo", "band_hi"]
+    assert len(fields(sweep)) == 10
+    for name in ("t", "entropy", "I1", "I2", "rate_direct", "rate_fd"):
+        assert columns[name] is getattr(sweep, name)
+    etas = np.array(list(columns.values())[6:12])
+    assert etas.tobytes() == h3._unscaled(sweep.etas, p.kappa, sweep.t).tobytes()
+    assert np.allclose(etas, sweep.etas * np.exp(0.5 * p.kappa ** 2 * sweep.t), rtol=1e-14)
+    assert (columns["band_lo"], columns["band_hi"]) == h3.asymptotic_band(p)
+    assert all(isinstance(columns[end], float) for end in ("band_lo", "band_hi"))
 
 
 def test_closed_forms_are_elementwise():
@@ -448,7 +454,7 @@ def test_trapezoid_matches_adaptive_oracle():
         p = h3.H3Params(kappa)
         sweep = h3.evaluate_records(p, k2t / kappa ** 2)
         points = [(t, prime) for t in sweep.t.tolist() for prime in (False, True)]
-        rule = np.stack([sweep.eta, sweep.etap], axis=1).ravel()
+        rule = sweep.etas[::3].T.ravel()  # eta and eta' at each time
         oracle = np.array(eta_quadrature(p, points))
         rel = np.abs(rule - oracle) / oracle
         assert rel[small].max() <= 2e-12, kappa
@@ -481,8 +487,7 @@ def test_eta_and_rate_against_mpmath():
             for k2t in (1.0, 1e3, 1e6, 1e9, 1e12):
                 t = k2t / kappa ** 2
                 sweep = h3.evaluate_records(p, [t])
-                e, ep, rate_direct = (float(c[0]) for c in (sweep.eta, sweep.etap,
-                                                            sweep.rate_direct))
+                e, ep, rate_direct = (float(c[0]) for c in (*sweep.etas[::3], sweep.rate_direct))
                 exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
                 assert abs(e - exact) <= 2e-15 * exact, (kappa, k2t)
                 assert abs(ep - exact_prime) <= 2e-15 * exact_prime, (kappa, k2t)
@@ -511,8 +516,7 @@ def test_eta_and_rate_below_kappa2t_1_against_mpmath():
             for k2t, tolerance in SMALL_KAPPA2T_TOLERANCES.items():
                 t = k2t / kappa ** 2
                 sweep = h3.evaluate_records(p, [t])
-                e, ep, rate_direct = (float(c[0]) for c in (sweep.eta, sweep.etap,
-                                                            sweep.rate_direct))
+                e, ep, rate_direct = (float(c[0]) for c in (*sweep.etas[::3], sweep.rate_direct))
                 exact, exact_prime = _mp_eta(mp, kappa, t, 1), _mp_eta(mp, kappa, t, 3)
                 assert abs(e - exact) <= tolerance * exact, (kappa, k2t)
                 assert abs(ep - exact_prime) <= tolerance * exact_prime, (kappa, k2t)
@@ -722,9 +726,9 @@ def test_extreme_exponential_scale():
     assert sweep.envelope_ok[0]
     lo, hi = h3.asymptotic_band(p)
     assert lo - 0.05 * 36.0 <= sweep.rate_direct[0] <= hi + 0.05 * 36.0
-    eta = sweep.eta[0]
+    eta = sweep.etas[0, 0]
     assert math.isfinite(eta) and eta > 0.0
-    assert sweep.eta_lower[0] < eta < sweep.eta_upper[0]
+    assert sweep.etas[1, 0] < eta < sweep.etas[2, 0]
 
 
 # ---------------------------------------------------------------------------

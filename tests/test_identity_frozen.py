@@ -188,7 +188,7 @@ FROZEN_VERIFY = {
     "verify --only bochner_residual": "bdfb94e8ffc69af0",
     "verify --only hessian_trace": "a22c80a14285c0e2",
     "verify --only cauchy_step": "b74947ce23861f6e",
-    "verify": "8cc20184e1ac1c92",
+    "verify": "40aa92b0bf9a5e10",
 }
 
 

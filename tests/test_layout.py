@@ -3,11 +3,10 @@
 Every public top-level function or class of ``src/heatent`` must be
 referenced by code somewhere in ``src/``, as a name, an attribute or an
 import (a docstring does not count), and every field of a dataclass or
-NamedTuple there must be read in ``src/``, as an attribute or as a string
-constant (``getattr``'s column names).  Lone forms of what a batch path
-computes fold into that path, and oracles that only tests call live in
-``tests/oracles.py``.  The few public names with no caller in ``src/`` are
-listed with their reasons.  No module reads another module's private name,
+NamedTuple there must be read in ``src/`` as an attribute.  Lone forms of
+what a batch path computes fold into that path, and oracles that only tests
+call live in ``tests/oracles.py``.  The few public names with no caller in
+``src/`` are listed with their reasons.  No module reads another module's private name,
 and that rule has no exception.  Every ``module.name`` README's prose gives
 a module of ``src/heatent`` is an attribute of that module.
 """
@@ -132,7 +131,7 @@ def _is_record(node: ast.ClassDef) -> bool:
 
 def _records_and_reads() -> tuple[dict[str, str], set[str]]:
     """(every field of a dataclass or NamedTuple of src/heatent as module.Class.field ->
-    field, every attribute that code in src/ loads and every string constant there)."""
+    field, every attribute that code in src/ loads)."""
     fields, reads = {}, set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -143,12 +142,10 @@ def _records_and_reads() -> tuple[dict[str, str], set[str]]:
                         fields[f"{path.stem}.{node.name}.{item.target.id}"] = item.target.id
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                reads.add(node.value)
     return fields, reads
 
 
 def test_every_record_field_is_read_in_src():
-    # read as an attribute, or named by a string constant as getattr's columns are
+    # read as an attribute: no field of src/ is read by a string name
     fields, reads = _records_and_reads()
     assert sorted(qualified for qualified, name in fields.items() if name not in reads) == []

@@ -58,6 +58,12 @@ FACTOR_ROWS = [
     (h3, "I1", 0, (1,), "second_moment"),
     # the radial kernel mass at kappa = 0.5, t = 1
     (vf, "_radial_integrals", 0, (0, 1), "h3_normalization"),
+    # at the first time of the circle, torus and sphere traces (calls 0, 1
+    # and 2): the Fisher information, rate_direct and the entropy, whose D is
+    # resolved there
+    (sp, "entropy_trace", 0, ("fisher", 0), "closed_forms"),
+    (sp, "entropy_trace", 1, ("rate_direct", 0), "closed_forms"),
+    (sp, "entropy_trace", 2, ("entropy", 0), "closed_forms"),
 ]
 
 

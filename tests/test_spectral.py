@@ -1161,6 +1161,97 @@ def test_drift_trace_rows_equal_single_time_functionals_at_any_thread_count(thre
     assert proc.returncode == 0, proc.stderr
 
 
+# The drift pencil is built at one BLAS thread, so drifted output has the
+# same bytes at every thread count: the evolve command on the drift fixture
+# and a seeded random potential's trace, here at 1 and 2 threads and with the
+# variable unset.  The count the pin found is restored after the build.
+_DRIFT_BYTES = r"""
+import contextlib, hashlib, io
+import numpy as np
+from heatent import cli, fixtures as fx, spectral as sp
+
+count = sp._blas_thread_count()
+before = count and count[0]()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["evolve", "--manifold", "torus-drift", "--t-start", "0.01",
+                     "--t-stop", "14", "--t-count", "40"]) == 0
+rng = np.random.default_rng(20261021)
+torus = sp.torus2(1.0, 1.0)
+potential = sp.random_torus_fields(rng, torus, [False], 2, [0.3])[0]
+data = fx.random_positive_torus_field(rng, torus, 6)
+field = sp.SpectralField(sp.torus2_drift(potential), data.coefficients, 6)
+trace = sp.entropy_trace(field, np.geomspace(0.02, 2.0, 9))
+assert (count and count[0]()) == before
+digest = hashlib.sha256(out.getvalue().encode())
+for column in (trace.entropy, trace.fisher, trace.rate_direct, trace.rate_fd):
+    digest.update(column.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_drifted_output_has_the_same_bytes_at_every_blas_thread_count():
+    runs = [run_python("-c", _DRIFT_BYTES, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2", None)]
+    assert [proc.returncode for proc in runs] == [0, 0, 0], [proc.stderr for proc in runs]
+    assert len({proc.stdout for proc in runs}) == 1
+
+
+def test_the_pencil_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    # the pencil build sets one thread and then the count it found; with no
+    # setter it builds as it is
+    field = fx.drift_fixture().initial
+    weights = sp._operator(field.manifold, field.cutoff).weights
+    calls = []
+    monkeypatch.setattr(sp, "_blas_thread_count", lambda: (lambda: 3, calls.append))
+    pinned = sp._drift_pencil(field.manifold, field.cutoff, weights)
+    assert calls == [1, 3]
+    monkeypatch.setattr(sp, "_blas_thread_count", lambda: None)
+    unpinned = sp._drift_pencil(field.manifold, field.cutoff, weights)
+    assert [a.shape for a in pinned] == [a.shape for a in unpinned]
+
+
+# Threads building drift pencils at once, more than a two-core host has
+# cores, each get the serial bits, and the BLAS thread count they all pinned
+# is restored: a pin and restore not under one lock can restore a count that
+# another thread pinned.
+_CONCURRENT_PENCILS = r"""
+import concurrent.futures, sys, threading
+from heatent import fixtures as fx, spectral as sp
+
+if sp._blas_thread_count() is None:
+    print("no setter")
+    sys.exit(0)
+get = sp._blas_thread_count()[0]
+before = get()
+field = fx.drift_fixture().initial
+weights = sp._operator(field.manifold, field.cutoff).weights
+
+def build():
+    return [a.tobytes() for a in sp._drift_pencil(field.manifold, field.cutoff, weights)]
+
+serial = build()
+start = threading.Barrier(4)
+
+def builds():
+    start.wait(timeout=60)
+    return [build() for _ in range(3)]
+
+sys.setswitchinterval(1e-6)
+with concurrent.futures.ThreadPoolExecutor(4) as pool:
+    runs = [future.result(timeout=120) for future in [pool.submit(builds) for _ in range(4)]]
+assert all(run == serial for thread in runs for run in thread)
+assert get() == before == 2, (get(), before)
+"""
+
+
+def test_concurrent_pencil_builds_restore_the_blas_thread_count():
+    proc = run_python("-c", _CONCURRENT_PENCILS, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "no setter\n":
+        pytest.skip("numpy's BLAS exports no thread-count setter")
+
+
 # A row's bits in a block product depend neither on its place in the block
 # nor on the rows beside it or the batch's length, and a lone evolve equals
 # its row of a 24-row (8-time) trace batch.  Rows span magnitudes 1e-300 to

@@ -13,7 +13,7 @@ from oracles import I1_quadrature, entropy_quadrature, normalization_quadrature
 def test_check_registry_names_are_stable():
     expected = {
         "moment_table", "second_moment", "h3_normalization", "envelopes",
-        "band", "rate_consistency", "fixture_bounds", "bochner_residual",
+        "band", "rate_consistency", "fixture_bounds", "closed_forms", "bochner_residual",
         "hessian_trace", "cauchy_step", "sinh_ratio_bounds", "log_sandwich",
         "euclidean_limit", "entropy_decomposition",
     }
