@@ -1,9 +1,14 @@
+"""The special functions of ``h3entropy``: the moment table's truncated
+half-Gaussian mass alpha and ``moment_factors``, with the domain every
+function of the table refuses; ``log_sinh_ratio`` and its fitted
+polynomial; and the log sandwich that holds it.  The sinh ratio bound and
+the direct moment path are ``verify``'s and are tested in ``test_verify.py``.
+"""
+
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import closed_moment, mp_scaled_moment
 from heatent.quadrature import integrate_batch
@@ -13,7 +18,6 @@ from heatent.h3entropy import (
     log_sinh_ratio,
     moment_factors,
 )
-from heatent.verify import _direct_moment_integrand, sinh_ratio_bounds_check
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -24,14 +28,6 @@ def alpha(kappa, t):
     """F_0 of the moment table, the truncated half-Gaussian mass: the
     integral of exp(-r^2/2) over [0, kappa sqrt(t)], as a float."""
     return float(moment_factors(kappa, t)[0])
-
-
-def direct_moments(cases):
-    """verify's direct path: M(m) at each (m, kappa, t), times exp(-kappa^2 t/2)."""
-    powers, kappas, ts = np.array(cases, dtype=float).T
-    values, _ = integrate_batch(_direct_moment_integrand, kappas * ts, np.sqrt(ts),
-                                (powers, kappas, ts), "case {}".format)
-    return values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +122,6 @@ def test_moment_table_against_mpmath():
                     assert abs(value - exact) <= 2e-15 * exact, (moment, kappa, t)
 
 
-def test_moment_no_overflow_at_large_scale():
-    # kappa^2 t = 400: the plain value would be ~exp(200); both paths return
-    # it times exp(-200) and agree without ever materialising it
-    closed = closed_moment(3, 2.0, 100.0)
-    [direct] = direct_moments([(3, 2.0, 100.0)])
-    assert math.isfinite(closed) and math.isfinite(direct)
-    rel = abs(closed - direct) / abs(closed)
-    assert rel < 4e-15
-
-
-def test_shifted_moments_at_a_far_peak():
-    # kappa sqrt t = 1e60: the peak kappa t sits 1e60 widths past r = 0, and
-    # the direct path keeps the mass on both sides of it (M(4) overflows here)
-    for m in range(4):
-        [direct] = direct_moments([(m, 1e30, 1e60)])
-        assert direct == pytest.approx(closed_moment(m, 1e30, 1e60), rel=1e-14), m
-
-
 # ---------------------------------------------------------------------------
 # log sinh ratio
 
@@ -231,55 +209,6 @@ def test_log_sinh_ratio_mixed_array_with_huge_elements():
 def test_log_sinh_ratio_domain():
     with pytest.raises(ValueError):
         log_sinh_ratio(-1e-9)
-
-
-# ---------------------------------------------------------------------------
-# two-sided sinh ratio bound and its sharpness
-
-
-def test_bounds_check_values_at_one():
-    lo, mid, hi = sinh_ratio_bounds_check(1.0)
-    assert lo == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert mid == pytest.approx(-math.expm1(-2.0) / 2.0, rel=1e-15)
-    assert hi == pytest.approx(0.5, rel=1e-15)
-
-
-def test_bounds_check_shared_limit():
-    lo, mid, hi = sinh_ratio_bounds_check(1e-9)
-    for v in (lo, mid, hi):
-        assert v == pytest.approx(1.0, abs=1e-8)
-
-
-def test_bounds_check_at_hundred():
-    lo, mid, hi = sinh_ratio_bounds_check(100.0)
-    assert lo == pytest.approx(1.0 / 201.0, rel=1e-12)
-    assert mid == pytest.approx(1.0 / 200.0, rel=1e-12)
-    assert hi == pytest.approx(1.0 / 101.0, rel=1e-12)
-
-
-def test_strict_ordering_on_log_grid():
-    for r in np.geomspace(1e-6, 1e3, 500):
-        lo, mid, hi = sinh_ratio_bounds_check(float(r))
-        assert lo < mid < hi, r
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=1e3))
-def test_strict_ordering_property(r):
-    lo, mid, hi = sinh_ratio_bounds_check(r)
-    assert lo < mid < hi
-
-
-def test_sharpness_of_lower_comparison():
-    # inside (0, (beta-1)/beta) the middle beats 1/(1+beta r); far out it loses
-    for beta in (1.25, 1.5, 1.75):
-        r_edge = (beta - 1.0) / beta
-        for r in np.linspace(r_edge / 50.0, r_edge * (1.0 - 1e-9), 50):
-            _, mid, _ = sinh_ratio_bounds_check(float(r))
-            assert mid > 1.0 / (1.0 + beta * float(r)), (beta, r)
-        assert any(
-            sinh_ratio_bounds_check(float(r))[1] < 1.0 / (1.0 + beta * float(r))
-            for r in np.geomspace(1.0, 1e3, 50)), beta
 
 
 def test_log_sandwich():

@@ -8,7 +8,9 @@ what a batch path computes fold into that path, and oracles that only tests
 call live in ``tests/oracles.py``.  The few public names with no caller in
 ``src/`` are listed with their reasons.  No module reads another module's private name,
 and that rule has no exception.  Every ``module.name`` README's prose gives
-a module of ``src/heatent`` is an attribute of that module.
+a module of ``src/heatent`` is an attribute of that module.  Every
+``tests/test_<name>.py`` tests the module ``<name>`` of ``src/heatent``, or
+is a suite listed with what it checks.
 """
 
 import ast
@@ -19,7 +21,8 @@ from pathlib import Path
 import heatent
 
 SOURCE = Path(heatent.__file__).resolve().parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 # module.name -> why it stays in src/ with no caller there
 UNREFERENCED = {
@@ -27,6 +30,21 @@ UNREFERENCED = {
                        "tests' lone reference for a trace's row",
     "fixtures.random_positive_torus_field": "perfbench's one-draw call of "
                                             "spectral.random_torus_fields",
+}
+
+# tests/test_<name>.py whose <name> is no module of src/heatent -> what it checks
+SUITES = {
+    "acceptance": "one test per acceptance criterion, each printing a PASS line",
+    "benchmark_contract": "perfbench's requests against this library, in process",
+    "closed_forms": "verify's closed-form D and Fisher of the fixtures against mpmath",
+    "drift_oracle": "the drifted torus against its ground-state transform",
+    "h3_frozen": "the h3 command's output bytes, by digest",
+    "h3_special": "h3entropy's special functions: alpha, the moment table, log_sinh_ratio",
+    "identity_frozen": "the verify command's output bytes, by digest",
+    "layout": "these layout rules of src/, README and tests/",
+    "sensitivity": "each verify group fails on its injected faults",
+    "spectral_frozen": "the evolve and bounds commands' output bytes, by digest",
+    "spectral_oracles": "the spectral functionals against independent integrals",
 }
 
 
@@ -149,3 +167,12 @@ def test_every_record_field_is_read_in_src():
     # read as an attribute: no field of src/ is read by a string name
     fields, reads = _records_and_reads()
     assert sorted(qualified for qualified, name in fields.items() if name not in reads) == []
+
+
+def test_every_test_file_names_a_module_or_a_listed_suite():
+    # a module renamed or folded away takes its test file's name with it;
+    # a listed suite that is gone, or now names a module, leaves the list
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
+    suites = {path.stem.removeprefix("test_") for path in TESTS.glob("test_*.py")}
+    assert sorted(suites - modules - set(SUITES)) == []
+    assert sorted(set(SUITES) - (suites - modules)) == []
