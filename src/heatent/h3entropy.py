@@ -332,12 +332,11 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
     overflows, then one naming the first t where a node sum of eta or eta'
     does; then QuadratureConvergenceError for the first integral, in the
     order eta(t), eta'(t), eta(t + h), eta(t - h) row by row, whose
-    estimate |I_h - I_2h| exceeds max(RELATIVE_TOLERANCE |I_h|,
-    ABSOLUTE_TOLERANCE) of ``quadrature``; then ValueError naming t where
-    xi, xi' or 1/(2t^2) of a row leaves the double range, one naming kappa
-    and the row's time where a moment factor F_m overflows, one naming t
-    where a closed part, envelope term or margin is not finite, and last the
-    first t whose kappa^2 t is below 1e-10.
+    estimate |I_h - I_2h| ``quadrature.accepted`` refuses; then ValueError
+    naming t where xi, xi' or 1/(2t^2) of a row leaves the double range, one
+    naming kappa and the row's time where a moment factor F_m overflows, one
+    naming t where a closed part, envelope term or margin is not finite, and
+    last the first t whose kappa^2 t is below 1e-10.
     """
     grid = _times(np.array(times, dtype=float).reshape(-1))  # a copy: the sweep keeps it
     n, k = grid.size, p.kappa
@@ -355,8 +354,7 @@ def evaluate_records(p: H3Params, times) -> H3Sweep:
         resolved = k2t[:n].min(initial=math.inf) >= _KAPPA2T_FLOOR
         # eta at every row of ts, then eta' at the t rows
         remainder, fine, estimate = _trapezoid(p, ts, n)
-        converged = estimate <= np.maximum(quadrature.RELATIVE_TOLERANCE * np.abs(fine),
-                                           quadrature.ABSOLUTE_TOLERANCE)  # a NaN is not
+        converged = quadrature.accepted(estimate, fine)
 
         # xi, xi' (both times exp(kappa^2 t/2)) and the eta' scale 1/(2t^2)
         k2t3 = k2t + 3.0

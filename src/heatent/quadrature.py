@@ -10,19 +10,17 @@ integrand in tau that decays double-exponentially, so the trapezoid rule on
 1974; Trefethen & Weideman, SIAM Rev. 56, 2014).  Nothing is probed.
 
 The step starts at 1/16 and halves down to 1/512, each halving evaluating
-only the new odd nodes: first the [0, c] parts of the running cases, then
-their parts beyond c, each in fixed blocks of 64 cases (_BLOCK_CASES), so
-each case adds its [0, c] sum first and the first failure met is the one a
-single (cases x nodes) array would show first.  A case stops at the first
-step h where |I_h - I_2h| plus _ROUNDING times the sum of |weight x value|
-meets max(RELATIVE_TOLERANCE |I_h|, ABSOLUTE_TOLERANCE), the program's one
-acceptance test, and returns I_h with that estimate.  A case still
-short at the finest step raises QuadratureConvergenceError, a node value
-that is not finite QuadratureDomainError naming its abscissa; context(case)
-names the case.
+only the new odd nodes: the [0, c] parts of the running cases as one
+(cases x nodes) array, then their parts beyond c as another, so each case
+adds its [0, c] sum first.  A case stops at the first step h where
+|I_h - I_2h| plus _ROUNDING times the sum of |weight x value| passes
+``accepted``, the program's one acceptance test, and returns I_h with that
+estimate.  A case still short at the finest step raises
+QuadratureConvergenceError, a node value that is not finite
+QuadratureDomainError naming its abscissa; context(case) names the case.
 
 Integrand contract.  ``integrate_batch`` calls f(d, *columns): d holds the
-nodes' offsets r - c, a row per case of a block, all on [0, c] or all
+nodes' offsets r - c, a row per running case, all on [0, c] or all
 beyond c, and each case parameter comes as a (rows, 1) column; f
 returns d's shape (or a scalar), elementwise.  On [0, c],
 d = -w/(w/c + e^{2u}), so nodes next to the peak keep every digit of their
@@ -47,18 +45,23 @@ class QuadratureConvergenceError(RuntimeError):
     """An integral missed its tolerance at the finest step of the rule."""
 
 
-# The acceptance test of every integral, here and in h3entropy's eta rule:
-# an estimate must meet max(RELATIVE_TOLERANCE |value|, ABSOLUTE_TOLERANCE).
-# Both are read at each call, never bound at import.
+# The tolerances of ``accepted``, the acceptance test of every integral,
+# here and in h3entropy's eta rule.  Both are read at each call, never bound
+# at import.
 RELATIVE_TOLERANCE = 1e-10
 ABSOLUTE_TOLERANCE = 1e-14
+
+
+def accepted(estimate, value) -> np.ndarray:
+    """Elementwise, whether an error estimate meets
+    max(RELATIVE_TOLERANCE |value|, ABSOLUTE_TOLERANCE); a NaN is never accepted."""
+    return estimate <= np.maximum(RELATIVE_TOLERANCE * np.abs(value), ABSOLUTE_TOLERANCE)
 
 
 # Steps 1/16 to 1/512 on |tau| <= 4.5, where |u| reaches 70.7: the end nodes
 # of [0, c] sit within w e^{-141} of c and (c^2/w) e^{-141} of 0, and those
 # beyond c at w e^{-70.7} and w e^{70.7} past it.
 _STEPS = [2.0 ** -k for k in range(4, 10)]
-_BLOCK_CASES = 64  # a block's node arrays: 64 x 145 doubles at the first steps
 # Per unit of sum |weight x value|: a pairwise sum's 14 ulp and 2 per value.
 _ROUNDING = 16.0 * sys.float_info.epsilon
 
@@ -92,9 +95,9 @@ def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
     with np.errstate(all="ignore"):  # node values are tested for finiteness
         ratio = w / c  # inf where c = 0, which has no [0, c] part
         for h, (q, dq, e, de) in zip(_STEPS, _LEVELS):
-            parts = enumerate((rows[c[rows] > 0.0], rows))  # [0, c] parts, then the rest
-            for outer, cases in ((outer, part[start:start + _BLOCK_CASES]) for outer, part in parts
-                                 for start in range(0, part.size, _BLOCK_CASES)):
+            for outer, cases in enumerate((rows[c[rows] > 0.0], rows)):  # [0, c], then beyond
+                if not cases.size:
+                    continue
                 if outer:
                     d, weights = w[cases, None] * e, w[cases, None] * de
                 else:
@@ -116,8 +119,7 @@ def integrate_batch(f: Callable[..., np.ndarray], peaks: Sequence[float],
             if h == _STEPS[0]:
                 continue
             estimate = estimates[rows] = np.abs(fine - coarse) + _ROUNDING * h * sizes[rows]
-            rows = rows[~(estimate <= np.maximum(RELATIVE_TOLERANCE * np.abs(fine),
-                                                 ABSOLUTE_TOLERANCE))]
+            rows = rows[~accepted(estimate, fine)]
             if not rows.size:
                 return values, estimates
     i = int(rows[0])

@@ -109,8 +109,8 @@ class PropagatorError(ArithmeticError):
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A model closed manifold with its curvature lower bound and volume;
-    equal when every field is, the drift included, and hashed by its kind,
-    side lengths and drift potential's bytes, read at each call."""
+    equal when every field is, the drift included, and hashed by every field,
+    the drift potential's bytes read at each call (``SpectralField.__hash__``)."""
 
     kind: str  # "circle" | "torus2" | "sphere2" | "torus2_drift"
     lengths: tuple[float, ...]
@@ -118,11 +118,6 @@ class ManifoldSpec:
     ricci_lower_bound: float
     volume: float
     drift: Optional["SpectralField"] = None
-
-    def __hash__(self) -> int:
-        potential = self.drift
-        return hash((self.kind, self.lengths,
-                     None if potential is None else potential.coefficients.tobytes()))
 
 
 @dataclass(frozen=True, eq=False)

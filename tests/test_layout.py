@@ -10,7 +10,9 @@ call live in ``tests/oracles.py``.  The few public names with no caller in
 and that rule has no exception.  Every ``module.name`` README's prose gives
 a module of ``src/heatent`` is an attribute of that module.  Every
 ``tests/test_<name>.py`` tests the module ``<name>`` of ``src/heatent``, or
-is a suite listed with what it checks.
+is a suite listed with what it checks.  Each name that ``src/`` keeps only
+because ``perfbench/`` calls it is listed with the perfbench line that
+needs it, and leaves ``src/`` once that line is gone.
 """
 
 import ast
@@ -30,6 +32,14 @@ UNREFERENCED = {
                        "tests' lone reference for a trace's row",
     "fixtures.random_positive_torus_field": "perfbench's one-draw call of "
                                             "spectral.random_torus_fields",
+}
+
+# module.name[.name] in src/ kept only for perfbench -> the perfbench line that needs it
+PERFBENCH_HELD = {
+    "bounds.check_bounds.manifold": "reports = bd.check_bounds(trace, req.field.manifold, req.field)",
+    "h3entropy.H3Sweep.__len__": 'self.counts["records"] += len(result)',
+    "fixtures.random_positive_torus_field":
+        "raw = fx.random_positive_torus_field(rng, sp.torus2(1.0, 1.0), cutoff=cutoff)",
 }
 
 # tests/test_<name>.py whose <name> is no module of src/heatent -> what it checks
@@ -81,6 +91,30 @@ def test_every_allowlisted_name_exists_and_is_unreferenced():
     for qualified in UNREFERENCED:
         assert qualified in public, qualified
         assert public[qualified] not in referenced, qualified
+
+
+def _defines(qualified: str) -> bool:
+    """Whether src/heatent defines module.name[.name]: a top-level function or
+    class, then a method of that class or an argument of that function."""
+    module, *path = qualified.split(".")
+    scope = ast.parse((SOURCE / f"{module}.py").read_text())
+    for name in path:
+        children = scope.body + (scope.args.args if isinstance(scope, ast.FunctionDef) else [])
+        scope = next((node for node in children
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+                      or isinstance(node, ast.arg) and node.arg == name), None)
+        if scope is None:
+            return False
+    return True
+
+
+def test_every_perfbench_held_name_exists_and_is_still_needed():
+    # perfbench dropping the line takes the name out of src/ and off the list
+    perfbench = {line.strip() for path in (TESTS.parent / "perfbench").glob("*.py")
+                 for line in path.read_text().splitlines()}
+    for qualified, line in PERFBENCH_HELD.items():
+        assert _defines(qualified), qualified
+        assert line in perfbench, qualified
 
 
 def _private_reads() -> set[tuple[str, str, str]]:

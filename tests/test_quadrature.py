@@ -136,26 +136,22 @@ def test_case_is_bit_identical_alone_in_any_batch_and_order():
     assert [v.tolist() for v in big] == [np.tile(v, 50).tolist() for v in batch]
 
 
-B = quadrature._BLOCK_CASES
-
-
-@pytest.mark.parametrize("count", [B - 1, B, B + 1, 3 * B + 5])
-def test_blocked_batch_equals_lone_runs(count):
-    # the cases run in blocks of _BLOCK_CASES; at every case count each
-    # case's value and estimate are those of its lone run
+def test_batch_equals_lone_runs():
+    # at every case count each case's value and estimate are those of its
+    # lone run, bit for bit
     f, columns = _mixed_batch()
-    columns = [np.resize(column, count) for column in columns]
-    _, centers, widths = columns
-    values, estimates = integrate_batch(f, centers, widths, columns, name)
-    for k in range(count):
-        alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
-                                [column[k:k + 1] for column in columns], name)
-        assert (values[k], estimates[k]) == (alone[0][0], alone[1][0]), k
+    for count in (1, 45, 200):
+        resized = [np.resize(column, count) for column in columns]
+        _, centers, widths = resized
+        values, estimates = integrate_batch(f, centers, widths, resized, name)
+        for k in range(count):
+            alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
+                                    [column[k:k + 1] for column in resized], name)
+            assert (values[k], estimates[k]) == (alone[0][0], alone[1][0]), (count, k)
 
 
-def _failure(f, peaks, columns, monkeypatch, block):
-    """The message integrate_batch raises with blocks of `block` cases."""
-    monkeypatch.setattr(quadrature, "_BLOCK_CASES", block)
+def _failure(f, peaks, columns):
+    """The message integrate_batch raises."""
     with pytest.raises((QuadratureDomainError, QuadratureConvergenceError)) as raised:
         integrate_batch(f, peaks, np.ones(peaks.size), columns, name)
     return f"{type(raised.value).__name__}: {raised.value}"
@@ -163,42 +159,47 @@ def _failure(f, peaks, columns, monkeypatch, block):
 
 @pytest.mark.parametrize("inner, outer, named", [
     # the [0, c] parts of every case come before any part beyond c, and
-    # cases in their order, whichever blocks they fall in
-    ((B + 2,), (1,), B + 2), ((B - 1, B), (), B - 1), ((), (B, B - 1), B - 1),
-    ((3 * B + 1,), (2 * B,), 3 * B + 1), ((), (B,), B)])
-def test_domain_failure_named_across_blocks_as_in_one_array(inner, outer, named, monkeypatch):
-    # a NaN on one side of a case's peak: the case and the abscissa named
-    # are the ones a single (cases x nodes) array names first
-    count = 3 * B + 5
+    # cases in their order
+    ((66,), (1,), 66), ((63, 64), (), 63), ((), (64, 63), 63),
+    ((193,), (128,), 193), ((), (64,), 64)])
+def test_domain_failure_named_across_blocks_as_in_one_array(inner, outer, named):
+    # a NaN on one side of a case's peak: the case named is the first with a
+    # NaN on [0, c], else the first with one beyond c
+    count = 197
     side = np.zeros(count)
     side[list(inner)], side[list(outer)] = -1.0, 1.0
 
     def f(d, side):
         return np.where(side * d > 0.0, np.nan, np.exp(-0.5 * d * d))
 
-    peaks = np.full(count, 3.0)
-    blocked = _failure(f, peaks, (side,), monkeypatch, B)
-    assert blocked == _failure(f, peaks, (side,), monkeypatch, count)
-    assert blocked.startswith(f"QuadratureDomainError: case {named}: integrand returned nan at ")
+    failure = _failure(f, np.full(count, 3.0), (side,))
+    assert failure.startswith(f"QuadratureDomainError: case {named}: integrand returned nan at ")
 
 
-@pytest.mark.parametrize("failing", [(B + 3, B - 2), (2 * B, 3 * B + 4), (B,)])
-def test_convergence_failure_named_across_blocks_as_in_one_array(failing, tolerances,
-                                                                 monkeypatch):
-    # a zero integrand meets any tolerance; of the cases that miss them, on
-    # both sides of block boundaries, the first is named, with its estimate
+@pytest.mark.parametrize("failing", [(67, 62), (128, 196), (64,)])
+def test_convergence_failure_named_across_blocks_as_in_one_array(failing, tolerances):
+    # a zero integrand meets any tolerance; of the cases that miss them the
+    # first is named, with its estimate
     tolerances(1e-300, 1e-300)
-    count = 3 * B + 5
+    count = 197
     on = np.zeros(count)
     on[list(failing)] = 1.0
 
     def f(d, on):
         return on * np.exp(-40.0 * d * d) * (1.0 + np.cos(7.0 * (3.0 + d)))
 
-    peaks = np.full(count, 3.0)
-    blocked = _failure(f, peaks, (on,), monkeypatch, B)
-    assert blocked == _failure(f, peaks, (on,), monkeypatch, count)
-    assert blocked.startswith(f"QuadratureConvergenceError: case {min(failing)}: error estimate")
+    failure = _failure(f, np.full(count, 3.0), (on,))
+    assert failure.startswith(f"QuadratureConvergenceError: case {min(failing)}: error estimate")
+
+
+def test_accepted_at_equality_never_at_nan_with_the_tolerances_of_the_call(tolerances):
+    assert not quadrature.accepted(1e-3, 1.0)
+    tolerances(0.5, 0.25)
+    estimates = np.array([2.0, np.nextafter(2.0, 3.0), 0.25, np.nextafter(0.25, 1.0), np.nan, 0.0])
+    values = np.array([-4.0, 4.0, 0.0, 0.1, 1.0, np.nan])
+    assert quadrature.accepted(estimates, values).tolist() == [True, False, True, False,
+                                                                False, False]
+    assert quadrature.accepted(1e-3, 1.0)
 
 
 def test_batch_validates_hint_lengths():

@@ -185,6 +185,16 @@ def test_field_changed_in_place_hashes_anew():
     assert hash(field) == before and field == frozen
 
 
+def test_drifted_manifold_changed_in_place_hashes_anew():
+    manifold, frozen = (sp.torus2_drift(sp.project_potential(
+        TORUS, lambda x, y: 0.1 * np.sin(2.0 * np.pi * x), 2)) for _ in range(2))
+    before = hash(manifold)
+    manifold.drift.coefficients[1, 2] *= 2.0
+    assert hash(manifold) != before and manifold != frozen
+    manifold.drift.coefficients[1, 2] /= 2.0
+    assert hash(manifold) == before and manifold == frozen
+
+
 # ---------------------------------------------------------------------------
 # projection
 
