@@ -136,18 +136,19 @@ def test_case_is_bit_identical_alone_in_any_batch_and_order():
     assert [v.tolist() for v in big] == [np.tile(v, 50).tolist() for v in batch]
 
 
-def test_batch_equals_lone_runs():
-    # at every case count each case's value and estimate are those of its
-    # lone run, bit for bit
+@pytest.mark.parametrize("count", [1, 45, 63, 64, 65, 197, 200])
+def test_blocked_batch_equals_lone_runs(count):
+    # the cases run as one array, not in blocks: at every case count, the
+    # ones either side of a power-of-two block width included, each case's
+    # value and estimate are those of its lone run, bit for bit
     f, columns = _mixed_batch()
-    for count in (1, 45, 200):
-        resized = [np.resize(column, count) for column in columns]
-        _, centers, widths = resized
-        values, estimates = integrate_batch(f, centers, widths, resized, name)
-        for k in range(count):
-            alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
-                                    [column[k:k + 1] for column in resized], name)
-            assert (values[k], estimates[k]) == (alone[0][0], alone[1][0]), (count, k)
+    columns = [np.resize(column, count) for column in columns]
+    _, centers, widths = columns
+    values, estimates = integrate_batch(f, centers, widths, columns, name)
+    for k in range(count):
+        alone = integrate_batch(f, centers[k:k + 1], widths[k:k + 1],
+                                [column[k:k + 1] for column in columns], name)
+        assert (values[k], estimates[k]) == (alone[0][0], alone[1][0]), k
 
 
 def _failure(f, peaks, columns):
