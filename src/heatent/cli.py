@@ -21,7 +21,7 @@ as the JSON list of row objects, byte for byte what ``json.dumps(...,
 indent=2, sort_keys=True)`` writes for its rows; only the nested ``verify``
 report goes through json itself.  Exit status: 0 success, 1 verification or
 numerical (quadrature, drift propagator) failure, 2 usage or configuration
-error.
+error, or a request too large for the memory it can get.
 """
 
 from __future__ import annotations
@@ -60,10 +60,7 @@ _COMMANDS = {
     "evolve": ("spectral trace plus bound reports", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
     "bounds": ("closed-form bound tables", (_MANIFOLD, _FORMAT, *_OUTPUT, *_GRID)),
     "verify": ("run the verification suite",
-               (("--only", str, None, "run a single named check group"),
-                ("--inject-fault", str, None,
-                 "debug: force a named check to fail (supported: envelopes)"),
-                *_OUTPUT)),
+               (("--only", str, None, "run a single named check group"), *_OUTPUT)),
 }
 _TIME_GRID = {"t_start": 0.1, "t_stop": 100.0, "t_count": 40, "t_scale": "log"}
 
@@ -293,7 +290,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = vf.run_checks(only=args.only, inject_fault=args.inject_fault)
+    results = vf.run_checks(only=args.only)
     payload = {
         name: {
             "pass": result.passed,
@@ -329,6 +326,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:  # usage and config errors, PositivityError, SpectralTruncationError
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # a request too large to run, such as a huge --t-count
+        sys.stderr.write(f"error: out of memory (MemoryError): {exc}\n")
         return 2
 
 

@@ -41,38 +41,31 @@ class Fixture:
         return self.initial.manifold
 
 
+def _fixture(manifold: sp.ManifoldSpec, f, cutoff: int, default_times: tuple,
+             rate_check_times: tuple) -> Fixture:
+    """The fixture of ``project_initial(manifold, f, cutoff)``, each time grid
+    the ``np.geomspace`` of its (start, stop, count)."""
+    return Fixture(sp.project_initial(manifold, f, cutoff=cutoff),
+                   np.geomspace(*default_times), np.geomspace(*rate_check_times))
+
+
 def circle_fixture() -> Fixture:
-    initial = sp.project_initial(
-        sp.circle(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x), cutoff=2)
-    return Fixture(
-        initial=initial,
-        default_times=np.geomspace(0.01, 2.0, 12),
-        rate_check_times=np.geomspace(0.01, 0.4, 8),
-    )
+    return _fixture(sp.circle(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x), 2,
+                    (0.01, 2.0, 12), (0.01, 0.4, 8))
 
 
 def torus_fixture() -> Fixture:
-    initial = sp.project_initial(
+    return _fixture(
         sp.torus2(1.0, 1.0),
-        lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x) + 0.25 * np.sin(2.0 * np.pi * y),
-        cutoff=2)
-    return Fixture(
-        initial=initial,
-        default_times=np.geomspace(0.01, 2.0, 12),
-        rate_check_times=np.geomspace(0.01, 0.4, 8),
-    )
+        lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x) + 0.25 * np.sin(2.0 * np.pi * y), 2,
+        (0.01, 2.0, 12), (0.01, 0.4, 8))
 
 
 def sphere_fixture() -> Fixture:
     # cutoff well above the data's band: the extra headroom buys a denser
     # Gauss-Legendre grid for the non-polynomial entropy integrands
-    initial = sp.project_initial(
-        sp.sphere2(1.0), lambda th: (1.0 + 0.5 * np.cos(th)) / (4.0 * math.pi), cutoff=8)
-    return Fixture(
-        initial=initial,
-        default_times=np.geomspace(0.01, 8.0, 14),
-        rate_check_times=np.geomspace(0.05, 2.0, 8),
-    )
+    return _fixture(sp.sphere2(1.0), lambda th: (1.0 + 0.5 * np.cos(th)) / (4.0 * math.pi), 8,
+                    (0.01, 8.0, 14), (0.05, 2.0, 8))
 
 
 def drift_fixture() -> Fixture:

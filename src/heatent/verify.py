@@ -154,21 +154,12 @@ def check_h3_normalization() -> CheckResult:
                    "radial kernel mass is 1 on the kappa x t grid")
 
 
-def check_envelopes(narrow_fraction: float = 0.0) -> CheckResult:
+def check_envelopes() -> CheckResult:
     """Quadrature values sit strictly inside the closed-form envelopes on a
-    40-point log grid: every side's verdict is inside.  narrow_fraction > 0
-    moves each side's margin in by that fraction of its envelope's width,
-    relative to eta or eta', for the harness self-test."""
+    40-point log grid: a violation per row whose ``envelope_ok`` is false."""
     sweep = h3.evaluate_records(h3.H3Params(1.0), np.geomspace(0.1, 100.0, 40))
-    value, lo, hi = sweep.etas.reshape(2, 3, -1).swapaxes(0, 1)  # each for eta, then eta'
-    narrowing = narrow_fraction * (hi - lo) / np.abs(value)
-    states = h3.verdict_states(sweep.margins - np.repeat(narrowing, 2, axis=0), sweep.errors)
-    # a (row, eta or eta') pair fails when either of its two sides is not inside
-    failures = int(np.count_nonzero(~np.all(states.reshape(2, 2, -1) == "inside", axis=1)))
-    detail = "eta and eta' strictly inside their envelopes on the log grid"
-    if narrow_fraction > 0.0:
-        detail += f" (fault injected: narrowed by {narrow_fraction:.0%} per side)"
-    return _result(failures, 0, detail)
+    return _result(np.count_nonzero(~sweep.envelope_ok), 0,
+                   "eta and eta' strictly inside their envelopes on the log grid")
 
 
 def check_band() -> CheckResult:
@@ -400,27 +391,11 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
-def run_checks(only: Optional[str] = None,
-               inject_fault: Optional[str] = None) -> dict[str, CheckResult]:
-    """Run the suite (or one named group); inject_fault="envelopes" narrows
-    the envelopes by 10% per side so failure propagation can be exercised.
-    Each group's max_error is its worst error floored at 0 (for
-    ``fixture_bounds`` the largest rate - rhs, negative inside); it is NaN
-    when any case is NaN, and a NaN fails the group.  Raises ValueError for
-    a fault other than "envelopes", an unknown group, or a fault that cannot
-    fire in the one group asked for."""
-    if inject_fault is not None and inject_fault != "envelopes":
-        raise ValueError(f"unsupported fault {inject_fault!r}; supported: envelopes")
+def run_checks(only: Optional[str] = None) -> dict[str, CheckResult]:
+    """Run the suite, or the one group named by ``only``.  Each group's
+    max_error is its worst error floored at 0 (for ``fixture_bounds`` the
+    largest rate - rhs, negative inside); it is NaN when any case is NaN,
+    and a NaN fails the group.  Raises ValueError for an unknown group."""
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {sorted(CHECKS)}")
-    if inject_fault is not None and only is not None and only != inject_fault:
-        raise ValueError(f"fault {inject_fault!r} cannot fire in group {only!r}; "
-                         f"it acts on the {inject_fault!r} group only")
-    names = [only] if only else list(CHECKS)
-    results: dict[str, CheckResult] = {}
-    for name in names:
-        if name == "envelopes" and inject_fault == "envelopes":
-            results[name] = check_envelopes(narrow_fraction=0.10)
-        else:
-            results[name] = CHECKS[name]()
-    return results
+    return {name: CHECKS[name]() for name in ([only] if only else CHECKS)}

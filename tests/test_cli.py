@@ -230,9 +230,10 @@ def test_propagator_failure_exits_one(monkeypatch, capsys):
     (QuadratureConvergenceError, 1, "quadrature failure"),
     (sp.PropagatorError, 1, "propagator failure"), (sp.PositivityError, 2, "error"),
     (sp.SpectralTruncationError, 2, "error"), (cli.UsageError, 2, "error"),
-    (ValueError, 2, "error")])
+    (ValueError, 2, "error"), (MemoryError, 2, "error: out of memory (MemoryError)")])
 def test_each_error_exits_by_its_clause(error, status, prefix, monkeypatch, capsys):
-    # a QuadratureDomainError is a ValueError, and still a numerical failure
+    # a QuadratureDomainError is a ValueError, and still a numerical failure;
+    # a request too large for memory cannot run as asked, as a usage error cannot
     def refuse(*args):
         raise error("refused")
 
@@ -346,7 +347,7 @@ def test_table_argv_builds_no_parser(tmp_path):
     argvs = [["h3", "--kappa", "2", "--t-count", "3", "--format", "json"],
              ["evolve", "--manifold", "torus", "--t-scale", "lin", "--t-start", "0.5"],
              ["bounds", "--manifold", "sphere", "--out", str(tmp_path / "b.csv")],
-             ["verify", "--only", "band", "--inject-fault", "envelopes"]]
+             ["verify", "--only", "band"]]
     cli._build_parser.cache_clear()
     assert [cli._parse(argv).command for argv in argvs] == ["h3", "evolve", "bounds", "verify"]
     assert cli._build_parser.cache_info().misses == 0
@@ -838,34 +839,11 @@ def test_verify_check_bug_is_not_a_usage_error(monkeypatch):
         cli.main(["verify", "--only", "band"])
 
 
-def test_verify_injected_fault_names_check():
+def test_verify_rejects_removed_inject_fault_flag():
+    # faults are the sensitivity table's rows, put in by the tests alone
     proc = run_cli("verify", "--only", "envelopes", "--inject-fault", "envelopes")
-    assert proc.returncode == 1
-    assert "envelopes" in proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["envelopes"]["pass"] is False
-
-
-def test_verify_injected_fault_report_is_unchanged(capsys):
-    # the fault moves each side's margin by 10% of its envelope's width; the
-    # same 24 of the 80 (row, eta or eta') pairs fail as when the envelope
-    # bounds themselves were narrowed
-    assert cli.main(["verify", "--only", "envelopes", "--inject-fault", "envelopes"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == (
-        '{\n  "envelopes": {\n    "details": "eta and eta\' strictly inside their '
-        'envelopes on the log grid (fault injected: narrowed by 10% per side)",\n'
-        '    "max_error": 24.0,\n    "pass": false\n  }\n}\n')
-    assert captured.err == "verify: failed checks: envelopes\n"
-
-
-def test_verify_fault_outside_its_group_is_a_usage_error(capsys):
-    # --only band never runs the envelopes group, so the fault could not fire
-    assert cli.main(["verify", "--only", "band", "--inject-fault", "envelopes"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: fault 'envelopes' cannot fire in group 'band'; "
-                            "it acts on the 'envelopes' group only\n")
+    assert proc.returncode == 2
+    assert "--inject-fault" in proc.stderr
 
 
 def test_verify_deterministic_bytes(tmp_path: Path):
@@ -932,7 +910,7 @@ def test_config_values_pass_flag_checks(config, tmp_path, capsys):
     ("bounds", "only", "band"), ("bounds", "inject_fault", "envelopes"),
     ("verify", "t_count", 3), ("h3", "manifold", "torus"), ("h3", "config", "x.json"),
     ("h3", "rtol", 1e-9), ("h3", "atol", 1e-15), ("verify", "rtol", 1e-9),
-    ("verify", "atol", 1e-15),
+    ("verify", "atol", 1e-15), ("verify", "inject_fault", "envelopes"),
 ])
 def test_config_rejects_keys_the_subcommand_does_not_read(command, key, value,
                                                           tmp_path, capsys):

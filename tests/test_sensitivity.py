@@ -6,8 +6,10 @@ call of the attribute during the group, 0 first, and the path into its
 result: attribute names and indices), and the group.  The wrapper is put in
 with monkeypatch, in process, so every other call returns its true value.
 A NaN row makes its case NaN, which must fail its group with ``max_error``
-NaN; a factor row scales its case by 1 + 1e-9, which must fail its group
-too.  Either way ``verify --only <group>`` must exit 1.
+NaN; a counting row makes its case NaN in a group whose ``max_error`` is a
+violation count, which must count it; a factor row scales its case by
+1 + 1e-9, which must fail its group too.  Every way ``verify --only <group>``
+must exit 1, and every group of ``verify.CHECKS`` has a row.
 """
 
 import dataclasses
@@ -42,6 +44,18 @@ NAN_ROWS = [
     (sp, "cauchy_step_trace", 1, (1, 2), "cauchy_step"),
     # rate_direct at the first time of kappa = 2, the second sweep
     (h3, "evaluate_records", 1, ("rate_direct", 0), "band"),
+    # the one rate, at kappa = 0.01, t = 1
+    (h3, "evaluate_records", 0, ("rate_direct", 0), "euclidean_limit"),
+]
+
+# groups whose max_error counts violations: a NaN case is one violation
+COUNT_ROWS = [
+    # the eta lower side's margin at the sixth time of the one sweep
+    (h3, "evaluate_records", 0, ("margins", 0, 5), "envelopes"),
+    # the middle of the first triple, at r = 1e-6
+    (vf, "sinh_ratio_bounds_check", 0, (1,), "sinh_ratio_bounds"),
+    # the eighth point of the kappa = 0.5 row of the grid
+    (h3, "log_sinh_ratio", 0, (7,), "log_sandwich"),
 ]
 
 # the relative error each factor row puts in its case
@@ -135,6 +149,18 @@ def test_a_nan_case_fails_its_group(corrupt, capsys, module, name, call, path, g
     assert captured.err == f"verify: failed checks: {group}\n"
 
 
+@pytest.mark.parametrize("module, name, call, path, group", COUNT_ROWS, ids=_row_ids(COUNT_ROWS))
+def test_a_nan_case_is_counted_by_its_group(corrupt, capsys, module, name, call, path, group):
+    calls = corrupt(module, name, call, path)
+    result = vf.run_checks(only=group)[group]
+    assert len(calls) > call  # the corrupted case was reached
+    assert not result.passed
+    assert result.max_error >= 1.0
+    calls.clear()  # the CLI run counts its calls afresh
+    assert cli.main(["verify", "--only", group]) == 1
+    assert capsys.readouterr().err == f"verify: failed checks: {group}\n"
+
+
 @pytest.mark.parametrize("module, name, call, path, group", FACTOR_ROWS,
                          ids=_row_ids(FACTOR_ROWS))
 def test_a_factor_error_fails_its_group(corrupt, capsys, module, name, call, path, group):
@@ -168,7 +194,15 @@ def test_a_lost_sphere_comparison_fails_fixture_bounds(corrupt, capsys):
     assert capsys.readouterr().err == "verify: failed checks: fixture_bounds\n"
 
 
-@pytest.mark.parametrize("group", sorted({row[-1] for row in NAN_ROWS + FACTOR_ROWS}))
+ROW_GROUPS = {row[-1] for row in NAN_ROWS + COUNT_ROWS + FACTOR_ROWS}
+
+
+def test_every_group_has_a_row():
+    # a group added to verify lands with its row
+    assert sorted(ROW_GROUPS) == sorted(vf.CHECKS)
+
+
+@pytest.mark.parametrize("group", sorted(ROW_GROUPS))
 def test_the_groups_pass_uncorrupted(group):
     # so that a failing row above is the corruption's doing
     result = vf.run_checks(only=group)[group]
